@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-pytest chaos experiments examples clean
+.PHONY: install test lint bench bench-pytest ledger-quick chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -27,6 +27,11 @@ bench:
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Smoke run of the end-to-end + per-layer ledger (same code paths, tiny
+# sizes, ~20 s): every workload's output checks plus the traced layers.
+ledger-quick:
+	python3 benchmarks/ledger/run.py --quick --trace
 
 # Service + fault suites under seeded latency injection (numpy backend).
 # PYTHONPATH=src so the target works from a bare checkout too.

@@ -63,7 +63,7 @@ from repro.netlist import (
     write_spef,
     write_verilog,
 )
-from repro.waveform import PackedWaveforms, Waveform
+from repro.waveform import PackedWaveforms, Waveform, WaveformPlane
 from repro.simulation import (
     EventDrivenSimulator,
     GpuWaveSim,
@@ -108,7 +108,7 @@ __all__ = [
     "circuit_stats", "parse_bench", "parse_sdf", "parse_spef", "parse_verilog",
     "random_circuit", "write_bench", "write_sdf", "write_spef", "write_verilog",
     # waveforms
-    "PackedWaveforms", "Waveform",
+    "PackedWaveforms", "Waveform", "WaveformPlane",
     # simulation
     "EventDrivenSimulator", "GpuWaveSim", "MultiDeviceWaveSim",
     "PatternPair", "ProcessVariation", "SimulationConfig",

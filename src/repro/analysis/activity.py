@@ -74,14 +74,23 @@ def switching_activity(
         raise SimulationError("no slots selected")
     toggles: Dict[str, int] = {}
     functional: Dict[str, int] = {}
-    for slot in chosen:
-        for net, waveform in result.waveforms[slot].items():
-            count = waveform.num_transitions
-            toggles[net] = toggles.get(net, 0) + count
-            if waveform.final_value != waveform.initial:
-                functional[net] = functional.get(net, 0) + 1
-            else:
-                functional.setdefault(net, 0)
+    plane = result.plane
+    if plane is not None:
+        # Columnar: a waveform ends away from its initial value exactly
+        # when its toggle count is odd.
+        counts = plane.counts[:, chosen]
+        toggles = dict(zip(plane.nets, counts.sum(axis=1).tolist()))
+        functional = dict(zip(plane.nets,
+                              (counts & 1).sum(axis=1).tolist()))
+    else:
+        for slot in chosen:
+            for net, waveform in result.waveforms[slot].items():
+                count = waveform.num_transitions
+                toggles[net] = toggles.get(net, 0) + count
+                if waveform.final_value != waveform.initial:
+                    functional[net] = functional.get(net, 0) + 1
+                else:
+                    functional.setdefault(net, 0)
     glitches = {
         net: toggles[net] - functional.get(net, 0) for net in toggles
     }

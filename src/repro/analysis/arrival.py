@@ -66,18 +66,18 @@ def latest_arrivals(
     watch = list(nets) if nets is not None else list(circuit.outputs)
     voltages = (
         plan.voltages if plan is not None
-        else np.asarray([v for _, v in result.slot_labels])
+        else np.asarray([v for _, v in result.slot_labels], dtype=np.float64)
     )
     by_voltage: Dict[float, float] = {}
     critical: Dict[float, int] = {}
-    for slot in range(result.num_slots):
-        voltage = float(voltages[slot])
-        arrival = result.latest_arrival(slot, watch)
+    arrivals = result.slot_arrivals(watch).tolist()
+    for slot, (voltage, arrival) in enumerate(zip(voltages.tolist(),
+                                                  arrivals)):
         if arrival > by_voltage.get(voltage, float("-inf")):
             by_voltage[voltage] = arrival
             critical[voltage] = slot
     return ArrivalReport(
-        circuit_name=getattr(result, "circuit_name", circuit.name),
+        circuit_name=circuit.name,
         by_voltage=by_voltage,
         critical_slot=critical,
     )

@@ -14,13 +14,15 @@ studies look at as *distributions* rather than single numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.activity import switching_activity
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.simulation.base import SimulationResult
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["Histogram", "arrival_histogram", "pulse_width_histogram",
            "toggles_per_level"]
@@ -94,13 +96,9 @@ def arrival_histogram(
 
     Slots whose watched nets never toggle are skipped (no arrival).
     """
-    chosen = list(slots) if slots is not None else range(result.num_slots)
-    samples = []
-    for slot in chosen:
-        arrival = result.latest_arrival(slot, nets)
-        if np.isfinite(arrival):
-            samples.append(arrival)
-    return _build(np.asarray(samples), bins)
+    arrivals = result.slot_arrivals(
+        nets, list(slots) if slots is not None else None)
+    return _build(arrivals[np.isfinite(arrivals)], bins)
 
 
 def pulse_width_histogram(
@@ -110,15 +108,17 @@ def pulse_width_histogram(
 ) -> Histogram:
     """Widths of every pulse of every recorded waveform."""
     chosen = list(slots) if slots is not None else range(result.num_slots)
-    widths: List[np.ndarray] = []
-    for slot in chosen:
-        for waveform in result.waveforms[slot].values():
-            pulse = waveform.pulse_widths()
-            if pulse.size:
-                widths.append(pulse)
-    if not widths:
+    plane = WaveformPlane.from_waveforms(result.waveforms)
+    # Differences of the dense payload, minus those that straddle two
+    # (net, slot) blocks.
+    _, counts, times = plane.take(chosen, copy=False).packed()
+    counts = counts.reshape(-1)
+    block_start = np.zeros(times.size, dtype=bool)
+    block_start[(np.cumsum(counts) - counts)[counts > 0]] = True
+    pulses = np.diff(times)[~block_start[1:]]
+    if not pulses.size:
         raise SimulationError("no pulses in the selected slots")
-    return _build(np.concatenate(widths), bins)
+    return _build(pulses, bins)
 
 
 def toggles_per_level(
@@ -138,10 +138,10 @@ def toggles_per_level(
             level_of_net[circuit.gates[gate_index].output] = level_index
     chosen = list(slots) if slots is not None else range(result.num_slots)
     totals: Dict[int, int] = {}
-    for slot in chosen:
-        for net, waveform in result.waveforms[slot].items():
-            level = level_of_net.get(net)
-            if level is None:
-                continue
-            totals[level] = totals.get(level, 0) + waveform.num_transitions
+    if not chosen:
+        return totals
+    for net, count in switching_activity(result, chosen).toggles.items():
+        level = level_of_net.get(net)
+        if level is not None:
+            totals[level] = totals.get(level, 0) + count
     return dict(sorted(totals.items()))

@@ -130,9 +130,10 @@ def trip(site: str, corruptible=None):
     """Cross one fault seam: enact whatever the active plan fires here.
 
     The disabled path (no active plan) is a global load and an identity
-    check.  ``corruptible`` — a ``[{net: Waveform}]`` result the site is
-    willing to expose to ``corrupt`` rules — is only touched when such a
-    rule fires.
+    check.  ``corruptible`` — a result
+    :class:`~repro.waveform.plane.WaveformPlane` the site is willing to
+    expose to ``corrupt`` rules — is only touched when such a rule
+    fires.
     """
     plan = _active
     if plan is None:

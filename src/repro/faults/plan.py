@@ -237,7 +237,7 @@ class FaultPlan:
         """Count one seam crossing and enact whatever rules fire.
 
         Latency rules sleep, ``corrupt`` rules flip one bit of the
-        passed waveforms (a no-op when the site offers nothing to
+        passed waveform plane (a no-op when the site offers nothing to
         corrupt), and ``raise``/``die`` rules raise — after the
         non-raising rules have been enacted, first raising rule wins.
         Returns the raising rule's sibling-free summary (the last
@@ -265,30 +265,28 @@ class FaultPlan:
         return last
 
 
-def corrupt_waveforms(rng: random.Random, waveforms) -> bool:
-    """Flip one bit of one waveform in a ``[{net: Waveform}]`` result.
+def corrupt_waveforms(rng: random.Random, plane) -> bool:
+    """Flip one bit of a :class:`~repro.waveform.plane.WaveformPlane`
+    in place — in the very bytes its content checksum covers.
 
-    Prefers flipping the lowest mantissa bit of one toggle time (an
-    in-place ndarray mutation); an all-quiet result instead has one
-    settled initial value inverted (rebuilding the immutable Waveform).
-    Returns False when there was nothing to corrupt.
+    Prefers the lowest mantissa bit of one toggle time of one
+    toggle-bearing ``(net, slot)`` block; an all-quiet plane instead has
+    one settled initial value inverted.  Returns False when there was
+    nothing to corrupt.
     """
     import numpy as np
 
-    from repro.waveform.waveform import Waveform
-
-    busy = [(nets, net) for nets in waveforms
-            for net, wave in nets.items() if wave.times.size]
-    if busy:
-        nets, net = busy[rng.randrange(len(busy))]
-        times = nets[net].times
-        view = times.view(np.int64)
-        view[rng.randrange(times.size)] ^= 1
+    busy = np.flatnonzero(plane.counts)
+    if busy.size:
+        block = np.unravel_index(busy[rng.randrange(busy.size)],
+                                 plane.counts.shape)
+        toggle = int(plane.starts[block]) + rng.randrange(
+            int(plane.counts[block]))
+        plane.times.view(np.int64)[toggle] ^= 1
         return True
-    quiet = [(nets, net) for nets in waveforms for net in nets]
-    if not quiet:
+    if not plane.initial.size:
         return False
-    nets, net = quiet[rng.randrange(len(quiet))]
-    wave = nets[net]
-    nets[net] = Waveform.trusted(1 - wave.initial, wave.times)
+    cell = np.unravel_index(rng.randrange(plane.initial.size),
+                            plane.initial.shape)
+    plane.initial[cell] ^= 1
     return True

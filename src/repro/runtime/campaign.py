@@ -30,6 +30,7 @@ follow *global* slot indices through every fallback.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time as _time
 from collections import deque
@@ -66,9 +67,15 @@ from repro.simulation.gpu import (
     _BatchStats,
 )
 from repro.simulation.grid import SlotPlan
-from repro.waveform.waveform import Waveform
+from repro.simulation.multi import _merge_stats
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CampaignConfig", "CampaignRunner"]
+
+#: Longest the runner waits for *any* in-flight chunk to finish.  Past
+#: it the workers are declared stuck and killed, which fails their
+#: chunks as a broken pool — the crash path the retry ladder absorbs.
+WORKER_WAIT_SECONDS = 900.0
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,7 @@ class CampaignConfig:
         Slots per chunk (the checkpointing and retry granularity).
     num_workers:
         Worker-process count; ``None`` uses the CPU count, ``0`` runs
-        every chunk in-process (no pool — useful where ``fork`` is
-        unavailable).
+        every chunk in-process (no pool).
     max_worker_attempts:
         Worker-process attempts per chunk before degrading in-process.
     backoff_seconds / backoff_factor:
@@ -152,22 +158,7 @@ def _campaign_chunk(
         # hard exit surfaces to the parent as a broken process pool —
         # exactly the failure the campaign retry ladder already absorbs.
         os._exit(1)
-    return result.waveforms, engine.last_stats
-
-
-def _merge_stats(target: _BatchStats, source: Optional[_BatchStats]) -> None:
-    if source is None:
-        return
-    target.gate_evaluations += source.gate_evaluations
-    target.kernel_calls += source.kernel_calls
-    target.kernel_iterations += source.kernel_iterations
-    target.retries += source.retries
-    target.batches += source.batches
-    target.lanes_skipped += source.lanes_skipped
-    target.demotions.extend(source.demotions)
-    target.delay_seconds += source.delay_seconds
-    target.merge_seconds += source.merge_seconds
-    target.pack_seconds += source.pack_seconds
+    return result.plane, engine.last_stats
 
 
 class CampaignRunner:
@@ -265,10 +256,9 @@ class CampaignRunner:
             backend=resolve_backend(self.config.backend).name,
         )
 
-        waveforms: List[Optional[Dict[str, Waveform]]] = [None] * plan.num_slots
         totals = _BatchStats()
         execution = _Execution(self, pairs, kernel_table, variation, chunks,
-                               report, waveforms, totals, store)
+                               report, totals, store)
         pending = deque()
         for index, (indices, _sub) in enumerate(chunks):
             loaded = (store.try_load_chunk(index, indices.size)
@@ -288,7 +278,7 @@ class CampaignRunner:
         return SimulationResult(
             circuit_name=self.compiled.circuit.name,
             slot_labels=plan.labels(),
-            waveforms=waveforms,  # type: ignore[arg-type]
+            waveforms=WaveformPlane.concat(execution.planes),
             runtime_seconds=report.wall_seconds,
             gate_evaluations=totals.gate_evaluations,
             engine=f"campaign[{execution.workers}]",
@@ -300,7 +290,7 @@ class _Execution:
     """Mutable state of one campaign run (chunk queue, pool, results)."""
 
     def __init__(self, runner: CampaignRunner, pairs, kernel_table, variation,
-                 chunks, report: RunReport, waveforms, totals: _BatchStats,
+                 chunks, report: RunReport, totals: _BatchStats,
                  store: Optional[CheckpointStore]) -> None:
         self.runner = runner
         self.campaign = runner.campaign
@@ -309,7 +299,11 @@ class _Execution:
         self.variation = variation
         self.chunks = chunks
         self.report = report
-        self.waveforms = waveforms
+        #: One result plane per chunk, in slot order (chunks are
+        #: contiguous slot ranges), all over the same net rows.
+        self.planes: List[Optional[WaveformPlane]] = [None] * len(chunks)
+        self.nets = runner.compiled.result_nets(
+            runner.config.record_all_nets)
         self.totals = totals
         self.store = store
         workers = self.campaign.num_workers
@@ -321,9 +315,10 @@ class _Execution:
     # -- bookkeeping ----------------------------------------------------------
 
     def stitch(self, index: int, chunk_waveforms) -> None:
-        indices, _sub = self.chunks[index]
-        for local, slot in enumerate(indices):
-            self.waveforms[int(slot)] = chunk_waveforms[local]
+        """Record one finished chunk — a worker's / checkpoint's plane,
+        or the event-driven fallback's per-slot dicts."""
+        self.planes[index] = WaveformPlane.from_waveforms(chunk_waveforms,
+                                                          self.nets)
 
     def checkpoint(self, index: int, chunk_waveforms) -> None:
         if self.store is None:
@@ -369,14 +364,22 @@ class _Execution:
                     self.submit(index, attempt, in_flight)
                 if not in_flight:
                     continue
-                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+                done, _ = wait(list(in_flight), timeout=WORKER_WAIT_SECONDS,
+                               return_when=FIRST_COMPLETED)
+                if not done:
+                    # Stuck workers: kill them.  Every in-flight future
+                    # then fails as a broken pool and its chunk re-enters
+                    # the retry ladder like after any worker crash.
+                    self.kill_workers()
+                    continue
                 pool_broken = False
                 for future in done:
                     pool_broken |= self.collect(future, in_flight.pop(future),
                                                 pending)
                 if pool_broken:
                     # The pool is dead; every remaining future fails fast.
-                    remaining, _ = wait(list(in_flight))
+                    remaining, _ = wait(list(in_flight),
+                                        timeout=WORKER_WAIT_SECONDS)
                     for future in remaining:
                         self.collect(future, in_flight.pop(future), pending)
                     # wait=True: every future is already collected, and an
@@ -386,12 +389,24 @@ class _Execution:
                     self.pool = None
         finally:
             if self.pool is not None:
+                if in_flight:
+                    self.kill_workers()
                 self.pool.shutdown(wait=True, cancel_futures=True)
                 self.pool = None
 
+    def kill_workers(self) -> None:
+        # ProcessPoolExecutor has no public kill before Python 3.14.
+        for process in list(getattr(self.pool, "_processes", {}).values()):
+            process.kill()
+
     def submit(self, index: int, attempt: int, in_flight: Dict) -> None:
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=max(self.workers, 1))
+            # Spawned, never forked: the parent has usually run an
+            # OpenMP kernel already, and a forked child deadlocks in
+            # libgomp on its first parallel region.
+            self.pool = ProcessPoolExecutor(
+                max_workers=max(self.workers, 1),
+                mp_context=multiprocessing.get_context("spawn"))
         config, budget = self.attempt_params(attempt)
         indices, sub = self.chunks[index]
         future = self.pool.submit(
@@ -461,8 +476,8 @@ class _Execution:
                     ENGINE_IN_PROCESS, config.waveform_capacity, budget,
                     _time.perf_counter() - started))
                 _merge_stats(self.totals, engine.last_stats)
-                self.stitch(index, result.waveforms)
-                self.checkpoint(index, result.waveforms)
+                self.stitch(index, result.plane)
+                self.checkpoint(index, result.plane)
                 return
 
         if self.campaign.degrade_event_driven:
@@ -495,7 +510,7 @@ class _Execution:
         engine = EventDrivenSimulator(
             runner.compiled.circuit, runner.compiled.library,
             config=runner.config, compiled=runner.compiled)
-        chunk: List[Optional[Dict[str, Waveform]]] = [None] * sub.num_slots
+        chunk: List[Optional[Dict]] = [None] * sub.num_slots
         evaluations = 0
         for voltage in sub.distinct_voltages():
             slots = np.where(sub.voltages == voltage)[0]

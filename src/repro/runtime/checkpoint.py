@@ -24,13 +24,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Optional, Set
 
 import numpy as np
 
 from repro.errors import CheckpointError
 from repro.runtime.fingerprint import campaign_fingerprint
-from repro.waveform.waveform import Waveform
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CheckpointStore", "campaign_fingerprint", "MANIFEST_NAME"]
 
@@ -95,32 +95,21 @@ class CheckpointStore:
                 found.add(int(stem))
         return found
 
-    def save_chunk(self, index: int,
-                   waveforms: List[Dict[str, Waveform]]) -> None:
-        """Persist one chunk's per-slot waveform dicts atomically."""
-        if not waveforms:
+    def save_chunk(self, index: int, waveforms) -> None:
+        """Persist one chunk atomically — a
+        :class:`~repro.waveform.plane.WaveformPlane` or per-slot
+        ``{net: Waveform}`` mappings, stored in the plane's packed form."""
+        if not len(waveforms):
             raise CheckpointError("cannot checkpoint an empty chunk")
+        try:
+            plane = WaveformPlane.from_waveforms(waveforms)
+        except KeyError as error:
+            raise CheckpointError(
+                f"chunk {index}: a slot is missing net {error}") from None
         self.directory.mkdir(parents=True, exist_ok=True)
-        nets = list(waveforms[0])
-        num_slots = len(waveforms)
-        initial = np.zeros((len(nets), num_slots), dtype=np.uint8)
-        counts = np.zeros((len(nets), num_slots), dtype=np.int64)
-        pieces: List[np.ndarray] = []
-        for row, net in enumerate(nets):
-            for slot in range(num_slots):
-                try:
-                    waveform = waveforms[slot][net]
-                except KeyError:
-                    raise CheckpointError(
-                        f"chunk {index}: slot {slot} is missing net {net!r}"
-                    ) from None
-                initial[row, slot] = waveform.initial
-                counts[row, slot] = waveform.num_transitions
-                pieces.append(waveform.times)
-        times = (np.concatenate(pieces) if pieces
-                 else np.empty(0, dtype=np.float64))
+        initial, counts, times = plane.packed()
         payload = {
-            "nets": np.asarray(nets),
+            "nets": np.asarray(plane.nets),
             "initial": initial,
             "counts": counts,
             "times": times,
@@ -140,15 +129,14 @@ class CheckpointStore:
                 pass
             raise
 
-    def load_chunk(self, index: int,
-                   expected_slots: int) -> List[Dict[str, Waveform]]:
+    def load_chunk(self, index: int, expected_slots: int) -> WaveformPlane:
         """Load one chunk; raises :class:`CheckpointError` on corruption."""
         path = self.chunk_path(index)
         try:
             with np.load(path, allow_pickle=False) as data:
                 nets = [str(net) for net in data["nets"]]
-                initial = data["initial"]
-                counts = data["counts"]
+                initial = np.asarray(data["initial"], dtype=np.uint8)
+                counts = np.asarray(data["counts"], dtype=np.int64)
                 times = np.asarray(data["times"], dtype=np.float64)
         except (OSError, ValueError, KeyError) as error:
             raise CheckpointError(
@@ -160,24 +148,14 @@ class CheckpointStore:
                 f"chunk file {path} holds {initial.shape[1] if initial.ndim == 2 else '?'} "
                 f"slots, expected {expected_slots}"
             )
-        if int(counts.sum()) != times.size:
+        if int(counts.sum()) != times.size or (counts < 0).any():
             raise CheckpointError(
                 f"chunk file {path} toggle payload is truncated"
             )
-        result: List[Dict[str, Waveform]] = [dict() for _ in range(expected_slots)]
-        offset = 0
-        for row, net in enumerate(nets):
-            for slot in range(expected_slots):
-                count = int(counts[row, slot])
-                result[slot][net] = Waveform.trusted(
-                    int(initial[row, slot]),
-                    times[offset:offset + count].copy(),
-                )
-                offset += count
-        return result
+        return WaveformPlane.from_packed(nets, initial, counts, times)
 
     def try_load_chunk(self, index: int,
-                       expected_slots: int) -> Optional[List[Dict[str, Waveform]]]:
+                       expected_slots: int) -> Optional[WaveformPlane]:
         """Graceful loader: a corrupt chunk is deleted and reported as
         missing so the runner re-simulates it instead of aborting."""
         if not self.has_chunk(index):

@@ -7,12 +7,13 @@ directory would have resumed it: same circuit, stimuli, slot plane,
 semantic config, kernel table and variation model.  Operational knobs
 (backend, batching policy, capacity, fault plans) never split the cache.
 
-Integrity: admission deep-copies the waveform arrays (a cached entry
-must not share memory with the result already handed to the submitting
-caller — and must not pin the engine's whole flat unpack buffer through
-zero-copy slices) and stores a CRC32 over the copied content.  Every
-hit re-derives the checksum; a mismatch means the entry rotted in
-memory (or a ``cache.get`` fault corrupted it), so it is **evicted and
+Integrity: an entry holds a private
+:class:`~repro.waveform.plane.WaveformPlane` (admission copies it — a
+cached entry must not share memory with the result handed to the
+submitting caller, nor pin a batch-wide payload) and the plane's CRC32
+content checksum.  Every hit
+re-derives the checksum; a mismatch means the entry rotted in memory
+(or a ``cache.get`` fault corrupted it), so it is **evicted and
 counted** (``integrity_evictions``), the lookup reports a miss, and the
 job recomputes instead of serving poisoned waveforms.
 """
@@ -23,12 +24,12 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import faults
-from repro.waveform.waveform import Waveform
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CachedBase", "CachedResult", "ResultCache", "base_checksum",
            "waveform_checksum"]
@@ -38,30 +39,23 @@ __all__ = ["CachedBase", "CachedResult", "ResultCache", "base_checksum",
 class CachedResult:
     """Engine output retained for one job fingerprint."""
 
-    waveforms: List[Dict[str, Waveform]]
+    plane: WaveformPlane
     slot_labels: List[Tuple[int, float]]
     engine: str
     gate_evaluations: int
-    #: CRC32 of the waveform content at admission (0 = unverified).
+    #: CRC32 of the plane content at admission (0 = unverified).
     checksum: int = 0
 
 
-def waveform_checksum(waveforms: List[Dict[str, Waveform]]) -> int:
+def waveform_checksum(waveforms) -> int:
     """CRC32 over a result's full waveform content.
 
-    Covers net names, initial values and every toggle time, in slot
-    order with nets sorted per slot — the iteration order is part of
-    the checksum contract, so admit and verify must both use this
-    function.
+    ``waveforms`` is a result's ``.waveforms`` (or a plane); the digest
+    is :meth:`WaveformPlane.checksum` — net names, initial values,
+    toggle counts and every toggle time — so admit and verify, engine
+    planes, ``take`` slices and checkpoint reloads all agree.
     """
-    crc = 0
-    for nets in waveforms:
-        for net in sorted(nets):
-            wave = nets[net]
-            crc = zlib.crc32(net.encode("utf-8"), crc)
-            crc = zlib.crc32(bytes((wave.initial,)), crc)
-            crc = zlib.crc32(np.ascontiguousarray(wave.times), crc)
-    return crc
+    return WaveformPlane.from_waveforms(waveforms).checksum()
 
 
 @dataclass(frozen=True)
@@ -69,11 +63,10 @@ class CachedBase:
     """One pinned base arena in a compatibility group's delta ring.
 
     ``arena`` is a :class:`~repro.simulation.delta.BaseArena` whose
-    payload the service hands over without deep-copying (the engine's
-    capture already owns private memory — the base-ring extension of
-    the ``put(copy=False)`` fast path); ``tag`` is the producing job's
-    fingerprint, which both deduplicates retention and lets operators
-    trace a splice back to its origin run.
+    payload the service hands over without deep-copying (the per-job
+    ``take`` already owns private memory); ``tag`` is the producing
+    job's fingerprint, which both deduplicates retention and lets
+    operators trace a splice back to its origin run.
     """
 
     arena: object
@@ -89,46 +82,10 @@ def base_checksum(arena) -> int:
     toggle times, so everything :func:`select_delta` or the splice path
     reads is part of the chain.
     """
-    crc = 0
-    for array in (arena.initial, arena.counts, arena.starts, arena.times,
-                  arena.v1, arena.v2, arena.voltages, arena.global_slots):
+    crc = arena.plane.checksum()
+    for array in (arena.v1, arena.v2, arena.voltages, arena.global_slots):
         crc = zlib.crc32(np.ascontiguousarray(array), crc)
     return crc
-
-
-def _base_corruptible(arena) -> List[Dict[str, Waveform]]:
-    """A ``[{net: Waveform}]`` view of a base arena for the fault
-    layer's ``corrupt`` rules: toggle-bearing ``(net, slot)`` blocks as
-    zero-copy :class:`Waveform` views into ``arena.times``, so a flipped
-    mantissa bit lands in the pinned payload itself (and the next
-    integrity verification must catch it).  Built only when a fault plan
-    is armed — the hot path never materializes it.
-    """
-    views: List[Dict[str, Waveform]] = []
-    rows, cols = np.nonzero(arena.counts)
-    per_slot: Dict[int, Dict[str, Waveform]] = {}
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        start = int(arena.starts[row, col])
-        count = int(arena.counts[row, col])
-        per_slot.setdefault(col, {})[f"n{row}"] = Waveform.trusted(
-            int(arena.initial[row, col]), arena.times[start:start + count])
-    views.extend(per_slot.values())
-    return views
-
-
-def _copied_entry(entry: CachedResult) -> CachedResult:
-    waveforms = [
-        {net: Waveform.trusted(wave.initial, wave.times.copy())
-         for net, wave in nets.items()}
-        for nets in entry.waveforms
-    ]
-    return CachedResult(
-        waveforms=waveforms,
-        slot_labels=list(entry.slot_labels),
-        engine=entry.engine,
-        gate_evaluations=entry.gate_evaluations,
-        checksum=waveform_checksum(waveforms),
-    )
 
 
 class ResultCache:
@@ -171,8 +128,8 @@ class ResultCache:
             # Fault seam: fires on the hit path, before verification —
             # a ``corrupt`` rule rots this entry's (private) arrays,
             # which the checksum below must catch.
-            faults.trip("cache.get", corruptible=entry.waveforms)
-            if waveform_checksum(entry.waveforms) != entry.checksum:
+            faults.trip("cache.get", corruptible=entry.plane)
+            if entry.plane.checksum() != entry.checksum:
                 del self._entries[fingerprint]
                 self.integrity_evictions += 1
                 self.misses += 1
@@ -181,23 +138,13 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, fingerprint: str, entry: CachedResult,
-            copy: bool = True) -> None:
-        """Admit one entry; verification-on-hit applies either way.
-
-        ``copy=False`` is the demux hot-loop's fast path: the caller
-        guarantees the entry's arrays are already private (the service
-        builds them with one bulk gather per job instead of one
-        ``ndarray.copy`` per waveform), so admission only derives the
-        missing checksum instead of deep-copying a second time.
-        """
+    def put(self, fingerprint: str, entry: CachedResult) -> None:
+        """Admit a private copy of one entry, stamped with its content
+        checksum (verified on every hit)."""
         if not self.enabled:
             return
-        if copy:
-            entry = _copied_entry(entry)
-        elif entry.checksum == 0:
-            entry = replace(entry,
-                            checksum=waveform_checksum(entry.waveforms))
+        plane = entry.plane.take(np.arange(entry.plane.num_slots))
+        entry = replace(entry, plane=plane, checksum=plane.checksum())
         with self._lock:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
@@ -212,9 +159,8 @@ class ResultCache:
         """Pin a base arena in ``group_key``'s delta ring.
 
         No deep copy: the arena's payload is already private (engine
-        capture / per-job ``take``), so retention is the base-ring
-        extension of the ``put(copy=False)`` fast path — admission only
-        derives the integrity checksum.  The ring holds the newest
+        capture / per-job ``take``), so admission only derives the
+        integrity checksum.  The ring holds the newest
         ``max_bases`` arenas per group; re-admitting an existing ``tag``
         is a no-op (the splice of a fully cached job must not displace
         the ring's diversity with a byte-identical duplicate).
@@ -241,9 +187,7 @@ class ResultCache:
         verify-on-hit contract as :meth:`get`); a mismatch evicts the
         rotted arena and counts an ``integrity_eviction`` instead of
         letting a poisoned base splice into fresh results.  The
-        ``cache.get`` fault seam fires per candidate — but its
-        corruptible waveform view is only materialized while a fault
-        plan is armed.
+        ``cache.get`` fault seam fires per candidate.
         """
         if self.max_bases <= 0 or not self.enabled:
             return []
@@ -254,11 +198,7 @@ class ResultCache:
             survivors: List[object] = []
             for tag in list(ring):
                 entry = ring[tag]
-                faults.trip(
-                    "cache.get",
-                    corruptible=(_base_corruptible(entry.arena)
-                                 if faults.active_plan() is not None
-                                 else None))
+                faults.trip("cache.get", corruptible=entry.arena.plane)
                 if base_checksum(entry.arena) != entry.checksum:
                     del ring[tag]
                     self.base_bytes_pinned -= entry.arena.nbytes

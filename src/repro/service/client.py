@@ -104,9 +104,7 @@ class ServiceClient:
 
 
 def _response(req_id, result: JobResult) -> dict:
-    latest = max((w.latest_transition()
-                  for slot in result.waveforms for w in slot.values()),
-                 default=float("-inf"))
+    latest = max(result.slot_arrivals().tolist(), default=float("-inf"))
     return {
         "id": req_id,
         "ok": True,

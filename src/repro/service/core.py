@@ -96,7 +96,6 @@ from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import DeltaPlan, select_delta
 from repro.simulation.grid import SlotPlan
-from repro.waveform.waveform import Waveform
 
 __all__ = ["SimulationService"]
 
@@ -640,10 +639,10 @@ class SimulationService:
                             kernel_table=jobs[0].kernel_table,
                             variation=jobs[0].variation,
                             global_slots=global_slots, **kwargs)
-        faults.trip("service.demux", corruptible=result.waveforms)
+        faults.trip("service.demux", corruptible=result.plane)
         stats = engine.last_stats
         self._settle_batch(
-            jobs, compiled, config, result.waveforms,
+            jobs, compiled, config, result.plane,
             engine_name=result.engine, backend=stats.backend,
             gate_evaluations=stats.gate_evaluations,
             lanes_skipped=stats.lanes_skipped,
@@ -654,20 +653,23 @@ class SimulationService:
 
     def _settle_batch(self, jobs: List[SimulationJob],
                       compiled: CompiledCircuit, config: SimulationConfig,
-                      waveforms, engine_name: str, backend,
+                      plane, engine_name: str, backend,
                       gate_evaluations: int, lanes_skipped: int,
                       demotions: List[str], phase_seconds: Dict[str, float],
                       started: float, lanes_spliced: int = 0,
                       base_arena=None) -> None:
         """Demultiplex one executed plane into per-job results.
 
-        Shared by the in-process path (waveforms fresh off the engine)
-        and the sharded path (waveforms rebuilt from a mapped result
-        plane) — the apportionment, reports, caching and settlement are
-        identical either way, which is most of the bit-identity
-        contract.  ``base_arena`` (in-process delta path only) is the
-        batch's captured waveform state; each job's slice is pinned in
-        its compat group's base ring for later incremental jobs.
+        ``plane`` is the batch's result
+        :class:`~repro.waveform.plane.WaveformPlane`; each job receives
+        a private ``take`` of its slots.  Shared by the in-process path
+        (plane fresh off the engine) and the sharded path (plane read
+        from a mapped result segment) — the apportionment, reports,
+        caching and settlement are identical either way, which is most
+        of the bit-identity contract.  ``base_arena`` (in-process delta
+        path only) is the batch's captured waveform state; each job's
+        slice is pinned in its compat group's base ring for later
+        incremental jobs.
         """
         if demotions:
             self._metrics.record_demotions(len(demotions))
@@ -680,12 +682,11 @@ class SimulationService:
         now = _time.monotonic()
         for position, job in enumerate(jobs):
             n = job.num_slots
-            wave_slice = waveforms[start:start + n]
+            slots = np.arange(start, start + n)
+            job_plane = plane.take(slots)
             if base_arena is not None:
-                self._cache.put_base(
-                    job.compat_key,
-                    base_arena.take(np.arange(start, start + n)),
-                    tag=job.fingerprint)
+                self._cache.put_base(job.compat_key, base_arena.take(slots),
+                                     tag=job.fingerprint)
             start += n
             evals = gate_evaluations * n // total_slots
             skipped = lanes_skipped * n // total_slots
@@ -710,7 +711,7 @@ class SimulationService:
                                for name, value in phase_seconds.items()},
             )
             job_result = JobResult(
-                waveforms=wave_slice,
+                waveforms=job_plane,
                 slot_labels=job.plan.labels(),
                 engine=engine_name,
                 gate_evaluations=evals,
@@ -718,15 +719,12 @@ class SimulationService:
                 latency_seconds=now - job.submitted,
                 report=report,
             )
-            # One bulk gather makes the cache entry private up front, so
-            # admission can skip its per-waveform deep copy
-            # (``copy=False``); the CRC32 verify-on-hit is unchanged.
             self._cache.put(job.fingerprint, CachedResult(
-                waveforms=_private_waveforms(wave_slice),
+                plane=job_plane,
                 slot_labels=job_result.slot_labels,
                 engine=engine_name,
                 gate_evaluations=evals,
-            ), copy=False)
+            ))
             self._finish_job(job, result=job_result)
 
     # -- sharded execution (router callbacks) ---------------------------------
@@ -747,19 +745,20 @@ class SimulationService:
         """Router callback: demux one ``done`` reply.
 
         ``arena`` is the parent's zero-copy mapping of the shard's
-        result plane; the waveform payload never crossed a pipe.
+        result segment; the waveform payload never crossed a pipe.
         """
-        from repro.service.shard import unpack_result_plane, wanted_nets
+        from repro.service.shard import read_result_plane
 
         breaker = self._breaker_for(batch.compat_key)
         try:
             compiled = self.circuit(jobs[0].circuit_key)
             config = jobs[0].config
-            waveforms = unpack_result_plane(
-                arena, outcome["layout"], wanted_nets(compiled, config))
-            faults.trip("service.demux", corruptible=waveforms)
+            plane = read_result_plane(
+                arena, outcome["layout"],
+                compiled.result_nets(config.record_all_nets))
+            faults.trip("service.demux", corruptible=plane)
             self._settle_batch(
-                jobs, compiled, config, waveforms,
+                jobs, compiled, config, plane,
                 engine_name=outcome["engine"], backend=outcome["backend"],
                 gate_evaluations=outcome["gate_evaluations"],
                 lanes_skipped=outcome["lanes_skipped"],
@@ -826,7 +825,7 @@ class SimulationService:
 
     def _cached_result(self, compiled: CompiledCircuit, entry: CachedResult,
                        latency: float) -> JobResult:
-        n = len(entry.waveforms)
+        n = entry.plane.num_slots
         report = RunReport(
             circuit_name=compiled.circuit.name,
             num_slots=n,
@@ -835,7 +834,7 @@ class SimulationService:
             wall_seconds=latency,
         )
         return JobResult(
-            waveforms=[dict(slot) for slot in entry.waveforms],
+            waveforms=entry.plane,
             slot_labels=list(entry.slot_labels),
             engine=ENGINE_CACHE,
             gate_evaluations=0,
@@ -843,29 +842,3 @@ class SimulationService:
             latency_seconds=latency,
             report=report,
         )
-
-
-def _private_waveforms(wave_slice) -> List[Dict[str, Waveform]]:
-    """Privately-owned copy of one job's waveform slice, in one gather.
-
-    The cache must not retain views into the engine's (or the shard
-    plane's) batch-wide flat buffer; instead of one ``ndarray.copy``
-    per waveform, every toggle array is gathered into a single freshly
-    allocated buffer and sliced back out — one C-level ``concatenate``
-    for the whole job.
-    """
-    chunks = [wave.times
-              for nets in wave_slice for wave in nets.values()]
-    flat = (np.concatenate(chunks) if chunks
-            else np.empty(0, dtype=np.float64))
-    out: List[Dict[str, Waveform]] = []
-    position = 0
-    for nets in wave_slice:
-        copied = {}
-        for net, wave in nets.items():
-            size = wave.times.size
-            copied[net] = Waveform.trusted(
-                wave.initial, flat[position:position + size])
-            position += size
-        out.append(copied)
-    return out

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.runtime.report import RunReport
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.grid import SlotPlan
+from repro.waveform.plane import PlaneAccessors
 from repro.waveform.waveform import Waveform
 
 __all__ = ["JobHandle", "JobResult", "ServiceConfig", "SimulationJob"]
@@ -215,8 +216,14 @@ class SimulationJob:
 
 
 @dataclass
-class JobResult:
+class JobResult(PlaneAccessors):
     """Demultiplexed outcome of one job.
+
+    ``waveforms`` and the per-slot accessors follow the
+    :class:`~repro.simulation.base.SimulationResult` contract (a lazy
+    view over the job's private
+    :class:`~repro.waveform.plane.WaveformPlane`), so the analysis layer
+    accepts job results unchanged.
 
     ``report`` reuses the campaign vocabulary
     (:class:`~repro.runtime.report.RunReport`): the job appears as one
@@ -227,31 +234,13 @@ class JobResult:
     per-job figures are an apportionment, not a separate measurement.
     """
 
-    waveforms: List[Dict[str, Waveform]]
+    waveforms: Sequence[Mapping[str, Waveform]]
     slot_labels: List[Tuple[int, float]]
     engine: str
     gate_evaluations: int
     cache_hit: bool
     latency_seconds: float
     report: Optional[RunReport] = None
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.waveforms)
-
-    def waveform(self, slot: int, net: str) -> Waveform:
-        return self.waveforms[slot][net]
-
-    def latest_arrival(self, slot: int, nets=None) -> float:
-        """Latest toggle time over ``nets`` (default: all recorded nets)
-        — the :class:`~repro.simulation.base.SimulationResult` contract,
-        so the analysis layer accepts job results unchanged."""
-        chosen = nets if nets is not None else list(self.waveforms[slot])
-        latest = float("-inf")
-        for net in chosen:
-            latest = max(latest,
-                         self.waveform(slot, net).latest_transition())
-        return latest
 
 
 class JobHandle:

@@ -10,11 +10,12 @@ memory (:mod:`repro.service.shm`):
   and job-local ``global_slots`` into a parent-owned input plane; the
   shard builds zero-copy views over that segment and hands them
   straight to :meth:`~repro.simulation.gpu.GpuWaveSim.run`;
-* **waveforms out** — the shard packs the result into a shard-owned
-  result plane (per-``(net, slot)`` toggle counts + initial values +
-  one flat toggle-time array, net-major), grows the segment by
+* **waveforms out** — the shard writes the result
+  :class:`~repro.waveform.plane.WaveformPlane` in its packed form
+  (toggle counts + initial values + the dense net-major toggle-time
+  payload) into a shard-owned result segment, grows the segment by
   generation when a batch overflows it, and reports only the layout
-  over the pipe.  The parent maps the segment zero-copy for demux.
+  over the pipe.  The parent maps the segment and rebuilds the plane.
 
 Shard state is *replayable*: the parent records every ``circuit`` and
 ``group`` registration and replays them into a respawned shard after a
@@ -37,7 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,14 +49,13 @@ from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, seed_level_plan_cache
 from repro.simulation.delta import select_delta
 from repro.simulation.grid import SlotPlan
-from repro.waveform.waveform import Waveform
+from repro.waveform.plane import WaveformPlane
 
 __all__ = [
     "input_layout",
     "pack_batch_inputs",
+    "read_result_plane",
     "result_layout",
-    "unpack_result_plane",
-    "wanted_nets",
 ]
 
 #: Exit codes distinguishing deliberate shard exits from interpreter
@@ -68,22 +68,6 @@ _ALIGN = 8
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def wanted_nets(compiled: CompiledCircuit, config: SimulationConfig
-                ) -> List[str]:
-    """The nets a result carries, in packing order.
-
-    Must match the engine's own unpack order
-    (``GpuWaveSim._unpack_waveforms``): every net in ``net_index``
-    insertion order under ``record_all_nets``, else the circuit outputs.
-    Parent and shard both derive this list from their own copy of the
-    compiled circuit, so net names never cross the process boundary
-    per batch.
-    """
-    if config.record_all_nets:
-        return list(compiled.net_index)
-    return list(compiled.circuit.outputs)
 
 
 def input_layout(num_pairs: int, width: int, num_slots: int) -> dict:
@@ -139,60 +123,33 @@ def result_layout(num_nets: int, num_slots: int, total_toggles: int) -> dict:
     }
 
 
-def unpack_result_plane(arena: SharedArena, layout: dict,
-                        nets: List[str]) -> List[Dict[str, Waveform]]:
-    """Rebuild per-slot waveform dicts from a mapped result plane.
+def read_result_plane(arena: SharedArena, layout: dict,
+                      nets: Sequence[str]) -> WaveformPlane:
+    """The result plane behind a mapped result segment (parent side).
 
-    The segment itself is read zero-copy; one bulk ``copy()`` of the
-    flat toggle array decouples the returned waveforms from the ring
-    slot (which the shard will overwrite with a later batch) — the
-    per-``(net, slot)`` :meth:`Waveform.trusted` slices then share that
-    single parent-owned buffer, exactly like the in-process engine's
-    flat unpack buffer.
+    The three arrays are copied out in bulk, decoupling the plane from
+    the ring slot, which the shard will overwrite with a later batch.
     """
     shape = (layout["num_nets"], layout["num_slots"])
-    counts = arena.ndarray(shape, np.int64, layout["off_counts"]).copy()
-    initials = arena.ndarray(shape, np.uint8, layout["off_initials"]).copy()
-    flat = arena.ndarray((layout["total_toggles"],), np.float64,
-                         layout["off_times"]).copy()
-    num_slots = layout["num_slots"]
-    ends = np.cumsum(counts.reshape(-1))
-    starts = ends - counts.reshape(-1)
-    result: List[Dict[str, Waveform]] = [dict() for _ in range(num_slots)]
-    trusted = Waveform.trusted
-    lane = 0
-    for row, net in enumerate(nets):
-        row_initials = initials[row].tolist()
-        for slot in range(num_slots):
-            result[slot][net] = trusted(
-                row_initials[slot], flat[starts[lane]:ends[lane]])
-            lane += 1
-    return result
+    return WaveformPlane.from_packed(
+        nets,
+        arena.ndarray(shape, np.uint8, layout["off_initials"]).copy(),
+        arena.ndarray(shape, np.int64, layout["off_counts"]).copy(),
+        arena.ndarray((layout["total_toggles"],), np.float64,
+                      layout["off_times"]).copy())
 
 
-def _pack_result(arena_for, waveforms: List[Dict[str, Waveform]],
-                 nets: List[str]) -> Tuple[SharedArena, dict]:
-    """Pack a result into a plane obtained from ``arena_for(nbytes)``."""
-    num_slots = len(waveforms)
-    num_nets = len(nets)
-    counts = np.empty((num_nets, num_slots), dtype=np.int64)
-    initials = np.empty((num_nets, num_slots), dtype=np.uint8)
-    chunks: List[np.ndarray] = []
-    for row, net in enumerate(nets):
-        for slot in range(num_slots):
-            wave = waveforms[slot][net]
-            counts[row, slot] = wave.times.size
-            initials[row, slot] = wave.initial
-            chunks.append(wave.times)
-    layout = result_layout(num_nets, num_slots, int(counts.sum()))
+def _write_result_plane(arena_for, plane: WaveformPlane) -> dict:
+    """Write a plane's packed form into a segment obtained from
+    ``arena_for(nbytes)`` (shard side); returns its layout."""
+    initial, counts, times = plane.packed()
+    layout = result_layout(plane.num_nets, plane.num_slots, times.size)
     arena = arena_for(layout["nbytes"])
     arena.ndarray(counts.shape, np.int64, layout["off_counts"])[:] = counts
-    arena.ndarray(initials.shape, np.uint8,
-                  layout["off_initials"])[:] = initials
-    if layout["total_toggles"]:
-        np.concatenate(chunks, out=arena.ndarray(
-            (layout["total_toggles"],), np.float64, layout["off_times"]))
-    return arena, layout
+    arena.ndarray(initial.shape, np.uint8,
+                  layout["off_initials"])[:] = initial
+    arena.ndarray(times.shape, np.float64, layout["off_times"])[:] = times
+    return layout
 
 
 class _ResultPlane:
@@ -367,7 +324,6 @@ class _ShardWorker:
                 f"unregistered compatibility group {desc['compat_key'][:12]}")
         (circuit_key, config, kernel_table, variation, delta_bases,
          delta_threshold) = group
-        compiled = self.circuits[circuit_key]
         layout = desc["layout"]
         arena = self.attach_input(desc["in_name"])
         shape = (layout["num_pairs"], layout["width"])
@@ -407,8 +363,7 @@ class _ShardWorker:
             ring.append(result.base_arena)
         stats = engine.last_stats
         plane = self.results[desc["out_slot"]]
-        _, out_layout = _pack_result(
-            plane.ensure, result.waveforms, wanted_nets(compiled, config))
+        out_layout = _write_result_plane(plane.ensure, result.plane)
         self.send(("done", desc["batch_id"], {
             "out_name": plane.arena.name,
             "layout": out_layout,

@@ -10,11 +10,12 @@ turns it into primary-input waveforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.circuit import Circuit
+from repro.waveform.plane import PlaneAccessors
 from repro.waveform.waveform import Waveform
 
 __all__ = [
@@ -174,13 +175,19 @@ class SimulationConfig:
 
 
 @dataclass
-class SimulationResult:
+class SimulationResult(PlaneAccessors):
     """Waveforms and bookkeeping of one simulation run.
 
     ``waveforms[slot][net]`` is the computed :class:`Waveform` of ``net``
     in slot ``slot`` (a (pattern, operating point) combination as listed
     in ``slot_labels``).  Only primary outputs are present unless the run
-    recorded all nets.
+    recorded all nets.  The parallel engines pass a
+    :class:`~repro.waveform.plane.WaveformPlane`; ``waveforms`` is then
+    a lazy read-only view that materializes a :class:`Waveform` only
+    when indexed, ``plane`` is the columnar payload, and the accessors
+    (:class:`~repro.waveform.plane.PlaneAccessors`) and the analysis
+    layer read the columns directly.  A plain list of ``{net:
+    Waveform}`` dicts works the same, one object at a time.
 
     ``report`` is populated by the fault-tolerant campaign runtime
     (:mod:`repro.runtime`) with a structured
@@ -191,7 +198,7 @@ class SimulationResult:
 
     circuit_name: str
     slot_labels: List[Tuple[int, float]]
-    waveforms: List[Dict[str, Waveform]]
+    waveforms: Sequence[Mapping[str, Waveform]]
     runtime_seconds: float
     gate_evaluations: int
     engine: str
@@ -201,32 +208,3 @@ class SimulationResult:
     #: :class:`~repro.simulation.delta.BaseArena` the service retains
     #: for incremental re-simulation; ``None`` otherwise.
     base_arena: Optional[object] = None
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.waveforms)
-
-    def waveform(self, slot: int, net: str) -> Waveform:
-        try:
-            return self.waveforms[slot][net]
-        except KeyError:
-            raise KeyError(
-                f"net {net!r} not recorded (enable record_all_nets?)"
-            ) from None
-
-    def latest_arrival(self, slot: int, nets: Optional[Sequence[str]] = None) -> float:
-        """Latest toggle time over ``nets`` (default: all recorded nets)."""
-        chosen = nets if nets is not None else list(self.waveforms[slot])
-        latest = float("-inf")
-        for net in chosen:
-            latest = max(latest, self.waveform(slot, net).latest_transition())
-        return latest
-
-    def final_values(self, slot: int, nets: Sequence[str]) -> np.ndarray:
-        """Settled logic values (test responses) for the given nets."""
-        return np.asarray(
-            [self.waveform(slot, net).final_value for net in nets], dtype=np.uint8
-        )
-
-    def total_transitions(self, slot: int) -> int:
-        return sum(w.num_transitions for w in self.waveforms[slot].values())

@@ -427,6 +427,15 @@ class CompiledCircuit:
     def net_id(self, net: str) -> int:
         return self.net_index[net]
 
+    def result_nets(self, record_all_nets: bool) -> Tuple[str, ...]:
+        """The nets a result carries, in row order: every net in net-id
+        order (``net_index`` insertion order) when recording all nets,
+        else the primary outputs.  Engine, shard parent and checkpoint
+        reload all derive the order here, so net names never travel
+        with a result."""
+        return tuple(self.net_index if record_all_nets
+                     else self.circuit.outputs)
+
     def plans(self) -> CircuitPlans:
         """The circuit's level plans, shared across equal fingerprints.
 

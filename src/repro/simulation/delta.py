@@ -9,11 +9,12 @@ voltage misses, and the whole dense/sparse simulation runs again.
 This module holds the pieces that make *partial* reuse possible:
 
 * :class:`BaseArena` — a compact, self-contained snapshot of one run's
-  full internal waveform state (per-``(net, slot)`` initial values,
-  toggle counts and a flat toggle-time array, plus the stimuli and
-  operating points that produced it).  The engine captures one as a
-  by-product of a normal run (``capture_base=True``) and the service
-  retains it in the cache's base ring, keyed by compatibility group.
+  full internal waveform state (a
+  :class:`~repro.waveform.plane.WaveformPlane` over every net, plus the
+  stimuli and operating points that produced it).  The engine captures
+  one as a by-product of a normal run (``capture_base=True``) and the
+  service retains it in the cache's base ring, keyed by compatibility
+  group.
 * :class:`DeltaPlan` — the per-slot mapping of an incoming job onto a
   base arena: which base slot each job slot reuses (``-1`` = no match,
   simulate from scratch) and which input bits changed.  The engine
@@ -31,8 +32,8 @@ Correctness requirements baked into the layout:
 
 * ``starts[net, slot]`` are arbitrary offsets into ``times`` — each
   ``(net, slot)`` block is contiguous and ascending, but there is no
-  global ordering requirement, so :meth:`BaseArena.take` and
-  :meth:`BaseArena.concat` never reshuffle payload bytes.
+  global ordering requirement, so :meth:`BaseArena.concat` never
+  reshuffles payload bytes.
 * Monte-Carlo splice safety is keyed on ``global_slots``: per-die delay
   factors derive deterministically from the global slot index, so a
   base slot is only eligible for a variation-bearing job when its
@@ -43,169 +44,69 @@ Correctness requirements baked into the layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.waveform.plane import WaveformPlane
+
 __all__ = ["BaseArena", "DeltaPlan", "select_delta"]
-
-
-def _gather_blocks(counts: np.ndarray, starts: np.ndarray,
-                   times: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]:
-    """Gather the ragged ``(net, slot)`` blocks named by ``counts`` /
-    ``starts`` (2-D, same shape) out of ``times`` into a fresh flat
-    array, in ``np.nonzero`` (row-major) order.
-
-    Returns ``(rows, cols, new_starts, flat)`` where ``new_starts`` are
-    the block offsets inside ``flat`` for the nonzero positions.
-    """
-    rows, cols = np.nonzero(counts)
-    cnt = counts[rows, cols]
-    ends = np.cumsum(cnt)
-    total = int(ends[-1]) if ends.size else 0
-    offsets = ends - cnt
-    span = np.arange(total, dtype=np.int64) - np.repeat(offsets, cnt)
-    src = np.repeat(starts[rows, cols], cnt) + span
-    return rows, cols, offsets, times[src]
 
 
 @dataclass
 class BaseArena:
     """Snapshot of one run's full waveform state, splice-ready.
 
-    ``initial``/``counts``/``starts`` are ``(num_nets, num_slots)``;
-    ``times`` is the flat toggle-time payload; ``v1``/``v2`` are the
-    per-slot stimulus planes ``(num_slots, width)`` and ``voltages`` /
-    ``global_slots`` the per-slot operating points — everything
-    :func:`select_delta` needs to diff a new job without touching the
-    payload.
+    ``plane`` holds every real net of the circuit (net-id order) over
+    the run's slots; ``v1``/``v2`` are the per-slot stimulus planes
+    ``(num_slots, width)`` and ``voltages`` / ``global_slots`` the
+    per-slot operating points — everything :func:`select_delta` needs
+    to diff a new job without touching the payload.  A run recording
+    all nets returns this same plane as its result.
     """
 
-    initial: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
-    times: np.ndarray
+    plane: WaveformPlane
     v1: np.ndarray
     v2: np.ndarray
     voltages: np.ndarray
     global_slots: np.ndarray
-    #: The base run's already-unpacked per-slot waveform dicts (wanted
-    #: nets only), shared by reference.  A fully spliced slot is served
-    #: straight from here — zero per-waveform reconstruction cost — when
-    #: the requesting run wants the same net set; the payload arrays
-    #: above stay authoritative for cone seeding and re-capture.
-    waveforms: Optional[List[Dict[str, object]]] = None
 
     @property
     def num_nets(self) -> int:
-        return self.counts.shape[0]
+        return self.plane.num_nets
 
     @property
     def num_slots(self) -> int:
-        return self.counts.shape[1]
+        return self.plane.num_slots
 
     @property
     def nbytes(self) -> int:
-        return (self.initial.nbytes + self.counts.nbytes
-                + self.starts.nbytes + self.times.nbytes + self.v1.nbytes
-                + self.v2.nbytes + self.voltages.nbytes
-                + self.global_slots.nbytes)
-
-    @classmethod
-    def assemble(cls, capture: Dict[int, tuple], num_nets: int,
-                 num_slots: int, v1: np.ndarray, v2: np.ndarray,
-                 voltages: np.ndarray, global_slots: np.ndarray,
-                 waveforms: Optional[List[Dict[str, object]]] = None
-                 ) -> "BaseArena":
-        """Build an arena from the engine's per-slot capture records.
-
-        ``capture[slot]`` is ``(initial (N,), counts (N,), flat times)``
-        with the flat chunk net-major inside the slot.  Chunks may be
-        views into engine scratch; concatenation makes the arena own
-        private memory.
-        """
-        initial = np.zeros((num_nets, num_slots), dtype=np.uint8)
-        counts = np.zeros((num_nets, num_slots), dtype=np.int64)
-        starts = np.zeros((num_nets, num_slots), dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        offset = 0
-        for slot in range(num_slots):
-            init_s, cnt_s, flat_s = capture[slot]
-            initial[:, slot] = init_s
-            counts[:, slot] = cnt_s
-            ends = np.cumsum(cnt_s)
-            starts[:, slot] = offset + ends - cnt_s
-            chunks.append(np.asarray(flat_s, dtype=np.float64).reshape(-1))
-            offset += int(ends[-1]) if ends.size else 0
-        times = (np.concatenate(chunks) if chunks
-                 else np.empty(0, dtype=np.float64))
-        return cls(
-            initial=initial, counts=counts, starts=starts, times=times,
-            v1=np.ascontiguousarray(v1, dtype=np.uint8),
-            v2=np.ascontiguousarray(v2, dtype=np.uint8),
-            voltages=np.asarray(voltages, dtype=np.float64).copy(),
-            global_slots=np.asarray(global_slots, dtype=np.int64).copy(),
-            waveforms=waveforms,
-        )
-
-    def column(self, slot: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One slot's capture record ``(initial, counts, flat times)``
-        in net-major order — the passthrough used when a fully spliced
-        slot must itself feed a new base capture."""
-        counts = self.counts[:, slot:slot + 1]
-        starts = self.starts[:, slot:slot + 1]
-        _, _, _, flat = _gather_blocks(counts, starts, self.times)
-        return (self.initial[:, slot].copy(), self.counts[:, slot].copy(),
-                flat)
+        return (self.plane.nbytes + self.v1.nbytes + self.v2.nbytes
+                + self.voltages.nbytes + self.global_slots.nbytes)
 
     def take(self, indices: np.ndarray) -> "BaseArena":
         """A private arena holding only the given slots (gathered
         payload; shares nothing with ``self``)."""
         indices = np.asarray(indices, dtype=np.int64)
-        counts = self.counts[:, indices]
-        rows, cols, offsets, flat = _gather_blocks(
-            counts, self.starts[:, indices], self.times)
-        starts = np.zeros_like(counts)
-        starts[rows, cols] = offsets
         return BaseArena(
-            initial=self.initial[:, indices].copy(),
-            counts=counts.copy(), starts=starts, times=flat,
+            plane=self.plane.take(indices),
             v1=self.v1[indices].copy(), v2=self.v2[indices].copy(),
             voltages=self.voltages[indices].copy(),
             global_slots=self.global_slots[indices].copy(),
-            waveforms=(None if self.waveforms is None
-                       else [self.waveforms[int(i)] for i in indices]),
         )
 
     @classmethod
     def concat(cls, arenas: Sequence["BaseArena"]) -> "BaseArena":
-        """Concatenate along the slot axis; block offsets shift by each
-        arena's cumulative payload size, payload bytes never move
-        relative to each other."""
+        """Concatenate along the slot axis (see
+        :meth:`WaveformPlane.concat`)."""
         if len(arenas) == 1:
             return arenas[0]
-        starts = []
-        offset = 0
-        for arena in arenas:
-            starts.append(arena.starts + offset)
-            offset += arena.times.size
-        if all(a.waveforms is not None for a in arenas):
-            waveforms: Optional[List[Dict[str, object]]] = []
-            for arena in arenas:
-                waveforms.extend(arena.waveforms)  # type: ignore[arg-type]
-        else:
-            waveforms = None
         return cls(
-            initial=np.concatenate([a.initial for a in arenas], axis=1),
-            counts=np.concatenate([a.counts for a in arenas], axis=1),
-            starts=np.concatenate(starts, axis=1),
-            times=np.concatenate([a.times for a in arenas]),
+            plane=WaveformPlane.concat([a.plane for a in arenas]),
             v1=np.concatenate([a.v1 for a in arenas], axis=0),
             v2=np.concatenate([a.v2 for a in arenas], axis=0),
             voltages=np.concatenate([a.voltages for a in arenas]),
             global_slots=np.concatenate([a.global_slots for a in arenas]),
-            waveforms=waveforms,
         )
 
 

@@ -25,7 +25,12 @@ batches are re-run with doubled capacity (configurable); the batch is
 re-sized at the grown capacity so the memory budget holds on retries.
 The arena is *pooled* per engine instance: successive batches reset the
 same allocation in place instead of re-allocating (and re-faulting) up
-to a gigabyte per batch.
+to a gigabyte per batch.  Every path ends by copying the wanted net rows
+out of the arena into one columnar
+:class:`~repro.waveform.plane.WaveformPlane` (toggle counts, block
+offsets and a flat toggle-time payload); sub-batches are joined by
+plane ``concat`` / ``take`` and no per-``(net, slot)`` Python object is
+built unless a caller indexes ``result.waveforms``.
 
 On realistic low-activity stimuli most lanes carry zero input toggles —
 their output is a pure logic settle with no waveform work.  The engine
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +82,7 @@ from repro.simulation.base import (
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import BaseArena, DeltaPlan
 from repro.simulation.grid import SlotPlan
-from repro.waveform.waveform import Waveform
+from repro.waveform.plane import WaveformPlane
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.variation import ProcessVariation
@@ -142,7 +147,8 @@ class _BatchStats:
     #: in order; ``backend`` reflects the post-demotion backend.
     demotions: List[str] = field(default_factory=list)
     #: Per-phase wall time (seconds): online delay evaluation, waveform
-    #: merge kernels, and waveform pack/settle.  In fused dispatch the
+    #: merge kernels, and result-plane extraction (arena unpack, quiet
+    #: settle, base splice, sub-batch joins).  In fused dispatch the
     #: lane backends evaluate delays inside the merge loop, so their
     #: delay share is folded into ``merge_seconds``.
     delay_seconds: float = 0.0
@@ -178,8 +184,8 @@ class _ArenaPool:
     array.  Allocating these per batch costs up to ``memory_budget``
     bytes of fresh pages each time; the pool keeps one flat buffer per
     dtype and hands out reset-in-place views instead.  Safe because the
-    engine copies every surviving toggle out of the arena during
-    waveform unpack (fancy indexing) before the next acquire.
+    engine copies every surviving toggle out of the arena into the
+    result plane (``WaveformPlane.from_arena``) before the next acquire.
     """
 
     def __init__(self) -> None:
@@ -246,6 +252,13 @@ class GpuWaveSim:
         # first use.  Ablation per-arity grouping keeps the unfused path.
         self._plans = None
         self._fused = bool(self.config.fused) and not group_by_arity
+        # Result rows: every real net (arena rows are already in
+        # net_index order) or just the primary outputs.
+        self._all_nets = self.compiled.result_nets(True)
+        self._output_nets = self.compiled.result_nets(False)
+        self._output_ids = np.asarray(
+            [self.compiled.net_index[net] for net in self._output_nets],
+            dtype=np.int64)
 
     # -- public API ----------------------------------------------------------------
 
@@ -334,29 +347,35 @@ class GpuWaveSim:
 
         stats = _BatchStats(backend=self.backend.name)
         start = _time.perf_counter()
-        waveforms: List[Optional[Dict[str, Waveform]]] = [None] * plan.num_slots
-        capture: Optional[Dict[int, tuple]] = {} if capture_base else None
+        # A captured base needs every net; the wanted rows are then a
+        # zero-copy selection of the same plane.
+        rows = (None if capture_base or self.config.record_all_nets
+                else self._output_ids)
+        planes: List[WaveformPlane] = []
         max_slots = self._max_batch_slots()
         for indices, sub_plan in plan.batches(max_slots):
             stats.batches += 1
             batch_globals = (global_slots[indices] if global_slots is not None
                              else indices)
-            batch_waveforms = self._run_batch(
+            planes.append(self._run_batch(
                 v1, v2, sub_plan, kernel_table, stats, variation,
                 batch_globals,
                 delta=delta.take(indices) if delta is not None else None,
-                capture=capture, capture_slots=indices)
-            for local, slot in enumerate(indices):
-                waveforms[int(slot)] = batch_waveforms[local]
+                rows=rows))
+        pack_start = _time.perf_counter()
+        result_plane = WaveformPlane.concat(planes)
+        stats.pack_seconds += _time.perf_counter() - pack_start
         base_arena = None
-        if capture is not None:
-            plane_slots = (global_slots if global_slots is not None
-                           else np.arange(plan.num_slots, dtype=np.int64))
-            base_arena = BaseArena.assemble(
-                capture, self.compiled.num_nets, plan.num_slots,
+        if capture_base:
+            base_arena = BaseArena(
+                plane=result_plane,
                 v1=v1[plan.pattern_indices], v2=v2[plan.pattern_indices],
-                voltages=plan.voltages, global_slots=plane_slots,
-                waveforms=list(waveforms))
+                voltages=np.array(plan.voltages, dtype=np.float64),
+                global_slots=(global_slots.copy() if global_slots is not None
+                              else np.arange(plan.num_slots, dtype=np.int64)))
+            if not self.config.record_all_nets:
+                result_plane = result_plane.rows(self._output_nets,
+                                                 self._output_ids)
         runtime = _time.perf_counter() - start
         self.last_stats = stats
         mode = "gpu-static" if kernel_table is None else "gpu-parametric"
@@ -366,7 +385,7 @@ class GpuWaveSim:
         return SimulationResult(
             circuit_name=self.compiled.circuit.name,
             slot_labels=plan.labels(),
-            waveforms=waveforms,  # type: ignore[arg-type]
+            waveforms=result_plane,
             runtime_seconds=runtime,
             gate_evaluations=stats.gate_evaluations,
             engine=f"{mode}[{self.backend.name}{sparse}{delta_tag}{demoted}]",
@@ -390,9 +409,8 @@ class GpuWaveSim:
         variation: Optional["ProcessVariation"] = None,
         global_slots: Optional[np.ndarray] = None,
         delta: Optional[DeltaPlan] = None,
-        capture: Optional[Dict[int, tuple]] = None,
-        capture_slots: Optional[np.ndarray] = None,
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray] = None,
+    ) -> WaveformPlane:
         capacity = self.config.waveform_capacity
         # Per-voltage delays depend only on (gates, distinct voltages) —
         # the cache survives capacity-doubling retries and budget splits,
@@ -402,8 +420,7 @@ class GpuWaveSim:
             try:
                 return self._run_batch_within_budget(
                     v1, v2, plan, kernel_table, capacity, stats, variation,
-                    global_slots, delay_cache, delta=delta, capture=capture,
-                    capture_slots=capture_slots)
+                    global_slots, delay_cache, delta=delta, rows=rows)
             except WaveformOverflowError:
                 if not self.config.grow_on_overflow or capacity >= MAX_CAPACITY:
                     raise
@@ -456,9 +473,8 @@ class GpuWaveSim:
         global_slots: Optional[np.ndarray],
         delay_cache: Optional[Dict],
         delta: Optional[DeltaPlan] = None,
-        capture: Optional[Dict[int, tuple]] = None,
-        capture_slots: Optional[np.ndarray] = None,
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray] = None,
+    ) -> WaveformPlane:
         """Run one batch at the given capacity, re-chunking first if the
         grown capacity would blow the memory budget (a retried batch is
         re-sized instead of exceeding ``memory_budget`` by the growth
@@ -467,24 +483,16 @@ class GpuWaveSim:
         if plan.num_slots <= max_slots:
             return self._run_batch_at_capacity(
                 v1, v2, plan, kernel_table, capacity, stats, variation,
-                global_slots, delay_cache, delta=delta, capture=capture,
-                capture_slots=capture_slots)
+                global_slots, delay_cache, delta=delta, rows=rows)
         if global_slots is None:
             global_slots = np.arange(plan.num_slots, dtype=np.int64)
-        if capture is not None and capture_slots is None:
-            capture_slots = np.arange(plan.num_slots, dtype=np.int64)
-        results: List[Optional[Dict[str, Waveform]]] = [None] * plan.num_slots
-        for indices, sub_plan in plan.batches(max_slots):
-            sub_waveforms = self._run_batch_at_capacity(
+        return WaveformPlane.concat([
+            self._run_batch_at_capacity(
                 v1, v2, sub_plan, kernel_table, capacity, stats, variation,
                 global_slots[indices], delay_cache,
                 delta=delta.take(indices) if delta is not None else None,
-                capture=capture,
-                capture_slots=(capture_slots[indices]
-                               if capture_slots is not None else None))
-            for local, slot in enumerate(indices):
-                results[int(slot)] = sub_waveforms[local]
-        return results  # type: ignore[return-value]
+                rows=rows)
+            for indices, sub_plan in plan.batches(max_slots)])
 
     def _run_batch_at_capacity(
         self,
@@ -498,14 +506,13 @@ class GpuWaveSim:
         global_slots: Optional[np.ndarray] = None,
         delay_cache: Optional[Dict] = None,
         delta: Optional[DeltaPlan] = None,
-        capture: Optional[Dict[int, tuple]] = None,
-        capture_slots: Optional[np.ndarray] = None,
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray] = None,
+    ) -> WaveformPlane:
+        """One batch through the level loop; returns the plane of the
+        net rows ``rows`` (``None``: every real net)."""
         compiled = self.compiled
         num_slots = plan.num_slots
         inertial = self.config.pulse_filtering == "inertial"
-        if capture is not None and capture_slots is None:
-            capture_slots = np.arange(num_slots, dtype=np.int64)
 
         # Delta evaluation: slots mapped onto a cached base arena splice
         # or cone-evaluate; only unmapped slots fall through to the full
@@ -513,7 +520,7 @@ class GpuWaveSim:
         if delta is not None and bool((delta.base_slot >= 0).any()):
             return self._run_batch_delta(
                 v1, v2, plan, kernel_table, capacity, stats, variation,
-                global_slots, delay_cache, delta, capture, capture_slots)
+                global_slots, delay_cache, delta, rows)
 
         # Load stimuli (Fig. 2 step 3): per slot, its pattern pair.
         pattern_of_slot = plan.pattern_indices
@@ -538,8 +545,7 @@ class GpuWaveSim:
             if n_quiet or (0 < n_tracked < num_slots):
                 return self._run_batch_slot_compacted(
                     v1, v2, plan, kernel_table, capacity, stats, variation,
-                    global_slots, delay_cache, first, quiet, tracked,
-                    capture, capture_slots)
+                    global_slots, delay_cache, first, quiet, tracked, rows)
             track_lanes = n_tracked == num_slots
 
         # Waveform memory: (nets + dummy, slots, capacity) toggle times.
@@ -641,13 +647,7 @@ class GpuWaveSim:
                         activity=activity,
                     )
 
-        pack_start = _time.perf_counter()
-        if capture is not None:
-            self._capture_batch(times_all, initial_all, num_slots, capture,
-                                capture_slots)
-        waveforms = self._unpack_waveforms(times_all, initial_all, num_slots)
-        stats.pack_seconds += _time.perf_counter() - pack_start
-        return waveforms
+        return self._extract(times_all, initial_all, rows, stats)
 
     def _run_batch_slot_compacted(
         self,
@@ -663,51 +663,38 @@ class GpuWaveSim:
         first: np.ndarray,
         quiet: np.ndarray,
         tracked: np.ndarray,
-        capture: Optional[Dict[int, tuple]] = None,
-        capture_slots: Optional[np.ndarray] = None,
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray] = None,
+    ) -> WaveformPlane:
         """Split a batch into quiet / lane-tracked / dense slot classes.
 
         Quiet slots (no launched transition on any input) are settled by
-        :meth:`_settle_logic` — they contribute ``num_gates`` skipped
-        lanes each and never touch the arena.  The tracked and dense
-        subsets re-enter :meth:`_run_batch_at_capacity` on homogeneous
-        slot-compacted plans, so the split never recurses twice.
+        :meth:`_settle_values` — they contribute ``num_gates`` skipped
+        lanes each, never touch the arena and become a toggle-free
+        plane.  The tracked and dense subsets re-enter
+        :meth:`_run_batch_at_capacity` on homogeneous slot-compacted
+        plans, so the split never recurses twice.
         """
         compiled = self.compiled
-        num_slots = plan.num_slots
         quiet_idx = np.nonzero(quiet)[0]
         stats.lanes_skipped += compiled.num_gates * int(quiet_idx.size)
         if global_slots is None:
-            global_slots = np.arange(num_slots, dtype=np.int64)
+            global_slots = np.arange(plan.num_slots, dtype=np.int64)
 
-        results: List[Optional[Dict[str, Waveform]]] = [None] * num_slots
+        parts: List[Tuple[np.ndarray, WaveformPlane]] = []
         for subset in (np.nonzero(tracked)[0], np.nonzero(~quiet & ~tracked)[0]):
-            if not subset.size:
-                continue
-            sub_plan = plan.take(subset)
-            sub_results = self._run_batch_at_capacity(
-                v1, v2, sub_plan, kernel_table, capacity, stats, variation,
-                global_slots[subset], delay_cache, capture=capture,
-                capture_slots=(capture_slots[subset]
-                               if capture_slots is not None else None))
-            for local, slot in enumerate(subset):
-                results[int(slot)] = sub_results[local]
+            if subset.size:
+                parts.append((subset, self._run_batch_at_capacity(
+                    v1, v2, plan.take(subset), kernel_table, capacity, stats,
+                    variation, global_slots[subset], delay_cache, rows=rows)))
         if quiet_idx.size:
             pack_start = _time.perf_counter()
             values, inverse = self._settle_values(first[quiet_idx])
-            settled = self._settle_waveforms(values, inverse)
-            if capture is not None:
-                no_counts = np.zeros(compiled.num_nets, dtype=np.int64)
-                no_times = np.empty(0, dtype=np.float64)
-                for local, slot in enumerate(quiet_idx):
-                    capture[int(capture_slots[int(slot)])] = (
-                        values[: compiled.num_nets, inverse[local]].copy(),
-                        no_counts, no_times)
+            values = (values[: compiled.num_nets] if rows is None
+                      else values[rows])
+            parts.append((quiet_idx, WaveformPlane.constant(
+                self._nets_of(rows), values[:, inverse])))
             stats.pack_seconds += _time.perf_counter() - pack_start
-            for local, slot in enumerate(quiet_idx):
-                results[int(slot)] = settled[local]
-        return results  # type: ignore[return-value]
+        return self._join(parts, stats)
 
     def _run_batch_delta(
         self,
@@ -721,66 +708,52 @@ class GpuWaveSim:
         global_slots: Optional[np.ndarray],
         delay_cache: Optional[Dict],
         delta: DeltaPlan,
-        capture: Optional[Dict[int, tuple]],
-        capture_slots: Optional[np.ndarray],
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray],
+    ) -> WaveformPlane:
         """Partition a delta batch into splice / cone / full slot classes.
 
         Slots whose stimuli and operating point match a base slot
-        exactly are *spliced*: their waveforms are zero-copy views into
-        the base arena and every lane counts as ``lanes_spliced``.
+        exactly are *spliced*: their columns are gathered straight out
+        of the base plane and every lane counts as ``lanes_spliced``.
         Slots with changed inputs re-evaluate only the cone of influence
         (:meth:`_run_batch_delta_cone`); slots no base slot could serve
         re-enter the normal full path.
         """
         compiled = self.compiled
-        num_slots = plan.num_slots
         if global_slots is None:
-            global_slots = np.arange(num_slots, dtype=np.int64)
-        base = delta.base
+            global_slots = np.arange(plan.num_slots, dtype=np.int64)
+        base = delta.base.plane
         mapped = delta.base_slot >= 0
         changed_any = delta.changed_inputs.any(axis=1)
-        results: List[Optional[Dict[str, Waveform]]] = [None] * num_slots
+        parts: List[Tuple[np.ndarray, WaveformPlane]] = []
 
         unmapped_idx = np.nonzero(~mapped)[0]
         if unmapped_idx.size:
-            sub = self._run_batch_at_capacity(
+            parts.append((unmapped_idx, self._run_batch_at_capacity(
                 v1, v2, plan.take(unmapped_idx), kernel_table, capacity,
                 stats, variation, global_slots[unmapped_idx], delay_cache,
-                capture=capture,
-                capture_slots=(capture_slots[unmapped_idx]
-                               if capture_slots is not None else None))
-            for local, slot in enumerate(unmapped_idx):
-                results[int(slot)] = sub[local]
+                rows=rows)))
 
         splice_idx = np.nonzero(mapped & ~changed_any)[0]
         if splice_idx.size:
             pack_start = _time.perf_counter()
             cols = delta.base_slot[splice_idx]
-            spliced = self._splice_waveforms(base, cols)
+            source = (base if rows is None
+                      else base.rows(self._output_nets, rows))
+            parts.append((splice_idx, source.take(cols)))
             stats.lanes_spliced += compiled.num_gates * int(splice_idx.size)
             stats.bytes_spliced += (
                 int(base.counts[:, cols].sum()) * 8
                 + compiled.num_nets * int(splice_idx.size))
-            if capture is not None:
-                for local, slot in enumerate(splice_idx):
-                    capture[int(capture_slots[int(slot)])] = base.column(
-                        int(cols[local]))
             stats.pack_seconds += _time.perf_counter() - pack_start
-            for local, slot in enumerate(splice_idx):
-                results[int(slot)] = spliced[local]
 
         cone_idx = np.nonzero(mapped & changed_any)[0]
         if cone_idx.size:
-            sub = self._run_batch_delta_cone(
+            parts.append((cone_idx, self._run_batch_delta_cone(
                 v1, v2, plan.take(cone_idx), kernel_table, capacity, stats,
                 variation, global_slots[cone_idx], delay_cache,
-                delta.take(cone_idx), capture,
-                (capture_slots[cone_idx]
-                 if capture_slots is not None else None))
-            for local, slot in enumerate(cone_idx):
-                results[int(slot)] = sub[local]
-        return results  # type: ignore[return-value]
+                delta.take(cone_idx), rows)))
+        return self._join(parts, stats)
 
     def _run_batch_delta_cone(
         self,
@@ -794,9 +767,8 @@ class GpuWaveSim:
         global_slots: np.ndarray,
         delay_cache: Optional[Dict],
         delta: DeltaPlan,
-        capture: Optional[Dict[int, tuple]],
-        capture_slots: Optional[np.ndarray],
-    ) -> List[Dict[str, Waveform]]:
+        rows: Optional[np.ndarray],
+    ) -> WaveformPlane:
         """Cone-of-influence re-evaluation against a seeded base arena.
 
         The per-slot activity mask is the *static* cone of the changed
@@ -808,7 +780,7 @@ class GpuWaveSim:
         mask or touching the accounting of skipped lanes, so
         ``lanes_spliced + gate_evaluations`` over a cone slot is exactly
         ``gates``.  Cone *output* rows stay ``+inf`` from the pool reset
-        (the unpack counts every finite entry, so a re-evaluated row
+        (plane extraction counts every finite entry, so a re-evaluated row
         must start empty); a dense-dispatched group rewriting a seeded
         non-cone row writes bit-identical values — its inputs, delays
         and factors match the base run by eligibility construction.
@@ -816,7 +788,7 @@ class GpuWaveSim:
         compiled = self.compiled
         num_slots = plan.num_slots
         inertial = self.config.pulse_filtering == "inertial"
-        base = delta.base
+        base = delta.base.plane
         base_cols = delta.base_slot
 
         counts = base.counts[:, base_cols]                 # (N, S)
@@ -827,9 +799,9 @@ class GpuWaveSim:
         plans = self._plans
         if plans is None:
             plans = self._plans = compiled.plans()
-        rows, inverse = np.unique(delta.changed_inputs, axis=0,
-                                  return_inverse=True)
-        activity = plans.input_cones(compiled, rows)[:, inverse]
+        changed, inverse = np.unique(delta.changed_inputs, axis=0,
+                                     return_inverse=True)
+        activity = plans.input_cones(compiled, changed)[:, inverse]
 
         times_all, initial_all = self._arena_pool.acquire(
             compiled.num_nets + 1, num_slots, capacity)
@@ -910,88 +882,36 @@ class GpuWaveSim:
                         delay_cache=delay_cache, cache_key=(level_index,),
                         activity=activity, splice=True)
 
+        return self._extract(times_all, initial_all, rows, stats)
+
+    def _nets_of(self, rows: Optional[np.ndarray]) -> Tuple[str, ...]:
+        return self._all_nets if rows is None else self._output_nets
+
+    def _extract(self, times_all: np.ndarray, initial_all: np.ndarray,
+                 rows: Optional[np.ndarray], stats: _BatchStats
+                 ) -> WaveformPlane:
+        """Waveform analysis (Fig. 2 step 4): copy the wanted rows out
+        of the pooled arena — one ``isfinite`` / ``sum`` / boolean
+        gather for the whole batch."""
         pack_start = _time.perf_counter()
-        if capture is not None:
-            self._capture_batch(times_all, initial_all, num_slots, capture,
-                                capture_slots)
-        waveforms = self._unpack_waveforms(times_all, initial_all, num_slots)
+        plane = WaveformPlane.from_arena(self._nets_of(rows), times_all,
+                                         initial_all, rows)
         stats.pack_seconds += _time.perf_counter() - pack_start
-        return waveforms
+        return plane
 
-    def _splice_waveforms(self, base: BaseArena, cols: np.ndarray
-                          ) -> List[Dict[str, Waveform]]:
-        """Wanted-net waveform dicts for fully matching slots — zero-copy
-        slices of the base arena's flat toggle-time payload."""
-        compiled = self.compiled
-        if self.config.record_all_nets:
-            wanted = list(compiled.net_index)
-        else:
-            wanted = list(compiled.circuit.outputs)
-        cached = base.waveforms
-        if cached is not None and cached:
-            # Fast path: the base run's own unpacked dicts, shared by
-            # reference (waveforms are immutable once returned).  Only
-            # valid when this run wants the same net set the base
-            # recorded — otherwise fall through to payload slicing.
-            sample = cached[0]
-            if (len(sample) == len(wanted)
-                    and all(net in sample for net in wanted)):
-                return [cached[int(col)] for col in cols]
-        if self.config.record_all_nets:
-            counts = base.counts[:, cols]
-            starts = base.starts[:, cols]
-            initials = base.initial[:, cols]
-        else:
-            net_ids = np.asarray([compiled.net_index[n] for n in wanted],
-                                 dtype=np.int64)
-            counts = base.counts[net_ids][:, cols]
-            starts = base.starts[net_ids][:, cols]
-            initials = base.initial[net_ids][:, cols]
-        times = base.times
-        num_slots = int(cols.size)
-        trusted = Waveform.trusted
-        result: List[Dict[str, Waveform]] = [dict() for _ in range(num_slots)]
-        for row, net in enumerate(wanted):
-            row_counts = counts[row].tolist()
-            row_starts = starts[row].tolist()
-            row_initials = initials[row].tolist()
-            for slot in range(num_slots):
-                start = row_starts[slot]
-                result[slot][net] = trusted(
-                    row_initials[slot], times[start:start + row_counts[slot]])
-        return result
-
-    def _capture_batch(
-        self,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        num_slots: int,
-        capture: Dict[int, tuple],
-        capture_slots: np.ndarray,
-    ) -> None:
-        """Record the batch's full per-slot waveform state (every real
-        net) as capture records keyed by plane-level slot index.
-
-        Overflow retries and backend demotions simply overwrite a slot's
-        record, so whatever attempt succeeded last defines the arena.
-        The flat extraction is one vectorized pass; the initial values
-        are copied out of the pooled arena (which the next batch resets
-        in place), while the toggle chunks reference the fresh flat
-        array.
-        """
-        num_nets = self.compiled.num_nets
-        sub = times_all[:num_nets]
-        finite = np.isfinite(sub)
-        counts = finite.sum(axis=2)                        # (N, S)
-        flat = sub.transpose(1, 0, 2)[finite.transpose(1, 0, 2)]
-        slot_sizes = counts.sum(axis=0)
-        ends = np.cumsum(slot_sizes)
-        for local in range(num_slots):
-            end = int(ends[local])
-            capture[int(capture_slots[local])] = (
-                initial_all[:num_nets, local].copy(),
-                counts[:, local],
-                flat[end - int(slot_sizes[local]):end])
+    @staticmethod
+    def _join(parts: List[Tuple[np.ndarray, WaveformPlane]],
+              stats: _BatchStats) -> WaveformPlane:
+        """Concatenate ``(slot subset, plane)`` parts that partition a
+        batch and restore the batch's slot order (columns are
+        re-indexed, the payload is copied once by ``concat``)."""
+        pack_start = _time.perf_counter()
+        plane = WaveformPlane.concat([plane for _, plane in parts])
+        if len(parts) > 1:
+            position = np.argsort(np.concatenate([idx for idx, _ in parts]))
+            plane = plane.take(position, copy=False)
+        stats.pack_seconds += _time.perf_counter() - pack_start
+        return plane
 
     def _settle_values(self, first: np.ndarray
                        ) -> tuple:
@@ -1022,76 +942,6 @@ class GpuWaveSim:
             initial[out_ids] = ((tables[:, None] >> index) & 1).astype(
                 np.uint8)
         return initial, inverse
-
-    def _settle_waveforms(self, initial: np.ndarray, inverse: np.ndarray
-                          ) -> List[Dict[str, Waveform]]:
-        """Toggle-free waveform dicts from a settled value plane; slots
-        repeating a unique vector share the (immutable) waveforms."""
-        compiled = self.compiled
-        quiet = initial.shape[1]
-        if self.config.record_all_nets:
-            wanted = list(compiled.net_index)
-            values = initial[: compiled.num_nets]
-        else:
-            wanted = list(compiled.circuit.outputs)
-            net_ids = np.asarray([compiled.net_index[n] for n in wanted],
-                                 dtype=np.int64)
-            values = initial[net_ids]
-        no_toggles = np.empty(0, dtype=np.float64)
-        trusted = Waveform.trusted
-        settled: List[Dict[str, Waveform]] = [dict() for _ in range(quiet)]
-        for row, net in enumerate(wanted):
-            row_values = values[row].tolist()
-            for slot in range(quiet):
-                settled[slot][net] = trusted(row_values[slot], no_toggles)
-        return [settled[u].copy() for u in inverse.tolist()]
-
-    def _settle_logic(self, first: np.ndarray) -> List[Dict[str, Waveform]]:
-        """Pure logic settle for toggle-free slots (values + waveforms)."""
-        values, inverse = self._settle_values(first)
-        return self._settle_waveforms(values, inverse)
-
-    def _unpack_waveforms(
-        self,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        num_slots: int,
-    ) -> List[Dict[str, Waveform]]:
-        """Waveform analysis (Fig. 2 step 4): unpack the requested nets.
-
-        One vectorized pass extracts every finite toggle of every wanted
-        net at once; slots then receive zero-copy slices of the flat
-        array instead of a per-(net, slot) ``isfinite`` + ``copy`` pair.
-        """
-        compiled = self.compiled
-        if self.config.record_all_nets:
-            # Net ids are assigned in net_index insertion order, so the
-            # arena rows are already the wanted nets in order: no gather.
-            wanted = list(compiled.net_index)
-            sub_times = times_all[: compiled.num_nets]
-            initials = initial_all[: compiled.num_nets]
-        else:
-            wanted = list(compiled.circuit.outputs)
-            net_ids = np.asarray([compiled.net_index[n] for n in wanted],
-                                 dtype=np.int64)
-            sub_times = times_all[net_ids]
-            initials = initial_all[net_ids]
-
-        finite = np.isfinite(sub_times)
-        counts = finite.sum(axis=2)                        # (W, S)
-        flat = sub_times[finite]                           # valid toggles only
-        result: List[Dict[str, Waveform]] = [dict() for _ in range(num_slots)]
-        position = 0
-        trusted = Waveform.trusted
-        for row, net in enumerate(wanted):
-            row_counts = counts[row].tolist()
-            row_initials = initials[row].tolist()
-            for slot in range(num_slots):
-                end = position + row_counts[slot]
-                result[slot][net] = trusted(row_initials[slot],
-                                            flat[position:end])
-                position = end
-        return result
 
     def _group_delays(
         self,

@@ -18,10 +18,11 @@ communication happens during simulation.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.simulation.base import PatternPair, SimulationConfig, SimulationResul
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.gpu import GpuWaveSim, _BatchStats
 from repro.simulation.grid import SlotPlan
-from repro.waveform.waveform import Waveform
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["MultiDeviceWaveSim"]
 
@@ -47,7 +48,7 @@ def _run_chunk(
     voltages: np.ndarray,
     variation,
     global_slots: np.ndarray,
-) -> Tuple[List[Dict[str, Waveform]], _BatchStats]:
+) -> Tuple[WaveformPlane, _BatchStats]:
     """Worker entry point: simulate one slot-plane chunk on one 'device'.
 
     ``global_slots`` carries each chunk slot's index in the full plane so
@@ -55,14 +56,15 @@ def _run_chunk(
     through the public :meth:`GpuWaveSim.run` entry point, so pattern
     width/plan validation and memory-budget batching apply to every
     chunk; the engine's real :class:`_BatchStats` travel back with the
-    waveforms.
+    result plane (a handful of arrays to pickle, not one object per
+    waveform).
     """
     engine = GpuWaveSim(compiled.circuit, compiled.library, config=config,
                         compiled=compiled)
     plan = SlotPlan(pattern_indices=pattern_indices, voltages=voltages)
     result = engine.run(pairs, plan=plan, kernel_table=kernel_table,
                         variation=variation, global_slots=global_slots)
-    return result.waveforms, engine.last_stats
+    return result.plane, engine.last_stats
 
 
 def _merge_stats(target: _BatchStats, source: Optional[_BatchStats]) -> None:
@@ -174,9 +176,14 @@ class MultiDeviceWaveSim:
 
         chunk_size = (plan.num_slots + devices - 1) // devices
         chunks = list(plan.batches(chunk_size))
-        waveforms: List[Optional[Dict[str, Waveform]]] = [None] * plan.num_slots
+        planes = []
         totals = _BatchStats()
-        with ProcessPoolExecutor(max_workers=devices) as pool:
+        # Spawned, never forked: the parent may already have run an
+        # OpenMP kernel, and a forked child deadlocks in libgomp on its
+        # first parallel region.
+        with ProcessPoolExecutor(
+                max_workers=devices,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = []
             for indices, sub in chunks:
                 sub_pairs, sub_indices = _chunk_pairs(pairs,
@@ -188,17 +195,16 @@ class MultiDeviceWaveSim:
                     sub_pairs, sub_indices, sub.voltages,
                     variation, chunk_globals,
                 ))
-            for (indices, _sub), future in zip(chunks, futures):
-                chunk_waveforms, chunk_stats = future.result()
+            for future in futures:
+                chunk_plane, chunk_stats = future.result()
                 _merge_stats(totals, chunk_stats)
-                for local, slot in enumerate(indices):
-                    waveforms[int(slot)] = chunk_waveforms[local]
+                planes.append(chunk_plane)
 
         self.last_stats = totals
         return SimulationResult(
             circuit_name=self.compiled.circuit.name,
             slot_labels=plan.labels(),
-            waveforms=waveforms,  # type: ignore[arg-type]
+            waveforms=WaveformPlane.concat(planes),
             runtime_seconds=_time.perf_counter() - start,
             gate_evaluations=totals.gate_evaluations,
             engine=f"multi-device[{devices}][{totals.backend}]",

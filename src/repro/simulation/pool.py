@@ -22,7 +22,10 @@ and the same :class:`SimulationConfig` the *same* engine instance, so
 Engines are keyed by the compiled circuit's content fingerprint — two
 independently parsed copies of one netlist share an engine.  The pool is
 bounded (LRU, :data:`POOL_CAPACITY`) and :func:`clear_engine_pool`
-drops it for tests.
+drops it for tests.  Computing that key needs the compiled form, so the
+compiled circuit of each live ``(circuit, library)`` pair is memoized:
+a fresh runner or explorer on an already-pooled circuit pays a lookup,
+not a compile.
 
 Thread-safety: the pool dict is lock-guarded; the engines themselves
 have the same single-caller contract as any directly constructed
@@ -33,6 +36,7 @@ exactly that reason, and does not use this pool).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -54,6 +58,28 @@ _lock = threading.Lock()
 _pool: "OrderedDict[Tuple[str, SimulationConfig], GpuWaveSim]" = OrderedDict()
 _hits = 0
 _misses = 0
+#: Compiled form per ``(circuit, library)`` object pair and their sizes
+#: (both only ever grow, so a size change means a different netlist).
+#: Values are weak: an entry lives exactly as long as some engine or
+#: caller holds the compiled circuit — which itself keeps the pair
+#: alive, so the ``id`` keys cannot be recycled under a live entry.
+_compiled: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def _compiled_for(circuit, library,
+                  compiled: Optional[CompiledCircuit]) -> CompiledCircuit:
+    key = (id(circuit), id(library), len(circuit.gates),
+           len(circuit.inputs), len(circuit.outputs), len(library))
+    with _lock:
+        if compiled is None:
+            compiled = _compiled.get(key)
+        else:
+            _compiled[key] = compiled
+    if compiled is None:
+        compiled = compile_circuit(circuit, library)
+        with _lock:
+            _compiled[key] = compiled
+    return compiled
 
 
 def pooled_engine(circuit, library, config: Optional[SimulationConfig] = None,
@@ -68,7 +94,7 @@ def pooled_engine(circuit, library, config: Optional[SimulationConfig] = None,
 
     global _hits, _misses
     config = config or SimulationConfig()
-    compiled = compiled or compile_circuit(circuit, library)
+    compiled = _compiled_for(circuit, library, compiled)
     key = (circuit_fingerprint(compiled), config)
     with _lock:
         engine = _pool.get(key)
@@ -100,5 +126,6 @@ def clear_engine_pool() -> None:
     global _hits, _misses
     with _lock:
         _pool.clear()
+        _compiled.clear()
         _hits = 0
         _misses = 0

@@ -1,0 +1,361 @@
+"""Columnar waveform results — the one layout every engine path returns.
+
+The paper keeps every waveform in packed device memory and runs its
+waveform analysis (Fig. 2 step 4, Table II latest arrivals) over that
+memory.  :class:`WaveformPlane` is the host-side form of the same idea:
+for an ordered tuple of ``nets`` and a plane of slots it holds
+
+* ``initial`` — ``(W, S)`` uint8 logic values before the first toggle,
+* ``counts`` — ``(W, S)`` toggles per ``(net, slot)``,
+* ``starts`` — ``(W, S)`` offsets of each block in ``times``,
+* ``times`` — one flat float64 toggle-time payload.
+
+Each ``(net, slot)`` block is contiguous and ascending, but ``starts``
+are arbitrary offsets: :meth:`rows`, :meth:`concat` and
+``take(copy=False)`` re-index without moving payload bytes, and the
+content :meth:`checksum` does not depend on the layout.  Bulk queries
+(:meth:`latest`, :meth:`transition_counts`, :meth:`final_values`) read
+the columns directly.
+
+A plane is itself the lazy read-only ``Sequence[Mapping[str, Waveform]]``
+results expose as ``.waveforms``: ``plane[slot][net]`` materializes one
+:class:`Waveform`, and none exists until a caller indexes it.
+:class:`PlaneAccessors`
+is the per-slot query mixin shared by
+:class:`~repro.simulation.base.SimulationResult` and
+:class:`~repro.service.jobs.JobResult`; it reads the plane when one is
+present and walks the mappings otherwise (results built from plain
+dicts — the event-driven reference, hand-made test results).
+"""
+
+from __future__ import annotations
+
+import zlib
+from collections.abc import Mapping, Sequence as SequenceABC
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.waveform.waveform import Waveform
+
+__all__ = ["PlaneAccessors", "WaveformPlane"]
+
+_NO_TIMES = np.empty(0, dtype=np.float64)
+
+
+def _packed_starts(counts: np.ndarray) -> np.ndarray:
+    """Block offsets of a dense net-major payload (row-major cumsum)."""
+    flat = counts.reshape(-1)
+    return (np.cumsum(flat) - flat).reshape(counts.shape)
+
+
+@dataclass(eq=False)
+class WaveformPlane(SequenceABC):
+    """Waveforms of ``nets`` × slots in columnar form (see module doc).
+
+    As a sequence it has one read-only ``{net: Waveform}`` mapping per
+    slot, each waveform built on access.
+    """
+
+    nets: Tuple[str, ...]
+    initial: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    times: np.ndarray
+    _index: Optional[Dict[str, int]] = field(default=None, repr=False)
+
+    # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def from_packed(cls, nets: Sequence[str], initial: np.ndarray,
+                    counts: np.ndarray, times: np.ndarray
+                    ) -> "WaveformPlane":
+        """A plane over a dense net-major payload: the blocks follow
+        each other in ``times`` in row-major ``(net, slot)`` order."""
+        counts = np.asarray(counts, dtype=np.int64)
+        return cls(tuple(nets), initial, counts, _packed_starts(counts),
+                   times)
+
+    @classmethod
+    def from_arena(cls, nets: Sequence[str], times_all: np.ndarray,
+                   initial_all: np.ndarray,
+                   rows: Optional[np.ndarray] = None) -> "WaveformPlane":
+        """Extract net rows of a ``(nets, slots, capacity)`` +inf-padded
+        arena (``rows=None``: the first ``len(nets)`` rows).  Everything
+        returned is a private copy — the arena may be reset afterwards.
+        """
+        if rows is None:
+            sub, initial = times_all[:len(nets)], initial_all[:len(nets)].copy()
+        else:
+            sub, initial = times_all[rows], initial_all[rows]
+        finite = np.isfinite(sub)
+        return cls.from_packed(nets, initial, finite.sum(axis=2), sub[finite])
+
+    @classmethod
+    def constant(cls, nets: Sequence[str], initial: np.ndarray
+                 ) -> "WaveformPlane":
+        """A toggle-free plane holding the settled values ``initial``."""
+        zeros = np.zeros(initial.shape, dtype=np.int64)
+        return cls(tuple(nets), initial, zeros, zeros, _NO_TIMES)
+
+    @classmethod
+    def from_waveforms(cls, waveforms: Sequence[Mapping],
+                       nets: Optional[Sequence[str]] = None
+                       ) -> "WaveformPlane":
+        """Pack per-slot ``{net: Waveform}`` mappings (``nets`` defaults
+        to the first slot's order; every slot must carry every net).
+        A plane is passed through."""
+        if isinstance(waveforms, cls):
+            same = nets is None or tuple(nets) == waveforms.nets
+            return waveforms if same else waveforms.rows(nets)
+        if nets is None:
+            nets = tuple(waveforms[0]) if len(waveforms) else ()
+        shape = (len(nets), len(waveforms))
+        initial = np.zeros(shape, dtype=np.uint8)
+        counts = np.zeros(shape, dtype=np.int64)
+        pieces = []
+        for row, net in enumerate(nets):
+            for slot, recorded in enumerate(waveforms):
+                wave = recorded[net]
+                initial[row, slot] = wave.initial
+                counts[row, slot] = wave.times.size
+                pieces.append(wave.times)
+        times = np.concatenate(pieces) if pieces else _NO_TIMES
+        return cls.from_packed(nets, initial, counts, times)
+
+    # -- structure ------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self.counts.shape[1]
+
+    def __getitem__(self, slot):
+        if isinstance(slot, slice):
+            return self.take(np.arange(len(self))[slot], copy=False)
+        slot = int(slot)
+        if not -len(self) <= slot < len(self):
+            raise IndexError(f"slot {slot} out of range")
+        return _SlotView(self, slot % len(self))
+
+    @property
+    def num_nets(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def num_slots(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return (self.initial.nbytes + self.counts.nbytes
+                + self.starts.nbytes + self.times.nbytes)
+
+    def row(self, net: str) -> int:
+        """Row of ``net``; ``KeyError`` when it was not recorded."""
+        index = self._index
+        if index is None:
+            index = self._index = {n: i for i, n in enumerate(self.nets)}
+        return index[net]
+
+    def _row_ids(self, nets: Sequence[str]) -> np.ndarray:
+        return np.fromiter((self.row(net) for net in nets), dtype=np.int64,
+                           count=len(nets))
+
+    def _derived(self, nets, initial, counts, starts, times
+                 ) -> "WaveformPlane":
+        return WaveformPlane(nets, initial, counts, starts, times,
+                             self._index if nets is self.nets else None)
+
+    def rows(self, nets: Sequence[str],
+             ids: Optional[np.ndarray] = None) -> "WaveformPlane":
+        """The sub-plane of ``nets`` (in that order); shares the payload.
+        ``ids`` are their row numbers, for a caller that knows them."""
+        if ids is None:
+            ids = self._row_ids(nets)
+        return self._derived(tuple(nets), self.initial[ids],
+                             self.counts[ids], self.starts[ids], self.times)
+
+    def _dense(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(times, starts)`` of the dense net-major layout: the blocks
+        follow each other in row-major ``(net, slot)`` order.  ``times``
+        is the plane's own array when it already has that layout."""
+        counts = self.counts
+        starts = _packed_starts(counts)
+        cnt = counts.reshape(-1)
+        total = int(cnt.sum())
+        if self.times.size == total and bool(
+                ((self.starts == starts) | (counts == 0)).all()):
+            return self.times, starts
+        source = (np.repeat((self.starts - starts).reshape(-1), cnt)
+                  + np.arange(total, dtype=np.int64))
+        return self.times[source], starts
+
+    def packed(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(initial, counts, times)`` with a dense net-major payload —
+        what :meth:`from_packed` rebuilds, and the form checkpoint
+        chunks, shard result segments and the checksum share."""
+        return self.initial, self.counts, self._dense()[0]
+
+    def take(self, slots, copy: bool = True) -> "WaveformPlane":
+        """The plane of the given slots, in that order.
+
+        ``copy=True`` gathers a private payload that shares nothing
+        with ``self``; ``copy=False`` only re-indexes the columns.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        picked = self._derived(self.nets, self.initial[:, slots],
+                               self.counts[:, slots], self.starts[:, slots],
+                               self.times)
+        if not copy:
+            return picked
+        times, starts = picked._dense()
+        if times is self.times:
+            times = times.copy()
+        # Column gathers come back strided; a private plane is stored
+        # C-contiguous so later checksums and reshapes are copy-free.
+        return self._derived(self.nets, np.ascontiguousarray(picked.initial),
+                             np.ascontiguousarray(picked.counts), starts,
+                             times)
+
+    @classmethod
+    def concat(cls, planes: Sequence["WaveformPlane"]) -> "WaveformPlane":
+        """Concatenate along the slot axis; block offsets shift by each
+        plane's cumulative payload size, payload bytes keep their
+        relative order."""
+        if len(planes) == 1:
+            return planes[0]
+        first = planes[0]
+        if any(plane.nets != first.nets for plane in planes[1:]):
+            raise ValueError("cannot concatenate planes over different nets")
+        offsets = np.cumsum([0] + [plane.times.size for plane in planes])
+        return first._derived(
+            first.nets,
+            np.concatenate([plane.initial for plane in planes], axis=1),
+            np.concatenate([plane.counts for plane in planes], axis=1),
+            np.concatenate([plane.starts + offset for plane, offset
+                            in zip(planes, offsets)], axis=1),
+            np.concatenate([plane.times for plane in planes]))
+
+    def checksum(self) -> int:
+        """CRC32 over net names, initial values, toggle counts and every
+        toggle time in net-major order — a function of the content only,
+        not of how ``starts`` lays the payload out."""
+        initial, counts, times = self.packed()
+        crc = zlib.crc32("\n".join(self.nets).encode("utf-8"))
+        for array in (initial, counts, times):
+            crc = zlib.crc32(np.ascontiguousarray(array), crc)
+        return crc
+
+    # -- bulk queries ---------------------------------------------------------
+
+    def latest(self, nets: Optional[Sequence[str]] = None,
+               slots=None) -> np.ndarray:
+        """Latest toggle time per slot (default: every slot) over
+        ``nets`` (default: all); ``-inf`` where nothing toggled."""
+        counts, starts = self.counts, self.starts
+        if nets is not None:
+            ids = self._row_ids(nets)
+            if slots is not None:
+                ids, slots = ids[:, None], np.asarray(slots)[None, :]
+                counts, starts = counts[ids, slots], starts[ids, slots]
+            else:
+                counts, starts = counts[ids], starts[ids]
+        elif slots is not None:
+            counts, starts = counts[:, slots], starts[:, slots]
+        if counts.shape[0] == 0 or self.times.size == 0:
+            return np.full(counts.shape[1], -np.inf)
+        last = self.times[np.maximum(starts + counts - 1, 0)]
+        return np.where(counts > 0, last, -np.inf).max(axis=0)
+
+    def transition_counts(self) -> np.ndarray:
+        """Total toggles per slot over all nets."""
+        return self.counts.sum(axis=0)
+
+    def final_values(self, nets: Optional[Sequence[str]] = None
+                     ) -> np.ndarray:
+        """Settled logic values ``(W, S)`` (the test responses)."""
+        ids = slice(None) if nets is None else self._row_ids(nets)
+        return self.initial[ids] ^ (self.counts[ids] & 1).astype(np.uint8)
+
+    def waveform(self, row: int, slot: int) -> Waveform:
+        """Materialize one block (the toggle array is a payload view)."""
+        start = int(self.starts[row, slot])
+        return Waveform.trusted(
+            int(self.initial[row, slot]),
+            self.times[start:start + int(self.counts[row, slot])])
+
+
+class _SlotView(Mapping):
+    """One slot of a plane as a read-only ``{net: Waveform}`` mapping."""
+
+    __slots__ = ("plane", "slot")
+
+    def __init__(self, plane: WaveformPlane, slot: int) -> None:
+        self.plane = plane
+        self.slot = slot
+
+    def __getitem__(self, net: str) -> Waveform:
+        return self.plane.waveform(self.plane.row(net), self.slot)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.plane.nets)
+
+    def __len__(self) -> int:
+        return len(self.plane.nets)
+
+
+class PlaneAccessors:
+    """Per-slot queries of a result whose ``waveforms`` attribute is a
+    :class:`WaveformPlane` (engine results) or a plain sequence of
+    ``{net: Waveform}`` mappings."""
+
+    waveforms: Sequence[Mapping]
+
+    @property
+    def plane(self) -> Optional[WaveformPlane]:
+        """The columnar payload, or ``None`` for mapping-built results."""
+        waveforms = self.waveforms
+        return waveforms if isinstance(waveforms, WaveformPlane) else None
+
+    @property
+    def num_slots(self) -> int:
+        return len(self.waveforms)
+
+    def waveform(self, slot: int, net: str) -> Waveform:
+        try:
+            return self.waveforms[slot][net]
+        except KeyError:
+            raise KeyError(
+                f"net {net!r} not recorded (enable record_all_nets?)"
+            ) from None
+
+    def slot_arrivals(self, nets: Optional[Sequence[str]] = None,
+                      slots: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Latest toggle time of each slot over ``nets`` (default: all
+        recorded nets) — :meth:`latest_arrival` for many slots at once."""
+        if self.plane is not None:
+            return self.plane.latest(nets, slots)
+        return np.asarray([
+            max((self.waveform(slot, net).latest_transition()
+                 for net in (self.waveforms[slot] if nets is None else nets)),
+                default=-np.inf)
+            for slot in (range(self.num_slots) if slots is None else slots)
+        ], dtype=np.float64)
+
+    def latest_arrival(self, slot: int,
+                       nets: Optional[Sequence[str]] = None) -> float:
+        """Latest toggle time over ``nets`` (default: all recorded nets)."""
+        return float(self.slot_arrivals(nets, [slot])[0])
+
+    def final_values(self, slot: int, nets: Sequence[str]) -> np.ndarray:
+        """Settled logic values (test responses) for the given nets."""
+        if self.plane is not None:
+            return self.plane.take([slot], copy=False).final_values(nets)[:, 0]
+        return np.asarray(
+            [self.waveform(slot, net).final_value for net in nets],
+            dtype=np.uint8)
+
+    def total_transitions(self, slot: int) -> int:
+        if self.plane is not None:
+            return int(self.plane.counts[:, slot].sum())
+        return sum(w.num_transitions for w in self.waveforms[slot].values())

@@ -340,6 +340,38 @@ class TestEngineSharing:
         # report's cache accounting.
         assert report.run_report.plan_cache_hits > 0
 
+    def test_pool_hit_does_not_recompile(self, library, kernel_table,
+                                         monkeypatch):
+        """Two runners on one circuit compile it once: the pool memoizes
+        the compiled form per live (circuit, library) pair, so the
+        second runner's pool hit costs a lookup, not a compile."""
+        import repro.simulation.pool as pool
+
+        clear_engine_pool()
+        compiles = []
+        compile_circuit = pool.compile_circuit
+        monkeypatch.setattr(
+            pool, "compile_circuit",
+            lambda *args: compiles.append(1) or compile_circuit(*args))
+        circuit = random_circuit("pool-memo", 8, 80, seed=5)
+        table = DesignSpaceExplorer(
+            circuit, library, kernel_table).voltage_frequency_table(
+                [PatternPair.random(8, np.random.default_rng(3))], VOLTAGES,
+                guardband=0.05)
+        config = LoopConfig(period=loose_period(table), max_iterations=2,
+                            record_energy=False)
+        runners = [ClosedLoopRunner(circuit, library, kernel_table,
+                                    AvfsController(table), config)
+                   for _ in range(2)]
+        assert len(compiles) == 1
+        assert runners[0].simulator is runners[1].simulator
+        stats = pool.engine_pool_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)
+        # A grown netlist is a different circuit, not a stale hit.
+        circuit.add_output(circuit.gates[0].output)
+        pool.pooled_engine(circuit, library)
+        assert len(compiles) == 2
+
     def test_explorer_second_sweep_hits_plan_cache(self, library,
                                                    kernel_table):
         clear_engine_pool()

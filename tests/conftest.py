@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,41 @@ from repro.electrical.spice import AnalyticalSpice
 from repro.netlist.generate import random_circuit
 
 
-def pytest_addoption(parser):
+def pytest_addoption(parser, pluginmanager):
     parser.addoption(
         "--shards", type=int, default=2,
         help="worker-process count for sharded-service tests "
              "(tests/service/test_shards.py)")
+    if not pluginmanager.hasplugin("timeout"):
+        # pytest-timeout is not a dependency; honour its ``timeout`` ini
+        # key (pyproject.toml) with the SIGALRM fixture below.
+        parser.addini("timeout", "per-test wall-clock limit in seconds",
+                      default="0")
+
+
+@pytest.fixture(autouse=True)
+def _per_test_timeout(request):
+    """Fail a test that runs past the ``timeout`` ini value instead of
+    letting a hang (a stuck worker wait, a deadlocked pool) wedge the
+    whole run.  Process pools and service threads all block the main
+    thread in interruptible waits, so the alarm lands."""
+    limit = float(request.config.getini("timeout") or 0)
+    if (limit <= 0 or request.config.pluginmanager.hasplugin("timeout")
+            or not hasattr(signal, "SIGALRM")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"test exceeded the {limit:g} s per-test timeout")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

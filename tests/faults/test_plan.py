@@ -7,16 +7,17 @@ from repro import faults
 from repro.errors import InjectedFaultError, ReproError
 from repro.faults.plan import FaultPlan, FaultRule, WorkerDeathError
 from repro.service.cache import waveform_checksum
+from repro.waveform.plane import WaveformPlane
 from repro.waveform.waveform import Waveform
 
 
-def make_waveforms(slots=2, nets=2):
-    return [
+def make_plane(slots=2, nets=2):
+    return WaveformPlane.from_waveforms([
         {f"n{j}": Waveform.trusted(0, np.array([1e-9 * (i + j + 1), 2e-9],
                                                dtype=np.float64))
          for j in range(nets)}
         for i in range(slots)
-    ]
+    ])
 
 
 class TestSpecGrammar:
@@ -114,18 +115,21 @@ class TestTriggers:
 
 class TestCorruption:
     def test_corrupt_flips_exactly_one_bit(self):
-        waveforms = make_waveforms()
-        before = waveform_checksum(waveforms)
+        plane = make_plane()
+        before = waveform_checksum(plane)
+        pristine = plane.times.copy()
         plan = FaultPlan.from_spec("seed=3; cache.get:corrupt@n=1")
-        plan.enact("cache.get", corruptible=waveforms)
-        assert waveform_checksum(waveforms) != before
+        plan.enact("cache.get", corruptible=plane)
+        assert waveform_checksum(plane) != before
+        flipped = plane.times.view(np.int64) ^ pristine.view(np.int64)
+        assert sorted(flipped.tolist()) == [0] * (plane.times.size - 1) + [1]
 
     def test_corrupt_quiet_result_inverts_initial(self):
-        waveforms = [{"q": Waveform.trusted(
-            0, np.array([], dtype=np.float64))}]
+        plane = WaveformPlane.from_waveforms([{"q": Waveform.trusted(
+            0, np.array([], dtype=np.float64))}])
         plan = FaultPlan.from_spec("cache.get:corrupt@n=1")
-        plan.enact("cache.get", corruptible=waveforms)
-        assert waveforms[0]["q"].initial == 1
+        plan.enact("cache.get", corruptible=plane)
+        assert plane[0]["q"].initial == 1
 
     def test_corrupt_without_target_is_noop(self):
         plan = FaultPlan.from_spec("cache.get:corrupt@n=1")

@@ -9,6 +9,7 @@ indexed by global slot and therefore survive chunking and resume.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ def fail_always(chunk_index, attempt):
 def fail_from_chunk_two(chunk_index, attempt):
     if chunk_index >= 2:
         raise RuntimeError("injected mid-run failure")
+
+
+def hang_chunk_zero_once(chunk_index, attempt):
+    if chunk_index == 0 and attempt == 0:
+        time.sleep(3600)
 
 
 class TestHappyPath:
@@ -167,6 +173,24 @@ class TestWorkerRecovery:
         assert result.report.engines_used() == ["event-driven"]
         assert all(c.final_engine == "event-driven"
                    for c in result.report.chunks)
+
+    def test_stuck_worker_is_killed_and_chunk_retried(self, setup, library,
+                                                      monkeypatch):
+        """No wait in the runtime is unbounded: a worker that never
+        returns is killed after the bound and its chunk retried."""
+        import repro.runtime.campaign as campaign
+
+        monkeypatch.setattr(campaign, "WORKER_WAIT_SECONDS", 5.0)
+        circuit, compiled, pairs = setup
+        reference = GpuWaveSim(circuit, library, config=CONFIG,
+                               compiled=compiled).run(pairs)
+        runner = make_runner(setup, library,
+                             worker_fault=hang_chunk_zero_once)
+        result = runner.run(pairs)
+        assert_bit_identical(reference, result, circuit)
+        chunk = result.report.chunks[0]
+        assert chunk.retries >= 1
+        assert "crashed" in chunk.attempts[0].error
 
     def test_exhausted_ladder_raises(self, setup, library):
         _circuit, _compiled, pairs = setup

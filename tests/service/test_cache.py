@@ -1,10 +1,12 @@
 """Tests for the fingerprinted LRU result cache."""
 
 from repro.service import CachedResult, ResultCache
+from repro.waveform.plane import WaveformPlane
 
 
 def entry(tag: str) -> CachedResult:
-    return CachedResult(waveforms=[{}], slot_labels=[(0, 0.8)],
+    return CachedResult(plane=WaveformPlane.from_waveforms([{}]),
+                        slot_labels=[(0, 0.8)],
                         engine=tag, gate_evaluations=1)
 
 

@@ -252,7 +252,12 @@ class TestResultCache:
                                            compiled=compiled)
             service.submit(key, pairs).result(timeout=60)
             hit1 = service.submit(key, pairs).result(timeout=60)
-            hit1.waveforms[0].clear()  # caller mutates its copy
+            # Slot views are read-only: a caller cannot empty (or
+            # otherwise edit) what later hits are served from.
+            with pytest.raises((AttributeError, TypeError)):
+                hit1.waveforms[0].clear()
+            with pytest.raises(TypeError):
+                hit1.waveforms[0]["x"] = None
             hit2 = service.submit(key, pairs).result(timeout=60)
         assert hit2.cache_hit
         assert len(hit2.waveforms[0]) > 0

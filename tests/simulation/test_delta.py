@@ -302,7 +302,7 @@ class TestConeBitIdentity:
         _, arena, selected = capture_and_select(
             engine, base_pairs, var_pairs, plan, kernel_table, None)
         assert selected is not None
-        assert int(arena.counts.max()) > 2  # the retry below is real
+        assert int(arena.plane.counts.max()) > 2  # the retry below is real
         delta_engine = make_engine(circuit, compiled, library,
                                    backend="numpy", capacity=2)
         delta_result = delta_engine.run(var_pairs, plan=plan,
@@ -447,8 +447,9 @@ class TestSelection:
                            capture_base=True).base_arena
         parts = [arena.take(np.array([slot]))
                  for slot in range(arena.num_slots)]
-        rebuilt = BaseArena.concat(parts)
+        rebuilt = BaseArena.concat(parts).plane
         assert rebuilt.num_slots == arena.num_slots
+        arena = arena.plane
         for net in range(arena.num_nets):
             for slot in range(arena.num_slots):
                 count = int(arena.counts[net, slot])
