@@ -57,9 +57,13 @@ the same parametric workload once through the fused level-plan path
 (one backend call per level, delays evaluated in-kernel) and once
 through the per-arity-group path; ``dispatch_speedups`` records the
 fusion win.  ``parametric_ratios`` tracks the cost of voltage-adaptive
-delays relative to static delays per circuit and backend — the number
-the fused path is meant to push toward 1.0 — and the regression gate
-fails when it degrades beyond the threshold against the baseline.
+delays relative to static delays per backend — the paper's Table I
+"negligible overhead" claim.  It is taken from the wide-plane pair
+(``e2e_b17_wide_{static,parametric}``, :data:`RATIO_SLOTS` slots at one
+supply): on the narrow e2e planes a run is ~1 ms of per-call overhead
+and the Horner cost cannot show.  The gate fails when the ratio
+degrades beyond the threshold against the baseline, or exceeds the
+absolute :data:`PARAMETRIC_RATIO_CEILING` of its backend.
 
 The incremental scenario (``incremental_{voltage_sweep,stimulus}_
 {full,delta}``) replays near-duplicate jobs against a captured base
@@ -128,6 +132,7 @@ __all__ = [
     "DEFAULT_OUTPUT",
     "DEFAULT_THRESHOLD",
     "FAULT_OVERHEAD_CEILING",
+    "PARAMETRIC_RATIO_CEILING",
     "bench_characterization",
     "bench_end_to_end",
     "bench_delay_kernel",
@@ -135,6 +140,7 @@ __all__ = [
     "bench_level_dispatch",
     "bench_low_activity",
     "bench_merge_kernel",
+    "bench_parametric_plane",
     "bench_service_scaling",
     "bench_service_throughput",
     "compare_reports",
@@ -165,6 +171,19 @@ E2E_CIRCUITS_QUICK = ("s38417",)
 E2E_SCALE = 0.01
 E2E_PATTERNS = 16
 E2E_PATTERNS_QUICK = 6
+
+#: Parametric-vs-static scenario: RATIO_PATTERNS pairs tiled to
+#: RATIO_SLOTS slots at one supply (static delays cannot tell supplies
+#: apart), in quick mode too.  A plane this wide spends its wall in
+#: per-lane kernel work, so the ratio prices the in-kernel Horner
+#: evaluation rather than per-call overhead; planes narrower than
+#: RATIO_SLOTS never feed ``parametric_ratios``.  The per-lane backends
+#: evaluate the polynomial once per (gate, voltage), which the absolute
+#: ceiling holds them to.
+RATIO_CIRCUIT = "b17"
+RATIO_PATTERNS = 32
+RATIO_SLOTS = 1024
+PARAMETRIC_RATIO_CEILING = {"cext": 1.10}
 
 #: Low-activity scenario: one pair in LOWACT_ACTIVE_EVERY launches
 #: transitions, the rest are quiet (v2 == v1) — the regime activity
@@ -363,7 +382,44 @@ def bench_end_to_end(backend_name: str, circuit_name: str, scale: float,
               in sim.last_stats.phase_seconds().items()}
     return _entry(f"e2e_{circuit_name}_{mode}", sim.backend.name, wall, evals,
                   circuit=circuit_name, scale=scale, patterns=len(pairs),
-                  gate_evaluations=int(evals), phases=phases)
+                  slots=len(pairs), gate_evaluations=int(evals),
+                  phases=phases)
+
+
+def bench_parametric_plane(backend_name: str, repeats: int = 5) -> List[dict]:
+    """Static and parametric runs of one wide single-supply plane (two
+    entries, ``e2e_<circuit>_wide_{static,parametric}``).
+
+    The two modes alternate inside the repeat loop, so machine drift
+    hits both sides of the ratio alike.
+    """
+    from repro.experiments.common import default_kernel_table, default_library
+    from repro.experiments.workload import prepare_workload
+    from repro.simulation.base import SimulationConfig
+    from repro.simulation.grid import SlotPlan
+    from repro.simulation.gpu import GpuWaveSim
+
+    workload = prepare_workload(RATIO_CIRCUIT, scale=E2E_SCALE)
+    pairs = workload.patterns.pairs[:RATIO_PATTERNS]
+    plan = SlotPlan.cross(len(pairs), [0.8] * (RATIO_SLOTS // len(pairs)))
+    sim = GpuWaveSim(workload.circuit, default_library(),
+                     compiled=workload.compiled,
+                     config=SimulationConfig(backend=backend_name))
+    tables = {"static": None, "parametric": default_kernel_table(3)}
+    walls = {mode: float("inf") for mode in tables}
+    evals = 0
+    for attempt in range(repeats + 1):          # attempt 0 warms up
+        for mode, kernel_table in tables.items():
+            start = time.perf_counter()
+            evals = sim.run(pairs, plan=plan,
+                            kernel_table=kernel_table).gate_evaluations
+            if attempt:
+                walls[mode] = min(walls[mode], time.perf_counter() - start)
+    return [_entry(f"e2e_{RATIO_CIRCUIT}_wide_{mode}", sim.backend.name,
+                   wall, evals, circuit=RATIO_CIRCUIT, scale=E2E_SCALE,
+                   patterns=len(pairs), slots=plan.num_slots,
+                   gate_evaluations=int(evals))
+            for mode, wall in walls.items()]
 
 
 def bench_level_dispatch(backend_name: str, circuit_name: str, scale: float,
@@ -951,6 +1007,9 @@ def run_suite(quick: bool = False,
                     benchmarks.append(bench_end_to_end(
                         name, circuit, E2E_SCALE, patterns, parametric))
 
+        for name in chosen:
+            benchmarks.extend(bench_parametric_plane(name))
+
         dispatch_patterns = (DISPATCH_PATTERNS_QUICK if quick
                              else DISPATCH_PATTERNS)
         for name in chosen:
@@ -1107,11 +1166,15 @@ def _parametric_ratios(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
 
     The overhead of voltage-adaptive delay evaluation relative to a
     fixed-delay run of the same circuit — the quantity fused in-kernel
-    Horner scaling is meant to push toward 1.0.
+    Horner scaling is meant to push toward 1.0.  Entries that record a
+    plane narrower than :data:`RATIO_SLOTS` are left out: their wall is
+    per-call overhead, which both modes share.
     """
     walls: Dict[str, Dict[str, Dict[str, float]]] = {}
     for entry in benchmarks:
         name = entry["name"]
+        if entry.get("params", {}).get("slots", RATIO_SLOTS) < RATIO_SLOTS:
+            continue
         for suffix in ("_parametric", "_static"):
             if name.startswith("e2e_") and name.endswith(suffix) \
                     and "_lowact_" not in name:
@@ -1238,7 +1301,9 @@ def compare_reports(current: dict, baseline: dict,
     regression shows up here even when the whole run got faster.  A
     ``(circuit, backend)`` ratio regresses when it exceeds the
     baseline's ratio by more than ``threshold``; pairs absent from
-    either record (e.g. kernel-only runs) are skipped.
+    either record (e.g. kernel-only runs) are skipped.  Backends named
+    in :data:`PARAMETRIC_RATIO_CEILING` are also held to that absolute
+    ratio, baseline or not.
 
     ``faults_disabled_overhead`` is gated against the absolute
     :data:`FAULT_OVERHEAD_CEILING` rather than the baseline: the
@@ -1306,6 +1371,12 @@ def compare_reports(current: dict, baseline: dict,
     for circuit, per_backend in _parametric_ratios(
             current.get("benchmarks", [])).items():
         for backend, ratio in per_backend.items():
+            ceiling = PARAMETRIC_RATIO_CEILING.get(backend)
+            if ceiling is not None and ratio > ceiling:
+                regressions.append(
+                    f"parametric_ratio[{circuit}/{backend}]: "
+                    f"{ratio:.2f} exceeds the {ceiling:.2f} ceiling"
+                )
             before = baseline_ratios.get(circuit, {}).get(backend)
             if before is None or before <= 0:
                 continue

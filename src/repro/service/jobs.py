@@ -102,11 +102,13 @@ class ServiceConfig:
         overflows them.
     delta_bases:
         Base arenas pinned per compatibility group for incremental
-        re-simulation (``0`` disables the delta path).  A completed
-        batch's full waveform state is retained (zero-copy, integrity
-        checksummed); later near-duplicate jobs in the same group diff
-        against the ring, splice unchanged slots and re-evaluate only
-        the cone of influence of changed inputs.  Bit-identical to the
+        re-simulation (``0`` disables the delta path).  Each completed
+        job's full waveform state is retained as one ring entry — a
+        private ``take`` of the job's slots out of the batch's captured
+        state, integrity checksummed; later near-duplicate jobs in the
+        same group diff against the ring, splice unchanged slots and
+        re-evaluate only the cone of influence of changed inputs.
+        Bit-identical to the
         full path, so — like every knob here — never part of the job
         fingerprint.  With ``shards > 0`` the ring lives shard-local
         (arenas never cross the process boundary); a respawned shard

@@ -241,9 +241,10 @@ class ComputeBackend:
         * parametric mode receives the polynomial table plus the
           *pre-normalized* predictors — ``nv`` = ``φ_V`` per distinct
           voltage, ``nc`` = ``φ_C`` per plan gate (cached on the plan) —
-          and evaluates the 2-D Horner kernel per (gate, voltage); the
-          per-lane backends do so inside the merge loop, never
-          materializing a per-lane delay array,
+          and evaluates the 2-D Horner kernel per (gate, distinct
+          voltage), never per lane; the per-lane backends do so inside
+          the merge loop (memoized over each run of lanes a thread
+          owns), never materializing a per-lane delay array,
         * Monte-Carlo ``factors`` (level-local ``(g, S)``, plan gate
           order) scale each delay exactly as in :meth:`merge_group`.
 
@@ -252,6 +253,15 @@ class ComputeBackend:
         ``delay_cache`` memoizes materialized per-voltage arrays across
         overflow retries (numpy path only).  Results are bit-identical
         to the equivalent per-group :meth:`merge_group` dispatch.
+
+        Row contract: every dispatched lane writes its *whole* output
+        row — its toggles, then ``+inf`` up to ``capacity`` — and its
+        initial value, and reads nothing of what the row held before;
+        rows of lanes that are not dispatched are left untouched.  A
+        dense call therefore needs no reset of the level's output rows
+        (the engine resets only undriven rows); a sparse call needs the
+        skipped rows reset by the caller.  On overflow the level's
+        output rows are unspecified, as in :meth:`merge_group`.
         """
         raise NotImplementedError
 
@@ -277,7 +287,11 @@ class ComputeBackend:
         order); backends gather it into plan order themselves.  ``nc``
         is not a parameter — the per-level ``φ_C`` memos live on
         ``plans``.  Stops at the first level with overflowing lanes so
-        the caller can retry at doubled capacity.
+        the caller can retry at doubled capacity.  The :meth:`run_level`
+        row contract holds level by level: a call that returns without
+        overflow has written every gate-output row of the arena in
+        full, whatever those rows held on entry; only rows no gate
+        drives (primary inputs, the dummy net) are read as given.
 
         The base implementation loops :meth:`run_level`; backends with
         per-call dispatch overhead (ctypes marshalling in the C

@@ -180,31 +180,44 @@ class _ArenaPool:
     """Reusable backing store for the waveform arena.
 
     A batch needs a ``(nets, slots, capacity)`` float64 toggle-time
-    array (+inf filled) and a ``(nets, slots)`` uint8 initial-value
-    array.  Allocating these per batch costs up to ``memory_budget``
-    bytes of fresh pages each time; the pool keeps one flat buffer per
-    dtype and hands out reset-in-place views instead.  Safe because the
-    engine copies every surviving toggle out of the arena into the
-    result plane (``WaveformPlane.from_arena``) before the next acquire.
+    array and a ``(nets, slots)`` uint8 initial-value array.
+    Allocating these per batch costs up to ``memory_budget`` bytes of
+    fresh pages each time; the pool keeps one flat buffer per dtype and
+    hands out reset-in-place views instead.  Safe because the engine
+    copies every surviving toggle out of the arena into the result
+    plane (``WaveformPlane.from_arena``) before the next acquire.
     """
 
     def __init__(self) -> None:
         self._times: Optional[np.ndarray] = None
         self._initial: Optional[np.ndarray] = None
 
-    def acquire(self, nets: int, slots: int, capacity: int):
-        """A zeroed ``(times, initial)`` arena pair of the given shape."""
+    def acquire(self, nets: int, slots: int, capacity: int,
+                rows: Optional[np.ndarray] = None):
+        """A ``(times, initial)`` arena pair of the given shape.
+
+        With ``rows=None`` the whole arena is reset: every toggle time
+        ``+inf``, every initial value 0.  With ``rows`` only those net
+        rows are reset and every other row holds whatever the previous
+        batch left — for callers that write each remaining row in full
+        before anything reads it (dense fused dispatch: one lane per
+        gate output and slot, see :meth:`ComputeBackend.run_level`).
+        """
         faults.trip("engine.alloc")
         n_times = nets * slots * capacity
         if self._times is None or self._times.size < n_times:
             self._times = np.empty(n_times, dtype=np.float64)
         times = self._times[:n_times].reshape(nets, slots, capacity)
-        times.fill(INF)
         n_initial = nets * slots
         if self._initial is None or self._initial.size < n_initial:
             self._initial = np.empty(n_initial, dtype=np.uint8)
         initial = self._initial[:n_initial].reshape(nets, slots)
-        initial.fill(0)
+        if rows is None:
+            times.fill(INF)
+            initial.fill(0)
+        else:
+            times[rows] = INF
+            initial[rows] = 0
         return times, initial
 
 
@@ -259,6 +272,12 @@ class GpuWaveSim:
         self._output_ids = np.asarray(
             [self.compiled.net_index[net] for net in self._output_nets],
             dtype=np.int64)
+        # Arena rows no gate drives (primary inputs, the dummy net):
+        # all a dense fused batch has to reset, every other row being
+        # written in full by the lane that owns it.
+        undriven = np.ones(self.compiled.num_nets + 1, dtype=bool)
+        undriven[self.compiled.gate_output] = False
+        self._undriven_rows = np.flatnonzero(undriven)
 
     # -- public API ----------------------------------------------------------------
 
@@ -548,11 +567,24 @@ class GpuWaveSim:
                     global_slots, delay_cache, first, quiet, tracked, rows)
             track_lanes = n_tracked == num_slots
 
+        # Fused dispatch needs the polynomial kernel table (its
+        # coefficients feed the in-kernel Horner evaluation); duck-typed
+        # alternative delay models (LUT / analytical backends) take the
+        # unfused per-group path, which only requires
+        # ``delays_for_gates``.
+        fused = self._fused and (kernel_table is None
+                                 or isinstance(kernel_table, DelayKernelTable))
+
         # Waveform memory: (nets + dummy, slots, capacity) toggle times.
         # Pooled per engine: batches (and overflow retries) reset the
         # same allocation in place instead of np.full-ing a fresh one.
+        # Dense fused dispatch runs one lane per (gate, slot) and each
+        # writes its whole output row, so only the undriven rows need
+        # the reset; every path that skips lanes reads the rows it
+        # skipped as quiet and keeps the full reset.
         times_all, initial_all = self._arena_pool.acquire(
-            compiled.num_nets + 1, num_slots, capacity)
+            compiled.num_nets + 1, num_slots, capacity,
+            rows=self._undriven_rows if fused and not track_lanes else None)
 
         initial_all[compiled.input_net_ids] = first.T
         times_all[compiled.input_net_ids, :, 0] = np.where(
@@ -579,13 +611,7 @@ class GpuWaveSim:
                 global_slots = np.arange(num_slots)
             factors = variation.factors(compiled.num_gates, global_slots)
 
-        # Level-wise processing (the vertical grid dimension).  Fused
-        # dispatch needs the polynomial kernel table (its coefficients
-        # feed the in-kernel Horner evaluation); duck-typed alternative
-        # delay models (LUT / analytical backends) take the unfused
-        # per-group path, which only requires ``delays_for_gates``.
-        fused = self._fused and (kernel_table is None
-                                 or isinstance(kernel_table, DelayKernelTable))
+        # Level-wise processing (the vertical grid dimension).
         if fused:
             # One backend call per level over the precompiled plan, with
             # predictor normalizations (phi_V, phi_C) resolved once from

@@ -339,9 +339,31 @@ void delays_for_gates(const double *coeffs, const double *nv,
     }
 }
 
+/* Levels with fewer lanes than this run on the calling thread: below
+ * it one fork/join costs more than the lanes it spreads.  Measured on 2
+ * cores with whole GpuWaveSim.run calls (s38417 x0.05, 51 levels, and
+ * b17 x0.1, 63 levels) over planes of 4..256 slots: serial wins up to
+ * ~250 (s38417) / ~470 (b17) lanes per level -- 410 vs 600 us per run
+ * on the 4-slot service job shape -- the team wins from ~500 / ~900. */
+#define PARALLEL_MIN_LANES 512
+
+/* Per-thread delay memo, direct-mapped by distinct-voltage index: a
+ * gate's pin-to-pin delays depend on (gate, voltage) only, and a thread
+ * walks runs of lanes that share both (slot planes are voltage-major;
+ * interleaved planes alternate among a few supplies). */
+#define MEMO_WAYS 8
+
+typedef struct {
+    int64_t gate;
+    int64_t v;
+    double pd[MAX_PINS * 2];
+} delay_memo;
+
 /* Fused whole-level dispatch: every arity group of a level in one call,
- * with the Horner delay kernel evaluated inside the merge loop per
- * (gate, voltage) so per-lane delay arrays are never materialized.
+ * with the Horner delay kernel evaluated inside the merge loop, once
+ * per (gate, distinct voltage) per run of lanes a thread owns (see
+ * delay_memo; same arithmetic, same doubles as per-lane evaluation), so
+ * per-lane delay arrays are never materialized.
  *   in_ids (g, maxP)  out_ids/tables/arities/type_ids (g,)
  *   nominal (g, maxP, 2)
  *   parametric: coeffs (T, coeff_pins, 2, n1, n1) full table,
@@ -350,7 +372,10 @@ void delays_for_gates(const double *coeffs, const double *nv,
  *   sparse: only the (lane_gates, lane_slots) lanes (length L) run
  * Gates are arity-sorted with unpadded truth tables; each lane loops
  * only its real pins, which is bit-equivalent to the padded dispatch
- * because spare pins read the constant-0 dummy net. */
+ * because spare pins read the constant-0 dummy net.
+ * A dispatched lane writes its whole output row -- its toggles, then
+ * +inf up to cap -- and its initial value, and never reads what the row
+ * held before; rows of lanes that are not dispatched stay untouched. */
 void run_level(double *times_all, uint8_t *initial_all,
                const int64_t *in_ids, const int64_t *out_ids,
                const int64_t *tables, const int64_t *arities,
@@ -370,24 +395,30 @@ void run_level(double *times_all, uint8_t *initial_all,
     int64_t overflow_lanes = 0;
     const int64_t total = sparse ? L : g * S;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64) \
+#pragma omp parallel if(total >= PARALLEL_MIN_LANES) \
     reduction(+:iterations) reduction(+:overflow_lanes)
+#endif
+    {
+    delay_memo memo[MEMO_WAYS];
+    for (int64_t way = 0; way < MEMO_WAYS; way++) memo[way].gate = -1;
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic, 64)
 #endif
     for (int64_t lane = 0; lane < total; lane++) {
         const int64_t gate = sparse ? lane_gates[lane] : lane / S;
         const int64_t slot = sparse ? lane_slots[lane] : lane % S;
         const int64_t arity = arities[gate];
         const double factor = has_factors ? factors[gate * S + slot] : 1.0;
-        double pd[MAX_PINS][2];
+        const double *pd = nominal + gate * maxP * 2;   /* [pin * 2 + pol] */
         if (parametric) {
-            const double v = nv[slot_to_v[slot]];
-            const double c = nc[gate];
-            for (int64_t pin = 0; pin < arity; pin++) {
-                const double *nom = nominal + (gate * maxP + pin) * 2;
-                for (int64_t pol = 0; pol < 2; pol++) {
+            const int64_t vi = slot_to_v[slot];
+            delay_memo *m = &memo[vi % MEMO_WAYS];
+            if (m->gate != gate || m->v != vi) {
+                const double v = nv[vi];
+                const double c = nc[gate];
+                for (int64_t pp = 0; pp < arity * 2; pp++) {
                     const double *cc = coeffs
-                        + (((type_ids[gate] * coeff_pins + pin) * 2 + pol)
-                           * n1 * n1);
+                        + ((type_ids[gate] * coeff_pins * 2 + pp) * n1 * n1);
                     double result = 0.0;
                     for (int64_t i = n1 - 1; i >= 0; i--) {
                         double inner = 0.0;
@@ -395,16 +426,13 @@ void run_level(double *times_all, uint8_t *initial_all,
                             inner = inner * c + cc[i * n1 + j];
                         result = result * v + inner;
                     }
-                    double adapted = nom[pol] * (1.0 + result);
-                    pd[pin][pol] = adapted > min_delay ? adapted : min_delay;
+                    double adapted = pd[pp] * (1.0 + result);
+                    m->pd[pp] = adapted > min_delay ? adapted : min_delay;
                 }
+                m->gate = gate;
+                m->v = vi;
             }
-        } else {
-            for (int64_t pin = 0; pin < arity; pin++) {
-                const double *nom = nominal + (gate * maxP + pin) * 2;
-                pd[pin][0] = nom[0];
-                pd[pin][1] = nom[1];
-            }
+            pd = m->pd;
         }
         int64_t pointers[MAX_PINS];
         int64_t vals[MAX_PINS];
@@ -448,14 +476,13 @@ void run_level(double *times_all, uint8_t *initial_all,
                 index |= vals[pin] << pin;
             int64_t new_val = (table >> index) & 1;
             if (new_val == last_target) continue;
-            double delay = pd[causing][1 - new_val];
+            double delay = pd[causing * 2 + (1 - new_val)];
             if (has_factors) delay = delay * factor;
             double t_out = now + delay;
             double width = inertial ? delay : 0.0;
             if (depth > 0 && (t_out <= out[depth - 1]
                               || t_out - out[depth - 1] < width)) {
                 depth--;
-                out[depth] = INFINITY;
             } else if (depth >= cap) {
                 overflow = 1;
             } else {
@@ -463,7 +490,9 @@ void run_level(double *times_all, uint8_t *initial_all,
             }
             last_target ^= 1;
         }
+        for (int64_t d = depth; d < cap; d++) out[d] = INFINITY;
         overflow_lanes += overflow;
+    }
     }
     *out_overflow = overflow_lanes;
     *out_iterations = iterations;

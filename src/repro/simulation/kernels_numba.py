@@ -296,6 +296,15 @@ def merge_group_sparse(times_all, initial_all, in_ids, out_ids, per_voltage,
     )
 
 
+#: Lanes per ``prange`` work item of :func:`_run_level_jit` (the C
+#: kernel's ``schedule(dynamic, 64)`` chunk): the run of lanes over
+#: which one delay memo is shared.
+LANE_CHUNK = 64
+
+#: Delay-memo entries per chunk, direct-mapped by distinct-voltage index.
+MEMO_WAYS = 8
+
+
 @njit(parallel=True, cache=True)
 def _run_level_jit(times_all, initial_all, in_ids, out_ids, tables, arities,
                    type_ids, nominal, parametric, coeffs, nv, nc, min_delay,
@@ -305,92 +314,110 @@ def _run_level_jit(times_all, initial_all, in_ids, out_ids, tables, arities,
     num_slots = slot_to_v.size
     n1 = coeffs.shape[-1]
     total = lane_gates.size if sparse else group_size * num_slots
+    num_chunks = (total + LANE_CHUNK - 1) // LANE_CHUNK
     overflow_lanes = 0
     iterations = 0
-    for lane in prange(total):
-        if sparse:
-            gate = lane_gates[lane]
-            slot = lane_slots[lane]
-        else:
-            gate = lane // num_slots
-            slot = lane % num_slots
-        arity = arities[gate]
-        factor = factors[gate, slot] if has_factors else 1.0
-        pd = np.empty((max_pins, 2), dtype=np.float64)
-        if parametric:
-            v = nv[slot_to_v[slot]]
-            c = nc[gate]
-            for pin in range(arity):
-                for polarity in range(2):
-                    # Nested Horner, identical op order to horner2d.
-                    result = 0.0
-                    for i in range(n1 - 1, -1, -1):
-                        inner = 0.0
-                        for j in range(n1 - 1, -1, -1):
-                            inner = inner * c + coeffs[type_ids[gate], pin,
-                                                       polarity, i, j]
-                        result = result * v + inner
-                    adapted = nominal[gate, pin, polarity] * (1.0 + result)
-                    pd[pin, polarity] = max(adapted, min_delay)
-        else:
-            for pin in range(arity):
-                pd[pin, 0] = nominal[gate, pin, 0]
-                pd[pin, 1] = nominal[gate, pin, 1]
-        pointers = np.zeros(arity, dtype=np.int64)
-        vals = np.empty(arity, dtype=np.int64)
-        table = tables[gate]
-        index = np.int64(0)
-        for pin in range(arity):
-            vals[pin] = initial_all[in_ids[gate, pin], slot]
-            index |= vals[pin] << pin
-        last_target = (table >> index) & 1
-        out_net = out_ids[gate]
-        initial_all[out_net, slot] = np.uint8(last_target)
-        depth = 0
-        lane_iterations = 0
-        lane_overflow = 0
-        while True:
-            now = INF
-            for pin in range(arity):
-                if pointers[pin] < capacity:
-                    t = times_all[in_ids[gate, pin], slot, pointers[pin]]
-                    if t < now:
-                        now = t
-            if now == INF:
-                break
-            lane_iterations += 1
-            causing = -1
-            for pin in range(arity):
-                if pointers[pin] < capacity and \
-                        times_all[in_ids[gate, pin], slot, pointers[pin]] == now:
-                    vals[pin] ^= 1
-                    pointers[pin] += 1
-                    if causing < 0:
-                        causing = pin
+    for chunk in prange(num_chunks):
+        # A gate's delays depend on (gate, voltage) only: the Horner
+        # kernel runs once per pair and chunk, not once per lane (same
+        # arithmetic, same doubles).
+        memo_gate = np.full(MEMO_WAYS, -1, dtype=np.int64)
+        memo_v = np.full(MEMO_WAYS, -1, dtype=np.int64)
+        memo_pd = np.empty((MEMO_WAYS, max_pins, 2), dtype=np.float64)
+        pointers = np.empty(max_pins, dtype=np.int64)
+        vals = np.empty(max_pins, dtype=np.int64)
+        chunk_iterations = 0
+        chunk_overflow = 0
+        for lane in range(chunk * LANE_CHUNK,
+                          min(total, (chunk + 1) * LANE_CHUNK)):
+            if sparse:
+                gate = lane_gates[lane]
+                slot = lane_slots[lane]
+            else:
+                gate = lane // num_slots
+                slot = lane % num_slots
+            arity = arities[gate]
+            factor = factors[gate, slot] if has_factors else 1.0
+            vi = slot_to_v[slot] if parametric else 0
+            way = vi % MEMO_WAYS
+            if memo_gate[way] != gate or memo_v[way] != vi:
+                for pin in range(arity):
+                    for polarity in range(2):
+                        adapted = nominal[gate, pin, polarity]
+                        if parametric:
+                            # Nested Horner, identical op order to horner2d.
+                            v = nv[vi]
+                            c = nc[gate]
+                            result = 0.0
+                            for i in range(n1 - 1, -1, -1):
+                                inner = 0.0
+                                for j in range(n1 - 1, -1, -1):
+                                    inner = inner * c + coeffs[
+                                        type_ids[gate], pin, polarity, i, j]
+                                result = result * v + inner
+                            adapted = max(adapted * (1.0 + result), min_delay)
+                        memo_pd[way, pin, polarity] = adapted
+                memo_gate[way] = gate
+                memo_v[way] = vi
+            pd = memo_pd[way]
+            table = tables[gate]
             index = np.int64(0)
             for pin in range(arity):
+                pointers[pin] = 0
+                vals[pin] = initial_all[in_ids[gate, pin], slot]
                 index |= vals[pin] << pin
-            new_val = (table >> index) & 1
-            if new_val == last_target:
-                continue
-            delay = pd[causing, 1 - new_val]
-            if has_factors:
-                delay = delay * factor
-            t_out = now + delay
-            width = delay if inertial else 0.0
-            if depth > 0 and (t_out <= times_all[out_net, slot, depth - 1]
-                              or t_out - times_all[out_net, slot, depth - 1]
-                              < width):
-                depth -= 1
-                times_all[out_net, slot, depth] = INF
-            elif depth >= capacity:
-                lane_overflow = 1
-            else:
-                times_all[out_net, slot, depth] = t_out
-                depth += 1
-            last_target ^= 1
-        overflow_lanes += lane_overflow
-        iterations += lane_iterations
+            last_target = (table >> index) & 1
+            out_net = out_ids[gate]
+            initial_all[out_net, slot] = np.uint8(last_target)
+            depth = 0
+            lane_overflow = 0
+            while True:
+                now = INF
+                for pin in range(arity):
+                    if pointers[pin] < capacity:
+                        t = times_all[in_ids[gate, pin], slot, pointers[pin]]
+                        if t < now:
+                            now = t
+                if now == INF:
+                    break
+                chunk_iterations += 1
+                causing = -1
+                for pin in range(arity):
+                    if pointers[pin] < capacity and \
+                            times_all[in_ids[gate, pin], slot,
+                                      pointers[pin]] == now:
+                        vals[pin] ^= 1
+                        pointers[pin] += 1
+                        if causing < 0:
+                            causing = pin
+                index = np.int64(0)
+                for pin in range(arity):
+                    index |= vals[pin] << pin
+                new_val = (table >> index) & 1
+                if new_val == last_target:
+                    continue
+                delay = pd[causing, 1 - new_val]
+                if has_factors:
+                    delay = delay * factor
+                t_out = now + delay
+                width = delay if inertial else 0.0
+                if depth > 0 and (t_out <= times_all[out_net, slot, depth - 1]
+                                  or t_out
+                                  - times_all[out_net, slot, depth - 1]
+                                  < width):
+                    depth -= 1
+                elif depth >= capacity:
+                    lane_overflow = 1
+                else:
+                    times_all[out_net, slot, depth] = t_out
+                    depth += 1
+                last_target ^= 1
+            # The lane owns its output row: toggles, then +inf to the end.
+            for d in range(depth, capacity):
+                times_all[out_net, slot, d] = INF
+            chunk_overflow += lane_overflow
+        overflow_lanes += chunk_overflow
+        iterations += chunk_iterations
     return overflow_lanes, iterations
 
 

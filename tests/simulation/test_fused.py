@@ -16,7 +16,8 @@ import pytest
 
 from repro.netlist.generate import random_circuit
 from repro.simulation.backend import available_backends
-from repro.simulation.base import PatternPair, SimulationConfig
+from repro.simulation.base import (LAUNCH_TIME, PatternPair,
+                                   SimulationConfig)
 from repro.simulation.compiled import (
     clear_level_plan_cache,
     compile_circuit,
@@ -160,6 +161,88 @@ class TestBitIdentity:
         assert fstats.lanes_skipped == ustats.lanes_skipped > 0
         assert fstats.gate_evaluations == ustats.gate_evaluations
         assert_identical(unfused, fused, len(pairs), circuit.nets())
+
+
+#: Slot planes by how their supply voltages run along the slot axis
+#: (``n`` pairs each): the in-kernel delay memo is keyed (gate, distinct
+#: voltage) and must give the per-lane doubles whatever the order.
+PLANE_SHAPES = {
+    "cross": lambda n: SlotPlan.cross(n, [0.6, 0.8, 1.0]),
+    "zip_alternating": lambda n: SlotPlan.zip(np.arange(2 * n) % n,
+                                              [0.6, 0.9] * n),
+    "one_voltage": lambda n: SlotPlan.uniform(n, 0.7),
+    # More distinct voltages than the memo has ways.
+    "voltage_per_slot": lambda n: SlotPlan.zip(
+        np.arange(2 * n) % n, np.linspace(0.55, 1.05, 2 * n)),
+}
+
+
+class TestDelayHoist:
+    """The fused kernels evaluate the Horner delay once per (gate,
+    distinct voltage) and run of lanes, not per lane: same doubles as
+    the numpy backend's materialized arrays and as the
+    ``delays_for_gates`` definition, for every slot-plane shape."""
+
+    @pytest.mark.parametrize("lanes", ["dense", "sparse"])
+    @pytest.mark.parametrize("with_factors", [False, True])
+    @pytest.mark.parametrize("shape", sorted(PLANE_SHAPES))
+    def test_plane_shapes(self, library, kernel_table, shape, with_factors,
+                          lanes):
+        circuit = random_circuit("hoist", 8, 120, seed=41)
+        compiled = compile_circuit(circuit, library)
+        count = 6
+        plan = PLANE_SHAPES[shape](count)
+        # Single-toggle pairs classify every slot as lane-tracked, so
+        # the levels dispatch compacted (sparse) lane lists.
+        pairs = (make_pairs(circuit, count, 41) if lanes == "dense"
+                 else single_toggle_pairs(circuit, count, 41))
+        variation = (ProcessVariation(sigma=0.1, seed=77)
+                     if with_factors else None)
+        results = {}
+        for backend_name in CONCRETE:
+            results[backend_name], stats = run_engine(
+                circuit, compiled, library, pairs, backend=backend_name,
+                fused=True, plan=plan, kernel_table=kernel_table,
+                variation=variation, prune=lanes == "sparse")
+            assert (stats.lanes_skipped > 0) == (lanes == "sparse")
+        for backend_name in CONCRETE:
+            assert_identical(results["numpy"], results[backend_name],
+                             plan.num_slots, circuit.nets())
+
+        # Oracle: a first-level gate sees all its input toggles at the
+        # launch time, so its output toggles at most once, at exactly
+        # the delay of (first toggling pin, output polarity, voltage).
+        gates = compiled.levels[0]
+        distinct_v, slot_to_v = np.unique(plan.voltages, return_inverse=True)
+        oracle = kernel_table.delays_for_gates(
+            compiled.gate_type_ids[gates], compiled.gate_loads[gates],
+            compiled.nominal_delays[gates], distinct_v)
+        factors = (variation.factors(compiled.num_gates,
+                                     np.arange(plan.num_slots))
+                   if with_factors else None)
+        net_names = list(compiled.net_index)    # insertion order == net id
+        input_position = {int(net): position for position, net
+                          in enumerate(compiled.input_net_ids)}
+        checked = 0
+        for row, gate in enumerate(gates):
+            out_net = net_names[int(compiled.gate_output[gate])]
+            pins = [input_position[int(net)] for net in
+                    compiled.gate_inputs[gate, :compiled.gate_arity[gate]]]
+            for slot in range(plan.num_slots):
+                pair = pairs[plan.pattern_indices[slot]]
+                toggling = [pin for pin, position in enumerate(pins)
+                            if pair.v1[position] != pair.v2[position]]
+                for backend_name in CONCRETE:
+                    wave = results[backend_name].waveform(slot, out_net)
+                    assert len(wave.times) <= min(1, len(toggling))
+                    if len(wave.times):
+                        delay = oracle[row, toggling[0], wave.initial,
+                                       slot_to_v[slot]]
+                        if with_factors:
+                            delay = delay * factors[gate, slot]
+                        assert wave.times[0] == LAUNCH_TIME + delay
+                        checked += 1
+        assert checked > 0
 
 
 class TestLevelPlans:

@@ -12,8 +12,10 @@ backend — the result is one :class:`WaveformPlane`, and on it
   definitions evaluated on a plain-dict copy of the same result,
 * ``take`` ∘ ``concat`` round-trips,
 * the content checksum does not depend on the ``starts`` layout (engine
-  plane == ``take`` slice == checkpoint reload), and
-* the plane never aliases the engine's pooled arena.
+  plane == ``take`` slice == checkpoint reload),
+* the plane never aliases the engine's pooled arena, and
+* no reader depends on an arena row it did not write or reset: every
+  run starts from a pooled arena poisoned with finite garbage.
 """
 
 import tempfile
@@ -58,6 +60,27 @@ def make_pairs(width, kinds, rng):
     return pairs
 
 
+#: Capacity the poisoned pool is sized for (the overflow mode grows
+#: from 2; nothing here needs more).
+POISON_CAPACITY = 64
+
+
+def poisoned_run(engine, pairs, plan, **kwargs):
+    """``engine.run`` on a pooled arena pre-filled with finite garbage:
+    toggle times that sort before every real toggle, initial values 1.
+    A path that reads a row it neither wrote nor reset sees phantom
+    toggles and fails the event-driven comparison."""
+    pool = engine._arena_pool
+    rows = (engine.compiled.num_nets + 1) * plan.num_slots
+    pool._times = np.arange(1, rows * POISON_CAPACITY + 1,
+                            dtype=np.float64) * 1e-15
+    pool._initial = np.ones(rows, dtype=np.uint8)
+    poisoned = pool._times
+    result = engine.run(pairs, plan=plan, **kwargs)
+    assert pool._times is poisoned      # not outgrown: the poison was live
+    return result
+
+
 def run_mode(mode, circuit, compiled, library, table, pairs, plan,
              record_all, backend, rng):
     """Drive ``mode``; returns ``(engine, result, stimuli simulated)``."""
@@ -71,9 +94,10 @@ def run_mode(mode, circuit, compiled, library, table, pairs, plan,
     engine = GpuWaveSim(circuit, library, compiled=compiled,
                         config=SimulationConfig(**config), **extra)
     if mode not in ("splice", "cone"):
-        return engine, engine.run(pairs, plan=plan, kernel_table=table), pairs
-    base = engine.run(pairs, plan=plan, kernel_table=table,
-                      capture_base=True).base_arena
+        return engine, poisoned_run(engine, pairs, plan,
+                                    kernel_table=table), pairs
+    base = poisoned_run(engine, pairs, plan, kernel_table=table,
+                        capture_base=True).base_arena
     if mode == "splice":
         delta = DeltaPlan(
             base, np.arange(plan.num_slots, dtype=np.int64),
@@ -91,7 +115,8 @@ def run_mode(mode, circuit, compiled, library, table, pairs, plan,
             plan.voltages, None, None, 0.99)
         assert selected is not None
         delta = selected[0]
-    result = engine.run(pairs, plan=plan, kernel_table=table, delta=delta)
+    result = poisoned_run(engine, pairs, plan, kernel_table=table,
+                          delta=delta)
     stats = engine.last_stats
     lanes = compiled.num_gates * plan.num_slots
     assert (stats.gate_evaluations + stats.lanes_spliced

@@ -117,6 +117,36 @@ class TestRegressionGate:
                                ("e2e_x_parametric", "numpy"): 2.2})
         assert record.compare_reports(current, baseline, 1.5) == []
 
+    def test_parametric_ratio_needs_a_wide_plane(self):
+        """A 16-slot run is per-call overhead on both sides: no ratio."""
+        narrow, wide = {"slots": 16}, {"slots": record.RATIO_SLOTS}
+        benchmarks = [
+            {"name": "e2e_x_static", "backend": "cext",
+             "wall_seconds": 1.0, "params": narrow},
+            {"name": "e2e_x_parametric", "backend": "cext",
+             "wall_seconds": 1.2, "params": narrow},
+            {"name": "e2e_x_wide_static", "backend": "cext",
+             "wall_seconds": 10.0, "params": wide},
+            {"name": "e2e_x_wide_parametric", "backend": "cext",
+             "wall_seconds": 10.5, "params": wide},
+        ]
+        assert record._parametric_ratios(benchmarks) == {
+            "x_wide": {"cext": pytest.approx(1.05)}}
+
+    def test_parametric_ratio_ceiling_is_absolute(self):
+        """cext evaluates the polynomial once per (gate, voltage): its
+        ratio is held under the ceiling whatever the baseline says."""
+        ceiling = record.PARAMETRIC_RATIO_CEILING["cext"]
+        walls = {("e2e_x_static", "cext"): 1.0,
+                 ("e2e_x_parametric", "cext"): ceiling + 0.1,
+                 ("e2e_x_static", "numpy"): 1.0,
+                 ("e2e_x_parametric", "numpy"): ceiling + 0.1}
+        messages = record.compare_reports(make_report(walls),
+                                          make_report(walls), 1.5)
+        assert len(messages) == 1
+        assert "parametric_ratio[x/cext]" in messages[0]
+        assert "ceiling" in messages[0]
+
     def test_fault_overhead_extracted_per_backend(self):
         benchmarks = [
             {"name": "fault_seams_e2e", "backend": "numpy",
