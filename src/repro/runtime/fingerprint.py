@@ -17,13 +17,27 @@ resume.
 Every payload is framed as ``tag + 8-byte little-endian length + bytes``
 before hashing, so adjacent fields cannot alias (``"ab" + "c"`` vs
 ``"a" + "bc"``) and a reordered feed changes the digest.
+
+**Pay per job only for per-job bytes.**  A service hashes the same
+compiled circuit on every submit, so the state after
+:func:`feed_compiled` — the leading field of every composed identity —
+is hashed once per live compiled object and *forked*
+(:meth:`Fingerprinter.fork`, SHA-256 ``copy()``) per digest; the
+stimulus-free :func:`compatibility_fingerprint` state is memoized the
+same way per (compiled, semantic config, kernel table, variation).
+Both memos key on object identity through weak references: a compiled
+circuit, kernel table or variation model is treated as immutable once
+fingerprinted (derive a variant with ``copy.copy`` / ``replace`` — a new
+object is a new identity and hashes afresh), and an entry dies with its
+objects.  Digests are byte-identical to hashing everything per call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+import weakref
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +56,12 @@ class Fingerprinter:
 
     def __init__(self) -> None:
         self._digest = hashlib.sha256()
+
+    def fork(self) -> "Fingerprinter":
+        """An independent fingerprinter continuing from this state."""
+        forked = Fingerprinter.__new__(Fingerprinter)
+        forked._digest = self._digest.copy()
+        return forked
 
     def feed(self, tag: str, payload: bytes) -> None:
         self._digest.update(tag.encode("utf-8"))
@@ -89,12 +109,16 @@ def feed_plan(fp: Fingerprinter, plan) -> None:
     fp.feed_array("plan_voltages", plan.voltages)
 
 
-def feed_config(fp: Fingerprinter, config) -> None:
+def _semantic_config(config) -> dict:
     """Only the semantic engine settings — the ones that change waveforms."""
-    fp.feed_json("config", {
+    return {
         "pulse_filtering": config.pulse_filtering,
         "record_all_nets": config.record_all_nets,
-    })
+    }
+
+
+def feed_config(fp: Fingerprinter, config) -> None:
+    fp.feed_json("config", _semantic_config(config))
 
 
 def feed_kernel_table(fp: Fingerprinter, kernel_table=None) -> None:
@@ -126,6 +150,58 @@ def feed_variation(fp: Fingerprinter, variation=None) -> None:
         fp.feed_json("variation", payload)
 
 
+# -- identity memos ----------------------------------------------------------------
+
+
+def _no_object() -> None:
+    """Stands in for the weak reference of a ``None`` member."""
+
+
+class _IdentityMemo:
+    """Values built once per tuple of live objects, keyed by identity.
+
+    ``objects`` may hold ``None``; every other member is held through a
+    weak reference whose death drops the entry, and a lookup re-checks
+    the references, so a recycled ``id()`` can never serve another
+    object's value.  Unlocked on purpose: racing builders store equal
+    values, and the stored values are only ever read (forked).
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Tuple[tuple, object]] = {}
+
+    def lookup(self, objects: tuple, extra, build: Callable[[], object]):
+        key = (tuple(map(id, objects)), extra)
+        entry = self._entries.get(key)
+        if entry is not None and all(
+                ref() is obj for ref, obj in zip(entry[0], objects)):
+            return entry[1]
+        value = build()
+
+        def drop(_ref, entries=self._entries, key=key) -> None:
+            entries.pop(key, None)
+
+        refs = tuple(_no_object if obj is None else weakref.ref(obj, drop)
+                     for obj in objects)
+        self._entries[key] = (refs, value)
+        return value
+
+
+_COMPILED_PREFIXES = _IdentityMemo()
+_COMPATIBILITY_STATES = _IdentityMemo()
+
+
+def _compiled_prefix(compiled) -> Fingerprinter:
+    """A fork of the state after ``feed_compiled(compiled)``."""
+
+    def build() -> Fingerprinter:
+        fp = Fingerprinter()
+        feed_compiled(fp, compiled)
+        return fp
+
+    return _COMPILED_PREFIXES.lookup((compiled,), None, build).fork()
+
+
 # -- composed identities -----------------------------------------------------------
 
 
@@ -144,8 +220,7 @@ def campaign_fingerprint(
     checkpoint manifests (the feed order is therefore frozen — see the
     module docstring).
     """
-    fp = Fingerprinter()
-    feed_compiled(fp, compiled)
+    fp = _compiled_prefix(compiled)
     feed_stimuli(fp, pairs)
     feed_plan(fp, plan)
     feed_config(fp, config)
@@ -162,9 +237,7 @@ job_fingerprint = campaign_fingerprint
 
 def circuit_fingerprint(compiled) -> str:
     """Identity of a compiled circuit alone (the service circuit key)."""
-    fp = Fingerprinter()
-    feed_compiled(fp, compiled)
-    return fp.hexdigest()
+    return _compiled_prefix(compiled).hexdigest()
 
 
 def feed_cell(fp: Fingerprinter, cell) -> None:
@@ -251,11 +324,17 @@ def compatibility_fingerprint(
     0.7 V job with a 0.8 V one would turn two valid static jobs into one
     invalid plane.
     """
-    fp = Fingerprinter()
-    feed_compiled(fp, compiled)
-    feed_config(fp, config)
-    feed_kernel_table(fp, kernel_table)
-    feed_variation(fp, variation)
+
+    def build() -> Fingerprinter:
+        fp = _compiled_prefix(compiled)
+        feed_config(fp, config)
+        feed_kernel_table(fp, kernel_table)
+        feed_variation(fp, variation)
+        return fp
+
+    fp = _COMPATIBILITY_STATES.lookup(
+        (compiled, kernel_table, variation),
+        tuple(_semantic_config(config).values()), build).fork()
     if kernel_table is None and static_voltages is not None:
         fp.feed_array("static_voltages", np.unique(static_voltages))
     return fp.hexdigest()

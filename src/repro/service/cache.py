@@ -16,6 +16,16 @@ re-derives the checksum; a mismatch means the entry rotted in memory
 (or a ``cache.get`` fault corrupted it), so it is **evicted and
 counted** (``integrity_evictions``), the lookup reports a miss, and the
 job recomputes instead of serving poisoned waveforms.
+
+The delta base ring keeps the same guarantee at the price of base
+*hits*, not lookups — **verify-on-select**: :meth:`ResultCache.bases_for`
+hands out a group's candidates unverified (a few reference reads),
+selection diffs their stimulus metadata, and only the one base a job
+is about to splice is checksummed by :meth:`ResultCache.verify_base`.
+A rotted base is evicted and counted there and the caller re-selects
+among the rest, so no unverified base ever reaches a
+:class:`~repro.simulation.delta.DeltaPlan`, and a lookup that selects
+nothing computes no CRC at all.
 """
 
 from __future__ import annotations
@@ -66,7 +76,9 @@ class CachedBase:
     payload the service hands over without deep-copying (the per-job
     ``take`` already owns private memory); ``tag`` is the producing
     job's fingerprint, which both deduplicates retention and lets
-    operators trace a splice back to its origin run.
+    operators trace a splice back to its origin run; ``checksum`` is
+    :func:`base_checksum` at admission, compared again only when a job
+    selects this base (:meth:`ResultCache.verify_base`).
     """
 
     arena: object
@@ -80,7 +92,9 @@ def base_checksum(arena) -> int:
     Covers the waveform payload *and* the selection metadata — a rotted
     stimulus plane would silently mis-map slots even with pristine
     toggle times, so everything :func:`select_delta` or the splice path
-    reads is part of the chain.
+    reads is part of the chain (the block offsets of a packed plane
+    through :meth:`WaveformPlane.layout_intact`, which
+    :meth:`ResultCache.verify_base` asks beside this digest).
     """
     crc = arena.plane.checksum()
     for array in (arena.v1, arena.v2, arena.voltages, arena.global_slots):
@@ -104,7 +118,11 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.integrity_evictions = 0
-        #: Delta selections served from the base ring.
+        #: Ring lookups (:meth:`bases_for`), the selected bases that were
+        #: checksummed (:meth:`verify_base`) and those that passed —
+        #: delta selections served from the base ring.
+        self.base_lookups = 0
+        self.base_verifications = 0
         self.base_hits = 0
         #: Bytes currently pinned by retained base arenas.
         self.base_bytes_pinned = 0
@@ -129,7 +147,8 @@ class ResultCache:
             # a ``corrupt`` rule rots this entry's (private) arrays,
             # which the checksum below must catch.
             faults.trip("cache.get", corruptible=entry.plane)
-            if entry.plane.checksum() != entry.checksum:
+            if not (entry.plane.layout_intact()
+                    and entry.plane.checksum() == entry.checksum):
                 del self._entries[fingerprint]
                 self.integrity_evictions += 1
                 self.misses += 1
@@ -163,54 +182,61 @@ class ResultCache:
         integrity checksum.  The ring holds the newest
         ``max_bases`` arenas per group; re-admitting an existing ``tag``
         is a no-op (the splice of a fully cached job must not displace
-        the ring's diversity with a byte-identical duplicate).
+        the ring's diversity with a byte-identical duplicate) and
+        computes nothing.
         """
         if self.max_bases <= 0 or not self.enabled:
             return
-        entry = CachedBase(arena=arena, tag=tag,
-                           checksum=base_checksum(arena))
         with self._lock:
             ring = self._bases.setdefault(group_key, OrderedDict())
             if tag in ring:
                 return
-            ring[tag] = entry
+            ring[tag] = CachedBase(arena=arena, tag=tag,
+                                   checksum=base_checksum(arena))
             self.base_bytes_pinned += arena.nbytes
             while len(ring) > self.max_bases:
                 _, dropped = ring.popitem(last=False)
                 self.base_bytes_pinned -= dropped.arena.nbytes
                 self.evictions += 1
 
-    def bases_for(self, group_key: str) -> List[object]:
-        """Integrity-verified candidate base arenas, newest first.
+    def bases_for(self, group_key: str) -> List[CachedBase]:
+        """``group_key``'s candidate bases, newest first — **unverified**.
 
-        Every lookup re-derives each candidate's checksum (same
-        verify-on-hit contract as :meth:`get`); a mismatch evicts the
-        rotted arena and counts an ``integrity_eviction`` instead of
-        letting a poisoned base splice into fresh results.  The
-        ``cache.get`` fault seam fires per candidate.
+        Their arenas may be diffed against a job
+        (:func:`~repro.simulation.delta.select_delta` reads stimulus
+        metadata only), but the one selected must pass
+        :meth:`verify_base` before it is spliced.
         """
         if self.max_bases <= 0 or not self.enabled:
             return []
         with self._lock:
+            self.base_lookups += 1
             ring = self._bases.get(group_key)
-            if not ring:
-                return []
-            survivors: List[object] = []
-            for tag in list(ring):
-                entry = ring[tag]
-                faults.trip("cache.get", corruptible=entry.arena.plane)
-                if base_checksum(entry.arena) != entry.checksum:
-                    del ring[tag]
-                    self.base_bytes_pinned -= entry.arena.nbytes
-                    self.integrity_evictions += 1
-                    continue
-                survivors.append(entry.arena)
-            return survivors[::-1]
+            return list(reversed(ring.values())) if ring else []
 
-    def record_base_hit(self) -> None:
-        """Count one delta selection served from the base ring."""
+    def verify_base(self, group_key: str, entry: CachedBase) -> bool:
+        """Checksum the base a selection settled on; count the hit.
+
+        Same verify-on-hit contract as :meth:`get`, paid per selection
+        instead of per candidate: the ``cache.get`` fault seam fires
+        here, and a mismatch evicts the rotted arena and counts an
+        ``integrity_eviction`` instead of letting a poisoned base splice
+        into fresh results (``False`` — the caller re-selects among the
+        remaining candidates).
+        """
         with self._lock:
-            self.base_hits += 1
+            self.base_verifications += 1
+            faults.trip("cache.get", corruptible=entry.arena.plane)
+            if (entry.arena.plane.layout_intact()
+                    and base_checksum(entry.arena) == entry.checksum):
+                self.base_hits += 1
+                return True
+            ring = self._bases.get(group_key)
+            if ring is not None and ring.get(entry.tag) is entry:
+                del ring[entry.tag]
+                self.base_bytes_pinned -= entry.arena.nbytes
+                self.integrity_evictions += 1
+            return False
 
     def clear(self) -> None:
         with self._lock:
@@ -236,6 +262,8 @@ class ResultCache:
                 "hit_rate": self.hit_rate,
                 "bases": sum(len(ring) for ring in self._bases.values()),
                 "max_bases": self.max_bases,
+                "base_lookups": self.base_lookups,
+                "base_verifications": self.base_verifications,
                 "base_hits": self.base_hits,
                 "base_bytes_pinned": self.base_bytes_pinned,
             }

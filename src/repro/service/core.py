@@ -338,19 +338,31 @@ class SimulationService:
         fully splices.  ``global_slots`` are job-local on both sides
         (the combine step pins them), so Monte-Carlo eligibility holds
         no matter which batches the base and the variant rode in.
+
+        Verify-on-select: the ring's candidates come unverified, and
+        only the base the diff settles on is checksummed — a rotted one
+        is evicted there and the selection repeats without it, so the
+        plan returned always wraps a base that just passed its CRC.
         """
-        bases = self._cache.bases_for(job.compat_key)
-        if not bases:
+        candidates = self._cache.bases_for(job.compat_key)
+        if not candidates:
             return None
         v1 = np.stack([pair.v1 for pair in job.pairs])
         v2 = np.stack([pair.v2 for pair in job.pairs])
-        selected = select_delta(
-            bases, v1, v2, job.plan.pattern_indices, job.plan.voltages,
-            None, job.variation, self.config.delta_threshold)
-        if selected is None:
-            return None
-        self._cache.record_base_hit()
-        return selected[0]
+        while candidates:
+            selected = select_delta(
+                [entry.arena for entry in candidates], v1, v2,
+                job.plan.pattern_indices, job.plan.voltages, None,
+                job.variation, self.config.delta_threshold)
+            if selected is None:
+                return None
+            plan = selected[0]
+            entry = next(entry for entry in candidates
+                         if entry.arena is plan.base)
+            if self._cache.verify_base(job.compat_key, entry):
+                return plan
+            candidates.remove(entry)
+        return None
 
     def metrics(self) -> ServiceMetrics:
         """Point-in-time service metrics snapshot."""
@@ -669,7 +681,9 @@ class SimulationService:
         of the bit-identity contract.  ``base_arena`` (in-process delta
         path only) is the batch's captured waveform state; each job's
         slice is pinned in its compat group's base ring for later
-        incremental jobs.
+        incremental jobs — a private ``take`` per job, except that a
+        batch of one pins the engine's capture itself (already private:
+        the job's result plane is its own ``take``).
         """
         if demotions:
             self._metrics.record_demotions(len(demotions))
@@ -678,15 +692,22 @@ class SimulationService:
         total_slots = sum(job.num_slots for job in jobs)
         self._metrics.record_phases(phase_seconds)
 
+        # The ring keeps ``max_bases`` arenas, so only the batch's
+        # trailing jobs can outlive this loop in it: an earlier slice
+        # would cost a take and a checksum to be evicted by its batch
+        # neighbours before the loop ends.
+        first_pinned = len(jobs) - self._cache.max_bases
         start = 0
         now = _time.monotonic()
         for position, job in enumerate(jobs):
             n = job.num_slots
             slots = np.arange(start, start + n)
             job_plane = plane.take(slots)
-            if base_arena is not None:
-                self._cache.put_base(job.compat_key, base_arena.take(slots),
-                                     tag=job.fingerprint)
+            if base_arena is not None and position >= first_pinned:
+                self._cache.put_base(
+                    job.compat_key,
+                    base_arena if len(jobs) == 1 else base_arena.take(slots),
+                    tag=job.fingerprint)
             start += n
             evals = gate_evaluations * n // total_slots
             skipped = lanes_skipped * n // total_slots

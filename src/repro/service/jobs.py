@@ -102,13 +102,17 @@ class ServiceConfig:
         overflows them.
     delta_bases:
         Base arenas pinned per compatibility group for incremental
-        re-simulation (``0`` disables the delta path).  Each completed
+        re-simulation (``0`` disables the delta path).  A completed
         job's full waveform state is retained as one ring entry — a
         private ``take`` of the job's slots out of the batch's captured
-        state, integrity checksummed; later near-duplicate jobs in the
-        same group diff against the ring, splice unchanged slots and
-        re-evaluate only the cone of influence of changed inputs.
-        Bit-identical to the
+        state, stamped with an integrity checksum; of one batch only the
+        last ``delta_bases`` jobs are pinned (the ring holds no more).
+        Later near-duplicate jobs in the same group diff against the
+        whole ring at submit, the one base selected is re-checksummed
+        (verify-on-select: a lookup that selects nothing costs no CRC, a
+        rotted base is evicted and the rest re-selected), unchanged
+        slots are spliced and only the cone of influence of changed
+        inputs re-evaluates.  Bit-identical to the
         full path, so — like every knob here — never part of the job
         fingerprint.  With ``shards > 0`` the ring lives shard-local
         (arenas never cross the process boundary); a respawned shard

@@ -210,13 +210,17 @@ class ServiceMetrics:
                 f"{self.cache.get('misses', 0):.0f} misses "
                 f"(rate {self.cache.get('hit_rate', 0.0):.2f}), "
                 f"{self.cache.get('evictions', 0):.0f} evictions")
+        if self.cache.get("base_lookups"):
+            lines.append(
+                f"  base ring: {self.base_hits} hits / "
+                f"{self.cache['base_lookups']:.0f} lookups "
+                f"({self.cache.get('base_verifications', 0):.0f} verified), "
+                f"{self.base_bytes_pinned} B pinned")
         if self.lanes_spliced:
             lines.append(
                 f"  delta: {self.lanes_spliced} lanes spliced / "
                 f"{self.lanes_evaluated} evaluated "
-                f"(fraction {self.delta_fraction:.3f}), "
-                f"{self.base_hits} base hits, "
-                f"{self.base_bytes_pinned} B pinned")
+                f"(fraction {self.delta_fraction:.3f})")
         if self.latency_p50_ms is not None:
             lines.append(
                 f"  latency: p50 {self.latency_p50_ms:.1f} ms, "

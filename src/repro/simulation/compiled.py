@@ -450,12 +450,13 @@ class CompiledCircuit:
         global _plan_cache_hits, _plan_cache_misses
         from repro.runtime.fingerprint import circuit_fingerprint
 
-        # The key is recomputed per call (callers cache the returned
-        # plans): caching it on the instance would survive the shallow
-        # ``copy.copy`` + delay-mutation pattern fault injectors use and
-        # serve stale plans.  ``circuit_fingerprint`` covers the nominal
-        # delays; the load digest covers custom-``loads`` compiles that
-        # share delays but not capacitances.
+        # The key is never cached on the instance: an attribute would
+        # survive the shallow ``copy.copy`` + delay-mutation pattern
+        # fault injectors use and serve stale plans.
+        # ``circuit_fingerprint`` memoizes per object *identity* instead
+        # (the copy is a new object and hashes afresh) and covers the
+        # nominal delays; the load digest covers custom-``loads``
+        # compiles that share delays but not capacitances.
         loads_digest = hashlib.sha256(
             np.ascontiguousarray(self.gate_loads).tobytes()).hexdigest()[:16]
         key = f"{circuit_fingerprint(self)}:{loads_digest}"

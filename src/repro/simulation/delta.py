@@ -44,6 +44,7 @@ Correctness requirements baked into the layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,59 +175,72 @@ def select_delta(bases: Sequence[BaseArena], v1: np.ndarray,
     base slot can serve; at ``frac >= threshold`` the job is not worth
     a delta pass and the caller falls back to full simulation.
     """
-    if not bases:
-        return None
     width = v1.shape[1]
-    if width == 0:
+    # A base of another input width (a foreign circuit) or without
+    # slots can serve nothing.
+    ring = [base for base in bases
+            if base.v1.shape[1] == width and base.v1.shape[0]]
+    if width == 0 or not ring:
         return None
     pattern_indices = np.asarray(pattern_indices, dtype=np.int64)
-    pv1 = v1[pattern_indices]
-    pt = (v1 != v2)[pattern_indices]
-    num_slots = pv1.shape[0]
+    num_slots = pattern_indices.shape[0]
     voltages = np.asarray(voltages, dtype=np.float64)
-    if global_slots is None:
-        global_slots = np.arange(num_slots, dtype=np.int64)
-    else:
-        global_slots = np.asarray(global_slots, dtype=np.int64)
 
-    unmatched = width + 1
-    toggles = v1 != v2
-    best: Optional[tuple] = None
-    for index, base in enumerate(bases):
-        if base.v1.shape[1] != width:
-            continue
-        bt = base.v1 != base.v2
-        # Diff per distinct *pattern* (P x base slots), then gather per
-        # job slot — a multi-voltage plane repeats each pattern at every
-        # operating point, so this is a num_voltages-fold saving over
-        # the naive per-slot broadcast.
-        pat_diff = ((v1[:, None, :] != base.v1[None, :, :])
-                    | (toggles[:, None, :] != bt[None, :, :])).sum(axis=2)
-        diff = pat_diff[pattern_indices]
-        eligible = voltages[:, None] == base.voltages[None, :]
-        if variation is not None:
-            eligible &= (global_slots[:, None]
-                         == base.global_slots[None, :])
-        cost = np.where(eligible, diff, unmatched)
-        slot_of = np.argmin(cost, axis=1)
-        slot_cost = cost[np.arange(num_slots), slot_of]
-        total = int(np.minimum(slot_cost, width).sum())
-        if best is None or total < best[0]:
-            best = (total, slot_of, slot_cost, index)
-    if best is None:
+    # One diff over the whole ring: the candidates' slots side by side
+    # along one axis, ``offsets`` marking where each base begins.
+    def stacked(name: str) -> np.ndarray:
+        arrays = [getattr(base, name) for base in ring]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    offsets = list(accumulate(
+        (base.v1.shape[0] for base in ring[:-1]), initial=0))
+    eligible = voltages[:, None] == stacked("voltages")[None, :]
+    if variation is not None:
+        if global_slots is None:
+            global_slots = np.arange(num_slots, dtype=np.int64)
+        eligible &= (np.asarray(global_slots, dtype=np.int64)[:, None]
+                     == stacked("global_slots")[None, :])
+    # A job slot none of a base's slots can serve costs that base the
+    # full width, so the unserved share bounds its changed fraction from
+    # below: when that alone reaches the threshold on every base (fresh
+    # traffic at other operating points), refuse before any stimulus
+    # is compared.
+    unserved = (~np.logical_or.reduceat(eligible, offsets, axis=1)).sum(axis=0)
+    if (unserved / num_slots >= threshold).all():
         return None
-    total, slot_of, slot_cost, index = best
-    frac = total / float(num_slots * width)
+
+    ring_v1, ring_v2 = stacked("v1"), stacked("v2")
+    # An input counts as changed when its initial value or its toggle
+    # differs — that is, when either of its two pattern values does.
+    # Diff per distinct *pattern* (P x ring slots), then gather per job
+    # slot — a multi-voltage plane repeats each pattern at every
+    # operating point, so this is a num_voltages-fold saving over the
+    # naive per-slot broadcast.
+    pat_diff = ((v1[:, None, :] != ring_v1[None, :, :])
+                | (v2[:, None, :] != ring_v2[None, :, :])).sum(axis=2)
+    unmatched = width + 1
+    cost = np.where(eligible, pat_diff[pattern_indices], unmatched)
+    # Per base: every job slot's cheapest base slot, and the total.
+    # ``argmin`` takes the first minimum, as does the slot pick below —
+    # the earliest base and the lowest slot win ties.
+    slot_costs = np.minimum.reduceat(cost, offsets, axis=1)
+    totals = np.minimum(slot_costs, width).sum(axis=0)
+    pick = int(np.argmin(totals))
+    frac = int(totals[pick]) / float(num_slots * width)
     if frac >= threshold:
         return None
-    base = bases[index]
+    base = ring[pick]
+    begin = int(offsets[pick])
+    slot_cost = slot_costs[:, pick]
     mapped = slot_cost <= width
-    base_slot = np.where(mapped, slot_of, -1).astype(np.int64)
+    base_slot = np.where(
+        mapped, np.argmin(cost[:, begin:begin + base.v1.shape[0]], axis=1),
+        -1).astype(np.int64)
     changed = np.zeros((num_slots, width), dtype=bool)
     if mapped.any():
         rows = np.nonzero(mapped)[0]
-        cols = base_slot[rows]
-        bt = base.v1 != base.v2
-        changed[rows] = ((pv1[rows] != base.v1[cols])
-                         | (pt[rows] != bt[cols]))
+        cols = begin + base_slot[rows]
+        job_patterns = pattern_indices[rows]
+        changed[rows] = ((v1[job_patterns] != ring_v1[cols])
+                         | (v2[job_patterns] != ring_v2[cols]))
     return DeltaPlan(base, base_slot, changed), frac

@@ -56,6 +56,7 @@ path entirely.
 
 from __future__ import annotations
 
+import mmap
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -176,6 +177,17 @@ class _BatchStats:
         }
 
 
+def _anonymous_mapping(nbytes: int) -> mmap.mmap:
+    """``nbytes`` (at least one) of zero pages private to this process
+    — copy-on-write across ``fork`` like heap memory, unmapped when the
+    last buffer export is gone."""
+    nbytes = max(nbytes, 1)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, nbytes,
+                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return mmap.mmap(-1, nbytes)  # Windows: anonymous is process-private
+
+
 class _ArenaPool:
     """Reusable backing store for the waveform arena.
 
@@ -186,6 +198,16 @@ class _ArenaPool:
     hands out reset-in-place views instead.  Safe because the engine
     copies every surviving toggle out of the arena into the result
     plane (``WaveformPlane.from_arena``) before the next acquire.
+
+    The toggle-time buffer — the largest allocation of a run, regrown
+    whenever a wider batch arrives and dropped with its engine — lives
+    in a private anonymous mapping, not on the malloc heap: glibc
+    raises its mmap threshold to the largest mapping it has freed, so
+    in a long-lived process (a service retiring one engine per worker
+    generation) every later arena would come from the heap, and each
+    regrowth or teardown would leave an arena-sized hole pinned between
+    the small long-lived result arrays allocated meanwhile.  A mapping
+    goes back to the OS the moment its last view dies.
     """
 
     def __init__(self) -> None:
@@ -206,7 +228,8 @@ class _ArenaPool:
         faults.trip("engine.alloc")
         n_times = nets * slots * capacity
         if self._times is None or self._times.size < n_times:
-            self._times = np.empty(n_times, dtype=np.float64)
+            self._times = np.frombuffer(_anonymous_mapping(n_times * 8),
+                                        dtype=np.float64)
         times = self._times[:n_times].reshape(nets, slots, capacity)
         n_initial = nets * slots
         if self._initial is None or self._initial.size < n_initial:

@@ -64,6 +64,10 @@ class WaveformPlane(SequenceABC):
     starts: np.ndarray
     times: np.ndarray
     _index: Optional[Dict[str, int]] = field(default=None, repr=False)
+    #: Built with the dense net-major layout (:meth:`from_packed`, a
+    #: copying :meth:`take`): :meth:`_dense` need not re-derive it.
+    _packed: bool = field(default=False, repr=False)
+    _nets_crc: Optional[int] = field(default=None, repr=False)
 
     # -- construction ---------------------------------------------------------
 
@@ -75,7 +79,7 @@ class WaveformPlane(SequenceABC):
         each other in ``times`` in row-major ``(net, slot)`` order."""
         counts = np.asarray(counts, dtype=np.int64)
         return cls(tuple(nets), initial, counts, _packed_starts(counts),
-                   times)
+                   times, _packed=True)
 
     @classmethod
     def from_arena(cls, nets: Sequence[str], times_all: np.ndarray,
@@ -161,10 +165,12 @@ class WaveformPlane(SequenceABC):
         return np.fromiter((self.row(net) for net in nets), dtype=np.int64,
                            count=len(nets))
 
-    def _derived(self, nets, initial, counts, starts, times
-                 ) -> "WaveformPlane":
+    def _derived(self, nets, initial, counts, starts, times,
+                 packed: bool = False) -> "WaveformPlane":
+        same = nets is self.nets
         return WaveformPlane(nets, initial, counts, starts, times,
-                             self._index if nets is self.nets else None)
+                             self._index if same else None, packed,
+                             self._nets_crc if same else None)
 
     def rows(self, nets: Sequence[str],
              ids: Optional[np.ndarray] = None) -> "WaveformPlane":
@@ -179,6 +185,8 @@ class WaveformPlane(SequenceABC):
         """``(times, starts)`` of the dense net-major layout: the blocks
         follow each other in row-major ``(net, slot)`` order.  ``times``
         is the plane's own array when it already has that layout."""
+        if self._packed:
+            return self.times, self.starts
         counts = self.counts
         starts = _packed_starts(counts)
         cnt = counts.reshape(-1)
@@ -215,7 +223,7 @@ class WaveformPlane(SequenceABC):
         # C-contiguous so later checksums and reshapes are copy-free.
         return self._derived(self.nets, np.ascontiguousarray(picked.initial),
                              np.ascontiguousarray(picked.counts), starts,
-                             times)
+                             times, packed=True)
 
     @classmethod
     def concat(cls, planes: Sequence["WaveformPlane"]) -> "WaveformPlane":
@@ -241,10 +249,25 @@ class WaveformPlane(SequenceABC):
         toggle time in net-major order — a function of the content only,
         not of how ``starts`` lays the payload out."""
         initial, counts, times = self.packed()
-        crc = zlib.crc32("\n".join(self.nets).encode("utf-8"))
+        crc = self._nets_crc
+        if crc is None:
+            crc = self._nets_crc = zlib.crc32(
+                "\n".join(self.nets).encode("utf-8"))
         for array in (initial, counts, times):
             crc = zlib.crc32(np.ascontiguousarray(array), crc)
         return crc
+
+    def layout_intact(self) -> bool:
+        """Whether a plane built packed still has that layout.
+
+        :meth:`checksum` trusts a packed plane's ``starts`` instead of
+        re-deriving them, so whoever verifies a *retained* plane against
+        rot (the result cache, the base ring) asks this beside the
+        checksum comparison; any other layout is consumed — and thereby
+        covered — by the checksum's own gather.
+        """
+        return not self._packed or np.array_equal(
+            self.starts, _packed_starts(self.counts))
 
     # -- bulk queries ---------------------------------------------------------
 

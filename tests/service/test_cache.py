@@ -1,6 +1,11 @@
 """Tests for the fingerprinted LRU result cache."""
 
+import numpy as np
+import pytest
+
+import repro.service.cache as cache_module
 from repro.service import CachedResult, ResultCache
+from repro.simulation.delta import BaseArena
 from repro.waveform.plane import WaveformPlane
 
 
@@ -71,3 +76,88 @@ class TestResultCache:
 
     def test_hit_rate_before_first_lookup(self):
         assert ResultCache(2).hit_rate == 0.0
+
+
+def arena(seed: int, slots: int = 2) -> BaseArena:
+    """A small private base arena with toggles on every net."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 4, size=(3, slots))
+    plane = WaveformPlane.from_packed(
+        ("a", "b", "y"), rng.integers(0, 2, size=(3, slots)).astype(np.uint8),
+        counts, np.sort(rng.random(int(counts.sum()))))
+    return BaseArena(plane=plane,
+                     v1=rng.integers(0, 2, size=(slots, 4)).astype(np.uint8),
+                     v2=rng.integers(0, 2, size=(slots, 4)).astype(np.uint8),
+                     voltages=np.full(slots, 0.8),
+                     global_slots=np.arange(slots, dtype=np.int64))
+
+
+class TestBaseRing:
+    def test_candidates_come_newest_first_and_unverified(self, monkeypatch):
+        cache = ResultCache(4, max_bases=2)
+        for tag in ("one", "two", "three"):
+            cache.put_base("g", arena(len(tag)), tag=tag)
+        monkeypatch.setattr(cache_module, "base_checksum",
+                            lambda arena: pytest.fail("lookup checksummed"))
+        assert [entry.tag for entry in cache.bases_for("g")] == [
+            "three", "two"]
+        assert cache.bases_for("other") == []
+        stats = cache.stats()
+        assert stats["base_lookups"] == 2
+        assert stats["base_verifications"] == 0
+        assert stats["base_hits"] == 0
+        assert stats["bases"] == 2 and stats["evictions"] == 1
+
+    def test_duplicate_tag_is_dropped_before_any_checksum(self, monkeypatch):
+        cache = ResultCache(4, max_bases=2)
+        calls = []
+        real = cache_module.base_checksum
+        monkeypatch.setattr(cache_module, "base_checksum",
+                            lambda a: (calls.append(a), real(a))[1])
+        first = arena(1)
+        cache.put_base("g", first, tag="job")
+        cache.put_base("g", arena(2), tag="job")
+        assert len(calls) == 1
+        (entry,) = cache.bases_for("g")
+        assert entry.arena is first
+        assert cache.base_bytes_pinned == first.nbytes
+
+    def test_verify_counts_hits_and_evicts_rot(self):
+        cache = ResultCache(4, max_bases=4)
+        cache.put_base("g", arena(1), tag="good")
+        cache.put_base("g", arena(2), tag="rotten")
+        rotten, good = cache.bases_for("g")
+        rotten.arena.plane.times.view(np.int64)[0] ^= 1
+        assert cache.verify_base("g", good)
+        assert not cache.verify_base("g", rotten)
+        assert [entry.tag for entry in cache.bases_for("g")] == ["good"]
+        stats = cache.stats()
+        assert stats["base_verifications"] == 2
+        assert stats["base_hits"] == 1
+        assert stats["integrity_evictions"] == 1
+        assert stats["base_bytes_pinned"] == good.arena.nbytes
+
+    def test_rotted_metadata_and_layout_fail_verification(self):
+        for rot in ("v1", "voltages", "starts", "counts"):
+            cache = ResultCache(4, max_bases=1)
+            cache.put_base("g", arena(3), tag="t")
+            (entry,) = cache.bases_for("g")
+            target = (getattr(entry.arena, rot) if rot in ("v1", "voltages")
+                      else getattr(entry.arena.plane, rot))
+            target.reshape(-1).view(np.uint8)[0] ^= 1
+            assert not cache.verify_base("g", entry), rot
+            assert cache.integrity_evictions == 1
+
+
+class TestPackedPlaneIntegrity:
+    def test_cached_result_with_rotted_starts_is_evicted(self):
+        """A packed plane's checksum trusts ``starts``; the verify-on-hit
+        path checks them separately, so offset rot is still a miss."""
+        cache = ResultCache(2)
+        cache.put("k", CachedResult(plane=arena(4).plane, slot_labels=[],
+                                    engine="e", gate_evaluations=0))
+        hit = cache.get("k")
+        assert hit is not None and hit.plane.layout_intact()
+        hit.plane.starts[1, 0] += 1
+        assert cache.get("k") is None
+        assert cache.integrity_evictions == 1

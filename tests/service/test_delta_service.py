@@ -13,17 +13,29 @@ Contracts under test:
   and the service metrics (``base_hits``, ``base_bytes_pinned``,
   ``delta_fraction``), with waveforms bit-identical to standalone;
 * near-disjoint traffic refuses the delta path (threshold fallback);
-* a corrupted base arena is caught by its checksum on lookup, evicted
-  (``integrity_evictions``), and the job silently runs the full path;
+* a corrupted base arena is caught by its checksum when a job selects
+  it (verify-on-select), evicted (``integrity_evictions``), and the job
+  is served from the runner-up base or the full path; a rotted base no
+  job selects is never checksummed and never spliced;
+* the submit path pays per job only for per-job bytes: the compiled
+  circuit is hashed once, and a base is checksummed once per selection
+  (never for a lookup that selects nothing);
 * ``delta_bases=0`` disables retention entirely; the config knobs
   validate their ranges.
 """
 
+import copy
+import random
+import threading
+
 import numpy as np
 import pytest
 
+import repro.runtime.fingerprint as fingerprint_module
+import repro.service.cache as cache_module
 from repro import faults
 from repro.errors import ServiceError
+from repro.faults.plan import corrupt_waveforms
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
 from repro.simulation.base import PatternPair, SimulationConfig
@@ -55,6 +67,13 @@ def variant_of(pairs, seed):
     out = [PatternPair(p.v1.copy(), p.v2.copy()) for p in pairs]
     victim = out[rng.integers(len(out))]
     victim.v2[rng.integers(victim.v2.size)] ^= 1
+    return out
+
+
+def flipped(pairs, pair_index, bit):
+    """``pairs`` with one chosen v2 bit flipped."""
+    out = [PatternPair(p.v1.copy(), p.v2.copy()) for p in pairs]
+    out[pair_index].v2[bit] ^= 1
     return out
 
 
@@ -206,8 +225,11 @@ class TestFallbacks:
                 service.submit(key, base_pairs).result(timeout=120)
                 variant = service.submit(key, var_pairs).result(timeout=120)
                 metrics = service.metrics()
-        assert plan.stats()["fired"]["cache.get:corrupt"] >= 1
-        assert metrics.integrity_evictions >= 1
+        # Verify-on-select: the seam fires once, on the one base the
+        # variant selected — not once per ring candidate per lookup.
+        assert plan.stats()["fired"]["cache.get:corrupt"] == 1
+        assert metrics.integrity_evictions == 1
+        assert metrics.cache["base_verifications"] == 1
         assert metrics.base_hits == 0
         assert variant.report.lanes_spliced == 0
         assert ",delta" not in variant.engine
@@ -217,6 +239,137 @@ class TestFallbacks:
         engine = GpuWaveSim(circuit, library, compiled=compiled,
                             config=SimulationConfig())
         assert_bit_identical(var_pairs, variant, engine)
+
+    def test_corrupt_best_base_serves_from_the_runner_up(
+            self, circuit, library, compiled):
+        """Two bases in the ring, the closer one rots at verification:
+        it is evicted (exactly one integrity eviction), the selection
+        repeats among the rest and the job splices from the runner-up —
+        bit-identical to standalone."""
+        far_pairs = make_pairs(circuit, 4, seed=70)
+        near_pairs = flipped(far_pairs, 0, 1)
+        job_pairs = flipped(near_pairs, 2, 3)  # 1 bit from near, 2 from far
+        with SimulationService(config=delta_config()) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            service.submit(key, far_pairs).result(timeout=120)
+            service.submit(key, near_pairs).result(timeout=120)
+            assert service.metrics().cache["bases"] == 2
+            with faults.injected("seed=3;cache.get:corrupt@n=1") as plan:
+                handle = service.submit(key, job_pairs)
+            result = handle.result(timeout=120)
+            metrics = service.metrics()
+        assert plan.stats()["fired"]["cache.get:corrupt"] == 1
+        assert metrics.integrity_evictions == 1
+        # One verification (a hit) when ``near`` itself spliced from
+        # ``far``; then near (rotted, evicted) and far (passed, the hit
+        # that served the job).
+        assert metrics.cache["base_verifications"] == 3
+        assert metrics.base_hits == 2
+        assert result.report.lanes_spliced > 0
+        assert ",delta" in result.engine
+        # far + the job's own capture; the rotted near base is gone.
+        assert metrics.cache["bases"] == 2
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        assert_bit_identical(job_pairs, result, engine)
+
+    def test_unselected_rotted_base_is_never_verified(
+            self, circuit, library, compiled):
+        """Rot in a base no job selects costs nothing and poisons
+        nothing: the job splices from the intact base it chose, the
+        rotted one is neither checksummed nor evicted — until a later
+        job does select it."""
+        left_pairs = make_pairs(circuit, 4, seed=71)
+        right_pairs = make_pairs(circuit, 4, seed=72)
+        with SimulationService(config=delta_config()) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            service.submit(key, left_pairs).result(timeout=120)
+            service.submit(key, right_pairs).result(timeout=120)
+            (group,) = service._cache._bases
+            newest, oldest = service._cache.bases_for(group)
+            assert corrupt_waveforms(random.Random(5), oldest.arena.plane)
+
+            near_right = flipped(right_pairs, 1, 2)
+            served = service.submit(key, near_right).result(timeout=120)
+            after_right = service.metrics()
+            near_left = flipped(left_pairs, 1, 2)
+            fallback = service.submit(key, near_left).result(timeout=120)
+            after_left = service.metrics()
+
+        assert served.report.lanes_spliced > 0
+        assert after_right.integrity_evictions == 0
+        assert after_right.cache["base_verifications"] == 1
+        assert after_right.cache["bases"] == 3
+        # Selecting the rotted base: caught, evicted, full simulation.
+        assert after_left.integrity_evictions == 1
+        assert after_left.cache["base_verifications"] == 2
+        assert after_left.base_hits == 1
+        assert fallback.report.lanes_spliced == 0
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        assert_bit_identical(near_right, served, engine)
+        assert_bit_identical(near_left, fallback, engine)
+
+    def test_submit_pays_per_job_bytes_only(self, circuit, library,
+                                            compiled, monkeypatch):
+        """Pay-for-use guard.  Against a warm 4-base ring, 50 fresh
+        submits hash the compiled circuit at most once and checksum no
+        base at all (disjoint stimuli select nothing); 8 near-duplicates
+        then checksum exactly one base each — the one they splice."""
+        cold = copy.copy(compiled)  # a new identity: nothing memoized yet
+        warm_jobs = [make_pairs(circuit, 4, seed=80 + k) for k in range(4)]
+        fresh_jobs = [make_pairs(circuit, 4, seed=100 + k)
+                      for k in range(50)]
+        near_jobs = [flipped(warm_jobs[k % 4], k % 4, k) for k in range(8)]
+
+        feeds = []
+        real_feed = fingerprint_module.feed_compiled
+        monkeypatch.setattr(
+            fingerprint_module, "feed_compiled",
+            lambda fp, target: (feeds.append(target),
+                                real_feed(fp, target))[1])
+        submit_thread = threading.current_thread()
+        submit_checksums = []
+        real_checksum = cache_module.base_checksum
+
+        def counted_checksum(arena):
+            if threading.current_thread() is submit_thread:
+                submit_checksums.append(arena)
+            return real_checksum(arena)
+
+        monkeypatch.setattr(cache_module, "base_checksum", counted_checksum)
+        with SimulationService(config=delta_config(
+                max_batch_slots=1024, queue_depth=128)) as service:
+            key = service.register_circuit(circuit, library, compiled=cold)
+            for handle in [service.submit(key, pairs)
+                           for pairs in warm_jobs]:
+                handle.result(timeout=120)
+            warm = service.metrics()
+            assert warm.cache["bases"] == 4
+            assert warm.cache["base_lookups"] == 4  # against an empty ring
+            feeds_when_warm = len(feeds)
+
+            # Batches wait for 500 ms of idle intake, so every submit
+            # below meets the same warm ring.
+            fresh = [service.submit(key, pairs) for pairs in fresh_jobs]
+            after_fresh = service.metrics()
+            assert len(submit_checksums) == 0
+            near = [service.submit(key, pairs) for pairs in near_jobs]
+            after_near = service.metrics()
+            results = [handle.result(timeout=120)
+                       for handle in fresh + near]
+
+        assert feeds_when_warm <= 1 and len(feeds) == feeds_when_warm
+        assert after_fresh.cache["base_lookups"] == 4 + 50
+        assert after_fresh.cache["base_verifications"] == 0
+        assert after_fresh.base_hits == 0
+        assert after_near.cache["base_lookups"] == 4 + 50 + 8
+        assert after_near.cache["base_verifications"] == 8
+        assert after_near.base_hits == 8
+        assert len(submit_checksums) == 8
+        assert len(results) == 58
 
     def test_delta_disabled_without_bases(self, circuit, library, compiled):
         base_pairs = make_pairs(circuit, 3, seed=60)

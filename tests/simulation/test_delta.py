@@ -14,6 +14,7 @@ lane is either dispatched or spliced, never both and never dropped —
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netlist.generate import random_circuit
 from repro.simulation.backend import available_backends
@@ -23,6 +24,7 @@ from repro.simulation.delta import BaseArena, DeltaPlan, select_delta
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.variation import ProcessVariation
+from repro.waveform.plane import WaveformPlane
 
 CONCRETE = available_backends()
 
@@ -479,3 +481,175 @@ class TestSelection:
         assert merged.base_slot.tolist()[5:] == [arena.num_slots,
                                                  arena.num_slots + 1]
         assert merged.base.num_slots == 2 * arena.num_slots
+
+
+def select_delta_per_base(bases, v1, v2, pattern_indices, voltages,
+                          global_slots, variation, threshold):
+    """The selection policy as a loop over the bases — the form
+    ``select_delta`` had before it diffed the whole ring in one
+    broadcast, kept as the oracle.  (A base without slots is skipped:
+    it can serve nothing, and ``argmin`` over no columns raises.)"""
+    width = v1.shape[1]
+    if not bases or width == 0:
+        return None
+    pattern_indices = np.asarray(pattern_indices, dtype=np.int64)
+    pv1 = v1[pattern_indices]
+    pt = (v1 != v2)[pattern_indices]
+    num_slots = pv1.shape[0]
+    voltages = np.asarray(voltages, dtype=np.float64)
+    if global_slots is None:
+        global_slots = np.arange(num_slots, dtype=np.int64)
+    unmatched = width + 1
+    best = None
+    for index, base in enumerate(bases):
+        if base.v1.shape[1] != width or base.v1.shape[0] == 0:
+            continue
+        bt = base.v1 != base.v2
+        diff = ((pv1[:, None, :] != base.v1[None, :, :])
+                | (pt[:, None, :] != bt[None, :, :])).sum(axis=2)
+        eligible = voltages[:, None] == base.voltages[None, :]
+        if variation is not None:
+            eligible &= (np.asarray(global_slots)[:, None]
+                         == base.global_slots[None, :])
+        cost = np.where(eligible, diff, unmatched)
+        slot_of = np.argmin(cost, axis=1)
+        slot_cost = cost[np.arange(num_slots), slot_of]
+        total = int(np.minimum(slot_cost, width).sum())
+        if best is None or total < best[0]:
+            best = (total, slot_of, slot_cost, index)
+    if best is None:
+        return None
+    total, slot_of, slot_cost, index = best
+    frac = total / float(num_slots * width)
+    if frac >= threshold:
+        return None
+    base = bases[index]
+    mapped = slot_cost <= width
+    base_slot = np.where(mapped, slot_of, -1).astype(np.int64)
+    changed = np.zeros((num_slots, width), dtype=bool)
+    rows = np.nonzero(mapped)[0]
+    cols = base_slot[rows]
+    changed[rows] = ((pv1[rows] != base.v1[cols])
+                     | (pt[rows] != (base.v1 != base.v2)[cols]))
+    return index, base_slot, changed, frac
+
+
+def drawn_ring(seed, width, num_bases, monte_carlo):
+    """A job and a ring built to collide: bases copy the job's patterns
+    with 0–2 flipped bits (near-duplicates), repeat each other (ties
+    between bases) and repeat slots (ties between slots); two supplies
+    and four global slots keep eligibility partial; some bases are
+    empty, single-slot or of a foreign width."""
+    rng = np.random.default_rng(seed)
+    num_patterns = int(rng.integers(1, 4))
+    v1 = rng.integers(0, 2, size=(num_patterns, width)).astype(np.uint8)
+    v2 = rng.integers(0, 2, size=(num_patterns, width)).astype(np.uint8)
+    num_slots = int(rng.integers(1, 7))
+    supplies = np.array([0.6, 0.8])
+    pattern_indices = rng.integers(0, num_patterns, size=num_slots)
+    voltages = supplies[rng.integers(0, 2, size=num_slots)]
+    global_slots = (rng.integers(0, 4, size=num_slots)
+                    if monte_carlo and rng.random() < 0.7 else None)
+
+    def arena(slots, base_width):
+        picks = rng.integers(0, num_patterns, size=slots)
+        b1 = np.resize(v1[picks], (slots, base_width)).copy()
+        b2 = np.resize(v2[picks], (slots, base_width)).copy()
+        for plane in (b1, b2):
+            for _ in range(int(rng.integers(0, 3))):
+                if plane.size:
+                    plane[rng.integers(slots), rng.integers(base_width)] ^= 1
+        if slots > 1 and rng.random() < 0.5:
+            b1[-1], b2[-1] = b1[0], b2[0]
+        return BaseArena(
+            plane=WaveformPlane.constant(
+                ("n",), np.zeros((1, slots), dtype=np.uint8)),
+            v1=b1, v2=b2,
+            voltages=supplies[rng.integers(0, 2, size=slots)],
+            global_slots=rng.integers(0, 4, size=slots))
+
+    bases = []
+    for _ in range(num_bases):
+        kind = rng.random()
+        if bases and kind < 0.25:
+            twin = bases[int(rng.integers(len(bases)))]
+            bases.append(BaseArena(twin.plane, twin.v1.copy(),
+                                   twin.v2.copy(), twin.voltages.copy(),
+                                   twin.global_slots.copy()))
+        elif kind < 0.35:
+            bases.append(arena(0, width))
+        elif kind < 0.45:
+            bases.append(arena(int(rng.integers(1, 4)), width + 1))
+        else:
+            bases.append(arena(int(rng.integers(1, 6)), width))
+    return bases, v1, v2, pattern_indices, voltages, global_slots
+
+
+class TestSelectionOracle:
+    """The one-pass ``select_delta`` against the per-base loop: same
+    base (first minimum), same slot map, same changed plane, same
+    fraction — bit for bit, including every tie."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 100_000), width=st.integers(1, 6),
+           num_bases=st.integers(1, 6), monte_carlo=st.booleans(),
+           threshold=st.sampled_from([0.2, 0.35, 0.6, 1.0, 2.0]))
+    def test_matches_the_per_base_loop(self, seed, width, num_bases,
+                                       monte_carlo, threshold):
+        bases, v1, v2, pattern_indices, voltages, global_slots = \
+            drawn_ring(seed, width, num_bases, monte_carlo)
+        variation = ProcessVariation(sigma=0.05) if monte_carlo else None
+        args = (bases, v1, v2, pattern_indices, voltages, global_slots,
+                variation, threshold)
+        expected = select_delta_per_base(*args)
+        got = select_delta(*args)
+        if expected is None:
+            assert got is None
+            return
+        index, base_slot, changed, frac = expected
+        plan, got_frac = got
+        assert plan.base is bases[index]
+        assert plan.base_slot.dtype == np.int64
+        assert plan.base_slot.tolist() == base_slot.tolist()
+        assert plan.changed_inputs.dtype == bool
+        assert np.array_equal(plan.changed_inputs, changed)
+        assert got_frac == frac
+
+    def test_draws_cover_the_hard_cases(self):
+        """The generator above really produces ties, refusals, partial
+        maps, empty and foreign-width bases (a vacuous oracle passes)."""
+        seen = set()
+        for seed in range(400):
+            monte_carlo = bool(seed % 2)
+            bases, v1, v2, idx, volts, slots = drawn_ring(
+                seed, 1 + seed % 4, 1 + seed % 6, monte_carlo)
+            width = v1.shape[1]
+            if any(b.v1.shape[0] == 0 for b in bases):
+                seen.add("empty base")
+            if any(b.v1.shape[1] != width for b in bases):
+                seen.add("foreign width")
+            variation = ProcessVariation(sigma=0.05) if monte_carlo else None
+            outcome = select_delta_per_base(bases, v1, v2, idx, volts, slots,
+                                            variation, 0.6)
+            if outcome is None:
+                seen.add("refused")
+                continue
+            index, base_slot, changed, frac = outcome
+            seen.add("accepted")
+            if (base_slot < 0).any() and (base_slot >= 0).any():
+                seen.add("partial map")
+            if frac == 0.0:
+                seen.add("full splice")
+            if index > 0:
+                seen.add("later base wins")
+            picked = bases[index]
+            if any(other is not picked
+                   and all(np.array_equal(getattr(other, name),
+                                          getattr(picked, name))
+                           for name in ("v1", "v2", "voltages",
+                                        "global_slots"))
+                   for other in bases):
+                seen.add("tie between bases")
+        assert seen >= {"empty base", "foreign width", "refused", "accepted",
+                        "partial map", "full splice", "later base wins",
+                        "tie between bases"}

@@ -228,6 +228,14 @@ def test_plane_backed_result(seed, num_inputs, num_gates, kinds, mode,
     ).take(list(reversed(slots)), copy=False)
     assert (plane.checksum() == private.checksum() == reloaded.checksum()
             == shuffled.checksum())
+    # ``private`` and ``reloaded`` were built packed and skip the layout
+    # derivation; a row or column view of a packed plane must not
+    # inherit that shortcut (its payload is the whole parent's).
+    for view in (private.rows(private.nets[1:]),
+                 private.take(list(reversed(slots)), copy=False)):
+        assert view.layout_intact()
+        assert (WaveformPlane.from_packed(view.nets, *view.packed()).checksum()
+                == view.checksum())
 
     # The plane owns its memory: another run through the same pooled
     # arena leaves it unchanged.

@@ -293,6 +293,23 @@ class TestArenaPool:
         assert again_t.shape == (4, 2, 2)
         assert np.all(np.isinf(again_t)) and np.all(again_i == 0)
 
+    def test_toggle_buffer_is_a_private_mapping(self):
+        """Off the malloc heap (regrowth and teardown return the pages
+        to the OS), writable, and released with its last view."""
+        import mmap
+        import weakref
+
+        pool = _ArenaPool()
+        times, _ = pool.acquire(6, 3, 4)
+        assert isinstance(pool._times.base.obj, mmap.mmap)
+        assert times.flags.writeable and times.flags.c_contiguous
+        times[5, 2, 3] = 1.25
+        assert pool._times[6 * 3 * 4 - 1] == 1.25
+        gone = weakref.ref(pool._times)
+        pool.acquire(60, 30, 4)  # regrow: the old mapping has no owner
+        del times
+        assert gone() is None
+
     def test_engine_reuses_pool_between_runs(self, library):
         circuit = random_circuit("sparse_p", 6, 60, seed=2)
         sim = GpuWaveSim(circuit, library,
