@@ -26,17 +26,35 @@ Two sampling strategies feed step A:
   The polynomial half-order is then picked per entry by cross-validated
   error (:func:`repro.core.regression.select_half_order`).
 
+Both strategies run **in lockstep over shared sample geometries**.
+Every entry of a library starts from the same grid and refines it along
+the same bisection lattice, so the ~1670 refinement fits of the 370
+Nangate15 entries stand on a dozen distinct ``(voltage axis, load
+axis)`` grids, and the fixed flow on one.  What depends on the grid
+alone — bilinear stencils for the dense and the probe grid, the design
+matrix, ``XᵀX``, ``cond(X)``, the cross-validation folds — lives in a
+*fit plan* built once per grid and owned by the ``characterize_*`` call
+(:class:`_FitPlans`); what depends on the entry — the measured delays,
+``Xᵀy``, the solve — is computed as stacks over all entries of the
+batch that currently stand on that grid (:func:`_characterize`).  A
+single entry is a batch of one: there is no per-entry implementation
+beside it, and an entry's result is bit-identical whatever batch it
+rides in (``docs/architecture.md`` §14).
+
 ``characterize_library`` can fan cells out over a supervised worker pool
 and persist/reuse fitted coefficients through the fingerprint-keyed
-:class:`~repro.core.charz_cache.CoefficientCache`.
+:class:`~repro.core.charz_cache.CoefficientCache`; a cell that fails
+does not cost the cells that completed.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,9 +62,10 @@ from repro import faults
 from repro.cells.cell import Cell, CellPin, DrivePolarity
 from repro.cells.library import CellLibrary
 from repro.core.charz_cache import CoefficientCache
-from repro.core.interpolation import GridInterpolator, subsample
+from repro.core.interpolation import BilinearStencil, GridInterpolator, densify
 from repro.core.parameters import ParameterSpace
-from repro.core.regression import FitResult, fit_polynomial, select_half_order
+from repro.core.polynomial import horner
+from repro.core.regression import FitPlan, FitResult
 from repro.electrical.spice import AnalyticalSpice, DelayGrid
 from repro.errors import CharacterizationError
 
@@ -73,7 +92,13 @@ class AdaptiveConfig:
     The defaults reach fixed-grid accuracy parity on the Nangate15
     library with a bit over 3x fewer SPICE delay evaluations (gated in
     ``BENCH_kernels.json``); they are the tuned operating point, not
-    arbitrary knobs.
+    arbitrary knobs.  Fewer evaluations is the whole gain: per entry the
+    adaptive flow fits 4–5 times and cross-validates, so against the
+    analytical SPICE stand-in it takes ~3x the wall time of the fixed
+    grid (``characterization_speedups.wall_speedup``) — it wins when a
+    SPICE evaluation costs more than ~10 µs, i.e. with any real
+    simulator.  All entries share the settings, which is what lets
+    them share fit plans: nothing here varies per entry.
 
     Attributes
     ----------
@@ -221,214 +246,13 @@ def characterize_pin(
         When given, replace the fixed sweep with the error-driven
         adaptive sampling loop.
     """
-    space = space or ParameterSpace.paper_default()
-    if adaptive is not None:
-        return _characterize_pin_adaptive(spice, cell, pin, polarity, space, adaptive)
-
-    # Step A: SPICE parameter sweep over the grid implied by the space.
-    voltages = _paper_like_voltages(space)
-    loads = _paper_like_loads(space)
-    grid = spice.sweep(cell, pin, polarity, voltages, loads)
-
-    # Normalization: deviations relative to the nominal-voltage row.
-    nominal_row = _nominal_row(grid, space.v_nom)
-    if np.any(nominal_row <= 0):
-        raise CharacterizationError(
-            f"{cell.name}/{pin.name}: non-positive nominal delay in sweep"
-        )
-    base = _deviation_reference(grid, nominal_row, space)
-
-    # Step B: bilinear sub-sampling on the normalized grid.
-    nv_dense, nc_dense, dense = subsample(base, subsample_factor)
-
-    # Step C: multivariable linear regression.
-    faults.trip("charz.fit")
-    v_samples, c_samples = np.meshgrid(nv_dense, nc_dense, indexing="ij")
-    fit = fit_polynomial(v_samples, c_samples, dense, n=n, method=method)
-
-    return PinCharacterization(
-        cell_name=cell.name,
-        pin_name=pin.name,
-        pin_index=pin.index,
-        polarity=polarity,
-        space=space,
-        fit=fit,
-        reference=base,
-        nominal_delays=nominal_row,
-        sweep=grid,
-        evaluations=int(grid.delays.size),
-    )
-
-
-def _characterize_pin_adaptive(
-    spice: AnalyticalSpice,
-    cell: Cell,
-    pin: CellPin,
-    polarity: DrivePolarity,
-    space: ParameterSpace,
-    config: AdaptiveConfig,
-) -> PinCharacterization:
-    """Error-driven adaptive sampling for one entry.
-
-    The grid is refined by whole axis lines, keeping it rectilinear:
-    the probe residual (fit vs bilinear reference of the samples so far)
-    is projected onto each axis, and the axis whose projected peak —
-    weighted by the width of the interval it falls into and discounted
-    by the cost of a line on that axis — wins gets a new line bisecting
-    that interval in normalized coordinates.  Every fresh line doubles
-    as a validation set: the current fit's error at the new, unseen
-    samples must also meet the target before the loop stops, which
-    protects against the bilinear reference flattering the fit where
-    samples are still sparse.
-    """
-    nv_nom = float(space.normalize_voltage(space.v_nom))
-    seed_v = sorted(set(config.seed_voltage_fractions) | {nv_nom})
-    v_axis = np.asarray(space.denormalize_voltage(np.asarray(seed_v)))
-    c_axis = np.asarray(space.denormalize_load(
-        np.asarray(sorted(set(config.seed_load_fractions)))))
-
-    v_mesh, c_mesh = np.meshgrid(v_axis, c_axis, indexing="ij")
-    delays = spice.delays_at(
-        cell, pin, polarity,
-        np.column_stack([v_mesh.ravel(), c_mesh.ravel()]),
-    ).reshape(v_axis.size, c_axis.size)
-    evaluations = int(delays.size)
-    fresh_error = np.inf
-    probe = np.linspace(0.0, 1.0, config.probe_grid)
-
-    while True:
-        grid = DelayGrid(voltages=v_axis, loads=c_axis, delays=delays)
-        nominal_row = _nominal_row(grid, space.v_nom)
-        if np.any(nominal_row <= 0):
-            raise CharacterizationError(
-                f"{cell.name}/{pin.name}: non-positive nominal delay in sweep"
-            )
-        nv_axis = np.asarray(space.normalize_voltage(v_axis))
-        nc_axis = np.asarray(space.normalize_load(c_axis))
-        base = GridInterpolator(nv_axis, nc_axis,
-                                grid.delays / nominal_row[None, :] - 1.0)
-        nv_dense, nc_dense, dense = subsample(base, config.subsample_factor)
-        v_samples, c_samples = np.meshgrid(nv_dense, nc_dense, indexing="ij")
-
-        n_fit = config.order if config.order is not None else config.max_order
-        while (n_fit + 1) ** 2 > v_axis.size * c_axis.size and n_fit > 1:
-            n_fit -= 1
-        faults.trip("charz.fit")
-        fit = fit_polynomial(v_samples, c_samples, dense, n=n_fit, method="auto")
-
-        residual = np.abs(
-            fit.polynomial.evaluate(probe[:, None], probe[None, :])
-            - base(probe[:, None], probe[None, :])
-        )
-        if fresh_error <= config.target_error and residual.max() <= config.target_error:
-            break
-
-        # Project the residual onto each axis and score the candidate
-        # refinements: projected peak × enclosing-interval width, per
-        # line cost (a voltage line costs one evaluation per load and
-        # vice versa).
-        v_profile = residual.max(axis=1)
-        c_profile = residual.max(axis=0)
-        vi = int(np.clip(np.searchsorted(
-            nv_axis, probe[int(np.argmax(v_profile))], side="right") - 1,
-            0, nv_axis.size - 2))
-        ci = int(np.clip(np.searchsorted(
-            nc_axis, probe[int(np.argmax(c_profile))], side="right") - 1,
-            0, nc_axis.size - 2))
-        v_score = float(v_profile.max()) * float(nv_axis[vi + 1] - nv_axis[vi])
-        c_score = float(c_profile.max()) * float(nc_axis[ci + 1] - nc_axis[ci])
-
-        if v_score / c_axis.size >= c_score / v_axis.size:
-            cost = int(c_axis.size)
-            if evaluations + cost > config.budget:
-                break
-            new_v = float(space.denormalize_voltage(
-                0.5 * (nv_axis[vi] + nv_axis[vi + 1])))
-            line = spice.delays_at(
-                cell, pin, polarity,
-                np.column_stack([np.full(c_axis.size, new_v), c_axis]))
-            fresh_dev = line / nominal_row - 1.0
-            predicted = fit.polynomial.evaluate(
-                np.full(c_axis.size, float(space.normalize_voltage(new_v))), nc_axis)
-            fresh_error = float(np.abs(predicted - fresh_dev).max())
-            k = int(np.searchsorted(v_axis, new_v))
-            v_axis = np.insert(v_axis, k, new_v)
-            delays = np.insert(delays, k, line, axis=0)
-        else:
-            cost = int(v_axis.size)
-            if evaluations + cost > config.budget:
-                break
-            new_c = float(space.denormalize_load(
-                0.5 * (nc_axis[ci] + nc_axis[ci + 1])))
-            line = spice.delays_at(
-                cell, pin, polarity,
-                np.column_stack([v_axis, np.full(v_axis.size, new_c)]))
-            new_nominal = float(np.interp(
-                float(space.normalize_load(new_c)), nc_axis, nominal_row))
-            fresh_dev = line / new_nominal - 1.0
-            predicted = fit.polynomial.evaluate(
-                nv_axis, np.full(v_axis.size, float(space.normalize_load(new_c))))
-            fresh_error = float(np.abs(predicted - fresh_dev).max())
-            k = int(np.searchsorted(c_axis, new_c))
-            c_axis = np.insert(c_axis, k, new_c)
-            delays = np.insert(delays, k, line, axis=1)
-        evaluations += cost
-
-    if config.order is None:
-        fit = _auto_order_fit(
-            fit, v_samples, c_samples, dense, base, probe, config)
-
-    return PinCharacterization(
-        cell_name=cell.name,
-        pin_name=pin.name,
-        pin_index=pin.index,
-        polarity=polarity,
-        space=space,
-        fit=fit,
-        reference=base,
-        nominal_delays=nominal_row,
-        sweep=DelayGrid(voltages=v_axis, loads=c_axis, delays=delays),
-        evaluations=evaluations,
-    )
-
-
-def _auto_order_fit(
-    full_fit: FitResult,
-    v_samples: np.ndarray,
-    c_samples: np.ndarray,
-    dense: np.ndarray,
-    base: GridInterpolator,
-    probe: np.ndarray,
-    config: AdaptiveConfig,
-) -> FitResult:
-    """Cross-validated half-order selection for the final adaptive fit.
-
-    The CV winner replaces the full-order fit only when it keeps the
-    probe residual at least as good as ``max(full-order residual,
-    target)`` — parsimony must never cost the accuracy the refinement
-    loop just paid evaluations for.
-    """
-    full_n = full_fit.polynomial.n
-    selection = select_half_order(
-        v_samples, c_samples, dense,
-        candidates=tuple(range(1, full_n + 1)),
-        folds=config.cv_folds,
-        tolerance=config.cv_tolerance,
-    )
-    if selection.n >= full_n:
-        return full_fit
-    candidate = fit_polynomial(v_samples, c_samples, dense,
-                               n=selection.n, method="auto")
-    reference = base(probe[:, None], probe[None, :])
-    full_residual = np.abs(
-        full_fit.polynomial.evaluate(probe[:, None], probe[None, :]) - reference
-    ).max()
-    candidate_residual = np.abs(
-        candidate.polynomial.evaluate(probe[:, None], probe[None, :]) - reference
-    ).max()
-    if candidate_residual <= max(full_residual, config.target_error):
-        return candidate
-    return full_fit
+    plans = _FitPlans(space or ParameterSpace.paper_default(),
+                      n, subsample_factor, method, adaptive)
+    task = _CharzTask(cell, None, [(pin, polarity)])
+    _characterize(spice, [task], plans)
+    if task.error is not None:
+        raise task.error
+    return task.result.pins[0]
 
 
 @dataclass(frozen=True)
@@ -463,24 +287,14 @@ def characterize_cell(
     method: str = "auto",
     adaptive: Optional[AdaptiveConfig] = None,
 ) -> CellCharacterization:
-    """Characterize every (pin, polarity) of a cell."""
-    start = time.perf_counter()
-    results: List[PinCharacterization] = []
-    for pin in sorted(cell.pins, key=lambda p: p.index):
-        for polarity in (DrivePolarity.RISE, DrivePolarity.FALL):
-            results.append(
-                characterize_pin(
-                    spice, cell, pin, polarity,
-                    space=space, n=n,
-                    subsample_factor=subsample_factor, method=method,
-                    adaptive=adaptive,
-                )
-            )
-    return CellCharacterization(
-        cell=cell,
-        pins=tuple(results),
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    """Characterize every (pin, polarity) of a cell, in lockstep."""
+    plans = _FitPlans(space or ParameterSpace.paper_default(),
+                      n, subsample_factor, method, adaptive)
+    task = _CharzTask(cell, None)
+    _characterize(spice, [task], plans)
+    if task.error is not None:
+        raise task.error
+    return task.result
 
 
 def characterize_cell_cached(
@@ -548,13 +362,19 @@ class LibraryCharacterization:
 
 
 class _CharzTask:
-    """One cell's characterization riding through the engine pool."""
+    """One cell's characterization: the unit of failure, caching and pooling."""
 
-    __slots__ = ("cell", "key", "result", "error", "requeued")
+    __slots__ = ("cell", "key", "entries", "result", "error", "requeued")
 
-    def __init__(self, cell: Cell, key: Optional[str]) -> None:
+    def __init__(self, cell: Cell, key: Optional[str],
+                 entries: Optional[Sequence[Tuple[CellPin, DrivePolarity]]] = None) -> None:
         self.cell = cell
         self.key = key
+        #: The (pin, polarity) entries to characterize, in result order.
+        self.entries = entries if entries is not None else [
+            (pin, polarity)
+            for pin in sorted(cell.pins, key=lambda p: p.index)
+            for polarity in (DrivePolarity.RISE, DrivePolarity.FALL)]
         self.result: Optional[CellCharacterization] = None
         self.error: Optional[BaseException] = None
         self.requeued = False
@@ -602,6 +422,11 @@ def characterize_library(
 ) -> LibraryCharacterization:
     """Characterize every cell of a library (the full preprocessing pass).
 
+    Every entry of every uncached cell advances through the flow in
+    lockstep over one call-scoped set of fit plans (module docstring):
+    what depends only on the sample grid is computed once per distinct
+    grid for the whole library and dropped when the call returns.
+
     Parameters
     ----------
     adaptive:
@@ -610,11 +435,25 @@ def characterize_library(
     workers:
         Fan cells out over this many supervised pool workers (worker
         death and hangs are recovered with the re-queue-once policy of
-        :class:`~repro.service.pool.EnginePool`).  1 runs inline.
+        :class:`~repro.service.pool.EnginePool`).  1 runs inline, all
+        cells in one lockstep batch.  The workers are threads and share
+        the fit plans, but each batches only its own cell's entries and
+        the fitting is NumPy under the interpreter lock: with the
+        analytical SPICE stand-in the pool is *slower* than inline
+        (``pool_speedup`` in ``BENCH_kernels.json``).  It pays when a
+        SPICE evaluation is expensive and releases the lock — a real
+        simulator behind :class:`AnalyticalSpice`'s interface.
     cache:
         A :class:`~repro.core.charz_cache.CoefficientCache` (or a cache
         directory path) keyed by cell/corner/space/flow fingerprints;
         hits skip SPICE entirely.
+
+    Failure is per cell: an entry that fails (a ``charz.fit`` fault, a
+    non-positive nominal delay, a SPICE error) fails its cell only.
+    Every other cell completes and is stored in ``cache`` before
+    :class:`~repro.errors.CharacterizationError` is raised for the
+    first failed cell in library order, so a re-run pays only for the
+    cells that failed.
     """
     spice = spice or AnalyticalSpice()
     space = space or ParameterSpace.paper_default()
@@ -636,30 +475,28 @@ def characterize_library(
                 continue
         pending.append(_CharzTask(cell, key))
 
-    def work(task: _CharzTask) -> None:
-        task.result = characterize_cell(
-            spice, task.cell, space=space, n=n,
-            subsample_factor=subsample_factor, method=method,
-            adaptive=adaptive,
-        )
-
+    plans = _FitPlans(space, n, subsample_factor, method, adaptive)
     if workers > 1 and len(pending) > 1:
-        _run_pooled(pending, work, workers)
+        _run_pooled(pending, lambda task: _characterize(spice, [task], plans),
+                    workers)
     else:
-        for task in pending:
-            work(task)
+        _characterize(spice, pending, plans)
 
+    failed: Optional[_CharzTask] = None
     for task in pending:
-        if task.error is not None:
-            raise CharacterizationError(
-                f"characterization of {task.cell.name} failed: {task.error}"
-            ) from task.error
         if task.result is None:
-            raise CharacterizationError(
-                f"characterization of {task.cell.name} was lost")
+            failed = failed or task
+            continue
         if cache is not None and task.key is not None:
             cache.put(task.key, task.result)
         cells[task.cell.name] = task.result
+    if failed is not None:
+        if failed.error is None:
+            raise CharacterizationError(
+                f"characterization of {failed.cell.name} was lost")
+        raise CharacterizationError(
+            f"characterization of {failed.cell.name} failed: {failed.error}"
+        ) from failed.error
 
     ordered = {cell.name: cells[cell.name] for cell in library}
     if adaptive is not None:
@@ -699,6 +536,462 @@ def _run_pooled(pending: List[_CharzTask], work, workers: int) -> None:
         pool.close()
 
 
+# -- the lockstep flow -------------------------------------------------------------
+
+#: Elements per wave temporary (512 KB of float64).  A geometry group is
+#: cut into chunks of lanes so that the ``(lanes, probe, probe)`` and
+#: ``(lanes, samples)`` stacks stay this small: the per-call overhead is
+#: already amortized at a few dozen lanes, and peak memory must not grow
+#: with the size of the library.
+_WAVE_ELEMENTS = 1 << 16
+
+
+class _Refinement:
+    """One bisection of one axis interval of a geometry."""
+
+    __slots__ = ("axis", "index", "coordinate", "points", "v", "c", "child")
+
+    def __init__(self, plans: "_FitPlans", parent: "_Geometry", axis: int,
+                 interval: int) -> None:
+        space = plans.flow.space
+        self.axis = axis
+        if axis == 0:
+            value = float(space.denormalize_voltage(
+                0.5 * (parent.nv_axis[interval] + parent.nv_axis[interval + 1])))
+            #: Normalized coordinate of the new line.
+            self.coordinate = float(space.normalize_voltage(value))
+            #: Operating points of the new line (its SPICE cost is their count).
+            self.points = np.column_stack(
+                [np.full(parent.c_axis.size, value), parent.c_axis])
+            self.v = np.full(parent.c_axis.size, self.coordinate)
+            self.c = parent.nc_axis
+            #: Where the line is inserted along ``axis``.
+            self.index = int(np.searchsorted(parent.v_axis, value))
+            self.child = plans.geometry(
+                np.insert(parent.v_axis, self.index, value), parent.c_axis)
+        else:
+            value = float(space.denormalize_load(
+                0.5 * (parent.nc_axis[interval] + parent.nc_axis[interval + 1])))
+            self.coordinate = float(space.normalize_load(value))
+            self.points = np.column_stack(
+                [parent.v_axis, np.full(parent.v_axis.size, value)])
+            self.v = parent.nv_axis
+            self.c = np.full(parent.v_axis.size, self.coordinate)
+            self.index = int(np.searchsorted(parent.c_axis, value))
+            self.child = plans.geometry(
+                parent.v_axis, np.insert(parent.c_axis, self.index, value))
+
+
+class _Geometry:
+    """One sample grid and everything that follows from its axes alone.
+
+    The fit plan of the issue's wording: normalized and densified axes,
+    the bilinear stencils onto the dense grid and the probe grid, the
+    regression :class:`~repro.core.regression.FitPlan` over the dense
+    samples, the interval each probe line falls into, and the children
+    reached by bisecting an interval.  Nothing here depends on a cell,
+    and nothing points back at the :class:`_FitPlans` that owns it.
+    """
+
+    def __init__(self, flow: "_Flow", v_axis: np.ndarray,
+                 c_axis: np.ndarray) -> None:
+        space = flow.space
+        self.flow = flow
+        self.v_axis = v_axis
+        self.c_axis = c_axis
+        self.key = (v_axis.tobytes(), c_axis.tobytes())
+        self.nv_axis = np.asarray(space.normalize_voltage(v_axis))
+        self.nc_axis = np.asarray(space.normalize_load(c_axis))
+        # Every entry that ends on this grid shares these four arrays.
+        for axis in (v_axis, c_axis, self.nv_axis, self.nc_axis):
+            axis.setflags(write=False)
+        #: Row of the nominal voltage (every grid of either flow has one).
+        self.nominal = int(np.flatnonzero(np.isclose(v_axis, space.v_nom))[0])
+        self.dense = BilinearStencil(
+            self.nv_axis, self.nc_axis,
+            densify(self.nv_axis, flow.subsample_factor),
+            densify(self.nc_axis, flow.subsample_factor))
+        v_samples, c_samples = np.meshgrid(
+            self.dense.x_queries, self.dense.y_queries, indexing="ij")
+        self.fit = FitPlan(v_samples, c_samples,
+                           flow.half_order(v_axis.size * c_axis.size))
+        self.chunk = max(1, _WAVE_ELEMENTS // max(
+            self.fit.sample_count, flow.probe.size ** 2))
+        self.refinements: Dict[Tuple[int, int], _Refinement] = {}
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """All operating points of the grid, row-major ``(nv·nc, 2)``."""
+        v_mesh, c_mesh = np.meshgrid(self.v_axis, self.c_axis, indexing="ij")
+        return np.column_stack([v_mesh.ravel(), c_mesh.ravel()])
+
+    @cached_property
+    def probe(self) -> BilinearStencil:
+        """Stencil of the residual-probe grid on this sample grid."""
+        probe = self.flow.probe
+        return BilinearStencil(self.nv_axis, self.nc_axis, probe, probe)
+
+    @cached_property
+    def intervals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per probe line: the enclosing axis interval and its width, per axis."""
+        out = []
+        for axis in (self.nv_axis, self.nc_axis):
+            index = np.clip(
+                np.searchsorted(axis, self.flow.probe, side="right") - 1,
+                0, axis.size - 2)
+            out += [index, axis[index + 1] - axis[index]]
+        return tuple(out)
+
+    def deviations(self, delays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(B, nv, nc)`` delays → (nominal rows, deviations ``d/d_nom − 1``)."""
+        nominal = delays[:, self.nominal, :]
+        return nominal, delays / nominal[:, None, :] - 1.0
+
+
+class _Flow:
+    """The settings of one ``characterize_*`` call, in the form the waves read."""
+
+    def __init__(self, space: ParameterSpace, n: int, subsample_factor: int,
+                 method: str, adaptive: Optional[AdaptiveConfig]) -> None:
+        self.space = space
+        self.adaptive = adaptive
+        self.n = n
+        if adaptive is None:
+            self.method = method
+            self.subsample_factor = subsample_factor
+            self.probe = np.empty(0)
+        else:
+            self.method = "auto"
+            self.subsample_factor = adaptive.subsample_factor
+            #: Residual-probe coordinates per axis.
+            self.probe = np.linspace(0.0, 1.0, adaptive.probe_grid)
+
+    def half_order(self, samples: int) -> int:
+        """Half-order fitted on a grid of ``samples`` SPICE samples."""
+        if self.adaptive is None:
+            return self.n
+        n = (self.adaptive.order if self.adaptive.order is not None
+             else self.adaptive.max_order)
+        while (n + 1) ** 2 > samples and n > 1:
+            n -= 1
+        return n
+
+
+class _FitPlans:
+    """The geometries one call visits, each with its fit plan.
+
+    Owned by one ``characterize_*`` call and dropped with it: a cold
+    call pays for building each geometry once, and nothing outlives the
+    call or is shared between calls.  Pool workers of one call share it
+    unlocked — two threads may build the same geometry, the first one
+    stored wins, and both are equal.
+    """
+
+    def __init__(self, space: ParameterSpace, n: int, subsample_factor: int,
+                 method: str, adaptive: Optional[AdaptiveConfig]) -> None:
+        self.flow = _Flow(space, n, subsample_factor, method, adaptive)
+        self._geometries: Dict[Tuple[bytes, bytes], _Geometry] = {}
+        if adaptive is None:
+            v_axis = _paper_like_voltages(space)
+            c_axis = _paper_like_loads(space)
+        else:
+            nv_nom = float(space.normalize_voltage(space.v_nom))
+            seed_v = sorted(set(adaptive.seed_voltage_fractions) | {nv_nom})
+            v_axis = np.asarray(space.denormalize_voltage(np.asarray(seed_v)))
+            c_axis = np.asarray(space.denormalize_load(
+                np.asarray(sorted(set(adaptive.seed_load_fractions)))))
+        #: The grid every entry starts from (the only one of the fixed flow).
+        self.seed = self.geometry(v_axis, c_axis)
+
+    def geometry(self, v_axis: np.ndarray, c_axis: np.ndarray) -> _Geometry:
+        key = (v_axis.tobytes(), c_axis.tobytes())
+        found = self._geometries.get(key)
+        if found is None:
+            found = self._geometries.setdefault(
+                key, _Geometry(self.flow, v_axis, c_axis))
+        return found
+
+    def refinement(self, geometry: _Geometry, axis: int, interval: int) -> _Refinement:
+        """The bisection of ``interval`` along ``axis``, built on first use."""
+        step = geometry.refinements.get((axis, interval))
+        if step is None:
+            step = geometry.refinements[(axis, interval)] = _Refinement(
+                self, geometry, axis, interval)
+        return step
+
+
+class _Lane:
+    """One (cell, pin, polarity) entry riding through the waves."""
+
+    __slots__ = ("task", "pin", "polarity", "geometry", "delays", "evaluations",
+                 "fresh_error", "beta", "method", "seconds", "row", "step", "line",
+                 "result")
+
+    def __init__(self, task: _CharzTask, pin: CellPin,
+                 polarity: DrivePolarity) -> None:
+        self.task = task
+        self.pin = pin
+        self.polarity = polarity
+        self.fresh_error = np.inf
+        self.result: Optional[PinCharacterization] = None
+
+
+def _characterize(spice: AnalyticalSpice, tasks: Sequence[_CharzTask],
+                  plans: _FitPlans) -> None:
+    """Run a batch of cells through the flow; settles every task.
+
+    The one implementation of steps A–C for both flows.  All entries of
+    the batch advance together, one fit per **wave**: entries standing
+    on the same geometry are fitted, probed and refined as one stack,
+    then regrouped by the geometry they moved to.  The fixed flow is
+    the one-wave case (one geometry, no refinement).  When every entry
+    has stopped, order selection and diagnostics run per final
+    geometry.  A failing entry fails its task (``task.error``); the
+    other tasks of the batch are unaffected, so only what is not an
+    ``Exception`` — an injected worker death, an interrupt — leaves this
+    function.
+    """
+    start = time.perf_counter()
+    batch = []
+    for task in tasks:
+        task.result = task.error = None
+        batch.append((task, [_Lane(task, pin, polarity)
+                             for pin, polarity in task.entries]))
+    lanes = [lane for _, mine in batch for lane in mine]
+
+    def seed(lane: _Lane) -> None:
+        lane.geometry = plans.seed
+        lane.delays = spice.delays_at(
+            lane.task.cell, lane.pin, lane.polarity, plans.seed.points,
+        ).reshape(plans.seed.v_axis.size, plans.seed.c_axis.size)
+        lane.evaluations = int(lane.delays.size)
+
+    stopped: List[_Lane] = []
+    active = _each(lanes, seed)
+    while active:
+        active = _by_geometry(
+            active,
+            lambda geometry, chunk: _wave(spice, plans, geometry, chunk, stopped))
+    _by_geometry(stopped, _finish)
+
+    elapsed = time.perf_counter() - start
+    for task, mine in batch:
+        if task.error is None:
+            task.result = CellCharacterization(
+                cell=task.cell,
+                pins=tuple(lane.result for lane in mine),
+                elapsed_seconds=elapsed * len(mine) / max(len(lanes), 1),
+            )
+
+
+def _each(lanes: Sequence[_Lane], action) -> List[_Lane]:
+    """Apply a per-entry action; an entry that raises fails its cell only.
+
+    Returns the lanes whose cell is still alive.
+    """
+    for lane in lanes:
+        if lane.task.error is None:
+            try:
+                action(lane)
+            except Exception as error:  # noqa: BLE001 - failure domain is the cell
+                lane.task.error = error
+    return [lane for lane in lanes if lane.task.error is None]
+
+
+def _by_geometry(lanes: Sequence[_Lane], step) -> List[_Lane]:
+    """Run ``step(geometry, chunk)`` over the lanes grouped by geometry.
+
+    A step that raises as a whole (a grid too small for the requested
+    order, say) fails the cells of its chunk.
+    """
+    groups: Dict[Tuple[bytes, bytes], List[_Lane]] = {}
+    for lane in lanes:
+        if lane.task.error is None:
+            groups.setdefault(lane.geometry.key, []).append(lane)
+    out: List[_Lane] = []
+    for group in groups.values():
+        geometry = group[0].geometry
+        for at in range(0, len(group), geometry.chunk):
+            chunk = group[at:at + geometry.chunk]
+            try:
+                out += step(geometry, chunk) or []
+            except Exception as error:  # noqa: BLE001 - failure domain is the cell
+                for lane in chunk:
+                    lane.task.error = lane.task.error or error
+    return out
+
+
+def _probe_residual(geometry: _Geometry, beta: np.ndarray,
+                    deviations: np.ndarray) -> np.ndarray:
+    """|fit − bilinear reference| on the probe grid, ``(B, P, P)``."""
+    probe = geometry.flow.probe
+    side = math.isqrt(beta.shape[1])
+    residual = horner(beta.reshape(-1, 1, 1, side, side),
+                      probe[:, None], probe[None, :])
+    residual -= geometry.probe(deviations)
+    return np.abs(residual, out=residual)
+
+
+def _wave(spice: AnalyticalSpice, plans: _FitPlans, geometry: _Geometry,
+          lanes: List[_Lane], stopped: List[_Lane]) -> List[_Lane]:
+    """One fit → probe → refine step for a chunk of lanes on one geometry.
+
+    The grid is refined by whole axis lines, keeping it rectilinear:
+    the probe residual (fit vs bilinear reference of the samples so far)
+    is projected onto each axis, and the axis whose projected peak —
+    weighted by the width of the interval it falls into and discounted
+    by the cost of a line on that axis — wins gets a new line bisecting
+    that interval in normalized coordinates.  Every fresh line doubles
+    as a validation set: the current fit's error at the new, unseen
+    samples must also meet the target before an entry stops, which
+    protects against the bilinear reference flattering the fit where
+    samples are still sparse.
+
+    Returns the lanes that moved to a refined geometry; lanes that met
+    the target or ran out of budget are appended to ``stopped``.
+    """
+    config = geometry.flow.adaptive
+    lanes = _each(lanes, lambda lane: faults.trip("charz.fit"))
+    if not lanes:
+        return []
+    delays = np.stack([lane.delays for lane in lanes])
+    bad = (delays[:, geometry.nominal] <= 0).any(axis=1)
+    if bad.any():
+        for lane, flagged in zip(lanes, bad):
+            if flagged:
+                lane.task.error = lane.task.error or CharacterizationError(
+                    f"{lane.task.cell.name}/{lane.pin.name}: "
+                    "non-positive nominal delay in sweep")
+        alive = [lane.task.error is None for lane in lanes]
+        lanes = [lane for lane in lanes if lane.task.error is None]
+        if not lanes:
+            return []
+        delays = delays[alive]
+    nominal, deviations = geometry.deviations(delays)
+
+    n = geometry.fit.n
+    y = geometry.dense(deviations).reshape(len(lanes), -1)
+    beta, used, seconds = geometry.fit.solve(y, n, geometry.flow.method)
+    for lane, row in zip(lanes, beta):
+        lane.beta, lane.method, lane.seconds = row, used, seconds
+    if config is None:
+        stopped += lanes
+        return []
+
+    residual = _probe_residual(geometry, beta, deviations)
+    v_profile = residual.max(axis=2)
+    c_profile = residual.max(axis=1)
+    peak = v_profile.max(axis=1)
+    # Project the residual onto each axis and score the candidate
+    # refinements: projected peak × enclosing-interval width, per line
+    # cost (a voltage line costs one evaluation per load and vice versa).
+    v_interval, v_width, c_interval, c_width = geometry.intervals
+    v_at = v_profile.argmax(axis=1)
+    c_at = c_profile.argmax(axis=1)
+    v_score = peak * v_width[v_at]
+    c_score = c_profile.max(axis=1) * c_width[c_at]
+    along_v = v_score / geometry.c_axis.size >= c_score / geometry.v_axis.size
+
+    moving: List[_Lane] = []
+    for b, lane in enumerate(lanes):
+        if lane.fresh_error <= config.target_error and peak[b] <= config.target_error:
+            stopped.append(lane)
+            continue
+        cost = geometry.c_axis.size if along_v[b] else geometry.v_axis.size
+        if lane.evaluations + cost > config.budget:
+            stopped.append(lane)
+            continue
+        lane.row = b
+        lane.step = (
+            plans.refinement(geometry, 0, int(v_interval[v_at[b]])) if along_v[b]
+            else plans.refinement(geometry, 1, int(c_interval[c_at[b]])))
+        moving.append(lane)
+
+    def sample(lane: _Lane) -> None:
+        lane.line = spice.delays_at(
+            lane.task.cell, lane.pin, lane.polarity, lane.step.points)
+
+    by_step: Dict[_Refinement, List[_Lane]] = {}
+    for lane in _each(moving, sample):
+        by_step.setdefault(lane.step, []).append(lane)
+    for step, movers in by_step.items():
+        rows = [lane.row for lane in movers]
+        lines = np.stack([lane.line for lane in movers])
+        if step.axis == 0:
+            fresh = lines / nominal[rows] - 1.0
+        else:
+            fresh = lines / np.asarray([
+                float(np.interp(step.coordinate, geometry.nc_axis, nominal[b]))
+                for b in rows])[:, None] - 1.0
+        side = n + 1
+        predicted = horner(beta[rows].reshape(-1, 1, side, side), step.v, step.c)
+        fresh_error = np.abs(predicted - fresh).max(axis=1)
+        grown = np.insert(delays[rows], step.index, lines, axis=step.axis + 1)
+        for lane, error, grid in zip(movers, fresh_error, grown):
+            lane.fresh_error = float(error)
+            lane.delays = grid
+            lane.evaluations += len(step.points)
+            lane.geometry = step.child
+    return [lane for movers in by_step.values() for lane in movers]
+
+
+def _finish(geometry: _Geometry, lanes: List[_Lane]) -> None:
+    """Order selection, diagnostics and results for lanes on their final grid."""
+    config = geometry.flow.adaptive
+    delays = np.stack([lane.delays for lane in lanes])
+    nominal, deviations = geometry.deviations(delays)
+    y = geometry.dense(deviations).reshape(len(lanes), -1)
+    full_n = geometry.fit.n
+    orders = np.full(len(lanes), full_n)
+
+    if config is not None and config.order is None:
+        # Cross-validated half-order selection.  The CV winner replaces
+        # the full-order fit only when it keeps the probe residual at
+        # least as good as max(full-order residual, target) — parsimony
+        # must never cost the accuracy the refinement just paid
+        # evaluations for.
+        chosen = np.asarray([selection.n for selection in geometry.fit.select_orders(
+            y, range(1, full_n + 1), config.cv_folds, config.cv_tolerance)])
+        for n in np.unique(chosen[chosen < full_n]):
+            rows = np.flatnonzero(chosen == n)
+            beta, used, seconds = geometry.fit.solve(y[rows], int(n), "auto")
+            full = np.stack([lanes[b].beta for b in rows])
+            bound = np.maximum(
+                _probe_residual(geometry, full, deviations[rows]).max(axis=(1, 2)),
+                config.target_error)
+            residual = _probe_residual(
+                geometry, beta, deviations[rows]).max(axis=(1, 2))
+            for b, row, ok in zip(rows, beta, residual <= bound):
+                if ok:
+                    lanes[b].beta, lanes[b].method, lanes[b].seconds = row, used, seconds
+                    orders[b] = n
+
+    fits: List[Optional[FitResult]] = [None] * len(lanes)
+    for n in np.unique(orders):
+        rows = np.flatnonzero(orders == n)
+        results = geometry.fit.results(
+            y[rows], np.stack([lanes[b].beta for b in rows]), int(n),
+            [lanes[b].method for b in rows], [lanes[b].seconds for b in rows])
+        for b, fit in zip(rows, results):
+            fits[b] = fit
+
+    for b, lane in enumerate(lanes):
+        lane.result = PinCharacterization(
+            cell_name=lane.task.cell.name,
+            pin_name=lane.pin.name,
+            pin_index=lane.pin.index,
+            polarity=lane.polarity,
+            space=geometry.flow.space,
+            fit=fits[b],
+            reference=GridInterpolator(
+                geometry.nv_axis, geometry.nc_axis, deviations[b]),
+            nominal_delays=nominal[b].copy(),
+            sweep=DelayGrid(voltages=geometry.v_axis, loads=geometry.c_axis,
+                            delays=delays[b]),
+            evaluations=lane.evaluations,
+        )
+
+
 # -- grid construction helpers ---------------------------------------------------
 
 
@@ -728,19 +1021,3 @@ def _paper_like_loads(space: ParameterSpace) -> np.ndarray:
     hi = np.log2(space.c_max)
     count = int(round(hi - lo)) + 1
     return np.exp2(np.linspace(lo, hi, max(count, 2)))
-
-
-def _nominal_row(grid: DelayGrid, v_nom: float) -> np.ndarray:
-    """Delay row at the nominal voltage, interpolating when off-grid."""
-    idx = np.where(np.isclose(grid.voltages, v_nom))[0]
-    if idx.size:
-        return grid.delays[int(idx[0]), :].copy()
-    if not grid.voltages[0] <= v_nom <= grid.voltages[-1]:
-        raise CharacterizationError(
-            f"nominal voltage {v_nom} outside swept range "
-            f"[{grid.voltages[0]}, {grid.voltages[-1]}]"
-        )
-    return np.asarray(
-        [np.interp(v_nom, grid.voltages, grid.delays[:, j])
-         for j in range(len(grid.loads))]
-    )

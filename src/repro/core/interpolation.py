@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["GridInterpolator", "LutDelayModel", "subsample"]
+__all__ = ["BilinearStencil", "GridInterpolator", "LutDelayModel", "subsample"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,45 @@ class GridInterpolator:
         return lo, hi, t
 
 
+class BilinearStencil:
+    """Bilinear interpolation onto fixed query axes, located once.
+
+    Where a query falls on a grid depends on the axes only, not on the
+    sampled values: the stencil holds the cell indices and weights of
+    the outer-product queries ``(x_queries[:, None], y_queries[None, :])``
+    on the grid ``(x_axis, y_axis)`` and applies them to any number of
+    value grids at once.  The blend is the expression of
+    :meth:`GridInterpolator.__call__`, term for term, so a stencil
+    answers bit-identically to an interpolator over the same samples.
+    """
+
+    def __init__(self, x_axis: np.ndarray, y_axis: np.ndarray,
+                 x_queries: np.ndarray, y_queries: np.ndarray) -> None:
+        self.x_queries = np.asarray(x_queries, dtype=np.float64)
+        self.y_queries = np.asarray(y_queries, dtype=np.float64)
+        self._xi, self._xj, tx = GridInterpolator._locate(x_axis, self.x_queries)
+        self._yi, self._yj, ty = GridInterpolator._locate(y_axis, self.y_queries)
+        self._tx, self._ux = tx[:, None], (1 - tx)[:, None]
+        self._ty, self._uy = ty, 1 - ty
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Interpolate ``(..., nx, ny)`` value grids to ``(..., qx, qy)``."""
+        low = values[..., self._xi, :]
+        high = values[..., self._xj, :]
+
+        def corner(rows, columns, x_weight, y_weight):
+            term = rows[..., columns]
+            term *= x_weight
+            term *= y_weight
+            return term
+
+        result = corner(low, self._yi, self._ux, self._uy)
+        result += corner(high, self._yi, self._tx, self._uy)
+        result += corner(low, self._yj, self._ux, self._ty)
+        result += corner(high, self._yj, self._tx, self._ty)
+        return result
+
+
 def subsample(interpolator: GridInterpolator, factor: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Densify a grid by bilinear sub-sampling (Fig. 1 step B).
 
@@ -103,18 +142,16 @@ def subsample(interpolator: GridInterpolator, factor: int) -> Tuple[np.ndarray, 
     Returns the new ``(x_axis, y_axis, values)`` with the original
     samples preserved at their positions.
     """
+    x_new = densify(interpolator.x_axis, factor)
+    y_new = densify(interpolator.y_axis, factor)
+    stencil = BilinearStencil(interpolator.x_axis, interpolator.y_axis, x_new, y_new)
+    return x_new, y_new, stencil(interpolator.values)
+
+
+def densify(axis: np.ndarray, factor: int) -> np.ndarray:
+    """Insert ``factor − 1`` equidistant points inside every axis segment."""
     if factor < 1:
         raise ValueError("subsample factor must be >= 1")
-    x_old = interpolator.x_axis
-    y_old = interpolator.y_axis
-    x_new = _densify(x_old, factor)
-    y_new = _densify(y_old, factor)
-    values = interpolator(x_new[:, None], y_new[None, :])
-    return x_new, y_new, values
-
-
-def _densify(axis: np.ndarray, factor: int) -> np.ndarray:
-    """Insert ``factor − 1`` equidistant points inside every axis segment."""
     if factor == 1:
         return axis.copy()
     pieces = []

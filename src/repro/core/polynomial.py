@@ -28,7 +28,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SurfacePolynomial", "design_matrix", "term_exponents"]
+__all__ = ["SurfacePolynomial", "design_matrix", "horner", "term_exponents"]
 
 
 def term_exponents(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -59,6 +59,34 @@ def design_matrix(v: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     c_pows = np.vander(c, n + 1, increasing=True)
     # Row-major combination -> (m, (N+1)**2).
     return np.einsum("mi,mj->mij", v_pows, c_pows).reshape(len(v), (n + 1) ** 2)
+
+
+def horner(coefficients: np.ndarray, v, c) -> np.ndarray:
+    """Nested Horner evaluation of one coefficient grid or a stack of them.
+
+    ``coefficients`` has shape ``(..., N+1, N+1)``; its leading axes
+    broadcast against the point arrays ``v`` and ``c``, so a stack of
+    ``B`` polynomials is evaluated on a shared ``(P, P)`` grid by
+    passing ``coefficients[:, None, None]``.  For each power of ``v``
+    the inner polynomial in ``c`` is folded first — over the broadcast
+    shape of ``c`` alone, since it does not depend on ``v`` — then the
+    outer polynomial in ``v``; every step is a single multiply-add per
+    element, so the value of an element does not depend on how many
+    polynomials or points ride along.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    side = coefficients.shape[-1]
+    inner_shape = np.broadcast_shapes(coefficients.shape[:-2], c.shape)
+    result = np.zeros(np.broadcast_shapes(inner_shape, v.shape), dtype=np.float64)
+    for i in range(side - 1, -1, -1):
+        inner = np.zeros(inner_shape, dtype=np.float64)
+        for j in range(side - 1, -1, -1):
+            inner *= c
+            inner += coefficients[..., i, j]
+        result *= v
+        result += inner
+    return result
 
 
 @dataclass(frozen=True)
@@ -115,16 +143,7 @@ class SurfacePolynomial:
         polynomial in ``c`` is folded first, then the outer polynomial in
         ``v`` — every step a single multiply-add.
         """
-        v = np.asarray(v, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        coeffs = self.coefficients
-        n1 = coeffs.shape[0]
-        result = np.zeros(np.broadcast(v, c).shape, dtype=np.float64)
-        for i in range(n1 - 1, -1, -1):
-            inner = np.zeros_like(result)
-            for j in range(n1 - 1, -1, -1):
-                inner = inner * c + coeffs[i, j]
-            result = result * v + inner
+        result = horner(self.coefficients, v, c)
         if np.ndim(v) == 0 and np.ndim(c) == 0:
             return float(result)
         return result

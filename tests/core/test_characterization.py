@@ -1,5 +1,9 @@
 """Tests for the Fig. 1 characterization flow A→D."""
 
+import hashlib
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -253,3 +257,314 @@ class TestParallelCharacterization:
             result = characterize_library(subset, AnalyticalSpice(),
                                           workers=2)
         assert set(result.cells) == {cell.name for cell in subset}
+
+
+# -- lockstep characterization: bit-identity, batching, pay-once, failure ---------
+
+
+def entry_record(entry):
+    """Every reproducible field of one entry, floats as exact hex."""
+    fit = entry.fit
+    return (
+        entry.cell_name, entry.pin_name, entry.polarity.name, entry.evaluations,
+        entry.sweep.voltages.tobytes().hex(), entry.sweep.loads.tobytes().hex(),
+        fit.polynomial.n, fit.polynomial.coefficients.tobytes().hex(),
+        fit.mean_abs_error.hex(), fit.rms_error.hex(), fit.max_abs_error.hex(),
+        float(fit.r_squared).hex(), fit.condition_number.hex(),
+        fit.sample_count, fit.method,
+    )
+
+
+def full_record(entry):
+    """`entry_record` plus the arrays a cached round trip rebuilds from."""
+    return entry_record(entry) + (
+        entry.sweep.delays.tobytes().hex(), entry.nominal_delays.tobytes().hex(),
+        entry.reference.values.tobytes().hex())
+
+
+def library_pins(result):
+    orders = {}
+    for entry in result.all_entries():
+        orders[entry.fit.polynomial.n] = orders.get(entry.fit.polynomial.n, 0) + 1
+    return {
+        "table": hashlib.sha256(np.ascontiguousarray(
+            result.compile().coefficients).tobytes()).hexdigest(),
+        "entries": hashlib.sha256(json.dumps(
+            [entry_record(entry) for entry in result.all_entries()]
+        ).encode()).hexdigest(),
+        "evaluations": result.total_evaluations(),
+        "orders": orders,
+    }
+
+
+PIN_FAMILIES = ("INV", "NAND2", "NOR3", "AOI21", "XOR2", "MUX2")
+
+#: A one-load-line seed: every dense sample has φ_C = 0.5, so the load
+#: columns of X are exact multiples of each other, XᵀX is singular and
+#: every fit of the flow takes the ``lstsq`` fallback.
+SINGULAR = dict(seed_load_fractions=(0.5,))
+
+
+class TestBitIdentityPins:
+    """Recorded with the per-entry flow at the commit before the lockstep
+    rewrite (f5841ec): the compiled table's SHA-256, and a SHA-256 over
+    per entry evaluations, final sweep axes, chosen half-order,
+    coefficients and every reproducible ``FitResult`` field (exact hex
+    floats; ``solve_seconds`` is a wall time).  21 cells, 92 entries."""
+
+    def test_adaptive(self, library):
+        result = characterize_library(library.select(PIN_FAMILIES),
+                                      AnalyticalSpice(), adaptive=AdaptiveConfig())
+        assert library_pins(result) == {
+            "table": "8b3d097eb29927e6c774dd1dae8d4a7f1a5a59ae7d375ea69c19c5460196b920",
+            "entries": "6c9cd91f79c7c776e25b1b7e9c67e5c5a1ed8c65c015bce133c00b4ee7600c11",
+            "evaluations": 2956,
+            "orders": {3: 18, 4: 74},
+        }
+
+    def test_fixed(self, library):
+        result = characterize_library(library.select(PIN_FAMILIES),
+                                      AnalyticalSpice(), n=3)
+        assert library_pins(result) == {
+            "table": "77ae4c0ffd3e3884e02ca1e17c4b7c40e3018d0df345f945522cbc8d22d9aa44",
+            "entries": "08bd74b9a75514b3ad80e9b224534fe366b6b27e36079d8e5db1a560f86e5311",
+            "evaluations": 9936,
+            "orders": {3: 92},
+        }
+
+    def test_singular_normal_equations_fall_back_in_a_batch(self, library):
+        result = characterize_library(library.select(["INV"]), AnalyticalSpice(),
+                                      adaptive=AdaptiveConfig(**SINGULAR))
+        assert {entry.fit.method for entry in result.all_entries()} == {"lstsq"}
+        assert library_pins(result) == {
+            "table": "96bd6d1b591430d97e403ad3b275d6a615692275a85e3e798982a42aab760daa",
+            "entries": "50eafa9f83195dbad6ad5d0c31bf22da1bb87140c1ccc9e5b1ae6b319f1b9487",
+            "evaluations": 360,
+            "orders": {4: 10},
+        }
+
+
+BATCH_CONFIGS = {
+    "default": AdaptiveConfig(),
+    "order2": AdaptiveConfig(order=2),
+    # A budget between the seed (15) and the default: entries run out of
+    # it after one to three lines, in different waves.
+    "budget24": AdaptiveConfig(budget=24),
+    "singular": AdaptiveConfig(**SINGULAR),
+    "fixed": None,
+}
+
+
+def refinement_fits(entry, config):
+    """Fits the refinement loop spends on an entry: one per grid it stood on."""
+    if config is None:
+        return 1
+    seed_v = len(set(config.seed_voltage_fractions) | {
+        float(entry.space.normalize_voltage(entry.space.v_nom))})
+    seed_c = len(set(config.seed_load_fractions))
+    return 1 + (entry.sweep.voltages.size - seed_v) + (entry.sweep.loads.size - seed_c)
+
+
+@pytest.fixture(scope="module")
+def batch_subset(library):
+    return library.select(["INV", "NOR2", "AOI21"])
+
+
+@pytest.fixture(scope="module")
+def batch_references(batch_subset):
+    """All-at-once inline results per config, keyed by entry identity."""
+    out = {}
+    for name, config in BATCH_CONFIGS.items():
+        result = characterize_library(batch_subset, AnalyticalSpice(),
+                                      adaptive=config)
+        out[name] = {(e.cell_name, e.pin_name, e.polarity): e
+                     for e in result.all_entries()}
+    return out
+
+
+class TestBatchingIsInvisible:
+    """An entry's result does not depend on which entries share its batch."""
+
+    def test_any_partition_any_order(self, batch_subset, batch_references):
+        from hypothesis import given, settings, strategies as st
+
+        from repro import faults
+        from repro.core.characterization import (_characterize, _CharzTask,
+                                                 _FitPlans)
+
+        cells = {cell.name: cell for cell in batch_subset}
+        entries = [(cell.name, pin, polarity)
+                   for cell in batch_subset
+                   for pin in sorted(cell.pins, key=lambda p: p.index)
+                   for polarity in (DrivePolarity.RISE, DrivePolarity.FALL)]
+
+        @settings(derandomize=True, max_examples=25, deadline=None)
+        @given(config=st.sampled_from(sorted(BATCH_CONFIGS)),
+               order=st.permutations(range(len(entries))),
+               cuts=st.sets(st.integers(1, len(entries) - 1), max_size=6),
+               shared_plans=st.booleans())
+        def check(config, order, cuts, shared_plans):
+            adaptive = BATCH_CONFIGS[config]
+            space = ParameterSpace.paper_default()
+
+            def plans():
+                return _FitPlans(space, 3, 4, "auto", adaptive)
+
+            shared = plans()
+            bounds = [0] + sorted(cuts) + [len(entries)]
+            spice = AnalyticalSpice()
+            got = []
+            with faults.injected("charz.fit:delay@n=1000000000") as plan:
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    # One task per cell of the batch, entries in drawn order.
+                    tasks = {}
+                    for index in order[lo:hi]:
+                        name, pin, polarity = entries[index]
+                        tasks.setdefault(name, _CharzTask(cells[name], None, []))
+                        tasks[name].entries.append((pin, polarity))
+                    batch = list(tasks.values())
+                    _characterize(spice, batch, shared if shared_plans else plans())
+                    for task in batch:
+                        assert task.error is None
+                        got += task.result.pins
+                trips = plan.calls("charz.fit")
+            assert len(got) == len(entries)
+            reference = batch_references[config]
+            for entry in got:
+                expected = reference[(entry.cell_name, entry.pin_name, entry.polarity)]
+                assert full_record(entry) == full_record(expected)
+            assert trips == sum(refinement_fits(e, adaptive) for e in got)
+            assert spice.delay_evaluations == sum(e.evaluations for e in got)
+
+        check()
+
+    @pytest.mark.parametrize("config", sorted(BATCH_CONFIGS))
+    def test_public_batch_shapes_agree(self, batch_subset, batch_references, config):
+        """Batch of one, per cell, all at once, workers=1 vs workers=4."""
+        adaptive = BATCH_CONFIGS[config]
+        reference = batch_references[config]
+        # More workers than cores and a 10 µs switch interval: the pool
+        # threads race to build the shared plans' geometries.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = characterize_library(batch_subset, AnalyticalSpice(),
+                                          adaptive=adaptive, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for cell in batch_subset:
+            per_cell = characterize_cell(AnalyticalSpice(), cell, adaptive=adaptive)
+            for entry, other in zip(per_cell.pins, pooled.cells[cell.name].pins):
+                expected = full_record(reference[
+                    (entry.cell_name, entry.pin_name, entry.polarity)])
+                assert full_record(entry) == expected
+                assert full_record(other) == expected
+                alone = characterize_pin(
+                    AnalyticalSpice(), cell, cell.pins[entry.pin_index],
+                    entry.polarity, adaptive=adaptive)
+                assert full_record(alone) == expected
+
+
+class TestPayOnce:
+    """Work that depends on the sample grid alone is done once per grid."""
+
+    def test_full_library_adaptive_run(self, library, monkeypatch):
+        import weakref
+
+        from repro.core import characterization as charz
+        from repro.core import regression
+        from repro.core.interpolation import GridInterpolator
+
+        designs, conditions, locates, plans, geometries = [], [], [], [], []
+        real_design = regression.design_matrix
+        real_cond = np.linalg.cond
+        real_locate = GridInterpolator._locate
+        real_init = charz._FitPlans.__init__
+
+        def design(v, c, n):
+            designs.append((np.asarray(v).tobytes(), np.asarray(c).tobytes(), n))
+            return real_design(v, c, n)
+
+        def cond(matrix, *args, **kwargs):
+            conditions.append(np.asarray(matrix).tobytes())
+            return real_cond(matrix, *args, **kwargs)
+
+        def locate(axis, queries):
+            locates.append(len(axis))
+            return real_locate(axis, queries)
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            plans.append(weakref.ref(self))
+            geometries.append(self._geometries)
+
+        monkeypatch.setattr(regression, "design_matrix", design)
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        monkeypatch.setattr(GridInterpolator, "_locate", staticmethod(locate))
+        monkeypatch.setattr(charz._FitPlans, "__init__", init)
+
+        result = characterize_library(library, AnalyticalSpice(),
+                                      adaptive=AdaptiveConfig())
+        entries = list(result.all_entries())
+        visited = len(geometries.pop())
+        # 370 entries and ~1670 refinement fits stand on a dozen grids.
+        assert 1 < visited <= 16 < len(entries)
+        # One max-order design per grid; lower orders and CV folds are
+        # sliced out of it, never rebuilt.
+        assert len(designs) == len(set(designs)) == visited
+        # cond(X) once per (final grid, kept half-order).
+        assert len(conditions) == len(set(conditions))
+        finals = {(e.sweep.voltages.tobytes(), e.sweep.loads.tobytes(),
+                   e.fit.polynomial.n) for e in entries}
+        assert len(conditions) == len(finals)
+        # Bilinear location per grid (dense + probe stencil, two axes
+        # each), not per refinement iteration.
+        assert len(locates) <= 4 * visited
+        # The plans were call-scoped and hold no cycle: gone without a
+        # collection.
+        assert [ref() for ref in plans] == [None]
+
+
+class TestFailureIsolation:
+    """A failing entry fails its cell; every other cell completes and is cached."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_cell_alone_is_recharacterized(self, library, tmp_path, workers):
+        from repro import faults
+        from repro.core.charz_cache import CoefficientCache
+
+        subset = library.select(["INV", "NAND2", "NOR2"])
+        config = AdaptiveConfig()
+        clean = characterize_library(subset, AnalyticalSpice(), adaptive=config)
+        cache_dir = str(tmp_path / "charz")
+        CoefficientCache.clear_memo()
+        try:
+            # The 40th fit of the run: mid-library, second refinement wave.
+            with faults.injected("charz.fit:raise@n=40"):
+                with pytest.raises(CharacterizationError) as info:
+                    characterize_library(subset, AnalyticalSpice(), adaptive=config,
+                                         workers=workers, cache=cache_dir)
+            message = str(info.value)
+            assert "charz.fit" in message
+            failed = [cell.name for cell in subset
+                      if f"characterization of {cell.name} failed" in message]
+            assert len(failed) == 1
+
+            CoefficientCache.clear_memo()  # fresh-process equivalent
+            spice = AnalyticalSpice()
+            rerun = characterize_library(subset, spice, adaptive=config,
+                                         cache=cache_dir)
+            assert spice.delay_evaluations == clean.cells[failed[0]].evaluations
+            for a, b in zip(clean.all_entries(), rerun.all_entries()):
+                assert entry_record(a) == entry_record(b)
+        finally:
+            CoefficientCache.clear_memo()
+
+    def test_single_entry_failure_raises_the_original_error(self, library):
+        from repro import faults
+        from repro.errors import InjectedFaultError
+
+        cell = library["NAND2_X1"]
+        with faults.injected("charz.fit:raise@n=3"):
+            with pytest.raises(InjectedFaultError):
+                characterize_cell(AnalyticalSpice(), cell, adaptive=AdaptiveConfig())

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.interpolation import GridInterpolator, LutDelayModel, subsample
+from repro.core.interpolation import (BilinearStencil, GridInterpolator,
+                                      LutDelayModel, subsample)
 from repro.units import FF
 
 
@@ -12,6 +13,25 @@ def simple_grid():
     y = np.asarray([0.0, 2.0])
     values = np.asarray([[0.0, 2.0], [1.0, 3.0], [2.0, 4.0]])  # x + y
     return GridInterpolator(x, y, values)
+
+
+class TestBilinearStencil:
+    """Located once, applied to stacks, bit-identical to the interpolator."""
+
+    @pytest.mark.parametrize("shape", [(5, 4), (7, 1), (1, 3)])
+    def test_stack_matches_interpolator_bitwise(self, shape, rng):
+        x = np.sort(rng.uniform(0, 1, shape[0]))
+        y = np.sort(rng.uniform(0, 1, shape[1]))
+        queries_x = np.linspace(-0.1, 1.1, 17)  # includes clamped queries
+        queries_y = np.linspace(0.0, 1.0, 9)
+        values = rng.normal(size=(6,) + shape)
+        stencil = BilinearStencil(x, y, queries_x, queries_y)
+        stacked = stencil(values)
+        assert stacked.shape == (6, 17, 9)
+        for grid, got in zip(values, stacked):
+            expected = GridInterpolator(x, y, grid)(
+                queries_x[:, None], queries_y[None, :])
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestGridInterpolator:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.polynomial import SurfacePolynomial
-from repro.core.regression import fit_polynomial, select_half_order
+from repro.core.polynomial import design_matrix
+from repro.core.regression import FitPlan, fit_polynomial, select_half_order
 from repro.errors import RegressionError
 
 
@@ -121,6 +122,48 @@ class TestOrderSelection:
         c = np.linspace(0, 1, 6)
         with pytest.raises(RegressionError, match="feasible"):
             select_half_order(v, c, v + c, candidates=(4,))
+
+
+class TestFitPlan:
+    """A plan fits stacks; a row's answer never depends on its neighbours."""
+
+    def test_lower_orders_and_folds_are_slices_of_one_design(self):
+        v, c = grid_samples(9)
+        plan = FitPlan(v, c, 4)
+        train = np.arange(v.size) % 4 != 1
+        for n in (1, 2, 3, 4):
+            np.testing.assert_array_equal(plan.design(n), design_matrix(v, c, n))
+            np.testing.assert_array_equal(
+                plan.design(n, train), design_matrix(v[train], c[train], n))
+            assert plan.design(n, train).flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["normal", "lstsq", "auto"])
+    def test_stack_equals_one_at_a_time(self, method, rng):
+        v, c = grid_samples(10)
+        y = np.sin(3 * v) * np.exp(c) + rng.normal(scale=0.01, size=(7, v.size))
+        plan = FitPlan(v, c, 4)
+        beta, used, _ = plan.solve(y, 4, method)
+        stacked = plan.results(y, beta, 4, [used] * 7, [0.0] * 7)
+        selections = plan.select_orders(y, (1, 2, 3, 4))
+        for row, fit, selection in zip(y, stacked, selections):
+            alone = fit_polynomial(v, c, row, n=4, method=method)
+            np.testing.assert_array_equal(alone.polynomial.coefficients,
+                                          fit.polynomial.coefficients)
+            for name in ("mean_abs_error", "rms_error", "max_abs_error",
+                         "r_squared", "condition_number", "sample_count", "method"):
+                assert getattr(alone, name) == getattr(fit, name), name
+            assert select_half_order(v, c, row) == selection
+
+    def test_condition_number_computed_once_per_order(self, monkeypatch):
+        v, c = grid_samples(8)
+        plan = FitPlan(v, c, 3)
+        calls = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda matrix: calls.append(1) or real(matrix))
+        assert plan.condition(3) == plan.condition(3)
+        plan.condition(2)
+        assert len(calls) == 2
 
 
 class TestValidation:
