@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-pytest ledger-quick chaos experiments examples clean
+.PHONY: install test lint loc bench bench-pytest ledger-quick chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -19,6 +19,14 @@ test:
 # Critical-error lint gate (rule subset in pyproject.toml).
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples
+
+# Lines of src/ per package and in total: the one command behind every
+# PR's "net src/ LoC" number (diff two checkouts' output).
+loc:
+	@for dir in src/repro src/repro/*/; do \
+		printf '%7d  %s\n' "$$(find $$dir -maxdepth 1 -name '*.py' | xargs cat | wc -l)" $$dir; \
+	done
+	@printf '%7d  total\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
 
 # Record the benchmark trajectory (BENCH_kernels.json) across the
 # available compute backends and flag wall-time regressions.

@@ -6,7 +6,7 @@ checkout without installation::
 
     python benchmarks/record.py [--quick] [--output BENCH_kernels.json]
                                 [--baseline PREV.json] [--threshold 1.5]
-                                [--backends numpy,numba,cext] [--no-e2e]
+                                [--backends numpy,cext] [--no-e2e]
                                 [--no-fail] [--fail-ratios]
 
 Equivalent entry points: ``make bench`` and ``repro bench``.

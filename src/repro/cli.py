@@ -555,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcd", default=None, help="dump one slot as VCD")
     p.add_argument("--vcd-slot", type=int, default=0)
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=["auto", "numpy", "cext"],
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -583,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", default=None,
                    help="write the structured run report to this file")
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=["auto", "numpy", "cext"],
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.set_defaults(func=_cmd_campaign)
 
@@ -610,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-entries", type=int, default=256,
                    help="result-cache capacity (0 disables the cache)")
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=["auto", "numpy", "cext"],
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.add_argument("--metrics-json", default=None,
                    help="write the final service metrics to this file")
@@ -699,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", action="store_true",
                    help="run iterations through a local simulation service")
     p.add_argument("--backend", default=None,
-                   choices=["numpy", "numba", "cext", "auto"])
+                   choices=["numpy", "cext", "auto"])
     p.add_argument("--report-json", default=None)
     p.set_defaults(func=_cmd_avfs_loop)
 

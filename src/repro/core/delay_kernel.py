@@ -181,7 +181,7 @@ class DelayKernelTable:
         """:meth:`delays_for_gates` with pre-normalized predictors.
 
         ``nv`` is ``φ_V`` of the slot voltages, ``nc`` is ``φ_C`` of the
-        per-gate loads.  The fused level-plan path caches both on the
+        per-gate loads.  The engine's level loop caches both on the
         compiled circuit (:class:`~repro.simulation.compiled.CircuitPlans`)
         so repeated jobs skip the normalization pass; evaluation here is
         the exact op sequence of :meth:`delays_for_gates`, so results

@@ -24,7 +24,6 @@ Report schema (version 1)::
       "pruning_speedups": {scenario: {backend: dense_wall / sparse_wall}},
       "service_speedups": {backend: sequential_wall / batched_wall},
       "service_scaling": {backend: {num_shards: inproc_wall / sharded_wall}},
-      "dispatch_speedups": {backend: unfused_wall / fused_wall},
       "incremental_speedups": {scenario: {backend: full_wall / delta_wall}},
       "closed_loop_speedups": {backend: full_wall / delta_wall},
       "parametric_ratios": {circuit: {backend: parametric_wall / static_wall}},
@@ -52,11 +51,7 @@ shard count.  Interpret it against ``machine.cpu_count``: without
 spare cores the ratio prices the multi-process transport overhead
 rather than a parallelism win.
 
-The level-dispatch scenario (``level_dispatch_{fused,unfused}``) runs
-the same parametric workload once through the fused level-plan path
-(one backend call per level, delays evaluated in-kernel) and once
-through the per-arity-group path; ``dispatch_speedups`` records the
-fusion win.  ``parametric_ratios`` tracks the cost of voltage-adaptive
+``parametric_ratios`` tracks the cost of voltage-adaptive
 delays relative to static delays per backend — the paper's Table I
 "negligible overhead" claim.  It is taken from the wide-plane pair
 (``e2e_b17_wide_{static,parametric}``, :data:`RATIO_SLOTS` slots at one
@@ -137,7 +132,6 @@ __all__ = [
     "bench_end_to_end",
     "bench_delay_kernel",
     "bench_fault_seams",
-    "bench_level_dispatch",
     "bench_low_activity",
     "bench_merge_kernel",
     "bench_parametric_plane",
@@ -215,13 +209,6 @@ SCALING_JOBS = 32
 SCALING_JOBS_QUICK = 8
 SCALING_SHARDS = (1, 2, 4)
 SCALING_SHARDS_QUICK = (1, 2)
-
-#: Level-dispatch (fused vs unfused) scenario: one multi-voltage
-#: parametric workload, so the per-level dispatch and per-lane delay
-#: materialization costs the fusion removes are on the critical path.
-DISPATCH_CIRCUIT = "s38417"
-DISPATCH_PATTERNS = 8
-DISPATCH_PATTERNS_QUICK = 4
 
 #: Incremental re-simulation scenario: near-duplicate traffic replayed
 #: against a retained base arena.  The voltage-sweep variant shares 15
@@ -420,54 +407,6 @@ def bench_parametric_plane(backend_name: str, repeats: int = 5) -> List[dict]:
                    patterns=len(pairs), slots=plan.num_slots,
                    gate_evaluations=int(evals))
             for mode, wall in walls.items()]
-
-
-def bench_level_dispatch(backend_name: str, circuit_name: str, scale: float,
-                         num_patterns: int, repeats: int = 2) -> List[dict]:
-    """Fused-vs-unfused pair on a parametric workload (two entries).
-
-    The same multi-voltage run goes once through the fused level-plan
-    path (one backend call per level, Horner delay scaling evaluated
-    inside the merge loop) and once through the per-arity-group path
-    with materialized per-lane delay arrays.  The two produce
-    bit-identical waveforms (asserted by the test suite); the wall-time
-    ratio is the fusion win recorded in ``dispatch_speedups``.
-    """
-    from repro.experiments.common import default_kernel_table, default_library
-    from repro.experiments.workload import prepare_workload
-    from repro.simulation.base import SimulationConfig
-    from repro.simulation.grid import SlotPlan
-    from repro.simulation.gpu import GpuWaveSim
-
-    workload = prepare_workload(circuit_name, scale=scale)
-    library = default_library()
-    kernel_table = default_kernel_table(3)
-    pairs = workload.patterns.pairs[:num_patterns]
-    voltages = (0.6, 0.8, 1.0)
-    plan = SlotPlan.cross(len(pairs), voltages)
-    entries = []
-    for fused in (True, False):
-        sim = GpuWaveSim(workload.circuit, library,
-                         compiled=workload.compiled,
-                         config=SimulationConfig(backend=backend_name,
-                                                 fused=fused))
-        results = []
-
-        def call():
-            results.append(sim.run(pairs, plan=plan,
-                                   kernel_table=kernel_table))
-
-        call()
-        wall = _best_of(call, repeats)
-        evals = results[-1].gate_evaluations
-        mode = "fused" if fused else "unfused"
-        entries.append(_entry(
-            f"level_dispatch_{mode}", sim.backend.name, wall, evals,
-            circuit=circuit_name, scale=scale, patterns=len(pairs),
-            voltages=len(voltages), gate_evaluations=int(evals),
-            phases={name: round(seconds, 6) for name, seconds
-                    in sim.last_stats.phase_seconds().items()}))
-    return entries
 
 
 def bench_incremental_resim(backend_name: str, circuit_name: str,
@@ -1010,12 +949,6 @@ def run_suite(quick: bool = False,
         for name in chosen:
             benchmarks.extend(bench_parametric_plane(name))
 
-        dispatch_patterns = (DISPATCH_PATTERNS_QUICK if quick
-                             else DISPATCH_PATTERNS)
-        for name in chosen:
-            benchmarks.extend(bench_level_dispatch(
-                name, DISPATCH_CIRCUIT, E2E_SCALE, dispatch_patterns))
-
         incr_patterns = INCR_PATTERNS_QUICK if quick else INCR_PATTERNS
         for name in chosen:
             benchmarks.extend(bench_incremental_resim(
@@ -1069,7 +1002,6 @@ def run_suite(quick: bool = False,
         "pruning_speedups": _pruning_speedups(benchmarks),
         "service_speedups": _service_speedups(benchmarks),
         "service_scaling": _service_scaling(benchmarks),
-        "dispatch_speedups": _dispatch_speedups(benchmarks),
         "incremental_speedups": _incremental_speedups(benchmarks),
         "closed_loop_speedups": _closed_loop_speedups(benchmarks),
         "parametric_ratios": _parametric_ratios(benchmarks),
@@ -1113,19 +1045,6 @@ def _pruning_speedups(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
     return speedups
 
 
-def _dispatch_speedups(benchmarks: List[dict]) -> Dict[str, float]:
-    """Per backend: wall(unfused per-arity-group) / wall(fused levels)."""
-    walls: Dict[str, Dict[str, float]] = {}
-    for entry in benchmarks:
-        for mode in ("fused", "unfused"):
-            if entry["name"] == f"level_dispatch_{mode}":
-                walls.setdefault(entry["backend"], {})[mode] = \
-                    entry["wall_seconds"]
-    return {backend: pair["unfused"] / pair["fused"]
-            for backend, pair in walls.items()
-            if "fused" in pair and "unfused" in pair and pair["fused"] > 0}
-
-
 def _incremental_speedups(benchmarks: List[dict]
                           ) -> Dict[str, Dict[str, float]]:
     """Per incremental scenario: wall(full re-sim) / wall(delta)."""
@@ -1165,7 +1084,7 @@ def _parametric_ratios(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
     """Per circuit: wall(parametric e2e) / wall(static e2e), by backend.
 
     The overhead of voltage-adaptive delay evaluation relative to a
-    fixed-delay run of the same circuit — the quantity fused in-kernel
+    fixed-delay run of the same circuit — the quantity in-kernel
     Horner scaling is meant to push toward 1.0.  Entries that record a
     plane narrower than :data:`RATIO_SLOTS` are left out: their wall is
     per-call overhead, which both modes share.
@@ -1297,7 +1216,7 @@ def compare_reports(current: dict, baseline: dict,
     (machines and backend availability legitimately differ).
 
     The parametric/static wall ratio is gated separately: unlike raw
-    wall times it is machine-independent, so a fused-dispatch
+    wall times it is machine-independent, so an in-kernel delay
     regression shows up here even when the whole run got faster.  A
     ``(circuit, backend)`` ratio regresses when it exceeds the
     baseline's ratio by more than ``threshold``; pairs absent from
@@ -1425,10 +1344,6 @@ def _print_summary(report: dict, stream=None) -> None:
                                  ratios.items(), key=lambda kv: int(kv[0])))
             print(f"  service sharding speedup [{backend}] "
                   f"({cores} cpu): {text}", file=stream)
-    dispatch = report.get("dispatch_speedups", {})
-    if dispatch:
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in dispatch.items())
-        print(f"  fused dispatch speedup: {text}", file=stream)
     for name, ratios in report.get("incremental_speedups", {}).items():
         text = ", ".join(f"{b} {r:.2f}x" for b, r in ratios.items())
         print(f"  incremental re-sim speedup — {name}: {text}", file=stream)

@@ -134,8 +134,8 @@ class RunReport:
     plan_cache_misses: int = 0
     #: Per-phase engine wall time summed across chunks: ``delay``
     #: (online delay-kernel evaluation), ``merge`` (waveform merge
-    #: kernels; in fused dispatch the lane backends evaluate delays
-    #: inside the merge loop, so their delay share lands here) and
+    #: kernels; the per-lane backend evaluates polynomial delays
+    #: inside the merge loop, so that delay share lands here) and
     #: ``pack`` (waveform unpack / logic settle).  Empty for reports
     #: predating the phase breakdown.
     phase_seconds: Dict[str, float] = field(default_factory=dict)

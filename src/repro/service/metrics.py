@@ -64,7 +64,7 @@ class ServiceMetrics:
     latency_p99_ms: Optional[float]
     retry_after_seconds: float = 0.0
     #: Engine wall time per phase (``delay`` / ``merge`` / ``pack``)
-    #: summed over every dispatched batch — the fused-dispatch
+    #: summed over every dispatched batch — the per-phase
     #: breakdown surfaced by ``repro bench`` and the service CLI.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Failure-domain counters (see ``docs/architecture.md`` §10):

@@ -2,23 +2,20 @@
 
 The engine's inner loops — the waveform-merge kernel and the online
 delay calculation (polynomial Horner evaluation, Sec. IV-A) — exist in
-several implementations behind one interface:
+two implementations behind one interface:
 
-* ``numpy``  — the vectorized lockstep port (always available).  All
-  lanes of a thread group advance through their event streams together;
-  a single long-waveform lane keeps every live lane iterating
-  (mitigated, but not removed, by live-set compaction).
-* ``numba``  — ``@njit(parallel=True)`` per-lane scalar loops over
-  ``prange``: each lane runs its own event loop to exhaustion, the shape
-  GATSPI demonstrates for gate-level SIMT throughput.  Includes a JIT
-  Horner evaluator for :meth:`DelayKernelTable.delays_for_gates`.
-  Gated on ``import numba``.
-* ``cext``   — the same per-lane scalar loops as portable C99, compiled
-  on first use with the system C compiler (OpenMP-parallel) and loaded
-  through :mod:`ctypes`.  Covers machines where numba is not installed
-  but a toolchain is.
-* ``auto``   — the best available: numba, else cext, else numpy.  Never
-  an import error.
+* ``numpy``  — the vectorized lockstep port and the reference (always
+  available).  All lanes of a thread group advance through their event
+  streams together; a single long-waveform lane keeps every live lane
+  iterating (mitigated, but not removed, by live-set compaction).
+* ``cext``   — per-lane scalar loops (each lane runs its own event loop
+  to exhaustion, the shape GATSPI demonstrates for gate-level SIMT
+  throughput) as portable C99, compiled on first use with the system C
+  compiler (OpenMP-parallel) and loaded through :mod:`ctypes`.
+  Includes a native Horner evaluator for
+  :meth:`DelayKernelTable.delays_for_gates`.
+* ``auto``   — the best available: cext, else numpy.  Never an import
+  error.
 
 Selection order: explicit :attr:`SimulationConfig.backend` (e.g. from
 the ``--backend`` CLI flag), else the ``REPRO_BACKEND`` environment
@@ -29,12 +26,19 @@ algorithm of :func:`~repro.simulation.kernels.waveform_merge_kernel`
 with identical IEEE-754 operation order, so results are **bit-identical**
 across backends (asserted in ``tests/simulation/test_backend.py``).
 
-Adding a backend: subclass :class:`ComputeBackend`, implement
-``merge_kernel`` (lane-oriented API, used by micro-benchmarks and the
-gather path), ``merge_group`` (dense arena API, used by the engine) and
-``merge_group_sparse`` (the lane-compacted arena path driven by the
-engine's activity tracker), add a loader branch to :func:`_load` and
-the name to :data:`BACKEND_CHOICES`.
+Adding a backend: subclass :class:`ComputeBackend` and implement the
+two arena methods the engine's one level loop calls —
+:meth:`~ComputeBackend.run_level` (one level, dense or restricted to a
+``lane_gates`` / ``lane_slots`` list; the masked loop) and, when a
+per-call cost is worth amortizing, :meth:`~ComputeBackend.run_levels`
+(every level, dense; the base class loops ``run_level``).  Both honour
+the row contract documented on ``run_level`` and take the same three
+delay sources (nominal, polynomial table, precomputed delay table).
+``merge_kernel`` (lane-oriented, used by micro-benchmarks and as the
+``merge_single`` oracle's counterpart) and a native
+``delays_for_gates`` are optional.  Then add a loader branch to
+:func:`_load`, the name to :data:`BACKEND_CHOICES` and its place in
+:data:`AUTO_ORDER` / :data:`DEMOTION_ORDER`.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ __all__ = [
 ]
 
 #: Valid values for ``SimulationConfig.backend`` / ``REPRO_BACKEND``.
-BACKEND_CHOICES = ("auto", "numpy", "numba", "cext")
+BACKEND_CHOICES = ("auto", "numpy", "cext")
 
 #: Preference order tried by ``auto``.
-AUTO_ORDER = ("numba", "cext", "numpy")
+AUTO_ORDER = ("cext", "numpy")
 
 #: Environment variable consulted when no explicit backend is configured.
 ENV_VAR = "REPRO_BACKEND"
@@ -148,7 +152,11 @@ class ComputeBackend:
         capacity: int,
         inertial: bool,
     ) -> GroupResult:
-        """Evaluate one thread group directly against the waveform arena.
+        """Lockstep evaluation of one thread group against the arena:
+        gather the group's input rows, run
+        :func:`~repro.simulation.kernels.waveform_merge_kernel`, scatter
+        the output rows.  The helper the numpy :meth:`run_level` is
+        built from; it has exactly this one implementation.
 
         Parameters
         ----------
@@ -173,178 +181,6 @@ class ComputeBackend:
         unspecified — the caller discards the arena and retries at a
         larger capacity.
         """
-        raise NotImplementedError
-
-    def merge_group_sparse(
-        self,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        in_ids: np.ndarray,
-        out_ids: np.ndarray,
-        per_voltage: np.ndarray,
-        slot_to_v: np.ndarray,
-        factors: Optional[np.ndarray],
-        truth_tables: np.ndarray,
-        capacity: int,
-        inertial: bool,
-        lane_gates: np.ndarray,
-        lane_slots: np.ndarray,
-    ) -> GroupResult:
-        """Lane-compacted variant of :meth:`merge_group`.
-
-        Instead of the dense ``gates × slots`` plane, only the lanes
-        listed in ``lane_gates`` / ``lane_slots`` — parallel ``(i,)``
-        index arrays into the group's gate axis and the slot axis — are
-        evaluated.  The engine's activity tracker compacts the plane
-        down to lanes whose inputs actually carry toggles; every other
-        lane's output is a pure logic settle the engine writes itself.
-
-        The per-lane algorithm is the same, so results for dispatched
-        lanes are bit-identical to a dense :meth:`merge_group` call.
-        Output rows of undispatched lanes are left untouched.
-        """
-        raise NotImplementedError
-
-    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
-                         voltages) -> np.ndarray:
-        """Online delay calculation; same contract as
-        :meth:`DelayKernelTable.delays_for_gates`."""
-        return kernel_table.delays_for_gates(type_ids, loads, nominal_delays,
-                                             voltages)
-
-    def run_level(
-        self,
-        plan: "LevelPlan",
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        slot_to_v: np.ndarray,
-        factors: Optional[np.ndarray],
-        capacity: int,
-        inertial: bool,
-        kernel_table=None,
-        nv: Optional[np.ndarray] = None,
-        nc: Optional[np.ndarray] = None,
-        delay_cache: Optional[Dict] = None,
-        lane_gates: Optional[np.ndarray] = None,
-        lane_slots: Optional[np.ndarray] = None,
-    ) -> GroupResult:
-        """Evaluate one whole level (all arity groups) in one call.
-
-        ``plan`` is the level's compile-time
-        :class:`~repro.simulation.compiled.LevelPlan`: arity-sorted
-        compacted arrays, so the backend loops the arity runs natively
-        instead of one engine dispatch per group.  Delay handling folds
-        into the same entry point:
-
-        * static mode (``kernel_table is None``) uses ``plan.nominal``
-          unchanged,
-        * parametric mode receives the polynomial table plus the
-          *pre-normalized* predictors — ``nv`` = ``φ_V`` per distinct
-          voltage, ``nc`` = ``φ_C`` per plan gate (cached on the plan) —
-          and evaluates the 2-D Horner kernel per (gate, distinct
-          voltage), never per lane; the per-lane backends do so inside
-          the merge loop (memoized over each run of lanes a thread
-          owns), never materializing a per-lane delay array,
-        * Monte-Carlo ``factors`` (level-local ``(g, S)``, plan gate
-          order) scale each delay exactly as in :meth:`merge_group`.
-
-        ``lane_gates`` / ``lane_slots`` (plan-local, ``lane_gates``
-        non-decreasing) select the activity-compacted sparse path.
-        ``delay_cache`` memoizes materialized per-voltage arrays across
-        overflow retries (numpy path only).  Results are bit-identical
-        to the equivalent per-group :meth:`merge_group` dispatch.
-
-        Row contract: every dispatched lane writes its *whole* output
-        row — its toggles, then ``+inf`` up to ``capacity`` — and its
-        initial value, and reads nothing of what the row held before;
-        rows of lanes that are not dispatched are left untouched.  A
-        dense call therefore needs no reset of the level's output rows
-        (the engine resets only undriven rows); a sparse call needs the
-        skipped rows reset by the caller.  On overflow the level's
-        output rows are unspecified, as in :meth:`merge_group`.
-        """
-        raise NotImplementedError
-
-    def run_levels(
-        self,
-        plans: "CircuitPlans",
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        slot_to_v: np.ndarray,
-        factors: Optional[np.ndarray],
-        capacity: int,
-        inertial: bool,
-        kernel_table=None,
-        nv: Optional[np.ndarray] = None,
-        delay_cache: Optional[Dict] = None,
-    ) -> LevelsResult:
-        """Evaluate *every* level of the circuit in one backend call.
-
-        Dense (non-activity-tracked) counterpart of level-by-level
-        :meth:`run_level` dispatch: levels run strictly in order, each
-        against the arena the preceding levels finalized.  ``factors``
-        is the full ``(num_gates, S)`` Monte-Carlo array (circuit gate
-        order); backends gather it into plan order themselves.  ``nc``
-        is not a parameter — the per-level ``φ_C`` memos live on
-        ``plans``.  Stops at the first level with overflowing lanes so
-        the caller can retry at doubled capacity.  The :meth:`run_level`
-        row contract holds level by level: a call that returns without
-        overflow has written every gate-output row of the arena in
-        full, whatever those rows held on entry; only rows no gate
-        drives (primary inputs, the dummy net) are read as given.
-
-        The base implementation loops :meth:`run_level`; backends with
-        per-call dispatch overhead (ctypes marshalling in the C
-        extension) override it with a single native whole-batch entry.
-        Results are bit-identical either way.
-        """
-        space = kernel_table.space if kernel_table is not None else None
-        nc_levels = (plans.normalized_loads(space)
-                     if kernel_table is not None else None)
-        lanes = 0
-        iterations = 0
-        kernel_calls = 0
-        delay_seconds = 0.0
-        num_slots = int(slot_to_v.size)
-        for index, plan in enumerate(plans.levels):
-            if plan.num_gates == 0:
-                continue
-            group_factors = (factors[plan.gate_indices]
-                             if factors is not None else None)
-            result = self.run_level(
-                plan, times_all, initial_all, slot_to_v, group_factors,
-                capacity, inertial, kernel_table=kernel_table, nv=nv,
-                nc=nc_levels[index] if nc_levels is not None else None,
-                delay_cache=delay_cache,
-            )
-            lanes += plan.num_gates * num_slots
-            iterations += result.iterations
-            kernel_calls += 1
-            delay_seconds += result.delay_seconds
-            if result.overflow_lanes:
-                return LevelsResult(lanes=lanes, iterations=iterations,
-                                    overflow_lanes=result.overflow_lanes,
-                                    kernel_calls=kernel_calls,
-                                    delay_seconds=delay_seconds)
-        return LevelsResult(lanes=lanes, iterations=iterations,
-                            overflow_lanes=0, kernel_calls=kernel_calls,
-                            delay_seconds=delay_seconds)
-
-
-class NumpyBackend(ComputeBackend):
-    """The vectorized lockstep reference implementation."""
-
-    name = "numpy"
-
-    def merge_kernel(self, input_times, input_initial, delays, truth_tables,
-                     out_capacity, inertial=True):
-        return waveform_merge_kernel(input_times, input_initial, delays,
-                                     truth_tables, out_capacity,
-                                     inertial=inertial)
-
-    def merge_group(self, times_all, initial_all, in_ids, out_ids,
-                    per_voltage, slot_to_v, factors, truth_tables, capacity,
-                    inertial):
         group_size, arity = in_ids.shape
         num_slots = slot_to_v.size
         lanes = group_size * num_slots
@@ -377,9 +213,30 @@ class NumpyBackend(ComputeBackend):
         return GroupResult(lanes=lanes, iterations=merged.iterations,
                            overflow_lanes=overflow_lanes)
 
-    def merge_group_sparse(self, times_all, initial_all, in_ids, out_ids,
-                           per_voltage, slot_to_v, factors, truth_tables,
-                           capacity, inertial, lane_gates, lane_slots):
+    def merge_group_sparse(
+        self,
+        times_all: np.ndarray,
+        initial_all: np.ndarray,
+        in_ids: np.ndarray,
+        out_ids: np.ndarray,
+        per_voltage: np.ndarray,
+        slot_to_v: np.ndarray,
+        factors: Optional[np.ndarray],
+        truth_tables: np.ndarray,
+        capacity: int,
+        inertial: bool,
+        lane_gates: np.ndarray,
+        lane_slots: np.ndarray,
+    ) -> GroupResult:
+        """Lane-compacted variant of :meth:`merge_group`.
+
+        Instead of the dense ``gates × slots`` plane, only the lanes
+        listed in ``lane_gates`` / ``lane_slots`` — parallel ``(i,)``
+        index arrays into the group's gate axis and the slot axis — are
+        evaluated; results for them are bit-identical to a dense
+        :meth:`merge_group` call.  Output rows of undispatched lanes
+        are left untouched.
+        """
         lanes = int(lane_gates.size)
 
         # Gather only the active lanes: (lanes, k, C) -> (k, lanes, C).
@@ -405,14 +262,150 @@ class NumpyBackend(ComputeBackend):
         return GroupResult(lanes=lanes, iterations=merged.iterations,
                            overflow_lanes=overflow_lanes)
 
+    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
+                         voltages) -> np.ndarray:
+        """Online delay calculation; same contract as
+        :meth:`DelayKernelTable.delays_for_gates`."""
+        return kernel_table.delays_for_gates(type_ids, loads, nominal_delays,
+                                             voltages)
+
+    def run_level(
+        self,
+        plan: "LevelPlan",
+        times_all: np.ndarray,
+        initial_all: np.ndarray,
+        slot_to_v: np.ndarray,
+        factors: Optional[np.ndarray],
+        capacity: int,
+        inertial: bool,
+        kernel_table=None,
+        nv: Optional[np.ndarray] = None,
+        nc: Optional[np.ndarray] = None,
+        delay_cache: Optional[Dict] = None,
+        lane_gates: Optional[np.ndarray] = None,
+        lane_slots: Optional[np.ndarray] = None,
+        delays: Optional[np.ndarray] = None,
+    ) -> GroupResult:
+        """Evaluate one whole level (all arity groups) in one call.
+
+        ``plan`` is the level's compile-time
+        :class:`~repro.simulation.compiled.LevelPlan`: arity-sorted
+        compacted arrays, so the backend loops the arity runs natively
+        instead of one engine dispatch per group.  The delay source
+        folds into the same entry point:
+
+        * a delay table — ``delays``, ``(g, P, 2, V)`` pin-to-pin
+          delays per distinct voltage in plan gate order, column
+          ``slot_to_v[slot]`` per lane.  Delay models that offer only
+          ``delays_for_gates`` (LUT, analytical) are precomputed into
+          one by the engine; with ``delays`` and ``kernel_table`` both
+          ``None`` the table is ``plan.nominal`` with ``V = 1`` (static
+          mode),
+        * the polynomial ``kernel_table`` plus the *pre-normalized*
+          predictors — ``nv`` = ``φ_V`` per distinct voltage, ``nc`` =
+          ``φ_C`` per plan gate (cached on the plan) — evaluates the
+          2-D Horner kernel per (gate, distinct voltage), never per
+          lane; the per-lane backend does so inside the merge loop
+          (memoized over each run of lanes a thread owns), never
+          materializing a per-lane delay array.  Its pin width must
+          cover the plan's (the engine validates once per run),
+        * Monte-Carlo ``factors`` (level-local ``(g, S)``, plan gate
+          order) scale each delay whatever its source.
+
+        ``lane_gates`` / ``lane_slots`` (plan-local, ``lane_gates``
+        non-decreasing) restrict the call to those lanes.
+        ``delay_cache`` memoizes materialized per-voltage arrays across
+        overflow retries (numpy path only).
+
+        Row contract: every dispatched lane writes its *whole* output
+        row — its toggles, then ``+inf`` up to ``capacity`` — and its
+        initial value, and reads nothing of what the row held before;
+        rows of lanes that are not dispatched are left untouched.  A
+        dense call therefore needs no reset of the level's output rows
+        (the engine resets only undriven rows); a lane-restricted call
+        needs the skipped rows reset by the caller.  On overflow the
+        level's output rows are unspecified — the caller discards the
+        arena and retries at a larger capacity.
+        """
+        raise NotImplementedError
+
+    def run_levels(
+        self,
+        plans: "CircuitPlans",
+        times_all: np.ndarray,
+        initial_all: np.ndarray,
+        slot_to_v: np.ndarray,
+        factors: Optional[np.ndarray],
+        capacity: int,
+        inertial: bool,
+        kernel_table=None,
+        nv: Optional[np.ndarray] = None,
+        delay_cache: Optional[Dict] = None,
+        delays: Optional[np.ndarray] = None,
+    ) -> LevelsResult:
+        """Evaluate *every* level of the circuit in one backend call.
+
+        Dense counterpart of level-by-level :meth:`run_level` dispatch:
+        levels run strictly in order, each against the arena the
+        preceding levels finalized.  ``factors`` is the full
+        ``(num_gates, S)`` Monte-Carlo array (circuit gate order);
+        backends gather it into plan order themselves.  ``delays`` is
+        the ``(num_gates, P, 2, V)`` delay table in concatenated
+        plan-row order (``plans.concat()``), each level's rows being
+        its :meth:`run_level` table.  ``nc`` is not a parameter — the
+        per-level ``φ_C`` memos live on ``plans``.  Stops at the first
+        level with overflowing lanes so the caller can retry at doubled
+        capacity.  The :meth:`run_level` row contract holds level by
+        level: a call that returns without overflow has written every
+        gate-output row of the arena in full, whatever those rows held
+        on entry; only rows no gate drives (primary inputs, the dummy
+        net) are read as given.
+
+        The base implementation loops :meth:`run_level`; backends with
+        per-call dispatch overhead (ctypes marshalling in the C
+        extension) override it with a single native whole-batch entry.
+        Results are bit-identical either way.
+        """
+        totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
+                              kernel_calls=0)
+        num_slots = int(slot_to_v.size)
+        for plan, level_factors, nc, level_delays in plans.level_sources(
+                kernel_table, factors, delays):
+            result = self.run_level(
+                plan, times_all, initial_all, slot_to_v, level_factors,
+                capacity, inertial, kernel_table=kernel_table, nv=nv, nc=nc,
+                delay_cache=delay_cache, delays=level_delays)
+            totals.lanes += plan.num_gates * num_slots
+            totals.iterations += result.iterations
+            totals.kernel_calls += 1
+            totals.delay_seconds += result.delay_seconds
+            if result.overflow_lanes:
+                totals.overflow_lanes = result.overflow_lanes
+                break
+        return totals
+
+
+class NumpyBackend(ComputeBackend):
+    """The vectorized lockstep reference implementation."""
+
+    name = "numpy"
+
+    def merge_kernel(self, input_times, input_initial, delays, truth_tables,
+                     out_capacity, inertial=True):
+        return waveform_merge_kernel(input_times, input_initial, delays,
+                                     truth_tables, out_capacity,
+                                     inertial=inertial)
+
     def run_level(self, plan, times_all, initial_all, slot_to_v, factors,
                   capacity, inertial, kernel_table=None, nv=None, nc=None,
-                  delay_cache=None, lane_gates=None, lane_slots=None):
+                  delay_cache=None, lane_gates=None, lane_slots=None,
+                  delays=None):
         delay_seconds = 0.0
         if kernel_table is None:
-            per_voltage = plan.nominal[..., None]        # (g, P, 2, 1)
+            per_voltage = (delays if delays is not None
+                           else plan.nominal[..., None])  # (g, P, 2, V)
         else:
-            key = ("fused", plan.level, nv.tobytes())
+            key = (plan.level, nv.tobytes())
             per_voltage = (delay_cache.get(key)
                            if delay_cache is not None else None)
             if per_voltage is None:
@@ -422,8 +415,7 @@ class NumpyBackend(ComputeBackend):
                 delay_seconds = _time.perf_counter() - start
                 if delay_cache is not None:
                     delay_cache[key] = per_voltage
-        # One padded dispatch for the whole level — the same max_pins
-        # group shape as the unfused level path (don't-care-padded
+        # One padded dispatch for the whole level (don't-care-padded
         # tables, spare pins on the constant-0 dummy net).  Splitting
         # into per-arity calls would multiply the lockstep kernel's
         # fixed per-call cost; per lane the padded op sequence is
@@ -438,24 +430,17 @@ class NumpyBackend(ComputeBackend):
                 times_all, initial_all, plan.in_ids, plan.out_ids,
                 per_voltage, slot_to_v, factors, plan.padded_tables,
                 capacity, inertial)
-        return GroupResult(lanes=result.lanes, iterations=result.iterations,
-                           overflow_lanes=result.overflow_lanes,
-                           delay_seconds=delay_seconds)
+        result.delay_seconds = delay_seconds
+        return result
 
 
-class _LaneBackend(ComputeBackend):
-    """Shared shim for the per-lane scalar backends (numba / cext).
+class CextBackend(ComputeBackend):
+    """Per-lane scalar loops in C, loaded through ctypes (requires a
+    working C compiler).  ``kernels`` is the loaded
+    :mod:`~repro.simulation.kernels_cext` module."""
 
-    The kernel modules expose a uniform API:
-
-    * ``merge_lanes(times, initial, delays, tables, out_capacity,
-      inertial)`` → ``(initial, times, counts, overflow, iterations)``
-    * ``merge_group(times_all, initial_all, in_ids, out_ids, per_voltage,
-      slot_to_v, factors, tables, capacity, inertial)``
-      → ``(overflow_lanes, iterations)``
-    * ``merge_group_sparse(..., lane_gates, lane_slots)`` — the
-      lane-compacted entry path, same return shape
-    """
+    name = "cext"
+    delays_impl = "cext"
 
     def __init__(self, kernels) -> None:
         self._kernels = kernels
@@ -474,76 +459,26 @@ class _LaneBackend(ComputeBackend):
         return MergeResult(initial=initial, times=times, counts=counts,
                            overflow=overflow, iterations=int(iterations))
 
-    def merge_group(self, times_all, initial_all, in_ids, out_ids,
-                    per_voltage, slot_to_v, factors, truth_tables, capacity,
-                    inertial):
-        lanes = in_ids.shape[0] * slot_to_v.size
-        overflow_lanes, iterations = self._kernels.merge_group(
-            times_all, initial_all, in_ids, out_ids, per_voltage, slot_to_v,
-            factors, truth_tables, capacity, inertial,
-        )
-        return GroupResult(lanes=lanes, iterations=int(iterations),
-                           overflow_lanes=int(overflow_lanes))
-
-    def merge_group_sparse(self, times_all, initial_all, in_ids, out_ids,
-                           per_voltage, slot_to_v, factors, truth_tables,
-                           capacity, inertial, lane_gates, lane_slots):
-        overflow_lanes, iterations = self._kernels.merge_group_sparse(
-            times_all, initial_all, in_ids, out_ids, per_voltage, slot_to_v,
-            factors, truth_tables, capacity, inertial, lane_gates, lane_slots,
-        )
-        return GroupResult(lanes=int(lane_gates.size),
-                           iterations=int(iterations),
-                           overflow_lanes=int(overflow_lanes))
-
     def run_level(self, plan, times_all, initial_all, slot_to_v, factors,
                   capacity, inertial, kernel_table=None, nv=None, nc=None,
-                  delay_cache=None, lane_gates=None, lane_slots=None):
-        coeffs = None
-        if kernel_table is not None:
-            if plan.nominal.shape[1] > kernel_table.max_pins:
-                raise SimulationError(
-                    f"gates have {plan.nominal.shape[1]} pins but the "
-                    f"kernel table holds {kernel_table.max_pins}"
-                )
-            coeffs = kernel_table.coefficients
+                  delay_cache=None, lane_gates=None, lane_slots=None,
+                  delays=None):
         overflow_lanes, iterations = self._kernels.run_level(
             times_all, initial_all, plan.in_ids, plan.out_ids, plan.tables,
-            plan.arities, plan.type_ids, plan.nominal, coeffs, nv, nc,
-            slot_to_v, factors, capacity, inertial, lane_gates, lane_slots,
+            plan.arities, plan.type_ids,
+            delays if delays is not None else plan.nominal[..., None],
+            kernel_table.coefficients if kernel_table is not None else None,
+            nv, nc, slot_to_v, factors, capacity, inertial, lane_gates,
+            lane_slots,
         )
         lanes = (int(lane_gates.size) if lane_gates is not None
                  else plan.num_gates * int(slot_to_v.size))
         return GroupResult(lanes=lanes, iterations=int(iterations),
                            overflow_lanes=int(overflow_lanes))
 
-
-class NumbaBackend(_LaneBackend):
-    """``@njit(parallel=True)`` per-lane loops (requires numba)."""
-
-    name = "numba"
-    delays_impl = "numba"
-
-    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
-                         voltages):
-        if not hasattr(kernel_table, "coefficients"):
-            # Duck-typed delay model (LUT / analytical): only the
-            # ``delays_for_gates`` protocol is guaranteed.
-            return super().delays_for_gates(kernel_table, type_ids, loads,
-                                            nominal_delays, voltages)
-        return self._kernels.delays_for_gates(kernel_table, type_ids, loads,
-                                              nominal_delays, voltages)
-
-
-class CextBackend(_LaneBackend):
-    """ctypes-loaded C kernels (requires a working C compiler)."""
-
-    name = "cext"
-    delays_impl = "cext"
-
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None):
+                   delay_cache=None, delays=None):
         # One ctypes crossing for the whole batch: the C entry loops the
         # levels over the concatenated plan arrays, so the per-call
         # marshalling cost (~15 array arguments) is paid once instead of
@@ -554,19 +489,15 @@ class CextBackend(_LaneBackend):
                                 kernel_calls=0)
         coeffs = nc = None
         if kernel_table is not None:
-            if cat.nominal.shape[1] > kernel_table.max_pins:
-                raise SimulationError(
-                    f"gates have {cat.nominal.shape[1]} pins but the "
-                    f"kernel table holds {kernel_table.max_pins}"
-                )
             coeffs = kernel_table.coefficients
             nc = plans.concat_normalized_loads(kernel_table.space)
-        gathered = (np.ascontiguousarray(factors[cat.gate_indices])
-                    if factors is not None else None)
         overflow_lanes, iterations, levels_done, lanes = \
             self._kernels.run_levels(
-                times_all, initial_all, cat, coeffs, nv, nc, slot_to_v,
-                gathered, capacity, inertial,
+                times_all, initial_all, cat,
+                delays if delays is not None else cat.nominal[..., None],
+                coeffs, nv, nc, slot_to_v,
+                factors[cat.gate_indices] if factors is not None else None,
+                capacity, inertial,
             )
         return LevelsResult(lanes=int(lanes), iterations=int(iterations),
                             overflow_lanes=int(overflow_lanes),
@@ -606,9 +537,6 @@ def _load(name: str) -> Optional[ComputeBackend]:
         faults.trip("backend.load")
         if name == "numpy":
             backend: ComputeBackend = NumpyBackend()
-        elif name == "numba":
-            from repro.simulation import kernels_numba
-            backend = NumbaBackend(kernels_numba)
         elif name == "cext":
             from repro.simulation import kernels_cext
             backend = CextBackend(kernels_cext.load())
@@ -668,15 +596,14 @@ def backend_status() -> Dict[str, str]:
 
 #: Demotion ladder walked when a native kernel faults repeatedly: from
 #: the most accelerated backend down to the always-available numpy port.
-DEMOTION_ORDER = ("cext", "numba", "numpy")
+DEMOTION_ORDER = ("cext", "numpy")
 
 
 def demote_backend(name: str) -> Optional[ComputeBackend]:
     """Next *loadable* backend below ``name`` on the demotion ladder.
 
-    Skips rungs whose dependency is missing on this machine (e.g.
-    cext → numpy when numba is not installed).  Returns ``None`` at the
-    numpy floor — there is nothing safer to fall back to.
+    Skips rungs that do not load on this machine.  Returns ``None`` at
+    the numpy floor — there is nothing safer to fall back to.
     """
     try:
         position = DEMOTION_ORDER.index(name)

@@ -111,8 +111,8 @@ class SimulationConfig:
         analysis); otherwise only primary outputs are retained.
     backend:
         Compute backend executing the hot kernels: ``"numpy"``,
-        ``"numba"``, ``"cext"`` or ``"auto"`` (best available, never an
-        import error).  ``None`` (default) defers to the
+        ``"cext"`` or ``"auto"`` (best available, never an import
+        error).  ``None`` (default) defers to the
         ``REPRO_BACKEND`` environment variable, then ``auto``.  See
         :mod:`repro.simulation.backend`.
     prune_inactive:
@@ -123,14 +123,6 @@ class SimulationConfig:
         either way; only ``gate_evaluations`` / ``lanes_skipped``
         accounting and throughput change.  Turn off for dense-dispatch
         benchmarking or ablation.
-    fused:
-        Fused level-plan execution (default on): dispatch each level as
-        one backend call over the precompiled
-        :class:`~repro.simulation.compiled.LevelPlan`, with the Horner
-        delay kernel evaluated inside the merge loop instead of a
-        separate per-batch delay pass.  Bit-identical to the unfused
-        per-arity-group path; turn off for ablation or to compare
-        timings.
     faults:
         Optional fault-plan spec string (see :mod:`repro.faults`).  The
         first engine constructed with it arms the plan process-wide
@@ -140,9 +132,11 @@ class SimulationConfig:
         in but no plan armed.
     demote_after:
         Consecutive non-overflow kernel faults an engine absorbs before
-        demoting its compute backend one rung (cext → numba → numpy,
-        skipping unavailable rungs).  At the numpy floor the fault
-        propagates instead.
+        demoting its compute backend one rung (cext → numpy); a batch
+        that returns resets the count.  At the numpy floor the fault
+        propagates instead.  Deterministic input errors (any
+        :class:`~repro.errors.ReproError` but an injected fault) are
+        never counted: they propagate at once.
     """
 
     pulse_filtering: str = "inertial"
@@ -151,7 +145,6 @@ class SimulationConfig:
     record_all_nets: bool = False
     backend: Optional[str] = None
     prune_inactive: bool = True
-    fused: bool = True
     faults: Optional[str] = None
     demote_after: int = 2
 

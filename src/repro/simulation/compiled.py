@@ -6,9 +6,10 @@ form in which the paper stores the netlist in GPU global memory:
 * nets are numbered (primary inputs first, then gate outputs),
 * per gate: cell type id, input net ids (padded), output net id, load
   capacitance, nominal pin-to-pin delays and a truth table,
-* gates are bucketed into topological levels, and within each level into
-  same-arity groups (the SIMD thread groups of Sec. IV-B: all threads of
-  a group execute the same gate-function kernel).
+* gates are bucketed into topological levels; each level's
+  :class:`LevelPlan` sorts them into same-arity runs (the SIMD thread
+  groups of Sec. IV-B: all threads of a group execute the same
+  gate-function kernel).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _pad_truth_table(table: int, arity: int, padded_arity: int) -> int:
 
 @dataclass
 class LevelPlan:
-    """Compacted per-level execution plan for the fused dispatch path.
+    """Compacted per-level execution plan.
 
     All arrays are gathered once at plan-build time and list the level's
     gates sorted by (arity, gate index), so same-arity gates form
@@ -271,6 +272,29 @@ class CircuitPlans:
         with self._lock:
             return self._norm_loads.setdefault(space, arrays)
 
+    def level_sources(self, kernel_table, factors: Optional[np.ndarray],
+                      delays: Optional[np.ndarray]):
+        """Per non-empty level, in order: ``(plan, factors, nc, delays)``
+        — the level's share of each whole-circuit delay source, as
+        :meth:`ComputeBackend.run_level` takes them.  ``factors`` is
+        ``(num_gates, S)`` in circuit gate order, ``delays`` a
+        ``(num_gates, P, 2, V)`` table in concatenated plan-row order,
+        ``nc`` this level's ``φ_C`` memo for the polynomial
+        ``kernel_table``; a source that is ``None`` stays ``None``."""
+        nc_levels = (self.normalized_loads(kernel_table.space)
+                     if kernel_table is not None else None)
+        offsets = self.concat().level_offsets if delays is not None else None
+        for index, plan in enumerate(self.levels):
+            if plan.num_gates == 0:
+                continue
+            yield (
+                plan,
+                factors[plan.gate_indices] if factors is not None else None,
+                nc_levels[index] if nc_levels is not None else None,
+                (delays[offsets[index]:offsets[index + 1]]
+                 if delays is not None else None),
+            )
+
     def normalized_voltages(self, space, voltages: np.ndarray) -> np.ndarray:
         """``φ_V`` of a distinct-voltage set, memoized per (space, set)."""
         key = (space, voltages.tobytes())
@@ -401,20 +425,11 @@ class CompiledCircuit:
     padded_inputs: np.ndarray        # (G, max_pins) net ids, spare pins -> dummy net
     dummy_net_id: int                # constant-0 net fed to spare pins
     levels: List[np.ndarray]         # gate indices per level
-    level_groups: List[List[Tuple[int, np.ndarray]]]  # per level: (arity, gate idx)
     #: int64 views of the truth tables, in the exact dtype the kernel
     #: backends consume — gathered per gate group without a per-call
     #: ``astype`` reallocation.
     truth_tables_i64: np.ndarray         # (G,) int64
     padded_truth_tables_i64: np.ndarray  # (G,) int64
-    #: Per-level fanin bookkeeping: the padded input net ids, output net
-    #: ids and int64 truth tables of each level's gates, gathered once at
-    #: compile time (the engine reads them per level, per batch, per
-    #: overflow retry — and the activity tracker derives its per-(gate,
-    #: slot) active mask from ``level_inputs``).
-    level_inputs: List[np.ndarray]   # per level: (g, max_pins) net ids
-    level_outputs: List[np.ndarray]  # per level: (g,) net ids
-    level_tables: List[np.ndarray]   # per level: (g,) int64 padded tables
 
     @property
     def num_gates(self) -> int:
@@ -540,17 +555,6 @@ def compile_circuit(
     padded_inputs[padded_inputs < 0] = dummy_net_id
 
     levels = [np.asarray(bucket, dtype=np.int64) for bucket in circuit.levelize()]
-    level_groups: List[List[Tuple[int, np.ndarray]]] = []
-    for bucket in levels:
-        groups: Dict[int, List[int]] = {}
-        for gate_index in bucket:
-            groups.setdefault(int(gate_arity[gate_index]), []).append(int(gate_index))
-        level_groups.append(
-            [(arity, np.asarray(indices, dtype=np.int64))
-             for arity, indices in sorted(groups.items())]
-        )
-
-    padded_tables_i64 = padded_tables.astype(np.int64)
 
     return CompiledCircuit(
         circuit=circuit,
@@ -570,10 +574,6 @@ def compile_circuit(
         padded_inputs=padded_inputs,
         dummy_net_id=dummy_net_id,
         levels=levels,
-        level_groups=level_groups,
         truth_tables_i64=truth_tables.astype(np.int64),
-        padded_truth_tables_i64=padded_tables_i64,
-        level_inputs=[padded_inputs[bucket] for bucket in levels],
-        level_outputs=[gate_output[bucket] for bucket in levels],
-        level_tables=[padded_tables_i64[bucket] for bucket in levels],
+        padded_truth_tables_i64=padded_tables.astype(np.int64),
     )

@@ -1,15 +1,12 @@
 """C implementations of the hot kernels, compiled on first use.
 
-The same per-lane scalar event loops as :mod:`kernels_numba`, written in
-portable C99 and built into a shared library with the system C compiler
-(OpenMP-parallel when available, serial otherwise).  The library is
-cached under ``~/.cache/repro`` keyed by a digest of the source and
-compile flags, so compilation happens once per machine.
-
-This backend exists for machines that have a toolchain but no numba:
-the container baking this repository ships gcc but not numba, and the
-benchmark trajectory in ``BENCH_kernels.json`` needs a compiled backend
-to compare against the numpy lockstep kernel.
+Per-lane scalar event loops — each lane runs its own event stream to
+exhaustion, the shape GATSPI demonstrates for gate-level SIMT
+throughput — written in portable C99 and built into a shared library
+with the system C compiler (OpenMP-parallel when available, serial
+otherwise).  The library is cached under ``~/.cache/repro`` keyed by a
+digest of the source and compile flags, so compilation happens once per
+machine.
 
 The per-lane algorithm and IEEE-754 operation order are identical to
 :func:`repro.simulation.kernels.waveform_merge_kernel`, so results are
@@ -30,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["load", "merge_lanes", "merge_group", "merge_group_sparse",
-           "delays_for_gates", "run_level", "run_levels"]
+__all__ = ["load", "merge_lanes", "delays_for_gates", "run_level",
+           "run_levels"]
 
 INF = np.float64(np.inf)
 
@@ -119,189 +116,12 @@ void merge_lanes(const double *times, const uint8_t *initial,
     *out_iterations = iterations;
 }
 
-/* Arena-level merge: one thread group evaluated in place against the
- * (nets, slots, capacity) waveform arena.
- *   in_ids (g, P)   out_ids (g,)   per_voltage (g, P, 2, V)
- *   slot_to_v (S,)  factors (g, S) when has_factors  tables (g,) */
-void merge_group(double *times_all, uint8_t *initial_all,
-                 const int64_t *in_ids, const int64_t *out_ids,
-                 const double *per_voltage, const int64_t *slot_to_v,
-                 const double *factors, int32_t has_factors,
-                 const int64_t *tables,
-                 int64_t g, int64_t P, int64_t S, int64_t V, int64_t cap,
-                 int32_t inertial,
-                 int64_t *out_overflow, int64_t *out_iterations)
-{
-    int64_t iterations = 0;
-    int64_t overflow_lanes = 0;
-    const int64_t lanes = g * S;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64) \
-    reduction(+:iterations) reduction(+:overflow_lanes)
-#endif
-    for (int64_t lane = 0; lane < lanes; lane++) {
-        const int64_t gate = lane / S;
-        const int64_t slot = lane % S;
-        const int64_t v = slot_to_v[slot];
-        const double factor = has_factors ? factors[gate * S + slot] : 1.0;
-        int64_t pointers[MAX_PINS];
-        int64_t vals[MAX_PINS];
-        double current[MAX_PINS];
-        const double *in_rows[MAX_PINS];
-        const int64_t table = tables[gate];
-        int64_t index = 0;
-        for (int64_t pin = 0; pin < P; pin++) {
-            const int64_t net = in_ids[gate * P + pin];
-            in_rows[pin] = times_all + (net * S + slot) * cap;
-            pointers[pin] = 0;
-            vals[pin] = initial_all[net * S + slot];
-            index |= vals[pin] << pin;
-        }
-        int64_t last_target = (table >> index) & 1;
-        const int64_t out_net = out_ids[gate];
-        initial_all[out_net * S + slot] = (uint8_t)last_target;
-        double *out = times_all + (out_net * S + slot) * cap;
-        int64_t depth = 0;
-        int64_t overflow = 0;
-        for (;;) {
-            double now = INFINITY;
-            for (int64_t pin = 0; pin < P; pin++) {
-                double t = pointers[pin] < cap
-                    ? in_rows[pin][pointers[pin]] : INFINITY;
-                current[pin] = t;
-                if (t < now) now = t;
-            }
-            if (!(now < INFINITY)) break;
-            iterations++;
-            int64_t causing = -1;
-            for (int64_t pin = 0; pin < P; pin++) {
-                if (current[pin] == now) {
-                    vals[pin] ^= 1;
-                    pointers[pin]++;
-                    if (causing < 0) causing = pin;
-                }
-            }
-            index = 0;
-            for (int64_t pin = 0; pin < P; pin++) index |= vals[pin] << pin;
-            int64_t new_val = (table >> index) & 1;
-            if (new_val == last_target) continue;
-            double delay = per_voltage[((gate * P + causing) * 2
-                                        + (1 - new_val)) * V + v];
-            if (has_factors) delay = delay * factor;
-            double t_out = now + delay;
-            double width = inertial ? delay : 0.0;
-            if (depth > 0 && (t_out <= out[depth - 1]
-                              || t_out - out[depth - 1] < width)) {
-                depth--;
-                out[depth] = INFINITY;
-            } else if (depth >= cap) {
-                overflow = 1;
-            } else {
-                out[depth++] = t_out;
-            }
-            last_target ^= 1;
-        }
-        overflow_lanes += overflow;
-    }
-    *out_overflow = overflow_lanes;
-    *out_iterations = iterations;
-}
-
-/* Lane-compacted arena merge: the same per-lane event loop as
- * merge_group, but only for the (gate, slot) lanes listed in
- * lane_gates / lane_slots (parallel arrays of length L).  Output rows
- * of undispatched lanes stay untouched. */
-void merge_group_sparse(double *times_all, uint8_t *initial_all,
-                        const int64_t *in_ids, const int64_t *out_ids,
-                        const double *per_voltage, const int64_t *slot_to_v,
-                        const double *factors, int32_t has_factors,
-                        const int64_t *tables,
-                        int64_t P, int64_t S, int64_t V, int64_t cap,
-                        int32_t inertial,
-                        const int64_t *lane_gates, const int64_t *lane_slots,
-                        int64_t L,
-                        int64_t *out_overflow, int64_t *out_iterations)
-{
-    int64_t iterations = 0;
-    int64_t overflow_lanes = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64) \
-    reduction(+:iterations) reduction(+:overflow_lanes)
-#endif
-    for (int64_t lane = 0; lane < L; lane++) {
-        const int64_t gate = lane_gates[lane];
-        const int64_t slot = lane_slots[lane];
-        const int64_t v = slot_to_v[slot];
-        const double factor = has_factors ? factors[gate * S + slot] : 1.0;
-        int64_t pointers[MAX_PINS];
-        int64_t vals[MAX_PINS];
-        double current[MAX_PINS];
-        const double *in_rows[MAX_PINS];
-        const int64_t table = tables[gate];
-        int64_t index = 0;
-        for (int64_t pin = 0; pin < P; pin++) {
-            const int64_t net = in_ids[gate * P + pin];
-            in_rows[pin] = times_all + (net * S + slot) * cap;
-            pointers[pin] = 0;
-            vals[pin] = initial_all[net * S + slot];
-            index |= vals[pin] << pin;
-        }
-        int64_t last_target = (table >> index) & 1;
-        const int64_t out_net = out_ids[gate];
-        initial_all[out_net * S + slot] = (uint8_t)last_target;
-        double *out = times_all + (out_net * S + slot) * cap;
-        int64_t depth = 0;
-        int64_t overflow = 0;
-        for (;;) {
-            double now = INFINITY;
-            for (int64_t pin = 0; pin < P; pin++) {
-                double t = pointers[pin] < cap
-                    ? in_rows[pin][pointers[pin]] : INFINITY;
-                current[pin] = t;
-                if (t < now) now = t;
-            }
-            if (!(now < INFINITY)) break;
-            iterations++;
-            int64_t causing = -1;
-            for (int64_t pin = 0; pin < P; pin++) {
-                if (current[pin] == now) {
-                    vals[pin] ^= 1;
-                    pointers[pin]++;
-                    if (causing < 0) causing = pin;
-                }
-            }
-            index = 0;
-            for (int64_t pin = 0; pin < P; pin++) index |= vals[pin] << pin;
-            int64_t new_val = (table >> index) & 1;
-            if (new_val == last_target) continue;
-            double delay = per_voltage[((gate * P + causing) * 2
-                                        + (1 - new_val)) * V + v];
-            if (has_factors) delay = delay * factor;
-            double t_out = now + delay;
-            double width = inertial ? delay : 0.0;
-            if (depth > 0 && (t_out <= out[depth - 1]
-                              || t_out - out[depth - 1] < width)) {
-                depth--;
-                out[depth] = INFINITY;
-            } else if (depth >= cap) {
-                overflow = 1;
-            } else {
-                out[depth++] = t_out;
-            }
-            last_target ^= 1;
-        }
-        overflow_lanes += overflow;
-    }
-    *out_overflow = overflow_lanes;
-    *out_iterations = iterations;
-}
-
 /* Online delay calculation (Sec. IV-A): nested 2-D Horner evaluation
  * with pre-normalized predictors.
  *   coeffs (G, P, 2, n1, n1) gathered per gate   nominal (G, P, 2)
  *   nv (V,) = phi_V per voltage   nc (G,) = phi_C per gate
  *   out (G, P, 2, V)
- * The scalar op order matches horner2d / the numba JIT exactly, so
+ * The scalar op order matches horner2d exactly, so
  * results are bit-identical to the numpy evaluator (normalization
  * happens in numpy on the caller side: the C library log2 may differ
  * from np.log2 in the last ulp). */
@@ -359,16 +179,19 @@ typedef struct {
     double pd[MAX_PINS * 2];
 } delay_memo;
 
-/* Fused whole-level dispatch: every arity group of a level in one call,
- * with the Horner delay kernel evaluated inside the merge loop, once
- * per (gate, distinct voltage) per run of lanes a thread owns (see
- * delay_memo; same arithmetic, same doubles as per-lane evaluation), so
- * per-lane delay arrays are never materialized.
+/* Whole-level dispatch: every arity group of a level in one call.
  *   in_ids (g, maxP)  out_ids/tables/arities/type_ids (g,)
- *   nominal (g, maxP, 2)
- *   parametric: coeffs (T, coeff_pins, 2, n1, n1) full table,
+ *   delays (g, maxP, 2, dV) pin-to-pin delays per distinct voltage
+ *   parametric: delays holds the nominal delays (dV == 1) and the Horner
+ *               deviation kernel is evaluated inside the merge loop,
+ *               once per (gate, distinct voltage) per run of lanes a
+ *               thread owns (see delay_memo; same arithmetic, same
+ *               doubles as per-lane evaluation), so per-lane delay
+ *               arrays are never materialized;
+ *               coeffs (T, coeff_pins, 2, n1, n1) full table,
  *               nv (V,) phi_V per distinct voltage, nc (g,) phi_C
- *   static (parametric == 0): nominal delays used unchanged
+ *   table (parametric == 0): delays used as given, column
+ *               slot_to_v[slot]; static nominal delays are dV == 1
  *   sparse: only the (lane_gates, lane_slots) lanes (length L) run
  * Gates are arity-sorted with unpadded truth tables; each lane loops
  * only its real pins, which is bit-equivalent to the padded dispatch
@@ -379,7 +202,7 @@ typedef struct {
 void run_level(double *times_all, uint8_t *initial_all,
                const int64_t *in_ids, const int64_t *out_ids,
                const int64_t *tables, const int64_t *arities,
-               const int64_t *type_ids, const double *nominal,
+               const int64_t *type_ids, const double *delays, int64_t dV,
                int32_t parametric, const double *coeffs,
                int64_t coeff_pins, int64_t n1,
                const double *nv, const double *nc, double min_delay,
@@ -409,7 +232,9 @@ void run_level(double *times_all, uint8_t *initial_all,
         const int64_t slot = sparse ? lane_slots[lane] : lane % S;
         const int64_t arity = arities[gate];
         const double factor = has_factors ? factors[gate * S + slot] : 1.0;
-        const double *pd = nominal + gate * maxP * 2;   /* [pin * 2 + pol] */
+        /* pd[(pin * 2 + pol) * pd_stride] */
+        const double *pd = delays + gate * maxP * 2 * dV;
+        int64_t pd_stride = dV;
         if (parametric) {
             const int64_t vi = slot_to_v[slot];
             delay_memo *m = &memo[vi % MEMO_WAYS];
@@ -433,6 +258,9 @@ void run_level(double *times_all, uint8_t *initial_all,
                 m->v = vi;
             }
             pd = m->pd;
+            pd_stride = 1;
+        } else if (dV > 1) {
+            pd += slot_to_v[slot];
         }
         int64_t pointers[MAX_PINS];
         int64_t vals[MAX_PINS];
@@ -476,7 +304,7 @@ void run_level(double *times_all, uint8_t *initial_all,
                 index |= vals[pin] << pin;
             int64_t new_val = (table >> index) & 1;
             if (new_val == last_target) continue;
-            double delay = pd[causing * 2 + (1 - new_val)];
+            double delay = pd[(causing * 2 + (1 - new_val)) * pd_stride];
             if (has_factors) delay = delay * factor;
             double t_out = now + delay;
             double width = inertial ? delay : 0.0;
@@ -498,7 +326,7 @@ void run_level(double *times_all, uint8_t *initial_all,
     *out_iterations = iterations;
 }
 
-/* Whole-batch fused dispatch: every level of the circuit in ONE library
+/* Whole-batch dispatch: every level of the circuit in ONE library
  * call.  The plan arrays are the per-level arrays concatenated row-wise
  * (level_offsets bounds each level); each level runs the dense
  * run_level body, and levels stay strictly ordered because a level's
@@ -510,7 +338,7 @@ void run_level(double *times_all, uint8_t *initial_all,
 void run_levels(double *times_all, uint8_t *initial_all,
                 const int64_t *in_ids, const int64_t *out_ids,
                 const int64_t *tables, const int64_t *arities,
-                const int64_t *type_ids, const double *nominal,
+                const int64_t *type_ids, const double *delays, int64_t dV,
                 int32_t parametric, const double *coeffs,
                 int64_t coeff_pins, int64_t n1,
                 const double *nv, const double *nc, double min_delay,
@@ -534,8 +362,8 @@ void run_levels(double *times_all, uint8_t *initial_all,
         int64_t iterations = 0;
         run_level(times_all, initial_all,
                   in_ids + lo * maxP, out_ids + lo, tables + lo,
-                  arities + lo, type_ids + lo, nominal + lo * maxP * 2,
-                  parametric, coeffs, coeff_pins, n1,
+                  arities + lo, type_ids + lo, delays + lo * maxP * 2 * dV,
+                  dV, parametric, coeffs, coeff_pins, n1,
                   nv, nc + (parametric ? lo : 0), min_delay, slot_to_v,
                   factors + (has_factors ? lo * S : 0), has_factors,
                   g, maxP, S, cap, inertial,
@@ -626,21 +454,6 @@ def load():
             ctypes.POINTER(_i64),
         ]
         lib.merge_lanes.restype = None
-        lib.merge_group.argtypes = [
-            _p_f64, _p_u8, _p_i64, _p_i64, _p_f64, _p_i64,
-            _p_f64, _i32, _p_i64,
-            _i64, _i64, _i64, _i64, _i64, _i32,
-            ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-        ]
-        lib.merge_group.restype = None
-        lib.merge_group_sparse.argtypes = [
-            _p_f64, _p_u8, _p_i64, _p_i64, _p_f64, _p_i64,
-            _p_f64, _i32, _p_i64,
-            _i64, _i64, _i64, _i64, _i32,
-            _p_i64, _p_i64, _i64,
-            ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-        ]
-        lib.merge_group_sparse.restype = None
         lib.delays_for_gates.argtypes = [
             _p_f64, _p_f64, _p_f64, _p_f64, ctypes.c_double,
             _i64, _i64, _i64, _i64,
@@ -649,7 +462,7 @@ def load():
         lib.delays_for_gates.restype = None
         lib.run_level.argtypes = [
             _p_f64, _p_u8,
-            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64,
+            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64, _i64,
             _i32, _p_f64, _i64, _i64,
             _p_f64, _p_f64, ctypes.c_double,
             _p_i64,
@@ -661,7 +474,7 @@ def load():
         lib.run_level.restype = None
         lib.run_levels.argtypes = [
             _p_f64, _p_u8,
-            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64,
+            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64, _i64,
             _i32, _p_f64, _i64, _i64,
             _p_f64, _p_f64, ctypes.c_double,
             _p_i64,
@@ -699,72 +512,6 @@ def merge_lanes(input_times, input_initial, delays, tables, out_capacity,
     )
     return out_initial, out_times, counts, overflow.astype(bool), \
         iterations.value
-
-
-def merge_group(times_all, initial_all, in_ids, out_ids, per_voltage,
-                slot_to_v, factors, tables, capacity, inertial):
-    """Arena-level merge: read inputs from and write outputs into the
-    ``(nets, slots, capacity)`` waveform arena in place."""
-    group_size, arity = in_ids.shape
-    if arity > MAX_PINS:
-        raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
-    num_slots = slot_to_v.size
-    has_factors = factors is not None
-    if factors is None:
-        group_factors = np.zeros((1, 1), dtype=np.float64)
-    else:
-        group_factors = np.ascontiguousarray(factors, dtype=np.float64)
-    per_voltage = np.ascontiguousarray(per_voltage, dtype=np.float64)
-    overflow = _i64(0)
-    iterations = _i64(0)
-    _lib.merge_group(
-        times_all, initial_all,
-        np.ascontiguousarray(in_ids, dtype=np.int64),
-        np.ascontiguousarray(out_ids, dtype=np.int64),
-        per_voltage,
-        np.ascontiguousarray(slot_to_v, dtype=np.int64),
-        group_factors, int(has_factors),
-        np.ascontiguousarray(tables, dtype=np.int64),
-        group_size, arity, num_slots, per_voltage.shape[3], capacity,
-        int(bool(inertial)),
-        ctypes.byref(overflow), ctypes.byref(iterations),
-    )
-    return overflow.value, iterations.value
-
-
-def merge_group_sparse(times_all, initial_all, in_ids, out_ids, per_voltage,
-                       slot_to_v, factors, tables, capacity, inertial,
-                       lane_gates, lane_slots):
-    """Lane-compacted arena merge: only the listed ``(gate, slot)`` lanes
-    run their event loops; everything else in the arena is untouched."""
-    arity = in_ids.shape[1]
-    if arity > MAX_PINS:
-        raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
-    num_slots = slot_to_v.size
-    has_factors = factors is not None
-    if factors is None:
-        group_factors = np.zeros((1, 1), dtype=np.float64)
-    else:
-        group_factors = np.ascontiguousarray(factors, dtype=np.float64)
-    per_voltage = np.ascontiguousarray(per_voltage, dtype=np.float64)
-    lane_gates = np.ascontiguousarray(lane_gates, dtype=np.int64)
-    lane_slots = np.ascontiguousarray(lane_slots, dtype=np.int64)
-    overflow = _i64(0)
-    iterations = _i64(0)
-    _lib.merge_group_sparse(
-        times_all, initial_all,
-        np.ascontiguousarray(in_ids, dtype=np.int64),
-        np.ascontiguousarray(out_ids, dtype=np.int64),
-        per_voltage,
-        np.ascontiguousarray(slot_to_v, dtype=np.int64),
-        group_factors, int(has_factors),
-        np.ascontiguousarray(tables, dtype=np.int64),
-        arity, num_slots, per_voltage.shape[3], capacity,
-        int(bool(inertial)),
-        lane_gates, lane_slots, lane_gates.size,
-        ctypes.byref(overflow), ctypes.byref(iterations),
-    )
-    return overflow.value, iterations.value
 
 
 def delays_for_gates(kernel_table, type_ids, loads, nominal_delays, voltages):
@@ -805,48 +552,59 @@ def delays_for_gates(kernel_table, type_ids, loads, nominal_delays, voltages):
     return out
 
 
-def run_level(times_all, initial_all, in_ids, out_ids, tables, arities,
-              type_ids, nominal, coeffs, nv, nc, slot_to_v, factors,
-              capacity, inertial, lane_gates, lane_slots):
-    """Fused whole-level dispatch (see ``ComputeBackend.run_level``).
-
-    ``coeffs`` is the full kernel-table coefficient array (parametric)
-    or ``None`` (static); ``lane_gates``/``lane_slots`` select the
-    sparse path when given.  Returns ``(overflow_lanes, iterations)``.
-    """
+def _delay_args(delays, coeffs, nv, nc, slot_to_v, factors):
+    """The delay-source argument run shared by ``run_level`` and
+    ``run_levels``: ``delays`` is the ``(g, P, 2, V)`` pin-to-pin table
+    (the nominal delays with ``V == 1`` when ``coeffs`` — the full
+    kernel-table coefficient array — selects in-kernel Horner
+    evaluation over ``nv`` / ``nc``)."""
     from repro.core.delay_kernel import MIN_DELAY
 
-    group_size, max_pins = in_ids.shape
+    delays = np.ascontiguousarray(delays, dtype=np.float64)
+    max_pins, columns = delays.shape[1], delays.shape[3]
     if max_pins > MAX_PINS:
         raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
-    num_slots = slot_to_v.size
-    nominal = np.ascontiguousarray(nominal, dtype=np.float64)
+    slot_to_v = np.ascontiguousarray(slot_to_v, dtype=np.int64)
     parametric = coeffs is not None
     if parametric:
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        coeff_pins = coeffs.shape[1]
-        n1 = coeffs.shape[-1]
         nv = np.ascontiguousarray(nv, dtype=np.float64)
         nc = np.ascontiguousarray(nc, dtype=np.float64)
+        if coeffs.shape[1] < max_pins or columns != 1:
+            raise ValueError("coefficient table narrower than the gates")
     else:
         coeffs = np.zeros((1, 1, 2, 1, 1), dtype=np.float64)
-        coeff_pins = 1
-        n1 = 1
-        nv = np.zeros(1, dtype=np.float64)
-        nc = np.zeros(1, dtype=np.float64)
+        nv = nc = np.zeros(1, dtype=np.float64)
+        # One column is read whatever the slot says; a wider table is
+        # indexed by slot_to_v in the kernel.
+        if columns > 1 and slot_to_v.size and not (
+                0 <= slot_to_v.min() and slot_to_v.max() < columns):
+            raise ValueError("slot_to_v indexes a missing delay column")
     has_factors = factors is not None
-    if factors is None:
-        group_factors = np.zeros((1, 1), dtype=np.float64)
-    else:
-        group_factors = np.ascontiguousarray(factors, dtype=np.float64)
+    factors = (np.ascontiguousarray(factors, dtype=np.float64)
+               if has_factors else np.zeros((1, 1), dtype=np.float64))
+    return (delays, columns,
+            int(parametric), coeffs, coeffs.shape[1], coeffs.shape[-1],
+            nv, nc, MIN_DELAY, slot_to_v, factors, int(has_factors))
+
+
+def run_level(times_all, initial_all, in_ids, out_ids, tables, arities,
+              type_ids, delays, coeffs, nv, nc, slot_to_v, factors,
+              capacity, inertial, lane_gates, lane_slots):
+    """Whole-level dispatch (see ``ComputeBackend.run_level``).
+
+    ``delays`` / ``coeffs`` as in :func:`_delay_args`;
+    ``lane_gates``/``lane_slots`` select the sparse path when given.
+    Returns ``(overflow_lanes, iterations)``.
+    """
+    group_size, max_pins = in_ids.shape
     sparse = lane_gates is not None
     if sparse:
         lane_gates = np.ascontiguousarray(lane_gates, dtype=np.int64)
         lane_slots = np.ascontiguousarray(lane_slots, dtype=np.int64)
         num_lanes = lane_gates.size
     else:
-        lane_gates = np.zeros(1, dtype=np.int64)
-        lane_slots = np.zeros(1, dtype=np.int64)
+        lane_gates = lane_slots = np.zeros(1, dtype=np.int64)
         num_lanes = 0
     overflow = _i64(0)
     iterations = _i64(0)
@@ -857,12 +615,8 @@ def run_level(times_all, initial_all, in_ids, out_ids, tables, arities,
         np.ascontiguousarray(tables, dtype=np.int64),
         np.ascontiguousarray(arities, dtype=np.int64),
         np.ascontiguousarray(type_ids, dtype=np.int64),
-        nominal,
-        int(parametric), coeffs, coeff_pins, n1,
-        nv, nc, MIN_DELAY,
-        np.ascontiguousarray(slot_to_v, dtype=np.int64),
-        group_factors, int(has_factors),
-        group_size, max_pins, num_slots, capacity,
+        *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
+        group_size, max_pins, slot_to_v.size, capacity,
         int(bool(inertial)),
         int(sparse), lane_gates, lane_slots, num_lanes,
         ctypes.byref(overflow), ctypes.byref(iterations),
@@ -870,39 +624,15 @@ def run_level(times_all, initial_all, in_ids, out_ids, tables, arities,
     return overflow.value, iterations.value
 
 
-def run_levels(times_all, initial_all, cat, coeffs, nv, nc, slot_to_v,
-               factors, capacity, inertial):
-    """Whole-batch fused dispatch: every level in one library call.
+def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
+               slot_to_v, factors, capacity, inertial):
+    """Whole-batch dispatch: every level in one library call.
 
     ``cat`` is a :class:`repro.simulation.compiled.ConcatPlans`;
-    ``factors`` (if given) must already be gathered into concatenated
-    plan-row order.  Returns ``(overflow_lanes, iterations,
-    levels_done, lanes)``.
+    ``delays`` (see :func:`_delay_args`) and ``factors`` (if given) are
+    in concatenated plan-row order.  Returns ``(overflow_lanes,
+    iterations, levels_done, lanes)``.
     """
-    from repro.core.delay_kernel import MIN_DELAY
-
-    max_pins = cat.in_ids.shape[1]
-    if max_pins > MAX_PINS:
-        raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
-    num_slots = slot_to_v.size
-    parametric = coeffs is not None
-    if parametric:
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        coeff_pins = coeffs.shape[1]
-        n1 = coeffs.shape[-1]
-        nv = np.ascontiguousarray(nv, dtype=np.float64)
-        nc = np.ascontiguousarray(nc, dtype=np.float64)
-    else:
-        coeffs = np.zeros((1, 1, 2, 1, 1), dtype=np.float64)
-        coeff_pins = 1
-        n1 = 1
-        nv = np.zeros(1, dtype=np.float64)
-        nc = np.zeros(1, dtype=np.float64)
-    has_factors = factors is not None
-    if factors is None:
-        factors = np.zeros((1, 1), dtype=np.float64)
-    else:
-        factors = np.ascontiguousarray(factors, dtype=np.float64)
     overflow = _i64(0)
     iterations = _i64(0)
     levels_done = _i64(0)
@@ -910,13 +640,9 @@ def run_levels(times_all, initial_all, cat, coeffs, nv, nc, slot_to_v,
     _lib.run_levels(
         times_all, initial_all,
         cat.in_ids, cat.out_ids, cat.tables, cat.arities, cat.type_ids,
-        cat.nominal,
-        int(parametric), coeffs, coeff_pins, n1,
-        nv, nc, MIN_DELAY,
-        np.ascontiguousarray(slot_to_v, dtype=np.int64),
-        factors, int(has_factors),
+        *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
         cat.level_offsets, cat.num_levels,
-        max_pins, num_slots, capacity,
+        cat.in_ids.shape[1], slot_to_v.size, capacity,
         int(bool(inertial)),
         ctypes.byref(overflow), ctypes.byref(iterations),
         ctypes.byref(levels_done), ctypes.byref(lanes),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cells import make_nangate15_library
+from repro.core.backends import LutDelayBackend
 from repro.core.characterization import characterize_library
 from repro.core.parameters import ParameterSpace
 from repro.electrical.spice import AnalyticalSpice
@@ -80,6 +81,12 @@ def characterization(library):
 @pytest.fixture(scope="session")
 def kernel_table(characterization):
     return characterization.compile()
+
+
+@pytest.fixture(scope="session")
+def lut_backend(characterization):
+    """A duck-typed delay model: offers only ``delays_for_gates``."""
+    return LutDelayBackend.from_characterization(characterization)
 
 
 @pytest.fixture(scope="session")

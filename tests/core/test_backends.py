@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cells.cell import DrivePolarity
-from repro.core.backends import AnalyticalDelayBackend, LutDelayBackend
+from repro.core.backends import AnalyticalDelayBackend
 from repro.electrical.model import TransistorCorner
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
 from repro.units import FF
-
-
-@pytest.fixture(scope="module")
-def lut_backend(characterization):
-    return LutDelayBackend.from_characterization(characterization)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import InjectedFaultError
+from repro.core.delay_kernel import DelayKernelTable
+from repro.errors import (CharacterizationError, InjectedFaultError,
+                          SimulationError)
 from repro.netlist.generate import random_circuit
 from repro.simulation import backend as backend_mod
 from repro.simulation.backend import available_backends, demote_backend
@@ -37,9 +39,7 @@ def make_engine(circuit, library, compiled, **config_kwargs):
 
 class TestDemotionLadder:
     def test_demote_walks_to_next_loadable_rung(self):
-        floor = demote_backend("cext")
-        assert floor is not None  # numba may be absent; numpy never is
-        assert floor.name in ("numba", "numpy")
+        assert demote_backend("cext").name == "numpy"
         assert demote_backend("numpy") is None
 
     def test_transient_kernel_fault_is_retried_in_place(self, circuit,
@@ -84,6 +84,61 @@ class TestDemotionLadder:
                 got = result.waveforms[slot][net]
                 assert got.initial == ref.initial
                 assert np.array_equal(got.times, ref.times)
+
+    @pytest.mark.skipif("cext" not in available_backends(),
+                        reason="needs the C extension backend")
+    def test_isolated_transient_faults_never_demote(self, circuit, library,
+                                                    compiled):
+        """``demote_after`` counts *consecutive* faults: a batch that
+        returns resets it, so one transient fault per run — however many
+        runs — leaves a pooled engine on its backend."""
+        engine = make_engine(circuit, library, compiled, backend="cext",
+                             demote_after=2)
+        pairs = make_pairs(circuit)
+        for _ in range(2):
+            with faults.injected("backend.run_levels:raise@n=1"):
+                engine.run(pairs)
+            assert engine.last_stats.retries == 1
+        assert engine.backend.name == "cext"
+        assert engine.demotions == []
+
+    @pytest.mark.skipif("cext" not in available_backends(),
+                        reason="needs the C extension backend")
+    def test_input_errors_bypass_the_demotion_ladder(self, circuit, library,
+                                                     compiled, kernel_table):
+        """A kernel table narrower than the circuit is a deterministic
+        input error: it surfaces as itself, at once, and the engine
+        keeps its backend for the next good job."""
+        narrow = DelayKernelTable(
+            kernel_table.coefficients[:, :1], kernel_table.pin_counts,
+            kernel_table.type_names, kernel_table.space)
+        assert narrow.max_pins < compiled.max_pins
+        engine = make_engine(circuit, library, compiled, backend="cext")
+        pairs = make_pairs(circuit)
+        with pytest.raises(SimulationError, match="pins") as info:
+            engine.run(pairs, kernel_table=narrow)
+        assert type(info.value) is SimulationError
+        assert engine.backend.name == "cext"
+        assert engine.demotions == []
+        good = engine.run(pairs, kernel_table=kernel_table)
+        assert good.engine.startswith("gpu-parametric[cext")
+        assert engine.last_stats.retries == 0
+
+    def test_library_errors_are_not_counted_as_kernel_faults(
+            self, circuit, library, compiled, kernel_table, monkeypatch):
+        """Any :class:`ReproError` but an injected fault re-raises from
+        the batch loop without a retry — here an operating point outside
+        the characterized space, raised inside the level loop."""
+        engine = make_engine(circuit, library, compiled, demote_after=1)
+
+        def refuse(*args, **kwargs):
+            raise CharacterizationError("voltage outside the space")
+
+        monkeypatch.setattr(engine.backend, "run_levels", refuse)
+        with pytest.raises(CharacterizationError):
+            engine.run(make_pairs(circuit), kernel_table=kernel_table)
+        assert engine._kernel_faults == 0
+        assert engine.demotions == []
 
     def test_config_faults_arm_a_plan_on_first_engine(self, circuit, library,
                                                       compiled):

@@ -87,19 +87,14 @@ class TestResolution:
         """
         import repro.simulation
 
-        for module in ("numba", "repro.simulation.kernels_numba",
-                       "repro.simulation.kernels_cext"):
-            monkeypatch.setitem(sys.modules, module, None)
-        for attr in ("kernels_numba", "kernels_cext"):
-            monkeypatch.delattr(repro.simulation, attr, raising=False)
+        monkeypatch.setitem(sys.modules, "repro.simulation.kernels_cext",
+                            None)
+        monkeypatch.delattr(repro.simulation, "kernels_cext", raising=False)
         assert resolve_backend("auto").name == "numpy"
         status = backend_status()
         assert status["numpy"] == "ok"
-        assert status["numba"] != "ok"
         assert status["cext"] != "ok"
-        # Failures are cached: the concrete names now report unavailable.
-        with pytest.raises(SimulationError, match="unavailable"):
-            resolve_backend("numba")
+        # Failures are cached: the concrete name now reports unavailable.
         with pytest.raises(SimulationError, match="unavailable"):
             resolve_backend("cext")
 

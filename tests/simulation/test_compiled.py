@@ -73,10 +73,15 @@ class TestCompiledStructure:
         compiled = compile_circuit(circuit, library)
         seen = np.concatenate(compiled.levels)
         assert sorted(seen.tolist()) == list(range(compiled.num_gates))
-        # every level's groups cover the level exactly
-        for level, groups in zip(compiled.levels, compiled.level_groups):
-            grouped = np.concatenate([idx for _a, idx in groups])
-            assert sorted(grouped.tolist()) == sorted(level.tolist())
+        # every level plan's arity runs cover the level exactly
+        for level, plan in zip(compiled.levels, compiled.plans().levels):
+            assert sorted(plan.gate_indices.tolist()) == sorted(level.tolist())
+            assert plan.group_offsets[0] == 0
+            assert plan.group_offsets[-1] == plan.num_gates
+            for run, arity in enumerate(plan.group_arity):
+                rows = slice(*plan.group_offsets[run:run + 2])
+                assert np.all(compiled.gate_arity[plan.gate_indices[rows]]
+                              == arity)
 
     def test_custom_annotation_respected(self, library):
         circuit = c17()

@@ -4,8 +4,8 @@ The delta path (``docs/architecture.md`` §12) must be invisible in the
 output: splicing lanes out of a cached :class:`BaseArena` and cone-only
 re-evaluation must produce waveforms **bit-identical** to a from-scratch
 run on every backend, across multi-voltage slot planes, Monte-Carlo
-variation, sparse (pruned) dispatch, fused and unfused kernels, batch
-chunking and overflow-retry capacity growth.
+variation, sparse (pruned) dispatch, polynomial and table delay
+sources, batch chunking and overflow-retry capacity growth.
 
 The accounting contract is exact, not approximate: every (gate, slot)
 lane is either dispatched or spliced, never both and never dropped —
@@ -61,9 +61,9 @@ def flip_bits(pairs, flips, seed):
     return [PatternPair(v1[i], v2[i]) for i in range(len(pairs))]
 
 
-def make_engine(circuit, compiled, library, *, backend, fused=True,
+def make_engine(circuit, compiled, library, *, backend,
                 prune=False, capacity=None, memory_budget=None):
-    kwargs = dict(record_all_nets=True, backend=backend, fused=fused,
+    kwargs = dict(record_all_nets=True, backend=backend,
                   prune_inactive=prune)
     if capacity is not None:
         kwargs["waveform_capacity"] = capacity
@@ -239,29 +239,31 @@ class TestConeBitIdentity:
         assert stats.lanes_spliced + stats.gate_evaluations == total
         assert stats.lanes_spliced > 0
 
-    @pytest.mark.parametrize("fused,prune", [(False, False), (True, True),
-                                             (False, True)])
+    @pytest.mark.parametrize("lut,prune", [(False, False), (True, True),
+                                           (False, True)])
     def test_dispatch_mode_variants(self, circuit, compiled, library,
-                                    kernel_table, fused, prune):
-        """Unfused and sparse dispatch honour the splice contract: with
-        pruning, skipped + spliced + evaluated still covers every lane."""
+                                    kernel_table, lut_backend, lut, prune):
+        """A precomputed delay table (a model offering only
+        ``delays_for_gates``) and sparse dispatch honour the splice
+        contract: with pruning, skipped + spliced + evaluated still
+        covers every lane."""
+        table = lut_backend if lut else kernel_table
         base_pairs = make_pairs(circuit, 5, seed=25)
         var_pairs = flip_bits(base_pairs, 2, seed=26)
         plan = SlotPlan.cross(len(base_pairs), [0.6, 0.8])
         engine = make_engine(circuit, compiled, library, backend="numpy",
-                             fused=fused, prune=prune)
+                             prune=prune)
         _, _, selected = capture_and_select(
-            engine, base_pairs, var_pairs, plan, kernel_table, None)
+            engine, base_pairs, var_pairs, plan, table, None)
         assert selected is not None
         delta_engine = make_engine(circuit, compiled, library,
-                                   backend="numpy", fused=fused, prune=prune)
+                                   backend="numpy", prune=prune)
         delta_result = delta_engine.run(var_pairs, plan=plan,
-                                        kernel_table=kernel_table,
+                                        kernel_table=table,
                                         delta=selected[0])
         full_result = make_engine(circuit, compiled, library,
-                                  backend="numpy", fused=fused,
-                                  prune=prune).run(
-            var_pairs, plan=plan, kernel_table=kernel_table)
+                                  backend="numpy", prune=prune).run(
+            var_pairs, plan=plan, kernel_table=table)
         assert_identical(circuit, full_result, delta_result)
         stats = delta_engine.last_stats
         total = compiled.num_gates * plan.num_slots

@@ -1,14 +1,12 @@
-"""Fused level-plan execution: bit-identity, plan caching, phase timing.
+"""Level-plan execution: in-kernel delays, plan caching, phase timing.
 
-The contract under test (``compiled.py`` / ``gpu.py``): with
-``fused=True`` (the default) the engine walks one compacted
-:class:`LevelPlan` per level — one backend ``run_level`` call covering
-every arity group, with the 2-D Horner delay polynomial evaluated
-inside the merge loop — instead of one per-arity-group dispatch with
-materialized per-lane delay arrays.  Fusion is an execution-strategy
-change only: waveforms must be **bit identical** to the unfused path on
-every backend, for static, multi-voltage parametric, Monte-Carlo,
-overflow-retry and sparse lane-tracked workloads alike.
+The contract under test (``compiled.py`` / ``gpu.py``): the engine walks
+one compacted :class:`LevelPlan` per level — one backend call covering
+every arity group, with the 2-D Horner delay polynomial evaluated inside
+the merge loop.  Every scenario is held, bit for bit, to the
+event-driven reference (static, multi-voltage, Monte-Carlo,
+overflow-retry, sparse lane-tracked) and the in-kernel delays to the
+``delays_for_gates`` definition.
 """
 
 import numpy as np
@@ -23,6 +21,7 @@ from repro.simulation.compiled import (
     compile_circuit,
     level_plan_cache_stats,
 )
+from repro.simulation.event_driven import EventDrivenSimulator
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.variation import ProcessVariation
@@ -37,7 +36,7 @@ def make_pairs(circuit, count, seed=0):
 
 def single_toggle_pairs(circuit, count, seed=0):
     """Pairs toggling exactly one input: slots classify as lane-tracked,
-    so the fused path's sparse (lane-compacted) entry runs."""
+    so the levels dispatch compacted lane lists."""
     rng = np.random.default_rng(seed)
     width = len(circuit.inputs)
     pairs = []
@@ -55,20 +54,22 @@ def quiet_pairs(circuit, count, seed=0):
     return [PatternPair(v, v.copy()) for v in vectors]
 
 
-def assert_identical(reference, candidate, num_slots, nets):
+def assert_identical(reference, candidate, num_slots, nets, offset=0):
+    """``reference`` slots ``0..n`` against ``candidate`` slots
+    ``offset..offset+n``."""
     for slot in range(num_slots):
         for net in nets:
             wa = reference.waveform(slot, net)
-            wb = candidate.waveform(slot, net)
+            wb = candidate.waveform(offset + slot, net)
             assert wa.initial == wb.initial, (slot, net)
             # Bit-identical: list equality on raw float64, no tolerance.
             assert wa.times.tolist() == wb.times.tolist(), (slot, net)
 
 
-def run_engine(circuit, compiled, library, pairs, *, backend, fused,
+def run_engine(circuit, compiled, library, pairs, *, backend,
                plan=None, kernel_table=None, variation=None, capacity=None,
                prune=True):
-    kwargs = dict(record_all_nets=True, backend=backend, fused=fused,
+    kwargs = dict(record_all_nets=True, backend=backend,
                   prune_inactive=prune)
     if capacity is not None:
         kwargs["waveform_capacity"] = capacity
@@ -79,88 +80,81 @@ def run_engine(circuit, compiled, library, pairs, *, backend, fused,
     return result, sim.last_stats
 
 
+def check_against_event_driven(library, backend, seed, pairs_of, *,
+                               inputs=8, gates=120, voltages=(0.8,),
+                               kernel_table=None, **run_kwargs):
+    """Run a ``pairs x voltages`` cross plane on ``backend`` and hold it,
+    bit for bit, to the serial event-driven simulator; returns
+    ``(compiled, stats)``."""
+    circuit = random_circuit(f"fused{seed}", inputs, gates, seed=seed)
+    compiled = compile_circuit(circuit, library)
+    pairs = pairs_of(circuit)
+    result, stats = run_engine(
+        circuit, compiled, library, pairs, backend=backend,
+        plan=SlotPlan.cross(len(pairs), voltages), kernel_table=kernel_table,
+        **run_kwargs)
+    reference = EventDrivenSimulator(
+        circuit, library, compiled=compiled,
+        config=SimulationConfig(record_all_nets=True))
+    for index, voltage in enumerate(voltages):
+        slots = np.arange(len(pairs)) + index * len(pairs)
+        expected = reference.run(
+            pairs, voltage=voltage, kernel_table=kernel_table,
+            variation=run_kwargs.get("variation"), slot_indices=slots)
+        assert_identical(expected, result, len(pairs), circuit.nets(),
+                         offset=index * len(pairs))
+    return compiled, stats
+
+
 class TestBitIdentity:
-    """Fused output must equal unfused output bit for bit, per backend."""
+    """Engine output equals the event-driven reference bit for bit, per
+    backend, on every kind of workload the level loop serves."""
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_static_delays(self, library, backend_name):
-        circuit = random_circuit("fused_s", 8, 150, seed=31)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 6, 31)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True)
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        check_against_event_driven(
+            library, backend_name, 31, lambda c: make_pairs(c, 6, 31),
+            gates=150)
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_parametric_multi_voltage(self, library, kernel_table,
                                       backend_name):
         """Voltage-dependent delays evaluated in-kernel (Horner inside
-        the merge loop) vs materialized per-lane arrays."""
-        circuit = random_circuit("fused_v", 8, 120, seed=33)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 4, 33)
-        plan = SlotPlan.cross(len(pairs), [0.6, 0.8, 1.0])
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                plan=plan, kernel_table=kernel_table)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
-                              plan=plan, kernel_table=kernel_table)
-        assert_identical(unfused, fused, plan.num_slots, circuit.nets())
+        the merge loop) vs the reference's materialized arrays."""
+        check_against_event_driven(
+            library, backend_name, 33, lambda c: make_pairs(c, 4, 33),
+            voltages=(0.6, 0.8, 1.0), kernel_table=kernel_table)
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_monte_carlo_variation(self, library, kernel_table,
                                    backend_name):
-        """Per-slot die factors fold into the same fused entry point."""
-        circuit = random_circuit("fused_mc", 8, 120, seed=35)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 4, 35)
-        variation = ProcessVariation(sigma=0.1, seed=77)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                kernel_table=kernel_table,
-                                variation=variation)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
-                              kernel_table=kernel_table,
-                              variation=variation)
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        """Per-slot die factors fold into the same entry point."""
+        check_against_event_driven(
+            library, backend_name, 35, lambda c: make_pairs(c, 4, 35),
+            kernel_table=kernel_table,
+            variation=ProcessVariation(sigma=0.1, seed=77))
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_overflow_retry_path(self, library, kernel_table, backend_name):
-        """Capacity-doubling retries rerun the fused dispatch from
-        scratch; plans and normalization memos must carry over clean."""
-        circuit = random_circuit("fused_o", 12, 200, seed=36)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 6, 36)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                kernel_table=kernel_table, capacity=2)
-        fused, fstats = run_engine(circuit, compiled, library, pairs,
-                                   backend=backend_name, fused=True,
-                                   kernel_table=kernel_table, capacity=2)
-        assert fstats.retries >= 1, "workload must exercise the retry"
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        """Capacity-doubling retries rerun the level loop from scratch;
+        plans and normalization memos must carry over clean."""
+        _, stats = check_against_event_driven(
+            library, backend_name, 36, lambda c: make_pairs(c, 6, 36),
+            inputs=12, gates=200, kernel_table=kernel_table, capacity=2)
+        assert stats.retries >= 1, "workload must exercise the retry"
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_sparse_lane_tracked(self, library, backend_name):
-        """Mixed dense / lane-tracked / quiet slots: the fused path's
-        lane-compacted sparse dispatch and the activity accounting must
-        match the unfused path exactly."""
-        circuit = random_circuit("fused_l", 8, 150, seed=37)
-        compiled = compile_circuit(circuit, library)
-        pairs = (make_pairs(circuit, 4, 37) +
-                 single_toggle_pairs(circuit, 4, 39) +
-                 quiet_pairs(circuit, 4, 38))
-        unfused, ustats = run_engine(circuit, compiled, library, pairs,
-                                     backend=backend_name, fused=False)
-        fused, fstats = run_engine(circuit, compiled, library, pairs,
-                                   backend=backend_name, fused=True)
-        assert fstats.lanes_skipped == ustats.lanes_skipped > 0
-        assert fstats.gate_evaluations == ustats.gate_evaluations
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        """Mixed dense / lane-tracked / quiet slots: the lane-compacted
+        dispatch is exact and every lane is evaluated or skipped."""
+        compiled, stats = check_against_event_driven(
+            library, backend_name, 37,
+            lambda c: (make_pairs(c, 4, 37) + single_toggle_pairs(c, 4, 39)
+                       + quiet_pairs(c, 4, 38)),
+            gates=150)
+        assert 0 < stats.lanes_skipped
+        assert (stats.gate_evaluations + stats.lanes_skipped
+                == compiled.num_gates * 12)
 
 
 #: Slot planes by how their supply voltages run along the slot axis
@@ -178,7 +172,7 @@ PLANE_SHAPES = {
 
 
 class TestDelayHoist:
-    """The fused kernels evaluate the Horner delay once per (gate,
+    """The per-lane kernels evaluate the Horner delay once per (gate,
     distinct voltage) and run of lanes, not per lane: same doubles as
     the numpy backend's materialized arrays and as the
     ``delays_for_gates`` definition, for every slot-plane shape."""
@@ -202,7 +196,7 @@ class TestDelayHoist:
         for backend_name in CONCRETE:
             results[backend_name], stats = run_engine(
                 circuit, compiled, library, pairs, backend=backend_name,
-                fused=True, plan=plan, kernel_table=kernel_table,
+                plan=plan, kernel_table=kernel_table,
                 variation=variation, prune=lanes == "sparse")
             assert (stats.lanes_skipped > 0) == (lanes == "sparse")
         for backend_name in CONCRETE:
@@ -357,23 +351,27 @@ class TestPhaseTiming:
         pairs = make_pairs(circuit, 4, 47)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
         _, stats = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
+                              backend=backend_name,
                               plan=plan, kernel_table=kernel_table)
         phases = stats.phase_seconds()
         assert set(phases) == {"delay", "merge", "pack"}
         assert all(seconds >= 0.0 for seconds in phases.values())
-        # Merge covers the fused kernel work and pack the unpack/settle
+        # Merge covers the kernel work and pack the unpack/settle
         # stage — both necessarily ran.
         assert phases["merge"] > 0.0
         assert phases["pack"] > 0.0
 
-    def test_unfused_reports_delay_phase(self, library, kernel_table):
-        """The per-arity-group path times delay evaluation separately."""
+    @pytest.mark.parametrize("backend_name", CONCRETE)
+    def test_delay_table_reports_delay_phase(self, library, lut_backend,
+                                             backend_name):
+        """A delay model offering only ``delays_for_gates`` is
+        precomputed into a per-voltage table before the level loop, on
+        every backend; that time is the delay phase."""
         circuit = random_circuit("fused_d", 8, 120, seed=48)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 4, 48)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
         _, stats = run_engine(circuit, compiled, library, pairs,
-                              backend="numpy", fused=False,
-                              plan=plan, kernel_table=kernel_table)
+                              backend=backend_name,
+                              plan=plan, kernel_table=lut_backend)
         assert stats.phase_seconds()["delay"] > 0.0

@@ -62,20 +62,6 @@ class TestEquivalenceWithEventDriven:
                 assert_equivalent(reference, pattern, full, int(slot),
                                   circuit.nets())
 
-    def test_group_by_arity_equivalent(self, library, kernel_table):
-        circuit = random_circuit("grp", 8, 100, seed=9)
-        config = SimulationConfig(record_all_nets=True)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 5, 9)
-        padded = GpuWaveSim(circuit, library, config=config, compiled=compiled,
-                            group_by_arity=False).run(
-            pairs, kernel_table=kernel_table)
-        grouped = GpuWaveSim(circuit, library, config=config, compiled=compiled,
-                             group_by_arity=True).run(
-            pairs, kernel_table=kernel_table)
-        for slot in range(len(pairs)):
-            assert_equivalent(padded, slot, grouped, slot, circuit.nets())
-
     def test_small_memory_budget_batches(self, library):
         """Tiny budget forces multiple batches; results must stitch."""
         circuit = random_circuit("mem", 8, 80, seed=5)
@@ -265,19 +251,16 @@ class TestSatelliteRegressions:
                          memory_budget=budget,
                          config=SimulationConfig(waveform_capacity=2))
         seen = []
-        original = GpuWaveSim._run_batch_at_capacity
+        acquire = sim._arena_pool.acquire
 
-        def spy(self, v1, v2, plan, kernel_table, capacity, *args, **kwargs):
-            seen.append((plan.num_slots, capacity))
-            return original(self, v1, v2, plan, kernel_table, capacity,
-                            *args, **kwargs)
+        def spy(nets, slots, capacity, rows=None):
+            seen.append(nets * slots * capacity * 8)
+            return acquire(nets, slots, capacity, rows=rows)
 
-        sim._run_batch_at_capacity = spy.__get__(sim)
+        sim._arena_pool.acquire = spy
         result = sim.run(pairs)
         assert sim.last_stats.retries > 0, "test needs the overflow path"
-        for num_slots, capacity in seen:
-            arena_bytes = (compiled.num_nets + 1) * num_slots * capacity * 8
-            assert arena_bytes <= budget, (num_slots, capacity)
+        assert seen and max(seen) <= budget
         # ... and the stitched result still covers every slot.
         assert result.num_slots == len(pairs)
         assert all(result.waveforms[s] for s in range(len(pairs)))
@@ -297,23 +280,29 @@ class TestSatelliteRegressions:
         for slot in range(len(pairs)):
             assert_equivalent(roomy, slot, tight, slot, circuit.nets())
 
-    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("prune", [True, False])
     def test_delay_evaluation_reused_across_retries(self, library,
-                                                    kernel_table, fused):
+                                                    kernel_table, prune):
         """Per-voltage polynomial evaluation depends only on the gates
-        and distinct voltages — capacity-doubling retries reuse it.
+        and distinct voltages — capacity-doubling retries reuse it, and
+        so do the lane-tracked and dense halves a pruned batch lowers
+        to (with pruning off the whole batch runs dense).
 
-        Counted on the numpy backend, whose fused and unfused paths
-        both funnel through ``delays_from_normalized`` (the lane
-        backends evaluate delays inside the merge loop and never
-        materialize them at all)."""
+        Counted on the numpy backend, which materializes per-level
+        delays through ``delays_from_normalized`` (the per-lane backend
+        evaluates delays inside the merge loop and never materializes
+        them at all)."""
         circuit = random_circuit("reuse", 12, 200, seed=6)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 8, 6)
+        for pin in (0, 5):      # two single-toggle (lane-tracked) slots
+            v2 = pairs[pin].v1.copy()
+            v2[pin] ^= 1
+            pairs.append(PatternPair(pairs[pin].v1, v2))
         sim = GpuWaveSim(circuit, library, compiled=compiled,
                          config=SimulationConfig(waveform_capacity=2,
                                                  backend="numpy",
-                                                 fused=fused))
+                                                 prune_inactive=prune))
         calls = []
         original = kernel_table.delays_from_normalized
 

@@ -164,7 +164,7 @@ class TestBitIdentity:
 class TestLaneCompaction:
     """Single-toggle stimuli: every slot is lane-tracked (no quiet
     slots), so all skipped lanes come from the per-level activity mask
-    and the backends' ``merge_group_sparse`` entry path runs."""
+    and the backends' lane-restricted ``run_level`` path runs."""
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_partial_activity_within_slots(self, library, backend_name):
@@ -180,23 +180,6 @@ class TestLaneCompaction:
         assert sstats.gate_evaluations + sstats.lanes_skipped == \
             dstats.gate_evaluations
         assert_identical(dense, sparse, len(pairs), circuit.nets())
-
-    def test_group_by_arity_mode(self, library):
-        """Lane tracking composes with the per-arity grouping ablation
-        mode and keeps the same lane accounting."""
-        circuit = random_circuit("sparse_g", 8, 120, seed=19)
-        compiled = compile_circuit(circuit, library)
-        pairs = single_toggle_pairs(circuit, 6, 19)
-        config = SimulationConfig(record_all_nets=True, backend="numpy")
-        padded = GpuWaveSim(circuit, library, config=config,
-                            compiled=compiled)
-        grouped = GpuWaveSim(circuit, library, config=config,
-                             compiled=compiled, group_by_arity=True)
-        a = padded.run(pairs)
-        b = grouped.run(pairs)
-        assert_identical(a, b, len(pairs), circuit.nets())
-        assert padded.last_stats.lanes_skipped == \
-            grouped.last_stats.lanes_skipped > 0
 
 
 class TestActivityExtremes:

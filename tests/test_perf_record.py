@@ -49,8 +49,8 @@ class TestRegressionGate:
 
     def test_unmatched_entries_skipped(self):
         """Machines legitimately differ in backend availability."""
-        baseline = make_report({("merge", "numba"): 0.1})
-        current = make_report({("merge", "cext"): 5.0})
+        baseline = make_report({("merge", "cext"): 0.1})
+        current = make_report({("merge", "numpy"): 5.0})
         assert record.compare_reports(current, baseline, 1.5) == []
 
     def test_speedups_relative_to_numpy(self):
@@ -90,15 +90,6 @@ class TestRegressionGate:
         ratios = record._parametric_ratios(benchmarks)
         assert ratios["x"]["numpy"] == pytest.approx(2.5)
         assert "cext" not in ratios["x"]
-
-    def test_dispatch_speedups_pair_fused_with_unfused(self):
-        benchmarks = make_report({
-            ("level_dispatch_fused", "cext"): 0.5,
-            ("level_dispatch_unfused", "cext"): 1.5,
-            ("level_dispatch_fused", "numpy"): 1.0,
-        })["benchmarks"]
-        speedups = record._dispatch_speedups(benchmarks)
-        assert speedups == {"cext": pytest.approx(3.0)}
 
     def test_parametric_ratio_regression_flagged(self):
         """The ratio gate fires even when every raw wall time improved."""
