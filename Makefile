@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint loc bench bench-pytest ledger-quick chaos experiments examples clean
+.PHONY: install test lint kernel-lint loc bench bench-pytest ledger-quick chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -19,6 +19,14 @@ test:
 # Critical-error lint gate (rule subset in pyproject.toml).
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples
+
+# The C kernels live in a Python string no linter sees: write them out
+# and run the compiler's strict front end over them.
+kernel-lint:
+	@tmp=$$(mktemp --suffix=.c) && trap 'rm -f "$$tmp"' EXIT && \
+	PYTHONPATH=src $(PYTHON) -c "from repro.simulation import kernels_cext; print(kernels_cext._SOURCE)" > "$$tmp" && \
+	$(CC) -std=c99 -fopenmp -Wall -Wextra -Werror -fsyntax-only "$$tmp" && \
+	echo "kernel-lint: ok"
 
 # Lines of src/ per package and in total: the one command behind every
 # PR's "net src/ LoC" number (diff two checkouts' output).

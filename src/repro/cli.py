@@ -616,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the final service metrics to this file")
     p.add_argument("--faults", default=None, metavar="SPEC",
                    help="activate a fault-injection plan, e.g. "
-                        "'seed=7;backend.merge_group:raise@n=3' "
+                        "'seed=7;backend.run_levels:raise@n=3' "
                         "(also: REPRO_FAULTS env var)")
     p.set_defaults(func=_cmd_serve)
 

@@ -47,8 +47,7 @@ __all__ = [
 
 #: Instrumented seam names (see ``docs/architecture.md`` §10).
 FAULT_SITES = (
-    "backend.merge_group",   # per-level kernel dispatch of a masked batch
-    "backend.run_levels",    # whole-batch kernel dispatch (no mask)
+    "backend.run_levels",    # the level walk of a batch (masked or not)
     "backend.load",          # backend import / build (inside _load's try)
     "service.demux",         # batch result demultiplexing
     "cache.get",             # result-cache hit path

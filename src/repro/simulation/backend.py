@@ -26,19 +26,23 @@ algorithm of :func:`~repro.simulation.kernels.waveform_merge_kernel`
 with identical IEEE-754 operation order, so results are **bit-identical**
 across backends (asserted in ``tests/simulation/test_backend.py``).
 
-Adding a backend: subclass :class:`ComputeBackend` and implement the
-two arena methods the engine's one level loop calls —
+Adding a backend: subclass :class:`ComputeBackend` and implement one
+arena method — :meth:`~ComputeBackend.run_levels`, every level of a
+batch with an optional activity mask, the one call the engine's level
+loop makes — plus :meth:`~ComputeBackend.settle_levels`, the
+truth-table sweep behind quiet slots (the base class has a numpy one).
+A backend without a whole-batch entry implements
 :meth:`~ComputeBackend.run_level` (one level, dense or restricted to a
-``lane_gates`` / ``lane_slots`` list; the masked loop) and, when a
-per-call cost is worth amortizing, :meth:`~ComputeBackend.run_levels`
-(every level, dense; the base class loops ``run_level``).  Both honour
-the row contract documented on ``run_level`` and take the same three
-delay sources (nominal, polynomial table, precomputed delay table).
-``merge_kernel`` (lane-oriented, used by micro-benchmarks and as the
-``merge_single`` oracle's counterpart) and a native
-``delays_for_gates`` are optional.  Then add a loader branch to
-:func:`_load`, the name to :data:`BACKEND_CHOICES` and its place in
-:data:`AUTO_ORDER` / :data:`DEMOTION_ORDER`.
+lane list) instead and inherits the base-class ``run_levels``: the
+per-level Python loop that is also the reference every native walk is
+tested against.  All honour the row contract documented on
+``run_levels`` and take the same three delay sources (nominal,
+polynomial table, precomputed delay table).  ``merge_kernel``
+(lane-oriented, used by micro-benchmarks and as the ``merge_single``
+oracle's counterpart) and a native ``delays_for_gates`` are optional.
+Then add a loader branch to :func:`_load`, the name to
+:data:`BACKEND_CHOICES` and its place in :data:`AUTO_ORDER` /
+:data:`DEMOTION_ORDER`.
 """
 
 from __future__ import annotations
@@ -79,6 +83,18 @@ AUTO_ORDER = ("cext", "numpy")
 #: Environment variable consulted when no explicit backend is configured.
 ENV_VAR = "REPRO_BACKEND"
 
+INF = np.float64(np.inf)
+
+#: The reference level loop (:meth:`ComputeBackend.run_levels`)
+#: dispatches a masked level lane-compacted only when its active lane
+#: share is below this fraction; above it the dense kernel is cheaper (a
+#: toggle-free lane settles in about one event-loop iteration, while
+#: compaction pays index bookkeeping per lane).  The dispatch choice
+#: never affects results or the evaluated/skipped lane accounting — both
+#: are derived from the activity mask alone.  A native walk decides per
+#: lane and has no such threshold.
+SPARSE_DISPATCH_FRACTION = 0.5
+
 
 @dataclass
 class GroupResult:
@@ -88,13 +104,13 @@ class GroupResult:
     iterations: int       # kernel loop trips (diagnostics; see note below)
     overflow_lanes: int   # lanes that exceeded the waveform capacity
     #: Seconds spent materializing per-voltage delay arrays inside the
-    #: call (numpy ``run_level`` only; the per-lane backends evaluate
-    #: the Horner kernel inside the merge loop, so their delay work is
+    #: call (numpy ``run_level`` only; the per-lane backend evaluates
+    #: the Horner kernel inside the merge loop, so its delay work is
     #: inseparable from — and reported as — merge time).
     delay_seconds: float = 0.0
 
     # Note: the numpy backend reports global lockstep iterations, the
-    # per-lane backends report the summed per-lane event count — both
+    # per-lane backend reports the summed per-lane event count — both
     # measure kernel work, on different axes.
 
 
@@ -102,16 +118,19 @@ class GroupResult:
 class LevelsResult:
     """Outcome of a whole-batch :meth:`ComputeBackend.run_levels` call.
 
-    Accounting matches the equivalent sequence of per-level
-    :meth:`ComputeBackend.run_level` calls exactly: ``kernel_calls``
-    counts non-empty levels dispatched (the overflowing level
-    included), ``lanes`` sums ``gates × slots`` over those levels.
+    Over the levels walked (the overflowing level included): ``lanes``
+    counts the dispatched lanes, ``lanes_skipped`` the masked-out ones
+    and ``kernel_calls`` the levels that dispatched at least one lane.
+    All three are functions of the activity mask alone — without a mask
+    every lane of every non-empty level is dispatched — so they agree
+    across backends however a backend chooses to run a level.
     """
 
     lanes: int
     iterations: int
     overflow_lanes: int
     kernel_calls: int
+    lanes_skipped: int = 0
     delay_seconds: float = 0.0
 
 
@@ -286,13 +305,12 @@ class ComputeBackend:
         lane_slots: Optional[np.ndarray] = None,
         delays: Optional[np.ndarray] = None,
     ) -> GroupResult:
-        """Evaluate one whole level (all arity groups) in one call.
+        """Evaluate one whole level (all arity groups) in one call —
+        the step the reference :meth:`run_levels` loop is built from.
 
         ``plan`` is the level's compile-time
-        :class:`~repro.simulation.compiled.LevelPlan`: arity-sorted
-        compacted arrays, so the backend loops the arity runs natively
-        instead of one engine dispatch per group.  The delay source
-        folds into the same entry point:
+        :class:`~repro.simulation.compiled.LevelPlan`.  The delay
+        source folds into the same entry point:
 
         * a delay table — ``delays``, ``(g, P, 2, V)`` pin-to-pin
           delays per distinct voltage in plan gate order, column
@@ -305,27 +323,21 @@ class ComputeBackend:
           predictors — ``nv`` = ``φ_V`` per distinct voltage, ``nc`` =
           ``φ_C`` per plan gate (cached on the plan) — evaluates the
           2-D Horner kernel per (gate, distinct voltage), never per
-          lane; the per-lane backend does so inside the merge loop
-          (memoized over each run of lanes a thread owns), never
-          materializing a per-lane delay array.  Its pin width must
-          cover the plan's (the engine validates once per run),
+          lane.  Its pin width must cover the plan's (the engine
+          validates once per run),
         * Monte-Carlo ``factors`` (level-local ``(g, S)``, plan gate
           order) scale each delay whatever its source.
 
         ``lane_gates`` / ``lane_slots`` (plan-local, ``lane_gates``
         non-decreasing) restrict the call to those lanes.
         ``delay_cache`` memoizes materialized per-voltage arrays across
-        overflow retries (numpy path only).
+        overflow retries.
 
-        Row contract: every dispatched lane writes its *whole* output
-        row — its toggles, then ``+inf`` up to ``capacity`` — and its
-        initial value, and reads nothing of what the row held before;
-        rows of lanes that are not dispatched are left untouched.  A
-        dense call therefore needs no reset of the level's output rows
-        (the engine resets only undriven rows); a lane-restricted call
-        needs the skipped rows reset by the caller.  On overflow the
-        level's output rows are unspecified — the caller discards the
-        arena and retries at a larger capacity.
+        Every dispatched lane writes its *whole* output row — its
+        toggles, then ``+inf`` up to ``capacity`` — and its initial
+        value, and reads nothing of what the row held before; rows of
+        lanes that are not dispatched are left untouched.  On overflow
+        the level's output rows are unspecified.
         """
         raise NotImplementedError
 
@@ -342,47 +354,118 @@ class ComputeBackend:
         nv: Optional[np.ndarray] = None,
         delay_cache: Optional[Dict] = None,
         delays: Optional[np.ndarray] = None,
+        mask: Optional[np.ndarray] = None,
+        grow: bool = False,
     ) -> LevelsResult:
-        """Evaluate *every* level of the circuit in one backend call.
+        """Evaluate the levels of the circuit, in order, each against
+        the arena the preceding levels finalized — the one call the
+        engine's level loop makes, whatever the batch lowered to.
 
-        Dense counterpart of level-by-level :meth:`run_level` dispatch:
-        levels run strictly in order, each against the arena the
-        preceding levels finalized.  ``factors`` is the full
-        ``(num_gates, S)`` Monte-Carlo array (circuit gate order);
-        backends gather it into plan order themselves.  ``delays`` is
-        the ``(num_gates, P, 2, V)`` delay table in concatenated
-        plan-row order (``plans.concat()``), each level's rows being
-        its :meth:`run_level` table.  ``nc`` is not a parameter — the
-        per-level ``φ_C`` memos live on ``plans``.  Stops at the first
-        level with overflowing lanes so the caller can retry at doubled
-        capacity.  The :meth:`run_level` row contract holds level by
-        level: a call that returns without overflow has written every
-        gate-output row of the arena in full, whatever those rows held
-        on entry; only rows no gate drives (primary inputs, the dummy
-        net) are read as given.
+        ``factors`` is the full ``(num_gates, S)`` Monte-Carlo array
+        (circuit gate order); backends gather it into plan order
+        themselves.  The delay sources are those of :meth:`run_level`:
+        ``delays`` is the ``(num_gates, P, 2, V)`` table in
+        concatenated plan-row order (``plans.concat()``); ``nc`` is not
+        a parameter — the per-level ``φ_C`` memos live on ``plans``.
+        Stops at the first level with overflowing lanes so the caller
+        can retry at doubled capacity (the arena is then unspecified).
 
-        The base implementation loops :meth:`run_level`; backends with
-        per-call dispatch overhead (ctypes marshalling in the C
-        extension) override it with a single native whole-batch entry.
-        Results are bit-identical either way.
+        ``mask`` is the C-contiguous ``(nets + 1, S)`` bool activity
+        plane; ``None`` dispatches every lane.  With a mask a lane is
+        dispatched iff one of its input nets is active in its slot, and
+        a skipped lane only gets its settled initial value.  ``grow``
+        makes the mask follow the waveforms (lane tracking): after a
+        level an output net is active iff its lane was dispatched and
+        kept at least one toggle — an all-cancelled lane settles back
+        to quiet — and the mask is updated in place.  Without ``grow``
+        the mask is static (a cone of influence over a seeded arena)
+        and never written.
+
+        Row contract: every dispatched lane writes its *whole* output
+        row — its toggles, then ``+inf`` up to ``capacity`` — and its
+        initial value, and reads nothing of what the row held before.
+        A lane skipped under ``grow`` gets an all-``+inf`` row, so an
+        unmasked or a growing walk that returns without overflow has
+        written every gate-output row and initial value of the arena
+        in full, whatever they held on entry; only rows no gate drives
+        (primary inputs, the dummy net) are read as given.  A lane
+        skipped under a static mask leaves its row as the caller
+        seeded it (a backend may also rewrite it from its inputs, which
+        over a consistent seed reproduces the same row).
+
+        This base implementation is the per-level Python loop over
+        :meth:`run_level`, and the reference a native whole-batch walk
+        is tested against (``tests/simulation/test_walk.py``).  How it
+        dispatches a masked level depends on the active share:
+        mostly-quiet levels hand :meth:`run_level` a compacted lane
+        list, mostly-active ones run whole
+        (:data:`SPARSE_DISPATCH_FRACTION`).  Results and accounting are
+        bit-identical either way.
         """
         totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
                               kernel_calls=0)
         num_slots = int(slot_to_v.size)
+        grow = grow and mask is not None
         for plan, level_factors, nc, level_delays in plans.level_sources(
                 kernel_table, factors, delays):
+            active_lanes = total_lanes = plan.num_gates * num_slots
+            lane_gates = lane_slots = None
+            if mask is not None:
+                lane_active = mask[plan.in_ids].any(axis=1)       # (g, S)
+                active_lanes = int(np.count_nonzero(lane_active))
+                totals.lanes_skipped += total_lanes - active_lanes
+                if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
+                    # Settle every lane's output from the input initial
+                    # values — the same table lookup the kernel performs
+                    # before its event loop, so dispatched lanes just
+                    # rewrite the same byte.
+                    _settle_level(plan, initial_all)
+                    if grow:
+                        times_all[plan.out_ids] = INF
+                        mask[plan.out_ids] = False
+                    if active_lanes == 0:
+                        continue
+                    lane_gates, lane_slots = np.nonzero(lane_active)
             result = self.run_level(
                 plan, times_all, initial_all, slot_to_v, level_factors,
                 capacity, inertial, kernel_table=kernel_table, nv=nv, nc=nc,
-                delay_cache=delay_cache, delays=level_delays)
-            totals.lanes += plan.num_gates * num_slots
+                delay_cache=delay_cache, lane_gates=lane_gates,
+                lane_slots=lane_slots, delays=level_delays)
+            totals.lanes += active_lanes
             totals.iterations += result.iterations
             totals.kernel_calls += 1
             totals.delay_seconds += result.delay_seconds
             if result.overflow_lanes:
                 totals.overflow_lanes = result.overflow_lanes
                 break
+            if grow:
+                # A net is active downstream iff the lane kept >= 1
+                # toggle (all-cancelled lanes settle back to quiet).
+                mask[plan.out_ids] = np.isfinite(
+                    times_all[plan.out_ids, :, 0])
         return totals
+
+    def settle_levels(self, plans: "CircuitPlans",
+                      initial_all: np.ndarray) -> None:
+        """Settle every gate output of a toggle-free ``(nets + 1, S)``
+        uint8 value plane in place, level by level, from the primary-
+        input rows (the dummy net's row must hold 0): what a walk
+        writes as initial values when no lane is dispatched.  No arena,
+        no delays."""
+        for plan in plans.levels:
+            _settle_level(plan, initial_all)
+
+
+def _settle_level(plan: "LevelPlan", initial_all: np.ndarray) -> None:
+    """Write every lane's settled output value of one level into
+    ``initial_all`` via one vectorized truth-table lookup (spare pins
+    read the constant-0 dummy net, so the unpadded tables apply)."""
+    index = np.zeros((plan.in_ids.shape[0], initial_all.shape[1]),
+                     dtype=np.int64)
+    for pin in range(plan.in_ids.shape[1]):
+        index |= initial_all[plan.in_ids[:, pin]].astype(np.int64) << pin
+    initial_all[plan.out_ids] = (
+        (plan.tables[:, None] >> index) & 1).astype(np.uint8)
 
 
 class NumpyBackend(ComputeBackend):
@@ -459,49 +542,39 @@ class CextBackend(ComputeBackend):
         return MergeResult(initial=initial, times=times, counts=counts,
                            overflow=overflow, iterations=int(iterations))
 
-    def run_level(self, plan, times_all, initial_all, slot_to_v, factors,
-                  capacity, inertial, kernel_table=None, nv=None, nc=None,
-                  delay_cache=None, lane_gates=None, lane_slots=None,
-                  delays=None):
-        overflow_lanes, iterations = self._kernels.run_level(
-            times_all, initial_all, plan.in_ids, plan.out_ids, plan.tables,
-            plan.arities, plan.type_ids,
-            delays if delays is not None else plan.nominal[..., None],
-            kernel_table.coefficients if kernel_table is not None else None,
-            nv, nc, slot_to_v, factors, capacity, inertial, lane_gates,
-            lane_slots,
-        )
-        lanes = (int(lane_gates.size) if lane_gates is not None
-                 else plan.num_gates * int(slot_to_v.size))
-        return GroupResult(lanes=lanes, iterations=int(iterations),
-                           overflow_lanes=int(overflow_lanes))
-
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None, delays=None):
-        # One ctypes crossing for the whole batch: the C entry loops the
-        # levels over the concatenated plan arrays, so the per-call
-        # marshalling cost (~15 array arguments) is paid once instead of
-        # once per level.
+                   delay_cache=None, delays=None, mask=None, grow=False):
+        # One ctypes crossing for the whole batch: the C entry walks the
+        # levels over the concatenated plan arrays and reads (and grows)
+        # the activity mask itself.
         cat = plans.concat()
-        if cat.out_ids.size == 0:
-            return LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
-                                kernel_calls=0)
         coeffs = nc = None
         if kernel_table is not None:
             coeffs = kernel_table.coefficients
             nc = plans.concat_normalized_loads(kernel_table.space)
-        overflow_lanes, iterations, levels_done, lanes = \
+        overflow_lanes, iterations, calls, lanes, skipped = \
             self._kernels.run_levels(
                 times_all, initial_all, cat,
                 delays if delays is not None else cat.nominal[..., None],
                 coeffs, nv, nc, slot_to_v,
                 factors[cat.gate_indices] if factors is not None else None,
-                capacity, inertial,
+                capacity, inertial, mask=mask, grow=grow,
             )
-        return LevelsResult(lanes=int(lanes), iterations=int(iterations),
-                            overflow_lanes=int(overflow_lanes),
-                            kernel_calls=int(levels_done))
+        return LevelsResult(lanes=lanes, iterations=iterations,
+                            overflow_lanes=overflow_lanes,
+                            kernel_calls=calls, lanes_skipped=skipped)
+
+    def settle_levels(self, plans, initial_all):
+        # The walk under an all-clear static mask: every lane is
+        # skipped, i.e. only settled, and the arena is never touched.
+        cat = plans.concat()
+        num_slots = initial_all.shape[1]
+        self._kernels.run_levels(
+            np.zeros(1, dtype=np.float64), initial_all, cat,
+            cat.nominal[..., None], None, None, None,
+            np.zeros(num_slots, dtype=np.int64), None, 0, False,
+            mask=np.zeros(initial_all.shape, dtype=bool))
 
     def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
                          voltages):

@@ -38,12 +38,12 @@ therefore prunes at two slot-classified granularities: slots whose
 stimulus launches no toggle at all settle in one vectorized truth-table
 sweep and never touch the arena, and slots toggling only a small
 fraction of their inputs run with per-(net, slot) activity tracking —
-the per-(gate, slot) active mask is derived before each level and only
-active lanes are dispatched to the backend (the lane-compaction path
-GATSPI demonstrates as the dominant speedup lever for gate-level GPU
-simulation).  High-toggle slots run dense, where mask
+the backend walks the levels under an activity mask it grows itself,
+and only lanes with an active input are dispatched (the lane-compaction
+path GATSPI demonstrates as the dominant speedup lever for gate-level
+GPU simulation).  High-toggle slots run dense, where mask
 bookkeeping could not pay for itself.  Quiet lanes get their settled
-output value from a vectorized truth-table lookup; results are
+output value from a truth-table lookup; results are
 bit-identical to dense evaluation (``config.prune_inactive=False``).
 
 Every one of those shapes — and the delta splice / cone-of-influence
@@ -111,14 +111,6 @@ DEFAULT_MEMORY_BUDGET = 1024 * 1024 * 1024
 
 #: Hard ceiling for overflow-driven capacity growth.
 MAX_CAPACITY = 4096
-
-#: A masked level is dispatched lane-compacted only when its
-#: active lane share is below this fraction; above it the dense kernel
-#: is cheaper (a toggle-free lane settles in about one event-loop
-#: iteration, while compaction pays index bookkeeping per lane).  The
-#: dispatch choice never affects results or the evaluated/skipped lane
-#: accounting — both are derived from the activity mask alone.
-SPARSE_DISPATCH_FRACTION = 0.5
 
 #: Slots toggling at least this fraction of the primary inputs skip
 #: lane-grained activity tracking entirely — activity spreads so wide
@@ -189,15 +181,20 @@ class _BatchStats:
             "pack": self.pack_seconds,
         }
 
-    def record_dispatch(self, result, wall: float, lanes: int, calls: int,
-                        capacity: int) -> None:
-        """Account one backend call (``run_levels`` or ``run_level``)
-        that evaluated ``lanes`` lanes in ``calls`` level dispatches;
-        raises :class:`WaveformOverflowError` if any lane overflowed."""
+    def record_walk(self, result, wall: float, spliced: bool,
+                    capacity: int) -> None:
+        """Account one ``backend.run_levels`` call; its masked-out
+        lanes count as ``lanes_spliced`` over a base seed and as
+        ``lanes_skipped`` otherwise.  Raises
+        :class:`WaveformOverflowError` if any lane overflowed."""
         self.delay_seconds += result.delay_seconds
         self.merge_seconds += wall - result.delay_seconds
-        self.gate_evaluations += lanes
-        self.kernel_calls += calls
+        self.gate_evaluations += result.lanes
+        if spliced:
+            self.lanes_spliced += result.lanes_skipped
+        else:
+            self.lanes_skipped += result.lanes_skipped
+        self.kernel_calls += result.kernel_calls
         self.kernel_iterations += result.iterations
         if result.overflow_lanes:
             raise WaveformOverflowError(
@@ -250,8 +247,8 @@ class _ArenaPool:
         ``+inf``, every initial value 0.  With ``rows`` only those net
         rows are reset and every other row holds whatever the previous
         batch left — for callers that write each remaining row in full
-        before anything reads it (unmasked dispatch: one lane per
-        gate output and slot, see :meth:`ComputeBackend.run_level`).
+        before anything reads it (an unmasked or growing walk: see the
+        row contract of :meth:`ComputeBackend.run_levels`).
         """
         faults.trip("engine.alloc")
         n_times = nets * slots * capacity
@@ -640,8 +637,9 @@ class GpuWaveSim:
                 changed, inverse = np.unique(sub_delta.changed_inputs, axis=0,
                                              return_inverse=True)
                 cones = self._level_plans().input_cones(self.compiled, changed)
-                plane = self._execute(sub, seed=sub_delta,
-                                      mask=cones[:, inverse])
+                plane = self._execute(
+                    sub, seed=sub_delta,
+                    mask=np.ascontiguousarray(cones[:, inverse]))
             elif lowering == TRACKED:
                 mask = np.zeros((self.compiled.num_nets + 1,
                                  sub.plan.num_slots), dtype=bool)
@@ -683,7 +681,7 @@ class GpuWaveSim:
         compiled = self.compiled
         batch.stats.lanes_skipped += compiled.num_gates * batch.plan.num_slots
         pack_start = _time.perf_counter()
-        values, inverse = self._settle_values(batch.first)
+        values, inverse = self._settle_values(batch)
         values = (values[: compiled.num_nets] if batch.rows is None
                   else values[batch.rows])
         plane = WaveformPlane.constant(self._nets_of(batch.rows),
@@ -691,40 +689,36 @@ class GpuWaveSim:
         batch.stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
-    def _settle_values(self, first: np.ndarray) -> tuple:
+    def _settle_values(self, batch: _Batch) -> tuple:
         """Settled logic values for toggle-free slots.
 
-        One truth-table sweep per level over the ``(gates, quiet_slots)``
-        plane — no waveform arena, no kernel dispatch.  Matches what
-        dense evaluation produces for these slots bit for bit: with zero
-        input toggles every merge degenerates to the same table lookup.
+        One truth-table sweep over the ``(gates, vectors)`` plane
+        (:meth:`ComputeBackend.settle_levels`) — no waveform arena.
+        Matches what dense evaluation produces for these slots bit for
+        bit: with zero input toggles every merge degenerates to the
+        same table lookup.
 
         Slots repeating the same input vector settle identically, so the
-        sweep runs once per *unique* vector; returns the per-unique-
-        vector ``(num_nets + 1, U)`` value plane and the slot → unique
-        inverse mapping.
+        sweep runs once per *unique* vector.  Slots naming the same
+        pattern share the vector by construction, so the byte-row
+        comparison only sees one row per pattern index.  Returns the
+        per-unique-vector ``(num_nets + 1, U)`` value plane and the
+        slot → unique inverse mapping.
         """
         compiled = self.compiled
-        first, inverse = np.unique(first, axis=0, return_inverse=True)
-        initial = np.zeros((compiled.num_nets + 1, first.shape[0]),
+        _, index, by_pattern = np.unique(
+            batch.plan.pattern_indices, return_index=True,
+            return_inverse=True)
+        # Per pattern, the first slot seen with the same byte row.
+        seen: Dict[bytes, int] = {}
+        twin = np.array([seen.setdefault(batch.first[slot].tobytes(), slot)
+                         for slot in index])
+        keep, by_vector = np.unique(twin, return_inverse=True)
+        initial = np.zeros((compiled.num_nets + 1, keep.size),
                            dtype=np.uint8)
-        initial[compiled.input_net_ids] = first.T
-        for level in self._level_plans().levels:
-            self._settle_level(level, initial)
-        return initial, inverse
-
-    @staticmethod
-    def _settle_level(level, initial_all: np.ndarray) -> None:
-        """Write every lane's settled output value of one level into
-        ``initial_all`` via one vectorized truth-table lookup (spare
-        pins read the constant-0 dummy net, so the unpadded tables
-        apply)."""
-        index = np.zeros((level.in_ids.shape[0], initial_all.shape[1]),
-                         dtype=np.int64)
-        for pin in range(level.in_ids.shape[1]):
-            index |= initial_all[level.in_ids[:, pin]].astype(np.int64) << pin
-        initial_all[level.out_ids] = (
-            (level.tables[:, None] >> index) & 1).astype(np.uint8)
+        initial[compiled.input_net_ids] = batch.first[keep].T
+        self.backend.settle_levels(self._level_plans(), initial)
+        return initial, by_vector[by_pattern]
 
     def _splice(self, batch: _Batch, delta: DeltaPlan) -> WaveformPlane:
         """Slots whose stimuli and operating point match a base slot
@@ -750,33 +744,31 @@ class GpuWaveSim:
                  mask: Optional[np.ndarray] = None) -> WaveformPlane:
         """The one level loop: arena, seed, delay source, levels, extract.
 
-        ``mask`` is the per-(net, slot) activity plane; ``None`` runs
-        every lane of every level in one ``backend.run_levels`` call.
-        With a mask only lanes with an active input net are dispatched,
-        level by level; the others are settled by truth-table lookup
-        and leave their (reset or seeded) arena row alone.  How a level
-        is dispatched depends on its active share: mostly-quiet levels
-        hand the backend a compacted lane list, mostly-active ones run
-        whole, because the kernel settles a toggle-free lane in about
-        one iteration — cheaper than the compaction bookkeeping.  The
-        lane *accounting* is derived from the mask alone, so it is
-        invariant across backends and slot-plane chunkings either way.
+        ``mask`` is the per-(net, slot) activity plane handed to the
+        one ``backend.run_levels`` call; ``None`` runs every lane of
+        every level.  With a mask only lanes with an active input net
+        are dispatched; the others get their settled value by
+        truth-table lookup.  The lane *accounting* is derived from the
+        mask alone, so it is invariant across backends and slot-plane
+        chunkings.
 
         Without ``seed`` the arena starts from the stimuli, masked-out
         lanes count as ``lanes_skipped`` and the mask *grows*: after
         each level a net is active iff its lane kept at least one
-        toggle.  With ``seed`` (every slot mapped onto a base slot) the
-        arena starts from the base's initial values and, outside the
-        mask, its toggles; the mask is the *static* cone of influence
-        of the changed inputs, masked-out lanes count as
-        ``lanes_spliced`` and the mask is never narrowed — the
-        ``isfinite`` growth rule would wrongly re-activate non-cone
-        outputs whose seeded rows carry toggles.  Cone output rows stay
-        ``+inf`` from the pool reset (plane extraction counts every
-        finite entry, so a re-evaluated row must start empty); a level
-        dispatched whole rewrites seeded non-cone rows with
-        bit-identical values — inputs, delays and factors match the
-        base run by eligibility construction.
+        toggle.  A growing walk writes every gate-output row (skipped
+        lanes an all-``+inf`` one), so like an unmasked run it needs
+        only the undriven rows reset.  With ``seed`` (every slot mapped
+        onto a base slot) the arena starts from the base's initial
+        values and, outside the mask, its toggles; the mask is the
+        *static* cone of influence of the changed inputs, masked-out
+        lanes count as ``lanes_spliced`` and the mask is never narrowed
+        — growing it would wrongly re-activate non-cone outputs whose
+        seeded rows carry toggles.  A seeded run keeps the whole-arena
+        reset: the seed scatter writes toggles without terminators, and
+        cone output rows must start ``+inf`` (plane extraction counts
+        every finite entry).  A backend that rewrites a seeded non-cone
+        row does so with bit-identical values — inputs, delays and
+        factors match the base run by eligibility construction.
         """
         compiled = self.compiled
         stats = batch.stats
@@ -786,13 +778,12 @@ class GpuWaveSim:
         plans = self._level_plans()
 
         # Waveform memory: (nets + dummy, slots, capacity) toggle times,
-        # pooled per engine.  An unmasked run dispatches one lane per
-        # (gate, slot) and each writes its whole output row, so only the
-        # undriven rows need the reset; a masked run reads the rows it
-        # skipped as quiet and takes the full reset.
+        # pooled per engine.  Without a seed the walk writes every
+        # gate-output row in full, so only the undriven rows need the
+        # reset; a seeded run takes the full one.
         times_all, initial_all = self._arena_pool.acquire(
             compiled.num_nets + 1, num_slots, capacity,
-            rows=self._undriven_rows if mask is None else None)
+            rows=self._undriven_rows if seed is None else None)
 
         if seed is not None:
             base = seed.base.plane
@@ -845,53 +836,15 @@ class GpuWaveSim:
                                               batch.global_slots)
 
         # Level-wise processing (the vertical grid dimension).
-        if mask is None:
-            faults.trip("backend.run_levels")
-            merge_start = _time.perf_counter()
-            result = self.backend.run_levels(
-                plans, times_all, initial_all, slot_to_v, factors, capacity,
-                inertial, kernel_table=table, nv=nv,
-                delay_cache=batch.delay_cache, delays=delays)
-            stats.record_dispatch(result, _time.perf_counter() - merge_start,
-                                  result.lanes, result.kernel_calls, capacity)
-            return self._extract(times_all, initial_all, batch.rows, stats)
-
-        for level, level_factors, nc, level_delays in plans.level_sources(
-                table, factors, delays):
-            total_lanes = level.num_gates * num_slots
-            lane_active = mask[level.in_ids].any(axis=1)          # (g, S)
-            active_lanes = int(np.count_nonzero(lane_active))
-            if seed is not None:
-                stats.lanes_spliced += total_lanes - active_lanes
-            else:
-                stats.lanes_skipped += total_lanes - active_lanes
-            lane_gates = lane_slots = None
-            if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
-                # Settle every lane's output from the input initial
-                # values — the same table lookup the kernel performs
-                # before its event loop, so dispatched lanes just
-                # rewrite the same byte.
-                self._settle_level(level, initial_all)
-                if active_lanes == 0:
-                    if seed is None:
-                        mask[level.out_ids] = False
-                    continue
-                lane_gates, lane_slots = np.nonzero(lane_active)
-
-            faults.trip("backend.merge_group")
-            merge_start = _time.perf_counter()
-            result = self.backend.run_level(
-                level, times_all, initial_all, slot_to_v, level_factors,
-                capacity, inertial, kernel_table=table, nv=nv, nc=nc,
-                delay_cache=batch.delay_cache, lane_gates=lane_gates,
-                lane_slots=lane_slots, delays=level_delays)
-            stats.record_dispatch(result, _time.perf_counter() - merge_start,
-                                  active_lanes, 1, capacity)
-            if seed is None:
-                # A net is active downstream iff the lane kept >= 1
-                # toggle (all-cancelled lanes settle back to quiet).
-                mask[level.out_ids] = np.isfinite(
-                    times_all[level.out_ids, :, 0])
+        faults.trip("backend.run_levels")
+        merge_start = _time.perf_counter()
+        result = self.backend.run_levels(
+            plans, times_all, initial_all, slot_to_v, factors, capacity,
+            inertial, kernel_table=table, nv=nv,
+            delay_cache=batch.delay_cache, delays=delays,
+            mask=mask, grow=seed is None)
+        stats.record_walk(result, _time.perf_counter() - merge_start,
+                          seed is not None, capacity)
         return self._extract(times_all, initial_all, batch.rows, stats)
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray

@@ -27,24 +27,94 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["load", "merge_lanes", "delays_for_gates", "run_level",
-           "run_levels"]
-
-INF = np.float64(np.inf)
+__all__ = ["load", "merge_lanes", "delays_for_gates", "run_levels"]
 
 #: Hard bound on gate arity in the C kernels (padded truth tables are
 #: uint32, so real circuits stay at <= 5 pins).
 MAX_PINS = 16
 
 _SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 #include <math.h>
 
 #define MAX_PINS 16
 
+/* The lane body must be inlined at every call site: its arity argument
+ * is a literal there, and only after inlining do the pin loops unroll
+ * and the per-pin state live in registers. */
+#if defined(__GNUC__)
+#define LANE_INLINE static inline __attribute__((always_inline))
+#else
+#define LANE_INLINE static inline
+#endif
+
+/* One lane's event loop -- the only one in this file.
+ *   rows[pin]  the pin's toggle times, cin entries, +inf-terminated
+ *   index      the input values at t = 0 (bit pin = value of pin)
+ *   pd[(pin * 2 + pol) * pd_stride]  pin-to-pin delays of this lane
+ *   out        the output row, cout entries
+ * K is the arity: a compile-time constant 1..4 at the specialised call
+ * sites, the runtime arity at the generic one.  Each pin's head time
+ * stays in a register and is reloaded only when that pin advances.
+ * The row is written whole -- the surviving toggles, then +inf up to
+ * cout -- and nothing it held before is read.  Returns the number of
+ * surviving toggles; *overflow is set if one did not fit. */
+LANE_INLINE int64_t merge_lane(const int64_t K, const double *const *rows,
+                               int64_t cin, int64_t index, int64_t table,
+                               const double *pd, int64_t pd_stride,
+                               int32_t has_factor, double factor,
+                               int32_t inertial, double *out, int64_t cout,
+                               int64_t *overflow, int64_t *iterations)
+{
+    double head[MAX_PINS];
+    int64_t next[MAX_PINS];
+    for (int64_t pin = 0; pin < K; pin++) {
+        next[pin] = 0;
+        head[pin] = cin > 0 ? rows[pin][0] : INFINITY;
+    }
+    int64_t last_target = (table >> index) & 1;
+    int64_t depth = 0;
+    int64_t events = 0;
+    for (;;) {
+        double now = INFINITY;
+        for (int64_t pin = 0; pin < K; pin++)
+            if (head[pin] < now) now = head[pin];
+        if (!(now < INFINITY)) break;
+        events++;
+        int64_t causing = -1;
+        for (int64_t pin = 0; pin < K; pin++) {
+            if (head[pin] == now) {
+                index ^= (int64_t)1 << pin;
+                next[pin]++;
+                head[pin] = next[pin] < cin ? rows[pin][next[pin]] : INFINITY;
+                if (causing < 0) causing = pin;
+            }
+        }
+        int64_t new_val = (table >> index) & 1;
+        if (new_val == last_target) continue;
+        double delay = pd[(causing * 2 + (1 - new_val)) * pd_stride];
+        if (has_factor) delay = delay * factor;
+        double t_out = now + delay;
+        double width = inertial ? delay : 0.0;
+        if (depth > 0 && (t_out <= out[depth - 1]
+                          || t_out - out[depth - 1] < width)) {
+            depth--;
+        } else if (depth >= cout) {
+            *overflow = 1;
+        } else {
+            out[depth++] = t_out;
+        }
+        last_target ^= 1;
+    }
+    for (int64_t d = depth; d < cout; d++) out[d] = INFINITY;
+    *iterations += events;
+    return depth;
+}
+
 /* Per-lane waveform merge; lane-oriented layout:
  *   times   (k, L, cin)  delays (k, 2, L)  out_times (L, cout)
- * out_times must be pre-filled with +inf by the caller. */
+ * Every out_times row is written whole. */
 void merge_lanes(const double *times, const uint8_t *initial,
                  const double *delays, const int64_t *tables,
                  int64_t k, int64_t L, int64_t cin, int64_t cout,
@@ -58,73 +128,54 @@ void merge_lanes(const double *times, const uint8_t *initial,
 #pragma omp parallel for schedule(dynamic, 64) reduction(+:iterations)
 #endif
     for (int64_t lane = 0; lane < L; lane++) {
-        int64_t pointers[MAX_PINS];
-        int64_t vals[MAX_PINS];
-        double current[MAX_PINS];
+        const double *rows[MAX_PINS];
         const int64_t table = tables[lane];
         int64_t index = 0;
         for (int64_t pin = 0; pin < k; pin++) {
-            pointers[pin] = 0;
-            vals[pin] = initial[pin * L + lane];
-            index |= vals[pin] << pin;
+            rows[pin] = times + (pin * L + lane) * cin;
+            index |= (int64_t)initial[pin * L + lane] << pin;
         }
-        int64_t last_target = (table >> index) & 1;
-        out_initial[lane] = (uint8_t)last_target;
-        double *out = out_times + lane * cout;
-        int64_t depth = 0;
-        uint8_t overflow = 0;
-        for (;;) {
-            double now = INFINITY;
-            for (int64_t pin = 0; pin < k; pin++) {
-                double t = pointers[pin] < cin
-                    ? times[(pin * L + lane) * cin + pointers[pin]]
-                    : INFINITY;
-                current[pin] = t;
-                if (t < now) now = t;
-            }
-            if (!(now < INFINITY)) break;
-            iterations++;
-            int64_t causing = -1;
-            for (int64_t pin = 0; pin < k; pin++) {
-                if (current[pin] == now) {
-                    vals[pin] ^= 1;
-                    pointers[pin]++;
-                    if (causing < 0) causing = pin;
-                }
-            }
-            index = 0;
-            for (int64_t pin = 0; pin < k; pin++) index |= vals[pin] << pin;
-            int64_t new_val = (table >> index) & 1;
-            if (new_val == last_target) continue;
-            double delay = delays[(causing * 2 + (1 - new_val)) * L + lane];
-            double t_out = now + delay;
-            double width = inertial ? delay : 0.0;
-            if (depth > 0 && (t_out <= out[depth - 1]
-                              || t_out - out[depth - 1] < width)) {
-                depth--;
-                out[depth] = INFINITY;
-            } else if (depth >= cout) {
-                overflow = 1;
-            } else {
-                out[depth++] = t_out;
-            }
-            last_target ^= 1;
+        out_initial[lane] = (uint8_t)((table >> index) & 1);
+        int64_t overflow = 0;
+#define LANE(K) merge_lane(K, rows, cin, index, table, delays + lane, L, \
+                           0, 1.0, inertial, out_times + lane * cout, cout, \
+                           &overflow, &iterations)
+        switch (k) {
+        case 1: out_counts[lane] = LANE(1); break;
+        case 2: out_counts[lane] = LANE(2); break;
+        case 3: out_counts[lane] = LANE(3); break;
+        case 4: out_counts[lane] = LANE(4); break;
+        default: out_counts[lane] = LANE(k);
         }
-        out_counts[lane] = depth;
-        out_overflow[lane] = overflow;
+#undef LANE
+        out_overflow[lane] = (uint8_t)overflow;
     }
     *out_iterations = iterations;
 }
 
-/* Online delay calculation (Sec. IV-A): nested 2-D Horner evaluation
- * with pre-normalized predictors.
+/* Nested 2-D Horner evaluation of one delay-deviation polynomial with
+ * pre-normalized predictors, clamped to min_delay.  The scalar op order
+ * matches horner2d exactly, so results are bit-identical to the numpy
+ * evaluator (normalization happens in numpy on the caller side: the C
+ * library log2 may differ from np.log2 in the last ulp). */
+static inline double adapted_delay(const double *cc, int64_t n1, double v,
+                                   double c, double d_nom, double min_delay)
+{
+    double result = 0.0;
+    for (int64_t i = n1 - 1; i >= 0; i--) {
+        double inner = 0.0;
+        for (int64_t j = n1 - 1; j >= 0; j--)
+            inner = inner * c + cc[i * n1 + j];
+        result = result * v + inner;
+    }
+    double adapted = d_nom * (1.0 + result);
+    return adapted > min_delay ? adapted : min_delay;
+}
+
+/* Online delay calculation (Sec. IV-A):
  *   coeffs (G, P, 2, n1, n1) gathered per gate   nominal (G, P, 2)
  *   nv (V,) = phi_V per voltage   nc (G,) = phi_C per gate
- *   out (G, P, 2, V)
- * The scalar op order matches horner2d exactly, so
- * results are bit-identical to the numpy evaluator (normalization
- * happens in numpy on the caller side: the C library log2 may differ
- * from np.log2 in the last ulp). */
+ *   out (G, P, 2, V) */
 void delays_for_gates(const double *coeffs, const double *nv,
                       const double *nc, const double *nominal,
                       double min_delay,
@@ -135,37 +186,39 @@ void delays_for_gates(const double *coeffs, const double *nv,
 #pragma omp parallel for schedule(static)
 #endif
     for (int64_t gate = 0; gate < G; gate++) {
-        const double c = nc[gate];
-        for (int64_t pin = 0; pin < P; pin++) {
-            for (int64_t pol = 0; pol < 2; pol++) {
-                const double *cc = coeffs
-                    + (((gate * P + pin) * 2 + pol) * n1 * n1);
-                const double d_nom = nominal[(gate * P + pin) * 2 + pol];
-                double *row = out + (((gate * P + pin) * 2 + pol) * V);
-                for (int64_t vi = 0; vi < V; vi++) {
-                    const double v = nv[vi];
-                    double result = 0.0;
-                    for (int64_t i = n1 - 1; i >= 0; i--) {
-                        double inner = 0.0;
-                        for (int64_t j = n1 - 1; j >= 0; j--)
-                            inner = inner * c + cc[i * n1 + j];
-                        result = result * v + inner;
-                    }
-                    double adapted = d_nom * (1.0 + result);
-                    row[vi] = adapted > min_delay ? adapted : min_delay;
-                }
-            }
+        for (int64_t pp = 0; pp < P * 2; pp++) {
+            const double *cc = coeffs + (gate * P * 2 + pp) * n1 * n1;
+            double *row = out + (gate * P * 2 + pp) * V;
+            for (int64_t vi = 0; vi < V; vi++)
+                row[vi] = adapted_delay(cc, n1, nv[vi], nc[gate],
+                                        nominal[gate * P * 2 + pp],
+                                        min_delay);
         }
     }
 }
 
 /* Levels with fewer lanes than this run on the calling thread: below
  * it one fork/join costs more than the lanes it spreads.  Measured on 2
- * cores with whole GpuWaveSim.run calls (s38417 x0.05, 51 levels, and
- * b17 x0.1, 63 levels) over planes of 4..256 slots: serial wins up to
- * ~250 (s38417) / ~470 (b17) lanes per level -- 410 vs 600 us per run
- * on the 4-slot service job shape -- the team wins from ~500 / ~900. */
+ * cores with whole GpuWaveSim.run calls (s38417 x0.05, 51 levels of ~15
+ * gates, and b17 x0.1, 63 levels of ~60) over planes of 4..256 slots,
+ * the library rebuilt at thresholds 0 / 64 / 128 / 256 / 512 / never.
+ * With the team's threads spinning between levels, 64..128 is best on
+ * every plane and 512 gives away 10-16 % at 8-16 slots on s38417 (606
+ * vs 550 us, 798 vs 671 us per run) and 13 % on the 4-slot b17 plane
+ * (1285 vs 1118 us); never forking loses from 8 slots up.  But on the
+ * same (virtualised) box about two processes in three run in a second
+ * regime where a fork that follows serial levels costs ~10 ms -- a
+ * 16-slot plane of 27 small levels, 5 of them over 128 lanes, takes
+ * 56 ms instead of 0.6 ms; GOMP_SPINCOUNT=1000 makes it go away -- so
+ * the threshold stays where planes that small never fork at all. */
 #define PARALLEL_MIN_LANES 512
+
+/* The unit the level's lanes are handed out in: one division per chunk
+ * finds its first (gate, slot), the rest is a walk.  The schedule is
+ * guided -- runs of chunks that shrink towards the end of the level --
+ * because a settled lane costs a few ns and one grab per 64 of them
+ * would be most of the walk. */
+#define CHUNK_LANES 64
 
 /* Per-thread delay memo, direct-mapped by distinct-voltage index: a
  * gate's pin-to-pin delays depend on (gate, voltage) only, and a thread
@@ -179,81 +232,50 @@ typedef struct {
     double pd[MAX_PINS * 2];
 } delay_memo;
 
-/* Whole-level dispatch: every arity group of a level in one call.
- *   in_ids (g, maxP)  out_ids/tables/arities/type_ids (g,)
- *   delays (g, maxP, 2, dV) pin-to-pin delays per distinct voltage
- *   parametric: delays holds the nominal delays (dV == 1) and the Horner
- *               deviation kernel is evaluated inside the merge loop,
- *               once per (gate, distinct voltage) per run of lanes a
- *               thread owns (see delay_memo; same arithmetic, same
- *               doubles as per-lane evaluation), so per-lane delay
- *               arrays are never materialized;
- *               coeffs (T, coeff_pins, 2, n1, n1) full table,
- *               nv (V,) phi_V per distinct voltage, nc (g,) phi_C
- *   table (parametric == 0): delays used as given, column
- *               slot_to_v[slot]; static nominal delays are dV == 1
- *   sparse: only the (lane_gates, lane_slots) lanes (length L) run
- * Gates are arity-sorted with unpadded truth tables; each lane loops
- * only its real pins, which is bit-equivalent to the padded dispatch
- * because spare pins read the constant-0 dummy net.
- * A dispatched lane writes its whole output row -- its toggles, then
- * +inf up to cap -- and its initial value, and never reads what the row
- * held before; rows of lanes that are not dispatched stay untouched. */
-void run_level(double *times_all, uint8_t *initial_all,
-               const int64_t *in_ids, const int64_t *out_ids,
-               const int64_t *tables, const int64_t *arities,
-               const int64_t *type_ids, const double *delays, int64_t dV,
-               int32_t parametric, const double *coeffs,
-               int64_t coeff_pins, int64_t n1,
-               const double *nv, const double *nc, double min_delay,
-               const int64_t *slot_to_v,
-               const double *factors, int32_t has_factors,
-               int64_t g, int64_t maxP, int64_t S, int64_t cap,
-               int32_t inertial,
-               int32_t sparse, const int64_t *lane_gates,
-               const int64_t *lane_slots, int64_t L,
-               int64_t *out_overflow, int64_t *out_iterations)
+/* Slots [slot, stop) of one gate: the per-lane half of the level walk.
+ * Everything that depends on the gate alone arrives as an argument;
+ * net[pin] is the pin's net id times S, so net[pin] + slot indexes the
+ * (nets, S) planes and, times cap, the arena. */
+LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
+                            uint8_t *initial_all, uint8_t *mask,
+                            int32_t grow, const int64_t *net,
+                            int64_t out_net, int64_t table,
+                            const double *delays, int64_t dV,
+                            int64_t gate, const double *cc, int64_t n1,
+                            const double *nv, double c, double min_delay,
+                            delay_memo *memo, const int64_t *slot_to_v,
+                            const double *factors,
+                            int64_t slot, int64_t stop, int64_t cap,
+                            int32_t inertial, int64_t *dispatched,
+                            int64_t *overflow_lanes, int64_t *iterations)
 {
-    int64_t iterations = 0;
-    int64_t overflow_lanes = 0;
-    const int64_t total = sparse ? L : g * S;
-#ifdef _OPENMP
-#pragma omp parallel if(total >= PARALLEL_MIN_LANES) \
-    reduction(+:iterations) reduction(+:overflow_lanes)
-#endif
-    {
-    delay_memo memo[MEMO_WAYS];
-    for (int64_t way = 0; way < MEMO_WAYS; way++) memo[way].gate = -1;
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic, 64)
-#endif
-    for (int64_t lane = 0; lane < total; lane++) {
-        const int64_t gate = sparse ? lane_gates[lane] : lane / S;
-        const int64_t slot = sparse ? lane_slots[lane] : lane % S;
-        const int64_t arity = arities[gate];
-        const double factor = has_factors ? factors[gate * S + slot] : 1.0;
+    for (; slot < stop; slot++) {
+        int64_t index = 0;
+        uint8_t active = mask == NULL;
+        for (int64_t pin = 0; pin < K; pin++) {
+            index |= (int64_t)initial_all[net[pin] + slot] << pin;
+            if (mask != NULL) active |= mask[net[pin] + slot];
+        }
+        double *out = times_all + (out_net + slot) * cap;
+        initial_all[out_net + slot] = (uint8_t)((table >> index) & 1);
+        if (!active) {
+            /* Settled above; a growing mask also terminates the row. */
+            if (grow) {
+                for (int64_t d = 0; d < cap; d++) out[d] = INFINITY;
+                mask[out_net + slot] = 0;
+            }
+            continue;
+        }
         /* pd[(pin * 2 + pol) * pd_stride] */
-        const double *pd = delays + gate * maxP * 2 * dV;
+        const double *pd = delays;
         int64_t pd_stride = dV;
-        if (parametric) {
+        if (cc != NULL) {
             const int64_t vi = slot_to_v[slot];
             delay_memo *m = &memo[vi % MEMO_WAYS];
             if (m->gate != gate || m->v != vi) {
-                const double v = nv[vi];
-                const double c = nc[gate];
-                for (int64_t pp = 0; pp < arity * 2; pp++) {
-                    const double *cc = coeffs
-                        + ((type_ids[gate] * coeff_pins * 2 + pp) * n1 * n1);
-                    double result = 0.0;
-                    for (int64_t i = n1 - 1; i >= 0; i--) {
-                        double inner = 0.0;
-                        for (int64_t j = n1 - 1; j >= 0; j--)
-                            inner = inner * c + cc[i * n1 + j];
-                        result = result * v + inner;
-                    }
-                    double adapted = pd[pp] * (1.0 + result);
-                    m->pd[pp] = adapted > min_delay ? adapted : min_delay;
-                }
+                for (int64_t pp = 0; pp < K * 2; pp++)
+                    m->pd[pp] = adapted_delay(cc + pp * n1 * n1, n1, nv[vi],
+                                              c, delays[pp], min_delay);
                 m->gate = gate;
                 m->v = vi;
             }
@@ -262,79 +284,57 @@ void run_level(double *times_all, uint8_t *initial_all,
         } else if (dV > 1) {
             pd += slot_to_v[slot];
         }
-        int64_t pointers[MAX_PINS];
-        int64_t vals[MAX_PINS];
-        double current[MAX_PINS];
-        const double *in_rows[MAX_PINS];
-        const int64_t table = tables[gate];
-        int64_t index = 0;
-        for (int64_t pin = 0; pin < arity; pin++) {
-            const int64_t net = in_ids[gate * maxP + pin];
-            in_rows[pin] = times_all + (net * S + slot) * cap;
-            pointers[pin] = 0;
-            vals[pin] = initial_all[net * S + slot];
-            index |= vals[pin] << pin;
-        }
-        int64_t last_target = (table >> index) & 1;
-        const int64_t out_net = out_ids[gate];
-        initial_all[out_net * S + slot] = (uint8_t)last_target;
-        double *out = times_all + (out_net * S + slot) * cap;
-        int64_t depth = 0;
+        const double *rows[MAX_PINS];
+        for (int64_t pin = 0; pin < K; pin++)
+            rows[pin] = times_all + (net[pin] + slot) * cap;
         int64_t overflow = 0;
-        for (;;) {
-            double now = INFINITY;
-            for (int64_t pin = 0; pin < arity; pin++) {
-                double t = pointers[pin] < cap
-                    ? in_rows[pin][pointers[pin]] : INFINITY;
-                current[pin] = t;
-                if (t < now) now = t;
-            }
-            if (!(now < INFINITY)) break;
-            iterations++;
-            int64_t causing = -1;
-            for (int64_t pin = 0; pin < arity; pin++) {
-                if (current[pin] == now) {
-                    vals[pin] ^= 1;
-                    pointers[pin]++;
-                    if (causing < 0) causing = pin;
-                }
-            }
-            index = 0;
-            for (int64_t pin = 0; pin < arity; pin++)
-                index |= vals[pin] << pin;
-            int64_t new_val = (table >> index) & 1;
-            if (new_val == last_target) continue;
-            double delay = pd[(causing * 2 + (1 - new_val)) * pd_stride];
-            if (has_factors) delay = delay * factor;
-            double t_out = now + delay;
-            double width = inertial ? delay : 0.0;
-            if (depth > 0 && (t_out <= out[depth - 1]
-                              || t_out - out[depth - 1] < width)) {
-                depth--;
-            } else if (depth >= cap) {
-                overflow = 1;
-            } else {
-                out[depth++] = t_out;
-            }
-            last_target ^= 1;
-        }
-        for (int64_t d = depth; d < cap; d++) out[d] = INFINITY;
-        overflow_lanes += overflow;
+        const int64_t depth = merge_lane(
+            K, rows, cap, index, table, pd, pd_stride,
+            factors != NULL, factors != NULL ? factors[slot] : 1.0,
+            inertial, out, cap, &overflow, iterations);
+        if (grow) mask[out_net + slot] = depth > 0;
+        *dispatched += 1;
+        *overflow_lanes += overflow;
     }
-    }
-    *out_overflow = overflow_lanes;
-    *out_iterations = iterations;
 }
 
-/* Whole-batch dispatch: every level of the circuit in ONE library
- * call.  The plan arrays are the per-level arrays concatenated row-wise
- * (level_offsets bounds each level); each level runs the dense
- * run_level body, and levels stay strictly ordered because a level's
- * inputs are finalized by the preceding ones.  Stops after the first
- * level with overflowing lanes (the caller discards the arena and
- * retries at doubled capacity); out_levels_done / out_lanes report how
- * many non-empty levels dispatched and how many lanes ran, so the
- * caller's accounting matches the one-call-per-level path exactly. */
+/* Whole-batch dispatch: every level of the circuit in ONE library call.
+ * The plan arrays are the per-level arrays concatenated row-wise
+ * (level_offsets bounds each level), gates arity-sorted inside a level
+ * with unpadded truth tables -- a lane loops only its real pins, which
+ * is bit-equivalent to the padded dispatch because spare pins read the
+ * constant-0 dummy net.  Levels stay strictly ordered because a level's
+ * inputs are finalized by the preceding ones.
+ *   in_ids (G, maxP)  out_ids/tables/arities/type_ids (G,)
+ *   delays (G, maxP, 2, dV) pin-to-pin delays per distinct voltage
+ *   parametric: delays holds the nominal delays (dV == 1) and the Horner
+ *               deviation kernel is evaluated inside the walk, once per
+ *               (gate, distinct voltage) per run of lanes a thread owns
+ *               (see delay_memo; same arithmetic, same doubles as
+ *               per-lane evaluation), so per-lane delay arrays are
+ *               never materialized;
+ *               coeffs (T, coeff_pins, 2, n1, n1) full table,
+ *               nv (V,) phi_V per distinct voltage, nc (G,) phi_C
+ *   table (parametric == 0): delays used as given, column
+ *               slot_to_v[slot]; static nominal delays are dV == 1
+ *   mask (nets, S) or NULL: a lane is dispatched iff one of its input
+ *               nets is set in its slot; a skipped lane only gets its
+ *               settled initial value.  With grow the mask follows the
+ *               waveforms -- a dispatched lane sets its output net iff
+ *               it kept a toggle, a skipped lane clears it and writes
+ *               an all-+inf row, so a growing walk writes every
+ *               gate-output row.  Without grow the mask is read-only
+ *               and skipped rows stay as the caller seeded them.
+ * A level is walked gate-major in chunks of CHUNK_LANES lanes: what
+ * depends on the gate alone is loaded when the walk crosses a gate, and
+ * the lanes run through the arity-specialised body.  A dispatched lane
+ * writes its whole output row and its initial value, and never reads
+ * what the row held before.
+ * Stops after the first level with overflowing lanes (the caller
+ * discards the arena and retries at doubled capacity).  out_lanes /
+ * out_skipped count the dispatched and masked-out lanes of the levels
+ * walked, out_calls the levels that dispatched at least one lane: all
+ * three are functions of the mask alone. */
 void run_levels(double *times_all, uint8_t *initial_all,
                 const int64_t *in_ids, const int64_t *out_ids,
                 const int64_t *tables, const int64_t *arities,
@@ -344,43 +344,82 @@ void run_levels(double *times_all, uint8_t *initial_all,
                 const double *nv, const double *nc, double min_delay,
                 const int64_t *slot_to_v,
                 const double *factors, int32_t has_factors,
+                uint8_t *mask, int32_t has_mask, int32_t grow,
                 const int64_t *level_offsets, int64_t num_levels,
                 int64_t maxP, int64_t S, int64_t cap,
                 int32_t inertial,
                 int64_t *out_overflow, int64_t *out_iterations,
-                int64_t *out_levels_done, int64_t *out_lanes)
+                int64_t *out_calls, int64_t *out_lanes,
+                int64_t *out_skipped)
 {
-    int64_t iterations_total = 0;
-    int64_t lanes_total = 0;
-    int64_t levels_done = 0;
-    int64_t overflow_total = 0;
-    for (int64_t level = 0; level < num_levels; level++) {
+    int64_t iterations = 0;
+    int64_t overflow_lanes = 0;
+    int64_t lanes = 0;
+    int64_t skipped = 0;
+    int64_t calls = 0;
+    if (!has_mask) { mask = NULL; grow = 0; }
+    if (!has_factors) factors = NULL;
+    if (!parametric) coeffs = NULL;
+    for (int64_t level = 0; level < num_levels && !overflow_lanes; level++) {
         const int64_t lo = level_offsets[level];
-        const int64_t g = level_offsets[level + 1] - lo;
-        if (g == 0) continue;
-        int64_t overflow = 0;
-        int64_t iterations = 0;
-        run_level(times_all, initial_all,
-                  in_ids + lo * maxP, out_ids + lo, tables + lo,
-                  arities + lo, type_ids + lo, delays + lo * maxP * 2 * dV,
-                  dV, parametric, coeffs, coeff_pins, n1,
-                  nv, nc + (parametric ? lo : 0), min_delay, slot_to_v,
-                  factors + (has_factors ? lo * S : 0), has_factors,
-                  g, maxP, S, cap, inertial,
-                  0, level_offsets, level_offsets, 0,
-                  &overflow, &iterations);
-        iterations_total += iterations;
-        lanes_total += g * S;
-        levels_done++;
-        if (overflow) {
-            overflow_total = overflow;
-            break;
+        const int64_t total = (level_offsets[level + 1] - lo) * S;
+        const int64_t chunks = (total + CHUNK_LANES - 1) / CHUNK_LANES;
+        int64_t dispatched = 0;
+#ifdef _OPENMP
+#pragma omp parallel if(total >= PARALLEL_MIN_LANES) \
+    reduction(+:iterations) reduction(+:overflow_lanes) \
+    reduction(+:dispatched)
+#endif
+        {
+        delay_memo memo[MEMO_WAYS];
+        for (int64_t way = 0; way < MEMO_WAYS; way++) memo[way].gate = -1;
+#ifdef _OPENMP
+#pragma omp for schedule(guided)
+#endif
+        for (int64_t chunk = 0; chunk < chunks; chunk++) {
+            int64_t lane = chunk * CHUNK_LANES;
+            const int64_t end = lane + CHUNK_LANES < total
+                ? lane + CHUNK_LANES : total;
+            int64_t gate = lo + lane / S;
+            int64_t slot = lane % S;
+            while (lane < end) {
+                const int64_t stop = end - lane < S - slot
+                    ? slot + (end - lane) : S;
+                const int64_t arity = arities[gate];
+                int64_t net[MAX_PINS];
+                for (int64_t pin = 0; pin < arity; pin++)
+                    net[pin] = in_ids[gate * maxP + pin] * S;
+#define GATE(K) gate_lanes( \
+    K, times_all, initial_all, mask, grow, net, out_ids[gate] * S, \
+    tables[gate], delays + gate * maxP * 2 * dV, dV, gate, \
+    coeffs != NULL ? coeffs + type_ids[gate] * coeff_pins * 2 * n1 * n1 \
+                   : NULL, \
+    n1, nv, coeffs != NULL ? nc[gate] : 0.0, min_delay, memo, slot_to_v, \
+    factors != NULL ? factors + gate * S : NULL, slot, stop, cap, \
+    inertial, &dispatched, &overflow_lanes, &iterations)
+                switch (arity) {
+                case 1: GATE(1); break;
+                case 2: GATE(2); break;
+                case 3: GATE(3); break;
+                case 4: GATE(4); break;
+                default: GATE(arity);
+                }
+#undef GATE
+                lane += stop - slot;
+                slot = 0;
+                gate++;
+            }
         }
+        }
+        lanes += dispatched;
+        skipped += total - dispatched;
+        calls += dispatched > 0;
     }
-    *out_overflow = overflow_total;
-    *out_iterations = iterations_total;
-    *out_levels_done = levels_done;
-    *out_lanes = lanes_total;
+    *out_overflow = overflow_lanes;
+    *out_iterations = iterations;
+    *out_calls = calls;
+    *out_lanes = lanes;
+    *out_skipped = skipped;
 }
 """
 
@@ -404,12 +443,12 @@ def _compiler() -> str:
     return os.environ.get("CC", "cc")
 
 
-def _build() -> str:
-    """Compile the kernel library (once per source digest) and return its
-    path."""
+def _build(source: str = _SOURCE) -> str:
+    """Compile ``source`` (the kernel library; once per source digest)
+    and return the shared object's path."""
     compiler = _compiler()
     digest = hashlib.sha256(
-        ("\x00".join([_SOURCE, compiler] + _CFLAGS)).encode("utf-8")
+        ("\x00".join([source, compiler] + _CFLAGS)).encode("utf-8")
     ).hexdigest()[:16]
     lib_path = os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
     if os.path.exists(lib_path):
@@ -417,7 +456,7 @@ def _build() -> str:
     with tempfile.TemporaryDirectory() as workdir:
         source_path = os.path.join(workdir, "kernels.c")
         with open(source_path, "w", encoding="utf-8") as stream:
-            stream.write(_SOURCE)
+            stream.write(source)
         build_path = os.path.join(workdir, "kernels.so")
         # Try OpenMP first; fall back to a serial build.
         for extra in (["-fopenmp"], []):
@@ -441,51 +480,46 @@ _p_u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _p_i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 
 
+def _bind(path: str) -> ctypes.CDLL:
+    """Load the shared object at ``path`` and declare its entry points."""
+    lib = ctypes.CDLL(path)
+    lib.merge_lanes.argtypes = [
+        _p_f64, _p_u8, _p_f64, _p_i64,
+        _i64, _i64, _i64, _i64, _i32,
+        _p_u8, _p_f64, _p_i64, _p_u8,
+        ctypes.POINTER(_i64),
+    ]
+    lib.merge_lanes.restype = None
+    lib.delays_for_gates.argtypes = [
+        _p_f64, _p_f64, _p_f64, _p_f64, ctypes.c_double,
+        _i64, _i64, _i64, _i64,
+        _p_f64,
+    ]
+    lib.delays_for_gates.restype = None
+    lib.run_levels.argtypes = [
+        _p_f64, _p_u8,
+        _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64, _i64,
+        _i32, _p_f64, _i64, _i64,
+        _p_f64, _p_f64, ctypes.c_double,
+        _p_i64,
+        _p_f64, _i32,
+        _p_u8, _i32, _i32,
+        _p_i64, _i64,
+        _i64, _i64, _i64, _i32,
+        ctypes.POINTER(_i64), ctypes.POINTER(_i64),
+        ctypes.POINTER(_i64), ctypes.POINTER(_i64),
+        ctypes.POINTER(_i64),
+    ]
+    lib.run_levels.restype = None
+    return lib
+
+
 def load():
     """Build (if needed) and load the C kernel library; returns this
     module, which then satisfies the backend kernel API."""
     global _lib
     if _lib is None:
-        lib = ctypes.CDLL(_build())
-        lib.merge_lanes.argtypes = [
-            _p_f64, _p_u8, _p_f64, _p_i64,
-            _i64, _i64, _i64, _i64, _i32,
-            _p_u8, _p_f64, _p_i64, _p_u8,
-            ctypes.POINTER(_i64),
-        ]
-        lib.merge_lanes.restype = None
-        lib.delays_for_gates.argtypes = [
-            _p_f64, _p_f64, _p_f64, _p_f64, ctypes.c_double,
-            _i64, _i64, _i64, _i64,
-            _p_f64,
-        ]
-        lib.delays_for_gates.restype = None
-        lib.run_level.argtypes = [
-            _p_f64, _p_u8,
-            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64, _i64,
-            _i32, _p_f64, _i64, _i64,
-            _p_f64, _p_f64, ctypes.c_double,
-            _p_i64,
-            _p_f64, _i32,
-            _i64, _i64, _i64, _i64, _i32,
-            _i32, _p_i64, _p_i64, _i64,
-            ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-        ]
-        lib.run_level.restype = None
-        lib.run_levels.argtypes = [
-            _p_f64, _p_u8,
-            _p_i64, _p_i64, _p_i64, _p_i64, _p_i64, _p_f64, _i64,
-            _i32, _p_f64, _i64, _i64,
-            _p_f64, _p_f64, ctypes.c_double,
-            _p_i64,
-            _p_f64, _i32,
-            _p_i64, _i64,
-            _i64, _i64, _i64, _i32,
-            ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-            ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-        ]
-        lib.run_levels.restype = None
-        _lib = lib
+        _lib = _bind(_build())
     import sys
     return sys.modules[__name__]
 
@@ -501,9 +535,9 @@ def merge_lanes(input_times, input_initial, delays, tables, out_capacity,
     lane_delays = np.ascontiguousarray(delays, dtype=np.float64)
     lane_tables = np.ascontiguousarray(tables, dtype=np.int64)
     out_initial = np.empty(num_lanes, dtype=np.uint8)
-    out_times = np.full((num_lanes, out_capacity), INF, dtype=np.float64)
-    counts = np.zeros(num_lanes, dtype=np.int64)
-    overflow = np.zeros(num_lanes, dtype=np.uint8)
+    out_times = np.empty((num_lanes, out_capacity), dtype=np.float64)
+    counts = np.empty(num_lanes, dtype=np.int64)
+    overflow = np.empty(num_lanes, dtype=np.uint8)
     iterations = _i64(0)
     _lib.merge_lanes(
         times, initial, lane_delays, lane_tables,
@@ -553,18 +587,16 @@ def delays_for_gates(kernel_table, type_ids, loads, nominal_delays, voltages):
 
 
 def _delay_args(delays, coeffs, nv, nc, slot_to_v, factors):
-    """The delay-source argument run shared by ``run_level`` and
-    ``run_levels``: ``delays`` is the ``(g, P, 2, V)`` pin-to-pin table
-    (the nominal delays with ``V == 1`` when ``coeffs`` — the full
-    kernel-table coefficient array — selects in-kernel Horner
-    evaluation over ``nv`` / ``nc``)."""
+    """The delay-source argument run of ``run_levels``: ``delays`` is
+    the ``(G, P, 2, V)`` pin-to-pin table (the nominal delays with
+    ``V == 1`` when ``coeffs`` — the full kernel-table coefficient
+    array — selects in-kernel Horner evaluation over ``nv`` / ``nc``)."""
     from repro.core.delay_kernel import MIN_DELAY
 
     delays = np.ascontiguousarray(delays, dtype=np.float64)
     max_pins, columns = delays.shape[1], delays.shape[3]
     if max_pins > MAX_PINS:
         raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
-    slot_to_v = np.ascontiguousarray(slot_to_v, dtype=np.int64)
     parametric = coeffs is not None
     if parametric:
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
@@ -588,63 +620,41 @@ def _delay_args(delays, coeffs, nv, nc, slot_to_v, factors):
             nv, nc, MIN_DELAY, slot_to_v, factors, int(has_factors))
 
 
-def run_level(times_all, initial_all, in_ids, out_ids, tables, arities,
-              type_ids, delays, coeffs, nv, nc, slot_to_v, factors,
-              capacity, inertial, lane_gates, lane_slots):
-    """Whole-level dispatch (see ``ComputeBackend.run_level``).
-
-    ``delays`` / ``coeffs`` as in :func:`_delay_args`;
-    ``lane_gates``/``lane_slots`` select the sparse path when given.
-    Returns ``(overflow_lanes, iterations)``.
-    """
-    group_size, max_pins = in_ids.shape
-    sparse = lane_gates is not None
-    if sparse:
-        lane_gates = np.ascontiguousarray(lane_gates, dtype=np.int64)
-        lane_slots = np.ascontiguousarray(lane_slots, dtype=np.int64)
-        num_lanes = lane_gates.size
-    else:
-        lane_gates = lane_slots = np.zeros(1, dtype=np.int64)
-        num_lanes = 0
-    overflow = _i64(0)
-    iterations = _i64(0)
-    _lib.run_level(
-        times_all, initial_all,
-        np.ascontiguousarray(in_ids, dtype=np.int64),
-        np.ascontiguousarray(out_ids, dtype=np.int64),
-        np.ascontiguousarray(tables, dtype=np.int64),
-        np.ascontiguousarray(arities, dtype=np.int64),
-        np.ascontiguousarray(type_ids, dtype=np.int64),
-        *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
-        group_size, max_pins, slot_to_v.size, capacity,
-        int(bool(inertial)),
-        int(sparse), lane_gates, lane_slots, num_lanes,
-        ctypes.byref(overflow), ctypes.byref(iterations),
-    )
-    return overflow.value, iterations.value
-
-
 def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
-               slot_to_v, factors, capacity, inertial):
+               slot_to_v, factors, capacity, inertial, mask=None,
+               grow=False):
     """Whole-batch dispatch: every level in one library call.
 
     ``cat`` is a :class:`repro.simulation.compiled.ConcatPlans`;
     ``delays`` (see :func:`_delay_args`) and ``factors`` (if given) are
-    in concatenated plan-row order.  Returns ``(overflow_lanes,
-    iterations, levels_done, lanes)``.
+    in concatenated plan-row order.  ``mask`` is the C-contiguous
+    ``(nets, S)`` bool activity plane, updated in place when ``grow``
+    (see ``ComputeBackend.run_levels``).  Returns ``(overflow_lanes,
+    iterations, calls, lanes, skipped)``.
     """
+    slot_to_v = np.ascontiguousarray(slot_to_v, dtype=np.int64)
+    has_mask = mask is not None
+    if has_mask and not (mask.dtype == np.bool_ and mask.flags.c_contiguous
+                         and mask.shape == initial_all.shape):
+        raise ValueError(
+            "activity mask must be a C-contiguous bool (nets, slots) plane")
+    mask = (mask.view(np.uint8) if has_mask
+            else np.zeros((1, 1), dtype=np.uint8))
     overflow = _i64(0)
     iterations = _i64(0)
-    levels_done = _i64(0)
+    calls = _i64(0)
     lanes = _i64(0)
+    skipped = _i64(0)
     _lib.run_levels(
         times_all, initial_all,
         cat.in_ids, cat.out_ids, cat.tables, cat.arities, cat.type_ids,
         *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
+        mask, int(has_mask), int(bool(grow)),
         cat.level_offsets, cat.num_levels,
         cat.in_ids.shape[1], slot_to_v.size, capacity,
         int(bool(inertial)),
         ctypes.byref(overflow), ctypes.byref(iterations),
-        ctypes.byref(levels_done), ctypes.byref(lanes),
+        ctypes.byref(calls), ctypes.byref(lanes), ctypes.byref(skipped),
     )
-    return overflow.value, iterations.value, levels_done.value, lanes.value
+    return (overflow.value, iterations.value, calls.value, lanes.value,
+            skipped.value)
