@@ -11,12 +11,14 @@ paper's motivating applications (ref. [15]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.analysis.activity import ActivityReport
 from repro.errors import SimulationError
 
-__all__ = ["PowerReport", "dynamic_power"]
+__all__ = ["PowerReport", "dynamic_power", "load_vector"]
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,18 @@ class PowerReport:
         return self.glitch_energy_per_pattern / self.energy_per_pattern
 
 
+def load_vector(loads: Mapping[str, float],
+                nets: Sequence[str]) -> np.ndarray:
+    """``loads`` resolved once into the array form :func:`dynamic_power`
+    takes for columnar activity: one capacitance per net of ``nets``
+    (a result plane's, in its order), ``nan`` where ``loads`` has none."""
+    return np.asarray([loads.get(net, np.nan) for net in nets],
+                      dtype=np.float64)
+
+
 def dynamic_power(
     activity: ActivityReport,
-    loads: Dict[str, float],
+    loads: Union[Mapping[str, float], np.ndarray],
     voltage: float,
     frequency: Optional[float] = None,
 ) -> PowerReport:
@@ -64,7 +75,10 @@ def dynamic_power(
     ----------
     loads:
         Net → load capacitance in farads (from
-        :meth:`repro.netlist.circuit.Circuit.net_loads` or a SPEF file).
+        :meth:`repro.netlist.circuit.Circuit.net_loads` or a SPEF file),
+        or its :func:`load_vector` over the nets of a columnar
+        ``activity`` — same figures bit for bit, without a dict lookup
+        per net.
     voltage:
         Supply voltage in volts.
     frequency:
@@ -75,12 +89,27 @@ def dynamic_power(
     energy = 0.0
     glitch_energy = 0.0
     factor = 0.5 * voltage * voltage
-    for net, toggles in activity.toggles.items():
-        cap = loads.get(net)
-        if cap is None:
-            continue
-        energy += factor * cap * toggles
-        glitch_energy += factor * cap * activity.glitches.get(net, 0)
+    if isinstance(loads, np.ndarray):
+        if activity.nets is None or loads.shape != (len(activity.nets),):
+            raise SimulationError(
+                "a load vector needs columnar activity over the same nets")
+        known = ~np.isnan(loads)
+        if known.any():
+            # The dict walk below, vectorized: the same products, added
+            # up in net order (``accumulate`` is sequential where
+            # ``sum`` is pairwise), so both paths agree to the last bit.
+            weights = factor * loads[known]
+            toggles = activity.toggle_counts[known]
+            glitches = toggles - activity.functional_counts[known]
+            energy = float(np.add.accumulate(weights * toggles)[-1])
+            glitch_energy = float(np.add.accumulate(weights * glitches)[-1])
+    else:
+        for net, toggles in activity.toggles.items():
+            cap = loads.get(net)
+            if cap is None:
+                continue
+            energy += factor * cap * toggles
+            glitch_energy += factor * cap * activity.glitches.get(net, 0)
     per_pattern = energy / activity.num_slots
     glitch_per_pattern = glitch_energy / activity.num_slots
     power = per_pattern * frequency if frequency else None

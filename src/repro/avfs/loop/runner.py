@@ -53,7 +53,7 @@ import numpy as np
 from repro import faults
 from repro.analysis.activity import switching_activity
 from repro.analysis.arrival import latest_arrivals
-from repro.analysis.power import dynamic_power
+from repro.analysis.power import dynamic_power, load_vector
 from repro.avfs.controller import AvfsController
 from repro.avfs.loop.disturbance import DisturbanceModel
 from repro.avfs.loop.report import LoopReport, LoopStep
@@ -218,7 +218,10 @@ class ClosedLoopRunner:
                                            - pool_before)
             self.simulator = simulator
             self._compiled = simulator.compiled
-        self._loads = (circuit.net_loads(library)
+        # Energy is accounted over every recorded net, every iteration:
+        # the loads are resolved once, aligned with the result planes.
+        self._loads = (load_vector(circuit.net_loads(library),
+                                   self._compiled.result_nets(True))
                        if config.record_energy else None)
         # Base-arena ring keyed by quantized supply — stimuli never
         # change across iterations, so one base per voltage is complete.

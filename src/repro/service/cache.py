@@ -74,9 +74,9 @@ class CachedBase:
 
     ``arena`` is a :class:`~repro.simulation.delta.BaseArena` whose
     payload the service hands over without deep-copying (the per-job
-    ``take`` already owns private memory); ``tag`` is the producing
-    job's fingerprint, which both deduplicates retention and lets
-    operators trace a splice back to its origin run; ``checksum`` is
+    unpack or ``take`` already owns private memory); ``tag`` is the
+    producing job's fingerprint, which both deduplicates retention and
+    lets operators trace a splice back to its origin run; ``checksum`` is
     :func:`base_checksum` at admission, compared again only when a job
     selects this base (:meth:`ResultCache.verify_base`).
     """
@@ -162,7 +162,7 @@ class ResultCache:
         checksum (verified on every hit)."""
         if not self.enabled:
             return
-        plane = entry.plane.take(np.arange(entry.plane.num_slots))
+        plane = entry.plane.copy()
         entry = replace(entry, plane=plane, checksum=plane.checksum())
         with self._lock:
             if fingerprint in self._entries:
@@ -178,8 +178,8 @@ class ResultCache:
         """Pin a base arena in ``group_key``'s delta ring.
 
         No deep copy: the arena's payload is already private (engine
-        capture / per-job ``take``), so admission only derives the
-        integrity checksum.  The ring holds the newest
+        capture / per-job unpack or ``take``), so admission only
+        derives the integrity checksum.  The ring holds the newest
         ``max_bases`` arenas per group; re-admitting an existing ``tag``
         is a no-op (the splice of a fully cached job must not displace
         the ring's diversity with a byte-identical duplicate) and

@@ -95,7 +95,7 @@ from repro.service.pool import EnginePool
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import DeltaPlan, select_delta
-from repro.simulation.grid import SlotPlan
+from repro.simulation.grid import Segments, SlotPlan
 
 __all__ = ["SimulationService"]
 
@@ -639,19 +639,28 @@ class SimulationService:
         combined_pairs, plan, global_slots = self._combine(jobs)
         engine = self._engine_for(jobs[0].circuit_key, config)
         kwargs = {}
+        slot_counts = [job.num_slots for job in jobs]
         if self._delta_enabled:
             delta = DeltaPlan.concat(
-                [job.delta for job in jobs],
-                [job.num_slots for job in jobs],
+                [job.delta for job in jobs], slot_counts,
                 width=len(compiled.circuit.inputs))
             if delta is not None:
                 kwargs["delta"] = delta
             kwargs["capture_base"] = True
+        if len(jobs) > 1 and self.config.num_devices == 1:
+            # The engine unpacks the arena once per job, and all nets
+            # only for the trailing jobs the ring will keep.  (A batch
+            # of one gets its whole capture, which is already private.)
+            kwargs["segments"] = Segments(slot_counts, captured=(
+                min(len(jobs), self._cache.max_bases)
+                if self._delta_enabled else 0))
         result = engine.run(combined_pairs, plan=plan,
                             kernel_table=jobs[0].kernel_table,
                             variation=jobs[0].variation,
                             global_slots=global_slots, **kwargs)
-        faults.trip("service.demux", corruptible=result.plane)
+        segments = result.segments
+        faults.trip("service.demux", corruptible=(
+            segments[0][0] if segments else result.plane))
         stats = engine.last_stats
         self._settle_batch(
             jobs, compiled, config, result.plane,
@@ -661,7 +670,7 @@ class SimulationService:
             demotions=list(stats.demotions),
             phase_seconds=stats.phase_seconds(), started=started,
             lanes_spliced=stats.lanes_spliced,
-            base_arena=result.base_arena)
+            base_arena=result.base_arena, segments=segments)
 
     def _settle_batch(self, jobs: List[SimulationJob],
                       compiled: CompiledCircuit, config: SimulationConfig,
@@ -669,7 +678,7 @@ class SimulationService:
                       gate_evaluations: int, lanes_skipped: int,
                       demotions: List[str], phase_seconds: Dict[str, float],
                       started: float, lanes_spliced: int = 0,
-                      base_arena=None) -> None:
+                      base_arena=None, segments=None) -> None:
         """Demultiplex one executed plane into per-job results.
 
         ``plane`` is the batch's result
@@ -684,6 +693,11 @@ class SimulationService:
         incremental jobs — a private ``take`` per job, except that a
         batch of one pins the engine's capture itself (already private:
         the job's result plane is its own ``take``).
+
+        ``segments`` (``SimulationResult.segments``) replaces both
+        gathers when the engine already unpacked the batch per job:
+        ``(plane, base)`` per job, private, ``base`` set for exactly the
+        jobs to pin.
         """
         if demotions:
             self._metrics.record_demotions(len(demotions))
@@ -701,13 +715,18 @@ class SimulationService:
         now = _time.monotonic()
         for position, job in enumerate(jobs):
             n = job.num_slots
-            slots = np.arange(start, start + n)
-            job_plane = plane.take(slots)
-            if base_arena is not None and position >= first_pinned:
-                self._cache.put_base(
-                    job.compat_key,
-                    base_arena if len(jobs) == 1 else base_arena.take(slots),
-                    tag=job.fingerprint)
+            if segments is not None:
+                job_plane, base = segments[position]
+            else:
+                slots = np.arange(start, start + n)
+                job_plane = plane.take(slots)
+                base = None
+                if base_arena is not None and position >= first_pinned:
+                    base = (base_arena if len(jobs) == 1
+                            else base_arena.take(slots))
+            if base is not None:
+                self._cache.put_base(job.compat_key, base,
+                                     tag=job.fingerprint)
             start += n
             evals = gate_evaluations * n // total_slots
             skipped = lanes_skipped * n // total_slots

@@ -103,10 +103,11 @@ class ServiceConfig:
     delta_bases:
         Base arenas pinned per compatibility group for incremental
         re-simulation (``0`` disables the delta path).  A completed
-        job's full waveform state is retained as one ring entry — a
-        private ``take`` of the job's slots out of the batch's captured
-        state, stamped with an integrity checksum; of one batch only the
-        last ``delta_bases`` jobs are pinned (the ring holds no more).
+        job's full waveform state is retained as one ring entry — all
+        nets of the job's own slots, unpacked privately for it, stamped
+        with an integrity checksum; of one batch only the last
+        ``delta_bases`` jobs are captured and pinned (the ring holds no
+        more).
         Later near-duplicate jobs in the same group diff against the
         whole ring at submit, the one base selected is re-checksummed
         (verify-on-select: a lookup that selects nothing costs no CRC, a

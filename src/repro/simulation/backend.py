@@ -26,20 +26,24 @@ algorithm of :func:`~repro.simulation.kernels.waveform_merge_kernel`
 with identical IEEE-754 operation order, so results are **bit-identical**
 across backends (asserted in ``tests/simulation/test_backend.py``).
 
-Adding a backend: subclass :class:`ComputeBackend` and implement one
-arena method — :meth:`~ComputeBackend.run_levels`, every level of a
+Adding a backend: subclass :class:`ComputeBackend` and implement two
+arena methods — :meth:`~ComputeBackend.run_levels`, every level of a
 batch with an optional activity mask, the one call the engine's level
-loop makes — plus :meth:`~ComputeBackend.settle_levels`, the
-truth-table sweep behind quiet slots (the base class has a numpy one).
-A backend without a whole-batch entry implements
+loop makes, and :meth:`~ComputeBackend.extract`, the unpack of the
+finished arena into packed result planes, one per slot segment — plus
+:meth:`~ComputeBackend.settle_levels`, the truth-table sweep behind
+quiet slots.  The base class has a numpy ``extract`` and
+``settle_levels``, and a backend without a whole-batch entry implements
 :meth:`~ComputeBackend.run_level` (one level, dense or restricted to a
 lane list) instead and inherits the base-class ``run_levels``: the
-per-level Python loop that is also the reference every native walk is
-tested against.  All honour the row contract documented on
-``run_levels`` and take the same three delay sources (nominal,
-polynomial table, precomputed delay table).  ``merge_kernel``
-(lane-oriented, used by micro-benchmarks and as the ``merge_single``
-oracle's counterpart) and a native ``delays_for_gates`` are optional.
+per-level Python loop.  Those base-class implementations are also the
+references every native one is tested against
+(``tests/simulation/test_walk.py``, ``tests/simulation/test_extract.py``).
+All honour the row contract documented on ``run_levels`` and take the
+same three delay sources (nominal, polynomial table, precomputed delay
+table).  ``merge_kernel`` (lane-oriented, used by micro-benchmarks and
+as the ``merge_single`` oracle's counterpart) and a native
+``delays_for_gates`` are optional.
 Then add a loader branch to :func:`_load`, the name to
 :data:`BACKEND_CHOICES` and its place in :data:`AUTO_ORDER` /
 :data:`DEMOTION_ORDER`.
@@ -50,12 +54,13 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.kernels import MergeResult, waveform_merge_kernel
+from repro.waveform.plane import WaveformPlane
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.compiled import CircuitPlans, LevelPlan
@@ -445,6 +450,46 @@ class ComputeBackend:
                     times_all[plan.out_ids, :, 0])
         return totals
 
+    def extract(
+        self,
+        times_all: np.ndarray,
+        initial_all: np.ndarray,
+        nets: Sequence[str],
+        rows: Optional[np.ndarray] = None,
+        bounds: Optional[Sequence[int]] = None,
+        index: Optional[Dict[str, int]] = None,
+        nets_crc: Optional[int] = None,
+    ) -> List[WaveformPlane]:
+        """Waveform unpack (Fig. 2 step 4): copy the arena rows of
+        ``nets`` out as packed planes, one per slot segment.
+
+        ``rows`` are the arena net rows of ``nets`` (``None``: the first
+        ``len(nets)``).  ``bounds`` are ascending slot bounds — segment
+        ``g`` is the slots ``bounds[g]:bounds[g + 1]``, and the segments
+        need not start at slot 0 nor reach the last one; ``None`` is one
+        segment over every slot.  ``index`` / ``nets_crc`` are shared by
+        every plane returned (:func:`~repro.waveform.plane.net_keys`).
+
+        Each plane is private — it aliases neither the arena nor a
+        sibling — and packed: equal, array for array, to
+        ``WaveformPlane.from_arena(...).take(segment slots)``, which is
+        what this base implementation does (the numpy backend's path,
+        and the reference a native extractor is tested against in
+        ``tests/simulation/test_extract.py``).  A native extractor may
+        stop reading a row at its first non-finite entry: by the row
+        contract of :meth:`run_levels` nothing finite follows it.
+        """
+        if bounds is None:
+            return [WaveformPlane.from_arena(nets, times_all, initial_all,
+                                             rows, index, nets_crc)]
+        edges = [int(edge) for edge in bounds]
+        first, last = edges[0], edges[-1]
+        plane = WaveformPlane.from_arena(
+            nets, times_all[:, first:last], initial_all[:, first:last], rows,
+            index, nets_crc)
+        return [plane.take(np.arange(lo - first, hi - first))
+                for lo, hi in zip(edges, edges[1:])]
+
     def settle_levels(self, plans: "CircuitPlans",
                       initial_all: np.ndarray) -> None:
         """Settle every gate output of a toggle-free ``(nets + 1, S)``
@@ -564,6 +609,32 @@ class CextBackend(ComputeBackend):
         return LevelsResult(lanes=lanes, iterations=iterations,
                             overflow_lanes=overflow_lanes,
                             kernel_calls=calls, lanes_skipped=skipped)
+
+    def extract(self, times_all, initial_all, nets, rows=None, bounds=None,
+                index=None, nets_crc=None):
+        # Count, prefix-sum and copy in C, segment-major: a segment's
+        # slices of the flat outputs are its packed plane as they stand.
+        width = len(nets)
+        edges = ([0, times_all.shape[1]] if bounds is None
+                 else [int(edge) for edge in bounds])
+        initial, counts, starts, offsets, times = self._kernels.extract(
+            times_all, initial_all, width, rows, edges)
+        offsets = offsets.tolist()
+        planes = []
+        for segment, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            block = slice(width * (lo - edges[0]), width * (hi - edges[0]))
+            fields = [flat[block].reshape(width, hi - lo)
+                      for flat in (initial, counts, starts)]
+            fields.append(times[offsets[segment]:offsets[segment + 1]])
+            if len(edges) > 2:
+                # Private per segment: a retained plane must not pin
+                # its batch neighbours' payload.
+                fields = [array.copy() for array in fields]
+            segment_initial, segment_counts, segment_starts, payload = fields
+            planes.append(WaveformPlane.from_packed(
+                nets, segment_initial, segment_counts, payload,
+                starts=segment_starts, index=index, nets_crc=nets_crc))
+        return planes
 
     def settle_levels(self, plans, initial_all):
         # The walk under an all-clear static mask: every lane is

@@ -25,10 +25,12 @@ batches are re-run with doubled capacity (configurable); the batch is
 re-sized at the grown capacity so the memory budget holds on retries.
 The arena is *pooled* per engine instance: successive batches reset the
 same allocation in place instead of re-allocating (and re-faulting) up
-to a gigabyte per batch.  Every run of the level loop ends by copying the wanted net rows
-out of the arena into one columnar
-:class:`~repro.waveform.plane.WaveformPlane` (toggle counts, block
-offsets and a flat toggle-time payload); sub-batches are joined by
+to a gigabyte per batch.  Every run of the level loop ends by copying
+the wanted net rows out of the arena (``backend.extract``) into
+columnar :class:`~repro.waveform.plane.WaveformPlane` form (toggle
+counts, block offsets and a flat toggle-time payload) — one plane for
+the batch, or one per consumer when the caller named its
+:class:`~repro.simulation.grid.Segments`; sub-batches are joined by
 plane ``concat`` / ``take`` and no per-``(net, slot)`` Python object is
 built unless a caller indexes ``result.waveforms``.
 
@@ -67,7 +69,8 @@ from __future__ import annotations
 import mmap
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -95,8 +98,8 @@ from repro.simulation.base import (
 )
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import BaseArena, DeltaPlan
-from repro.simulation.grid import SlotPlan
-from repro.waveform.plane import WaveformPlane
+from repro.simulation.grid import Segments, SlotPlan
+from repro.waveform.plane import WaveformPlane, net_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.variation import ProcessVariation
@@ -222,7 +225,7 @@ class _ArenaPool:
     fresh pages each time; the pool keeps one flat buffer per dtype and
     hands out reset-in-place views instead.  Safe because the engine
     copies every surviving toggle out of the arena into the result
-    plane (``WaveformPlane.from_arena``) before the next acquire.
+    planes (``ComputeBackend.extract``) before the next acquire.
 
     The toggle-time buffer — the largest allocation of a run, regrown
     whenever a wider batch arrives and dropped with its engine — lives
@@ -291,6 +294,10 @@ class _Batch:
     #: so overflow recovery never re-evaluates a delay model.
     delay_cache: Optional[Dict]
     rows: Optional[np.ndarray]        # capture rows; None: every real net
+    #: The consumers of the batch's slots and how many trailing ones
+    #: are captured: a batch that reaches the arena whole is extracted
+    #: once per segment (:class:`_Demuxed`).  A subset has no segments.
+    segments: Optional[Segments]
     stats: _BatchStats
 
     def take(self, slots: np.ndarray,
@@ -299,7 +306,18 @@ class _Batch:
         sub-plan, when the caller already holds it)."""
         return replace(self, plan=plan or self.plan.take(slots),
                        first=self.first[slots], toggles=self.toggles[slots],
-                       global_slots=self.global_slots[slots])
+                       global_slots=self.global_slots[slots], segments=None)
+
+
+@dataclass
+class _Demuxed:
+    """What :meth:`GpuWaveSim._execute` returns for a batch with
+    segments in place of one plane: per segment a private packed plane
+    over the result rows, and per captured (trailing) segment one over
+    every net."""
+
+    planes: List[WaveformPlane]
+    captured: List[WaveformPlane]
 
 
 def _narrow(batch: _Batch, delta: Optional[DeltaPlan], slots: np.ndarray,
@@ -389,12 +407,16 @@ class GpuWaveSim:
         # fingerprint-cached across engines/services) on first use.
         self._plans = None
         # Result rows: every real net (arena rows are already in
-        # net_index order) or just the primary outputs.
-        self._all_nets = self.compiled.result_nets(True)
-        self._output_nets = self.compiled.result_nets(False)
+        # net_index order) or just the primary outputs.  Each set's
+        # names, {net: row} index and names CRC are built here once and
+        # handed to every plane the engine constructs.
+        self._all_keys = net_keys(self.compiled.result_nets(True))
+        self._output_keys = net_keys(self.compiled.result_nets(False))
         self._output_ids = np.asarray(
-            [self.compiled.net_index[net] for net in self._output_nets],
-            dtype=np.int64)
+            [self.compiled.net_index[net]
+             for net in self._output_keys["nets"]], dtype=np.int64)
+        self._result_rows = (None if self.config.record_all_nets
+                             else self._output_ids)
         # Arena rows no gate drives (primary inputs, the dummy net):
         # all an unmasked batch has to reset, every other row being
         # written in full by the lane that owns it.
@@ -414,6 +436,7 @@ class GpuWaveSim:
         global_slots: Optional[np.ndarray] = None,
         delta: Optional[DeltaPlan] = None,
         capture_base: bool = False,
+        segments: Optional[Segments] = None,
     ) -> SimulationResult:
         """Simulate a slot plane.
 
@@ -450,6 +473,19 @@ class GpuWaveSim:
             Capture this run's full waveform state as a
             :class:`~repro.simulation.delta.BaseArena` on
             ``result.base_arena`` so later jobs can delta against it.
+        segments:
+            The consumers sharing this plane
+            (:class:`~repro.simulation.grid.Segments`: the jobs of a
+            service batch).  A plane that goes through the arena as one
+            batch is then unpacked once per segment:
+            ``result.segments`` holds each segment's private result
+            plane and, for the trailing ``segments.captured`` ones
+            (which need ``capture_base``), its own base arena — all
+            nets are extracted for those segments only.  When the plane is
+            partitioned on the way (memory-budget batches, a mixed
+            lowering, an overflow re-chunk) ``result.segments`` is
+            ``None`` and ``waveforms`` / ``base_arena`` cover the whole
+            plane as without ``segments``.
         """
         if not pairs:
             raise SimulationError("need at least one pattern pair")
@@ -466,6 +502,12 @@ class GpuWaveSim:
                 )
             if global_slots.size and int(global_slots.min()) < 0:
                 raise SimulationError("global_slots must be non-negative")
+        if segments is not None:
+            if segments.num_slots != plan.num_slots:
+                raise SimulationError("segments must cover the plan's slots")
+            if segments.captured and not capture_base:
+                raise SimulationError(
+                    "captured segments need capture_base=True")
         if kernel_table is None and plan.distinct_voltages().size > 1:
             raise SimulationError(
                 "static delay mode cannot differentiate operating points; "
@@ -511,28 +553,39 @@ class GpuWaveSim:
             delay_cache={} if kernel_table is not None else None,
             # A captured base needs every net; the wanted rows are then
             # a zero-copy selection of the same plane.
-            rows=(None if capture_base or self.config.record_all_nets
-                  else self._output_ids),
+            rows=None if capture_base else self._result_rows,
+            segments=segments,
             stats=stats,
         )
-        planes: List[WaveformPlane] = []
+        parts: List[Union[WaveformPlane, _Demuxed]] = []
         for indices, sub_plan in plan.batches(self._max_batch_slots()):
             stats.batches += 1
-            planes.append(self._run_batch(
+            parts.append(self._run_batch(
                 *_narrow(whole, delta, indices, sub_plan)))
         pack_start = _time.perf_counter()
-        result_plane = WaveformPlane.concat(planes)
+        # What a base arena records of its slots beside the waveforms.
+        columns = (whole.first, v2[plan.pattern_indices],
+                   np.array(plan.voltages, dtype=np.float64),
+                   global_slots) if capture_base else ()
+        base_arena = per_segment = None
+        if isinstance(parts[0], _Demuxed):
+            # The plane ran as one arena part; nothing to join or slice.
+            planes, captured = parts[0].planes, parts[0].captured
+            result_plane = WaveformPlane.concat(planes)
+            edges = segments.bounds[len(planes) - len(captured):]
+            bases = [BaseArena(plane, *(column[lo:hi].copy()
+                                        for column in columns))
+                     for plane, lo, hi in zip(captured, edges, edges[1:])]
+            per_segment = list(zip(
+                planes, [None] * (len(planes) - len(bases)) + bases))
+        else:
+            result_plane = WaveformPlane.concat(parts)
+            if capture_base:
+                base_arena = BaseArena(result_plane, *columns)
+                if not self.config.record_all_nets:
+                    result_plane = result_plane.rows(
+                        ids=self._output_ids, **self._output_keys)
         stats.pack_seconds += _time.perf_counter() - pack_start
-        base_arena = None
-        if capture_base:
-            base_arena = BaseArena(
-                plane=result_plane,
-                v1=whole.first, v2=v2[plan.pattern_indices],
-                voltages=np.array(plan.voltages, dtype=np.float64),
-                global_slots=global_slots)
-            if not self.config.record_all_nets:
-                result_plane = result_plane.rows(self._output_nets,
-                                                 self._output_ids)
         runtime = _time.perf_counter() - start
         self.last_stats = stats
         mode = "gpu-static" if kernel_table is None else "gpu-parametric"
@@ -547,6 +600,7 @@ class GpuWaveSim:
             gate_evaluations=stats.gate_evaluations,
             engine=f"{mode}[{self.backend.name}{sparse}{delta_tag}{demoted}]",
             base_arena=base_arena,
+            segments=per_segment,
         )
 
     # -- batching, retries, lowering -----------------------------------------------
@@ -557,9 +611,11 @@ class GpuWaveSim:
         return max(4, int(self.memory_budget // max(per_slot, 1)))
 
     def _run_batch(self, batch: _Batch, delta: Optional[DeltaPlan]
-                   ) -> WaveformPlane:
+                   ) -> Union[WaveformPlane, _Demuxed]:
         """One memory-budget batch, through overflow regrowth and the
-        kernel-fault ladder."""
+        kernel-fault ladder.  Like the two steps below it, it passes on
+        the :class:`_Demuxed` of a batch that kept its segments all the
+        way into :meth:`_execute`."""
         while True:
             try:
                 plane = self._run_within_budget(batch, delta)
@@ -610,7 +666,7 @@ class GpuWaveSim:
         return True
 
     def _run_within_budget(self, batch: _Batch, delta: Optional[DeltaPlan]
-                           ) -> WaveformPlane:
+                           ) -> Union[WaveformPlane, _Demuxed]:
         """Run a batch at its capacity, re-chunking first if a grown
         capacity would blow the memory budget (a retried batch is
         re-sized instead of exceeding ``memory_budget`` by the growth
@@ -623,7 +679,7 @@ class GpuWaveSim:
             for indices, sub_plan in batch.plan.batches(max_slots)])
 
     def _run_lowered(self, batch: _Batch, delta: Optional[DeltaPlan]
-                     ) -> WaveformPlane:
+                     ) -> Union[WaveformPlane, _Demuxed]:
         """Answer every :func:`_lower` part of a batch and join them."""
         parts: List[Tuple[np.ndarray, WaveformPlane]] = []
         for subset, lowering in _lower(batch.toggles,
@@ -655,17 +711,21 @@ class GpuWaveSim:
               stats: _BatchStats) -> WaveformPlane:
         """Concatenate ``(slot subset, plane)`` parts that partition a
         batch and restore the batch's slot order (columns are
-        re-indexed, the payload is copied once by ``concat``)."""
+        re-indexed, the payload is copied once by ``concat``).  A lone
+        part is the batch's answer as it stands."""
+        if len(parts) == 1:
+            return parts[0][1]
         pack_start = _time.perf_counter()
         plane = WaveformPlane.concat([plane for _, plane in parts])
-        if len(parts) > 1:
-            position = np.argsort(np.concatenate([idx for idx, _ in parts]))
-            plane = plane.take(position, copy=False)
+        position = np.argsort(np.concatenate([idx for idx, _ in parts]))
+        plane = plane.take(position, copy=False)
         stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
-    def _nets_of(self, rows: Optional[np.ndarray]) -> Tuple[str, ...]:
-        return self._all_nets if rows is None else self._output_nets
+    def _keys_of(self, rows: Optional[np.ndarray]) -> dict:
+        """The plane-constructor keywords (:func:`net_keys`) of a
+        capture-row choice."""
+        return self._all_keys if rows is None else self._output_keys
 
     def _level_plans(self):
         if self._plans is None:
@@ -684,8 +744,8 @@ class GpuWaveSim:
         values, inverse = self._settle_values(batch)
         values = (values[: compiled.num_nets] if batch.rows is None
                   else values[batch.rows])
-        plane = WaveformPlane.constant(self._nets_of(batch.rows),
-                                       values[:, inverse])
+        plane = WaveformPlane.constant(initial=values[:, inverse],
+                                       **self._keys_of(batch.rows))
         batch.stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
@@ -730,7 +790,7 @@ class GpuWaveSim:
         base = delta.base.plane
         cols = delta.base_slot
         source = (base if batch.rows is None
-                  else base.rows(self._output_nets, batch.rows))
+                  else base.rows(ids=batch.rows, **self._output_keys))
         plane = source.take(cols)
         stats.lanes_spliced += compiled.num_gates * int(cols.size)
         stats.bytes_spliced += (int(base.counts[:, cols].sum()) * 8
@@ -765,10 +825,11 @@ class GpuWaveSim:
         — growing it would wrongly re-activate non-cone outputs whose
         seeded rows carry toggles.  A seeded run keeps the whole-arena
         reset: the seed scatter writes toggles without terminators, and
-        cone output rows must start ``+inf`` (plane extraction counts
-        every finite entry).  A backend that rewrites a seeded non-cone
-        row does so with bit-identical values — inputs, delays and
-        factors match the base run by eligibility construction.
+        cone output rows must start ``+inf`` (the unpack takes a row's
+        leading finite run for its toggles).  A backend that rewrites a
+        seeded non-cone row does so with bit-identical values — inputs,
+        delays and factors match the base run by eligibility
+        construction.
         """
         compiled = self.compiled
         stats = batch.stats
@@ -845,7 +906,17 @@ class GpuWaveSim:
             mask=mask, grow=seed is None)
         stats.record_walk(result, _time.perf_counter() - merge_start,
                           seed is not None, capacity)
-        return self._extract(times_all, initial_all, batch.rows, stats)
+        segments = batch.segments
+        if segments is None:
+            return self._extract(times_all, initial_all, batch.rows, None,
+                                 stats)[0]
+        first_captured = len(segments.slot_counts) - segments.captured
+        return _Demuxed(
+            planes=self._extract(times_all, initial_all, self._result_rows,
+                                 segments.bounds, stats),
+            captured=(self._extract(times_all, initial_all, None,
+                                    segments.bounds[first_captured:], stats)
+                      if segments.captured else []))
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray
                      ) -> np.ndarray:
@@ -868,13 +939,13 @@ class GpuWaveSim:
         return delays
 
     def _extract(self, times_all: np.ndarray, initial_all: np.ndarray,
-                 rows: Optional[np.ndarray], stats: _BatchStats
-                 ) -> WaveformPlane:
+                 rows: Optional[np.ndarray], bounds: Optional[Sequence[int]],
+                 stats: _BatchStats) -> List[WaveformPlane]:
         """Waveform analysis (Fig. 2 step 4): copy the wanted rows out
-        of the pooled arena — one ``isfinite`` / ``sum`` / boolean
-        gather for the whole batch."""
+        of the pooled arena, one private packed plane per slot segment
+        of ``bounds`` (``None``: one plane over every slot)."""
         pack_start = _time.perf_counter()
-        plane = WaveformPlane.from_arena(self._nets_of(rows), times_all,
-                                         initial_all, rows)
+        planes = self.backend.extract(times_all, initial_all, rows=rows,
+                                      bounds=bounds, **self._keys_of(rows))
         stats.pack_seconds += _time.perf_counter() - pack_start
-        return plane
+        return planes

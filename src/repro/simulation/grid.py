@@ -13,12 +13,13 @@ batches that bound the waveform-memory footprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SlotPlan"]
+__all__ = ["Segments", "SlotPlan"]
 
 
 @dataclass(frozen=True)
@@ -135,3 +136,37 @@ class SlotPlan:
         for start in range(0, self.num_slots, max_slots):
             indices = np.arange(start, min(start + max_slots, self.num_slots))
             yield indices, self.take(indices)
+
+
+@dataclass(frozen=True)
+class Segments:
+    """A slot plane divided among its consumers.
+
+    Segment ``g`` is the next ``slot_counts[g]`` slots of the plane, in
+    plane order — the jobs of one service batch.  A run given its
+    segments hands each its own private result plane instead of one
+    plane for the caller to cut up; of a ``capture_base=True`` run only
+    the trailing ``captured`` segments are captured, each as its own
+    :class:`~repro.simulation.delta.BaseArena` (a base ring that keeps
+    the newest few arenas has no use for the batch's earlier ones).
+    """
+
+    slot_counts: Tuple[int, ...]
+    captured: int = 0
+    #: ``len(slot_counts) + 1`` slot bounds: segment ``g`` is the
+    #: slots ``bounds[g]:bounds[g + 1]``.
+    bounds: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counts = tuple(int(count) for count in self.slot_counts)
+        if not counts or min(counts) < 0:
+            raise ValueError("segments need non-negative slot counts")
+        if not 0 <= self.captured <= len(counts):
+            raise ValueError("cannot capture more segments than there are")
+        object.__setattr__(self, "slot_counts", counts)
+        object.__setattr__(self, "bounds",
+                           tuple(accumulate(counts, initial=0)))
+
+    @property
+    def num_slots(self) -> int:
+        return self.bounds[-1]

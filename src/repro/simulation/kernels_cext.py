@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["load", "merge_lanes", "delays_for_gates", "run_levels"]
+__all__ = ["load", "merge_lanes", "delays_for_gates", "run_levels",
+           "extract"]
 
 #: Hard bound on gate arity in the C kernels (padded truth tables are
 #: uint32, so real circuits stay at <= 5 pins).
@@ -421,6 +422,112 @@ void run_levels(double *times_all, uint8_t *initial_all,
     *out_lanes = lanes;
     *out_skipped = skipped;
 }
+
+/* The unpack below forks only for planes of at least this many
+ * (net, slot) rows.  It is not PARALLEL_MIN_LANES: a row costs 15-25 ns
+ * to unpack where a lane costs 36+ to merge, and the unpack comes after
+ * the walk's last levels, with the team as often asleep as spinning.
+ * On the 2-core box (914-net arena, capacity 16, calls 5 ms apart) a
+ * forked unpack of 3.6 / 15.5 / 33 / 270 thousand rows takes 155 / 360-
+ * 540 / 570 / 3700 us against 100 / 555 / 1000 / 7500 us serial -- even
+ * near 8 thousand rows -- and in every process some forks (0.3-4 % of
+ * them up to 33 thousand rows, a quarter in a tight loop over 913)
+ * take 16 ms, the regime described above.  A service batch's all-net
+ * capture (15 thousand rows) and a closed-loop step (33 thousand) stay
+ * serial; a 1024-slot sweep (110 thousand) forks and halves its 3 ms. */
+#define PARALLEL_MIN_ROWS 65536
+
+/* Waveform unpack (Fig. 2 step 4): copy arena rows out as packed
+ * planes, one per slot segment, in two calls around the caller's
+ * payload allocation.
+ *   times_all (nets, S, cap)   initial_all (nets, S)
+ *   rows (W,) the wanted arena net rows, or NULL for rows 0..W-1
+ *   bounds (G + 1,) ascending slot bounds; segment g is the slots
+ *          [bounds[g], bounds[g + 1]), n_g of them
+ * Everything comes out segment-major: segment g's (W, n_g) block of
+ * initial / counts / starts begins at W * (bounds[g] - bounds[0]), its
+ * payload at offsets[g], and inside a segment the order is (net, slot)
+ * -- so each segment's slices are a packed plane as they stand.
+ * A row's toggle count is its leading finite run: the walk writes every
+ * row whole (toggles, then +inf up to cap), so that is every finite
+ * entry, and nothing past the terminator is read.
+ *
+ * extract_counts: initial values, counts, segment-relative starts (the
+ * prefix sums of the counts, restarting in every segment) and the
+ * payload bounds offsets (G + 1,); offsets[G] doubles hold the toggles.
+ * Returns -1, having read and written nothing, if a row is not one of
+ * the arena's nets rows. */
+int64_t extract_counts(const double *times_all, const uint8_t *initial_all,
+                       int64_t nets, const int64_t *rows, int64_t W,
+                       const int64_t *bounds, int64_t G,
+                       int64_t S, int64_t cap,
+                       uint8_t *initial, int64_t *counts, int64_t *starts,
+                       int64_t *offsets)
+{
+    const int64_t first = bounds[0];
+    if (rows == NULL && W > nets) return -1;
+    for (int64_t w = 0; rows != NULL && w < W; w++)
+        if (rows[w] < 0 || rows[w] >= nets) return -1;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) \
+    if(W * (bounds[G] - first) >= PARALLEL_MIN_ROWS)
+#endif
+    for (int64_t w = 0; w < W; w++) {
+        const int64_t net = (rows != NULL ? rows[w] : w) * S;
+        for (int64_t g = 0; g < G; g++) {
+            const int64_t lo = bounds[g], n = bounds[g + 1] - lo;
+            const int64_t block = W * (lo - first) + w * n - lo;
+            for (int64_t slot = lo; slot < lo + n; slot++) {
+                const double *row = times_all + (net + slot) * cap;
+                int64_t count = 0;
+                while (count < cap && isfinite(row[count])) count++;
+                counts[block + slot] = count;
+                initial[block + slot] = initial_all[net + slot];
+            }
+        }
+    }
+    int64_t position = 0, start = 0;
+    for (int64_t g = 0; g < G; g++) {
+        const int64_t lo = W * (bounds[g] - first);
+        const int64_t hi = W * (bounds[g + 1] - first);
+        offsets[g] = position;
+        start = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            starts[i] = start;
+            start += counts[i];
+        }
+        position += start;
+    }
+    offsets[G] = position;
+    return 0;
+}
+
+/* extract_copy: every row's toggles to times[offsets[g] + starts[..]],
+ * the prefix sums of extract_counts as write offsets. */
+void extract_copy(const double *times_all, const int64_t *rows, int64_t W,
+                  const int64_t *bounds, int64_t G, int64_t S, int64_t cap,
+                  const int64_t *counts, const int64_t *starts,
+                  const int64_t *offsets, double *times)
+{
+    const int64_t first = bounds[0];
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) \
+    if(W * (bounds[G] - first) >= PARALLEL_MIN_ROWS)
+#endif
+    for (int64_t w = 0; w < W; w++) {
+        const int64_t net = (rows != NULL ? rows[w] : w) * S;
+        for (int64_t g = 0; g < G; g++) {
+            const int64_t lo = bounds[g], n = bounds[g + 1] - lo;
+            const int64_t block = W * (lo - first) + w * n - lo;
+            for (int64_t slot = lo; slot < lo + n; slot++) {
+                const double *row = times_all + (net + slot) * cap;
+                double *out = times + offsets[g] + starts[block + slot];
+                for (int64_t d = 0; d < counts[block + slot]; d++)
+                    out[d] = row[d];
+            }
+        }
+    }
+}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
@@ -478,6 +585,7 @@ _i32 = ctypes.c_int32
 _p_f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _p_u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _p_i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_ptr = ctypes.c_void_p
 
 
 def _bind(path: str) -> ctypes.CDLL:
@@ -511,6 +619,27 @@ def _bind(path: str) -> ctypes.CDLL:
         ctypes.POINTER(_i64),
     ]
     lib.run_levels.restype = None
+    # The two halves of the unpack are called through a PyDLL handle
+    # of the same library, which keeps the interpreter lock: they run
+    # for tens of microseconds on a service-sized plane, and a thread
+    # that drops the lock around a call that short can wait a whole
+    # switch interval (5 ms) behind the client threads to get it back
+    # -- four times per batch.  (run_levels, milliseconds long, gives
+    # it up: fingerprinting overlaps the walk.)  Plain pointers, filled
+    # by _address(): see there.
+    held = ctypes.PyDLL(path)
+    lib.extract_counts = held.extract_counts
+    lib.extract_copy = held.extract_copy
+    lib.extract_counts.argtypes = [
+        _ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64, _i64, _i64,
+        _ptr, _ptr, _ptr, _ptr,
+    ]
+    lib.extract_counts.restype = _i64
+    lib.extract_copy.argtypes = [
+        _ptr, _ptr, _i64, _ptr, _i64, _i64, _i64,
+        _ptr, _ptr, _ptr, _ptr,
+    ]
+    lib.extract_copy.restype = None
     return lib
 
 
@@ -658,3 +787,62 @@ def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
     )
     return (overflow.value, iterations.value, calls.value, lanes.value,
             skipped.value)
+
+
+def _address(array, dtype) -> Optional[int]:
+    """The buffer address of a writable C-contiguous ``dtype`` array
+    (``None``, i.e. ``NULL``, for an empty one, which is never
+    dereferenced) — what an ``ndpointer`` argument checks and converts,
+    at a fifth of its ~3 us: the unpack of a service-sized plane crosses
+    into C twice with nine arrays, and is itself a few tens of us."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous {np.dtype(dtype)} array")
+    if array.size == 0:
+        return None
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+def extract(times_all, initial_all, width, rows, bounds):
+    """Unpack ``width`` arena net rows — ``rows``, or the first
+    ``width`` when ``None`` — over the slot segments ``bounds`` (see
+    ``extract_counts`` in the C source for the segment-major layout).
+
+    Returns flat ``(initial, counts, starts, offsets, times)``: segment
+    ``g``'s ``(width, n_g)`` block of the first three begins at
+    ``width * (bounds[g] - bounds[0])``, its payload is
+    ``times[offsets[g]:offsets[g + 1]]`` and ``starts`` are relative to
+    it.  ``times`` holds exactly the toggles copied; nothing returned
+    aliases the arena.
+    """
+    nets, num_slots, capacity = times_all.shape
+    if initial_all.shape != (nets, num_slots):
+        raise ValueError("initial values do not match the arena")
+    rows_at = None
+    if rows is not None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.shape != (width,):
+            raise ValueError(f"extract wants {width} arena rows")
+        rows_at = _address(rows, np.int64)
+    edges = [int(edge) for edge in bounds]
+    if len(edges) < 2 or edges != sorted(edges) or not (
+            0 <= edges[0] and edges[-1] <= num_slots):
+        raise ValueError("extract bounds must ascend within the slot plane")
+    bounds = np.array(edges, dtype=np.int64)
+    segments = len(edges) - 1
+    entries = width * (edges[-1] - edges[0])
+    initial = np.empty(entries, dtype=np.uint8)
+    counts = np.empty(entries, dtype=np.int64)
+    starts = np.empty(entries, dtype=np.int64)
+    offsets = np.empty(segments + 1, dtype=np.int64)
+    times_at = _address(times_all, np.float64)
+    layout = (rows_at, width, _address(bounds, np.int64), segments,
+              num_slots, capacity)
+    prefix = (_address(counts, np.int64), _address(starts, np.int64),
+              _address(offsets, np.int64))
+    if _lib.extract_counts(times_at, _address(initial_all, np.uint8), nets,
+                           *layout, _address(initial, np.uint8), *prefix):
+        raise ValueError("extract rows outside the arena")
+    times = np.empty(int(offsets[-1]), dtype=np.float64)
+    _lib.extract_copy(times_at, *layout, *prefix,
+                      _address(times, np.float64))
+    return initial, counts, starts, offsets, times

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.waveform.waveform import Waveform
 
-__all__ = ["PlaneAccessors", "WaveformPlane"]
+__all__ = ["PlaneAccessors", "WaveformPlane", "net_keys"]
 
 _NO_TIMES = np.empty(0, dtype=np.float64)
 
@@ -48,6 +48,20 @@ def _packed_starts(counts: np.ndarray) -> np.ndarray:
     """Block offsets of a dense net-major payload (row-major cumsum)."""
     flat = counts.reshape(-1)
     return (np.cumsum(flat) - flat).reshape(counts.shape)
+
+
+def _names_crc(nets: Sequence[str]) -> int:
+    return zlib.crc32("\n".join(nets).encode("utf-8"))
+
+
+def net_keys(nets: Sequence[str]) -> dict:
+    """The ``nets`` / ``index`` / ``nets_crc`` keywords of the plane
+    constructors, built once for planes that will share them: the net
+    tuple, its ``{net: row}`` dict and the CRC32 of the names.  A plane
+    built without them derives each on first use."""
+    nets = tuple(nets)
+    return {"nets": nets, "index": {net: row for row, net in enumerate(nets)},
+            "nets_crc": _names_crc(nets)}
 
 
 @dataclass(eq=False)
@@ -73,35 +87,52 @@ class WaveformPlane(SequenceABC):
 
     @classmethod
     def from_packed(cls, nets: Sequence[str], initial: np.ndarray,
-                    counts: np.ndarray, times: np.ndarray
-                    ) -> "WaveformPlane":
+                    counts: np.ndarray, times: np.ndarray,
+                    starts: Optional[np.ndarray] = None,
+                    index: Optional[Dict[str, int]] = None,
+                    nets_crc: Optional[int] = None) -> "WaveformPlane":
         """A plane over a dense net-major payload: the blocks follow
-        each other in ``times`` in row-major ``(net, slot)`` order."""
+        each other in ``times`` in row-major ``(net, slot)`` order.
+        ``starts`` are the block offsets of that order, for a caller
+        that already holds them (:meth:`layout_intact` checks them);
+        ``index`` / ``nets_crc``: see :func:`net_keys`."""
         counts = np.asarray(counts, dtype=np.int64)
-        return cls(tuple(nets), initial, counts, _packed_starts(counts),
-                   times, _packed=True)
+        if starts is None:
+            starts = _packed_starts(counts)
+        return cls(tuple(nets), initial, counts, starts, times,
+                   _index=index, _packed=True, _nets_crc=nets_crc)
 
     @classmethod
     def from_arena(cls, nets: Sequence[str], times_all: np.ndarray,
                    initial_all: np.ndarray,
-                   rows: Optional[np.ndarray] = None) -> "WaveformPlane":
+                   rows: Optional[np.ndarray] = None,
+                   index: Optional[Dict[str, int]] = None,
+                   nets_crc: Optional[int] = None) -> "WaveformPlane":
         """Extract net rows of a ``(nets, slots, capacity)`` +inf-padded
         arena (``rows=None``: the first ``len(nets)`` rows).  Everything
         returned is a private copy — the arena may be reset afterwards.
+
+        The numpy unpack: one ``isfinite`` / ``sum`` / boolean gather
+        over the wanted rows, and the reference every native
+        :meth:`~repro.simulation.backend.ComputeBackend.extract` is
+        tested against.
         """
         if rows is None:
             sub, initial = times_all[:len(nets)], initial_all[:len(nets)].copy()
         else:
             sub, initial = times_all[rows], initial_all[rows]
         finite = np.isfinite(sub)
-        return cls.from_packed(nets, initial, finite.sum(axis=2), sub[finite])
+        return cls.from_packed(nets, initial, finite.sum(axis=2), sub[finite],
+                               index=index, nets_crc=nets_crc)
 
     @classmethod
-    def constant(cls, nets: Sequence[str], initial: np.ndarray
-                 ) -> "WaveformPlane":
+    def constant(cls, nets: Sequence[str], initial: np.ndarray,
+                 index: Optional[Dict[str, int]] = None,
+                 nets_crc: Optional[int] = None) -> "WaveformPlane":
         """A toggle-free plane holding the settled values ``initial``."""
         zeros = np.zeros(initial.shape, dtype=np.int64)
-        return cls(tuple(nets), initial, zeros, zeros, _NO_TIMES)
+        return cls(tuple(nets), initial, zeros, zeros, _NO_TIMES,
+                   _index=index, _nets_crc=nets_crc)
 
     @classmethod
     def from_waveforms(cls, waveforms: Sequence[Mapping],
@@ -166,20 +197,24 @@ class WaveformPlane(SequenceABC):
                            count=len(nets))
 
     def _derived(self, nets, initial, counts, starts, times,
-                 packed: bool = False) -> "WaveformPlane":
-        same = nets is self.nets
-        return WaveformPlane(nets, initial, counts, starts, times,
-                             self._index if same else None, packed,
-                             self._nets_crc if same else None)
+                 packed: bool = False, index=None, nets_crc=None
+                 ) -> "WaveformPlane":
+        if nets is self.nets:
+            index, nets_crc = self._index, self._nets_crc
+        return WaveformPlane(nets, initial, counts, starts, times, index,
+                             packed, nets_crc)
 
-    def rows(self, nets: Sequence[str],
-             ids: Optional[np.ndarray] = None) -> "WaveformPlane":
+    def rows(self, nets: Sequence[str], ids: Optional[np.ndarray] = None,
+             index: Optional[Dict[str, int]] = None,
+             nets_crc: Optional[int] = None) -> "WaveformPlane":
         """The sub-plane of ``nets`` (in that order); shares the payload.
-        ``ids`` are their row numbers, for a caller that knows them."""
+        ``ids`` are their row numbers, for a caller that knows them
+        (``index`` / ``nets_crc``, likewise: see :func:`net_keys`)."""
         if ids is None:
             ids = self._row_ids(nets)
         return self._derived(tuple(nets), self.initial[ids],
-                             self.counts[ids], self.starts[ids], self.times)
+                             self.counts[ids], self.starts[ids], self.times,
+                             index=index, nets_crc=nets_crc)
 
     def _dense(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(times, starts)`` of the dense net-major layout: the blocks
@@ -225,6 +260,16 @@ class WaveformPlane(SequenceABC):
                              np.ascontiguousarray(picked.counts), starts,
                              times, packed=True)
 
+    def copy(self) -> "WaveformPlane":
+        """A private packed plane of the same content — array copies of
+        an already packed plane, one gather of any other layout.  The
+        net tuple, row index and nets CRC are shared, not copied."""
+        times, starts = self._dense()
+        return self._derived(
+            self.nets, self.initial.copy(), self.counts.copy(),
+            starts.copy() if starts is self.starts else starts,
+            times.copy() if times is self.times else times, packed=True)
+
     @classmethod
     def concat(cls, planes: Sequence["WaveformPlane"]) -> "WaveformPlane":
         """Concatenate along the slot axis; block offsets shift by each
@@ -251,8 +296,7 @@ class WaveformPlane(SequenceABC):
         initial, counts, times = self.packed()
         crc = self._nets_crc
         if crc is None:
-            crc = self._nets_crc = zlib.crc32(
-                "\n".join(self.nets).encode("utf-8"))
+            crc = self._nets_crc = _names_crc(self.nets)
         for array in (initial, counts, times):
             crc = zlib.crc32(np.ascontiguousarray(array), crc)
         return crc

@@ -161,3 +161,38 @@ class TestPackedPlaneIntegrity:
         hit.plane.starts[1, 0] += 1
         assert cache.get("k") is None
         assert cache.integrity_evictions == 1
+
+
+class TestAdmissionCopies:
+    """``put`` stores array copies of the caller's plane: no gather, no
+    shared memory, row index and names CRC carried over."""
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_put_copies_without_reindexing(self, packed, monkeypatch):
+        plane = arena(5, slots=3).plane
+        plane.row("y"), plane.checksum()      # build index and CRC
+        if not packed:
+            plane = plane.take([2, 0, 1], copy=False)
+        takes = []
+        monkeypatch.setattr(
+            WaveformPlane, "take",
+            lambda self, *args, **kwargs: takes.append(1))
+        cache = ResultCache(2)
+        cache.put("k", CachedResult(plane=plane, slot_labels=[], engine="e",
+                                    gate_evaluations=0))
+        stored = cache.get("k").plane
+        assert takes == []
+        assert stored is not plane and stored.layout_intact()
+        assert stored._index is plane._index
+        assert stored._nets_crc == plane._nets_crc is not None
+        assert stored.checksum() == plane.checksum()
+        for name in ("initial", "counts", "starts", "times"):
+            assert not np.shares_memory(getattr(stored, name),
+                                        getattr(plane, name))
+            assert getattr(stored, name).flags.c_contiguous
+        # Packed in -> packed out: the copy's payload is checksummed
+        # as it stands.
+        assert stored.packed()[2] is stored.times
+        # The caller's plane rotting later is not the cache's problem.
+        plane.times[0] += 1.0
+        assert cache.get("k") is not None

@@ -20,6 +20,12 @@ Contracts under test:
 * the submit path pays per job only for per-job bytes: the compiled
   circuit is hashed once, and a base is checksummed once per selection
   (never for a lookup that selects nothing);
+* a batch that ran as one arena part is demultiplexed by the engine's
+  extractor — per-job planes and the trailing jobs' base arenas come
+  off the arena already private and packed, equal to ``take`` slices of
+  a standalone ``capture_base=True`` run; batches the engine had to
+  partition, and batches of one, go through the ``take`` path with the
+  same result;
 * ``delta_bases=0`` disables retention entirely; the config knobs
   validate their ranges.
 """
@@ -38,11 +44,14 @@ from repro.errors import ServiceError
 from repro.faults.plan import corrupt_waveforms
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
+from repro.service.core import SimulationService as ServiceCore
+from repro.simulation.backend import available_backends, resolve_backend
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.variation import ProcessVariation
+from repro.waveform.plane import WaveformPlane
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +407,218 @@ class TestFallbacks:
             metrics = service.metrics()
         assert metrics.cache["bases"] == 1
         assert metrics.base_bytes_pinned > 0
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every ``GpuWaveSim.run`` made while the fixture is live, as
+    ``(keyword arguments, result)``."""
+    runs = []
+    real_run = GpuWaveSim.run
+
+    def recorded(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        runs.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(GpuWaveSim, "run", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+class TestSegmentedDemux:
+    """Per-job planes and pinned bases == ``take`` slices of a
+    standalone ``capture_base=True`` run of the same plane."""
+
+    def serve(self, circuit, library, compiled, kernel_table, backend_name,
+              jobs, record_all=False, warm=(), **overrides):
+        """Stream ``jobs`` (pair lists) through a fresh service after
+        ``warm`` ran one by one; returns ``(results, ring, config)``
+        with ``ring`` the group's pinned bases, oldest first."""
+        # No pruning: a random pair toggling under a quarter of the ten
+        # inputs would run lane-tracked beside its dense neighbours,
+        # and a plane lowered two ways is a partitioned one.
+        config = SimulationConfig(backend=backend_name, prune_inactive=False,
+                                  record_all_nets=record_all)
+        with SimulationService(config=delta_config(
+                delta_bases=2, **overrides)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            for pairs in warm:
+                service.submit(key, pairs, config=config,
+                               kernel_table=kernel_table).result(timeout=120)
+            handles = [service.submit(key, pairs, config=config,
+                                      kernel_table=kernel_table)
+                       for pairs in jobs]
+            results = [handle.result(timeout=120) for handle in handles]
+            (group,) = service._cache._bases
+            ring = service._cache.bases_for(group)[::-1]
+        return results, ring, config, [h.fingerprint for h in handles]
+
+    def standalone(self, circuit, library, compiled, kernel_table, config,
+                   jobs):
+        """The jobs as one plane, the way the service combines them,
+        through a plain engine with everything captured; returns the
+        per-job ``(plane, base arena)`` slices."""
+        plans = [SlotPlan.uniform(len(pairs), 0.8) for pairs in jobs]
+        offsets = np.cumsum([0] + [len(pairs) for pairs in jobs])
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=config)
+        alone = engine.run(
+            [pair for pairs in jobs for pair in pairs],
+            plan=SlotPlan.concat(plans, offsets[:-1]),
+            kernel_table=kernel_table, capture_base=True,
+            global_slots=np.concatenate([np.arange(len(pairs))
+                                         for pairs in jobs]))
+        return [(alone.plane.take(np.arange(lo, hi)),
+                 alone.base_arena.take(np.arange(lo, hi)))
+                for lo, hi in zip(offsets, offsets[1:])]
+
+    def assert_served(self, results, ring, fingerprints, expected, pinned):
+        for result, (plane, _) in zip(results, expected):
+            assert result.plane.nets == plane.nets
+            assert result.plane.checksum() == plane.checksum()
+            assert result.plane.layout_intact()
+        # Only the trailing ``delta_bases`` jobs are pinned, each with
+        # the all-net state of its own slots.
+        assert [entry.tag for entry in ring] == [fingerprints[job]
+                                                 for job in pinned]
+        for entry, job in zip(ring, pinned):
+            assert entry.arena.plane.layout_intact()
+            assert cache_module.base_checksum(entry.arena) == entry.checksum
+            assert entry.checksum == cache_module.base_checksum(
+                expected[job][1])
+        # No result or base shares memory with another.
+        planes = ([result.plane for result in results]
+                  + [entry.arena.plane for entry in ring])
+        for position, plane in enumerate(planes):
+            for other in planes[position + 1:]:
+                assert not np.shares_memory(plane.times, other.times)
+                assert not np.shares_memory(plane.counts, other.counts)
+
+    @pytest.mark.parametrize("record_all", [False, True])
+    def test_mixed_widths_in_one_arena_part(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            record_all, engine_runs):
+        """Five jobs of 3, 5, 2, 4 and 2 slots fill one 16-slot batch:
+        the engine serves the segments itself."""
+        jobs = [make_pairs(circuit, count, seed=200 + count + k)
+                for k, count in enumerate([3, 5, 2, 4, 2])]
+        results, ring, config, fingerprints = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            record_all=record_all)
+        (kwargs, result), = engine_runs
+        assert kwargs["segments"].slot_counts == (3, 5, 2, 4, 2)
+        assert kwargs["segments"].captured == 2
+        assert kwargs["capture_base"] is True
+        assert result.segments is not None and result.base_arena is None
+        assert [base is not None for _, base in result.segments] == [
+            False, False, False, True, True]
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        self.assert_served(results, ring, fingerprints, expected,
+                           pinned=[3, 4])
+
+    def test_batch_of_one_pins_its_capture(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            engine_runs):
+        jobs = [make_pairs(circuit, 4, seed=210)]
+        results, ring, config, fingerprints = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs)
+        (kwargs, result), = engine_runs
+        assert "segments" not in kwargs and result.segments is None
+        assert ring[0].arena is result.base_arena
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        self.assert_served(results, ring, fingerprints, expected, pinned=[0])
+
+    def test_spliced_and_cone_job_fall_back_to_take(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            engine_runs):
+        """One job repeating half of a base's stimuli (full splice) and
+        one a bit away from it (cone) share a batch: the engine
+        partitions the plane, hands back no segments, and the service
+        slices the joined plane and capture as before."""
+        base = make_pairs(circuit, 4, seed=220)
+        jobs = [base[:2], flipped(base, 1, 3)]
+        results, ring, config, fingerprints = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            warm=[base])
+        (_, warm_run), (kwargs, result) = engine_runs
+        assert kwargs["delta"] is not None
+        assert kwargs["segments"].slot_counts == (2, 4)
+        assert result.segments is None and result.base_arena is not None
+        assert results[0].report.lanes_spliced > 0
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        self.assert_served(results, ring, fingerprints, expected,
+                           pinned=[0, 1])
+
+    def test_two_workers(self, circuit, library, compiled, kernel_table,
+                         backend_name, engine_runs):
+        """Two full batches in flight on two worker threads, each with
+        its own engine and arena."""
+        jobs = [make_pairs(circuit, 4, seed=230 + k) for k in range(8)]
+        results, ring, config, fingerprints = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            workers=2)
+        assert len(engine_runs) == 2
+        assert all(result.segments is not None for _, result in engine_runs)
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        for result, (plane, _) in zip(results, expected):
+            assert result.plane.checksum() == plane.checksum()
+        # The ring's two survivors come from the batches' trailing jobs,
+        # in whatever order the two workers settled.
+        assert len(ring) == 2
+        assert {entry.tag for entry in ring} <= {
+            fingerprints[job] for job in (2, 3, 6, 7)}
+        for entry in ring:
+            job = fingerprints.index(entry.tag)
+            assert entry.checksum == cache_module.base_checksum(
+                expected[job][1])
+
+    def test_one_arena_part_is_demultiplexed_without_a_gather(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            monkeypatch):
+        """Pay-once guard: six fresh jobs in one batch cost at most two
+        ``backend.extract`` calls (result rows; all nets of the pinned
+        jobs), and settling them gathers nothing — every ``_dense``
+        inside ``_settle_batch`` returns the plane's own payload."""
+        extracts, settle_denses, settling = [], [], []
+        backend = type(resolve_backend(backend_name))
+        real_extract = backend.extract
+        real_dense = WaveformPlane._dense
+        real_settle = ServiceCore._settle_batch
+
+        def extract(self, *args, **kwargs):
+            extracts.append(kwargs.get("bounds"))
+            return real_extract(self, *args, **kwargs)
+
+        def dense(self):
+            times, starts = real_dense(self)
+            if settling:
+                settle_denses.append(times is self.times
+                                     and starts is self.starts)
+            return times, starts
+
+        def settle(self, *args, **kwargs):
+            settling.append(threading.current_thread())
+            try:
+                return real_settle(self, *args, **kwargs)
+            finally:
+                settling.pop()
+
+        monkeypatch.setattr(backend, "extract", extract)
+        monkeypatch.setattr(WaveformPlane, "_dense", dense)
+        monkeypatch.setattr(ServiceCore, "_settle_batch", settle)
+        jobs = [make_pairs(circuit, 2, seed=240 + k) for k in range(6)]
+        results, ring, _, _ = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            max_batch_slots=12)
+        assert len(results) == 6 and len(ring) == 2
+        assert extracts == [(0, 2, 4, 6, 8, 10, 12), (8, 10, 12)]
+        assert settle_denses and all(settle_denses)
 
 
 class TestConfigKnobs:
