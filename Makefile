@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint kernel-lint loc bench bench-pytest ledger-quick chaos experiments examples clean
+.PHONY: install test lint kernel-lint loc bench bench-pytest ledger-quick ledger-pairs chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -48,6 +48,13 @@ bench-pytest:
 # sizes, ~20 s): every workload's output checks plus the traced layers.
 ledger-quick:
 	python3 benchmarks/ledger/run.py --quick --trace
+
+# Alternating parent/change runs of the BENCHMARK.json command — how a
+# gain is claimed (ROADMAP standing gates):
+#   make ledger-pairs BASE=HEAD~1 WORKLOAD=service_stream PAIRS=10
+PAIRS ?= 10
+ledger-pairs:
+	python3 benchmarks/pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Service + fault suites under seeded latency injection (numpy backend).
 # PYTHONPATH=src so the target works from a bare checkout too.

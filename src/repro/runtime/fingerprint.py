@@ -23,13 +23,30 @@ compiled circuit on every submit, so the state after
 :func:`feed_compiled` — the leading field of every composed identity —
 is hashed once per live compiled object and *forked*
 (:meth:`Fingerprinter.fork`, SHA-256 ``copy()``) per digest; the
-stimulus-free :func:`compatibility_fingerprint` state is memoized the
-same way per (compiled, semantic config, kernel table, variation).
+stimulus-free compatibility state (compiled ‖ semantic config ‖ kernel
+table ‖ variation) is memoized the same way per live object tuple.
 Both memos key on object identity through weak references: a compiled
 circuit, kernel table or variation model is treated as immutable once
 fingerprinted (derive a variant with ``copy.copy`` / ``replace`` — a new
 object is a new identity and hashes afresh), and an entry dies with its
 objects.  Digests are byte-identical to hashing everything per call.
+
+**Which identities reach disk.**  :func:`campaign_fingerprint` (checkpoint
+manifests), :func:`characterization_fingerprint` (coefficient cache
+files) and the digests other modules compose from the ``feed_*``
+functions are stored, so their feed order is frozen and their digests
+are pinned by tests.  :func:`compatibility_fingerprint` and
+:func:`circuit_fingerprint` cross a process boundary (shard group and
+circuit keys) and stay pinned with them.  :func:`job_fingerprint` never
+leaves the process — it keys the result cache, tags the delta base ring
+and names a :class:`~repro.service.jobs.JobHandle` — so it is free to be
+the cheap composition: a fork of the memoized compatibility state
+followed by the job's stimuli and plan, a few hundred bytes per submit
+and never the kernel table (tens of kilobytes that the frozen campaign
+order hashes *after* the stimuli, where no prefix memo can reach them).
+It is sensitive to exactly the fields the campaign digest is, fed in
+another order; treat it as opaque — it equals no campaign digest and no
+job digest of an earlier release.
 """
 
 from __future__ import annotations
@@ -202,6 +219,23 @@ def _compiled_prefix(compiled) -> Fingerprinter:
     return _COMPILED_PREFIXES.lookup((compiled,), None, build).fork()
 
 
+def _compatibility_state(compiled, config, kernel_table,
+                         variation) -> Fingerprinter:
+    """A fork of the stimulus-free state: compiled ‖ semantic config ‖
+    kernel table ‖ variation, hashed once per live object tuple."""
+
+    def build() -> Fingerprinter:
+        fp = _compiled_prefix(compiled)
+        feed_config(fp, config)
+        feed_kernel_table(fp, kernel_table)
+        feed_variation(fp, variation)
+        return fp
+
+    return _COMPATIBILITY_STATES.lookup(
+        (compiled, kernel_table, variation),
+        tuple(_semantic_config(config).values()), build).fork()
+
+
 # -- composed identities -----------------------------------------------------------
 
 
@@ -227,12 +261,6 @@ def campaign_fingerprint(
     feed_kernel_table(fp, kernel_table)
     feed_variation(fp, variation)
     return fp.hexdigest()
-
-
-#: A service job and a campaign are fingerprinted identically: both name
-#: "one simulation of these stimuli over this slot plane".  The alias
-#: keeps call sites honest about which identity they mean.
-job_fingerprint = campaign_fingerprint
 
 
 def circuit_fingerprint(compiled) -> str:
@@ -325,16 +353,32 @@ def compatibility_fingerprint(
     invalid plane.
     """
 
-    def build() -> Fingerprinter:
-        fp = _compiled_prefix(compiled)
-        feed_config(fp, config)
-        feed_kernel_table(fp, kernel_table)
-        feed_variation(fp, variation)
-        return fp
-
-    fp = _COMPATIBILITY_STATES.lookup(
-        (compiled, kernel_table, variation),
-        tuple(_semantic_config(config).values()), build).fork()
+    fp = _compatibility_state(compiled, config, kernel_table, variation)
     if kernel_table is None and static_voltages is not None:
         fp.feed_array("static_voltages", np.unique(static_voltages))
+    return fp.hexdigest()
+
+
+def job_fingerprint(
+    compiled,
+    pairs: Sequence,
+    plan,
+    config,
+    kernel_table=None,
+    variation=None,
+) -> str:
+    """In-memory identity of one service job (result-cache key).
+
+    Equal exactly when :func:`campaign_fingerprint` is equal — the same
+    six fields decide both — but composed so a submit hashes only its
+    own bytes: the memoized compatibility state, forked, then stimuli
+    and plan.  Payloads stay far below the size at which ``hashlib``
+    releases the GIL, so a submitting thread never queues behind a busy
+    worker to get it back.  Not a stored format (see the module
+    docstring) and never equal to a compatibility digest of the same
+    state: at least four framed fields follow the fork.
+    """
+    fp = _compatibility_state(compiled, config, kernel_table, variation)
+    feed_stimuli(fp, pairs)
+    feed_plan(fp, plan)
     return fp.hexdigest()

@@ -26,8 +26,16 @@ pay off.  The shape is deliberately that of an inference server:
   shared plane, with a per-job :class:`~repro.runtime.report.RunReport`
   describing the batch it rode in;
 * **result cache** — a fingerprinted LRU (:mod:`repro.service.cache`)
-  keyed by the same SHA-256 identity as campaign checkpoints; hits
-  resolve at submission time and never touch the queue or an engine;
+  keyed by an in-memory SHA-256 job identity decided by the same fields
+  as a campaign checkpoint's; hits resolve at submission time and never
+  touch the queue or an engine;
+* **delta base ring** — beside the cache, each compatibility group pins
+  its newest ``delta_bases`` all-net arenas so a near-duplicate job
+  splices instead of re-simulating; the ring is kept only while it
+  earns its capture: :meth:`SimulationService._settle_batch` reports
+  every batch's spliced lanes to the cache's per-group ledger, and a
+  group the ledger suspended runs without ``capture_base``, with
+  ``Segments(captured=0)`` and with no selection work at submit;
 * **failure domains** — per-job deadlines and cancellation, a
   supervised worker pool that replaces dead or hung workers and
   re-queues their in-flight batch once (:mod:`repro.service.pool`),
@@ -56,6 +64,7 @@ import queue as _queue
 import threading
 import time as _time
 from concurrent.futures import InvalidStateError
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -646,14 +655,18 @@ class SimulationService:
                 width=len(compiled.circuit.inputs))
             if delta is not None:
                 kwargs["delta"] = delta
+        # False while the group's ledger has the ring suspended: a plan
+        # selected before the suspension still splices (it holds its
+        # base), but nothing new is captured.
+        capture = self._cache.captures(jobs[0].compat_key)
+        if capture:
             kwargs["capture_base"] = True
         if len(jobs) > 1 and self.config.num_devices == 1:
             # The engine unpacks the arena once per job, and all nets
             # only for the trailing jobs the ring will keep.  (A batch
             # of one gets its whole capture, which is already private.)
             kwargs["segments"] = Segments(slot_counts, captured=(
-                min(len(jobs), self._cache.max_bases)
-                if self._delta_enabled else 0))
+                min(len(jobs), self._cache.max_bases) if capture else 0))
         result = engine.run(combined_pairs, plan=plan,
                             kernel_table=jobs[0].kernel_table,
                             variation=jobs[0].variation,
@@ -703,31 +716,38 @@ class SimulationService:
             self._metrics.record_demotions(len(demotions))
         self._metrics.record_splice(gate_evaluations, lanes_spliced)
         seconds = _time.monotonic() - started
-        total_slots = sum(job.num_slots for job in jobs)
+        bounds = list(accumulate((job.num_slots for job in jobs), initial=0))
+        total_slots = bounds[-1]
         self._metrics.record_phases(phase_seconds)
 
+        def slots_of(position: int) -> np.ndarray:
+            return np.arange(bounds[position], bounds[position + 1])
+
+        # Pin first, then close the ledger, then settle: a caller that
+        # saw its job finish sees the ring verdict that job produced.
         # The ring keeps ``max_bases`` arenas, so only the batch's
-        # trailing jobs can outlive this loop in it: an earlier slice
+        # trailing jobs can outlive this batch in it: an earlier slice
         # would cost a take and a checksum to be evicted by its batch
-        # neighbours before the loop ends.
-        first_pinned = len(jobs) - self._cache.max_bases
-        start = 0
+        # neighbours straight away.
+        for position in range(max(len(jobs) - self._cache.max_bases, 0),
+                              len(jobs)):
+            if segments is not None:
+                base = segments[position][1]
+            elif base_arena is None:
+                break
+            else:
+                base = (base_arena if len(jobs) == 1
+                        else base_arena.take(slots_of(position)))
+            if base is not None:
+                self._cache.put_base(jobs[position].compat_key, base,
+                                     tag=jobs[position].fingerprint)
+        self._cache.settle_ring(jobs[0].compat_key, len(jobs), lanes_spliced)
+
         now = _time.monotonic()
         for position, job in enumerate(jobs):
             n = job.num_slots
-            if segments is not None:
-                job_plane, base = segments[position]
-            else:
-                slots = np.arange(start, start + n)
-                job_plane = plane.take(slots)
-                base = None
-                if base_arena is not None and position >= first_pinned:
-                    base = (base_arena if len(jobs) == 1
-                            else base_arena.take(slots))
-            if base is not None:
-                self._cache.put_base(job.compat_key, base,
-                                     tag=job.fingerprint)
-            start += n
+            job_plane = (segments[position][0] if segments is not None
+                         else plane.take(slots_of(position)))
             evals = gate_evaluations * n // total_slots
             skipped = lanes_skipped * n // total_slots
             spliced = lanes_spliced * n // total_slots

@@ -115,9 +115,13 @@ class ServiceConfig:
         slots are spliced and only the cone of influence of changed
         inputs re-evaluates.  Bit-identical to the
         full path, so — like every knob here — never part of the job
-        fingerprint.  With ``shards > 0`` the ring lives shard-local
-        (arenas never cross the process boundary); a respawned shard
-        simply starts cold and falls back to full simulation.
+        fingerprint.  The in-process ring is kept only while it pays: a
+        group whose batches splice too little for what they capture is
+        suspended by the cache's count ledger and probed again later
+        (:mod:`repro.service.cache`).  With ``shards > 0`` the ring
+        lives shard-local (arenas never cross the process boundary); a
+        respawned shard simply starts cold and falls back to full
+        simulation.
     delta_threshold:
         Changed-input fraction at or above which a candidate base is
         rejected and the job runs the full path — a near-disjoint job

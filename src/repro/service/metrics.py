@@ -215,7 +215,12 @@ class ServiceMetrics:
                 f"  base ring: {self.base_hits} hits / "
                 f"{self.cache['base_lookups']:.0f} lookups "
                 f"({self.cache.get('base_verifications', 0):.0f} verified), "
-                f"{self.base_bytes_pinned} B pinned")
+                f"{self.base_bytes_pinned} B pinned; ledger "
+                f"{self.cache.get('base_lanes_spliced', 0):.0f} lanes spliced / "
+                f"{self.cache.get('base_rows_captured', 0):.0f} rows captured, "
+                f"{self.cache.get('base_suspensions', 0):.0f} suspensions "
+                f"({self.cache.get('groups_suspended', 0):.0f} groups "
+                "suspended now)")
         if self.lanes_spliced:
             lines.append(
                 f"  delta: {self.lanes_spliced} lanes spliced / "

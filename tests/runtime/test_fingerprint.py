@@ -4,10 +4,14 @@
 ``test_checkpoint.py``; this file covers what the extraction added: the
 service-facing identities and the compatibility key the batcher groups
 by — and the digest contract itself: hex digests pinned for hand-written
-inputs (they are stored in checkpoint manifests, so they may never
+inputs (the campaign digest is stored in checkpoint manifests and the
+circuit / compatibility digests cross the shard pipe, so they may never
 move), and the per-object memos behind them (a forked ``feed_compiled``
 prefix, a memoized compatibility state) checked against the plain
-feed-everything composition.
+feed-everything composition.  ``job_fingerprint`` is the one identity
+that never leaves the process: a fork of the compatibility state plus
+the job's stimuli and plan, held here to "decided by the same fields as
+the campaign digest, hashed from per-job bytes only".
 """
 
 import copy
@@ -77,8 +81,57 @@ class TestFingerprinter:
 
 
 class TestIdentities:
-    def test_job_fingerprint_is_campaign_fingerprint(self):
-        assert job_fingerprint is campaign_fingerprint
+    def test_job_fingerprint_follows_the_campaign_fields(self, compiled,
+                                                         other_compiled):
+        """The job digest is its own composition, never a campaign or
+        compatibility digest of the same state, and moves with exactly
+        the fields the campaign digest moves with."""
+        rng = np.random.default_rng(4)
+        pairs = [PatternPair.random(8, rng) for _ in range(2)]
+        plan = SlotPlan.cross(2, [0.6, 0.8])
+        config = SimulationConfig()
+        table = small_table()
+        variation = ProcessVariation(sigma=0.05, seed=1)
+        args = (compiled, pairs, plan, config, table, variation)
+        job = job_fingerprint(*args)
+        assert job == job_fingerprint(*args)
+        assert job != campaign_fingerprint(*args)
+        assert job not in {
+            compatibility_fingerprint(compiled, config, table, variation),
+            compatibility_fingerprint(compiled, config, table, variation,
+                                      static_voltages=plan.voltages),
+            compatibility_fingerprint(compiled, config, None, variation,
+                                      static_voltages=plan.voltages)}
+
+        flipped = [PatternPair(p.v1, p.v2 ^ 1) for p in pairs]
+        variants = {
+            "circuit": (other_compiled,) + args[1:],
+            "stimuli": (compiled, flipped) + args[2:],
+            "plan_voltages": (compiled, pairs, SlotPlan.cross(2, [0.6, 0.9]),
+                              config, table, variation),
+            "plan_patterns": (compiled, pairs, SlotPlan.uniform(2, 0.6),
+                              config, table, variation),
+            "config": (compiled, pairs, plan,
+                       SimulationConfig(record_all_nets=True), table,
+                       variation),
+            "table": args[:4] + (small_table(scale=32.0), variation),
+            "no_table": args[:4] + (None, variation),
+            "variation": args[:5] + (ProcessVariation(sigma=0.05, seed=2),),
+            "no_variation": args[:5] + (None,),
+            # Neither digest sees an operational knob or object identity.
+            "backend": (compiled, pairs, plan,
+                        SimulationConfig(backend="numpy"), table, variation),
+            "equal_table": args[:4] + (small_table(), variation),
+            "equal_pairs": (compiled, [PatternPair(p.v1.copy(), p.v2.copy())
+                                       for p in pairs]) + args[2:],
+        }
+        campaign = campaign_fingerprint(*args)
+        for name, other in variants.items():
+            moved = name not in ("backend", "equal_table", "equal_pairs")
+            assert (campaign_fingerprint(*other) != campaign) == moved, name
+            assert (job_fingerprint(*other) != job) == moved, name
+        assert len({job_fingerprint(*other)
+                    for other in variants.values()}) == 10
 
     def test_circuit_fingerprint_distinguishes_circuits(self, compiled,
                                                         other_compiled):
@@ -148,14 +201,15 @@ class TestBackendDoesNotSplitIdentity:
 
 
 def plain_job_digest(compiled, pairs, plan, config, kernel_table, variation):
-    """The frozen composition, every field fed per call (no memo)."""
+    """The job composition, every field fed per call (no memo): the
+    compatibility state, then the job's own bytes."""
     fp = Fingerprinter()
     feed_compiled(fp, compiled)
-    feed_stimuli(fp, pairs)
-    feed_plan(fp, plan)
     feed_config(fp, config)
     feed_kernel_table(fp, kernel_table)
     feed_variation(fp, variation)
+    feed_stimuli(fp, pairs)
+    feed_plan(fp, plan)
     return fp.hexdigest()
 
 
@@ -195,7 +249,10 @@ class PinnedCompiled:
 class TestDigestContract:
     """Hex digests recorded at the commit before the prefix was forked
     (feeding every field per call).  A mismatch here means existing
-    checkpoint directories stop resuming and every cache key moves."""
+    checkpoint directories stop resuming and shard group keys move.
+    The job digest is the exception: it lives in memory only, and its
+    pin (re-recorded when it stopped being the campaign digest) holds
+    the composition still, not a stored format."""
 
     @pytest.fixture(scope="class")
     def pinned(self):
@@ -233,8 +290,8 @@ class TestDigestContract:
         assert job_fingerprint(
             pinned.compiled, pinned.pairs, pinned.plan, pinned.config,
             pinned.table, pinned.plain) == (
-            "fd4a240d3f6d8ad51d4c1cb45dedcbbe"
-            "4e66f30a932ca6e792238f0b964cae4e")
+            "fb5a85c7c7444cb225482f2e1fa75ce4"
+            "b0de536f0050ee8ff78ce070f31d2417")
 
     def test_compatibility_fingerprint(self, pinned):
         assert compatibility_fingerprint(
@@ -285,6 +342,38 @@ class TestMemoLifetime:
         # One memo build; the reference composition above feeds through
         # the imported name, not the patched module attribute.
         assert len(calls) == 1 and calls[0] is compiled
+
+    def test_job_digest_hashes_per_job_bytes_only(self, library,
+                                                  kernel_table, monkeypatch):
+        """100 submits' worth of job digests feed the (tens of KB)
+        kernel table once, and once the state is memoized no payload
+        reaches the size at which ``hashlib`` releases the GIL."""
+        compiled = fresh_compiled(library, 11)
+        assert kernel_table.coefficients.nbytes > 2048
+        feeds = []
+        real = Fingerprinter.feed
+        monkeypatch.setattr(
+            Fingerprinter, "feed",
+            lambda self, tag, payload: (feeds.append((tag, len(payload))),
+                                        real(self, tag, payload))[1])
+        rng = np.random.default_rng(2)
+        plan = SlotPlan.cross(2, [0.6, 0.9])
+        config = SimulationConfig()
+        digests = set()
+        for call in range(100):
+            if call == 1:
+                warm = len(feeds)
+            pairs = [PatternPair.random(6, rng) for _ in range(2)]
+            digests.add(job_fingerprint(compiled, pairs, plan, config,
+                                        kernel_table))
+        assert len(digests) == 100
+        assert [tag for tag, _ in feeds].count("kernels") == 1
+        assert {tag for tag, _ in feeds[warm:]} == {
+            "v1", "v2", "plan_patterns", "plan_voltages"}
+        assert max(size for _, size in feeds[warm:]) < 2048
+        # The group key of the same submits forks the same state.
+        compatibility_fingerprint(compiled, config, kernel_table, None)
+        assert [tag for tag, _ in feeds].count("kernels") == 1
 
     def test_memo_does_not_keep_objects_alive(self, library):
         compiled = fresh_compiled(library, 6)

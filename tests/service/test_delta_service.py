@@ -26,6 +26,11 @@ Contracts under test:
   a standalone ``capture_base=True`` run; batches the engine had to
   partition, and batches of one, go through the ``take`` path with the
   same result;
+* the ring earns its capture: a group whose batches splice fewer than
+  one lane per two captured rows over a 64-job window loses its ring
+  (no ``capture_base``, empty lookups) for 128 settled jobs, then 256,
+  probing one window in between, while a splicing stream keeps it — and
+  every job in every phase is bit-identical to standalone;
 * ``delta_bases=0`` disables retention entirely; the config knobs
   validate their ranges.
 """
@@ -44,6 +49,11 @@ from repro.errors import ServiceError
 from repro.faults.plan import corrupt_waveforms
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
+from repro.service.cache import (
+    LEDGER_WINDOW,
+    SUSPEND_MIN,
+    waveform_checksum,
+)
 from repro.service.core import SimulationService as ServiceCore
 from repro.simulation.backend import available_backends, resolve_backend
 from repro.simulation.base import PatternPair, SimulationConfig
@@ -619,6 +629,162 @@ class TestSegmentedDemux:
         assert len(results) == 6 and len(ring) == 2
         assert extracts == [(0, 2, 4, 6, 8, 10, 12), (8, 10, 12)]
         assert settle_denses and all(settle_denses)
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+class TestRingEarnsItsCapture:
+    """One worker, one job per batch, one job at a time: the ledger's
+    schedule is exact, and no phase of it changes a waveform."""
+
+    def stream(self, service, key, jobs, config, kernel_table):
+        """Submit and await ``jobs`` one by one; returns the results and
+        the cache stats as each job's caller saw them on completion."""
+        results, seen = [], []
+        for pairs in jobs:
+            results.append(service.submit(
+                key, pairs, config=config,
+                kernel_table=kernel_table).result(timeout=120))
+            seen.append(service.metrics().cache)
+        return results, seen
+
+    def assert_standalone(self, circuit, library, compiled, kernel_table,
+                          config, jobs, results):
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=config)
+        for pairs, result in zip(jobs, results):
+            alone = engine.run(pairs, kernel_table=kernel_table)
+            assert (waveform_checksum(result.waveforms)
+                    == waveform_checksum(alone.waveforms))
+
+    def test_unrelated_stream_loses_its_ring_and_probes_again(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            engine_runs):
+        config = SimulationConfig(backend=backend_name)
+        first, second = LEDGER_WINDOW, LEDGER_WINDOW + SUSPEND_MIN
+        probe_end = second + LEDGER_WINDOW
+        jobs = [make_pairs(circuit, 2, seed=1000 + k)
+                for k in range(probe_end + 4)]
+        with SimulationService(config=delta_config(
+                max_batch_slots=2)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            results, seen = self.stream(service, key, jobs, config,
+                                        kernel_table)
+            (group,) = service._cache._ledgers
+            assert service._cache.bases_for(group) == []
+            remaining = service._cache._ledgers[group].suspended_for
+            summary = service.metrics().summary()
+        assert len(engine_runs) == len(jobs)  # no cache hit, no coalescing
+        captured = [bool(kwargs.get("capture_base"))
+                    for kwargs, _ in engine_runs]
+        # Window 1 is the plain ring; job 64 closes it losing.
+        assert all(captured[:first])
+        assert seen[first - 2]["base_suspensions"] == 0
+        assert seen[first - 2]["bases"] == 4
+        assert seen[first - 1]["base_suspensions"] == 1
+        assert seen[first - 1]["groups_suspended"] == 1
+        assert seen[first - 1]["bases"] == 0
+        assert seen[first - 1]["base_bytes_pinned"] == 0
+        # Jobs 65-192: no capture, nothing pinned, nothing to select.
+        assert not any(captured[first:second])
+        assert all(result.base_arena is None and result.segments is None
+                   for _, result in engine_runs[first:second])
+        assert all(stats["bases"] == 0 for stats in seen[first:second - 1])
+        assert (seen[second - 1]["base_rows_captured"]
+                == seen[first - 1]["base_rows_captured"]
+                == first * 2 * compiled.num_nets)
+        assert seen[second - 1]["groups_suspended"] == 0
+        # Job 193 probes: one more window with the ring, lost again, and
+        # the suspension doubles.
+        assert all(captured[second:probe_end])
+        assert seen[second]["bases"] == 1
+        assert seen[probe_end - 1]["base_suspensions"] == 2
+        assert not any(captured[probe_end:])
+        assert remaining == 2 * SUSPEND_MIN - 4
+        assert seen[-1]["base_hits"] == 0
+        assert seen[-1]["base_lookups"] == len(jobs)
+        # "Why did this job not capture" is on the operator's summary.
+        assert (f"ledger 0 lanes spliced / "
+                f"{2 * first * 2 * compiled.num_nets} rows captured, "
+                "2 suspensions (1 groups suspended now)") in summary
+        self.assert_standalone(circuit, library, compiled, kernel_table,
+                               config, jobs, results)
+
+    def test_splicing_stream_keeps_its_ring(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            engine_runs):
+        """Each job is its predecessor with one more input bit flipped:
+        three of four slots splice whole, far above one lane per two
+        captured rows, so no window ever suspends the group."""
+        config = SimulationConfig(backend=backend_name)
+        width = len(circuit.inputs)
+        jobs = [make_pairs(circuit, 4, seed=90)]
+        for step in range(2 * LEDGER_WINDOW + 8):
+            jobs.append(flipped(jobs[-1], (step // width) % 4, step % width))
+        with SimulationService(config=delta_config(
+                max_batch_slots=4)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            results, seen = self.stream(service, key, jobs, config,
+                                        kernel_table)
+        assert len(engine_runs) == len(jobs)
+        assert all(kwargs.get("capture_base") for kwargs, _ in engine_runs)
+        assert [stats["base_hits"] for stats in seen] == list(
+            range(len(jobs)))
+        final = seen[-1]
+        assert final["base_suspensions"] == 0
+        assert final["groups_suspended"] == 0
+        assert final["bases"] == 4
+        assert final["base_rows_captured"] == len(jobs) * 4 * compiled.num_nets
+        assert 2 * final["base_lanes_spliced"] >= final["base_rows_captured"]
+        assert all(result.report.lanes_spliced > 0 for result in results[1:])
+        self.assert_standalone(circuit, library, compiled, kernel_table,
+                               config, jobs, results)
+
+    def test_plan_selected_before_the_drop_still_splices(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            engine_runs, monkeypatch):
+        """Job 65 selects its base while the ring is live, but runs
+        after job 64 closed the window that dropped it: the plan holds
+        its (verified) base, so the job splices — and captures nothing."""
+        config = SimulationConfig(backend=backend_name)
+        jobs = [make_pairs(circuit, 2, seed=2000 + k)
+                for k in range(LEDGER_WINDOW)]
+        late = flipped(jobs[-2], 1, 4)
+        gate = threading.Event()
+        gate.set()
+        recorded_run = GpuWaveSim.run
+
+        def gated_run(self, *args, **kwargs):
+            assert gate.wait(timeout=60)
+            return recorded_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GpuWaveSim, "run", gated_run)
+        with SimulationService(config=delta_config(
+                max_batch_slots=2)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            results, _ = self.stream(service, key, jobs[:-1], config,
+                                     kernel_table)
+            gate.clear()  # hold job 64 at the engine's door ...
+            closing = service.submit(key, jobs[-1], config=config,
+                                     kernel_table=kernel_table)
+            spliced = service.submit(key, late, config=config,
+                                     kernel_table=kernel_table)
+            before = service.metrics().cache
+            gate.set()    # ... until job 65 has selected its plan
+            results += [closing.result(timeout=120),
+                        spliced.result(timeout=120)]
+            after = service.metrics().cache
+        assert before["base_hits"] == 1 and before["base_suspensions"] == 0
+        assert after["base_suspensions"] == 1 and after["bases"] == 0
+        kwargs, run = engine_runs[-1]
+        assert kwargs["delta"] is not None
+        assert "capture_base" not in kwargs and run.base_arena is None
+        assert results[-1].report.lanes_spliced > 0
+        assert ",delta" in results[-1].engine
+        self.assert_standalone(circuit, library, compiled, kernel_table,
+                               config, jobs + [late], results)
 
 
 class TestConfigKnobs:
