@@ -14,12 +14,17 @@ thread grid (Sec. IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
+import numpy as np
+
+from repro.cells.cell import Cell
 from repro.cells.library import CellLibrary
-from repro.errors import NetlistError
+from repro.errors import NetlistError, ParameterError
 
-__all__ = ["Gate", "Circuit"]
+__all__ = ["Gate", "Circuit", "Wiring"]
 
 #: Default interconnect capacitance added per fanout branch (farads).
 #: Stands in for the SPEF wire parasitics of a routed design.
@@ -51,6 +56,38 @@ class Gate:
     output: str
 
 
+class Wiring(NamedTuple):
+    """A circuit's connectivity in integers (:meth:`Circuit.wiring`).
+
+    Nets are numbered primary inputs first, then gate outputs in gate
+    order, so gate ``g`` drives net ``num_inputs + g``.  Pins are listed
+    gate by gate, pin by pin — the order :meth:`Circuit.fanout` visits
+    them in.
+    """
+
+    net_index: Dict[str, int]           # net name -> net id
+    pin_nets: np.ndarray                # (P,) net id each pin reads, -1 = undriven
+    pin_offsets: np.ndarray             # (G + 1,) first pin of each gate
+    cell_gates: Dict[str, np.ndarray]   # cell name -> its gate indices
+
+    @property
+    def arity(self) -> np.ndarray:
+        """``(G,)`` connected input pins per gate."""
+        return np.diff(self.pin_offsets)
+
+    @property
+    def pin_gates(self) -> np.ndarray:
+        """``(P,)`` gate index of every pin."""
+        return np.repeat(np.arange(self.pin_offsets.size - 1), self.arity)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` of every ``(s, c)`` pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(
+        starts - (ends - counts), counts)
+
+
 class Circuit:
     """A named combinational netlist.
 
@@ -68,6 +105,7 @@ class Circuit:
         self._driver: Dict[str, Optional[Gate]] = {}
         self._gate_index: Dict[str, int] = {}
         self._levels: Optional[List[List[int]]] = None
+        self._wiring: Optional[Wiring] = None
 
     # -- construction ------------------------------------------------------------
 
@@ -76,7 +114,7 @@ class Circuit:
         self._check_undriven(net)
         self.inputs.append(net)
         self._driver[net] = None
-        self._levels = None
+        self._levels = self._wiring = None
         return net
 
     def add_gate(self, name: str, cell: str, inputs: Sequence[str], output: str) -> Gate:
@@ -92,7 +130,7 @@ class Circuit:
         self._gate_index[name] = len(self.gates)
         self.gates.append(gate)
         self._driver[output] = gate
-        self._levels = None
+        self._levels = self._wiring = None
         return gate
 
     def add_output(self, net: str) -> str:
@@ -149,6 +187,71 @@ class Circuit:
                 result[net].append((gate, pin_index))
         return result
 
+    def wiring(self) -> Wiring:
+        """The netlist as integer arrays.  Cached until the circuit changes.
+
+        One pass over the string-keyed graph that validation,
+        levelization, load extraction and compilation all read instead
+        of walking the dicts again.  A pin reading a net nothing drives
+        is ``-1`` (:meth:`validate` rejects it, :meth:`levelize` treats
+        it as a primary input).
+        """
+        if self._wiring is not None:
+            return self._wiring
+        net_index = {net: index for index, net in enumerate(
+            chain(self.inputs, (gate.output for gate in self.gates)))}
+        pin_offsets = np.zeros(len(self.gates) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(gate.inputs) for gate in self.gates),
+                              dtype=np.int64, count=len(self.gates)),
+                  out=pin_offsets[1:])
+        pin_nets = np.fromiter(
+            (net_index.get(net, -1) for gate in self.gates for net in gate.inputs),
+            dtype=np.int64, count=int(pin_offsets[-1]))
+        groups: Dict[str, List[int]] = {}
+        for index, gate in enumerate(self.gates):
+            groups.setdefault(gate.cell, []).append(index)
+        self._wiring = Wiring(net_index, pin_nets, pin_offsets, {
+            cell: np.asarray(gates, dtype=np.int64)
+            for cell, gates in groups.items()})
+        return self._wiring
+
+    def gates_by_cell(self, library: CellLibrary) -> List[Tuple[Cell, np.ndarray]]:
+        """Gate indices grouped by library cell: one ``(cell, indices)``
+        pair per distinct cell type, in first-use order.
+
+        Whatever set-up derives from the *cell* alone (type id, truth
+        table), or from the cell and one number per gate (nominal
+        delays from the load), is computed once per group and scattered
+        over ``indices``.  Every gate's pin count must match its cell.
+        """
+        wiring = self.wiring()
+        by_cell = [(library[name], gates)
+                   for name, gates in wiring.cell_gates.items()]
+        cell_pins = np.zeros(len(self.gates), dtype=np.int64)
+        for cell, gates in by_cell:
+            cell_pins[gates] = cell.num_inputs
+        wrong = np.flatnonzero(wiring.arity != cell_pins)
+        if wrong.size:
+            gate = self.gates[int(wrong[0])]
+            raise NetlistError(
+                f"{self.name}: gate {gate.name} connects "
+                f"{len(gate.inputs)} nets to {gate.cell} "
+                f"({cell_pins[wrong[0]]} pins)"
+            )
+        return by_cell
+
+    def _require_driven_pins(self) -> None:
+        wiring = self.wiring()
+        undriven = np.flatnonzero(wiring.pin_nets < 0)
+        if undriven.size:
+            index = int(np.searchsorted(wiring.pin_offsets, undriven[0],
+                                        side="right")) - 1
+            gate = self.gates[index]
+            net = gate.inputs[int(undriven[0] - wiring.pin_offsets[index])]
+            raise NetlistError(
+                f"{self.name}: gate {gate.name} reads undriven net {net!r}"
+            )
+
     # -- validation -------------------------------------------------------------------
 
     def validate(self, library: Optional[CellLibrary] = None) -> None:
@@ -157,20 +260,9 @@ class Circuit:
         With a library, also checks that every instance's cell exists and
         its pin count matches the cell arity.
         """
-        for gate in self.gates:
-            for net in gate.inputs:
-                if net not in self._driver:
-                    raise NetlistError(
-                        f"{self.name}: gate {gate.name} reads undriven net {net!r}"
-                    )
-            if library is not None:
-                cell = library[gate.cell]
-                if cell.num_inputs != len(gate.inputs):
-                    raise NetlistError(
-                        f"{self.name}: gate {gate.name} connects "
-                        f"{len(gate.inputs)} nets to {cell.name} "
-                        f"({cell.num_inputs} pins)"
-                    )
+        self._require_driven_pins()
+        if library is not None:
+            self.gates_by_cell(library)
         for net in self.outputs:
             if net not in self._driver:
                 raise NetlistError(f"{self.name}: output net {net!r} is undriven")
@@ -188,45 +280,33 @@ class Circuit:
         """
         if self._levels is not None:
             return self._levels
-        level_of_net: Dict[str, int] = {net: 0 for net in self.inputs}
-        indegree: Dict[int, int] = {}
-        sinks: Dict[str, List[int]] = {}
-        for index, gate in enumerate(self.gates):
-            pending = 0
-            for net in gate.inputs:
-                if self._driver.get(net) is not None:
-                    pending += 1
-                    sinks.setdefault(net, []).append(index)
-            indegree[index] = pending
-        ready = [i for i, d in indegree.items() if d == 0]
-        order: List[int] = []
-        gate_level: Dict[int, int] = {}
-        while ready:
-            next_ready: List[int] = []
-            for index in ready:
-                gate = self.gates[index]
-                level = 1 + max(
-                    (level_of_net.get(net, 0) for net in gate.inputs), default=0
-                )
-                gate_level[index] = level
-                level_of_net[gate.output] = level
-                order.append(index)
-                for sink in sinks.get(gate.output, ()):
-                    indegree[sink] -= 1
-                    if indegree[sink] == 0:
-                        next_ready.append(sink)
-            ready = next_ready
-        if len(order) != len(self.gates):
-            cyclic = [self.gates[i].name for i, d in indegree.items() if d > 0]
+        wiring = self.wiring()
+        num_gates = len(self.gates)
+        # Gate-to-gate edges, grouped by driving gate (CSR).
+        driver = wiring.pin_nets - len(self.inputs)
+        driven = driver >= 0
+        driver = driver[driven]
+        order = np.argsort(driver, kind="stable")
+        sinks = wiring.pin_gates[driven][order]
+        starts = np.searchsorted(driver[order], np.arange(num_gates + 1))
+        pending = np.bincount(sinks, minlength=num_gates)
+        # Kahn's algorithm a whole wave at a time: wave k is level k.
+        levels: List[List[int]] = []
+        ready = np.flatnonzero(pending == 0)
+        while ready.size:
+            levels.append(ready.tolist())
+            fed = np.sort(sinks[_ranges(starts[ready],
+                                        starts[ready + 1] - starts[ready])])
+            # A gate fed through k pins in this wave is listed k times.
+            first = np.flatnonzero(np.diff(fed, prepend=-1))
+            fed, times = fed[first], np.diff(first, append=fed.size)
+            pending[fed] -= times
+            ready = fed[pending[fed] == 0]
+        if pending.any():
+            cyclic = [self.gates[i].name for i in np.flatnonzero(pending)]
             raise NetlistError(
                 f"{self.name}: combinational cycle involving {cyclic[:5]}"
             )
-        depth = max(gate_level.values(), default=0)
-        levels: List[List[int]] = [[] for _ in range(depth)]
-        for index, level in gate_level.items():
-            levels[level - 1].append(index)
-        for bucket in levels:
-            bucket.sort()
         self._levels = levels
         return levels
 
@@ -255,22 +335,59 @@ class Circuit:
         fanout branch + port capacitance for primary outputs.  This
         derives the same quantity a SPEF file would annotate.
         """
-        fanout = self.fanout()
-        loads: Dict[str, float] = {}
-        output_set = set(self.outputs)
-        for net, sinks in fanout.items():
-            load = 0.0
-            for gate, pin_index in sinks:
-                cell = library[gate.cell]
-                load += cell.pins[pin_index].input_cap
-            load += wire_cap_per_fanout * len(sinks)
-            if net in output_set:
-                load += output_port_cap
-            if load == 0.0:
-                # Dangling internal net: model the minimum wire stub.
-                load = wire_cap_per_fanout
-            loads[net] = load
+        vector = self._net_load_vector(library, wire_cap_per_fanout,
+                                       output_port_cap).tolist()
+        net_index = self.wiring().net_index
+        return {net: vector[net_index[net]] for net in self._driver}
+
+    def _net_load_vector(self, library: CellLibrary, wire_cap_per_fanout: float,
+                         output_port_cap: float) -> np.ndarray:
+        """:meth:`net_loads` as one array in net-id order."""
+        self._require_driven_pins()
+        wiring = self.wiring()
+        num_nets = len(wiring.net_index)
+        pin_caps = np.zeros(wiring.pin_nets.size, dtype=np.float64)
+        for cell, gates in self.gates_by_cell(library):
+            for position, pin in enumerate(cell.pins):
+                pin_caps[wiring.pin_offsets[gates] + position] = pin.input_cap
+        # bincount adds a net's sink pins in pin order, one at a time
+        # from 0.0: the float sum a loop over fanout() would produce.
+        fanout = np.bincount(wiring.pin_nets, minlength=num_nets)
+        loads = (np.bincount(wiring.pin_nets, weights=pin_caps, minlength=num_nets)
+                 + wire_cap_per_fanout * fanout)
+        loads[np.fromiter((wiring.net_index[net] for net in self.outputs
+                           if net in wiring.net_index), dtype=np.int64)
+              ] += output_port_cap
+        # Dangling internal net: model the minimum wire stub.
+        loads[loads == 0.0] = wire_cap_per_fanout
         return loads
+
+    def gate_loads(self, library: CellLibrary,
+                   loads: Optional[Mapping[str, float]] = None) -> np.ndarray:
+        """Output-net load of every gate as one ``(G,)`` array (farads).
+
+        ``loads`` maps net → capacitance (a SPEF file's content) and must
+        hold a positive entry for every gate's output net; when omitted
+        the loads are the ones :meth:`net_loads` derives.
+        """
+        if loads is None:
+            return self._net_load_vector(library, WIRE_CAP_PER_FANOUT,
+                                         OUTPUT_PORT_CAP)[len(self.inputs):]
+        try:
+            vector = np.fromiter((loads[gate.output] for gate in self.gates),
+                                 dtype=np.float64, count=len(self.gates))
+        except KeyError:
+            gate = next(g for g in self.gates if g.output not in loads)
+            raise ParameterError(
+                f"{self.name}: gate {gate.name}: no load capacitance for "
+                f"its output net {gate.output!r}") from None
+        bad = np.flatnonzero(vector <= 0)
+        if bad.size:
+            gate = self.gates[int(bad[0])]
+            raise ParameterError(
+                f"{self.name}: gate {gate.name}: load capacitance of net "
+                f"{gate.output!r} must be positive, got {vector[bad[0]]:g} F")
+        return vector
 
     # -- misc -------------------------------------------------------------------------------
 
@@ -283,6 +400,11 @@ class Circuit:
         for net in self.outputs:
             clone.add_output(net)
         return clone
+
+    def __getstate__(self) -> dict:
+        # The wiring is rebuilt on demand; a circuit sent to a worker
+        # process does not carry it.
+        return {**self.__dict__, "_wiring": None}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -23,16 +23,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.cells.cell import Cell, DrivePolarity
 from repro.cells.library import CellLibrary
 from repro.electrical.model import ElectricalModel
-from repro.cells.cell import DrivePolarity
 from repro.errors import ParseError
 from repro.netlist.circuit import Circuit
 from repro.units import PS
 
-__all__ = ["SdfAnnotation", "write_sdf", "parse_sdf", "annotate_nominal"]
+__all__ = ["SdfAnnotation", "write_sdf", "parse_sdf", "annotate_nominal",
+           "nominal_delay_array"]
 
 
 @dataclass
@@ -55,6 +58,34 @@ class SdfAnnotation:
         return len(self.delays)
 
 
+def nominal_delay_array(
+    by_cell: Sequence[Tuple[Cell, np.ndarray]],
+    gate_loads: np.ndarray,
+    model: Optional[ElectricalModel] = None,
+    v_nom: float = 0.8,
+) -> np.ndarray:
+    """Nominal delays of every gate as one ``(G, max_pins, 2)`` array.
+
+    ``by_cell`` is :meth:`Circuit.gates_by_cell`, ``gate_loads`` is
+    :meth:`Circuit.gate_loads`.  The model is evaluated once per (cell,
+    pin, polarity) over the vector of that cell's instance loads, not
+    once per gate.  ``pin_delay`` applies the same ufuncs in the same
+    order to an array as to a scalar, and every term that does not
+    depend on the load is the same Python float either way, so each
+    element carries the bits the scalar call would return.
+    """
+    model = ElectricalModel() if model is None else model
+    max_pins = max((cell.num_inputs for cell, _ in by_cell), default=1)
+    delays = np.zeros((gate_loads.size, max_pins, 2), dtype=np.float64)
+    for cell, gates in by_cell:
+        loads = gate_loads[gates]
+        for pin in cell.pins:
+            for polarity in DrivePolarity:
+                delays[gates, pin.index, polarity] = model.pin_delay(
+                    cell, pin, polarity, v_nom, loads)
+    return delays
+
+
 def annotate_nominal(
     circuit: Circuit,
     library: CellLibrary,
@@ -68,20 +99,13 @@ def annotate_nominal(
     voltage with each gate's actual load — what a signoff extraction
     would put into the SDF file.
     """
-    model = model or ElectricalModel()
-    loads = loads or circuit.net_loads(library)
-    annotation = SdfAnnotation(design=circuit.name)
-    for gate in circuit.gates:
-        cell = library[gate.cell]
-        load = loads[gate.output]
-        annotation.delays[gate.name] = tuple(
-            (
-                model.pin_delay(cell, pin, DrivePolarity.RISE, v_nom, load),
-                model.pin_delay(cell, pin, DrivePolarity.FALL, v_nom, load),
-            )
-            for pin in sorted(cell.pins, key=lambda p: p.index)
-        )
-    return annotation
+    rows = nominal_delay_array(circuit.gates_by_cell(library),
+                               circuit.gate_loads(library, loads),
+                               model, v_nom).tolist()
+    return SdfAnnotation(design=circuit.name, delays={
+        gate.name: tuple(map(tuple, pins[:len(gate.inputs)]))
+        for gate, pins in zip(circuit.gates, rows)
+    })
 
 
 def write_sdf(circuit: Circuit, library: CellLibrary,

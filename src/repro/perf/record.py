@@ -29,7 +29,8 @@ Report schema (version 1)::
       "parametric_ratios": {circuit: {backend: parametric_wall / static_wall}},
       "characterization_speedups": {"evaluation_ratio": ...,
                                     "warm_cache_evaluations": ..., ...},
-      "faults_disabled_overhead": {backend: seam_cost_fraction_of_e2e_wall}
+      "faults_disabled_overhead": {backend: seam_cost_fraction_of_e2e_wall},
+      "setup_scaling": {"<circuit>_x<scale>": engine_construction_us_per_gate}
     }
 
 The low-activity scenario (``e2e_*_lowact_{sparse,dense}``) runs the
@@ -98,6 +99,13 @@ fault-injection seams compiled into production paths is free.  Unlike
 the wall-time gates this one is absolute: the gate fails when any
 backend's fraction exceeds :data:`FAULT_OVERHEAD_CEILING`.
 
+The set-up scenario (``setup_<circuit>_x<scale>``) times a cold
+``GpuWaveSim(circuit, library)`` — validation, load extraction, nominal
+annotation and compilation of a circuit no cache has seen — at the four
+sizes of :data:`SETUP_SIZES`; ``setup_scaling`` records it in µs per
+gate, the number to hold against the paper's "set-up stays in seconds"
+at 1 M nodes (EXPERIMENTS.md, "Setup/runtime notes").
+
 Wall times are best-of-N (minimum over repeats) — the standard way to
 suppress scheduler noise in micro-benchmarks.
 """
@@ -137,6 +145,7 @@ __all__ = [
     "bench_parametric_plane",
     "bench_service_scaling",
     "bench_service_throughput",
+    "bench_setup_scaling",
     "compare_reports",
     "load_report",
     "main",
@@ -262,6 +271,11 @@ CHARZ_ERROR_FLOOR = 0.02
 FAULT_SEAM_SPINS = 200_000
 FAULT_SEAM_SPINS_QUICK = 50_000
 FAULT_OVERHEAD_CEILING = 0.01
+
+#: Set-up scaling scenario: (suite circuit, scale) per entry, small to
+#: large — 3 679 / 8 271 / 14 717 / 41 355 gates.
+SETUP_SIZES = (("b17", 0.1), ("p100k", 0.1), ("b17", 0.4), ("p100k", 0.5))
+SETUP_SIZES_QUICK = (("b17", 0.1),)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -916,6 +930,36 @@ def bench_characterization(quick: bool = False,
     ]
 
 
+def bench_setup_scaling(sizes=SETUP_SIZES, repeats: int = 3) -> List[dict]:
+    """Cold engine construction per circuit size.
+
+    One entry per ``(circuit, scale)``: the wall of
+    ``GpuWaveSim(circuit, library)`` on a freshly generated circuit (a
+    ``Circuit`` keeps its levels and wiring once derived, so every
+    repeat builds its own outside the clock).  Nothing here depends on
+    the compute backend (``backend="numpy"``, as for characterization).
+    """
+    from repro.experiments.common import default_library
+    from repro.netlist.suite import build_suite_circuit
+    from repro.simulation.gpu import GpuWaveSim
+
+    library = default_library()
+    entries = []
+    for circuit_name, scale in sizes:
+        wall = float("inf")
+        for _ in range(repeats):
+            circuit = build_suite_circuit(circuit_name, scale=scale)
+            start = time.perf_counter()
+            GpuWaveSim(circuit, library)
+            wall = min(wall, time.perf_counter() - start)
+        entries.append(_entry(
+            f"setup_{circuit_name}_x{scale:g}", "numpy", wall,
+            circuit.num_gates, circuit=circuit_name, scale=scale,
+            gates=circuit.num_gates,
+            us_per_gate=1e6 * wall / circuit.num_gates))
+    return entries
+
+
 # -- suite -------------------------------------------------------------------------
 
 
@@ -985,6 +1029,8 @@ def run_suite(quick: bool = False,
 
         # Backend-independent (pure-NumPy SPICE stand-in): run once.
         benchmarks.extend(bench_characterization(quick=quick))
+        benchmarks.extend(bench_setup_scaling(
+            SETUP_SIZES_QUICK if quick else SETUP_SIZES))
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -1007,6 +1053,7 @@ def run_suite(quick: bool = False,
         "parametric_ratios": _parametric_ratios(benchmarks),
         "characterization_speedups": _characterization_speedups(benchmarks),
         "faults_disabled_overhead": _fault_overhead(benchmarks),
+        "setup_scaling": _setup_scaling(benchmarks),
     }
 
 
@@ -1148,6 +1195,12 @@ def _fault_overhead(benchmarks: List[dict]) -> Dict[str, float]:
     return {entry["backend"]: entry["params"]["overhead_fraction"]
             for entry in benchmarks
             if entry["name"] == "fault_seams_e2e"}
+
+
+def _setup_scaling(benchmarks: List[dict]) -> Dict[str, float]:
+    """Per set-up size: cold engine construction in µs per gate."""
+    return {entry["name"][len("setup_"):]: entry["params"]["us_per_gate"]
+            for entry in benchmarks if entry["name"].startswith("setup_")}
 
 
 def _service_speedups(benchmarks: List[dict]) -> Dict[str, float]:
@@ -1371,6 +1424,10 @@ def _print_summary(report: dict, stream=None) -> None:
                          for b, fraction in overhead.items())
         print(f"  disabled fault-seam overhead: {text} "
               f"(ceiling {FAULT_OVERHEAD_CEILING:.0%})", file=stream)
+    setup = report.get("setup_scaling", {})
+    if setup:
+        text = ", ".join(f"{size} {us:.1f}" for size, us in setup.items())
+        print(f"  cold engine construction, µs/gate: {text}", file=stream)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
-from repro.netlist.sdf import SdfAnnotation, annotate_nominal
+from repro.netlist.sdf import SdfAnnotation, nominal_delay_array
 
 __all__ = [
     "CompiledCircuit",
@@ -508,45 +508,40 @@ def compile_circuit(
     computed from the library's pin capacitances.
     """
     circuit.validate(library)
-    loads = loads or circuit.net_loads(library)
-    annotation = annotation or annotate_nominal(circuit, library, loads=loads)
-
-    net_index: Dict[str, int] = {}
-    for net in circuit.inputs:
-        net_index[net] = len(net_index)
-    for gate in circuit.gates:
-        net_index[gate.output] = len(net_index)
-
+    by_cell = circuit.gates_by_cell(library)      # pin counts match the cells
+    wiring = circuit.wiring()
+    gate_loads = circuit.gate_loads(library, loads)
     num_gates = circuit.num_gates
-    max_pins = max((len(g.inputs) for g in circuit.gates), default=1)
+    num_inputs = len(circuit.inputs)
+    gate_arity = wiring.arity
+    max_pins = int(gate_arity.max(initial=1))
+
+    if annotation is None:
+        nominal = nominal_delay_array(by_cell, gate_loads)
+    else:
+        nominal = np.zeros((num_gates, max_pins, 2), dtype=np.float64)
+        for index, gate in enumerate(circuit.gates):
+            for pin, delays in enumerate(annotation.gate_delays(gate.name)):
+                nominal[index, pin] = delays
+
+    # Whatever the cell alone decides is derived once per distinct cell
+    # and scattered over its instances.
     gate_type_ids = np.zeros(num_gates, dtype=np.int64)
-    gate_arity = np.zeros(num_gates, dtype=np.int64)
-    gate_inputs = np.full((num_gates, max_pins), -1, dtype=np.int64)
-    gate_output = np.zeros(num_gates, dtype=np.int64)
-    gate_loads = np.zeros(num_gates, dtype=np.float64)
-    nominal = np.zeros((num_gates, max_pins, 2), dtype=np.float64)
     truth_tables = np.zeros(num_gates, dtype=np.uint32)
-
     padded_tables = np.zeros(num_gates, dtype=np.uint32)
-    pad_cache: Dict[Tuple[int, int], int] = {}
-
-    for index, gate in enumerate(circuit.gates):
-        cell = library[gate.cell]
-        gate_type_ids[index] = library.type_id(gate.cell)
-        gate_arity[index] = len(gate.inputs)
-        for pin, net in enumerate(gate.inputs):
-            gate_inputs[index, pin] = net_index[net]
-        gate_output[index] = net_index[gate.output]
-        gate_loads[index] = loads[gate.output]
-        for pin, (rise, fall) in enumerate(annotation.gate_delays(gate.name)):
-            nominal[index, pin, 0] = rise
-            nominal[index, pin, 1] = fall
+    for cell, gates in by_cell:
         table = _truth_table(cell)
-        truth_tables[index] = table
-        key = (table, len(gate.inputs))
-        if key not in pad_cache:
-            pad_cache[key] = _pad_truth_table(table, len(gate.inputs), max_pins)
-        padded_tables[index] = pad_cache[key]
+        gate_type_ids[gates] = library.type_id(cell.name)
+        truth_tables[gates] = table
+        padded_tables[gates] = _pad_truth_table(table, cell.num_inputs, max_pins)
+
+    # Gate ``g`` drives net ``num_inputs + g`` (see ``Wiring``; the net
+    # index is the circuit's own, shared read-only); a boolean mask
+    # assigns in row-major order: gate by gate, pin by pin.
+    net_index = wiring.net_index
+    gate_output = np.arange(num_inputs, num_inputs + num_gates, dtype=np.int64)
+    gate_inputs = np.full((num_gates, max_pins), -1, dtype=np.int64)
+    gate_inputs[np.arange(max_pins) < gate_arity[:, None]] = wiring.pin_nets
 
     # Spare pins of narrow gates point at a reserved constant-0 net so a
     # whole level can run as one uniform SIMD group.
@@ -561,7 +556,7 @@ def compile_circuit(
         library=library,
         net_index=net_index,
         num_nets=len(net_index),
-        input_net_ids=np.asarray([net_index[n] for n in circuit.inputs], dtype=np.int64),
+        input_net_ids=np.arange(num_inputs, dtype=np.int64),
         output_net_ids=np.asarray([net_index[n] for n in circuit.outputs], dtype=np.int64),
         gate_type_ids=gate_type_ids,
         gate_arity=gate_arity,

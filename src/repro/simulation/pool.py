@@ -25,7 +25,11 @@ bounded (LRU, :data:`POOL_CAPACITY`) and :func:`clear_engine_pool`
 drops it for tests.  Computing that key needs the compiled form, so the
 compiled circuit of each live ``(circuit, library)`` pair is memoized:
 a fresh runner or explorer on an already-pooled circuit pays a lookup,
-not a compile.
+not a compile.  The memo only knows what has been through
+:func:`pooled_engine`: a circuit the caller compiled itself but has not
+yet *pooled* is compiled again by the first explorer or runner that
+asks without passing ``compiled=`` — one more
+:func:`~repro.simulation.compiled.compile_circuit`, not a lookup.
 
 Thread-safety: the pool dict is lock-guarded; the engines themselves
 have the same single-caller contract as any directly constructed

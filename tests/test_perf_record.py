@@ -221,6 +221,15 @@ class TestRegressionGate:
         assert len(messages) == 1
         assert "characterization[cache]" in messages[0]
 
+    def test_setup_scaling_entry_and_section(self):
+        (entry,) = record.bench_setup_scaling(sizes=(("s38417", 0.01),), repeats=1)
+        assert entry["name"] == "setup_s38417_x0.01" and entry["backend"] == "numpy"
+        params = entry["params"]
+        assert params["us_per_gate"] == pytest.approx(
+            1e6 * entry["wall_seconds"] / params["gates"])
+        assert record._setup_scaling([entry, {"name": "merge", "params": {}}]) == {
+            "s38417_x0.01": params["us_per_gate"]}
+
     def test_report_roundtrip(self, tmp_path):
         report = make_report({("merge", "numpy"): 1.0})
         path = str(tmp_path / "bench.json")
