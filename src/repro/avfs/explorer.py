@@ -109,11 +109,11 @@ class DesignSpaceExplorer:
             chunks=[ChunkReport(index=0, num_slots=plan.num_slots,
                                 attempts=[AttemptReport(
                                     engine=result.engine,
-                                    waveform_capacity=self.simulator.config
-                                    .waveform_capacity,
+                                    waveform_capacity=stats.capacity_used,
                                     memory_budget=self.simulator
                                     .memory_budget,
-                                    seconds=self.last_runtime)])],
+                                    seconds=self.last_runtime,
+                                    engine_retries=stats.retries)])],
             wall_seconds=self.last_runtime,
             backend=self.simulator.backend.name,
             gate_evaluations=int(stats.gate_evaluations) if stats else 0,

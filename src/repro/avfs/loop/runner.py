@@ -540,12 +540,11 @@ class ClosedLoopRunner:
                 index=iteration, num_slots=plan.num_slots,
                 attempts=[AttemptReport(
                     engine=engine_label,
-                    waveform_capacity=(self.simulator.config
-                                       .waveform_capacity
-                                       if self.simulator else 0),
+                    waveform_capacity=stats.capacity_used if stats else 0,
                     memory_budget=(self.simulator.memory_budget
                                    if self.simulator else 0),
-                    seconds=seconds)]))
+                    seconds=seconds,
+                    engine_retries=stats.retries if stats else 0)]))
             if stats:
                 gate_evaluations += int(stats.gate_evaluations)
                 lanes_skipped += int(stats.lanes_skipped)

@@ -8,7 +8,11 @@ chunk overflows its waveform memory, the whole job is interrupted.
 mechanisms that keep such a campaign alive:
 
 1. **retry with backoff and degradation** — a failed chunk is retried
-   with doubled waveform capacity and a halved memory budget; a chunk
+   with doubled waveform capacity and a halved memory budget (the
+   engine itself recovers from overflow per *slot*, re-running only the
+   slots that overflowed; this ladder takes over when it may not —
+   ``grow_on_overflow=False`` — or gave up at ``MAX_CAPACITY``, and the
+   ``WaveformOverflowError`` it records names the slots); a chunk
    that keeps killing workers falls back to in-process
    :class:`~repro.simulation.gpu.GpuWaveSim` execution and, as a last
    resort, to the event-driven reference engine.  Every attempt is
@@ -333,8 +337,9 @@ class _Execution:
             self.store = None
 
     def attempt_params(self, attempt: int):
-        """Per-attempt engine settings: capacity doubles (overflow
-        recovery), memory budget halves (OOM recovery)."""
+        """Per-attempt engine settings: capacity doubles (recovery
+        from an overflow the engine's own per-slot recovery did not
+        absorb), memory budget halves (OOM recovery)."""
         base = self.runner.config
         capacity = min(base.waveform_capacity << attempt, MAX_CAPACITY)
         config = (base if capacity == base.waveform_capacity

@@ -30,6 +30,11 @@ class AttemptReport:
     ``error`` is ``None`` for the successful attempt; failed attempts
     keep a one-line description of the exception (including worker
     crashes, which surface as broken-pool errors).
+    ``waveform_capacity`` is the largest capacity the attempt ran at
+    where the reporter has the engine's stats (the capacity it was
+    configured with otherwise), and ``engine_retries`` the re-runs the
+    engine made inside the attempt — overflow recoveries of flagged
+    slots, absorbed kernel faults.
     """
 
     engine: str
@@ -37,6 +42,7 @@ class AttemptReport:
     memory_budget: int
     seconds: float = 0.0
     error: Optional[str] = None
+    engine_retries: int = 0
 
     @property
     def succeeded(self) -> bool:
@@ -49,6 +55,7 @@ class AttemptReport:
             "memory_budget": self.memory_budget,
             "seconds": self.seconds,
             "error": self.error,
+            "engine_retries": self.engine_retries,
         }
 
 
@@ -67,8 +74,10 @@ class ChunkReport:
 
     @property
     def retries(self) -> int:
-        """Failed attempts before the final outcome."""
-        return sum(1 for a in self.attempts if not a.succeeded)
+        """Failed attempts before the final outcome, plus the re-runs
+        the engine made inside the attempts."""
+        return sum((not a.succeeded) + a.engine_retries
+                   for a in self.attempts)
 
     @property
     def final_engine(self) -> Optional[str]:

@@ -683,6 +683,7 @@ class SimulationService:
             demotions=list(stats.demotions),
             phase_seconds=stats.phase_seconds(), started=started,
             lanes_spliced=stats.lanes_spliced,
+            capacity_used=stats.capacity_used, retries=stats.retries,
             base_arena=result.base_arena, segments=segments)
 
     def _settle_batch(self, jobs: List[SimulationJob],
@@ -691,6 +692,7 @@ class SimulationService:
                       gate_evaluations: int, lanes_skipped: int,
                       demotions: List[str], phase_seconds: Dict[str, float],
                       started: float, lanes_spliced: int = 0,
+                      capacity_used: int = 0, retries: int = 0,
                       base_arena=None, segments=None) -> None:
         """Demultiplex one executed plane into per-job results.
 
@@ -710,7 +712,9 @@ class SimulationService:
         ``segments`` (``SimulationResult.segments``) replaces both
         gathers when the engine already unpacked the batch per job:
         ``(plane, base)`` per job, private, ``base`` set for exactly the
-        jobs to pin.
+        jobs to pin.  ``capacity_used`` / ``retries`` (the engine's
+        stats for the batch) go on every job's attempt report whole,
+        like ``seconds``: the jobs ran as one plane.
         """
         if demotions:
             self._metrics.record_demotions(len(demotions))
@@ -758,9 +762,10 @@ class SimulationService:
                 chunks=[ChunkReport(index=position, num_slots=n,
                                     attempts=[AttemptReport(
                                         engine=f"service:{engine_name}",
-                                        waveform_capacity=config.waveform_capacity,
+                                        waveform_capacity=capacity_used,
                                         memory_budget=0,
-                                        seconds=seconds)])],
+                                        seconds=seconds,
+                                        engine_retries=retries)])],
                 backend=backend,
                 backend_demotions=list(demotions),
                 wall_seconds=seconds,
@@ -824,7 +829,9 @@ class SimulationService:
                 lanes_skipped=outcome["lanes_skipped"],
                 demotions=list(outcome["demotions"]),
                 phase_seconds=outcome["phase_seconds"], started=started,
-                lanes_spliced=outcome.get("lanes_spliced", 0))
+                lanes_spliced=outcome.get("lanes_spliced", 0),
+                capacity_used=outcome.get("capacity_used", 0),
+                retries=outcome.get("retries", 0))
         except Exception as error:  # noqa: BLE001 - isolate, then report
             self._isolate_or_fail(jobs, error, breaker)
         else:

@@ -372,6 +372,8 @@ class _ShardWorker:
             "gate_evaluations": int(stats.gate_evaluations),
             "lanes_skipped": int(stats.lanes_skipped),
             "lanes_spliced": int(stats.lanes_spliced),
+            "capacity_used": int(stats.capacity_used),
+            "retries": int(stats.retries),
             "demotions": list(stats.demotions),
             "phase_seconds": stats.phase_seconds(),
         }))

@@ -91,8 +91,9 @@ ENV_VAR = "REPRO_BACKEND"
 INF = np.float64(np.inf)
 
 #: The reference level loop (:meth:`ComputeBackend.run_levels`)
-#: dispatches a masked level lane-compacted only when its active lane
-#: share is below this fraction; above it the dense kernel is cheaper (a
+#: dispatches a level of a growing mask lane-compacted only when its
+#: active lane share is below this fraction (a static mask always is
+#: compacted); above it the dense kernel is cheaper (a
 #: toggle-free lane settles in about one event-loop iteration, while
 #: compaction pays index bookkeeping per lane).  The dispatch choice
 #: never affects results or the evaluated/skipped lane accounting — both
@@ -108,6 +109,8 @@ class GroupResult:
     lanes: int            # gate instances evaluated (gates × slots)
     iterations: int       # kernel loop trips (diagnostics; see note below)
     overflow_lanes: int   # lanes that exceeded the waveform capacity
+    #: The slots those lanes belong to (indices, ascending).
+    overflow_slots: np.ndarray
     #: Seconds spent materializing per-voltage delay arrays inside the
     #: call (numpy ``run_level`` only; the per-lane backend evaluates
     #: the Horner kernel inside the merge loop, so its delay work is
@@ -123,18 +126,22 @@ class GroupResult:
 class LevelsResult:
     """Outcome of a whole-batch :meth:`ComputeBackend.run_levels` call.
 
-    Over the levels walked (the overflowing level included): ``lanes``
-    counts the dispatched lanes, ``lanes_skipped`` the masked-out ones
-    and ``kernel_calls`` the levels that dispatched at least one lane.
-    All three are functions of the activity mask alone — without a mask
-    every lane of every non-empty level is dispatched — so they agree
-    across backends however a backend chooses to run a level.
+    ``lanes`` counts the dispatched lanes, ``lanes_skipped`` the
+    masked-out ones and ``kernel_calls`` the levels that dispatched at
+    least one lane.  All three are functions of the activity mask alone
+    — without a mask every lane of every non-empty level is dispatched
+    — so they agree across backends however a backend chooses to run a
+    level.  ``overflow_slots`` is the ``(S,)`` uint8 plane of the call:
+    nonzero where a lane of the slot did not fit its row (or the caller
+    flagged the slot beforehand) — those columns of the arena are not
+    an answer, every other one is.
     """
 
     lanes: int
     iterations: int
     overflow_lanes: int
     kernel_calls: int
+    overflow_slots: np.ndarray
     lanes_skipped: int = 0
     delay_seconds: float = 0.0
 
@@ -201,9 +208,9 @@ class ComputeBackend:
         truth_tables:
             ``(g,)`` int64 truth tables.
 
-        On overflow the arena contents for the group's output nets are
-        unspecified — the caller discards the arena and retries at a
-        larger capacity.
+        A lane that overflows leaves a quiet row — all ``+inf`` behind
+        its settled initial value — and its slot in the result's
+        ``overflow_slots`` (the quiet-row rule of :meth:`run_levels`).
         """
         group_size, arity = in_ids.shape
         num_slots = slot_to_v.size
@@ -228,14 +235,15 @@ class ComputeBackend:
         merged = waveform_merge_kernel(input_times, input_initial, delays,
                                        lane_tables, capacity,
                                        inertial=inertial)
-        overflow_lanes = int(merged.overflow.sum())
-        if overflow_lanes == 0:
-            times_all[out_ids] = merged.times.reshape(group_size, num_slots,
-                                                      capacity)
-            initial_all[out_ids] = merged.initial.reshape(group_size,
-                                                          num_slots)
-        return GroupResult(lanes=lanes, iterations=merged.iterations,
-                           overflow_lanes=overflow_lanes)
+        merged.times[merged.overflow] = INF
+        times_all[out_ids] = merged.times.reshape(group_size, num_slots,
+                                                  capacity)
+        initial_all[out_ids] = merged.initial.reshape(group_size, num_slots)
+        return GroupResult(
+            lanes=lanes, iterations=merged.iterations,
+            overflow_lanes=int(merged.overflow.sum()),
+            overflow_slots=np.flatnonzero(
+                merged.overflow.reshape(group_size, num_slots).any(axis=0)))
 
     def merge_group_sparse(
         self,
@@ -258,8 +266,9 @@ class ComputeBackend:
         listed in ``lane_gates`` / ``lane_slots`` — parallel ``(i,)``
         index arrays into the group's gate axis and the slot axis — are
         evaluated; results for them are bit-identical to a dense
-        :meth:`merge_group` call.  Output rows of undispatched lanes
-        are left untouched.
+        :meth:`merge_group` call, quiet rows of overflowing lanes
+        included.  Output rows of undispatched lanes are left
+        untouched.
         """
         lanes = int(lane_gates.size)
 
@@ -279,12 +288,13 @@ class ComputeBackend:
         merged = waveform_merge_kernel(input_times, input_initial, delays,
                                        lane_tables, capacity,
                                        inertial=inertial)
-        overflow_lanes = int(merged.overflow.sum())
-        if overflow_lanes == 0:
-            times_all[out_ids[lane_gates], lane_slots] = merged.times
-            initial_all[out_ids[lane_gates], lane_slots] = merged.initial
-        return GroupResult(lanes=lanes, iterations=merged.iterations,
-                           overflow_lanes=overflow_lanes)
+        merged.times[merged.overflow] = INF
+        times_all[out_ids[lane_gates], lane_slots] = merged.times
+        initial_all[out_ids[lane_gates], lane_slots] = merged.initial
+        return GroupResult(
+            lanes=lanes, iterations=merged.iterations,
+            overflow_lanes=int(merged.overflow.sum()),
+            overflow_slots=np.unique(lane_slots[merged.overflow]))
 
     def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
                          voltages) -> np.ndarray:
@@ -339,10 +349,10 @@ class ComputeBackend:
         overflow retries.
 
         Every dispatched lane writes its *whole* output row — its
-        toggles, then ``+inf`` up to ``capacity`` — and its initial
-        value, and reads nothing of what the row held before; rows of
-        lanes that are not dispatched are left untouched.  On overflow
-        the level's output rows are unspecified.
+        toggles, then ``+inf`` up to ``capacity``; nothing but ``+inf``
+        if they did not fit — and its initial value, and reads nothing
+        of what the row held before; rows of lanes that are not
+        dispatched are left untouched.
         """
         raise NotImplementedError
 
@@ -361,6 +371,7 @@ class ComputeBackend:
         delays: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
         grow: bool = False,
+        overflow_slots: Optional[np.ndarray] = None,
     ) -> LevelsResult:
         """Evaluate the levels of the circuit, in order, each against
         the arena the preceding levels finalized — the one call the
@@ -372,8 +383,18 @@ class ComputeBackend:
         ``delays`` is the ``(num_gates, P, 2, V)`` table in
         concatenated plan-row order (``plans.concat()``); ``nc`` is not
         a parameter — the per-level ``φ_C`` memos live on ``plans``.
-        Stops at the first level with overflowing lanes so the caller
-        can retry at doubled capacity (the arena is then unspecified).
+
+        Overflow does not stop the walk.  A lane whose toggles do not
+        fit ``capacity`` flags its slot in ``overflow_slots`` — the
+        caller's ``(S,)`` uint8 plane, which may arrive with slots
+        already flagged (``None``: a fresh one), returned as
+        ``LevelsResult.overflow_slots`` — and its row goes *quiet*: all
+        ``+inf`` behind the settled initial value, the mask byte
+        cleared under ``grow``, identically in every backend.  The
+        levels after it therefore walk a well-formed arena; slots are
+        independent simulations, so every column that is not flagged
+        is the answer and a flagged column is garbage nobody reads —
+        the caller re-runs those slots at a larger capacity.
 
         ``mask`` is the C-contiguous ``(nets + 1, S)`` bool activity
         plane; ``None`` dispatches every lane.  With a mask a lane is
@@ -389,27 +410,31 @@ class ComputeBackend:
         Row contract: every dispatched lane writes its *whole* output
         row — its toggles, then ``+inf`` up to ``capacity`` — and its
         initial value, and reads nothing of what the row held before.
-        A lane skipped under ``grow`` gets an all-``+inf`` row, so an
-        unmasked or a growing walk that returns without overflow has
+        A lane skipped under ``grow`` gets an all-``+inf`` row, and so
+        does one that overflowed, so an unmasked or a growing walk has
         written every gate-output row and initial value of the arena
         in full, whatever they held on entry; only rows no gate drives
         (primary inputs, the dummy net) are read as given.  A lane
         skipped under a static mask leaves its row as the caller
-        seeded it (a backend may also rewrite it from its inputs, which
-        over a consistent seed reproduces the same row).
+        seeded it, and is never evaluated: re-merging a seeded row
+        could overflow where the seed itself fits.
 
         This base implementation is the per-level Python loop over
         :meth:`run_level`, and the reference a native whole-batch walk
         is tested against (``tests/simulation/test_walk.py``).  How it
-        dispatches a masked level depends on the active share:
-        mostly-quiet levels hand :meth:`run_level` a compacted lane
-        list, mostly-active ones run whole
-        (:data:`SPARSE_DISPATCH_FRACTION`).  Results and accounting are
-        bit-identical either way.
+        dispatches a level of a growing mask depends on the active
+        share: mostly-quiet levels hand :meth:`run_level` a compacted
+        lane list, mostly-active ones run whole
+        (:data:`SPARSE_DISPATCH_FRACTION`; a skipped lane has no input
+        toggle, so evaluating it writes the same empty row).  Results
+        and accounting are bit-identical either way.  A static mask is
+        always dispatched compacted.
         """
-        totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
-                              kernel_calls=0)
         num_slots = int(slot_to_v.size)
+        if overflow_slots is None:
+            overflow_slots = np.zeros(num_slots, dtype=np.uint8)
+        totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
+                              kernel_calls=0, overflow_slots=overflow_slots)
         grow = grow and mask is not None
         for plan, level_factors, nc, level_delays in plans.level_sources(
                 kernel_table, factors, delays):
@@ -419,7 +444,8 @@ class ComputeBackend:
                 lane_active = mask[plan.in_ids].any(axis=1)       # (g, S)
                 active_lanes = int(np.count_nonzero(lane_active))
                 totals.lanes_skipped += total_lanes - active_lanes
-                if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
+                if (not grow or active_lanes
+                        < total_lanes * SPARSE_DISPATCH_FRACTION):
                     # Settle every lane's output from the input initial
                     # values — the same table lookup the kernel performs
                     # before its event loop, so dispatched lanes just
@@ -440,12 +466,12 @@ class ComputeBackend:
             totals.iterations += result.iterations
             totals.kernel_calls += 1
             totals.delay_seconds += result.delay_seconds
-            if result.overflow_lanes:
-                totals.overflow_lanes = result.overflow_lanes
-                break
+            totals.overflow_lanes += result.overflow_lanes
+            overflow_slots[result.overflow_slots] = 1
             if grow:
                 # A net is active downstream iff the lane kept >= 1
-                # toggle (all-cancelled lanes settle back to quiet).
+                # toggle (all-cancelled and overflowed lanes settle
+                # back to quiet).
                 mask[plan.out_ids] = np.isfinite(
                     times_all[plan.out_ids, :, 0])
         return totals
@@ -589,11 +615,14 @@ class CextBackend(ComputeBackend):
 
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None, delays=None, mask=None, grow=False):
+                   delay_cache=None, delays=None, mask=None, grow=False,
+                   overflow_slots=None):
         # One ctypes crossing for the whole batch: the C entry walks the
         # levels over the concatenated plan arrays and reads (and grows)
         # the activity mask itself.
         cat = plans.concat()
+        if overflow_slots is None:
+            overflow_slots = np.zeros(slot_to_v.size, dtype=np.uint8)
         coeffs = nc = None
         if kernel_table is not None:
             coeffs = kernel_table.coefficients
@@ -605,10 +634,12 @@ class CextBackend(ComputeBackend):
                 coeffs, nv, nc, slot_to_v,
                 factors[cat.gate_indices] if factors is not None else None,
                 capacity, inertial, mask=mask, grow=grow,
+                overflow_slots=overflow_slots,
             )
         return LevelsResult(lanes=lanes, iterations=iterations,
                             overflow_lanes=overflow_lanes,
-                            kernel_calls=calls, lanes_skipped=skipped)
+                            kernel_calls=calls, overflow_slots=overflow_slots,
+                            lanes_skipped=skipped)
 
     def extract(self, times_all, initial_all, nets, rows=None, bounds=None,
                 index=None, nets_crc=None):

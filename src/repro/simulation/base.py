@@ -102,10 +102,16 @@ class SimulationConfig:
         delay equals propagation delay); ``"transport"`` — only causal
         cancellation, arbitrarily narrow pulses survive.
     waveform_capacity:
-        Initial per-slot toggle capacity of the GPU waveform memory.
+        Toggle capacity of a waveform-memory row: what a small plane
+        starts at and what a large plane's first retry reaches — a
+        batch whose arena at this capacity would stream from memory
+        (``gpu.COMPACT_MIN_BYTES``) starts at rows of one cache line
+        (``gpu.COMPACT_CAPACITY``) instead.  Results do not depend on
+        it; ``last_stats.capacity_used`` says what a run needed.
     grow_on_overflow:
-        Re-run overflowing batches with doubled capacity (default) or
-        raise :class:`~repro.errors.WaveformOverflowError`.
+        Re-run the slots that overflowed with doubled capacity
+        (default) or raise :class:`~repro.errors.WaveformOverflowError`,
+        which names them.
     record_all_nets:
         Keep every net's waveforms (needed for switching-activity
         analysis); otherwise only primary outputs are retained.

@@ -20,9 +20,13 @@ three dimensions of parallelism map onto array axes:
   — the baseline [25] configuration.
 
 Waveform memory is a dense ``(nets, slots, capacity)`` float64 array with
-``+inf`` termination, like the GPU global-memory layout.  Overflowing
-batches are re-run with doubled capacity (configurable); the batch is
-re-sized at the grown capacity so the memory budget holds on retries.
+``+inf`` termination, like the GPU global-memory layout.  A lane whose
+toggles do not fit its row flags its *slot* and the walk goes on; the
+flagged slots alone are re-run at a grown capacity (configurable) and
+put back among the others, re-sized so the memory budget holds on
+retries.  Because being wrong costs one slot, a plane large enough to
+stream from memory starts with rows of one cache line
+(:data:`COMPACT_CAPACITY`).
 The arena is *pooled* per engine instance: successive batches reset the
 same allocation in place instead of re-allocating (and re-faulting) up
 to a gigabyte per batch.  Every run of the level loop ends by copying
@@ -115,6 +119,37 @@ DEFAULT_MEMORY_BUDGET = 1024 * 1024 * 1024
 #: Hard ceiling for overflow-driven capacity growth.
 MAX_CAPACITY = 4096
 
+#: The capacity a large plane starts at: a row of one 64-byte cache
+#: line.  The walk's time follows the row *stride*, not the bytes a lane
+#: touches — the prefetcher streams the whole arena: on the 1024-slot
+#: b17 x0.1 sweep the walk takes 49 / 86 / 153 ms at capacity 8 / 16 /
+#: 32, and a build that wrote only the terminator of a row 82 / 124 ms
+#: at 16 / 32 — while the waveforms are short: in the same plane 60 %
+#: of the (net, slot) rows carry no toggle, 99.7 % at most four, and
+#: one slot in 1024 has a row above eight.
+COMPACT_CAPACITY = 8
+
+#: A batch starts at :data:`COMPACT_CAPACITY` when its arena at the
+#: configured ``waveform_capacity`` would be at least this large.
+#: Measured on the 2-core box (b17 x0.1, 8..1024 slots, run time at
+#: capacity 16 over capacity 8, median of 9): x0.95 / 1.07 / 1.15 /
+#: 1.14 at 4 / 17 / 33 / 66 MB with no slot above eight, x1.10 / 1.36 /
+#: 1.45 at 132 / 264 / 527 MB with one slot re-run.  Below the threshold
+#: the rows saved are worth 0.2-1.4 ms and the narrowest re-run costs
+#: 1.5-2 ms (63 levels of fixed cost), so one overflowing slot turns the
+#: gain into a loss; above it the saving is 10-30 ms.
+COMPACT_MIN_BYTES = 128 * 1024 * 1024
+
+#: A compact walk that has to re-run more than one slot in this many
+#: turns compact starts off for the engine's later batches — one way,
+#: because the share of slots with a row above eight is a property of
+#: the circuit.  Measured (suite scale 0.05, 64 pairs x 3 supplies, run
+#: time configured over compact): b18 1.6 % of the slots re-run, x1.18;
+#: p141k 8 %, x1.16; b19 13 %, x1.11; p418k 33 %, x0.88; p500k 35 %,
+#: x0.92 — break-even near 23 %.  (A walk at 8 costs ~0.64 of one at 16,
+#: but the re-run walk is narrow and pays ~1.5x per slot.)
+COMPACT_RETRY_DIVISOR = 4
+
 #: Slots toggling at least this fraction of the primary inputs skip
 #: lane-grained activity tracking entirely — activity spreads so wide
 #: that the per-level mask bookkeeping cannot pay for itself, so they
@@ -140,7 +175,14 @@ class _BatchStats:
     gate_evaluations: int = 0
     kernel_calls: int = 0
     kernel_iterations: int = 0
+    #: Re-runs: overflow recoveries (each re-running ``slots_retried``
+    #: flagged slots at a grown capacity) and absorbed kernel faults.
+    #: The lane counters count every lane of the answer once; the work
+    #: of a flagged slot's discarded attempt shows only here.
     retries: int = 0
+    slots_retried: int = 0
+    #: Largest waveform capacity a walk of the run used.
+    capacity_used: int = 0
     batches: int = 0
     lanes_skipped: int = 0
     #: Lanes whose waveforms were spliced out of a cached base arena
@@ -188,21 +230,23 @@ class _BatchStats:
                     capacity: int) -> None:
         """Account one ``backend.run_levels`` call; its masked-out
         lanes count as ``lanes_spliced`` over a base seed and as
-        ``lanes_skipped`` otherwise.  Raises
-        :class:`WaveformOverflowError` if any lane overflowed."""
+        ``lanes_skipped`` otherwise."""
         self.delay_seconds += result.delay_seconds
         self.merge_seconds += wall - result.delay_seconds
-        self.gate_evaluations += result.lanes
-        if spliced:
-            self.lanes_spliced += result.lanes_skipped
-        else:
-            self.lanes_skipped += result.lanes_skipped
+        self.count_lanes(result.lanes, result.lanes_skipped, spliced)
         self.kernel_calls += result.kernel_calls
         self.kernel_iterations += result.iterations
-        if result.overflow_lanes:
-            raise WaveformOverflowError(
-                f"{result.overflow_lanes} lanes exceeded capacity {capacity}"
-            )
+        self.capacity_used = max(self.capacity_used, capacity)
+
+    def count_lanes(self, evaluated: int, masked_out: int,
+                    spliced: bool) -> None:
+        """Add a walk's lanes to the counters — or, negated, take a
+        flagged slot's discarded attempt back out."""
+        self.gate_evaluations += evaluated
+        if spliced:
+            self.lanes_spliced += masked_out
+        else:
+            self.lanes_skipped += masked_out
 
 
 def _anonymous_mapping(nbytes: int) -> mmap.mmap:
@@ -277,9 +321,10 @@ class _Batch:
     """What one trip through the level loop works on.
 
     Built once per run over the whole slot plane.  Memory-budget
-    batching and the partitioners only narrow it (:meth:`take`) and
-    overflow recovery only regrows it (``replace(capacity=...)``), so
-    no argument is threaded through the engine's call chain one by one.
+    batching, the partitioners and overflow recovery only narrow it
+    (:meth:`take`), and recovery regrows what it narrowed
+    (``replace(capacity=...)``), so no argument is threaded through the
+    engine's call chain one by one.
     """
 
     plan: SlotPlan
@@ -291,7 +336,8 @@ class _Batch:
     capacity: int
     #: Per-voltage delays depend only on (gates, distinct voltages) —
     #: the cache survives capacity-doubling retries and budget splits,
-    #: so overflow recovery never re-evaluates a delay model.
+    #: so overflow recovery re-evaluates a delay model only for a
+    #: voltage set it has not seen.
     delay_cache: Optional[Dict]
     rows: Optional[np.ndarray]        # capture rows; None: every real net
     #: The consumers of the batch's slots and how many trailing ones
@@ -402,6 +448,10 @@ class GpuWaveSim:
         #: ``_absorb_kernel_fault``); per-run steps live on the stats.
         self.demotions: List[str] = []
         self._kernel_faults = 0
+        #: Large batches start at :data:`COMPACT_CAPACITY` until a
+        #: compact walk re-runs too many of its slots
+        #: (:data:`COMPACT_RETRY_DIVISOR`).
+        self._compact = True
         self._arena_pool = _ArenaPool()
         # The per-level compacted plans; resolved lazily (and
         # fingerprint-cached across engines/services) on first use.
@@ -549,7 +599,7 @@ class GpuWaveSim:
             global_slots=global_slots,
             kernel_table=kernel_table,
             variation=variation,
-            capacity=self.config.waveform_capacity,
+            capacity=self._start_capacity(plan.num_slots),
             delay_cache={} if kernel_table is not None else None,
             # A captured base needs every net; the wanted rows are then
             # a zero-copy selection of the same plane.
@@ -558,10 +608,16 @@ class GpuWaveSim:
             stats=stats,
         )
         parts: List[Union[WaveformPlane, _Demuxed]] = []
-        for indices, sub_plan in plan.batches(self._max_batch_slots()):
+        # Batches are sized at the capacity the run starts at; each
+        # starts at what the engine has learnt by then (a batch sized
+        # for compact rows that may not start compact is re-chunked).
+        for indices, sub_plan in plan.batches(
+                self._max_batch_slots(whole.capacity)):
             stats.batches += 1
+            batch, batch_delta = _narrow(whole, delta, indices, sub_plan)
             parts.append(self._run_batch(
-                *_narrow(whole, delta, indices, sub_plan)))
+                replace(batch, capacity=self._start_capacity(indices.size)),
+                batch_delta))
         pack_start = _time.perf_counter()
         # What a base arena records of its slots beside the waveforms.
         columns = (whole.first, v2[plan.pattern_indices],
@@ -605,28 +661,34 @@ class GpuWaveSim:
 
     # -- batching, retries, lowering -----------------------------------------------
 
-    def _max_batch_slots(self, capacity: Optional[int] = None) -> int:
-        capacity = capacity or self.config.waveform_capacity
+    def _max_batch_slots(self, capacity: int) -> int:
         per_slot = (self.compiled.num_nets + 1) * capacity * 8
         return max(4, int(self.memory_budget // max(per_slot, 1)))
 
+    def _start_capacity(self, num_slots: int) -> int:
+        """The capacity a batch of ``num_slots`` first runs at:
+        ``config.waveform_capacity``, or :data:`COMPACT_CAPACITY` where
+        the arena that would take is :data:`COMPACT_MIN_BYTES` large."""
+        configured = self.config.waveform_capacity
+        if self._compact and configured > COMPACT_CAPACITY:
+            slots = min(num_slots, self._max_batch_slots(configured))
+            arena = (self.compiled.num_nets + 1) * slots * configured * 8
+            if arena >= COMPACT_MIN_BYTES:
+                return COMPACT_CAPACITY
+        return configured
+
     def _run_batch(self, batch: _Batch, delta: Optional[DeltaPlan]
                    ) -> Union[WaveformPlane, _Demuxed]:
-        """One memory-budget batch, through overflow regrowth and the
-        kernel-fault ladder.  Like the two steps below it, it passes on
-        the :class:`_Demuxed` of a batch that kept its segments all the
-        way into :meth:`_execute`."""
+        """One memory-budget batch — or the flagged slots of one, on
+        their way back from :meth:`_recover` — through the kernel-fault
+        ladder.  Like the two steps below it, it passes on the
+        :class:`_Demuxed` of a batch that kept its segments all the way
+        into :meth:`_execute`."""
         while True:
             try:
                 plane = self._run_within_budget(batch, delta)
                 self._kernel_faults = 0
                 return plane
-            except WaveformOverflowError:
-                if (not self.config.grow_on_overflow
-                        or batch.capacity >= MAX_CAPACITY):
-                    raise
-                batch = replace(batch, capacity=batch.capacity * 2)
-                batch.stats.retries += 1
             except Exception as error:  # noqa: BLE001 - demotion ladder
                 # A library error other than an injected fault is the
                 # deterministic answer to a bad input: retrying or
@@ -826,10 +888,11 @@ class GpuWaveSim:
         seeded rows carry toggles.  A seeded run keeps the whole-arena
         reset: the seed scatter writes toggles without terminators, and
         cone output rows must start ``+inf`` (the unpack takes a row's
-        leading finite run for its toggles).  A backend that rewrites a
-        seeded non-cone row does so with bit-identical values — inputs,
-        delays and factors match the base run by eligibility
-        construction.
+        leading finite run for its toggles).
+
+        A slot with a lane that overflowed — or whose base waveforms do
+        not fit ``capacity`` to begin with — comes back flagged; its
+        column of the arena is garbage and :meth:`_recover` re-runs it.
         """
         compiled = self.compiled
         stats = batch.stats
@@ -846,16 +909,20 @@ class GpuWaveSim:
             compiled.num_nets + 1, num_slots, capacity,
             rows=self._undriven_rows if seed is None else None)
 
+        flags = np.zeros(num_slots, dtype=np.uint8)
         if seed is not None:
             base = seed.base.plane
             base_cols = seed.base_slot
             counts = base.counts[:, base_cols]             # (N, S)
+            seeded = ~mask[: compiled.num_nets] & (counts > 0)
             if counts.size and int(counts.max()) > capacity:
-                raise WaveformOverflowError(
-                    f"base waveforms exceed capacity {capacity}")
+                # A base column too long for the rows: flagged, unseeded.
+                fits = counts.max(axis=0) <= capacity
+                flags[~fits] = 1
+                seeded &= fits
             pack_start = _time.perf_counter()
             initial_all[: compiled.num_nets] = base.initial[:, base_cols]
-            nets, slots = np.nonzero(~mask[: compiled.num_nets] & (counts > 0))
+            nets, slots = np.nonzero(seeded)
             if nets.size:
                 cnt = counts[nets, slots]
                 ends = np.cumsum(cnt)
@@ -903,9 +970,13 @@ class GpuWaveSim:
             plans, times_all, initial_all, slot_to_v, factors, capacity,
             inertial, kernel_table=table, nv=nv,
             delay_cache=batch.delay_cache, delays=delays,
-            mask=mask, grow=seed is None)
+            mask=mask, grow=seed is None, overflow_slots=flags)
         stats.record_walk(result, _time.perf_counter() - merge_start,
                           seed is not None, capacity)
+        flagged = np.flatnonzero(result.overflow_slots)
+        if flagged.size:
+            return self._recover(batch, seed, mask, flagged, times_all,
+                                 initial_all)
         segments = batch.segments
         if segments is None:
             return self._extract(times_all, initial_all, batch.rows, None,
@@ -917,6 +988,72 @@ class GpuWaveSim:
             captured=(self._extract(times_all, initial_all, None,
                                     segments.bounds[first_captured:], stats)
                       if segments.captured else []))
+
+    def _recover(self, batch: _Batch, seed: Optional[DeltaPlan],
+                 mask: Optional[np.ndarray], flagged: np.ndarray,
+                 times_all: np.ndarray, initial_all: np.ndarray
+                 ) -> Union[WaveformPlane, _Demuxed]:
+        """Overflow recovery — the only one: the ``flagged`` slots of
+        the walk :meth:`_execute` just made are re-run at a grown
+        capacity and joined with the healthy columns of its arena.
+
+        Slots are independent simulations, so being wrong about the
+        capacity costs the slots that were wrong.  The flagged slots'
+        first attempt is taken back out of the lane counters — every
+        lane of it unmasked; under a mask the lanes with an active
+        input net, which the mask as the walk left it still tells
+        exactly, each net's byte being written once — so the counters
+        count every lane of the answer once, whatever overflowed, and
+        the discarded work shows as ``retries`` / ``slots_retried``.
+        """
+        stats = batch.stats
+        capacity = batch.capacity
+        num_slots = batch.plan.num_slots
+        if not self.config.grow_on_overflow or capacity >= MAX_CAPACITY:
+            labels = batch.plan.labels()
+            named = ", ".join(
+                f"{int(batch.global_slots[slot])} {labels[slot]}"
+                for slot in flagged[:4])
+            raise WaveformOverflowError(
+                f"{flagged.size} of {num_slots} slots exceeded capacity "
+                f"{capacity}: plane slot (pattern, voltage) {named}"
+                + (", ..." if flagged.size > 4 else ""))
+        if (capacity < self.config.waveform_capacity
+                and flagged.size * COMPACT_RETRY_DIVISOR > num_slots):
+            self._compact = False
+        lanes = self.compiled.num_gates * flagged.size
+        evaluated = lanes if mask is None else int(np.count_nonzero(
+            mask[:, flagged][self._level_plans().concat().in_ids]
+            .any(axis=1)))
+        stats.count_lanes(-evaluated, evaluated - lanes, seed is not None)
+        stats.retries += 1
+        stats.slots_retried += int(flagged.size)
+        grown = replace(batch, capacity=max(capacity * 2,
+                                            self.config.waveform_capacity))
+        if flagged.size == num_slots:
+            return self._run_batch(grown, seed)
+        healthy = np.delete(np.arange(num_slots), flagged)
+        plane = self._extract(times_all, initial_all, batch.rows, None,
+                              stats)[0]
+        plane = self._join(
+            [(healthy, plane.take(healthy, copy=False)),
+             (flagged, self._run_batch(*_narrow(grown, seed, flagged)))],
+            stats)
+        segments = batch.segments
+        if segments is None:
+            return plane
+        # Re-cut what a clean walk would have unpacked per segment.
+        pack_start = _time.perf_counter()
+        cuts = [np.arange(lo, hi)
+                for lo, hi in zip(segments.bounds, segments.bounds[1:])]
+        results = (plane if batch.rows is self._result_rows
+                   else plane.rows(ids=self._output_ids, **self._output_keys))
+        demuxed = _Demuxed(
+            planes=[results.take(cut) for cut in cuts],
+            captured=[plane.take(cut)
+                      for cut in cuts[len(cuts) - segments.captured:]])
+        stats.pack_seconds += _time.perf_counter() - pack_start
+        return demuxed
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray
                      ) -> np.ndarray:

@@ -247,8 +247,9 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
                             delay_memo *memo, const int64_t *slot_to_v,
                             const double *factors,
                             int64_t slot, int64_t stop, int64_t cap,
-                            int32_t inertial, int64_t *dispatched,
-                            int64_t *overflow_lanes, int64_t *iterations)
+                            int32_t inertial, uint8_t *overflow_slots,
+                            int64_t *dispatched, int64_t *overflow_lanes,
+                            int64_t *iterations)
 {
     for (; slot < stop; slot++) {
         int64_t index = 0;
@@ -289,10 +290,22 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
         for (int64_t pin = 0; pin < K; pin++)
             rows[pin] = times_all + (net[pin] + slot) * cap;
         int64_t overflow = 0;
-        const int64_t depth = merge_lane(
+        int64_t depth = merge_lane(
             K, rows, cap, index, table, pd, pd_stride,
             factors != NULL, factors != NULL ? factors[slot] : 1.0,
             inertial, out, cap, &overflow, iterations);
+        if (overflow) {
+            /* The slot is flagged (every writer stores the same 1) and
+             * the row goes quiet, so the lanes downstream of it walk a
+             * well-formed arena and settle exactly as the reference's
+             * do; the caller re-runs the slot and reads none of it. */
+            for (int64_t d = 0; d < cap; d++) out[d] = INFINITY;
+            depth = 0;
+#ifdef _OPENMP
+#pragma omp atomic write
+#endif
+            overflow_slots[slot] = 1;
+        }
         if (grow) mask[out_net + slot] = depth > 0;
         *dispatched += 1;
         *overflow_lanes += overflow;
@@ -331,11 +344,15 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
  * the lanes run through the arity-specialised body.  A dispatched lane
  * writes its whole output row and its initial value, and never reads
  * what the row held before.
- * Stops after the first level with overflowing lanes (the caller
- * discards the arena and retries at doubled capacity).  out_lanes /
- * out_skipped count the dispatched and masked-out lanes of the levels
- * walked, out_calls the levels that dispatched at least one lane: all
- * three are functions of the mask alone. */
+ * A lane whose toggles do not fit its row sets overflow_slots[slot]
+ * ((S,), zeroed or pre-flagged by the caller), leaves an all-+inf row
+ * behind its settled initial value (and a cleared mask byte under grow)
+ * and the walk goes on: slots are independent simulations, so every
+ * column that is not flagged is the answer, and the caller re-runs the
+ * flagged ones at a larger capacity.  out_lanes / out_skipped count the
+ * dispatched and masked-out lanes, out_calls the levels that dispatched
+ * at least one lane: all three are functions of the mask alone (which,
+ * under grow, a quiet row feeds like any other). */
 void run_levels(double *times_all, uint8_t *initial_all,
                 const int64_t *in_ids, const int64_t *out_ids,
                 const int64_t *tables, const int64_t *arities,
@@ -346,6 +363,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
                 const int64_t *slot_to_v,
                 const double *factors, int32_t has_factors,
                 uint8_t *mask, int32_t has_mask, int32_t grow,
+                uint8_t *overflow_slots,
                 const int64_t *level_offsets, int64_t num_levels,
                 int64_t maxP, int64_t S, int64_t cap,
                 int32_t inertial,
@@ -361,7 +379,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
     if (!has_mask) { mask = NULL; grow = 0; }
     if (!has_factors) factors = NULL;
     if (!parametric) coeffs = NULL;
-    for (int64_t level = 0; level < num_levels && !overflow_lanes; level++) {
+    for (int64_t level = 0; level < num_levels; level++) {
         const int64_t lo = level_offsets[level];
         const int64_t total = (level_offsets[level + 1] - lo) * S;
         const int64_t chunks = (total + CHUNK_LANES - 1) / CHUNK_LANES;
@@ -397,7 +415,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
                    : NULL, \
     n1, nv, coeffs != NULL ? nc[gate] : 0.0, min_delay, memo, slot_to_v, \
     factors != NULL ? factors + gate * S : NULL, slot, stop, cap, \
-    inertial, &dispatched, &overflow_lanes, &iterations)
+    inertial, overflow_slots, &dispatched, &overflow_lanes, &iterations)
                 switch (arity) {
                 case 1: GATE(1); break;
                 case 2: GATE(2); break;
@@ -612,6 +630,7 @@ def _bind(path: str) -> ctypes.CDLL:
         _p_i64,
         _p_f64, _i32,
         _p_u8, _i32, _i32,
+        _p_u8,
         _p_i64, _i64,
         _i64, _i64, _i64, _i32,
         ctypes.POINTER(_i64), ctypes.POINTER(_i64),
@@ -751,17 +770,23 @@ def _delay_args(delays, coeffs, nv, nc, slot_to_v, factors):
 
 def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
                slot_to_v, factors, capacity, inertial, mask=None,
-               grow=False):
+               grow=False, overflow_slots=None):
     """Whole-batch dispatch: every level in one library call.
 
     ``cat`` is a :class:`repro.simulation.compiled.ConcatPlans`;
     ``delays`` (see :func:`_delay_args`) and ``factors`` (if given) are
     in concatenated plan-row order.  ``mask`` is the C-contiguous
-    ``(nets, S)`` bool activity plane, updated in place when ``grow``
-    (see ``ComputeBackend.run_levels``).  Returns ``(overflow_lanes,
-    iterations, calls, lanes, skipped)``.
+    ``(nets, S)`` bool activity plane, updated in place when ``grow``,
+    and ``overflow_slots`` the ``(S,)`` uint8 plane an overflowing lane
+    flags its slot in (see ``ComputeBackend.run_levels``; a caller that
+    reads only the lane count may leave it out).  Returns
+    ``(overflow_lanes, iterations, calls, lanes, skipped)``.
     """
     slot_to_v = np.ascontiguousarray(slot_to_v, dtype=np.int64)
+    if overflow_slots is None:
+        overflow_slots = np.zeros(slot_to_v.size, dtype=np.uint8)
+    elif overflow_slots.shape != slot_to_v.shape:
+        raise ValueError("overflow plane must hold one flag per slot")
     has_mask = mask is not None
     if has_mask and not (mask.dtype == np.bool_ and mask.flags.c_contiguous
                          and mask.shape == initial_all.shape):
@@ -778,7 +803,7 @@ def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
         times_all, initial_all,
         cat.in_ids, cat.out_ids, cat.tables, cat.arities, cat.type_ids,
         *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
-        mask, int(has_mask), int(bool(grow)),
+        mask, int(has_mask), int(bool(grow)), overflow_slots,
         cat.level_offsets, cat.num_levels,
         cat.in_ids.shape[1], slot_to_v.size, capacity,
         int(bool(inertial)),

@@ -74,6 +74,8 @@ def _merge_stats(target: _BatchStats, source: Optional[_BatchStats]) -> None:
     target.kernel_calls += source.kernel_calls
     target.kernel_iterations += source.kernel_iterations
     target.retries += source.retries
+    target.slots_retried += source.slots_retried
+    target.capacity_used = max(target.capacity_used, source.capacity_used)
     target.batches += source.batches
     target.lanes_skipped += source.lanes_skipped
     target.demotions.extend(source.demotions)

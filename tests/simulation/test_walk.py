@@ -322,42 +322,60 @@ def test_merge_kernel_shares_the_lane_body(pins, out_capacity):
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
-def test_masked_overflow_stops_at_the_level(backend_name, library):
-    """A growing walk that overflows stops at that level — it reports
-    the lanes of the levels walked, not of the circuit — and the retry
-    at a capacity that fits reproduces the unmasked arena."""
+def test_masked_overflow_flags_the_slot_and_walks_on(backend_name, library):
+    """A growing walk that overflows flags the slots it happened in and
+    still walks every level: the healthy columns equal the unmasked
+    arena, the flagged ones are garbage with well-formed rows, and the
+    retry of the flagged slots alone at a capacity that fits reproduces
+    their columns."""
     backend = resolve_backend(backend_name)
     circuit = random_circuit("walk_o", 8, 200, seed=5)
     compiled = compile_circuit(circuit, library)
     plans = compiled.plans()
-    offsets = plans.concat().level_offsets
     rng = np.random.default_rng(5)
     num_slots = 6
     first = rng.integers(0, 2, size=(num_slots, 8), dtype=np.uint8)
     toggles = rng.random((num_slots, 8)) < 0.5
     toggles[:, 0] = True
-    slot_to_v = np.zeros(num_slots, dtype=np.int64)
+    toggles[2] = False                 # one slot that cannot overflow
 
-    def grown(capacity):
-        arena = start_arena(compiled, first, toggles, capacity, rng)
+    def grown(capacity, slots=slice(None)):
+        arena = start_arena(compiled, first[slots], toggles[slots], capacity,
+                            rng)
         mask = np.zeros(arena[1].shape, dtype=bool)
-        mask[compiled.input_net_ids] = toggles.T
-        return walk(backend, plans, arena, slot_to_v, None, capacity, {},
-                    mask, True), arena
+        mask[compiled.input_net_ids] = toggles[slots].T
+        width = arena[1].shape[1]
+        return walk(backend, plans, arena, np.zeros(width, dtype=np.int64),
+                    None, capacity, {}, mask, True), arena
 
-    (stopped, *_), _ = grown(1)
-    assert stopped.overflow_lanes > 0
-    walked = stopped.lanes + stopped.lanes_skipped
-    assert walked < compiled.num_gates * num_slots
-    assert walked in (offsets * num_slots).tolist()
+    (tight, times, initial, mask), _ = grown(2)
+    flagged = np.flatnonzero(tight.overflow_slots)
+    healthy = np.flatnonzero(tight.overflow_slots == 0)
+    assert tight.overflow_lanes >= flagged.size > 0 and healthy.size > 0
+    assert tight.lanes + tight.lanes_skipped == compiled.num_gates * num_slots
+    # Every row is whole (toggles, then +inf), flagged columns included.
+    assert np.all(np.diff(np.isfinite(times).astype(np.int8), axis=2) <= 0)
 
-    (retried, times, initial, _), arena = grown(16)
-    assert retried.overflow_lanes == 0
+    (roomy, *_), arena = grown(16)
+    assert not roomy.overflow_slots.any()
     dense, dense_times, dense_initial, _ = walk(
-        backend, plans, arena, slot_to_v, None, 16, {}, None, False)
-    assert retried.lanes + retried.lanes_skipped == dense.lanes
-    np.testing.assert_array_equal(times, dense_times)
-    np.testing.assert_array_equal(initial, dense_initial)
+        backend, plans, arena, np.zeros(num_slots, dtype=np.int64), None, 16,
+        {}, None, False)
+    assert roomy.lanes + roomy.lanes_skipped == dense.lanes
+    np.testing.assert_array_equal(times[:, healthy],
+                                  dense_times[:, healthy, :2])
+    assert np.all(np.isinf(dense_times[:, healthy, 2:]))
+    np.testing.assert_array_equal(initial[:, healthy],
+                                  dense_initial[:, healthy])
+    # A flagged slot's dispatched lanes are those the mask still names.
+    in_ids = plans.concat().in_ids
+    dispatched = mask[:, flagged][in_ids].any(axis=1)
+    assert 0 < np.count_nonzero(dispatched) < in_ids.shape[0] * flagged.size
+
+    (retried, retried_times, retried_initial, _), _ = grown(16, flagged)
+    assert not retried.overflow_slots.any()
+    np.testing.assert_array_equal(retried_times, dense_times[:, flagged])
+    np.testing.assert_array_equal(retried_initial, dense_initial[:, flagged])
 
 
 # -- (iv) quiet-slot dedupe ------------------------------------------------------------------
