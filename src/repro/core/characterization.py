@@ -36,10 +36,13 @@ matrix, ``XᵀX``, ``cond(X)``, the cross-validation folds — lives in a
 *fit plan* built once per grid and owned by the ``characterize_*`` call
 (:class:`_FitPlans`); what depends on the entry — the measured delays,
 ``Xᵀy``, the solve — is computed as stacks over all entries of the
-batch that currently stand on that grid (:func:`_characterize`).  A
-single entry is a batch of one: there is no per-entry implementation
-beside it, and an entry's result is bit-identical whatever batch it
-rides in (``docs/architecture.md`` §14).
+batch that currently stand on that grid (:func:`_characterize`).  SPICE
+is sampled the same way: the entries of the seed wave, and the entries
+that add the same line to the same grid, are measured as one stack in
+one SPICE call (:func:`_sample`).  A single entry is a batch of one:
+there is no per-entry implementation beside it, and an entry's result
+is bit-identical whatever batch it rides in (``docs/architecture.md``
+§14).
 
 ``characterize_library`` can fan cells out over a supervised worker pool
 and persist/reuse fitted coefficients through the fingerprint-keyed
@@ -94,11 +97,12 @@ class AdaptiveConfig:
     ``BENCH_kernels.json``); they are the tuned operating point, not
     arbitrary knobs.  Fewer evaluations is the whole gain: per entry the
     adaptive flow fits 4–5 times and cross-validates, so against the
-    analytical SPICE stand-in it takes ~3x the wall time of the fixed
-    grid (``characterization_speedups.wall_speedup``) — it wins when a
-    SPICE evaluation costs more than ~10 µs, i.e. with any real
-    simulator.  All entries share the settings, which is what lets
-    them share fit plans: nothing here varies per entry.
+    analytical SPICE stand-in it takes ~3.7x the wall time of the fixed
+    grid (``characterization_speedups.wall_speedup`` 0.27) — it wins
+    when a SPICE evaluation costs more than ~5 µs
+    (``break_even_us_per_evaluation``), i.e. with any real simulator.
+    All entries share the settings, which is what lets them share fit
+    plans: nothing here varies per entry.
 
     Attributes
     ----------
@@ -724,8 +728,7 @@ class _Lane:
     """One (cell, pin, polarity) entry riding through the waves."""
 
     __slots__ = ("task", "pin", "polarity", "geometry", "delays", "evaluations",
-                 "fresh_error", "beta", "method", "seconds", "row", "step", "line",
-                 "result")
+                 "fresh_error", "beta", "method", "seconds", "row", "step", "result")
 
     def __init__(self, task: _CharzTask, pin: CellPin,
                  polarity: DrivePolarity) -> None:
@@ -759,15 +762,21 @@ def _characterize(spice: AnalyticalSpice, tasks: Sequence[_CharzTask],
                              for pin, polarity in task.entries]))
     lanes = [lane for _, mine in batch for lane in mine]
 
-    def seed(lane: _Lane) -> None:
-        lane.geometry = plans.seed
-        lane.delays = spice.delays_at(
-            lane.task.cell, lane.pin, lane.polarity, plans.seed.points,
-        ).reshape(plans.seed.v_axis.size, plans.seed.c_axis.size)
-        lane.evaluations = int(lane.delays.size)
+    # The seed wave: every entry starts on the same grid, so its samples
+    # are stacks cut like every other wave temporary.
+    seed = plans.seed
+    stack = max(1, _WAVE_ELEMENTS // len(seed.points))
+    active: List[_Lane] = []
+    for at in range(0, len(lanes), stack):
+        chunk, delays = _sample(spice, lanes[at:at + stack], seed.points)
+        for lane, grid in zip(chunk, delays.reshape(
+                -1, seed.v_axis.size, seed.c_axis.size)):
+            lane.geometry = seed
+            lane.delays = grid
+            lane.evaluations = int(grid.size)
+        active += chunk
 
     stopped: List[_Lane] = []
-    active = _each(lanes, seed)
     while active:
         active = _by_geometry(
             active,
@@ -796,6 +805,30 @@ def _each(lanes: Sequence[_Lane], action) -> List[_Lane]:
             except Exception as error:  # noqa: BLE001 - failure domain is the cell
                 lane.task.error = error
     return [lane for lane in lanes if lane.task.error is None]
+
+
+def _sample(spice: AnalyticalSpice, lanes: List[_Lane],
+            points: np.ndarray) -> Tuple[List[_Lane], np.ndarray]:
+    """SPICE delays of a stack of lanes at shared ``points``: one call.
+
+    Returns the lanes whose cell is still alive and their ``(B, m)``
+    delays.  A stack that raises is replayed entry by entry, so the
+    entry SPICE rejects fails its own cell and nobody else's.
+    """
+    try:
+        return lanes, spice.delays_at(
+            [lane.task.cell for lane in lanes], [lane.pin for lane in lanes],
+            [lane.polarity for lane in lanes], points)
+    except Exception:  # noqa: BLE001 - find the entry that raised
+        rows: Dict[_Lane, np.ndarray] = {}
+
+        def alone(lane: _Lane) -> None:
+            rows[lane] = spice.delays_at(
+                lane.task.cell, lane.pin, lane.polarity, points)
+
+        lanes = _each(lanes, alone)
+        return lanes, np.asarray([rows[lane] for lane in lanes]).reshape(
+            len(lanes), len(points))
 
 
 def _by_geometry(lanes: Sequence[_Lane], step) -> List[_Lane]:
@@ -907,16 +940,16 @@ def _wave(spice: AnalyticalSpice, plans: _FitPlans, geometry: _Geometry,
             else plans.refinement(geometry, 1, int(c_interval[c_at[b]])))
         moving.append(lane)
 
-    def sample(lane: _Lane) -> None:
-        lane.line = spice.delays_at(
-            lane.task.cell, lane.pin, lane.polarity, lane.step.points)
-
     by_step: Dict[_Refinement, List[_Lane]] = {}
-    for lane in _each(moving, sample):
+    for lane in moving:
         by_step.setdefault(lane.step, []).append(lane)
+    moved: List[_Lane] = []
     for step, movers in by_step.items():
+        movers, lines = _sample(spice, movers, step.points)
+        if not movers:
+            continue
+        moved += movers
         rows = [lane.row for lane in movers]
-        lines = np.stack([lane.line for lane in movers])
         if step.axis == 0:
             fresh = lines / nominal[rows] - 1.0
         else:
@@ -932,7 +965,7 @@ def _wave(spice: AnalyticalSpice, plans: _FitPlans, geometry: _Geometry,
             lane.delays = grid
             lane.evaluations += len(step.points)
             lane.geometry = step.child
-    return [lane for movers in by_step.values() for lane in movers]
+    return moved
 
 
 def _finish(geometry: _Geometry, lanes: List[_Lane]) -> None:

@@ -16,14 +16,25 @@ and stores them in two layers:
   leave a torn file.  A warm disk cache makes re-characterization of an
   unchanged library **zero** SPICE evaluations in a fresh process.
 
-Corrupt or unreadable cache files are treated as misses (and removed
-when possible): the cache can only ever cost a re-characterization,
-never wrong coefficients.
+A record is six zip members however many pins the cell has: the five
+:data:`_PACKED` arrays — each the concatenation, in entry order, of one
+part of every (pin, polarity) entry — and ``meta``, a JSON document
+with the schema number, the cell name and per entry its identity, fit
+statistics and *extents* (coefficient side, voltage and load counts)
+from which the loader slices the entries back out.  Writing and reading
+cost per zip member, not per byte, so a record costs the same for a
+twelve-entry cell as for an inverter.
+
+A file that cannot be served — a torn or truncated archive, another
+schema, another cell's record, extents that do not add up to the array
+lengths — has one outcome: it is removed and counted a miss.  The cache
+can only ever cost a re-characterization, never wrong coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -38,7 +49,17 @@ CACHE_ENV = "REPRO_CHARZ_CACHE"
 
 #: Bump when the stored payload or its semantics change: old entries
 #: become misses instead of deserialization errors.
-_SCHEMA = 1
+_SCHEMA = 2
+
+#: The packed arrays of a record: each is the concatenation, in entry
+#: order, of the named part of every (pin, polarity) entry of the cell.
+_PACKED = {
+    "coefficients": lambda pin: pin.fit.polynomial.coefficients,
+    "nominal": lambda pin: pin.nominal_delays,
+    "sweep_voltages": lambda pin: pin.sweep.voltages,
+    "sweep_loads": lambda pin: pin.sweep.loads,
+    "sweep_delays": lambda pin: pin.sweep.delays,
+}
 
 _MEMO: Dict[str, object] = {}
 _MEMO_LOCK = threading.Lock()
@@ -118,14 +139,20 @@ class CoefficientCache:
     def _store(self, key: str, cell_char) -> None:
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        entries = []
-        arrays: Dict[str, np.ndarray] = {}
-        for i, pin in enumerate(cell_char.pins):
-            entries.append({
+        pins = cell_char.pins
+        meta = {
+            "schema": _SCHEMA,
+            "cell": cell_char.cell.name,
+            "elapsed_seconds": cell_char.elapsed_seconds,
+            "entries": [{
                 "pin_name": pin.pin_name,
                 "pin_index": pin.pin_index,
                 "polarity": int(pin.polarity),
                 "evaluations": pin.evaluations,
+                # The entry's extents in the cell's packed arrays.
+                "side": pin.fit.polynomial.n + 1,
+                "voltages": int(pin.sweep.voltages.size),
+                "loads": int(pin.sweep.loads.size),
                 "fit": {
                     "mean_abs_error": pin.fit.mean_abs_error,
                     "rms_error": pin.fit.rms_error,
@@ -135,18 +162,10 @@ class CoefficientCache:
                     "sample_count": pin.fit.sample_count,
                     "method": pin.fit.method,
                 },
-            })
-            arrays[f"p{i}_coefficients"] = pin.fit.polynomial.coefficients
-            arrays[f"p{i}_nominal"] = pin.nominal_delays
-            arrays[f"p{i}_sweep_voltages"] = pin.sweep.voltages
-            arrays[f"p{i}_sweep_loads"] = pin.sweep.loads
-            arrays[f"p{i}_sweep_delays"] = pin.sweep.delays
-        meta = {
-            "schema": _SCHEMA,
-            "cell": cell_char.cell.name,
-            "elapsed_seconds": cell_char.elapsed_seconds,
-            "entries": entries,
+            } for pin in pins],
         }
+        arrays = {name: np.concatenate([np.ravel(part(pin)) for pin in pins])
+                  for name, part in _PACKED.items()}
         arrays["meta"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
         fd, tmp = tempfile.mkstemp(
@@ -180,18 +199,29 @@ class CoefficientCache:
             with np.load(path) as archive:
                 meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
                 if meta.get("schema") != _SCHEMA or meta.get("cell") != cell.name:
-                    return None
+                    raise ValueError("record of another schema or cell")
+                packed = {name: archive[name] for name in _PACKED}
+                # Every array is consumed front to back by the entries' extents.
+                at = dict.fromkeys(packed, 0)
+
+                def take(name: str, *shape: int) -> np.ndarray:
+                    start = at[name]
+                    at[name] = start + math.prod(shape)
+                    part = packed[name][start:at[name]]
+                    return part.reshape(shape)  # raises when the array ran out
+
                 pins = []
-                for i, entry in enumerate(meta["entries"]):
+                for entry in meta["entries"]:
+                    side, nv, nc = entry["side"], entry["voltages"], entry["loads"]
                     sweep = DelayGrid(
-                        voltages=archive[f"p{i}_sweep_voltages"],
-                        loads=archive[f"p{i}_sweep_loads"],
-                        delays=archive[f"p{i}_sweep_delays"],
+                        voltages=take("sweep_voltages", nv),
+                        loads=take("sweep_loads", nc),
+                        delays=take("sweep_delays", nv, nc),
                     )
-                    nominal = archive[f"p{i}_nominal"]
+                    nominal = take("nominal", nc)
                     stats = entry["fit"]
                     fit = FitResult(
-                        polynomial=SurfacePolynomial(archive[f"p{i}_coefficients"]),
+                        polynomial=SurfacePolynomial(take("coefficients", side, side)),
                         mean_abs_error=stats["mean_abs_error"],
                         rms_error=stats["rms_error"],
                         max_abs_error=stats["max_abs_error"],
@@ -213,13 +243,17 @@ class CoefficientCache:
                         sweep=sweep,
                         evaluations=entry["evaluations"],
                     ))
+                if any(at[name] != packed[name].size for name in packed):
+                    raise ValueError("extents do not add up to the packed arrays")
                 return CellCharacterization(
                     cell=cell,
                     pins=tuple(pins),
                     elapsed_seconds=float(meta.get("elapsed_seconds", 0.0)),
                 )
         except Exception:
-            # Torn, truncated or stale-format file: drop it and re-fit.
+            # A file that cannot be served — torn or truncated archive,
+            # another schema or cell, extents that disagree with the
+            # arrays — is dropped and the cell re-fitted.
             try:
                 os.unlink(path)
             except OSError:

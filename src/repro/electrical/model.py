@@ -24,13 +24,20 @@ A small voltage–load cross term models drive weakening for heavily loaded
 gates near threshold, and an optional deterministic "measurement ripple"
 emulates SPICE numerical noise so that regression errors have a realistic
 floor instead of collapsing to machine precision.
+
+The expression is stated once (:meth:`ElectricalModel._delay`) over the
+parameters of an entry — a (cell, pin, polarity) triple.
+:meth:`ElectricalModel.pin_delay` passes them as scalars;
+:meth:`ElectricalModel.pin_delays` evaluates a *stack* of entries at
+shared operating points by passing them as columns, and returns bit for
+bit the rows the one-entry calls would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -133,21 +140,33 @@ class TransistorCorner:
         return self.scaled(f"{self.name}@{celsius:g}C", k_factor, vth_shift)
 
 
-def _ripple(seed: int, v, c_norm):
+#: Golden-ratio-family multipliers turning an entry seed into its three
+#: ripple phases.
+_PHASE_STEPS = (0.6180339887, 0.7548776662, 0.5698402910)
+
+
+def _ripple(phases: Sequence, v, c_norm):
     """Smooth deterministic pseudo-noise over the operating-point plane.
 
-    A short sum of incommensurate sinusoids whose phases derive from
-    ``seed``; continuous in (v, c) so interpolation behaves like it would
-    on real, slightly noisy SPICE data.  Zero-mean, unit amplitude.
+    A short sum of incommensurate sinusoids shifted by the entry's three
+    ``phases``; continuous in (v, c) so interpolation behaves like it
+    would on real, slightly noisy SPICE data.  Zero-mean, unit amplitude.
     """
-    phase1 = (seed * 0.6180339887) % 1.0 * 2.0 * math.pi
-    phase2 = (seed * 0.7548776662) % 1.0 * 2.0 * math.pi
-    phase3 = (seed * 0.5698402910) % 1.0 * 2.0 * math.pi
+    phase1, phase2, phase3 = phases
     return (
         np.sin(23.0 * v + phase1)
         + np.sin(17.0 * c_norm + phase2)
         + np.sin(13.0 * v + 11.0 * c_norm + phase3)
     ) / 3.0
+
+
+def _operating_points(v, c) -> Tuple[np.ndarray, np.ndarray]:
+    """``(v, c)`` as float64 arrays; the load must be positive."""
+    v_arr = np.asarray(v, dtype=np.float64)
+    c_arr = np.asarray(c, dtype=np.float64)
+    if np.any(c_arr <= 0):
+        raise ValueError("load capacitance must be positive")
+    return v_arr, c_arr
 
 
 class ElectricalModel:
@@ -161,6 +180,9 @@ class ElectricalModel:
     def pin_delay(self, cell: Cell, pin: CellPin, polarity: DrivePolarity, v, c):
         """Propagation delay of ``cell`` from ``pin`` to the output.
 
+        The stack of one: the entry's parameters enter the delay
+        expression as scalars where :meth:`pin_delays` passes columns.
+
         Parameters
         ----------
         polarity:
@@ -173,35 +195,45 @@ class ElectricalModel:
         -------
         Delay in seconds, matching the broadcast shape of ``v`` and ``c``.
         """
-        v_arr = np.asarray(v, dtype=np.float64)
-        c_arr = np.asarray(c, dtype=np.float64)
-        if np.any(c_arr <= 0):
-            raise ValueError("load capacitance must be positive")
-
-        tau_load = self.corner.load_params(polarity)(v_arr)
-        tau_par = self.corner.parasitic_params(polarity)(v_arr)
-
-        effort_h = c_arr / pin.input_cap
-        load_term = tau_load * pin.effort * effort_h
-        par_term = tau_par * cell.parasitic * pin.parasitic_weight
-
-        # Voltage-load coupling: a heavily loaded gate loses proportionally
-        # more drive when the rail drops below nominal (slew degradation).
-        v_nom = 0.8
-        coupling = 1.0 + self.corner.coupling * (v_nom / v_arr - 1.0) * np.log2(
-            1.0 + effort_h
-        ) / 8.0
-
-        delay = (load_term + par_term) * coupling
-
-        if self.corner.noise:
-            seed = self._seed(cell, pin, polarity)
-            c_norm = np.log2(c_arr / 1e-15)  # femtofarad exponent
-            delay = delay * (1.0 + self.corner.noise * _ripple(seed, v_arr, c_norm))
-
+        v_arr, c_arr = _operating_points(v, c)
+        delay = self._delay(
+            self._parameters(cell, pin, polarity),
+            *self._time_constants(polarity, v_arr), v_arr, c_arr)
         if np.ndim(v) == 0 and np.ndim(c) == 0:
             return float(delay)
         return delay
+
+    def pin_delays(self, cells: Sequence[Cell], pins: Sequence[CellPin],
+                   polarities: Sequence[DrivePolarity], v, c) -> np.ndarray:
+        """Delays of a stack of ``B`` entries at shared operating points.
+
+        Entry ``b`` is ``(cells[b], pins[b], polarities[b])``; ``v`` and
+        ``c`` are scalars or broadcastable arrays shared by every entry.
+        Returns ``(B,) + broadcast(v, c).shape``.  What differs per entry
+        is a column of parameters broadcast against the points, so every
+        element sees the operands, in the order, of a one-entry call:
+        row ``b`` carries the bits ``pin_delay(cells[b], ...)`` returns,
+        whatever stack it rides in.
+        """
+        v_arr, c_arr = _operating_points(v, c)
+        # One value per entry, broadcast against the points.
+        shape = (len(cells),) + (1,) * max(v_arr.ndim, c_arr.ndim)
+        columns = np.asarray(
+            [self._parameters(*entry) for entry in zip(cells, pins, polarities)],
+            dtype=np.float64).T.reshape((-1,) + shape)
+
+        # The time constants depend on (polarity, v) only: once per
+        # polarity present, selected per entry.
+        rise = [polarity is DrivePolarity.RISE for polarity in polarities]
+        if all(rise) or not any(rise):
+            tau_load, tau_par = self._time_constants(polarities[0], v_arr)
+        else:
+            rise = np.asarray(rise).reshape(shape)
+            tau_load, tau_par = (
+                np.where(rise, of_rise, of_fall) for of_rise, of_fall in zip(
+                    self._time_constants(DrivePolarity.RISE, v_arr),
+                    self._time_constants(DrivePolarity.FALL, v_arr)))
+        return self._delay(columns, tau_load, tau_par, v_arr, c_arr)
 
     def cell_delays(self, cell: Cell, v, c) -> Tuple[Tuple[float, float], ...]:
         """All pin-to-pin delays of a cell at a scalar operating point.
@@ -217,6 +249,50 @@ class ElectricalModel:
         return tuple(result)
 
     # -- internals -------------------------------------------------------------
+
+    def _delay(self, parameters, tau_load, tau_par, v_arr, c_arr):
+        """The delay expression, stated once.
+
+        ``parameters`` is one entry's :meth:`_parameters` or a stack's
+        columns of them; ``tau_load`` / ``tau_par`` are the matching
+        time constants over ``v_arr``.
+        """
+        input_cap, effort, parasitic, parasitic_weight, *phases = parameters
+        effort_h = c_arr / input_cap
+        load_term = tau_load * effort * effort_h
+        par_term = tau_par * parasitic * parasitic_weight
+
+        # Voltage-load coupling: a heavily loaded gate loses proportionally
+        # more drive when the rail drops below nominal (slew degradation).
+        v_nom = 0.8
+        coupling = 1.0 + self.corner.coupling * (v_nom / v_arr - 1.0) * np.log2(
+            1.0 + effort_h
+        ) / 8.0
+
+        delay = (load_term + par_term) * coupling
+
+        if self.corner.noise:
+            c_norm = np.log2(c_arr / 1e-15)  # femtofarad exponent
+            delay = delay * (1.0 + self.corner.noise * _ripple(phases, v_arr, c_norm))
+        return delay
+
+    def _parameters(self, cell: Cell, pin: CellPin,
+                    polarity: DrivePolarity) -> Tuple[float, ...]:
+        """What the delay expression reads of one entry: input capacitance,
+        logical effort, parasitic delay and its pin weight, then — for a
+        corner with measurement noise — the three ripple phases that
+        derive from the entry's stable seed."""
+        parameters = (pin.input_cap, pin.effort, cell.parasitic, pin.parasitic_weight)
+        if not self.corner.noise:
+            return parameters
+        seed = self._seed(cell, pin, polarity)
+        return parameters + tuple(
+            (seed * step) % 1.0 * 2.0 * math.pi for step in _PHASE_STEPS)
+
+    def _time_constants(self, polarity: DrivePolarity, v_arr):
+        """``(τ_load(v), τ_par(v))`` of one output polarity."""
+        return (self.corner.load_params(polarity)(v_arr),
+                self.corner.parasitic_params(polarity)(v_arr))
 
     @staticmethod
     def _seed(cell: Cell, pin: CellPin, polarity: DrivePolarity) -> int:

@@ -119,26 +119,39 @@ class AnalyticalSpice:
         """One transient analysis: the pin-to-pin delay at ``(v, c)``."""
         return float(self.delays_at(cell, pin, polarity, [(v, c)])[0])
 
-    def delays_at(self, cell: Cell, pin: CellPin, polarity: DrivePolarity,
-                  points) -> np.ndarray:
+    def delays_at(self, cell, pin, polarity, points) -> np.ndarray:
         """Batched transient analyses at arbitrary operating points.
 
-        ``points`` is an ``(m, 2)`` array-like of ``(v, c)`` pairs; the
-        return value is the ``(m,)`` array of propagation delays.  One
-        transient analysis is counted per point, so adaptive sampling
-        cost is measured exactly.
+        ``points`` is an ``(m, 2)`` array-like of ``(v, c)`` pairs.  One
+        entry — a :class:`Cell`, a pin and a polarity — returns the
+        ``(m,)`` array of its propagation delays.  Equal-length
+        sequences of cells, pins and polarities are a *stack* of ``B``
+        entries measured at the shared ``points`` in one model call and
+        return ``(B, m)``; row ``b`` is bit for bit what the one-entry
+        call of entry ``b`` returns.
+
+        One transient analysis is counted per entry and point once the
+        model has returned, so adaptive sampling cost is measured
+        exactly and a call that raises (``c <= 0``, ``v <= vth``) counts
+        nothing.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(
                 f"points must have shape (m, 2), got {pts.shape}")
+        stacked = not isinstance(cell, Cell)
+        cells, pins, polarities = (
+            (list(cell), list(pin), list(polarity)) if stacked
+            else ((cell,), (pin,), (polarity,)))
+        if not 0 < len(cells) == len(pins) == len(polarities):
+            raise ValueError(
+                f"a stack is one pin and one polarity per cell, got "
+                f"{len(cells)} cells, {len(pins)} pins, {len(polarities)} polarities")
+        delays = self.model.pin_delays(cells, pins, polarities, pts[:, 0], pts[:, 1])
         with self._lock:
-            self.transient_runs += pts.shape[0]
-            self.delay_evaluations += pts.shape[0]
-        return np.asarray(
-            self.model.pin_delay(cell, pin, polarity, pts[:, 0], pts[:, 1]),
-            dtype=np.float64,
-        )
+            self.transient_runs += delays.size
+            self.delay_evaluations += delays.size
+        return delays if stacked else delays[0]
 
     # -- sweeps -----------------------------------------------------------------
 

@@ -83,10 +83,14 @@ pool,warm_cache}``) characterizes the cell library once on the fixed
 through the fitting worker pool, and once against a warm coefficient
 cache.  ``characterization_speedups`` records the SPICE-evaluation
 ratio, the worst fit error of both flows against the fixed grid's
-bilinear reference (the Fig. 4/5 yardstick), the pool scaling, and the
-warm-cache evaluation count.  Three of its gates are absolute and
-machine-independent (like the fault-seam gate): the adaptive flow must
-spend at least :data:`CHARZ_EVAL_RATIO_FLOOR`× fewer evaluations, keep
+bilinear reference (the Fig. 4/5 yardstick), the pool scaling, the
+warm-cache evaluation count, and the wall account: ``wall_speedup``
+(fixed wall / adaptive wall, below 1 against the analytical stand-in)
+and ``break_even_us_per_evaluation`` — the SPICE cost per evaluation
+above which the evaluations saved pay for the extra fitting.  Three of
+its gates are absolute and machine-independent (like the fault-seam
+gate): the adaptive flow must spend at least
+:data:`CHARZ_EVAL_RATIO_FLOOR`× fewer evaluations, keep
 its worst error within ``max(fixed × CHARZ_ERROR_FACTOR,
 CHARZ_ERROR_FLOOR)``, and the warm-cache pass must perform **zero**
 SPICE evaluations.
@@ -1176,6 +1180,12 @@ def _characterization_speedups(benchmarks: List[dict]) -> dict:
         "adaptive_worst_error": adaptive["params"]["worst_error"],
         "wall_speedup": (fixed["wall_seconds"] / adaptive["wall_seconds"]
                          if adaptive["wall_seconds"] > 0 else None),
+        # The SPICE cost per evaluation above which the adaptive flow's
+        # extra fitting wall is paid back by the evaluations it saves.
+        "break_even_us_per_evaluation": (
+            (adaptive["wall_seconds"] - fixed["wall_seconds"]) * 1e6
+            / (fixed_evals - adaptive_evals)
+            if fixed_evals > adaptive_evals else None),
     }
     warm = by_name.get("characterization_warm_cache")
     if warm is not None:
@@ -1418,6 +1428,12 @@ def _print_summary(report: dict, stream=None) -> None:
               f"{charz.get('warm_cache_evaluations', 'n/a')} evals, "
               f"pool({charz.get('pool_workers', '?')}) "
               f"{charz.get('pool_speedup', 0.0):.2f}x", file=stream)
+        break_even = charz.get("break_even_us_per_evaluation")
+        if break_even is not None and charz.get("wall_speedup"):
+            print(f"  characterization: adaptive takes "
+                  f"{1.0 / charz['wall_speedup']:.1f}x the fixed-grid wall; "
+                  f"the evaluations saved pay for it above "
+                  f"{break_even:.1f} us per SPICE evaluation", file=stream)
     overhead = report.get("faults_disabled_overhead", {})
     if overhead:
         text = ", ".join(f"{b} {fraction:.4%}"

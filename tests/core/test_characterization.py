@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -465,6 +466,20 @@ class TestBatchingIsInvisible:
                 assert full_record(alone) == expected
 
 
+def spice_calls(monkeypatch):
+    """Record the result shape of every ``AnalyticalSpice.delays_at`` call."""
+    shapes = []
+    real = AnalyticalSpice.delays_at
+
+    def delays_at(self, *args):
+        delays = real(self, *args)
+        shapes.append(delays.shape)
+        return delays
+
+    monkeypatch.setattr(AnalyticalSpice, "delays_at", delays_at)
+    return shapes
+
+
 class TestPayOnce:
     """Work that depends on the sample grid alone is done once per grid."""
 
@@ -502,11 +517,16 @@ class TestPayOnce:
         monkeypatch.setattr(np.linalg, "cond", cond)
         monkeypatch.setattr(GridInterpolator, "_locate", staticmethod(locate))
         monkeypatch.setattr(charz._FitPlans, "__init__", init)
+        stacks = spice_calls(monkeypatch)
 
         result = characterize_library(library, AnalyticalSpice(),
                                       adaptive=AdaptiveConfig())
         entries = list(result.all_entries())
         visited = len(geometries.pop())
+        # One SPICE call per sample stack — the seed wave and each
+        # (wave chunk, refinement line) — not per entry per line (1670).
+        assert visited < len(stacks) <= 64
+        assert sum(map(math.prod, stacks)) == result.total_evaluations()
         # 370 entries and ~1670 refinement fits stand on a dozen grids.
         assert 1 < visited <= 16 < len(entries)
         # One max-order design per grid; lower orders and CV folds are
@@ -523,6 +543,12 @@ class TestPayOnce:
         # The plans were call-scoped and hold no cycle: gone without a
         # collection.
         assert [ref() for ref in plans] == [None]
+
+
+    def test_fixed_flow_is_one_spice_call(self, library, monkeypatch):
+        stacks = spice_calls(monkeypatch)
+        result = characterize_library(library, AnalyticalSpice(), n=3)
+        assert stacks == [(len(list(result.all_entries())), 108)]
 
 
 class TestFailureIsolation:
@@ -555,6 +581,60 @@ class TestFailureIsolation:
             rerun = characterize_library(subset, spice, adaptive=config,
                                          cache=cache_dir)
             assert spice.delay_evaluations == clean.cells[failed[0]].evaluations
+            for a, b in zip(clean.all_entries(), rerun.all_entries()):
+                assert entry_record(a) == entry_record(b)
+        finally:
+            CoefficientCache.clear_memo()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("good_calls", [0, 1], ids=["seed", "first-line"])
+    def test_spice_failure_fails_its_cell_only(self, library, tmp_path, workers,
+                                               good_calls):
+        """SPICE rejects one entry — in the seed stack, or in the stack of
+        its first refinement line: the stack is replayed entry by entry."""
+        from repro.core.charz_cache import CoefficientCache
+        from repro.electrical.model import ElectricalModel
+
+        class Diverging(ElectricalModel):
+            """Raises once NAND2_X1/A1/RISE was measured ``good_calls`` times."""
+
+            measured = 0
+
+            def pin_delays(self, cells, pins, polarities, v, c):
+                if any((cell.name, pin.index, polarity)
+                       == ("NAND2_X1", 0, DrivePolarity.RISE)
+                       for cell, pin, polarity in zip(cells, pins, polarities)):
+                    self.measured += 1
+                    if self.measured > good_calls:
+                        raise RuntimeError("transient analysis did not converge")
+                return super().pin_delays(cells, pins, polarities, v, c)
+
+        subset = library.select(["INV", "NAND2", "NOR2"])
+        config = AdaptiveConfig()
+        clean = characterize_library(subset, AnalyticalSpice(), adaptive=config)
+        lost = clean.cells["NAND2_X1"].evaluations
+        cache_dir = str(tmp_path / "charz")
+        CoefficientCache.clear_memo()
+        try:
+            spice = AnalyticalSpice()
+            spice.model = Diverging()
+            with pytest.raises(CharacterizationError) as info:
+                characterize_library(subset, spice, adaptive=config,
+                                     workers=workers, cache=cache_dir)
+            assert "characterization of NAND2_X1 failed" in str(info.value)
+            assert isinstance(info.value.__cause__, RuntimeError)
+            assert "did not converge" in str(info.value.__cause__)
+            # A stack that raised counted nothing and its replay counted
+            # each entry once: the failed cell's first entry stopped it
+            # in the seed wave, or after some of its lines were paid for.
+            spent = spice.delay_evaluations - (clean.total_evaluations() - lost)
+            assert spent == 0 if good_calls == 0 else 0 < spent < lost
+
+            CoefficientCache.clear_memo()  # fresh-process equivalent
+            spice = AnalyticalSpice()
+            rerun = characterize_library(subset, spice, adaptive=config,
+                                         cache=cache_dir)
+            assert spice.delay_evaluations == lost
             for a, b in zip(clean.all_entries(), rerun.all_entries()):
                 assert entry_record(a) == entry_record(b)
         finally:

@@ -1,5 +1,6 @@
 """Tests for the fingerprint-keyed persistent coefficient cache."""
 
+import json
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.core.characterization import (
     characterize_cell,
     characterize_cell_cached,
     characterize_library,
+    _flow_signature,
 )
 from repro.core.charz_cache import CACHE_ENV, CoefficientCache, default_cache_dir
 from repro.electrical.model import TransistorCorner
@@ -84,6 +86,41 @@ class TestRoundTrip:
             # The rebuilt bilinear reference answers identically.
             assert a.reference(0.3, 0.7) == pytest.approx(b.reference(0.3, 0.7))
 
+    def test_packed_record_round_trip_compares_every_field(self, library, space, cache):
+        """NAND4_X1 adaptively: eight entries ending on three different
+        grids with two half-orders, stored as one six-member record."""
+        cell = library["NAND4_X1"]
+        original = characterize_cell(AnalyticalSpice(), cell, space=space,
+                                     adaptive=AdaptiveConfig())
+        assert len({pin.sweep.delays.shape for pin in original.pins}) > 1
+        assert len({pin.fit.polynomial.n for pin in original.pins}) > 1
+        cache.put("p" * 64, original)
+        with np.load(cache._path("p" * 64)) as archive:
+            assert sorted(archive.files) == [
+                "coefficients", "meta", "nominal", "sweep_delays", "sweep_loads",
+                "sweep_voltages"]
+        CoefficientCache.clear_memo()  # force the disk path
+        loaded = cache.get("p" * 64, cell, space)
+        assert cache.stats()["disk_hits"] == 1
+        assert loaded.cell is cell
+        assert loaded.elapsed_seconds == original.elapsed_seconds
+        assert len(loaded.pins) == len(original.pins) == 8
+        for a, b in zip(original.pins, loaded.pins):
+            assert (a.cell_name, a.pin_name, a.pin_index, a.polarity, a.evaluations) \
+                == (b.cell_name, b.pin_name, b.pin_index, b.polarity, b.evaluations)
+            assert b.space is space
+            for mine, theirs in (
+                    (a.sweep.voltages, b.sweep.voltages), (a.sweep.loads, b.sweep.loads),
+                    (a.sweep.delays, b.sweep.delays),
+                    (a.nominal_delays, b.nominal_delays),
+                    (a.fit.polynomial.coefficients, b.fit.polynomial.coefficients),
+                    (a.reference.values, b.reference.values)):
+                assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+            for name in ("mean_abs_error", "rms_error", "max_abs_error", "r_squared",
+                         "condition_number", "sample_count", "method"):
+                assert getattr(a.fit, name) == getattr(b.fit, name), name
+
     def test_memo_returns_same_object(self, library, space, cache):
         cell = library["INV_X1"]
         original = characterize_cell(AnalyticalSpice(), cell, space=space, n=1)
@@ -103,6 +140,69 @@ class TestRoundTrip:
             stream.write(b"not an npz archive")
         assert cache.get("a" * 64, cell, space) is None
         assert not os.path.exists(path)  # corrupt entries are dropped
+
+    @pytest.mark.parametrize("damage", [
+        "schema-1", "wrong-cell", "extent-off-by-one", "trailing-elements",
+        "truncated"])
+    def test_unservable_record_is_dropped_and_refitted(self, library, space, cache,
+                                                       damage):
+        """One outcome for every file that cannot be served: it is removed,
+        counted a miss, the cell is re-fitted, and the next lookup hits."""
+        cell = library["NOR2_X1"]
+        config = AdaptiveConfig()
+        key = characterization_fingerprint(
+            cell, TransistorCorner.typical(), space, _flow_signature(3, 4, "auto", config))
+        first = characterize_cell_cached(AnalyticalSpice(), cell, cache, space=space,
+                                         adaptive=config)
+        path = cache._path(key)
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays.pop("meta").tobytes())
+
+        if damage == "schema-1":
+            # The layout before the packed record: five arrays per entry.
+            meta["schema"] = 1
+            for i, (entry, pin) in enumerate(zip(meta["entries"], first.pins)):
+                for name in ("side", "voltages", "loads"):
+                    del entry[name]
+                arrays[f"p{i}_coefficients"] = pin.fit.polynomial.coefficients
+                arrays[f"p{i}_nominal"] = pin.nominal_delays
+                arrays[f"p{i}_sweep_voltages"] = pin.sweep.voltages
+                arrays[f"p{i}_sweep_loads"] = pin.sweep.loads
+                arrays[f"p{i}_sweep_delays"] = pin.sweep.delays
+            for name in ("coefficients", "nominal", "sweep_voltages", "sweep_loads",
+                         "sweep_delays"):
+                del arrays[name]
+        elif damage == "wrong-cell":
+            meta["cell"] = "NOR2_X2"
+        elif damage == "extent-off-by-one":
+            meta["entries"][0]["loads"] += 1
+        elif damage == "trailing-elements":
+            arrays["nominal"] = np.append(arrays["nominal"], 1.0)
+        if damage == "truncated":
+            with open(path, "r+b") as stream:
+                stream.truncate(os.path.getsize(path) * 2 // 3)
+        else:
+            arrays["meta"] = np.frombuffer(
+                json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+            np.savez(path, **arrays)
+
+        CoefficientCache.clear_memo()  # fresh-process equivalent
+        assert cache.get(key, cell, space) is None
+        assert not os.path.exists(path)
+        assert cache.stats()["misses"] == 2  # the cold lookup and this one
+        spice = AnalyticalSpice()
+        again = characterize_cell_cached(spice, cell, cache, space=space,
+                                         adaptive=config)
+        assert spice.delay_evaluations == first.evaluations > 0
+        CoefficientCache.clear_memo()
+        spice = AnalyticalSpice()
+        hit = characterize_cell_cached(spice, cell, cache, space=space, adaptive=config)
+        assert spice.delay_evaluations == 0 and cache.stats()["disk_hits"] == 1
+        for a, b, c in zip(first.pins, again.pins, hit.pins):
+            assert a.fit.polynomial.coefficients.tobytes() \
+                == b.fit.polynomial.coefficients.tobytes() \
+                == c.fit.polynomial.coefficients.tobytes()
 
     def test_unwritable_directory_degrades_to_memo(self, library, space, tmp_path):
         blocker = tmp_path / "blocked"

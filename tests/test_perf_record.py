@@ -199,6 +199,18 @@ class TestRegressionGate:
         assert section["pool_workers"] == 4
         assert section["wall_speedup"] == pytest.approx(2.0)
 
+    def test_characterization_break_even(self):
+        """(adaptive wall - fixed wall) / evaluations saved, in microseconds."""
+        benchmarks = self.charz_benchmarks()
+        benchmarks[0]["wall_seconds"], benchmarks[1]["wall_seconds"] = 0.08, 0.25
+        section = record._characterization_speedups(benchmarks)
+        assert section["break_even_us_per_evaluation"] == pytest.approx(
+            (0.25 - 0.08) * 1e6 / (39960 - 12000))
+        # An adaptive flow that saves no evaluations never breaks even.
+        section = record._characterization_speedups(
+            self.charz_benchmarks(adaptive_evals=39960))
+        assert section["break_even_us_per_evaluation"] is None
+
     def test_characterization_gates_pass(self):
         current = {"benchmarks": self.charz_benchmarks()}
         assert record.compare_reports(current, {"benchmarks": []}, 1.5) == []
