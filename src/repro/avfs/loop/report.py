@@ -58,7 +58,8 @@ class LoopStep:
         True when this iteration spliced from a cached base arena
         instead of simulating the full plane.
     lanes_spliced / gate_evaluations:
-        Engine lane accounting for the iteration.
+        Engine lane accounting for the iteration (service-backed: the
+        job's share of its batch's; both 0 on a result-cache hit).
     seconds:
         Wall time of the iteration's simulate+measure step.
     from_checkpoint:

@@ -266,17 +266,17 @@ class ClosedLoopRunner:
                   v1: np.ndarray, v2: np.ndarray):
         """One iteration's engine (or service) run.
 
-        Returns ``(result, delta_used)``.
+        Returns ``(result, stats, delta_used)``.  ``stats`` is ``None``
+        for a service job: its lane counters are its report's share of
+        its batch's, all 0 on a result-cache hit (neither simulated nor
+        spliced).
         """
         variation = self._bound_variation(plan, global_slots)
         if self.service is not None:
-            handle = self.service.submit(
+            result = self.service.submit(
                 self._circuit_key, pairs, plan=plan, config=self.sim_config,
-                kernel_table=self.kernel_table, variation=variation)
-            result = handle.result()
-            stats = None
-            spliced = getattr(result, "lanes_spliced", 0)
-            return result, stats, bool(spliced)
+                kernel_table=self.kernel_table, variation=variation).result()
+            return result, None, result.report.lanes_spliced > 0
 
         delta = None
         if self.config.use_delta:
@@ -475,14 +475,14 @@ class ClosedLoopRunner:
             plan = SlotPlan.uniform(len(pairs), v_eff)
             result, stats, delta_used = self._simulate(
                 pairs, plan, v_eff, global_slots, v1, v2)
+            lanes = result.report if stats is None else stats
 
             # A fully spliced iteration reproduced the cached base
             # bit-for-bit (same stimuli, same supply, same Monte-Carlo
             # slots), so the arrival / activity extraction — a python
             # walk over every recorded waveform — is reproduced too.
             # Reuse the measurement instead of re-deriving it.
-            full_splice = (stats is not None and delta_used
-                           and int(stats.gate_evaluations) == 0)
+            full_splice = delta_used and int(lanes.gate_evaluations) == 0
             memo = self._measurements.get(v_eff) if full_splice else None
             if memo is None:
                 arrivals = latest_arrivals(result, self.circuit, plan=plan)
@@ -527,9 +527,8 @@ class ClosedLoopRunner:
                 energy_per_pattern=energy,
                 activity_per_pattern=activity_per_pattern,
                 delta_used=delta_used,
-                lanes_spliced=int(stats.lanes_spliced) if stats else 0,
-                gate_evaluations=(int(stats.gate_evaluations)
-                                  if stats else 0),
+                lanes_spliced=int(lanes.lanes_spliced),
+                gate_evaluations=int(lanes.gate_evaluations),
                 seconds=seconds,
             )
             self._save_step(step)
@@ -545,10 +544,10 @@ class ClosedLoopRunner:
                                    if self.simulator else 0),
                     seconds=seconds,
                     engine_retries=stats.retries if stats else 0)]))
+            gate_evaluations += int(lanes.gate_evaluations)
+            lanes_skipped += int(lanes.lanes_skipped)
+            lanes_spliced += int(lanes.lanes_spliced)
             if stats:
-                gate_evaluations += int(stats.gate_evaluations)
-                lanes_skipped += int(stats.lanes_skipped)
-                lanes_spliced += int(stats.lanes_spliced)
                 for name, value in stats.phase_seconds().items():
                     phase_totals[name] = phase_totals.get(name, 0) + value
             if self.simulator is not None:

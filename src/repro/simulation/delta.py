@@ -62,8 +62,11 @@ class BaseArena:
     the run's slots; ``v1``/``v2`` are the per-slot stimulus planes
     ``(num_slots, width)`` and ``voltages`` / ``global_slots`` the
     per-slot operating points — everything :func:`select_delta` needs
-    to diff a new job without touching the payload.  A run recording
-    all nets returns this same plane as its result.
+    to diff a new job without touching the payload.  Results may share
+    it: a capturing run recording all nets returns this same plane as
+    its result, and a later run that splices every slot of it in order
+    — capturing nothing, with no ``segments`` — returns it again
+    (outputs only: a row view over its payload).
     """
 
     plane: WaveformPlane

@@ -345,6 +345,9 @@ class _Batch:
     #: once per segment (:class:`_Demuxed`).  A subset has no segments.
     segments: Optional[Segments]
     stats: _BatchStats
+    #: The run captures a base or names segments: its answer must not
+    #: share payload with a delta base (see :meth:`GpuWaveSim._splice`).
+    private: bool = False
 
     def take(self, slots: np.ndarray,
              plan: Optional[SlotPlan] = None) -> "_Batch":
@@ -519,6 +522,12 @@ class GpuWaveSim:
             spliced straight out of the base, slots with changed inputs
             re-evaluate only the cone of influence, unmapped slots run
             from scratch.  Results are bit-identical to ``delta=None``.
+            A plan mapping slot ``s`` onto base slot ``s`` for every
+            base slot, none changed, answers by reference when the run
+            neither captures a base nor names ``segments``: the result
+            is the base's plane itself (``record_all_nets``) or a row
+            view over its payload (outputs only).  Every other delta
+            result is private.
         capture_base:
             Capture this run's full waveform state as a
             :class:`~repro.simulation.delta.BaseArena` on
@@ -606,6 +615,7 @@ class GpuWaveSim:
             rows=None if capture_base else self._result_rows,
             segments=segments,
             stats=stats,
+            private=capture_base or segments is not None,
         )
         parts: List[Union[WaveformPlane, _Demuxed]] = []
         # Batches are sized at the capacity the run starts at; each
@@ -844,8 +854,19 @@ class GpuWaveSim:
 
     def _splice(self, batch: _Batch, delta: DeltaPlan) -> WaveformPlane:
         """Slots whose stimuli and operating point match a base slot
-        exactly: their columns are gathered straight out of the base
-        plane and every lane counts as ``lanes_spliced``."""
+        exactly: their columns come straight out of the base plane and
+        every lane counts as ``lanes_spliced``.
+
+        Slots that map onto the base slot-for-slot (``base_slot`` is
+        ``0 .. base.num_slots - 1``) in a run whose answer may share a
+        base's payload (not ``batch.private``) are answered by
+        reference — the base plane itself, or its zero-copy
+        :meth:`~repro.waveform.plane.WaveformPlane.rows` view over the
+        outputs — the aliasing a capturing run already has between its
+        result and ``result.base_arena``.  A batch that splices only
+        some of its slots joins this answer with the rest, which copies
+        it.  Any other column map gathers a private plane.
+        """
         compiled = self.compiled
         stats = batch.stats
         pack_start = _time.perf_counter()
@@ -853,9 +874,13 @@ class GpuWaveSim:
         cols = delta.base_slot
         source = (base if batch.rows is None
                   else base.rows(ids=batch.rows, **self._output_keys))
-        plane = source.take(cols)
+        if not batch.private and np.array_equal(
+                cols, np.arange(base.num_slots)):
+            plane, counts = source, base.counts
+        else:
+            plane, counts = source.take(cols), base.counts[:, cols]
         stats.lanes_spliced += compiled.num_gates * int(cols.size)
-        stats.bytes_spliced += (int(base.counts[:, cols].sum()) * 8
+        stats.bytes_spliced += (int(counts.sum()) * 8
                                 + compiled.num_nets * int(cols.size))
         stats.pack_seconds += _time.perf_counter() - pack_start
         return plane

@@ -1,5 +1,7 @@
 """Tests for the closed-loop AVFS scenario engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,27 @@ from repro.errors import CheckpointError, InjectedFaultError, ParameterError
 from repro.faults.plan import WorkerDeathError
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair
+from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.pool import clear_engine_pool
 from repro.simulation.variation import (ProcessVariation,
                                         StateDependentVariation)
 
 VOLTAGES = [0.55, 0.7, 0.8, 1.0]
+
+#: Per-step ``(delta_used, lanes_spliced, gate_evaluations)`` of a
+#: 12-step trajectory under :func:`revisiting_disturbances`, as recorded
+#: while every splice still copied its base: ``f`` a full run of 120
+#: gates x 6 slots, ``s`` an exact revisit spliced whole.
+LOOP_COUNTERS = [{"f": (False, 0, 720), "s": (True, 720, 0)}[step]
+                 for step in "fffsffsfssss"]
+
+
+def revisiting_disturbances():
+    """Droop and drift under which the loop wanders over 0.675-0.69 V
+    and revisits most of those supplies (energy recording on)."""
+    return [VoltageDroop(0.01, reference_activity=50.0, jitter=0.01,
+                         seed=11),
+            TemperatureDrift(0.005)]
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +222,48 @@ class TestDeltaReuse:
                [s.raw_arrival for s in reports[True].steps]
         assert reports[True].delta_iterations > 0
 
+    def test_exact_revisits_answer_from_the_ring_base(
+            self, setup, library, kernel_table, monkeypatch):
+        """An exact revisit is answered with its ring base's payload, not
+        a copy of it, and the trajectory does not change: measurements
+        equal a full re-simulation's, step counters the pinned ones."""
+        circuit, pairs, explorer, table = setup
+        config = LoopConfig(period=loose_period(table), max_iterations=12,
+                            settle_iterations=13)
+        disturbances = revisiting_disturbances()
+        full = make_runner(setup, library, kernel_table,
+                           replace(config, use_delta=False),
+                           disturbances=disturbances).run(pairs)
+
+        shared = []
+        run = GpuWaveSim.run
+
+        def spy(engine, *args, **kwargs):
+            result = run(engine, *args, **kwargs)
+            delta = kwargs.get("delta")
+            if delta is not None and not delta.changed_inputs.any():
+                assert delta.base_slot.tolist() == list(range(len(pairs)))
+                shared.append(np.shares_memory(result.plane.times,
+                                               delta.base.plane.times))
+            return result
+
+        monkeypatch.setattr(GpuWaveSim, "run", spy)
+        report = make_runner(setup, library, kernel_table, config,
+                             disturbances=disturbances).run(pairs)
+
+        revisits = [s for s in report.steps
+                    if s.delta_used and s.gate_evaluations == 0]
+        assert len(revisits) == len(shared) > 0
+        assert all(shared)
+
+        def measured(steps):
+            return [(s.raw_arrival, s.energy_per_pattern,
+                     s.activity_per_pattern) for s in steps]
+
+        assert measured(report.steps) == measured(full.steps)
+        assert [(s.delta_used, s.lanes_spliced, s.gate_evaluations)
+                for s in report.steps] == LOOP_COUNTERS
+
     def test_variation_changes_measurement(self, setup, library,
                                            kernel_table):
         circuit, pairs, explorer, table = setup
@@ -317,6 +377,40 @@ class TestServiceMode:
         assert [s.raw_arrival for s in report.steps] == \
                [s.raw_arrival for s in local.steps]
         assert report.final_voltage == local.final_voltage
+
+    @pytest.mark.parametrize("cache_entries", [1, 256])
+    def test_service_steps_report_their_splices(self, setup, library,
+                                                kernel_table, cache_entries):
+        """Each step carries its job's lane counters: an executed step
+        covers every lane once, a result-cache hit none.  A one-entry
+        result cache forgets a supply the base ring still holds, so a
+        later revisit of it is spliced."""
+        from repro.service import ServiceConfig, SimulationService
+
+        circuit, pairs, explorer, table = setup
+        config = LoopConfig(period=loose_period(table), max_iterations=12,
+                            settle_iterations=13)
+        with SimulationService(
+                ServiceConfig(cache_entries=cache_entries)) as service:
+            runner = make_runner(setup, library, kernel_table, config,
+                                 service=service,
+                                 disturbances=revisiting_disturbances())
+            report = runner.run(pairs)
+        lanes = runner._compiled.num_gates * len(pairs)
+        metrics = report.service_metrics
+        hits = metrics["cache"]["hits"]
+        executed = [s for s in report.steps
+                    if s.lanes_spliced + s.gate_evaluations]
+        assert len(executed) == len(report.steps) - hits
+        for step in executed:
+            assert step.lanes_spliced + step.gate_evaluations == lanes
+        assert report.delta_iterations == sum(
+            1 for s in executed if s.lanes_spliced)
+        if metrics["base_hits"]:
+            assert report.delta_iterations > 0
+            assert report.run_report.lanes_spliced > 0
+        if cache_entries == 1:
+            assert metrics["base_hits"] > 0
 
 
 class TestEngineSharing:

@@ -22,7 +22,7 @@ from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.delta import BaseArena, DeltaPlan, select_delta
 from repro.simulation.gpu import GpuWaveSim
-from repro.simulation.grid import SlotPlan
+from repro.simulation.grid import Segments, SlotPlan
 from repro.simulation.variation import ProcessVariation
 from repro.waveform.plane import WaveformPlane
 
@@ -140,6 +140,116 @@ class TestFullSplice:
                           variation=variation, delta=selected[0])
         assert_identical(circuit, base_result, result)
         assert redo.last_stats.gate_evaluations == 0
+
+
+def shares_payload(plane, other):
+    """Whether any array of ``plane`` overlaps any array of ``other``."""
+    def arrays(p):
+        return p.initial, p.counts, p.starts, p.times
+    return any(np.shares_memory(a, b)
+               for a in arrays(plane) for b in arrays(other))
+
+
+def splice_counters(stats):
+    return stats.gate_evaluations, stats.lanes_spliced, stats.bytes_spliced
+
+
+@pytest.mark.parametrize("backend_name", CONCRETE)
+@pytest.mark.parametrize("record_all", [True, False])
+class TestSpliceByReference:
+    """A run mapping slot-for-slot onto its base, every slot spliced,
+    answers with the base's own payload unless it captures a base or
+    names segments; every other splice answers with a private copy."""
+
+    def captured(self, circuit, compiled, library, kernel_table,
+                 backend_name, record_all, pairs, plan):
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig(
+                                record_all_nets=record_all,
+                                backend=backend_name))
+        arena = engine.run(pairs, plan=plan, kernel_table=kernel_table,
+                           capture_base=True).base_arena
+        return engine, arena
+
+    @staticmethod
+    def assert_same_waveforms(reference, result):
+        assert result.plane.nets == reference.plane.nets
+        assert result.plane.checksum() == reference.plane.checksum()
+        for slot in range(reference.num_slots):
+            for net in reference.plane.nets:
+                ref = reference.waveform(slot, net)
+                got = result.waveform(slot, net)
+                assert got.initial == ref.initial, (slot, net)
+                assert got.times.tolist() == ref.times.tolist(), (slot, net)
+
+    def test_identity_splice_returns_the_base_payload(
+            self, circuit, compiled, library, kernel_table, backend_name,
+            record_all):
+        pairs = make_pairs(circuit, 4, seed=51)
+        plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
+        engine, arena = self.captured(circuit, compiled, library,
+                                      kernel_table, backend_name,
+                                      record_all, pairs, plan)
+        delta = DeltaPlan(
+            arena, np.arange(plan.num_slots, dtype=np.int64),
+            np.zeros((plan.num_slots, len(circuit.inputs)), dtype=bool))
+        result = engine.run(pairs, plan=plan, kernel_table=kernel_table,
+                            delta=delta)
+        if record_all:
+            assert result.plane is arena.plane
+        else:
+            assert result.plane.times is arena.plane.times
+            assert result.plane.num_nets < arena.plane.num_nets
+        stats = splice_counters(engine.last_stats)
+
+        reference = engine.run(pairs, plan=plan, kernel_table=kernel_table)
+        self.assert_same_waveforms(reference, result)
+
+        # One segment over the same plane takes the copying path.
+        copied = engine.run(pairs, plan=plan, kernel_table=kernel_table,
+                            delta=delta,
+                            segments=Segments([plan.num_slots]))
+        assert not shares_payload(copied.plane, arena.plane)
+        self.assert_same_waveforms(reference, copied)
+        assert splice_counters(engine.last_stats) == stats
+        assert stats == (
+            0, compiled.num_gates * plan.num_slots,
+            int(arena.plane.counts.sum()) * 8
+            + compiled.num_nets * plan.num_slots)
+
+    @pytest.mark.parametrize("case", ["permuted", "partial", "extended",
+                                      "segments", "capture"])
+    def test_other_splices_stay_private(self, circuit, compiled, library,
+                                        kernel_table, backend_name,
+                                        record_all, case):
+        pairs = make_pairs(circuit, 3, seed=52)
+        engine, arena = self.captured(
+            circuit, compiled, library, kernel_table, backend_name,
+            record_all, pairs, SlotPlan.uniform(len(pairs), 0.8))
+        base_slot, kwargs = {
+            "permuted": ([2, 0, 1], {}),
+            "partial": ([0, 1], {}),
+            # Every base slot in order, plus one slot run from scratch.
+            "extended": ([0, 1, 2, -1], {}),
+            "segments": ([0, 1, 2], {"segments": Segments([1, 2])}),
+            "capture": ([0, 1, 2], {"capture_base": True}),
+        }[case]
+        fresh = make_pairs(circuit, 1, seed=53)[0]
+        job = [pairs[slot] if slot >= 0 else fresh for slot in base_slot]
+        plan = SlotPlan.uniform(len(job), 0.8)
+        delta = DeltaPlan(arena, np.asarray(base_slot, dtype=np.int64),
+                          np.zeros((len(job), len(circuit.inputs)),
+                                   dtype=bool))
+        result = engine.run(job, plan=plan, kernel_table=kernel_table,
+                            delta=delta, **kwargs)
+        spliced = sum(slot >= 0 for slot in base_slot)
+        assert engine.last_stats.lanes_spliced == \
+            compiled.num_gates * spliced
+        assert not shares_payload(result.plane, arena.plane)
+        if case == "capture":
+            assert not shares_payload(result.base_arena.plane, arena.plane)
+        self.assert_same_waveforms(
+            engine.run(job, plan=plan, kernel_table=kernel_table), result)
 
 
 class TestConeBitIdentity:
