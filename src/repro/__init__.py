@@ -63,11 +63,10 @@ from repro.netlist import (
     write_spef,
     write_verilog,
 )
-from repro.waveform import PackedWaveforms, Waveform, WaveformPlane
+from repro.waveform import Waveform, WaveformPlane
 from repro.simulation import (
     EventDrivenSimulator,
     GpuWaveSim,
-    MultiDeviceWaveSim,
     PatternPair,
     ProcessVariation,
     SimulationConfig,
@@ -108,9 +107,9 @@ __all__ = [
     "circuit_stats", "parse_bench", "parse_sdf", "parse_spef", "parse_verilog",
     "random_circuit", "write_bench", "write_sdf", "write_spef", "write_verilog",
     # waveforms
-    "PackedWaveforms", "Waveform", "WaveformPlane",
+    "Waveform", "WaveformPlane",
     # simulation
-    "EventDrivenSimulator", "GpuWaveSim", "MultiDeviceWaveSim",
+    "EventDrivenSimulator", "GpuWaveSim",
     "PatternPair", "ProcessVariation", "SimulationConfig",
     "SimulationResult", "SlotPlan", "ZeroDelaySimulator",
     # timing

@@ -109,12 +109,10 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     print(f"characterizing {len(library)} cells ({args.corner} corner"
           + (f", {args.temperature:g} C" if args.temperature is not None else "")
           + f", {mode}"
-          + (f", {args.workers} workers" if args.workers > 1 else "")
           + (f", cache {args.cache_dir}" if cache else "") + ") ...")
     start = time.perf_counter()
     characterization = characterize_library(
-        library, spice, n=args.order, adaptive=adaptive,
-        workers=args.workers, cache=cache)
+        library, spice, n=args.order, adaptive=adaptive, cache=cache)
     wall = time.perf_counter() - start
     entries = list(characterization.all_entries())
     charged = characterization.total_evaluations()
@@ -132,7 +130,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             "mode": "adaptive" if adaptive else "fixed",
             "corner": args.corner,
             "order": None if adaptive else args.order,
-            "workers": args.workers,
             "wall_seconds": wall,
             "evaluations": {
                 "charged": charged,
@@ -516,8 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=36,
                    help="adaptive per-entry cap on SPICE delay "
                         "evaluations (default 36)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel fitting workers (default 1: inline)")
     p.add_argument("--cache-dir", default=None,
                    help="persistent coefficient-cache directory "
                         "(fingerprint-keyed; warm hits skip SPICE)")

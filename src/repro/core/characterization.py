@@ -44,10 +44,9 @@ there is no per-entry implementation beside it, and an entry's result
 is bit-identical whatever batch it rides in (``docs/architecture.md``
 §14).
 
-``characterize_library`` can fan cells out over a supervised worker pool
-and persist/reuse fitted coefficients through the fingerprint-keyed
-:class:`~repro.core.charz_cache.CoefficientCache`; a cell that fails
-does not cost the cells that completed.
+``characterize_library`` persists and reuses fitted coefficients through
+the fingerprint-keyed :class:`~repro.core.charz_cache.CoefficientCache`;
+a cell that fails does not cost the cells that completed.
 """
 
 from __future__ import annotations
@@ -366,9 +365,9 @@ class LibraryCharacterization:
 
 
 class _CharzTask:
-    """One cell's characterization: the unit of failure, caching and pooling."""
+    """One cell's characterization: the unit of failure and caching."""
 
-    __slots__ = ("cell", "key", "entries", "result", "error", "requeued")
+    __slots__ = ("cell", "key", "entries", "result", "error")
 
     def __init__(self, cell: Cell, key: Optional[str],
                  entries: Optional[Sequence[Tuple[CellPin, DrivePolarity]]] = None) -> None:
@@ -381,7 +380,6 @@ class _CharzTask:
             for polarity in (DrivePolarity.RISE, DrivePolarity.FALL)]
         self.result: Optional[CellCharacterization] = None
         self.error: Optional[BaseException] = None
-        self.requeued = False
 
 
 def _flow_signature(
@@ -421,7 +419,6 @@ def characterize_library(
     subsample_factor: int = 4,
     method: str = "auto",
     adaptive: Optional[AdaptiveConfig] = None,
-    workers: int = 1,
     cache: Union[CoefficientCache, str, os.PathLike, None] = None,
 ) -> LibraryCharacterization:
     """Characterize every cell of a library (the full preprocessing pass).
@@ -436,17 +433,6 @@ def characterize_library(
     adaptive:
         Adaptive-sampling settings; ``None`` keeps the paper's fixed
         grid.
-    workers:
-        Fan cells out over this many supervised pool workers (worker
-        death and hangs are recovered with the re-queue-once policy of
-        :class:`~repro.service.pool.EnginePool`).  1 runs inline, all
-        cells in one lockstep batch.  The workers are threads and share
-        the fit plans, but each batches only its own cell's entries and
-        the fitting is NumPy under the interpreter lock: with the
-        analytical SPICE stand-in the pool is *slower* than inline
-        (``pool_speedup`` in ``BENCH_kernels.json``).  It pays when a
-        SPICE evaluation is expensive and releases the lock — a real
-        simulator behind :class:`AnalyticalSpice`'s interface.
     cache:
         A :class:`~repro.core.charz_cache.CoefficientCache` (or a cache
         directory path) keyed by cell/corner/space/flow fingerprints;
@@ -457,7 +443,9 @@ def characterize_library(
     Every other cell completes and is stored in ``cache`` before
     :class:`~repro.errors.CharacterizationError` is raised for the
     first failed cell in library order, so a re-run pays only for the
-    cells that failed.
+    cells that failed.  What is not an ``Exception`` — an injected
+    ``charz.fit:die`` (:class:`~repro.faults.WorkerDeathError`), an
+    interrupt — propagates before anything is stored.
     """
     spice = spice or AnalyticalSpice()
     space = space or ParameterSpace.paper_default()
@@ -479,12 +467,8 @@ def characterize_library(
                 continue
         pending.append(_CharzTask(cell, key))
 
-    plans = _FitPlans(space, n, subsample_factor, method, adaptive)
-    if workers > 1 and len(pending) > 1:
-        _run_pooled(pending, lambda task: _characterize(spice, [task], plans),
-                    workers)
-    else:
-        _characterize(spice, pending, plans)
+    _characterize(spice, pending,
+                  _FitPlans(space, n, subsample_factor, method, adaptive))
 
     failed: Optional[_CharzTask] = None
     for task in pending:
@@ -495,9 +479,6 @@ def characterize_library(
             cache.put(task.key, task.result)
         cells[task.cell.name] = task.result
     if failed is not None:
-        if failed.error is None:
-            raise CharacterizationError(
-                f"characterization of {failed.cell.name} was lost")
         raise CharacterizationError(
             f"characterization of {failed.cell.name} failed: {failed.error}"
         ) from failed.error
@@ -511,33 +492,6 @@ def characterize_library(
         n_out = n
     return LibraryCharacterization(
         library=library, space=space, n=n_out, cells=ordered)
-
-
-def _run_pooled(pending: List[_CharzTask], work, workers: int) -> None:
-    """Execute the tasks on a supervised :class:`EnginePool`.
-
-    A handler exception fails only that task (surfaced after the drain);
-    an injected worker death is recovered by the pool's replace-and-
-    re-queue-once supervision, so a single ``charz.fit:die`` still
-    yields a complete library.
-    """
-    from repro.service.pool import EnginePool
-
-    def lost(task: _CharzTask, error: BaseException) -> None:
-        task.error = error
-
-    pool = EnginePool(
-        workers=min(workers, len(pending)),
-        handler=work,
-        on_batch_lost=lost,
-        hang_timeout_s=300.0,
-        name="repro-charz",
-    )
-    try:
-        for task in pending:
-            pool.submit(task)
-    finally:
-        pool.close()
 
 
 # -- the lockstep flow -------------------------------------------------------------
@@ -686,9 +640,7 @@ class _FitPlans:
 
     Owned by one ``characterize_*`` call and dropped with it: a cold
     call pays for building each geometry once, and nothing outlives the
-    call or is shared between calls.  Pool workers of one call share it
-    unlocked — two threads may build the same geometry, the first one
-    stored wins, and both are equal.
+    call or is shared between calls.
     """
 
     def __init__(self, space: ParameterSpace, n: int, subsample_factor: int,
@@ -711,8 +663,7 @@ class _FitPlans:
         key = (v_axis.tobytes(), c_axis.tobytes())
         found = self._geometries.get(key)
         if found is None:
-            found = self._geometries.setdefault(
-                key, _Geometry(self.flow, v_axis, c_axis))
+            found = self._geometries[key] = _Geometry(self.flow, v_axis, c_axis)
         return found
 
     def refinement(self, geometry: _Geometry, axis: int, interval: int) -> _Refinement:

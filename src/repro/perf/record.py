@@ -78,13 +78,12 @@ ratio — the payoff of incremental re-simulation inside a feedback loop
 that keeps revisiting the settled operating point.
 
 The characterization scenario (``characterization_{fixed,adaptive,
-pool,warm_cache}``) characterizes the cell library once on the fixed
-12×9 SPICE grid, once with the error-driven adaptive sampler, once
-through the fitting worker pool, and once against a warm coefficient
-cache.  ``characterization_speedups`` records the SPICE-evaluation
-ratio, the worst fit error of both flows against the fixed grid's
-bilinear reference (the Fig. 4/5 yardstick), the pool scaling, the
-warm-cache evaluation count, and the wall account: ``wall_speedup``
+warm_cache}``) characterizes the cell library once on the fixed 12×9
+SPICE grid, once with the error-driven adaptive sampler, and once
+against a warm coefficient cache.  ``characterization_speedups``
+records the SPICE-evaluation ratio, the worst fit error of both flows
+against the fixed grid's bilinear reference (the Fig. 4/5 yardstick),
+the warm-cache evaluation count, and the wall account: ``wall_speedup``
 (fixed wall / adaptive wall, below 1 against the analytical stand-in)
 and ``break_even_us_per_evaluation`` — the SPICE cost per evaluation
 above which the evaluations saved pay for the extra fitting.  Three of
@@ -256,7 +255,6 @@ INCR_FLIP_ONE_IN = 32
 #: ratios and hold on the subset too.
 CHARZ_FAMILIES_QUICK = ("INV", "NAND2", "NOR2", "BUF")
 CHARZ_PARITY_GRID = 64
-CHARZ_POOL_WORKERS = 4
 #: Adaptive characterization must spend at least this many times fewer
 #: SPICE delay evaluations than the 12×9 fixed grid.
 CHARZ_EVAL_RATIO_FLOOR = 3.0
@@ -845,18 +843,16 @@ def bench_fault_seams(backend_name: str, num_patterns: int,
         overhead_fraction=overhead)
 
 
-def bench_characterization(quick: bool = False,
-                           workers: int = CHARZ_POOL_WORKERS) -> List[dict]:
-    """Fixed-grid vs adaptive vs pooled vs warm-cache characterization.
+def bench_characterization(quick: bool = False) -> List[dict]:
+    """Fixed-grid vs adaptive vs warm-cache characterization.
 
-    Four entries, all backend-independent (``backend="numpy"`` — the
+    Three entries, all backend-independent (``backend="numpy"`` — the
     SPICE stand-in is pure NumPy): the full library on the fixed 12×9
-    grid, the same library through the error-driven adaptive sampler
-    (sequential, then through the fitting worker pool), and a repeat
-    adaptive run against a pre-warmed coefficient cache.  Each entry's
-    params carry the SPICE ``delay_evaluations`` it performed; the
-    fixed/adaptive entries also carry their worst fit error against the
-    fixed grid's bilinear reference on a
+    grid, the same library through the error-driven adaptive sampler,
+    and a repeat adaptive run against a pre-warmed coefficient cache.
+    Each entry's params carry the SPICE ``delay_evaluations`` it
+    performed; the fixed/adaptive entries also carry their worst fit
+    error against the fixed grid's bilinear reference on a
     :data:`CHARZ_PARITY_GRID`² probe — the Fig. 4/5 accuracy metric
     that :func:`compare_reports` gates.
     """
@@ -902,11 +898,6 @@ def bench_characterization(quick: bool = False,
             adaptive_worst = max(adaptive_worst, float(np.abs(
                 other.fit.polynomial.evaluate(nv, nc) - reference).max()))
 
-    spice = AnalyticalSpice()
-    start = time.perf_counter()
-    characterize_library(library, spice, adaptive=config, workers=workers)
-    pool_wall = time.perf_counter() - start
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = CoefficientCache(tmp)
         characterize_library(library, AnalyticalSpice(), adaptive=config,
@@ -927,8 +918,6 @@ def bench_characterization(quick: bool = False,
                adaptive_evals, delay_evaluations=adaptive_evals,
                worst_error=adaptive_worst, target_error=config.target_error,
                budget=config.budget, **common),
-        _entry("characterization_pool", "numpy", pool_wall, adaptive_evals,
-               delay_evaluations=adaptive_evals, workers=workers, **common),
         _entry("characterization_warm_cache", "numpy", warm_wall, warm_evals,
                delay_evaluations=warm_evals, **common),
     ]
@@ -1162,7 +1151,7 @@ def _parametric_ratios(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
 
 
 def _characterization_speedups(benchmarks: List[dict]) -> dict:
-    """Adaptive-vs-fixed characterization: evaluations, parity, cache, pool."""
+    """Adaptive-vs-fixed characterization: evaluations, parity, cache."""
     by_name = {entry["name"]: entry for entry in benchmarks
                if entry["name"].startswith("characterization_")}
     fixed = by_name.get("characterization_fixed")
@@ -1191,11 +1180,6 @@ def _characterization_speedups(benchmarks: List[dict]) -> dict:
     if warm is not None:
         section["warm_cache_evaluations"] = \
             warm["params"]["delay_evaluations"]
-    pool = by_name.get("characterization_pool")
-    if pool is not None and pool["wall_seconds"] > 0:
-        section["pool_workers"] = pool["params"]["workers"]
-        section["pool_speedup"] = \
-            adaptive["wall_seconds"] / pool["wall_seconds"]
     return section
 
 
@@ -1425,9 +1409,8 @@ def _print_summary(report: dict, stream=None) -> None:
               f"{charz['adaptive_evaluations']}), worst error "
               f"{charz['adaptive_worst_error']:.4f} vs fixed "
               f"{charz['fixed_worst_error']:.4f}, warm cache "
-              f"{charz.get('warm_cache_evaluations', 'n/a')} evals, "
-              f"pool({charz.get('pool_workers', '?')}) "
-              f"{charz.get('pool_speedup', 0.0):.2f}x", file=stream)
+              f"{charz.get('warm_cache_evaluations', 'n/a')} evals",
+              file=stream)
         break_even = charz.get("break_even_us_per_evaluation")
         if break_even is not None and charz.get("wall_speedup"):
             print(f"  characterization: adaptive takes "

@@ -71,7 +71,6 @@ from repro.simulation.gpu import (
     _BatchStats,
 )
 from repro.simulation.grid import SlotPlan
-from repro.simulation.multi import _merge_stats
 from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CampaignConfig", "CampaignRunner"]
@@ -168,9 +167,8 @@ def _campaign_chunk(
 class CampaignRunner:
     """Checkpointing, self-healing executor for slot-plane sweeps.
 
-    Same result contract as :meth:`GpuWaveSim.run` /
-    :meth:`MultiDeviceWaveSim.run`; additionally the returned
-    :class:`SimulationResult` carries a
+    Same result contract as :meth:`GpuWaveSim.run`; additionally the
+    returned :class:`SimulationResult` carries a
     :class:`~repro.runtime.report.RunReport` in ``result.report``.
     """
 
@@ -446,7 +444,7 @@ class _Execution:
             return False
         attempts.append(AttemptReport(
             ENGINE_WORKER, config.waveform_capacity, budget, elapsed))
-        _merge_stats(self.totals, stats)
+        self.totals.merge(stats)
         self.stitch(index, chunk_waveforms)
         self.checkpoint(index, chunk_waveforms)
         return False
@@ -480,7 +478,7 @@ class _Execution:
                 attempts.append(AttemptReport(
                     ENGINE_IN_PROCESS, config.waveform_capacity, budget,
                     _time.perf_counter() - started))
-                _merge_stats(self.totals, engine.last_stats)
+                self.totals.merge(engine.last_stats)
                 self.stitch(index, result.plane)
                 self.checkpoint(index, result.plane)
                 return

@@ -14,9 +14,8 @@ pay off.  The shape is deliberately that of an inference server:
   (:mod:`repro.service.batcher`), per compatibility group;
 * **engine pool** — worker threads each owning their engine instances
   (the waveform-arena pool is per engine and not thread-safe); batches
-  dispatch through :class:`~repro.simulation.gpu.GpuWaveSim` or, with
-  ``num_devices > 1``, :class:`~repro.simulation.multi.MultiDeviceWaveSim`;
-  with ``shards > 0`` the pool is replaced wholesale by a
+  dispatch through :class:`~repro.simulation.gpu.GpuWaveSim`; with
+  ``shards > 0`` the pool is replaced wholesale by a
   :class:`~repro.service.router.ShardRouter` over spawned worker
   *processes* — compatibility groups map to shards by consistent hash,
   stimuli and result waveforms move through shared-memory planes
@@ -132,10 +131,8 @@ class SimulationService:
         self._circuits_lock = threading.Lock()
         # Delta evaluation needs the engine-level capture/delta kwargs
         # and a parent-side base ring; with shards the ring lives inside
-        # each shard process instead (arenas never cross a pipe), and
-        # the multi-device engine has no delta path.
+        # each shard process instead (arenas never cross a pipe).
         self._delta_enabled = (self.config.shards == 0
-                               and self.config.num_devices == 1
                                and self.config.delta_bases > 0
                                and self.config.cache_entries > 0)
         self._cache = ResultCache(
@@ -586,16 +583,10 @@ class SimulationService:
         key = (circuit_key, config)
         engine = engines.get(key)
         if engine is None:
+            from repro.simulation.gpu import GpuWaveSim
             compiled = self.circuit(circuit_key)
-            if self.config.num_devices > 1:
-                from repro.simulation.multi import MultiDeviceWaveSim
-                engine = MultiDeviceWaveSim(
-                    compiled.circuit, compiled.library, config=config,
-                    compiled=compiled, num_devices=self.config.num_devices)
-            else:
-                from repro.simulation.gpu import GpuWaveSim
-                engine = GpuWaveSim(compiled.circuit, compiled.library,
-                                    config=config, compiled=compiled)
+            engine = GpuWaveSim(compiled.circuit, compiled.library,
+                                config=config, compiled=compiled)
             engines[key] = engine
         return engine
 
@@ -661,7 +652,7 @@ class SimulationService:
         capture = self._cache.captures(jobs[0].compat_key)
         if capture:
             kwargs["capture_base"] = True
-        if len(jobs) > 1 and self.config.num_devices == 1:
+        if len(jobs) > 1:
             # The engine unpacks the arena once per job, and all nets
             # only for the trailing jobs the ring will keep.  (A batch
             # of one gets its whole capture, which is already private.)

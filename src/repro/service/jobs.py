@@ -61,10 +61,6 @@ class ServiceConfig:
         with ``workers × circuits``.
     cache_entries:
         LRU result-cache capacity in jobs (``0`` disables caching).
-    num_devices:
-        ``> 1`` dispatches batches through
-        :class:`~repro.simulation.multi.MultiDeviceWaveSim` with that
-        many worker processes per batch.
     hang_timeout_s:
         A batch executing longer than this is declared hung: its worker
         slot is abandoned and replaced, the batch re-queued once (see
@@ -85,8 +81,9 @@ class ServiceConfig:
         the in-process engine pool: compatibility groups map to shards
         by consistent hash, stimuli and result waveforms travel through
         shared-memory planes, and dead shards are respawned with their
-        in-flight batches re-queued once.  Mutually exclusive with
-        ``num_devices > 1`` (a shard is already a process).
+        in-flight batches re-queued once.  This is the only way engine
+        work leaves the service's process (the paper's multi-GPU
+        outlook: independent slot groups on separate devices).
     shard_ring_slots:
         Input/result ring slots per shard — the per-shard pipelining
         depth (batches packed or awaiting demux at once).
@@ -136,7 +133,6 @@ class ServiceConfig:
     block_timeout_s: Optional[float] = None
     workers: int = 1
     cache_entries: int = 256
-    num_devices: int = 1
     hang_timeout_s: float = 30.0
     supervisor_tick_s: float = 0.05
     breaker_failures: int = 5
@@ -164,8 +160,6 @@ class ServiceConfig:
             raise ServiceError("workers must be positive")
         if self.cache_entries < 0:
             raise ServiceError("cache_entries must be >= 0")
-        if self.num_devices < 1:
-            raise ServiceError("num_devices must be positive")
         if self.hang_timeout_s <= 0 or self.supervisor_tick_s <= 0:
             raise ServiceError("supervision timings must be positive")
         if self.breaker_failures < 1:
@@ -174,10 +168,6 @@ class ServiceConfig:
             raise ServiceError("breaker_reset_s must be >= 0")
         if self.shards < 0:
             raise ServiceError("shards must be >= 0")
-        if self.shards > 0 and self.num_devices > 1:
-            raise ServiceError(
-                "shards and num_devices are mutually exclusive "
-                "(a shard is already a process)")
         if self.shard_ring_slots < 1:
             raise ServiceError("shard_ring_slots must be positive")
         if self.shard_queue_depth < 1:

@@ -67,14 +67,12 @@ class EnginePool:
         hang_timeout_s: float = 30.0,
         tick_s: float = 0.05,
         on_tick: Optional[Callable[[], None]] = None,
-        name: str = "repro-service",
     ) -> None:
         self._handler = handler
         self._on_batch_lost = on_batch_lost
         self._hang_timeout_s = hang_timeout_s
         self._tick_s = tick_s
         self._on_tick = on_tick
-        self._name = name
         self._queue: "_queue.Queue" = _queue.Queue()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -87,7 +85,7 @@ class EnginePool:
         self._slots = [self._spawn(index) for index in range(workers)]
         self._stop_supervisor = threading.Event()
         self._supervisor = threading.Thread(
-            target=self._supervise, name=f"{name}-supervisor", daemon=True)
+            target=self._supervise, name="repro-service-supervisor", daemon=True)
         self._supervisor.start()
 
     # -- submission -----------------------------------------------------------
@@ -113,7 +111,7 @@ class EnginePool:
         self._serial += 1
         slot.thread = threading.Thread(
             target=self._worker_loop, args=(slot,),
-            name=f"{self._name}-worker-{index}.{self._serial}", daemon=True)
+            name=f"repro-service-worker-{index}.{self._serial}", daemon=True)
         slot.thread.start()
         return slot
 

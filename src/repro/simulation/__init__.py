@@ -23,7 +23,6 @@ from repro.simulation.grid import SlotPlan
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.simulation.event_driven import EventDrivenSimulator
 from repro.simulation.gpu import GpuWaveSim
-from repro.simulation.multi import MultiDeviceWaveSim
 from repro.simulation.pool import (
     clear_engine_pool,
     engine_pool_stats,
@@ -51,5 +50,4 @@ __all__ = [
     "ZeroDelaySimulator",
     "EventDrivenSimulator",
     "GpuWaveSim",
-    "MultiDeviceWaveSim",
 ]

@@ -2,9 +2,8 @@
 
 from repro.waveform.waveform import Waveform
 from repro.waveform.inertial import cancel_monotonic, filter_inertial
-from repro.waveform.packed import PackedWaveforms
 from repro.waveform.plane import WaveformPlane
 from repro.waveform.vcd import dump_vcd, result_to_vcd
 
 __all__ = ["Waveform", "cancel_monotonic", "filter_inertial",
-           "PackedWaveforms", "WaveformPlane", "dump_vcd", "result_to_vcd"]
+           "WaveformPlane", "dump_vcd", "result_to_vcd"]

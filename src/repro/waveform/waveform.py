@@ -6,7 +6,7 @@ increasing sequence of **toggle times**: every listed time flips the
 signal.  This compact form carries complete glitch information — exactly
 what the paper needs for glitch-accurate switching-activity analysis —
 while staying trivially mappable to fixed-capacity GPU memory
-(:mod:`repro.waveform.packed`).
+(:mod:`repro.waveform.plane`).
 """
 
 from __future__ import annotations

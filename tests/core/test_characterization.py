@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -229,20 +228,7 @@ class TestAdaptiveCharacterization:
         assert tight.evaluations >= loose.evaluations
 
 
-class TestParallelCharacterization:
-    def test_pooled_matches_inline(self, library):
-        subset = library.select(["INV", "NAND2", "NOR2"])
-        inline = characterize_library(subset, AnalyticalSpice(),
-                                      adaptive=AdaptiveConfig())
-        pooled = characterize_library(subset, AnalyticalSpice(),
-                                      adaptive=AdaptiveConfig(), workers=4)
-        assert set(pooled.cells) == set(inline.cells)
-        for name, cell_char in inline.cells.items():
-            for a, b in zip(cell_char.pins, pooled.cells[name].pins):
-                np.testing.assert_array_equal(
-                    a.fit.polynomial.coefficients,
-                    b.fit.polynomial.coefficients)
-
+class TestInjectedFitFaults:
     def test_injected_fit_failure_surfaces(self, library):
         from repro import faults
         subset = library.select(["INV"])
@@ -251,13 +237,33 @@ class TestParallelCharacterization:
                 characterize_library(subset, AnalyticalSpice())
         assert "charz.fit" in str(info.value)
 
-    def test_pool_survives_worker_death(self, library):
+    @pytest.mark.parametrize("nth", [1, 40], ids=["first-fit", "mid-refinement"])
+    def test_worker_death_propagates_and_stores_nothing(self, library, tmp_path,
+                                                        nth):
+        """A ``die`` is no cell failure: nothing supervises the inline
+        flow, so the death reaches the caller before any cell is written
+        to the cache — also once every entry of a cell has fitted."""
         from repro import faults
-        subset = library.select(["INV", "NAND2"])
-        with faults.injected("charz.fit:die@n=1"):
-            result = characterize_library(subset, AnalyticalSpice(),
-                                          workers=2)
-        assert set(result.cells) == {cell.name for cell in subset}
+        from repro.core.charz_cache import CoefficientCache
+
+        subset = library.select(["INV", "NAND2", "NOR2"])
+        cache_dir = tmp_path / "charz"
+        CoefficientCache.clear_memo()
+        try:
+            with faults.injected(f"charz.fit:die@n={nth}"):
+                with pytest.raises(faults.WorkerDeathError):
+                    characterize_library(subset, AnalyticalSpice(),
+                                         adaptive=AdaptiveConfig(),
+                                         cache=str(cache_dir))
+            assert not cache_dir.exists()  # created by the first store
+
+            CoefficientCache.clear_memo()  # fresh-process equivalent
+            spice = AnalyticalSpice()
+            rerun = characterize_library(subset, spice, adaptive=AdaptiveConfig(),
+                                         cache=str(cache_dir))
+            assert spice.delay_evaluations == rerun.total_evaluations()
+        finally:
+            CoefficientCache.clear_memo()
 
 
 # -- lockstep characterization: bit-identity, batching, pay-once, failure ---------
@@ -441,25 +447,15 @@ class TestBatchingIsInvisible:
 
     @pytest.mark.parametrize("config", sorted(BATCH_CONFIGS))
     def test_public_batch_shapes_agree(self, batch_subset, batch_references, config):
-        """Batch of one, per cell, all at once, workers=1 vs workers=4."""
+        """Batch of one, per cell and all at once agree bit for bit."""
         adaptive = BATCH_CONFIGS[config]
         reference = batch_references[config]
-        # More workers than cores and a 10 µs switch interval: the pool
-        # threads race to build the shared plans' geometries.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            pooled = characterize_library(batch_subset, AnalyticalSpice(),
-                                          adaptive=adaptive, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
         for cell in batch_subset:
             per_cell = characterize_cell(AnalyticalSpice(), cell, adaptive=adaptive)
-            for entry, other in zip(per_cell.pins, pooled.cells[cell.name].pins):
+            for entry in per_cell.pins:
                 expected = full_record(reference[
                     (entry.cell_name, entry.pin_name, entry.polarity)])
                 assert full_record(entry) == expected
-                assert full_record(other) == expected
                 alone = characterize_pin(
                     AnalyticalSpice(), cell, cell.pins[entry.pin_index],
                     entry.polarity, adaptive=adaptive)
@@ -554,8 +550,7 @@ class TestPayOnce:
 class TestFailureIsolation:
     """A failing entry fails its cell; every other cell completes and is cached."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_failed_cell_alone_is_recharacterized(self, library, tmp_path, workers):
+    def test_failed_cell_alone_is_recharacterized(self, library, tmp_path):
         from repro import faults
         from repro.core.charz_cache import CoefficientCache
 
@@ -569,7 +564,7 @@ class TestFailureIsolation:
             with faults.injected("charz.fit:raise@n=40"):
                 with pytest.raises(CharacterizationError) as info:
                     characterize_library(subset, AnalyticalSpice(), adaptive=config,
-                                         workers=workers, cache=cache_dir)
+                                         cache=cache_dir)
             message = str(info.value)
             assert "charz.fit" in message
             failed = [cell.name for cell in subset
@@ -586,10 +581,8 @@ class TestFailureIsolation:
         finally:
             CoefficientCache.clear_memo()
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("good_calls", [0, 1], ids=["seed", "first-line"])
-    def test_spice_failure_fails_its_cell_only(self, library, tmp_path, workers,
-                                               good_calls):
+    def test_spice_failure_fails_its_cell_only(self, library, tmp_path, good_calls):
         """SPICE rejects one entry — in the seed stack, or in the stack of
         its first refinement line: the stack is replayed entry by entry."""
         from repro.core.charz_cache import CoefficientCache
@@ -620,7 +613,7 @@ class TestFailureIsolation:
             spice.model = Diverging()
             with pytest.raises(CharacterizationError) as info:
                 characterize_library(subset, spice, adaptive=config,
-                                     workers=workers, cache=cache_dir)
+                                     cache=cache_dir)
             assert "characterization of NAND2_X1 failed" in str(info.value)
             assert isinstance(info.value.__cause__, RuntimeError)
             assert "did not converge" in str(info.value.__cause__)

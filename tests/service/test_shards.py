@@ -333,10 +333,6 @@ class TestShardFaultSeams:
 
 
 class TestShardConfig:
-    def test_shards_and_num_devices_are_exclusive(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(shards=2, num_devices=2)
-
     def test_negative_shards_rejected(self):
         with pytest.raises(ServiceError):
             ServiceConfig(shards=-1)

@@ -8,9 +8,10 @@ from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.event_driven import EventDrivenSimulator
-from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.gpu import GpuWaveSim, _BatchStats
 from repro.simulation.grid import SlotPlan
 from repro.simulation.zero_delay import ZeroDelaySimulator
+from repro.waveform.plane import WaveformPlane
 
 
 def make_pairs(circuit, count, seed=0):
@@ -222,6 +223,27 @@ class TestValidation:
         for local, slot in enumerate([3, 4, 5]):
             assert_equivalent(whole, slot, chunk, local,
                               small_circuit.nets())
+
+        # A multi-voltage plane run as chunks and stitched back equals
+        # the whole-plane run, and the chunks' merged stats its stats.
+        plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
+        whole = sim.run(pairs, plan=plan, kernel_table=kernel_table,
+                        variation=variation)
+        expected = sim.last_stats
+        planes, merged = [], _BatchStats()
+        for indices, sub in plan.batches(5):
+            planes.append(sim.run(pairs, plan=sub, kernel_table=kernel_table,
+                                  variation=variation,
+                                  global_slots=indices).plane)
+            merged.merge(sim.last_stats)
+        stitched = WaveformPlane.concat(planes)
+        for slot in range(plan.num_slots):
+            for net in small_circuit.nets():
+                assert whole.waveform(slot, net).equivalent(
+                    stitched[slot][net], 0.0)
+        assert merged.gate_evaluations == expected.gate_evaluations
+        assert merged.lanes_skipped == expected.lanes_skipped
+        assert merged.batches == 3
 
     def test_engine_labels(self, library, small_circuit, kernel_table):
         """The engine label records delay mode and compute backend."""

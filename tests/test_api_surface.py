@@ -1,10 +1,23 @@
 """The public API surface must stay importable and coherent."""
 
 import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+#: Every subpackage (found, not listed, so a new one is covered too)
+#: plus the CLI module.
+SURFACE_MODULES = sorted(
+    [f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+     if info.ispkg] + ["repro.cli"])
+
+#: Modules deleted from the package: ``import repro`` must not load them.
+DELETED_MODULES = ("repro.simulation.multi", "repro.waveform.packed")
 
 
 class TestTopLevelApi:
@@ -15,15 +28,22 @@ class TestTopLevelApi:
     def test_version(self):
         assert repro.__version__.count(".") == 2
 
-    @pytest.mark.parametrize("module", [
-        "repro.cells", "repro.electrical", "repro.core", "repro.netlist",
-        "repro.waveform", "repro.simulation", "repro.timing", "repro.atpg",
-        "repro.analysis", "repro.avfs", "repro.experiments", "repro.cli",
-    ])
+    @pytest.mark.parametrize("module", SURFACE_MODULES)
     def test_subpackage_all_resolves(self, module):
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
+
+    def test_import_leaves_deleted_modules_unloaded(self):
+        # A fresh interpreter (other tests may have imported anything),
+        # importing this checkout's package.
+        root = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro; "
+                f"print([m for m in {DELETED_MODULES!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": root}).stdout
+        assert out.strip() == "[]"
 
     def test_no_accidental_shadowing(self):
         # names exported at top level must be the same objects as in their

@@ -48,13 +48,14 @@ class TestCharacterize:
         report_path = str(tmp_path / "report.json")
         cache_dir = str(tmp_path / "cache")
         assert main(["characterize", "--adaptive", "--budget", "30",
-                     "--target-error", "0.02", "--workers", "2",
+                     "--target-error", "0.02",
                      "--cache-dir", cache_dir, "--report", report_path,
                      "--output", out]) == 0
         assert "adaptive sampling" in capsys.readouterr().out
         with open(report_path, encoding="utf-8") as stream:
             report = json.load(stream)
         assert report["mode"] == "adaptive"
+        assert "workers" not in report
         assert report["evaluations"]["ratio_vs_fixed"] > 3.0
         assert report["evaluations"]["performed"] == \
             report["evaluations"]["charged"]

@@ -183,9 +183,6 @@ class TestRegressionGate:
              "wall_seconds": 2.0,
              "params": {"delay_evaluations": adaptive_evals,
                         "worst_error": adaptive_err}},
-            {"name": "characterization_pool", "backend": "numpy",
-             "wall_seconds": 1.0,
-             "params": {"delay_evaluations": adaptive_evals, "workers": 4}},
             {"name": "characterization_warm_cache", "backend": "numpy",
              "wall_seconds": 0.1,
              "params": {"delay_evaluations": warm_evals}},
@@ -195,8 +192,7 @@ class TestRegressionGate:
         section = record._characterization_speedups(self.charz_benchmarks())
         assert section["evaluation_ratio"] == pytest.approx(39960 / 12000)
         assert section["warm_cache_evaluations"] == 0
-        assert section["pool_speedup"] == pytest.approx(2.0)
-        assert section["pool_workers"] == 4
+        assert "pool_speedup" not in section
         assert section["wall_speedup"] == pytest.approx(2.0)
 
     def test_characterization_break_even(self):
