@@ -110,8 +110,6 @@ class DesignSpaceExplorer:
                                 attempts=[AttemptReport(
                                     engine=result.engine,
                                     waveform_capacity=stats.capacity_used,
-                                    memory_budget=self.simulator
-                                    .memory_budget,
                                     seconds=self.last_runtime,
                                     engine_retries=stats.retries)])],
             wall_seconds=self.last_runtime,

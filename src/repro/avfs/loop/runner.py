@@ -540,8 +540,6 @@ class ClosedLoopRunner:
                 attempts=[AttemptReport(
                     engine=engine_label,
                     waveform_capacity=stats.capacity_used if stats else 0,
-                    memory_budget=(self.simulator.memory_budget
-                                   if self.simulator else 0),
                     seconds=seconds,
                     engine_retries=stats.retries if stats else 0)]))
             gate_evaluations += int(lanes.gate_evaluations)

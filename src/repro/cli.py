@@ -7,7 +7,7 @@ Wraps the library's main flows for shell use:
 * ``sta``         — static timing analysis with optional voltage derating,
 * ``atpg``        — transition-fault + timing-aware pattern generation,
 * ``simulate``    — parallel voltage-sweep time simulation (+ VCD dump),
-* ``campaign``    — fault-tolerant sweep with checkpoint/resume,
+* ``campaign``    — checkpointed sweep on the service, resumable,
 * ``serve``       — JSON-lines simulation service with dynamic batching,
 * ``explore``     — AVFS design-space exploration / VF table,
 * ``avfs-loop``   — closed-loop AVFS scenario with disturbances,
@@ -272,13 +272,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         circuit, library,
         config=SimulationConfig(backend=args.backend),
-        campaign=CampaignConfig(
-            chunk_slots=args.chunk_slots,
-            num_workers=args.workers,
-            max_worker_attempts=args.max_attempts,
-            degrade_in_process=not args.no_degrade,
-            degrade_event_driven=not args.no_degrade,
-        ),
+        campaign=CampaignConfig(chunk_slots=args.chunk_slots,
+                                num_workers=args.workers),
     )
     result = runner.run(patterns.pairs, plan=plan, kernel_table=kernel_table,
                         variation=variation,
@@ -556,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="fault-tolerant sweep with checkpoint/resume")
+        help="checkpointed sweep with resume, run on the service")
     p.add_argument("circuit")
     p.add_argument("--patterns", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
@@ -565,13 +560,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default=None,
                    help="campaign directory for checkpoint/resume")
     p.add_argument("--chunk-slots", type=int, default=64,
-                   help="slots per chunk (retry/checkpoint granularity)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (0 = in-process only)")
-    p.add_argument("--max-attempts", type=int, default=3,
-                   help="worker attempts per chunk before degrading")
-    p.add_argument("--no-degrade", action="store_true",
-                   help="disable the in-process/event-driven fallbacks")
+                   help="slots per chunk (job/checkpoint granularity)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="shard processes (0 = in-process)")
     p.add_argument("--sigma", type=float, default=None,
                    help="Monte-Carlo process-variation sigma")
     p.add_argument("--variation-seed", type=int, default=0)

@@ -83,7 +83,7 @@ class CampaignError(ReproError):
 
 
 class PreflightError(CampaignError):
-    """A campaign failed validation before any worker was spawned."""
+    """A campaign failed validation before any chunk ran."""
 
 
 class CheckpointError(CampaignError):
@@ -91,11 +91,13 @@ class CheckpointError(CampaignError):
 
 
 class ChunkExecutionError(CampaignError):
-    """A slot-plane chunk failed after exhausting every retry and
-    degradation level.
+    """A campaign chunk's service job failed — after the service's own
+    recovery (requeue-once on a lost worker) — or was refused at submit.
 
-    ``attempts`` carries the per-attempt diagnostics (engine, capacity,
-    error) recorded by the runner up to the final failure.
+    Raised once every other chunk has run and checkpointed, for the
+    first failed chunk; a re-run resumes only the failed chunks.
+    ``attempts`` carries that chunk's per-attempt diagnostics (engine,
+    capacity, error).
     """
 
     def __init__(self, chunk_index: int, message: str, attempts=()) -> None:

@@ -15,7 +15,7 @@ Activation, outermost wins first:
    tests via the :func:`injected` context manager),
 2. else ``SimulationConfig.faults`` (:func:`ensure`, first engine wins),
 3. else the ``REPRO_FAULTS`` environment variable, parsed lazily on the
-   first seam crossing and inherited by campaign worker processes.
+   first seam crossing and inherited by shard processes.
 
 :func:`reset` clears all of it (tests only).
 """
@@ -110,8 +110,8 @@ def injected(plan: Union[FaultPlan, str]):
 def ensure(spec: Union[FaultPlan, str]) -> None:
     """Activate ``spec`` only if no plan is active yet (config path).
 
-    ``SimulationConfig.faults`` travels with jobs and pickled campaign
-    configs; the first engine constructed with it arms the plan, later
+    ``SimulationConfig.faults`` travels with jobs and the group configs
+    sent to shard processes; the first engine constructed with it arms the plan, later
     engines (and an explicitly activated plan) keep the existing one so
     per-site call counters are not silently reset mid-run.
     """

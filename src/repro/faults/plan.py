@@ -5,7 +5,7 @@ wrong where*: each :class:`FaultRule` names an instrumented site, a
 fault kind and a trigger (every nth call, or per-call probability).
 Plans round-trip through a compact spec string so one plan can travel
 through ``SimulationConfig.faults``, the ``REPRO_FAULTS`` environment
-variable (inherited by campaign worker processes) and the
+variable (inherited by shard processes) and the
 ``repro serve --faults`` flag unchanged::
 
     seed=11; backend.run_levels:raise@n=3; cache.get:corrupt@p=0.25;
@@ -74,8 +74,8 @@ class WorkerDeathError(BaseException):
     not be mistaken for a failed job.  Only supervised execution
     contexts handle it — the service engine pool exits the worker thread
     (leaving its in-flight batch for the supervisor to recover) and
-    campaign worker processes hard-exit (surfacing as the broken-pool
-    failure the retry ladder already absorbs).  Anywhere else it
+    shard processes hard-exit (the router finds the corpse, respawns the
+    shard and re-queues its in-flight batches once).  Anywhere else it
     propagates to the caller like a real worker loss would.
     """
 

@@ -1,11 +1,10 @@
-"""Fault-tolerant campaign runtime (checkpoint/resume, crash recovery).
+"""Campaign runtime (preflight, checkpoint/resume, run reports).
 
-The production layer above the simulation engines: it partitions a slot
-plane into chunks, executes them across worker processes with retry,
-backoff and a degradation ladder, persists completed chunks to a
-resumable checkpoint directory, and validates the whole campaign before
-the first worker spawns.  See :mod:`repro.runtime.campaign` for the
-execution model.
+The production layer above the simulation engines: it validates a
+campaign before any chunk runs, partitions its slot plane into chunks,
+submits them as jobs to a :class:`~repro.service.core.SimulationService`
+and persists completed chunks to a resumable checkpoint directory.  See
+:mod:`repro.runtime.campaign` for the execution model.
 """
 
 from repro.runtime.campaign import CampaignConfig, CampaignRunner

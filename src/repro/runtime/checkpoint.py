@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -83,17 +83,6 @@ class CheckpointStore:
 
     def has_chunk(self, index: int) -> bool:
         return self.chunk_path(index).exists()
-
-    def completed_chunks(self) -> Set[int]:
-        """Indices of chunk files present in the directory."""
-        found: Set[int] = set()
-        if not self.directory.exists():
-            return found
-        for path in self.directory.glob("chunk_*.npz"):
-            stem = path.stem.split("_", 1)[-1]
-            if stem.isdigit():
-                found.add(int(stem))
-        return found
 
     def save_chunk(self, index: int, waveforms) -> None:
         """Persist one chunk atomically — a

@@ -366,6 +366,7 @@ def job_fingerprint(
     config,
     kernel_table=None,
     variation=None,
+    first_slot: int = 0,
 ) -> str:
     """In-memory identity of one service job (result-cache key).
 
@@ -377,8 +378,14 @@ def job_fingerprint(
     worker to get it back.  Not a stored format (see the module
     docstring) and never equal to a compatibility digest of the same
     state: at least four framed fields follow the fork.
+
+    A nonzero ``first_slot`` (where the job's slots sit in the caller's
+    plane; Monte-Carlo die factors follow it) is fed last, so every
+    ``first_slot=0`` digest is the one it was before the field existed.
     """
     fp = _compatibility_state(compiled, config, kernel_table, variation)
     feed_stimuli(fp, pairs)
     feed_plan(fp, plan)
+    if first_slot:
+        fp.feed_text("first_slot", str(first_slot))
     return fp.hexdigest()

@@ -1,8 +1,8 @@
-"""Campaign preflight checks — fail fast, before any worker spawns.
+"""Campaign preflight checks — fail fast, before any chunk runs.
 
 A slot-plane campaign can burn hours of compute; every failure mode
-that is knowable up front should abort the run *before* the process
-pool starts.  :func:`validate_campaign` performs one pass over the
+that is knowable up front should abort the run *before* the first
+chunk is submitted.  :func:`validate_campaign` performs one pass over the
 campaign inputs and raises :class:`repro.errors.PreflightError` with a
 precise message on the first inconsistency:
 
@@ -10,7 +10,8 @@ precise message on the first inconsistency:
 * slot plan: indices non-negative and within the pattern set, voltages
   finite and positive,
 * delay model: static mode cannot span several operating points; the
-  kernel table (when given) must cover every cell type the compiled
+  kernel table (when given) must cover every plan voltage with its
+  fitted box ``[v_min, v_max]`` and every cell type the compiled
   circuit uses with matching type ids and enough pins,
 * SDF/library consistency: nominal delays finite and non-negative,
 * memory: the waveform-memory budget must hold at least one slot at
@@ -84,6 +85,14 @@ def validate_campaign(
             "a kernel table is required for multi-voltage plans"
         )
     if kernel_table is not None:
+        space = kernel_table.space
+        voltages = plan.distinct_voltages()
+        outside = voltages[(voltages < space.v_min)
+                           | (voltages > space.v_max)]
+        if outside.size:
+            raise PreflightError(
+                f"plan voltage {float(outside[0]):g} V is outside the "
+                f"kernel table's box [{space.v_min:g}, {space.v_max:g}] V")
         used_types = np.unique(compiled.gate_type_ids)
         for type_id in used_types.tolist():
             cell = compiled.library.cell_by_type_id(type_id)

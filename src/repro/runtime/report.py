@@ -1,12 +1,10 @@
-"""Structured diagnostics of a fault-tolerant campaign run.
+"""Structured diagnostics of a campaign, service job or AVFS run.
 
-Every chunk of the slot plane records the full history of its execution
-attempts — which engine ran it, at what waveform capacity and memory
-budget, how long it took and how it failed — so a finished (or aborted)
-campaign can answer "what actually happened" without log archaeology:
-how many worker crashes were absorbed, which chunks degraded to the
-in-process or event-driven engines, and how much waveform capacity had
-to grow.  The report travels on
+Every chunk of the slot plane records its execution attempts — which
+engine ran it, at what waveform capacity, how long it took, how often
+the engine re-ran slots inside it and how it failed — so a finished (or
+aborted) run can answer "what actually happened" without log
+archaeology.  The report travels on
 :attr:`repro.simulation.base.SimulationResult.report`.
 """
 
@@ -17,19 +15,13 @@ from typing import Dict, List, Optional
 
 __all__ = ["AttemptReport", "ChunkReport", "RunReport"]
 
-#: Engine identifiers used by the campaign runner, in degradation order.
-ENGINE_WORKER = "worker"
-ENGINE_IN_PROCESS = "in-process"
-ENGINE_EVENT_DRIVEN = "event-driven"
-
 
 @dataclass
 class AttemptReport:
     """One execution attempt of one chunk.
 
     ``error`` is ``None`` for the successful attempt; failed attempts
-    keep a one-line description of the exception (including worker
-    crashes, which surface as broken-pool errors).
+    keep a one-line description of the exception.
     ``waveform_capacity`` is the largest capacity the attempt ran at
     where the reporter has the engine's stats (the capacity it was
     configured with otherwise), and ``engine_retries`` the re-runs the
@@ -39,7 +31,6 @@ class AttemptReport:
 
     engine: str
     waveform_capacity: int
-    memory_budget: int
     seconds: float = 0.0
     error: Optional[str] = None
     engine_retries: int = 0
@@ -52,7 +43,6 @@ class AttemptReport:
         return {
             "engine": self.engine,
             "waveform_capacity": self.waveform_capacity,
-            "memory_budget": self.memory_budget,
             "seconds": self.seconds,
             "error": self.error,
             "engine_retries": self.engine_retries,
@@ -88,11 +78,6 @@ class ChunkReport:
                 return attempt.engine
         return None
 
-    @property
-    def degraded(self) -> bool:
-        """True when the chunk did not complete on the primary engine."""
-        return self.final_engine not in (None, ENGINE_WORKER)
-
     def to_dict(self) -> dict:
         return {
             "index": self.index,
@@ -127,8 +112,7 @@ class RunReport:
     #: Activity-pruning counters aggregated across every chunk's engine
     #: stats: lanes dispatched to the compute backends vs quiet lanes
     #: settled by the truth-table lookup (0 for reports predating sparse
-    #: evaluation, and for event-driven fallback chunks, which have no
-    #: lane accounting).
+    #: evaluation).
     gate_evaluations: int = 0
     lanes_skipped: int = 0
     #: Lanes served by splicing a cached base arena instead of any
@@ -179,10 +163,6 @@ class RunReport:
         return sum(c.retries for c in self.chunks)
 
     @property
-    def degraded_chunks(self) -> int:
-        return sum(1 for c in self.chunks if c.degraded)
-
-    @property
     def max_capacity_used(self) -> int:
         """Largest waveform capacity any successful attempt ran at."""
         capacities = [a.waveform_capacity for c in self.chunks
@@ -208,7 +188,6 @@ class RunReport:
             "chunks_executed": self.chunks_executed,
             "chunks_from_checkpoint": self.chunks_from_checkpoint,
             "total_retries": self.total_retries,
-            "degraded_chunks": self.degraded_chunks,
             "max_capacity_used": self.max_capacity_used,
             "gate_evaluations": self.gate_evaluations,
             "lanes_skipped": self.lanes_skipped,
@@ -232,8 +211,8 @@ class RunReport:
             f"  executed {self.chunks_executed}, from checkpoint "
             f"{self.chunks_from_checkpoint}"
             + (" (resumed)" if self.resumed else ""),
-            f"  retries {self.total_retries}, degraded chunks "
-            f"{self.degraded_chunks}, engines {self.engines_used() or ['-']}"
+            f"  retries {self.total_retries}, "
+            f"engines {self.engines_used() or ['-']}"
             + (f", backend {self.backend}" if self.backend else ""),
             f"  wall time {self.wall_seconds:.3f}s",
         ]

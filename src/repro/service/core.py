@@ -45,11 +45,12 @@ pay off.  The shape is deliberately that of an inference server:
   :mod:`repro.faults`.
 
 **Bit-identity contract.**  A job's waveforms are bit-identical to a
-standalone ``GpuWaveSim.run`` of the same request no matter which
-batch it coalesced into: the combined plane keeps every job's slots
-contiguous, pattern indices are offset per job, and ``global_slots``
-pins each slot's *job-local* index so Monte-Carlo die factors ignore
-the job's position in the batch.
+standalone ``GpuWaveSim.run`` of the same request (with
+``global_slots`` from its ``first_slot``) no matter which batch it
+coalesced into: the combined plane keeps every job's slots contiguous,
+pattern indices are offset per job, and ``global_slots`` pins each
+slot's own index (``first_slot`` + its position in the job) so
+Monte-Carlo die factors ignore the job's position in the batch.
 
 **Graceful shutdown.**  ``close()`` (or leaving the context manager)
 stops intake, flushes the batcher, drains in-flight batches and joins
@@ -267,6 +268,7 @@ class SimulationService:
         kernel_table=None,
         variation=None,
         deadline_ms: Optional[float] = None,
+        first_slot: int = 0,
     ) -> JobHandle:
         """Submit one job; returns a :class:`JobHandle` future.
 
@@ -281,6 +283,11 @@ class SimulationService:
         :class:`~repro.errors.JobDeadlineError` and the job is excluded
         from any batch it had not yet ridden.  Cache hits resolve
         immediately and never time out.
+
+        ``first_slot`` is where the job's slots sit in the caller's
+        plane: they run as global slots ``first_slot …
+        first_slot + n - 1``, so a Monte-Carlo job's die factors equal
+        those slots of a whole-plane run.
         """
         started = _time.monotonic()
         if self._closed:
@@ -294,8 +301,10 @@ class SimulationService:
         validate_job(compiled, pairs, plan, kernel_table)
         if deadline_ms is not None and deadline_ms <= 0:
             raise ServiceError("deadline_ms must be positive")
+        if first_slot < 0:
+            raise ServiceError("first_slot must be >= 0")
         fingerprint = job_fingerprint(compiled, pairs, plan, config,
-                                      kernel_table, variation)
+                                      kernel_table, variation, first_slot)
         self._metrics.record_submitted()
 
         cached = self._cache.get(fingerprint)
@@ -321,6 +330,7 @@ class SimulationService:
             circuit_key=circuit_key, pairs=pairs, plan=plan, config=config,
             kernel_table=kernel_table, variation=variation,
             fingerprint=fingerprint, compat_key=compat_key,
+            first_slot=first_slot,
         )
         if self._delta_enabled:
             job.delta = self._select_delta(job)
@@ -341,9 +351,10 @@ class SimulationService:
         Exact-fingerprint hits never reach here (they resolve above),
         so a selected plan always has *something* to re-evaluate — but
         a job repeating a base's stimuli under the same plane still
-        fully splices.  ``global_slots`` are job-local on both sides
-        (the combine step pins them), so Monte-Carlo eligibility holds
-        no matter which batches the base and the variant rode in.
+        fully splices.  ``global_slots`` are the jobs' own on both sides
+        (the combine step pins them from ``first_slot``), so Monte-Carlo
+        eligibility holds no matter which batches the base and the
+        variant rode in.
 
         Verify-on-select: the ring's candidates come unverified, and
         only the base the diff settles on is checksummed — a rotted one
@@ -355,10 +366,13 @@ class SimulationService:
             return None
         v1 = np.stack([pair.v1 for pair in job.pairs])
         v2 = np.stack([pair.v2 for pair in job.pairs])
+        global_slots = (np.arange(job.first_slot,
+                                  job.first_slot + job.num_slots)
+                        if job.first_slot else None)
         while candidates:
             selected = select_delta(
                 [entry.arena for entry in candidates], v1, v2,
-                job.plan.pattern_indices, job.plan.voltages, None,
+                job.plan.pattern_indices, job.plan.voltages, global_slots,
                 job.variation, self.config.delta_threshold)
             if selected is None:
                 return None
@@ -593,7 +607,7 @@ class SimulationService:
     def _execute_batch(self, batch: PendingBatch) -> None:
         # Jobs settled while queued (deadline expiry, cancellation) ride
         # no further: excluding them cannot change the other jobs'
-        # results because slot identity is job-local (``global_slots``).
+        # results because slot identity is the job's own (``global_slots``).
         jobs = [job for job in batch.jobs if not job.future.done()]
         if not jobs:
             return
@@ -626,10 +640,11 @@ class SimulationService:
             offsets.append(len(combined_pairs))
             combined_pairs.extend(job.pairs)
         plan = SlotPlan.concat([job.plan for job in jobs], offsets)
-        # Job-local slot indices: Monte-Carlo die factors must not
+        # Each job's own slot indices: Monte-Carlo die factors must not
         # depend on where in the shared plane a job landed.
         global_slots = np.concatenate(
-            [np.arange(job.num_slots, dtype=np.int64) for job in jobs])
+            [np.arange(job.first_slot, job.first_slot + job.num_slots,
+                       dtype=np.int64) for job in jobs])
         return combined_pairs, plan, global_slots
 
     def _run_and_demux(self, jobs: List[SimulationJob],
@@ -754,7 +769,6 @@ class SimulationService:
                                     attempts=[AttemptReport(
                                         engine=f"service:{engine_name}",
                                         waveform_capacity=capacity_used,
-                                        memory_budget=0,
                                         seconds=seconds,
                                         engine_retries=retries)])],
                 backend=backend,

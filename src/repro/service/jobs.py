@@ -210,6 +210,10 @@ class SimulationJob:
     #: submission against the cache's base ring; the batcher merges the
     #: plans of coalesced jobs into one batch-wide delta.
     delta: object = None
+    #: Global index of the job's first slot in the caller's plane
+    #: (``submit(first_slot=...)``); the combine step pins the job's
+    #: slots to ``first_slot …`` so die factors follow it.
+    first_slot: int = 0
 
     @property
     def num_slots(self) -> int:

@@ -7,7 +7,7 @@ small pickled descriptors; the actual payloads move through shared
 memory (:mod:`repro.service.shm`):
 
 * **stimuli in** — the parent packs a batch's pattern pairs, slot plane
-  and job-local ``global_slots`` into a parent-owned input plane; the
+  and per-job ``global_slots`` into a parent-owned input plane; the
   shard builds zero-copy views over that segment and hands them
   straight to :meth:`~repro.simulation.gpu.GpuWaveSim.run`;
 * **waveforms out** — the shard writes the result

@@ -188,11 +188,11 @@ class SimulationResult(PlaneAccessors):
     layer read the columns directly.  A plain list of ``{net:
     Waveform}`` dicts works the same, one object at a time.
 
-    ``report`` is populated by the fault-tolerant campaign runtime
+    ``report`` is populated by the campaign runtime
     (:mod:`repro.runtime`) with a structured
     :class:`~repro.runtime.report.RunReport` — per-chunk attempts,
-    retries, capacity growth and degraded-engine usage; plain engine
-    runs leave it ``None``.
+    retries, capacity used and failures; plain engine runs leave it
+    ``None``.
     """
 
     circuit_name: str

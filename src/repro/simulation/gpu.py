@@ -226,27 +226,6 @@ class _BatchStats:
             "pack": self.pack_seconds,
         }
 
-    def merge(self, other: Optional["_BatchStats"]) -> None:
-        """Fold another run's stats into these (a chunked plane's total)."""
-        if other is None:
-            return
-        self.gate_evaluations += other.gate_evaluations
-        self.kernel_calls += other.kernel_calls
-        self.kernel_iterations += other.kernel_iterations
-        self.retries += other.retries
-        self.slots_retried += other.slots_retried
-        self.capacity_used = max(self.capacity_used, other.capacity_used)
-        self.batches += other.batches
-        self.lanes_skipped += other.lanes_skipped
-        self.lanes_spliced += other.lanes_spliced
-        self.bytes_spliced += other.bytes_spliced
-        self.demotions.extend(other.demotions)
-        self.delay_seconds += other.delay_seconds
-        self.merge_seconds += other.merge_seconds
-        self.pack_seconds += other.pack_seconds
-        if other.backend:
-            self.backend = other.backend
-
     def record_walk(self, result, wall: float, spliced: bool,
                     capacity: int) -> None:
         """Account one ``backend.run_levels`` call; its masked-out

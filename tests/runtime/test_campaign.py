@@ -1,22 +1,24 @@
-"""Integration tests for the fault-tolerant campaign runner.
+"""Integration tests for the checkpointed campaign runner.
 
-The acceptance property: a campaign interrupted mid-run resumes from
-its checkpoint directory, re-executes only the missing chunks, and
-produces waveforms bit-identical to an uninterrupted single-device run
-— including the Monte-Carlo variation case, where die factors must be
-indexed by global slot and therefore survive chunking and resume.
+The acceptance property: a campaign — run in-process or on service
+shards, fresh or resumed from its checkpoint directory — produces
+waveforms bit-identical to one whole-plane ``GpuWaveSim.run``, including
+the Monte-Carlo variation case, where die factors are indexed by global
+slot and therefore survive chunking and resume.  Failures are the
+service's to recover; a chunk whose job still fails is reported, the
+others are checkpointed, and a re-run executes only that chunk.
 """
 
 import json
-import os
-import time
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.errors import CheckpointError, ChunkExecutionError, CampaignError
 from repro.netlist.generate import random_circuit
 from repro.runtime import CampaignConfig, CampaignRunner
+from repro.service import SimulationService
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
@@ -30,22 +32,32 @@ def setup(library):
     compiled = compile_circuit(circuit, library)
     rng = np.random.default_rng(17)
     pairs = [PatternPair.random(10, rng) for _ in range(8)]
+    # Two quiet pairs: their slots settle by lookup, so the campaign's
+    # lanes_skipped has something to sum.
+    pairs[2] = PatternPair(pairs[2].v1, pairs[2].v1)
+    pairs[5] = PatternPair(pairs[5].v2, pairs[5].v2)
     return circuit, compiled, pairs
+
+
+@pytest.fixture(params=["in-process", "shards"])
+def workers(request, shard_count):
+    return 0 if request.param == "in-process" else shard_count
 
 
 CONFIG = SimulationConfig(record_all_nets=True)
 
 
-def fast_campaign(**overrides):
-    defaults = dict(chunk_slots=3, num_workers=2, backoff_seconds=0.0)
-    defaults.update(overrides)
-    return CampaignConfig(**defaults)
-
-
-def make_runner(setup, library, **overrides):
+def make_runner(setup, library, config=CONFIG, **overrides):
     circuit, compiled, _pairs = setup
-    return CampaignRunner(circuit, library, config=CONFIG, compiled=compiled,
-                          campaign=fast_campaign(**overrides))
+    campaign = CampaignConfig(**dict(dict(chunk_slots=3), **overrides))
+    return CampaignRunner(circuit, library, config=config, compiled=compiled,
+                          campaign=campaign)
+
+
+def whole_plane(setup, library, pairs, **run_kwargs):
+    circuit, compiled, _pairs = setup
+    engine = GpuWaveSim(circuit, library, config=CONFIG, compiled=compiled)
+    return engine.run(pairs, **run_kwargs), engine.last_stats
 
 
 def assert_bit_identical(reference, result, circuit):
@@ -56,60 +68,37 @@ def assert_bit_identical(reference, result, circuit):
                 result.waveform(slot, net), 0.0), (slot, net)
 
 
-# -- fault-injection hooks (module level: must pickle into workers) ----------
-
-
-def crash_chunk_one(chunk_index, attempt):
-    if chunk_index == 1:
-        os._exit(13)
-
-
-def fail_chunk_zero_once(chunk_index, attempt):
-    if chunk_index == 0 and attempt == 0:
-        raise RuntimeError("transient glitch")
-
-
-def fail_always(chunk_index, attempt):
-    raise RuntimeError("worker permanently broken")
-
-
-def fail_from_chunk_two(chunk_index, attempt):
-    if chunk_index >= 2:
-        raise RuntimeError("injected mid-run failure")
-
-
-def hang_chunk_zero_once(chunk_index, attempt):
-    if chunk_index == 0 and attempt == 0:
-        time.sleep(3600)
+def chunk_files(directory):
+    return {int(path.stem.split("_")[-1])
+            for path in directory.glob("chunk_*.npz")}
 
 
 class TestHappyPath:
-    def test_matches_single_device(self, setup, library, kernel_table):
+    def test_matches_single_device(self, setup, library, kernel_table,
+                                   shard_count):
         circuit, compiled, pairs = setup
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(
+        reference, _stats = whole_plane(setup, library, pairs, plan=plan,
+                                        kernel_table=kernel_table)
+        result = make_runner(setup, library, num_workers=shard_count).run(
             pairs, plan=plan, kernel_table=kernel_table)
-        result = make_runner(setup, library).run(pairs, plan=plan,
-                                                 kernel_table=kernel_table)
-        assert result.engine == "campaign[2]"
+        assert result.engine == f"campaign[{shard_count}]"
         assert_bit_identical(reference, result, circuit)
         report = result.report
         assert report.num_chunks == 6
         assert report.chunks_executed == 6
         assert report.total_retries == 0
-        assert report.degraded_chunks == 0
         assert result.gate_evaluations == reference.gate_evaluations
 
     def test_in_process_mode(self, setup, library):
-        """num_workers=0 runs the whole plane without a process pool."""
+        """num_workers=0 (the default) runs every chunk in-process."""
         circuit, compiled, pairs = setup
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(pairs)
-        result = make_runner(setup, library, num_workers=0).run(pairs)
+        reference, _stats = whole_plane(setup, library, pairs)
+        result = make_runner(setup, library).run(pairs)
         assert result.engine == "campaign[0]"
         assert_bit_identical(reference, result, circuit)
-        assert result.report.engines_used() == ["in-process"]
+        (engine,) = result.report.engines_used()
+        assert engine.startswith("service:gpu-static")
 
     def test_empty_pairs_rejected(self, setup, library):
         with pytest.raises(CampaignError):
@@ -121,118 +110,121 @@ class TestHappyPath:
         payload = json.loads(json.dumps(result.report.to_dict()))
         assert payload["num_slots"] == len(pairs)
         assert len(payload["chunks"]) == result.report.num_chunks
+        assert "degraded_chunks" not in payload
+        assert "memory_budget" not in payload["chunks"][0]["attempts"][0]
 
 
-class TestWorkerRecovery:
-    def test_worker_crash_degrades_in_process(self, setup, library):
-        """A chunk that keeps killing its worker (BrokenProcessPool)
-        lands on the in-process engine; results stay bit-identical."""
+class TestWholePlane:
+    def test_variation_campaign_matches_whole_plane(self, setup, library,
+                                                    kernel_table, workers,
+                                                    tmp_path):
+        """Fresh and resumed, on either transport: the waveforms and the
+        lane counters are the whole-plane run's."""
         circuit, compiled, pairs = setup
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(pairs)
-        runner = make_runner(setup, library, max_worker_attempts=2,
-                             worker_fault=crash_chunk_one)
-        result = runner.run(pairs)
-        assert_bit_identical(reference, result, circuit)
-        chunk = result.report.chunks[1]
-        assert chunk.final_engine == "in-process"
-        assert chunk.retries >= 2
-        assert any("crashed" in (a.error or "") for a in chunk.attempts)
-        assert result.report.degraded_chunks >= 1
-
-    def test_transient_failure_retries_with_growth(self, setup, library):
-        """Retry k runs with doubled capacity and halved budget."""
-        circuit, compiled, pairs = setup
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(pairs)
-        runner = make_runner(setup, library,
-                             worker_fault=fail_chunk_zero_once)
-        result = runner.run(pairs)
-        assert_bit_identical(reference, result, circuit)
-        chunk = result.report.chunks[0]
-        assert chunk.final_engine == "worker"
-        assert chunk.retries == 1
-        failed, succeeded = chunk.attempts
-        assert "transient glitch" in failed.error
-        assert succeeded.waveform_capacity == 2 * failed.waveform_capacity
-        assert succeeded.memory_budget <= failed.memory_budget
-
-    def test_event_driven_last_resort(self, setup, library, kernel_table):
-        """With workers always failing and the in-process rung disabled,
-        chunks land on the reference engine — still bit-identical."""
-        circuit, compiled, pairs = setup
+        variation = ProcessVariation(sigma=0.08, seed=3)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(
-            pairs, plan=plan, kernel_table=kernel_table)
-        runner = make_runner(setup, library, max_worker_attempts=1,
-                             degrade_in_process=False,
-                             worker_fault=fail_always)
-        result = runner.run(pairs, plan=plan, kernel_table=kernel_table)
-        assert_bit_identical(reference, result, circuit)
-        assert result.report.engines_used() == ["event-driven"]
-        assert all(c.final_engine == "event-driven"
-                   for c in result.report.chunks)
+        reference, stats = whole_plane(setup, library, pairs, plan=plan,
+                                       kernel_table=kernel_table,
+                                       variation=variation)
+        assert stats.lanes_skipped > 0
+        runner = make_runner(setup, library, num_workers=workers)
+        directory = tmp_path / "campaign"
+        fresh = runner.run(pairs, plan=plan, kernel_table=kernel_table,
+                           variation=variation, checkpoint_dir=str(directory))
+        assert_bit_identical(reference, fresh, circuit)
+        assert fresh.report.gate_evaluations == stats.gate_evaluations
+        assert fresh.report.lanes_skipped == stats.lanes_skipped
 
-    def test_stuck_worker_is_killed_and_chunk_retried(self, setup, library,
-                                                      monkeypatch):
-        """No wait in the runtime is unbounded: a worker that never
-        returns is killed after the bound and its chunk retried."""
-        import repro.runtime.campaign as campaign
+        for index in (1, 4):
+            (directory / f"chunk_{index:05d}.npz").unlink()
+        resumed = runner.run(pairs, plan=plan, kernel_table=kernel_table,
+                             variation=variation,
+                             checkpoint_dir=str(directory))
+        assert resumed.report.resumed
+        assert [c.index for c in resumed.report.chunks
+                if c.attempts] == [1, 4]
+        assert_bit_identical(reference, resumed, circuit)
 
-        monkeypatch.setattr(campaign, "WORKER_WAIT_SECONDS", 5.0)
+
+class TestServiceRecovery:
+    def test_shard_death_is_absorbed(self, setup, library, monkeypatch):
+        """The last chunk's first dispatch kills its shard: the service
+        respawns it and re-queues the chunk once, and the campaign never
+        sees the loss."""
         circuit, compiled, pairs = setup
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(pairs)
-        runner = make_runner(setup, library,
-                             worker_fault=hang_chunk_zero_once)
-        result = runner.run(pairs)
-        assert_bit_identical(reference, result, circuit)
-        chunk = result.report.chunks[0]
-        assert chunk.retries >= 1
-        assert "crashed" in chunk.attempts[0].error
+        reference, _stats = whole_plane(setup, library, pairs)
+        metrics = []
+        close = SimulationService.close
 
-    def test_exhausted_ladder_raises(self, setup, library):
-        _circuit, _compiled, pairs = setup
-        runner = make_runner(setup, library, max_worker_attempts=1,
-                             degrade_in_process=False,
-                             degrade_event_driven=False,
-                             worker_fault=fail_always)
-        with pytest.raises(ChunkExecutionError) as excinfo:
-            runner.run(pairs)
-        assert excinfo.value.attempts
+        def recording_close(service, drain=True):
+            metrics.append(service.metrics())
+            close(service, drain)
+
+        monkeypatch.setattr(SimulationService, "close", recording_close)
+        # One shard runs the three chunks in order; its third dispatch
+        # dies, and the respawned shard's first dispatch is that chunk.
+        config = SimulationConfig(record_all_nets=True,
+                                  faults="shard.dispatch:die@n=3")
+        try:
+            result = make_runner(setup, library, config=config,
+                                 num_workers=1).run(pairs)
+        finally:
+            faults.reset()
+        assert_bit_identical(reference, result, circuit)
+        assert result.report.chunks_executed == 3
+        (snapshot,) = metrics
+        assert snapshot.workers_replaced == 1
+        assert snapshot.batches_requeued == 1
+        assert snapshot.jobs_failed == 0
+
+    def test_failed_chunk_raises_after_the_others_checkpoint(
+            self, setup, library, tmp_path):
+        circuit, compiled, pairs = setup
+        reference, _stats = whole_plane(setup, library, pairs)
+        directory = tmp_path / "campaign"
+        runner = make_runner(setup, library)
+        # The second chunk's job fails (in-process, its one dispatch).
+        with faults.injected("service.demux:raise@n=2"):
+            with pytest.raises(ChunkExecutionError) as excinfo:
+                runner.run(pairs, checkpoint_dir=str(directory))
+        assert excinfo.value.chunk_index == 1
+        assert "InjectedFaultError" in excinfo.value.attempts[-1].error
+        assert chunk_files(directory) == {0, 2}
+
+        result = runner.run(pairs, checkpoint_dir=str(directory))
+        report = result.report
+        assert report.resumed
+        assert [c.index for c in report.chunks if c.attempts] == [1]
+        assert report.chunks_from_checkpoint == 2
+        assert_bit_identical(reference, result, circuit)
 
 
 class TestCheckpointResume:
+    def run_interrupted(self, setup, library, tmp_path, **run_kwargs):
+        """First invocation: every chunk from the third on fails, so
+        exactly chunks 0 and 1 are checkpointed."""
+        _circuit, _compiled, pairs = setup
+        directory = tmp_path / "campaign"
+        with faults.injected("service.demux:raise@n=3,count=100"):
+            with pytest.raises(ChunkExecutionError) as excinfo:
+                make_runner(setup, library).run(
+                    pairs, checkpoint_dir=str(directory), **run_kwargs)
+        assert excinfo.value.chunk_index == 2
+        assert chunk_files(directory) == {0, 1}
+        return str(directory)
+
     def test_interrupted_campaign_resumes(self, setup, library, kernel_table,
                                           tmp_path):
         """The acceptance scenario: interrupt mid-run, resume, compare."""
         circuit, compiled, pairs = setup
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
-        directory = str(tmp_path / "campaign")
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(
-            pairs, plan=plan, kernel_table=kernel_table)
-
-        # First invocation dies on chunk 2 (no fallback engines), with
-        # chunks 0 and 1 already checkpointed.
-        broken = make_runner(setup, library, num_workers=1,
-                             max_worker_attempts=1,
-                             degrade_in_process=False,
-                             degrade_event_driven=False,
-                             worker_fault=fail_from_chunk_two)
-        with pytest.raises(ChunkExecutionError):
-            broken.run(pairs, plan=plan, kernel_table=kernel_table,
-                       checkpoint_dir=directory)
-        healthy = make_runner(setup, library)
-        completed = set(
-            int(p.stem.split("_")[-1])
-            for p in (tmp_path / "campaign").glob("chunk_*.npz"))
-        assert completed == {0, 1}
-
-        # Resume with a healthy runner: only the missing chunks run.
-        result = healthy.run(pairs, plan=plan, kernel_table=kernel_table,
-                             checkpoint_dir=directory)
+        reference, _stats = whole_plane(setup, library, pairs, plan=plan,
+                                        kernel_table=kernel_table)
+        directory = self.run_interrupted(setup, library, tmp_path, plan=plan,
+                                         kernel_table=kernel_table)
+        result = make_runner(setup, library).run(
+            pairs, plan=plan, kernel_table=kernel_table,
+            checkpoint_dir=directory)
         report = result.report
         assert report.resumed
         assert report.chunks_from_checkpoint == 2
@@ -247,20 +239,12 @@ class TestCheckpointResume:
         circuit, compiled, pairs = setup
         variation = ProcessVariation(sigma=0.08, seed=3)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
-        directory = str(tmp_path / "campaign_mc")
-        reference = GpuWaveSim(circuit, library, config=CONFIG,
-                               compiled=compiled).run(
-            pairs, plan=plan, kernel_table=kernel_table, variation=variation)
-
-        broken = make_runner(setup, library, num_workers=1,
-                             max_worker_attempts=1,
-                             degrade_in_process=False,
-                             degrade_event_driven=False,
-                             worker_fault=fail_from_chunk_two)
-        with pytest.raises(ChunkExecutionError):
-            broken.run(pairs, plan=plan, kernel_table=kernel_table,
-                       variation=variation, checkpoint_dir=directory)
-
+        reference, _stats = whole_plane(setup, library, pairs, plan=plan,
+                                        kernel_table=kernel_table,
+                                        variation=variation)
+        directory = self.run_interrupted(setup, library, tmp_path, plan=plan,
+                                         kernel_table=kernel_table,
+                                         variation=variation)
         result = make_runner(setup, library).run(
             pairs, plan=plan, kernel_table=kernel_table, variation=variation,
             checkpoint_dir=directory)

@@ -28,6 +28,23 @@ class TestStimuli:
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
         validate_campaign(compiled, pairs, plan, kernel_table=kernel_table)
 
+    def test_voltages_inside_the_kernel_box_pass(self, setup, kernel_table):
+        compiled, pairs = setup
+        space = kernel_table.space
+        plan = SlotPlan.cross(len(pairs), [space.v_min, space.v_max])
+        validate_campaign(compiled, pairs, plan, kernel_table=kernel_table)
+
+    def test_voltage_outside_the_kernel_box_fails(self, setup, kernel_table):
+        compiled, pairs = setup
+        space = kernel_table.space
+        plan = SlotPlan.cross(len(pairs), [space.v_nom, space.v_max + 0.01])
+        with pytest.raises(PreflightError,
+                           match=rf"{space.v_max + 0.01:g} V is outside "
+                                 rf"the kernel table's box \[{space.v_min:g}, "
+                                 rf"{space.v_max:g}\]"):
+            validate_campaign(compiled, pairs, plan,
+                              kernel_table=kernel_table)
+
     def test_empty_pairs(self, setup):
         compiled, _pairs = setup
         plan = SlotPlan.uniform(1, 0.8)

@@ -122,6 +122,46 @@ class TestBatchingAndBitIdentity:
                                  kernel_table=kernel_table,
                                  variation=variation)
 
+    @pytest.mark.parametrize("transport", ["in-process", "shards"])
+    def test_first_slot_places_the_job_in_the_plane(
+            self, circuit, library, compiled, kernel_table, shard_count,
+            transport):
+        """A ``first_slot=k`` job equals slots ``k … k+n-1`` of a
+        whole-plane Monte-Carlo run, and never shares a cache entry with
+        its ``first_slot=0`` twin."""
+        variation = ProcessVariation(sigma=0.05, seed=9)
+        pairs = make_jobs(circuit, 1, pairs_each=6, seed=21)[0]
+        first, count = 2, 3
+        job_pairs = pairs[first:first + count]
+        config = ServiceConfig(
+            shards=0 if transport == "in-process" else shard_count)
+        with SimulationService(config=config) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            placed = service.submit(key, job_pairs, kernel_table=kernel_table,
+                                    variation=variation, first_slot=first)
+            placed_result = placed.result(timeout=180)
+            twin = service.submit(key, job_pairs, kernel_table=kernel_table,
+                                  variation=variation)
+            twin_result = twin.result(timeout=180)
+        assert placed.fingerprint != twin.fingerprint
+        assert not twin_result.cache_hit
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        whole = engine.run(pairs, kernel_table=kernel_table,
+                           variation=variation)
+        differs = False
+        for local in range(count):
+            for net, ref in whole.waveforms[first + local].items():
+                got = placed_result.waveforms[local][net]
+                assert got.initial == ref.initial, (local, net)
+                assert np.array_equal(got.times, ref.times), (local, net)
+                other = twin_result.waveforms[local][net]
+                differs |= not np.array_equal(other.times, got.times)
+        assert differs  # the twin's die factors are slots 0 … n-1's
+        assert_bit_identical(job_pairs, twin_result, engine,
+                             kernel_table=kernel_table, variation=variation)
+
     def test_static_voltages_do_not_coalesce(self, circuit, library,
                                              compiled):
         """Two valid static jobs at different voltages must not share a

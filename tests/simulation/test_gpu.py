@@ -8,7 +8,7 @@ from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.event_driven import EventDrivenSimulator
-from repro.simulation.gpu import GpuWaveSim, _BatchStats
+from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.waveform.plane import WaveformPlane
@@ -225,25 +225,18 @@ class TestValidation:
                               small_circuit.nets())
 
         # A multi-voltage plane run as chunks and stitched back equals
-        # the whole-plane run, and the chunks' merged stats its stats.
+        # the whole-plane run.
         plan = SlotPlan.cross(len(pairs), [0.6, 0.9])
         whole = sim.run(pairs, plan=plan, kernel_table=kernel_table,
                         variation=variation)
-        expected = sim.last_stats
-        planes, merged = [], _BatchStats()
-        for indices, sub in plan.batches(5):
-            planes.append(sim.run(pairs, plan=sub, kernel_table=kernel_table,
-                                  variation=variation,
-                                  global_slots=indices).plane)
-            merged.merge(sim.last_stats)
+        planes = [sim.run(pairs, plan=sub, kernel_table=kernel_table,
+                          variation=variation, global_slots=indices).plane
+                  for indices, sub in plan.batches(5)]
         stitched = WaveformPlane.concat(planes)
         for slot in range(plan.num_slots):
             for net in small_circuit.nets():
                 assert whole.waveform(slot, net).equivalent(
                     stitched[slot][net], 0.0)
-        assert merged.gate_evaluations == expected.gate_evaluations
-        assert merged.lanes_skipped == expected.lanes_skipped
-        assert merged.batches == 3
 
     def test_engine_labels(self, library, small_circuit, kernel_table):
         """The engine label records delay mode and compute backend."""

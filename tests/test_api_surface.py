@@ -19,6 +19,11 @@ SURFACE_MODULES = sorted(
 #: Modules deleted from the package: ``import repro`` must not load them.
 DELETED_MODULES = ("repro.simulation.multi", "repro.waveform.packed")
 
+#: Module prefixes ``import repro`` must leave unloaded: the service (the
+#: campaign runner imports it when a run needs it) and, with it, the
+#: process machinery of its shard transport.
+UNLOADED_PREFIXES = ("repro.service", "multiprocessing")
+
 
 class TestTopLevelApi:
     def test_all_names_resolve(self):
@@ -39,7 +44,9 @@ class TestTopLevelApi:
         # importing this checkout's package.
         root = os.path.dirname(os.path.dirname(repro.__file__))
         code = ("import sys, repro; "
-                f"print([m for m in {DELETED_MODULES!r} if m in sys.modules])")
+                f"print([m for m in {DELETED_MODULES!r} if m in sys.modules]"
+                " + sorted(m for m in sys.modules"
+                f" if m.startswith({UNLOADED_PREFIXES!r})))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": root}).stdout
