@@ -591,8 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="engine worker threads")
     p.add_argument("--shards", type=int, default=0,
                    help="execute batches in this many worker processes "
-                        "behind shared-memory planes (0 = in-process "
-                        "engine pool)")
+                        "(0 = in-process engine pool)")
     p.add_argument("--cache-entries", type=int, default=256,
                    help="result-cache capacity (0 disables the cache)")
     p.add_argument("--backend", default=None,

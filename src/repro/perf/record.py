@@ -46,11 +46,11 @@ coalescing small jobs into one shared slot plane.
 
 The service-scaling scenario (``service_scaling_{inproc,shardsN}``)
 runs the same job stream through the in-process service and through
-``ServiceConfig(shards=N)`` worker processes with the zero-copy
-shared-memory transport; ``service_scaling`` records the wall ratio per
-shard count.  Interpret it against ``machine.cpu_count``: without
-spare cores the ratio prices the multi-process transport overhead
-rather than a parallelism win.
+``ServiceConfig(shards=N)`` worker processes, whose control pipes
+carry each batch's stimuli and result plane; ``service_scaling``
+records the wall ratio per shard count.  Interpret it against
+``machine.cpu_count``: without spare cores the ratio prices the
+multi-process transport overhead rather than a parallelism win.
 
 ``parametric_ratios`` tracks the cost of voltage-adaptive
 delays relative to static delays per backend — the paper's Table I
@@ -213,7 +213,7 @@ SERVICE_CIRCUIT = "s38417"
 #: service and through ``shards=N`` worker processes.  Queue depth 1
 #: forces the router to spill the single hot compatibility group across
 #: every shard, so the number measures multi-process scaling (plus the
-#: shared-memory transport overhead), not consistent-hash placement.
+#: pipe transport overhead), not consistent-hash placement.
 #: Interpret against ``machine.cpu_count``: with one core, sharding can
 #: only add IPC overhead — the speedup column is then an honest price
 #: tag, not a win.
@@ -721,17 +721,23 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
     The same ``num_jobs`` fine-grained jobs run once through the
     in-process service (``shards=0``, the supervised thread pool) and
     once per entry of ``shard_counts`` through the multi-process shard
-    router with its zero-copy shared-memory transport.  Process spawn
-    and circuit registration happen outside the timed region — the
-    number is steady-state dispatch throughput.  ``shard_queue_depth=1``
-    makes the single hot compatibility group spill across every shard,
-    so all worker processes participate.
+    router, whose control pipes carry each batch's stimuli out and its
+    packed result plane back.  Process spawn and circuit registration
+    happen outside the timed region — the number is steady-state
+    dispatch throughput.  ``shard_queue_depth=1`` makes the single hot
+    compatibility group spill across every shard, so all worker
+    processes participate.
+
+    Every pass of every run must do the same engine work: a sharded
+    run whose summed ``gate_evaluations`` differ from the in-process
+    run's raises ``RuntimeError``, since a wall ratio over unequal work
+    means nothing.
 
     ``service_scaling`` in the report records the wall-time ratio of
     the in-process run to each sharded run per backend.  Read it next
     to ``machine.cpu_count``: sharding buys parallelism only when there
     are cores to spill onto; on a single-core machine the ratio prices
-    the IPC/shared-memory overhead instead.
+    the IPC overhead instead.
     """
     from repro.experiments.common import default_library
     from repro.experiments.workload import prepare_workload
@@ -765,23 +771,27 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
             run_stream()  # warm-up: shard engines, arenas, plan caches
             wall = _best_of(run_stream, repeats)
             metrics = service.metrics()
-        return wall, evals[-1], metrics
+        return wall, evals, metrics
 
     entries = []
     params = dict(circuit=SERVICE_CIRCUIT, scale=E2E_SCALE, jobs=num_jobs,
                   slots_per_job=SERVICE_SLOTS_PER_JOB,
                   cpu_count=os.cpu_count())
-    wall, evals, _ = measure(ServiceConfig(**batching))
-    entries.append(_entry("service_scaling_inproc", backend, wall, evals,
-                          shards=0, **params))
+    wall, inproc_evals, _ = measure(ServiceConfig(**batching))
+    entries.append(_entry("service_scaling_inproc", backend, wall,
+                          inproc_evals[-1], shards=0, **params))
     for shards in shard_counts:
         wall, evals, metrics = measure(
             ServiceConfig(shards=shards, shard_queue_depth=1, **batching))
+        if evals != inproc_evals:
+            raise RuntimeError(
+                f"service_scaling: {shards} shard(s) evaluated {evals} "
+                f"gates per pass, in-process {inproc_evals}")
         entries.append(_entry(
-            f"service_scaling_shards{shards}", backend, wall, evals,
+            f"service_scaling_shards{shards}", backend, wall, evals[-1],
             shards=shards, rebalances=metrics.shard_rebalances,
-            ipc_rx_bytes=metrics.ipc_rx_bytes,
-            shm_out_bytes=metrics.shm_out_bytes, **params))
+            ipc_tx_bytes=metrics.ipc_tx_bytes,
+            ipc_rx_bytes=metrics.ipc_rx_bytes, **params))
     return entries
 
 

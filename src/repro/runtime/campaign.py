@@ -223,8 +223,7 @@ class CampaignRunner:
                  report: RunReport) -> None:
         """Run the missing chunks as service jobs and fold each result
         into ``planes``, the checkpoint and the report."""
-        # Imported here: ``import repro`` stays off the service (and off
-        # multiprocessing).
+        # Imported here: ``import repro`` stays off the service.
         from repro.service import ServiceConfig, SimulationService
 
         def fail(index: int, submitted: float, error: Exception) -> None:
@@ -265,7 +264,7 @@ class CampaignRunner:
         service = SimulationService(ServiceConfig(
             shards=min(self.campaign.num_workers, len(missing)),
             max_batch_slots=report.chunk_slots, cache_entries=0,
-            delta_bases=0, hang_timeout_s=WORKER_WAIT_SECONDS))
+            hang_timeout_s=WORKER_WAIT_SECONDS))
         try:
             key = service.register_circuit(
                 self.compiled.circuit, self.compiled.library,

@@ -10,11 +10,13 @@ per-compatibility-group circuit breakers, and a checksummed
 fingerprinted LRU result cache.  With ``ServiceConfig(shards=N)`` the
 worker pool is replaced by a multi-process shard router: batches route
 to spawned worker processes by consistent hash of their compatibility
-group, with stimuli and result waveforms carried through zero-copy
-shared-memory planes (:mod:`repro.service.shm`,
-:mod:`repro.service.shard`, :mod:`repro.service.router`).  See
-:mod:`repro.service.core` for the execution model and the bit-identity
-contract, and ``docs/architecture.md`` §9–§11 for the design.
+group, each batch's stimuli and packed result plane crossing the
+shard's control pipe (:mod:`repro.service.router`,
+:mod:`repro.service.shard`).  The service imports the router only when
+it starts shards, so ``import repro.service`` loads no process
+machinery.  See :mod:`repro.service.core` for the execution model and
+the bit-identity contract, and ``docs/architecture.md`` §9–§11 for the
+design.
 """
 
 from repro.service.batcher import DynamicBatcher, PendingBatch
@@ -25,8 +27,6 @@ from repro.service.core import SimulationService
 from repro.service.jobs import JobHandle, JobResult, ServiceConfig
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.pool import EnginePool
-from repro.service.router import ShardRouter
-from repro.service.shm import SharedArena, sweep_orphans
 
 __all__ = [
     "CachedResult",
@@ -41,10 +41,7 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
-    "SharedArena",
-    "ShardRouter",
     "SimulationService",
     "serve_jsonl",
-    "sweep_orphans",
     "waveform_checksum",
 ]

@@ -18,9 +18,9 @@ pay off.  The shape is deliberately that of an inference server:
   ``shards > 0`` the pool is replaced wholesale by a
   :class:`~repro.service.router.ShardRouter` over spawned worker
   *processes* — compatibility groups map to shards by consistent hash,
-  stimuli and result waveforms move through shared-memory planes
-  (:mod:`repro.service.shm`), and demux happens in the parent directly
-  on the shard's mapped result plane;
+  each batch's stimuli go out and its packed result plane comes back
+  over the shard's control pipe, and demux happens in the parent on
+  the plane rebuilt from that reply;
 * **demultiplexing** — each job receives exactly its slice of the
   shared plane, with a per-job :class:`~repro.runtime.report.RunReport`
   describing the batch it rode in;
@@ -105,6 +105,7 @@ from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import DeltaPlan, select_delta
 from repro.simulation.grid import Segments, SlotPlan
+from repro.waveform.plane import WaveformPlane
 
 __all__ = ["SimulationService"]
 
@@ -131,8 +132,8 @@ class SimulationService:
         self._circuits: Dict[str, CompiledCircuit] = {}
         self._circuits_lock = threading.Lock()
         # Delta evaluation needs the engine-level capture/delta kwargs
-        # and a parent-side base ring; with shards the ring lives inside
-        # each shard process instead (arenas never cross a pipe).
+        # and a parent-side base ring, so it runs in-process only: a
+        # shard just runs the batch it is sent.
         self._delta_enabled = (self.config.shards == 0
                                and self.config.delta_bases > 0
                                and self.config.cache_entries > 0)
@@ -163,15 +164,11 @@ class SimulationService:
                 on_batch_error=self._shard_batch_error,
                 on_batch_lost=self._fail_batch_jobs,
                 on_dispatch=self._record_shard_dispatch,
-                ring_slots=self.config.shard_ring_slots,
-                segment_bytes=self.config.shard_segment_bytes,
                 queue_depth=self.config.shard_queue_depth,
                 hang_timeout_s=self.config.hang_timeout_s,
                 tick_s=self.config.supervisor_tick_s,
                 spawn_timeout_s=self.config.shard_spawn_timeout_s,
                 on_tick=self._expire_deadlines,
-                delta_bases=self.config.delta_bases,
-                delta_threshold=self.config.delta_threshold,
             )
         else:
             self._pool = EnginePool(
@@ -705,8 +702,8 @@ class SimulationService:
         ``plane`` is the batch's result
         :class:`~repro.waveform.plane.WaveformPlane`; each job receives
         a private ``take`` of its slots.  Shared by the in-process path
-        (plane fresh off the engine) and the sharded path (plane read
-        from a mapped result segment) — the apportionment, reports,
+        (plane fresh off the engine) and the sharded path (plane rebuilt
+        from a shard's ``done`` reply) — the apportionment, reports,
         caching and settlement are identical either way, which is most
         of the bit-identity contract.  ``base_arena`` (in-process delta
         path only) is the batch's captured waveform state; each job's
@@ -810,22 +807,19 @@ class SimulationService:
 
     def _complete_shard_batch(self, batch: PendingBatch,
                               jobs: List[SimulationJob], outcome: dict,
-                              arena, shard_index: int,
-                              started: float) -> None:
+                              shard_index: int, started: float) -> None:
         """Router callback: demux one ``done`` reply.
 
-        ``arena`` is the parent's zero-copy mapping of the shard's
-        result segment; the waveform payload never crossed a pipe.
+        ``outcome`` carries the batch's packed result plane; its arrays
+        came out of unpickling, so they are private and writeable.
         """
-        from repro.service.shard import read_result_plane
-
         breaker = self._breaker_for(batch.compat_key)
         try:
             compiled = self.circuit(jobs[0].circuit_key)
             config = jobs[0].config
-            plane = read_result_plane(
-                arena, outcome["layout"],
-                compiled.result_nets(config.record_all_nets))
+            plane = WaveformPlane.from_packed(
+                compiled.result_nets(config.record_all_nets),
+                outcome["initial"], outcome["counts"], outcome["times"])
             faults.trip("service.demux", corruptible=plane)
             self._settle_batch(
                 jobs, compiled, config, plane,
@@ -834,9 +828,9 @@ class SimulationService:
                 lanes_skipped=outcome["lanes_skipped"],
                 demotions=list(outcome["demotions"]),
                 phase_seconds=outcome["phase_seconds"], started=started,
-                lanes_spliced=outcome.get("lanes_spliced", 0),
-                capacity_used=outcome.get("capacity_used", 0),
-                retries=outcome.get("retries", 0))
+                lanes_spliced=outcome["lanes_spliced"],
+                capacity_used=outcome["capacity_used"],
+                retries=outcome["retries"])
         except Exception as error:  # noqa: BLE001 - isolate, then report
             self._isolate_or_fail(jobs, error, breaker)
         else:

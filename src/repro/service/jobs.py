@@ -79,24 +79,18 @@ class ServiceConfig:
         ``> 0`` executes batches in that many spawned shard *processes*
         behind a :class:`~repro.service.router.ShardRouter` instead of
         the in-process engine pool: compatibility groups map to shards
-        by consistent hash, stimuli and result waveforms travel through
-        shared-memory planes, and dead shards are respawned with their
-        in-flight batches re-queued once.  This is the only way engine
-        work leaves the service's process (the paper's multi-GPU
-        outlook: independent slot groups on separate devices).
-    shard_ring_slots:
-        Input/result ring slots per shard — the per-shard pipelining
-        depth (batches packed or awaiting demux at once).
+        by consistent hash, each batch's stimuli and result waveforms
+        travel over the shard's control pipe, and dead shards are
+        respawned with their in-flight batches re-queued once.  This is
+        the only way engine work leaves the service's process (the
+        paper's multi-GPU outlook: independent slot groups on separate
+        devices).
     shard_queue_depth:
         Backlog (queued + in flight) at which a batch spills from its
         home shard to the least-loaded one.
     shard_spawn_timeout_s:
         A spawned shard that has not reported ready within this window
         is declared wedged, killed and respawned.
-    shard_segment_bytes:
-        Initial size of every shared-memory plane; planes grow (by
-        powers of two, under a new segment generation) when a batch
-        overflows them.
     delta_bases:
         Base arenas pinned per compatibility group for incremental
         re-simulation (``0`` disables the delta path).  A completed
@@ -115,10 +109,9 @@ class ServiceConfig:
         fingerprint.  The in-process ring is kept only while it pays: a
         group whose batches splice too little for what they capture is
         suspended by the cache's count ledger and probed again later
-        (:mod:`repro.service.cache`).  With ``shards > 0`` the ring
-        lives shard-local (arenas never cross the process boundary); a
-        respawned shard simply starts cold and falls back to full
-        simulation.
+        (:mod:`repro.service.cache`).  No effect with ``shards > 0``
+        (a shard just runs the batch it is sent) or with
+        ``cache_entries=0``.
     delta_threshold:
         Changed-input fraction at or above which a candidate base is
         rejected and the job runs the full path — a near-disjoint job
@@ -138,10 +131,8 @@ class ServiceConfig:
     breaker_failures: int = 5
     breaker_reset_s: float = 1.0
     shards: int = 0
-    shard_ring_slots: int = 4
     shard_queue_depth: int = 4
     shard_spawn_timeout_s: float = 60.0
-    shard_segment_bytes: int = 1 << 20
     delta_bases: int = 4
     delta_threshold: float = 0.35
 
@@ -168,14 +159,10 @@ class ServiceConfig:
             raise ServiceError("breaker_reset_s must be >= 0")
         if self.shards < 0:
             raise ServiceError("shards must be >= 0")
-        if self.shard_ring_slots < 1:
-            raise ServiceError("shard_ring_slots must be positive")
         if self.shard_queue_depth < 1:
             raise ServiceError("shard_queue_depth must be positive")
         if self.shard_spawn_timeout_s <= 0:
             raise ServiceError("shard_spawn_timeout_s must be positive")
-        if self.shard_segment_bytes < 4096:
-            raise ServiceError("shard_segment_bytes must be >= 4096")
         if self.delta_bases < 0:
             raise ServiceError("delta_bases must be >= 0")
         if not 0.0 < self.delta_threshold <= 1.0:

@@ -85,19 +85,16 @@ class ServiceMetrics:
     #: Sharded-service counters (all zero / empty without sharding).
     #: ``shards`` maps shard index (as a string) to that shard's
     #: occupancy and transport counters (queue depth, in-flight batches,
-    #: dispatches, respawns, per-shard IPC/shm bytes, …);
+    #: dispatches, respawns, per-shard IPC bytes, …);
     #: ``shard_latency_ms`` holds per-shard p50/p95/p99 over the recent
     #: completion window — the shard dimension of the latency
-    #: percentiles.  ``ipc_*_bytes`` count *control-pipe* traffic only
-    #: (pickled descriptors), while ``shm_*_bytes`` count the payload
-    #: bytes that moved through shared-memory planes — the gap between
-    #: the two is the zero-copy contract made measurable.
+    #: percentiles.  ``ipc_*_bytes`` count the pickled bytes over the
+    #: shards' control pipes: registrations, batch stimuli out, packed
+    #: result planes back.
     shard_rebalances: int = 0
     shard_errors: int = 0
     ipc_tx_bytes: int = 0
     ipc_rx_bytes: int = 0
-    shm_in_bytes: int = 0
-    shm_out_bytes: int = 0
     shards: Dict[str, dict] = field(default_factory=dict)
     shard_latency_ms: Dict[str, Dict[str, float]] = field(
         default_factory=dict)
@@ -175,8 +172,6 @@ class ServiceMetrics:
             "shard_errors": self.shard_errors,
             "ipc_tx_bytes": self.ipc_tx_bytes,
             "ipc_rx_bytes": self.ipc_rx_bytes,
-            "shm_in_bytes": self.shm_in_bytes,
-            "shm_out_bytes": self.shm_out_bytes,
             "shards": {key: dict(value)
                        for key, value in self.shards.items()},
             "shard_latency_ms": {key: dict(value)
@@ -265,8 +260,7 @@ class ServiceMetrics:
             lines.append(
                 f"  shards: {len(self.shards)} processes, "
                 f"{self.shard_rebalances} rebalances, "
-                f"ipc {self.ipc_tx_bytes + self.ipc_rx_bytes} B, "
-                f"shm {self.shm_in_bytes + self.shm_out_bytes} B")
+                f"ipc {self.ipc_tx_bytes + self.ipc_rx_bytes} B")
             for key in sorted(self.shards, key=int):
                 entry = self.shards[key]
                 pcts = self.shard_latency_ms.get(key)
@@ -435,8 +429,6 @@ class MetricsRecorder:
                 shard_errors=pool_stats.get("shard_errors", 0),
                 ipc_tx_bytes=pool_stats.get("ipc_tx_bytes", 0),
                 ipc_rx_bytes=pool_stats.get("ipc_rx_bytes", 0),
-                shm_in_bytes=pool_stats.get("shm_in_bytes", 0),
-                shm_out_bytes=pool_stats.get("shm_out_bytes", 0),
                 shards=dict(pool_stats.get("shards", {})),
                 shard_latency_ms=shard_latency_ms,
                 lanes_evaluated=self.lanes_evaluated,

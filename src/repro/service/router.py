@@ -11,17 +11,19 @@ owns everything between the batcher and the job futures:
   the home shard's backlog reaches ``shard_queue_depth``, the batch
   *spills* to the least-loaded shard instead (load-aware rebalancing —
   one hot group still saturates every core);
-* **transport** — per shard, a small ring of parent-owned input planes
-  and shard-owned result planes in shared memory; the control pipe
-  carries only pickled descriptors, whose sizes feed the
-  ``ipc_tx/rx_bytes`` counters (waveform payloads never cross a pipe);
+* **transport** — one duplex control pipe per shard carries
+  everything: a batch goes out as one pickled message holding its
+  stimuli and slot plane, and its packed result plane comes back as one
+  ``done`` reply (see :mod:`repro.service.shard`).  The pickled sizes
+  feed the ``ipc_tx/rx_bytes`` counters, payload included.  At most
+  :data:`SHARD_WINDOW` batches are in flight per shard; a shard keeps
+  nothing between batches but its registry and engines;
 * **supervision** — a tick thread watches every shard: a dead process
   (or one wedged past ``hang_timeout_s``, which — unlike a thread —
   can simply be killed) is respawned, its registry replayed, its
   in-flight batches re-queued **once** (``PendingBatch.requeued``; a
   second loss fails those jobs with
-  :class:`~repro.errors.WorkerLostError`), and every shared segment the
-  dead process owned is reclaimed by name.  Job futures settle exactly
+  :class:`~repro.errors.WorkerLostError`).  Job futures settle exactly
   once through the service's ``_finish_job``, so a duplicate completion
   from a recovered race is harmless;
 * **fault seams** — ``shard.spawn`` trips in this process right before
@@ -36,41 +38,30 @@ from __future__ import annotations
 import bisect
 import hashlib
 import multiprocessing
-import os
 import pickle
 import threading
 import time as _time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import faults
 from repro.errors import InjectedFaultError, ShardError, WorkerLostError
 from repro.faults.plan import WorkerDeathError
 from repro.service.batcher import PendingBatch
-from repro.service.shard import _shard_main, input_layout, pack_batch_inputs
-from repro.service.shm import (
-    SharedArena,
-    segment_name,
-    sweep_orphans,
-    sweep_pid,
-)
+from repro.service.shard import _shard_main
 
-__all__ = ["ShardRouter"]
+__all__ = ["SHARD_WINDOW", "ShardRouter"]
+
+#: Batches in flight per shard at once: sent and not yet answered.  The
+#: dispatcher waits while a shard holds this many.
+SHARD_WINDOW = 4
 
 #: Vnode points per shard on the consistent-hash ring.
 _RING_POINTS = 32
 
 _PICKLE_PROTOCOL = 4
-
-_router_serial_lock = threading.Lock()
-_router_serial = 0
-
-
-def _next_serial() -> int:
-    global _router_serial
-    with _router_serial_lock:
-        _router_serial += 1
-        return _router_serial
 
 
 def _build_ring(num_shards: int) -> List[Tuple[int, int]]:
@@ -84,41 +75,10 @@ def _build_ring(num_shards: int) -> List[Tuple[int, int]]:
     return ring
 
 
-class _InputPlane:
-    """One parent-owned input-ring slot, grown by generation."""
-
-    def __init__(self, serial: int, shard_index: int, slot: int,
-                 min_bytes: int) -> None:
-        self.tag = f"r{serial}s{shard_index}i{slot}"
-        self.generation = 0
-        self.arena = SharedArena.create(
-            segment_name(os.getpid(), f"{self.tag}g0"), min_bytes)
-        #: Old generation names the shard must drop its mapping of.
-        self.stale: List[str] = []
-
-    def ensure(self, nbytes: int) -> SharedArena:
-        if self.arena.size >= nbytes:
-            return self.arena
-        self.stale.append(self.arena.name)
-        self.arena.close()
-        self.arena.unlink()
-        self.generation += 1
-        size = 4096
-        while size < nbytes:
-            size *= 2
-        self.arena = SharedArena.create(
-            segment_name(os.getpid(), f"{self.tag}g{self.generation}"), size)
-        return self.arena
-
-    def destroy(self) -> None:
-        self.arena.close()
-        self.arena.unlink()
-
-
 class _ShardHandle:
     """Parent-side state of one shard (guarded by its condition)."""
 
-    def __init__(self, index: int, ring_slots: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
         self.cv = threading.Condition()
         self.send_lock = threading.Lock()
@@ -130,21 +90,13 @@ class _ShardHandle:
         self.dead = False
         self.broken = False
         self.queue: "deque[PendingBatch]" = deque()
-        #: batch_id -> (batch, jobs, started, in_slot, out_slot)
+        #: batch_id -> (batch, jobs, started)
         self.inflight: Dict[int, tuple] = {}
-        self.in_free: List[int] = list(range(ring_slots))
-        self.out_free: List[int] = list(range(ring_slots))
-        self.inputs: List[_InputPlane] = []
-        #: Result-plane attachments, keyed by segment name; one live
-        #: entry per ring slot (a grown segment replaces its slot's).
-        self.attachments: Dict[str, SharedArena] = {}
-        self.slot_names: Dict[int, str] = {}
         self.pong: Optional[dict] = None
         self.counters = {
             "dispatches": 0, "jobs": 0, "slots": 0,
             "respawns": 0, "kills": 0, "requeues": 0, "rebalanced_in": 0,
             "ipc_tx_bytes": 0, "ipc_rx_bytes": 0,
-            "shm_in_bytes": 0, "shm_out_bytes": 0,
         }
 
     @property
@@ -163,24 +115,15 @@ class ShardRouter:
         on_batch_error: Callable,
         on_batch_lost: Callable,
         on_dispatch: Callable,
-        ring_slots: int = 4,
-        segment_bytes: int = 1 << 20,
         queue_depth: int = 4,
         hang_timeout_s: float = 30.0,
         tick_s: float = 0.05,
         spawn_timeout_s: float = 120.0,
         on_tick: Optional[Callable[[], None]] = None,
         name: str = "repro-router",
-        delta_bases: int = 0,
-        delta_threshold: float = 0.35,
     ) -> None:
         if num_shards < 1:
             raise ShardError("need at least one shard")
-        #: Delta policy forwarded with every group registration — the
-        #: base rings live shard-local (arenas never cross a pipe), so
-        #: the policy travels to where the selection happens.
-        self._delta_bases = delta_bases
-        self._delta_threshold = delta_threshold
         self._combine = combine
         self._on_batch_done = on_batch_done
         self._on_batch_error = on_batch_error
@@ -188,13 +131,10 @@ class ShardRouter:
         self._on_dispatch = on_dispatch
         self._on_tick = on_tick
         self._queue_depth = queue_depth
-        self._ring_slots = ring_slots
-        self._segment_bytes = segment_bytes
         self._hang_timeout_s = hang_timeout_s
         self._tick_s = tick_s
         self._spawn_timeout_s = spawn_timeout_s
         self._name = name
-        self._serial = _next_serial()
         self._ctx = multiprocessing.get_context("spawn")
         self._ring = _build_ring(num_shards)
         self._lock = threading.Lock()
@@ -213,19 +153,9 @@ class ShardRouter:
         self._groups: Dict[str, tuple] = {}
         self._registry_lock = threading.Lock()
 
-        # Reclaim segments leaked by crashed services before allocating
-        # our own (a SIGKILLed parent never unlinks anything).
-        sweep_orphans(skip_pid=os.getpid())
-
-        self._handles = [_ShardHandle(index, ring_slots)
-                         for index in range(num_shards)]
+        self._handles = [_ShardHandle(index) for index in range(num_shards)]
         try:
             for handle in self._handles:
-                handle.inputs = [
-                    _InputPlane(self._serial, handle.index, slot,
-                                segment_bytes)
-                    for slot in range(ring_slots)
-                ]
                 self._start_shard(handle)
         except ShardError:
             self._abort_startup()
@@ -251,15 +181,10 @@ class ShardRouter:
                 if process.is_alive():
                     process.kill()
                 process.join(timeout=5.0)
-                if process.pid is not None:
-                    sweep_pid(process.pid)
             with handle.send_lock:
                 if handle.conn is not None:
                     handle.conn.close()
                     handle.conn = None
-            for plane in handle.inputs:
-                plane.destroy()
-            handle.inputs = []
 
     # -- registry -------------------------------------------------------------
 
@@ -285,8 +210,7 @@ class ShardRouter:
             if compat_key in self._groups:
                 return
             self._groups[compat_key] = (circuit_key, config, kernel_table,
-                                        variation, self._delta_bases,
-                                        self._delta_threshold)
+                                        variation)
         message = ("group", compat_key) + self._groups[compat_key]
         for handle in self._handles:
             self._send(handle, message)
@@ -356,8 +280,7 @@ class ShardRouter:
         handle.generation += 1
         process = self._ctx.Process(
             target=_shard_main,
-            args=(handle.index, child_conn, self._ring_slots,
-                  self._segment_bytes),
+            args=(handle.index, child_conn),
             name=f"{self._name}-shard-{handle.index}.{handle.generation}",
             daemon=True,
         )
@@ -377,16 +300,18 @@ class ShardRouter:
 
     def _send(self, handle: "_ShardHandle", message: tuple) -> bool:
         payload = pickle.dumps(message, protocol=_PICKLE_PROTOCOL)
-        try:
-            with handle.send_lock:
-                conn = handle.conn
-                if conn is None:
-                    return False
+        with handle.send_lock:
+            conn = handle.conn
+            if conn is None:
+                return False
+            # Counted before the write: the shard's reply can settle the
+            # batch's jobs before this thread runs again.
+            with handle.cv:
+                handle.counters["ipc_tx_bytes"] += len(payload)
+            try:
                 conn.send_bytes(payload)
-        except (OSError, ValueError, BrokenPipeError):
-            return False
-        with handle.cv:
-            handle.counters["ipc_tx_bytes"] += len(payload)
+            except (OSError, ValueError):
+                return False
         return True
 
     # -- dispatcher (one thread per shard) ------------------------------------
@@ -401,72 +326,50 @@ class ShardRouter:
                 if self._closed and not handle.queue:
                     return
                 batch = handle.queue.popleft()
-                in_slot = handle.in_free.pop()
-                out_slot = handle.out_free.pop()
                 generation = handle.generation
             try:
-                self._dispatch_one(handle, batch, in_slot, out_slot,
-                                   generation)
+                self._dispatch_one(handle, batch, generation)
             except Exception as error:  # noqa: BLE001 - fail batch, not thread
-                # Recovery resets the free lists wholesale; only return
-                # slots popped from the generation still in force.
-                with handle.cv:
-                    if handle.generation == generation:
-                        handle.in_free.append(in_slot)
-                        handle.out_free.append(out_slot)
-                        handle.cv.notify_all()
                 self._lost(batch, error)
 
     def _dispatchable(self, handle: "_ShardHandle") -> bool:
         if self._closed and not handle.queue:
             return True
         return bool(handle.queue and not handle.dead and not handle.broken
-                    and handle.in_free and handle.out_free)
+                    and len(handle.inflight) < SHARD_WINDOW)
 
     def _dispatch_one(self, handle: "_ShardHandle", batch: PendingBatch,
-                      in_slot: int, out_slot: int, generation: int) -> None:
+                      generation: int) -> None:
         jobs = [job for job in batch.jobs if not job.future.done()]
         if not jobs:
-            with handle.cv:
-                if handle.generation == generation:
-                    handle.in_free.append(in_slot)
-                    handle.out_free.append(out_slot)
-                    handle.cv.notify_all()
             self._batch_finished()
             return
         pairs, plan, global_slots = self._combine(jobs)
-        layout = input_layout(len(pairs), pairs[0].width, plan.num_slots)
-        plane = handle.inputs[in_slot]
-        arena = plane.ensure(layout["nbytes"])
-        pack_batch_inputs(arena, pairs, plan, global_slots, layout)
         with self._lock:
             self._batch_serial += 1
             batch_id = self._batch_serial
+        message = ("batch", {
+            "batch_id": batch_id,
+            "compat_key": batch.compat_key,
+            "v1": np.stack([pair.v1 for pair in pairs]),
+            "v2": np.stack([pair.v2 for pair in pairs]),
+            "pattern_indices": plan.pattern_indices,
+            "voltages": plan.voltages,
+            "global_slots": global_slots,
+        })
         started = _time.monotonic()
         with handle.cv:
             if handle.generation != generation:
-                # Recovery ran while we packed: the free lists were
-                # reset (our slots are no longer ours) and the batch was
-                # never in flight — just put it back for the new shard.
+                # Recovery ran while we combined: the batch was never in
+                # flight — just put it back for the new shard.
                 handle.queue.appendleft(batch)
                 handle.cv.notify_all()
                 return
-            drop, plane.stale = plane.stale, []
-            handle.inflight[batch_id] = (batch, jobs, started, in_slot,
-                                         out_slot)
+            handle.inflight[batch_id] = (batch, jobs, started)
             handle.counters["dispatches"] += 1
             handle.counters["jobs"] += len(jobs)
             handle.counters["slots"] += plan.num_slots
-            handle.counters["shm_in_bytes"] += layout["nbytes"]
-        descriptor = ("batch", {
-            "batch_id": batch_id,
-            "compat_key": batch.compat_key,
-            "in_name": arena.name,
-            "layout": layout,
-            "out_slot": out_slot,
-            "drop_segments": drop,
-        })
-        if not self._send(handle, descriptor):
+        if not self._send(handle, message):
             # The shard died under us: mark it so the supervisor's
             # recovery path re-queues the batch (it sits in inflight,
             # which is exactly where recovery looks).
@@ -517,33 +420,20 @@ class ShardRouter:
                 # futures settle exactly once, and the re-executed
                 # results are bit-identical by contract.
                 return None
-            return handle.inflight.pop(batch_id, None)
+            entry = handle.inflight.pop(batch_id, None)
+            handle.cv.notify_all()  # a window place opened
+            return entry
 
     def _handle_done(self, handle: "_ShardHandle", generation: int,
                      batch_id: int, outcome: dict) -> None:
         entry = self._pop_inflight(handle, generation, batch_id)
         if entry is None:
             return
-        batch, jobs, started, in_slot, out_slot = entry
-        out_name = outcome["out_name"]
-        with handle.cv:
-            stale = handle.slot_names.get(out_slot)
-            handle.counters["shm_out_bytes"] += outcome["layout"]["nbytes"]
-        if stale is not None and stale != out_name:
-            old = handle.attachments.pop(stale, None)
-            if old is not None:
-                old.close()
-        arena = handle.attachments.get(out_name)
-        if arena is None:
-            arena = handle.attachments[out_name] = SharedArena.attach(
-                out_name)
-        handle.slot_names[out_slot] = out_name
+        batch, jobs, started = entry
         try:
-            self._on_batch_done(batch, jobs, outcome, arena,
-                                handle.index, started)
+            self._on_batch_done(batch, jobs, outcome, handle.index, started)
         except Exception as error:  # noqa: BLE001 - demux must not kill recv
             self._on_batch_lost(batch, error)
-        self._free_slots(handle, in_slot, out_slot)
         self._batch_finished()
 
     def _handle_error(self, handle: "_ShardHandle", generation: int,
@@ -556,20 +446,12 @@ class ShardRouter:
         entry = self._pop_inflight(handle, generation, batch_id)
         if entry is None:
             return
-        batch, jobs, _, in_slot, out_slot = entry
+        batch, jobs, _ = entry
         try:
             self._on_batch_error(batch, jobs, exc_name, message)
         except Exception as error:  # noqa: BLE001 - defensive
             self._on_batch_lost(batch, error)
-        self._free_slots(handle, in_slot, out_slot)
         self._batch_finished()
-
-    def _free_slots(self, handle: "_ShardHandle", in_slot: int,
-                    out_slot: int) -> None:
-        with handle.cv:
-            handle.in_free.append(in_slot)
-            handle.out_free.append(out_slot)
-            handle.cv.notify_all()
 
     def _batch_finished(self) -> None:
         with self._lock:
@@ -607,7 +489,7 @@ class ShardRouter:
             return
         with handle.cv:
             wedged = any(now - started > self._hang_timeout_s
-                         for _, _, started, _, _ in handle.inflight.values())
+                         for _, _, started in handle.inflight.values())
         if wedged:
             # A process — unlike a thread — can actually be killed.
             self._kill(handle)
@@ -622,40 +504,24 @@ class ShardRouter:
     def _recover(self, handle: "_ShardHandle", hung: bool) -> None:
         with handle.cv:
             handle.dead = True
-            # Invalidate slots a dispatcher may have popped mid-pack:
-            # generation guards every slot return and inflight insert.
+            # Invalidate a batch a dispatcher is combining right now:
+            # generation guards every inflight insert and completion.
             handle.generation += 1
             inflight = list(handle.inflight.values())
             handle.inflight.clear()
-            handle.in_free = list(range(self._ring_slots))
-            handle.out_free = list(range(self._ring_slots))
-            attachments = list(handle.attachments.values())
-            handle.attachments.clear()
-            handle.slot_names.clear()
             handle.counters["respawns"] += 1
             if hung:
                 handle.counters["kills"] += 1
-        for arena in attachments:
-            arena.close()
         process = handle.proc
-        dead_pid = process.pid if process is not None else None
         if process is not None:
             process.join(timeout=5.0)
-        if dead_pid is not None:
-            # The dead shard owned its result planes; reclaim by name.
-            sweep_pid(dead_pid)
-        # A crash storm within one service lifetime must not accumulate
-        # orphans: the startup sweep only ran once, so every respawn
-        # re-sweeps segments whose owning pid no longer exists (other
-        # live services keep theirs — the sweep checks liveness).
-        sweep_orphans(skip_pid=os.getpid())
         with self._lock:
             self.shards_respawned += 1
             if hung:
                 self.shards_hung += 1
 
         requeue: List[PendingBatch] = []
-        for batch, _, _, _, _ in inflight:
+        for batch, _, _ in inflight:
             if batch.requeued:
                 self._lost(batch, WorkerLostError(
                     "shard process lost while executing a re-queued batch"))
@@ -717,8 +583,7 @@ class ShardRouter:
 
     def stats(self) -> dict:
         shards: Dict[str, dict] = {}
-        totals = {"ipc_tx_bytes": 0, "ipc_rx_bytes": 0,
-                  "shm_in_bytes": 0, "shm_out_bytes": 0}
+        totals = {"ipc_tx_bytes": 0, "ipc_rx_bytes": 0}
         for handle in self._handles:
             with handle.cv:
                 entry = dict(handle.counters)
@@ -745,7 +610,7 @@ class ShardRouter:
     # -- shutdown -------------------------------------------------------------
 
     def close(self, timeout_s: Optional[float] = None) -> None:
-        """Drain outstanding batches, stop every shard, reclaim segments."""
+        """Drain outstanding batches, then stop every shard."""
         deadline = _time.monotonic() + (
             timeout_s if timeout_s is not None
             else self._hang_timeout_s * 2 + 10.0)
@@ -773,14 +638,7 @@ class ShardRouter:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
-            if process.pid is not None:
-                sweep_pid(process.pid)
             with handle.send_lock:
                 if handle.conn is not None:
                     handle.conn.close()
                     handle.conn = None
-            for arena in handle.attachments.values():
-                arena.close()
-            handle.attachments.clear()
-            for plane in handle.inputs:
-                plane.destroy()

@@ -236,7 +236,7 @@ class WaveformPlane(SequenceABC):
     def packed(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(initial, counts, times)`` with a dense net-major payload —
         what :meth:`from_packed` rebuilds, and the form checkpoint
-        chunks, shard result segments and the checksum share."""
+        chunks, shard replies and the checksum share."""
         return self.initial, self.counts, self._dense()[0]
 
     def take(self, slots, copy: bool = True) -> "WaveformPlane":

@@ -797,29 +797,3 @@ class TestConfigKnobs:
         with pytest.raises(ServiceError, match="delta_threshold"):
             ServiceConfig(delta_threshold=threshold)
 
-
-class TestShardedDelta:
-    def test_shard_local_ring_splices(self, circuit, library, compiled,
-                                      kernel_table, shard_count):
-        """Base retention lives in the shard: a variant routed to the
-        same compatibility group splices against the shard's ring and
-        the splice counters travel back through the result plane."""
-        base_pairs = make_pairs(circuit, 4, seed=65)
-        var_pairs = variant_of(base_pairs, seed=66)
-        config = delta_config(shards=shard_count)
-        with SimulationService(config=config) as service:
-            key = service.register_circuit(circuit, library,
-                                           compiled=compiled)
-            service.submit(key, base_pairs,
-                           kernel_table=kernel_table).result(timeout=180)
-            variant = service.submit(key, var_pairs,
-                                     kernel_table=kernel_table).result(
-                timeout=180)
-            metrics = service.metrics()
-        assert variant.report.lanes_spliced > 0
-        assert metrics.lanes_spliced > 0
-        assert metrics.delta_fraction < 1.0
-        engine = GpuWaveSim(circuit, library, compiled=compiled,
-                            config=SimulationConfig())
-        assert_bit_identical(var_pairs, variant, engine,
-                             kernel_table=kernel_table)

@@ -2,12 +2,15 @@
 
 Contracts under test (``docs/architecture.md`` §11):
 
-* results coming back through a shard's shared-memory result plane are
+* results coming back over a shard's control pipe are
   **bit-identical** to a standalone ``GpuWaveSim.run`` of the same
-  request, including Monte-Carlo sampling;
-* waveform payloads travel through shared memory, never the control
-  pipe — ``ipc_rx_bytes`` stays descriptor-sized while
-  ``shm_out_bytes`` carries the data;
+  request, including Monte-Carlo sampling, and messages larger than the
+  pipe buffer cross both ways without deadlock;
+* a shard does exactly the engine work an in-process service does with
+  the cache (and so the delta path) off: equal per-job
+  ``gate_evaluations``, nothing spliced, on every pass of a stream;
+* the ``ipc_*_bytes`` counters carry the payload: stimuli out, packed
+  result planes back;
 * every shard's level-plan cache is warmed at registration time, before
   its first batch;
 * a shard SIGKILLed mid-batch is respawned with its registry replayed
@@ -19,6 +22,7 @@ Contracts under test (``docs/architecture.md`` §11):
 The shard count comes from the ``--shards`` pytest option (default 2).
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -30,6 +34,7 @@ from repro import faults
 from repro.errors import InjectedFaultError, ServiceError, ShardError
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
+from repro.service import router as router_module
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
@@ -94,24 +99,63 @@ class TestShardedBitIdentity:
         for pairs, result in zip(jobs, results):
             assert_bit_identical(pairs, result, engine)
 
-    def test_zero_copy_result_transport(self, sharded, circuit):
+    def test_pipe_result_transport(self, sharded, circuit):
         service, key = sharded
+        before = service.metrics()
         jobs = make_jobs(circuit, 4, seed=21)
         handles = [service.submit(key, pairs) for pairs in jobs]
-        for handle in handles:
-            handle.result(timeout=180)
+        results = [handle.result(timeout=180) for handle in handles]
         metrics = service.metrics()
-        assert metrics.shm_in_bytes > 0
-        assert metrics.shm_out_bytes > 0
-        # Waveform payloads never cross the control pipe: everything the
-        # parent receives is descriptor-sized, while the packed results
-        # it demuxed rode shared memory.
-        assert metrics.ipc_rx_bytes < metrics.shm_out_bytes
+        # The payload rides the control pipe: at least the stimuli went
+        # out and at least the packed result planes came back.
+        stimuli = sum(2 * pair.v1.nbytes for pairs in jobs for pair in pairs)
+        planes = sum(array.nbytes for result in results
+                     for array in result.plane.packed())
+        assert metrics.ipc_tx_bytes - before.ipc_tx_bytes >= stimuli
+        assert metrics.ipc_rx_bytes - before.ipc_rx_bytes >= planes
         assert metrics.shards  # per-shard metrics dimension exists
+        for direction in ("ipc_tx_bytes", "ipc_rx_bytes"):
+            assert sum(s[direction] for s in metrics.shards.values()) == \
+                getattr(metrics, direction)
         assert sum(s["dispatches"] for s in metrics.shards.values()) >= 1
         assert metrics.shard_latency_ms  # shard dimension on percentiles
         assert all(pcts["p95"] >= pcts["p50"] >= 0.0
                    for pcts in metrics.shard_latency_ms.values())
+
+    def test_large_messages_both_ways(self, library, shard_count):
+        """Batch messages over the 64 KiB pipe buffer and replies over
+        1 MiB, two batches at once, all nets recorded: bit-identical to
+        standalone and no deadlock."""
+        big = random_circuit("svc_big", 160, 600, seed=5)
+        compiled = compile_circuit(big, library)
+        config = SimulationConfig(record_all_nets=True)
+        jobs = make_jobs(big, 8, pairs_each=64, seed=51)
+        service = SimulationService(
+            config=sharded_config(shard_count, max_batch_slots=256))
+        try:
+            key = service.register_circuit(big, library, compiled=compiled)
+            handles = [service.submit(key, pairs, config=config)
+                       for pairs in jobs]
+            results = [h.result(timeout=180) for h in handles]
+            shards = service.metrics().shards
+        finally:
+            service.close()
+        # Two batches of four jobs: each sends 2 x 256 x 160 stimulus
+        # bytes and gets a packed plane of over 1 MiB back.
+        assert sum(s["dispatches"] for s in shards.values()) == 2
+        assert 2 * 256 * len(big.inputs) > 64 * 1024
+        plane_bytes = [sum(array.nbytes for result in batch
+                           for array in result.plane.packed())
+                       for batch in (results[:4], results[4:])]
+        assert min(plane_bytes) > 1 << 20
+        assert sum(s["ipc_rx_bytes"] for s in shards.values()) > \
+            sum(plane_bytes)
+        engine = GpuWaveSim(big, library, compiled=compiled, config=config)
+        for pairs, result in zip(jobs, results):
+            reference = engine.run(pairs).plane
+            assert result.plane.nets == reference.nets
+            for got, ref in zip(result.plane.packed(), reference.packed()):
+                assert np.array_equal(got, ref)
 
     def test_plan_cache_warm_before_first_batch(self, sharded):
         # Registration broadcasts the parent's already-built CircuitPlans
@@ -144,6 +188,33 @@ class TestShardedBitIdentity:
                                  variation=variation)
 
 
+class TestEqualWork:
+    def test_shards_do_the_same_work_as_in_process(self, circuit, library,
+                                                   compiled, shard_count):
+        # One stream, two passes, cache off: a shard keeps nothing
+        # between batches, so every pass evaluates what the in-process
+        # service evaluates and splices nothing.
+        jobs = make_jobs(circuit, 16, seed=61)
+
+        def per_job_work(config):
+            with SimulationService(config=config) as service:
+                key = service.register_circuit(circuit, library,
+                                               compiled=compiled)
+                passes = []
+                for _ in range(2):
+                    handles = [service.submit(key, pairs) for pairs in jobs]
+                    passes.append([h.result(timeout=180) for h in handles])
+            return passes
+
+        in_process = per_job_work(sharded_config(0))
+        sharded = per_job_work(sharded_config(shard_count))
+        for inproc_pass, sharded_pass in zip(in_process, sharded):
+            assert ([r.gate_evaluations for r in sharded_pass]
+                    == [r.gate_evaluations for r in inproc_pass])
+            assert all(r.report.lanes_spliced == 0 for r in sharded_pass)
+            assert all(r.gate_evaluations > 0 for r in sharded_pass)
+
+
 class TestShardDeath:
     def test_shard_death_storm(self, circuit, library, compiled,
                                shard_count, monkeypatch):
@@ -151,16 +222,17 @@ class TestShardDeath:
 
         Every job must still settle with correct bits, the dead shard
         must be respawned exactly once, and the single in-flight batch
-        (ring depth 1) re-queued exactly once.
+        (window 1) re-queued exactly once.
         """
         # Hold every batch in the shard for 250 ms so the kill lands
         # while one is provably in flight (spawned children inherit the
         # environment and resolve it at their first seam crossing).
         monkeypatch.setenv("REPRO_FAULTS", "shard.dispatch:delay@p=1,ms=250")
         faults.reset()
+        monkeypatch.setattr(router_module, "SHARD_WINDOW", 1)
         jobs = make_jobs(circuit, 64, pairs_each=1, seed=13)
         config = sharded_config(shard_count, max_batch_slots=8,
-                                shard_ring_slots=1, shard_queue_depth=2)
+                                shard_queue_depth=2)
         service = SimulationService(config=config)
         try:
             key = service.register_circuit(circuit, library,
@@ -189,7 +261,7 @@ class TestShardDeath:
             metrics = service.metrics()
             assert metrics.jobs_completed >= 64
             assert metrics.workers_replaced == 1
-            # ring depth 1 => exactly the one in-flight batch re-queued
+            # window 1 => exactly the one in-flight batch re-queued
             assert metrics.batches_requeued == 1
             stats = router.stats()
             assert stats["shards"][str(victim)]["respawns"] == 1
@@ -201,67 +273,6 @@ class TestShardDeath:
         finally:
             service.close()
             faults.reset()
-
-
-class TestOrphanSweepOnRespawn:
-    def test_two_sigkills_each_sweep_foreign_orphans(self, circuit, library,
-                                                     compiled, shard_count):
-        """Respawn-time orphan sweep (not just router startup).
-
-        Plant a shm segment owned by an already-dead pid before each of
-        two sequential shard SIGKILLs: every ``_recover`` must re-run
-        ``sweep_orphans`` and reclaim it — a crash storm on a long-lived
-        service must not accumulate dead segments until restart.  Live
-        services' segments survive (the sweep checks owner liveness).
-        """
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        from repro.service import shm as shm_mod
-
-        def plant_orphan(tag):
-            proc = multiprocessing.get_context("spawn").Process(target=int)
-            proc.start()
-            proc.join()
-            name = shm_mod.segment_name(proc.pid, tag)
-            segment = shared_memory.SharedMemory(name=name, create=True,
-                                                 size=64)
-            shm_mod._unregister(segment)
-            segment.close()
-            return name
-
-        service = SimulationService(config=sharded_config(shard_count))
-        try:
-            key = service.register_circuit(circuit, library,
-                                           compiled=compiled)
-            pairs = make_jobs(circuit, 1, seed=41)[0]
-            engine = GpuWaveSim(circuit, library, compiled=compiled,
-                                config=SimulationConfig())
-            assert_bit_identical(pairs, service.submit(key, pairs).result(
-                timeout=180), engine)
-            router = service._router
-            for round_index in (1, 2):
-                orphan = plant_orphan(f"orphan{round_index}")
-                assert os.path.exists(os.path.join("/dev/shm", orphan))
-                os.kill(router.shard_pid(0), signal.SIGKILL)
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline:
-                    stats = router.stats()
-                    if (stats["shards"]["0"]["respawns"] >= round_index
-                            and not os.path.exists(
-                                os.path.join("/dev/shm", orphan))):
-                        break
-                    time.sleep(0.02)
-                assert router.stats()["shards"]["0"]["respawns"] == \
-                    round_index
-                assert not os.path.exists(os.path.join("/dev/shm", orphan))
-                # The respawned shard still serves traffic correctly.
-                result = service.submit(key, pairs).result(timeout=180)
-                assert_bit_identical(pairs, result, engine)
-        finally:
-            service.close()
 
 
 class TestShardFaultSeams:
@@ -281,15 +292,13 @@ class TestShardFaultSeams:
                 service.close()
 
     def test_persistent_spawn_failure_surfaces_and_leaks_nothing(self):
-        before = set(os.listdir("/dev/shm")) if os.path.isdir(
-            "/dev/shm") else set()
-        with faults.injected("shard.spawn:raise@p=1"):
+        # Shard 0 spawns, shard 1 fails both attempts: construction
+        # raises and takes the already-running shard 0 down with it.
+        before = set(multiprocessing.active_children())
+        with faults.injected("shard.spawn:raise@n=2,count=2"):
             with pytest.raises(ShardError):
-                SimulationService(config=sharded_config(1))
-        if os.path.isdir("/dev/shm"):
-            leaked = {n for n in set(os.listdir("/dev/shm")) - before
-                      if n.startswith("repro-svc")}
-            assert leaked == set()
+                SimulationService(config=sharded_config(2))
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_dispatch_fault_propagates_original_type(self, circuit, library,
                                                      compiled, monkeypatch):
@@ -336,9 +345,3 @@ class TestShardConfig:
     def test_negative_shards_rejected(self):
         with pytest.raises(ServiceError):
             ServiceConfig(shards=-1)
-
-    def test_ring_and_segment_floors(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(shards=1, shard_ring_slots=0)
-        with pytest.raises(ServiceError):
-            ServiceConfig(shards=1, shard_segment_bytes=1024)

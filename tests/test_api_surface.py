@@ -24,6 +24,11 @@ DELETED_MODULES = ("repro.simulation.multi", "repro.waveform.packed")
 #: process machinery of its shard transport.
 UNLOADED_PREFIXES = ("repro.service", "multiprocessing")
 
+#: Module prefixes ``import repro.service`` must leave unloaded: the
+#: service imports its shard tier only when it starts shards.
+SHARD_TIER_PREFIXES = ("repro.service.router", "repro.service.shard",
+                       "multiprocessing")
+
 
 class TestTopLevelApi:
     def test_all_names_resolve(self):
@@ -47,6 +52,16 @@ class TestTopLevelApi:
                 f"print([m for m in {DELETED_MODULES!r} if m in sys.modules]"
                 " + sorted(m for m in sys.modules"
                 f" if m.startswith({UNLOADED_PREFIXES!r})))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": root}).stdout
+        assert out.strip() == "[]"
+
+    def test_service_import_leaves_shard_tier_unloaded(self):
+        root = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.service; "
+                "print(sorted(m for m in sys.modules"
+                f" if m.startswith({SHARD_TIER_PREFIXES!r})))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": root}).stdout
