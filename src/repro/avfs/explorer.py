@@ -21,10 +21,9 @@ from repro.errors import ParameterError
 from repro.netlist.circuit import Circuit
 from repro.runtime.report import (AttemptReport, ChunkReport, RunReport)
 from repro.simulation.base import PatternPair, SimulationConfig
-from repro.simulation.compiled import level_plan_cache_stats
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
-from repro.simulation.pool import engine_pool_stats, pooled_engine
+from repro.simulation.pool import PlanCacheMeter, pooled_engine
 from repro.avfs.scaling import VoltageFrequencyTable
 
 __all__ = ["OperatingPointResult", "DesignSpaceExplorer"]
@@ -81,12 +80,10 @@ class DesignSpaceExplorer:
         self.kernel_table = kernel_table
         self.record_activity = record_activity
         config = SimulationConfig(record_all_nets=record_activity)
-        self._pool_hits_pending = 0
+        self._plan_cache = PlanCacheMeter()
         if simulator is None:
-            pool_before = engine_pool_stats()["hits"]
-            simulator = pooled_engine(circuit, library, config=config)
-            self._pool_hits_pending = (engine_pool_stats()["hits"]
-                                       - pool_before)
+            with self._plan_cache:
+                simulator = pooled_engine(circuit, library, config=config)
         self.simulator = simulator
         self._loads = circuit.net_loads(library) if record_activity else None
         self.last_runtime: float = 0.0
@@ -94,37 +91,26 @@ class DesignSpaceExplorer:
 
     def _run(self, pairs: Sequence[PatternPair], plan: SlotPlan):
         """One engine run wrapped in RunReport accounting."""
-        plans_before = level_plan_cache_stats()
-        pool_before = engine_pool_stats()["hits"]
-        start = _time.perf_counter()
-        result = self.simulator.run(pairs, plan=plan,
-                                    kernel_table=self.kernel_table)
-        self.last_runtime = _time.perf_counter() - start
-        plans_after = level_plan_cache_stats()
+        with self._plan_cache:
+            start = _time.perf_counter()
+            result = self.simulator.run(pairs, plan=plan,
+                                        kernel_table=self.kernel_table)
+            self.last_runtime = _time.perf_counter() - start
         stats = self.simulator.last_stats
+        hits, misses = self._plan_cache.take()
         report = RunReport(
             circuit_name=self.circuit.name,
             num_slots=plan.num_slots,
             chunk_slots=plan.num_slots,
             chunks=[ChunkReport(index=0, num_slots=plan.num_slots,
-                                attempts=[AttemptReport(
-                                    engine=result.engine,
-                                    waveform_capacity=stats.capacity_used,
-                                    seconds=self.last_runtime,
-                                    engine_retries=stats.retries)])],
+                                attempts=[AttemptReport.ran(
+                                    result.engine, self.last_runtime,
+                                    stats)])],
             wall_seconds=self.last_runtime,
-            backend=self.simulator.backend.name,
-            gate_evaluations=int(stats.gate_evaluations) if stats else 0,
-            lanes_skipped=int(stats.lanes_skipped) if stats else 0,
-            lanes_spliced=int(stats.lanes_spliced) if stats else 0,
-            phase_seconds=(dict(stats.phase_seconds()) if stats else {}),
-            plan_cache_hits=(plans_after["hits"] - plans_before["hits"]
-                             + engine_pool_stats()["hits"] - pool_before
-                             + self._pool_hits_pending),
-            plan_cache_misses=(plans_after["misses"]
-                               - plans_before["misses"]),
+            plan_cache_hits=hits,
+            plan_cache_misses=misses,
         )
-        self._pool_hits_pending = 0
+        report.fold(stats)
         result.report = report
         self.last_report = report
         return result

@@ -67,11 +67,10 @@ from repro.runtime.fingerprint import (Fingerprinter, feed_compiled,
 from repro.runtime.report import AttemptReport, ChunkReport, RunReport
 from repro.simulation.base import (PatternPair, SimulationConfig,
                                    SimulationResult)
-from repro.simulation.compiled import level_plan_cache_stats
 from repro.simulation.delta import DeltaPlan, select_delta
-from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.gpu import EngineStats, GpuWaveSim
 from repro.simulation.grid import SlotPlan
-from repro.simulation.pool import engine_pool_stats, pooled_engine
+from repro.simulation.pool import PlanCacheMeter, pooled_engine
 
 __all__ = ["LoopConfig", "ClosedLoopRunner", "LOOP_MANIFEST_NAME"]
 
@@ -204,18 +203,16 @@ class ClosedLoopRunner:
 
         self.sim_config = SimulationConfig(
             record_all_nets=config.record_energy, backend=backend)
-        self._pool_hits_pending = 0
+        self._plan_cache = PlanCacheMeter()
         if service is not None:
             self.simulator = None
             self._circuit_key = service.register_circuit(circuit, library)
             self._compiled = service.circuit(self._circuit_key)
         else:
             if simulator is None:
-                pool_before = engine_pool_stats()["hits"]
-                simulator = pooled_engine(circuit, library,
-                                          config=self.sim_config)
-                self._pool_hits_pending = (engine_pool_stats()["hits"]
-                                           - pool_before)
+                with self._plan_cache:
+                    simulator = pooled_engine(circuit, library,
+                                              config=self.sim_config)
             self.simulator = simulator
             self._compiled = simulator.compiled
         # Energy is accounted over every recorded net, every iteration:
@@ -266,17 +263,17 @@ class ClosedLoopRunner:
                   v1: np.ndarray, v2: np.ndarray):
         """One iteration's engine (or service) run.
 
-        Returns ``(result, stats, delta_used)``.  ``stats`` is ``None``
-        for a service job: its lane counters are its report's share of
-        its batch's, all 0 on a result-cache hit (neither simulated nor
-        spliced).
+        Returns ``(result, stats, delta_used)``; ``stats`` is an
+        :class:`~repro.simulation.gpu.EngineStats` either way — a
+        service job's is its share of its batch's, all zeros on a
+        result-cache hit (neither simulated nor spliced).
         """
         variation = self._bound_variation(plan, global_slots)
         if self.service is not None:
             result = self.service.submit(
                 self._circuit_key, pairs, plan=plan, config=self.sim_config,
                 kernel_table=self.kernel_table, variation=variation).result()
-            return result, None, result.report.lanes_spliced > 0
+            return result, result.stats, result.stats.lanes_spliced > 0
 
         delta = None
         if self.config.use_delta:
@@ -458,11 +455,7 @@ class ClosedLoopRunner:
         chunks: List[ChunkReport] = [
             ChunkReport(index=s.iteration, num_slots=len(pairs),
                         from_checkpoint=True) for s in steps]
-        plans_before = level_plan_cache_stats()
-        pool_hits_before = engine_pool_stats()["hits"]
-        gate_evaluations = lanes_skipped = lanes_spliced = 0
-        phase_totals: dict = {}
-        backend = ""
+        engine = EngineStats()
 
         for iteration in range(len(steps), self.config.max_iterations):
             if converged_at is not None:
@@ -473,16 +466,17 @@ class ClosedLoopRunner:
                                             activity_per_pattern)
             drift = self._drift_scale(iteration)
             plan = SlotPlan.uniform(len(pairs), v_eff)
-            result, stats, delta_used = self._simulate(
-                pairs, plan, v_eff, global_slots, v1, v2)
-            lanes = result.report if stats is None else stats
+            with self._plan_cache:
+                result, stats, delta_used = self._simulate(
+                    pairs, plan, v_eff, global_slots, v1, v2)
+            engine += stats
 
             # A fully spliced iteration reproduced the cached base
             # bit-for-bit (same stimuli, same supply, same Monte-Carlo
             # slots), so the arrival / activity extraction — a python
             # walk over every recorded waveform — is reproduced too.
             # Reuse the measurement instead of re-deriving it.
-            full_splice = delta_used and int(lanes.gate_evaluations) == 0
+            full_splice = delta_used and stats.gate_evaluations == 0
             memo = self._measurements.get(v_eff) if full_splice else None
             if memo is None:
                 arrivals = latest_arrivals(result, self.circuit, plan=plan)
@@ -527,36 +521,23 @@ class ClosedLoopRunner:
                 energy_per_pattern=energy,
                 activity_per_pattern=activity_per_pattern,
                 delta_used=delta_used,
-                lanes_spliced=int(lanes.lanes_spliced),
-                gate_evaluations=int(lanes.gate_evaluations),
+                lanes_spliced=stats.lanes_spliced,
+                gate_evaluations=stats.gate_evaluations,
                 seconds=seconds,
             )
             self._save_step(step)
             steps.append(step)
 
-            engine_label = getattr(result, "engine", "service")
             chunks.append(ChunkReport(
                 index=iteration, num_slots=plan.num_slots,
-                attempts=[AttemptReport(
-                    engine=engine_label,
-                    waveform_capacity=stats.capacity_used if stats else 0,
-                    seconds=seconds,
-                    engine_retries=stats.retries if stats else 0)]))
-            gate_evaluations += int(lanes.gate_evaluations)
-            lanes_skipped += int(lanes.lanes_skipped)
-            lanes_spliced += int(lanes.lanes_spliced)
-            if stats:
-                for name, value in stats.phase_seconds().items():
-                    phase_totals[name] = phase_totals.get(name, 0) + value
-            if self.simulator is not None:
-                backend = self.simulator.backend.name
+                attempts=[AttemptReport.ran(result.engine, seconds, stats)]))
 
             settled, converged_at = self._advance_convergence(
                 settled, converged_at, step)
             voltage = next_voltage
 
         wall = _time.perf_counter() - started
-        plans_after = level_plan_cache_stats()
+        hits, misses = self._plan_cache.take()
         run_report = RunReport(
             circuit_name=self.circuit.name,
             num_slots=len(pairs) * len(steps),
@@ -564,18 +545,10 @@ class ClosedLoopRunner:
             chunks=chunks,
             wall_seconds=wall,
             resumed=resumed,
-            backend=backend,
-            gate_evaluations=gate_evaluations,
-            lanes_skipped=lanes_skipped,
-            lanes_spliced=lanes_spliced,
-            plan_cache_hits=(plans_after["hits"] - plans_before["hits"]
-                             + engine_pool_stats()["hits"]
-                             - pool_hits_before + self._pool_hits_pending),
-            plan_cache_misses=(plans_after["misses"]
-                               - plans_before["misses"]),
-            phase_seconds=phase_totals,
+            plan_cache_hits=hits,
+            plan_cache_misses=misses,
         )
-        self._pool_hits_pending = 0
+        run_report.fold(engine)
         return LoopReport(
             circuit_name=self.circuit.name,
             period=self.config.period,
@@ -583,7 +556,7 @@ class ClosedLoopRunner:
             converged_at=converged_at,
             resumed=resumed,
             wall_seconds=wall,
-            backend=backend,
+            backend=run_report.backend,
             run_report=run_report,
             service_metrics=(self.service.metrics().to_dict()
                              if self.service is not None else None),

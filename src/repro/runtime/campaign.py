@@ -239,16 +239,11 @@ class CampaignRunner:
             except Exception as error:  # noqa: BLE001 - recorded on the chunk
                 fail(index, submitted, error)
                 return
-            # One chunk per batch: the job's counters are its batch's,
+            # One chunk per batch: the job's stats are its batch's,
             # whole, so the campaign totals are exact sums.
-            done = job.report
-            report.chunks[index].attempts.extend(done.chunks[0].attempts)
-            report.gate_evaluations += done.gate_evaluations
-            report.lanes_skipped += done.lanes_skipped
-            report.backend_demotions.extend(done.backend_demotions)
-            for name, seconds in done.phase_seconds.items():
-                report.phase_seconds[name] = (
-                    report.phase_seconds.get(name, 0.0) + seconds)
+            report.chunks[index].attempts.extend(
+                job.report.chunks[0].attempts)
+            report.fold(job.stats)
             planes[index] = job.plane
             if store is None:
                 return

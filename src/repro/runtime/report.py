@@ -11,7 +11,10 @@ archaeology.  The report travels on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from repro.simulation.gpu import EngineStats
 
 __all__ = ["AttemptReport", "ChunkReport", "RunReport"]
 
@@ -34,6 +37,13 @@ class AttemptReport:
     seconds: float = 0.0
     error: Optional[str] = None
     engine_retries: int = 0
+
+    @classmethod
+    def ran(cls, engine: str, seconds: float,
+            stats: "EngineStats") -> "AttemptReport":
+        """The successful attempt of an engine run with ``stats``."""
+        return cls(engine=engine, waveform_capacity=stats.capacity_used,
+                   seconds=seconds, engine_retries=stats.retries)
 
     @property
     def succeeded(self) -> bool:
@@ -92,7 +102,8 @@ class ChunkReport:
 
 @dataclass
 class RunReport:
-    """Campaign-level summary across all chunks."""
+    """Campaign-level summary across all chunks; engine counters enter
+    only through :meth:`fold`."""
 
     circuit_name: str
     num_slots: int
@@ -101,13 +112,13 @@ class RunReport:
     wall_seconds: float = 0.0
     resumed: bool = False
     warnings: List[str] = field(default_factory=list)
-    #: Compute backend resolved for the primary engine (``""`` for
-    #: reports predating the backend layer).
+    #: Compute backend of the last engine run folded in — after its
+    #: demotions (``""`` before any run, and for reports predating the
+    #: backend layer).
     backend: str = ""
     #: Backend demotion steps (``"cext->numpy"``) taken while the run's
     #: chunks executed — the engine dropped to a safer kernel
-    #: implementation after repeated native faults.  ``backend`` then
-    #: names the post-demotion backend.
+    #: implementation after repeated native faults.
     backend_demotions: List[str] = field(default_factory=list)
     #: Activity-pruning counters aggregated across every chunk's engine
     #: stats: lanes dispatched to the compute backends vs quiet lanes
@@ -116,8 +127,9 @@ class RunReport:
     gate_evaluations: int = 0
     lanes_skipped: int = 0
     #: Lanes served by splicing a cached base arena instead of any
-    #: dispatch or settle — nonzero only on the service's incremental
-    #: re-simulation path (0 for reports predating delta evaluation).
+    #: dispatch or settle — nonzero only on a delta path: the service's
+    #: base ring or the AVFS loop's (0 for reports predating delta
+    #: evaluation).
     lanes_spliced: int = 0
     #: Level-plan resolutions avoided while this run executed: pooled
     #: engines and the fingerprint-keyed plan cache serving repeated
@@ -132,6 +144,20 @@ class RunReport:
     #: ``pack`` (waveform unpack / logic settle).  Empty for reports
     #: predating the phase breakdown.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+
+    def fold(self, stats: "EngineStats") -> None:
+        """Add one engine run's stats: counters and phase seconds sum,
+        demotions append, and ``backend`` becomes the run's
+        post-demotion backend (a run of no walk names none, so a
+        result-cache hit folds zeros and keeps it)."""
+        self.gate_evaluations += stats.gate_evaluations
+        self.lanes_skipped += stats.lanes_skipped
+        self.lanes_spliced += stats.lanes_spliced
+        self.backend = stats.backend or self.backend
+        self.backend_demotions.extend(stats.demotions)
+        for name, seconds in stats.phase_seconds().items():
+            self.phase_seconds[name] = (
+                self.phase_seconds.get(name, 0.0) + seconds)
 
     @property
     def num_chunks(self) -> int:

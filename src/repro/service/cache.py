@@ -88,7 +88,6 @@ class CachedResult:
     plane: WaveformPlane
     slot_labels: List[Tuple[int, float]]
     engine: str
-    gate_evaluations: int
     #: CRC32 of the plane content at admission (0 = unverified).
     checksum: int = 0
 

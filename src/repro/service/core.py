@@ -104,6 +104,7 @@ from repro.service.pool import EnginePool
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import DeltaPlan, select_delta
+from repro.simulation.gpu import EngineStats
 from repro.simulation.grid import Segments, SlotPlan
 from repro.waveform.plane import WaveformPlane
 
@@ -677,26 +678,16 @@ class SimulationService:
         segments = result.segments
         faults.trip("service.demux", corruptible=(
             segments[0][0] if segments else result.plane))
-        stats = engine.last_stats
         self._settle_batch(
-            jobs, compiled, config, result.plane,
-            engine_name=result.engine, backend=stats.backend,
-            gate_evaluations=stats.gate_evaluations,
-            lanes_skipped=stats.lanes_skipped,
-            demotions=list(stats.demotions),
-            phase_seconds=stats.phase_seconds(), started=started,
-            lanes_spliced=stats.lanes_spliced,
-            capacity_used=stats.capacity_used, retries=stats.retries,
+            jobs, compiled, config, result.plane, result.engine,
+            engine.last_stats, started,
             base_arena=result.base_arena, segments=segments)
 
     def _settle_batch(self, jobs: List[SimulationJob],
                       compiled: CompiledCircuit, config: SimulationConfig,
-                      plane, engine_name: str, backend,
-                      gate_evaluations: int, lanes_skipped: int,
-                      demotions: List[str], phase_seconds: Dict[str, float],
-                      started: float, lanes_spliced: int = 0,
-                      capacity_used: int = 0, retries: int = 0,
-                      base_arena=None, segments=None) -> None:
+                      plane, engine_name: str, stats: EngineStats,
+                      started: float, base_arena=None,
+                      segments=None) -> None:
         """Demultiplex one executed plane into per-job results.
 
         ``plane`` is the batch's result
@@ -715,17 +706,13 @@ class SimulationService:
         ``segments`` (``SimulationResult.segments``) replaces both
         gathers when the engine already unpacked the batch per job:
         ``(plane, base)`` per job, private, ``base`` set for exactly the
-        jobs to pin.  ``capacity_used`` / ``retries`` (the engine's
-        stats for the batch) go on every job's attempt report whole,
-        like ``seconds``: the jobs ran as one plane.
+        jobs to pin.  ``stats`` (the engine's for the batch) reach each
+        job as its :meth:`~repro.simulation.gpu.EngineStats.share`.
         """
-        if demotions:
-            self._metrics.record_demotions(len(demotions))
-        self._metrics.record_splice(gate_evaluations, lanes_spliced)
+        self._metrics.record_engine(stats)
         seconds = _time.monotonic() - started
         bounds = list(accumulate((job.num_slots for job in jobs), initial=0))
         total_slots = bounds[-1]
-        self._metrics.record_phases(phase_seconds)
 
         def slots_of(position: int) -> np.ndarray:
             return np.arange(bounds[position], bounds[position + 1])
@@ -748,49 +735,41 @@ class SimulationService:
             if base is not None:
                 self._cache.put_base(jobs[position].compat_key, base,
                                      tag=jobs[position].fingerprint)
-        self._cache.settle_ring(jobs[0].compat_key, len(jobs), lanes_spliced)
+        self._cache.settle_ring(jobs[0].compat_key, len(jobs),
+                                stats.lanes_spliced)
 
         now = _time.monotonic()
+        shares: Dict[int, EngineStats] = {}  # one (read-only) per job size
         for position, job in enumerate(jobs):
             n = job.num_slots
             job_plane = (segments[position][0] if segments is not None
                          else plane.take(slots_of(position)))
-            evals = gate_evaluations * n // total_slots
-            skipped = lanes_skipped * n // total_slots
-            spliced = lanes_spliced * n // total_slots
+            share = shares.get(n) or shares.setdefault(
+                n, stats.share(n, total_slots))
             report = RunReport(
                 circuit_name=compiled.circuit.name,
                 num_slots=n,
                 chunk_slots=total_slots,
                 chunks=[ChunkReport(index=position, num_slots=n,
-                                    attempts=[AttemptReport(
-                                        engine=f"service:{engine_name}",
-                                        waveform_capacity=capacity_used,
-                                        seconds=seconds,
-                                        engine_retries=retries)])],
-                backend=backend,
-                backend_demotions=list(demotions),
+                                    attempts=[AttemptReport.ran(
+                                        f"service:{engine_name}", seconds,
+                                        share)])],
                 wall_seconds=seconds,
-                gate_evaluations=evals,
-                lanes_skipped=skipped,
-                lanes_spliced=spliced,
-                phase_seconds={name: value * n / total_slots
-                               for name, value in phase_seconds.items()},
             )
+            report.fold(share)
             job_result = JobResult(
                 waveforms=job_plane,
                 slot_labels=job.plan.labels(),
                 engine=engine_name,
-                gate_evaluations=evals,
                 cache_hit=False,
                 latency_seconds=now - job.submitted,
                 report=report,
+                stats=share,
             )
             self._cache.put(job.fingerprint, CachedResult(
                 plane=job_plane,
                 slot_labels=job_result.slot_labels,
                 engine=engine_name,
-                gate_evaluations=evals,
             ))
             self._finish_job(job, result=job_result)
 
@@ -821,16 +800,8 @@ class SimulationService:
                 compiled.result_nets(config.record_all_nets),
                 outcome["initial"], outcome["counts"], outcome["times"])
             faults.trip("service.demux", corruptible=plane)
-            self._settle_batch(
-                jobs, compiled, config, plane,
-                engine_name=outcome["engine"], backend=outcome["backend"],
-                gate_evaluations=outcome["gate_evaluations"],
-                lanes_skipped=outcome["lanes_skipped"],
-                demotions=list(outcome["demotions"]),
-                phase_seconds=outcome["phase_seconds"], started=started,
-                lanes_spliced=outcome["lanes_spliced"],
-                capacity_used=outcome["capacity_used"],
-                retries=outcome["retries"])
+            self._settle_batch(jobs, compiled, config, plane,
+                               outcome["engine"], outcome["stats"], started)
         except Exception as error:  # noqa: BLE001 - isolate, then report
             self._isolate_or_fail(jobs, error, breaker)
         else:
@@ -903,7 +874,6 @@ class SimulationService:
             waveforms=entry.plane,
             slot_labels=list(entry.slot_labels),
             engine=ENGINE_CACHE,
-            gate_evaluations=0,
             cache_hit=True,
             latency_seconds=latency,
             report=report,

@@ -19,6 +19,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ServiceError
 from repro.runtime.report import RunReport
 from repro.simulation.base import PatternPair, SimulationConfig
+from repro.simulation.gpu import EngineStats
 from repro.simulation.grid import SlotPlan
 from repro.waveform.plane import PlaneAccessors
 from repro.waveform.waveform import Waveform
@@ -217,22 +218,26 @@ class JobResult(PlaneAccessors):
     :class:`~repro.waveform.plane.WaveformPlane`), so the analysis layer
     accepts job results unchanged.
 
-    ``report`` reuses the campaign vocabulary
-    (:class:`~repro.runtime.report.RunReport`): the job appears as one
-    chunk of the shared batch it rode in, with ``from_checkpoint`` set
-    when the result came from the cache instead of an engine dispatch.
-    ``gate_evaluations`` (and the report counters) are the job's
-    slot-share of the batch totals — lane accounting is batch-wide, so
-    per-job figures are an apportionment, not a separate measurement.
+    ``stats`` is the job's slot share of its batch's engine stats
+    (:meth:`~repro.simulation.gpu.EngineStats.share`; zeros on a cache
+    hit; read-only, since a batch's jobs of one size share it) — lane
+    accounting is batch-wide, so per-job figures are an apportionment,
+    not a separate measurement.  ``report``, folded over that share,
+    reuses the campaign vocabulary: the job is one chunk of the batch
+    it rode in, ``from_checkpoint`` when served from cache.
     """
 
     waveforms: Sequence[Mapping[str, Waveform]]
     slot_labels: List[Tuple[int, float]]
     engine: str
-    gate_evaluations: int
     cache_hit: bool
     latency_seconds: float
     report: Optional[RunReport] = None
+    stats: EngineStats = field(default_factory=EngineStats)
+
+    @property
+    def gate_evaluations(self) -> int:
+        return self.stats.gate_evaluations
 
 
 class JobHandle:

@@ -25,6 +25,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.simulation.gpu import EngineStats
+
 __all__ = ["MetricsRecorder", "ServiceMetrics"]
 
 #: Upper edges of the batch-occupancy buckets (slots per dispatched
@@ -285,12 +287,9 @@ class MetricsRecorder:
     jobs_timed_out: int = 0
     jobs_cancelled: int = 0
     breaker_rejections: int = 0
-    backend_demotions: int = 0
     batches_dispatched: int = 0
     jobs_batched: int = 0
     slots_dispatched: int = 0
-    lanes_evaluated: int = 0
-    lanes_spliced: int = 0
     _occupancy: List[int] = field(
         default_factory=lambda: [0] * (len(OCCUPANCY_EDGES) + 1))
     _latencies: deque = field(
@@ -301,7 +300,8 @@ class MetricsRecorder:
     #: Exponential moving average of per-job service seconds (the
     #: admission controller's retry-after estimator).
     ema_job_seconds: float = 0.0
-    _phase_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Every dispatched batch's engine stats, summed.
+    _engine: EngineStats = field(default_factory=EngineStats)
 
     def record_submitted(self, jobs: int = 1) -> None:
         with self._lock:
@@ -323,12 +323,10 @@ class MetricsRecorder:
                     break
             self._occupancy[bucket] += 1
 
-    def record_phases(self, phases: Dict[str, float]) -> None:
-        """Accumulate one dispatch's per-phase engine wall time."""
+    def record_engine(self, stats: EngineStats) -> None:
+        """Add one dispatched batch's engine stats."""
         with self._lock:
-            for name, seconds in phases.items():
-                self._phase_seconds[name] = (
-                    self._phase_seconds.get(name, 0.0) + seconds)
+            self._engine += stats
 
     def record_completed(self, latency_seconds: float,
                          shard: Optional[int] = None) -> None:
@@ -362,16 +360,6 @@ class MetricsRecorder:
     def record_breaker_rejected(self) -> None:
         with self._lock:
             self.breaker_rejections += 1
-
-    def record_demotions(self, count: int) -> None:
-        with self._lock:
-            self.backend_demotions += count
-
-    def record_splice(self, evaluated: int, spliced: int) -> None:
-        """Accumulate one batch's evaluated/spliced lane split."""
-        with self._lock:
-            self.lanes_evaluated += evaluated
-            self.lanes_spliced += spliced
 
     def retry_after(self, backlog: int, workers: int) -> float:
         """Backpressure hint: expected drain time of the current backlog."""
@@ -416,11 +404,11 @@ class MetricsRecorder:
                                 if percentiles is not None else None),
                 latency_p99_ms=(float(percentiles[2])
                                 if percentiles is not None else None),
-                phase_seconds=dict(self._phase_seconds),
+                phase_seconds=self._engine.phase_seconds(),
                 jobs_timed_out=self.jobs_timed_out,
                 jobs_cancelled=self.jobs_cancelled,
                 breaker_rejections=self.breaker_rejections,
-                backend_demotions=self.backend_demotions,
+                backend_demotions=len(self._engine.demotions),
                 workers_replaced=pool_stats.get("workers_replaced", 0),
                 workers_hung=pool_stats.get("workers_hung", 0),
                 batches_requeued=pool_stats.get("batches_requeued", 0),
@@ -431,6 +419,6 @@ class MetricsRecorder:
                 ipc_rx_bytes=pool_stats.get("ipc_rx_bytes", 0),
                 shards=dict(pool_stats.get("shards", {})),
                 shard_latency_ms=shard_latency_ms,
-                lanes_evaluated=self.lanes_evaluated,
-                lanes_spliced=self.lanes_spliced,
+                lanes_evaluated=self._engine.gate_evaluations,
+                lanes_spliced=self._engine.lanes_spliced,
             )

@@ -11,10 +11,11 @@ Everything travels over the one duplex control pipe, pickled:
   pairs as two ``(P, W)`` uint8 stacks plus its slot plane.  The shard
   builds :class:`~repro.simulation.base.PatternPair` views over the
   rows and runs :meth:`~repro.simulation.gpu.GpuWaveSim.run` on them;
-* **done** — ``("done", batch_id, {initial, counts, times, ...})``: the
-  result :class:`~repro.waveform.plane.WaveformPlane` in its packed form
-  (:meth:`~repro.waveform.plane.WaveformPlane.packed`) beside the
-  engine's stats for the batch.
+* **done** — ``("done", batch_id, {initial, counts, times, engine,
+  stats})``: the result :class:`~repro.waveform.plane.WaveformPlane` in
+  its packed form (:meth:`~repro.waveform.plane.WaveformPlane.packed`),
+  the engine label and the engine's
+  :class:`~repro.simulation.gpu.EngineStats` for the batch, whole.
 
 A shard keeps nothing between batches but its registry and engines, so
 a sharded batch does exactly the engine work of an in-process one with
@@ -160,21 +161,13 @@ class _ShardWorker:
         result = engine.run(pairs, plan=plan, kernel_table=kernel_table,
                             variation=variation,
                             global_slots=batch["global_slots"])
-        stats = engine.last_stats
         initial, counts, times = result.plane.packed()
         self.send(("done", batch["batch_id"], {
             "initial": initial,
             "counts": counts,
             "times": times,
             "engine": result.engine,
-            "backend": stats.backend,
-            "gate_evaluations": int(stats.gate_evaluations),
-            "lanes_skipped": int(stats.lanes_skipped),
-            "lanes_spliced": int(stats.lanes_spliced),
-            "capacity_used": int(stats.capacity_used),
-            "retries": int(stats.retries),
-            "demotions": list(stats.demotions),
-            "phase_seconds": stats.phase_seconds(),
+            "stats": engine.last_stats,
         }))
 
 

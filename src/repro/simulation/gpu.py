@@ -108,7 +108,7 @@ from repro.waveform.plane import WaveformPlane, net_keys
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.variation import ProcessVariation
 
-__all__ = ["GpuWaveSim"]
+__all__ = ["EngineStats", "GpuWaveSim"]
 
 INF = np.float64(np.inf)
 
@@ -160,8 +160,9 @@ LANE_TRACK_INPUT_FRACTION = 0.25
 
 
 @dataclass
-class _BatchStats:
-    """Per-run engine diagnostics.
+class EngineStats:
+    """Per-run engine diagnostics — the one record an engine run's
+    counters travel in, from the walk to every report.
 
     With activity pruning enabled, ``lanes_skipped`` counts the quiet
     lanes settled by truth-table lookup instead of kernel work — whole
@@ -225,6 +226,33 @@ class _BatchStats:
             "merge": self.merge_seconds,
             "pack": self.pack_seconds,
         }
+
+    def __iadd__(self, other: "EngineStats") -> "EngineStats":
+        """Sum another run's stats into these: counters and seconds add,
+        demotions concatenate, the capacity is the larger and the
+        backend the later run's (a run of no walk, like a result-cache
+        hit, names none and keeps the earlier one)."""
+        for name, value in vars(other).items():
+            if name == "capacity_used":
+                self.capacity_used = max(self.capacity_used, value)
+            elif name == "backend":
+                self.backend = value or self.backend
+            else:
+                setattr(self, name, getattr(self, name) + value)
+        return self
+
+    def share(self, n: int, total: int) -> "EngineStats":
+        """The share of ``n`` of a run's ``total`` slots: lane counters
+        ``x * n // total``, phase seconds ``value * n / total``.  The
+        rest stays whole — the slots ran as one plane, so they share
+        its capacity, retries, kernel calls, backend and demotions."""
+        values = dict(vars(self), demotions=list(self.demotions))
+        for name in ("gate_evaluations", "lanes_skipped", "lanes_spliced",
+                     "bytes_spliced"):
+            values[name] = values[name] * n // total
+        for name in ("delay_seconds", "merge_seconds", "pack_seconds"):
+            values[name] = values[name] * n / total
+        return EngineStats(**values)
 
     def record_walk(self, result, wall: float, spliced: bool,
                     capacity: int) -> None:
@@ -344,7 +372,7 @@ class _Batch:
     #: are captured: a batch that reaches the arena whole is extracted
     #: once per segment (:class:`_Demuxed`).  A subset has no segments.
     segments: Optional[Segments]
-    stats: _BatchStats
+    stats: EngineStats
     #: The run captures a base or names segments: its answer must not
     #: share payload with a delta base (see :meth:`GpuWaveSim._splice`).
     private: bool = False
@@ -446,7 +474,7 @@ class GpuWaveSim:
         if self.config.faults:
             faults.ensure(self.config.faults)
         self.backend: ComputeBackend = resolve_backend(self.config.backend)
-        self.last_stats: Optional[_BatchStats] = None
+        self.last_stats: Optional[EngineStats] = None
         #: Demotion steps taken over the engine's lifetime (see
         #: ``_absorb_kernel_fault``); per-run steps live on the stats.
         self.demotions: List[str] = []
@@ -598,7 +626,7 @@ class GpuWaveSim:
                 raise SimulationError(
                     "delta plan references a missing base slot")
 
-        stats = _BatchStats(backend=self.backend.name)
+        stats = EngineStats(backend=self.backend.name)
         start = _time.perf_counter()
         # Load stimuli (Fig. 2 step 3): per slot, its pattern pair.
         whole = _Batch(
@@ -709,7 +737,7 @@ class GpuWaveSim:
                 if not self._absorb_kernel_fault(batch.stats):
                     raise
 
-    def _absorb_kernel_fault(self, stats: _BatchStats) -> bool:
+    def _absorb_kernel_fault(self, stats: EngineStats) -> bool:
         """Retry policy for batch failures that may be a kernel fault.
 
         The batch is retried on the same backend until ``demote_after``
@@ -780,7 +808,7 @@ class GpuWaveSim:
 
     @staticmethod
     def _join(parts: List[Tuple[np.ndarray, WaveformPlane]],
-              stats: _BatchStats) -> WaveformPlane:
+              stats: EngineStats) -> WaveformPlane:
         """Concatenate ``(slot subset, plane)`` parts that partition a
         batch and restore the batch's slot order (columns are
         re-indexed, the payload is copied once by ``concat``).  A lone
@@ -1102,7 +1130,7 @@ class GpuWaveSim:
 
     def _extract(self, times_all: np.ndarray, initial_all: np.ndarray,
                  rows: Optional[np.ndarray], bounds: Optional[Sequence[int]],
-                 stats: _BatchStats) -> List[WaveformPlane]:
+                 stats: EngineStats) -> List[WaveformPlane]:
         """Waveform analysis (Fig. 2 step 4): copy the wanted rows out
         of the pooled arena, one private packed plane per slot segment
         of ``bounds`` (``None``: one plane over every slot)."""

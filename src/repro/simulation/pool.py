@@ -16,8 +16,9 @@ and the same :class:`SimulationConfig` the *same* engine instance, so
   warm across explorer sweeps and loop iterations, and
 * plan-cache hits become observable: each pool hit is one avoided
   ``CompiledCircuit.plans()`` resolution, surfaced through
-  :func:`engine_pool_stats` and the ``plan_cache_hits`` field of
-  :class:`repro.runtime.report.RunReport`.
+  :func:`engine_pool_stats` and — counted by a :class:`PlanCacheMeter`
+  together with the level-plan cache's own hits — the
+  ``plan_cache_hits`` field of :class:`repro.runtime.report.RunReport`.
 
 Engines are keyed by the compiled circuit's content fingerprint — two
 independently parsed copies of one netlist share an engine.  The pool is
@@ -45,11 +46,13 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.simulation.base import SimulationConfig
-from repro.simulation.compiled import CompiledCircuit, compile_circuit
+from repro.simulation.compiled import (CompiledCircuit, compile_circuit,
+                                       level_plan_cache_stats)
 from repro.simulation.gpu import GpuWaveSim
 
 __all__ = [
     "POOL_CAPACITY",
+    "PlanCacheMeter",
     "clear_engine_pool",
     "engine_pool_stats",
     "pooled_engine",
@@ -133,3 +136,33 @@ def clear_engine_pool() -> None:
         _compiled.clear()
         _hits = 0
         _misses = 0
+
+
+class PlanCacheMeter:
+    """Plan resolutions avoided (engine-pool and level-plan cache hits)
+    and paid (plan cache misses) inside ``with meter:`` — an explorer's
+    or loop's pooled-engine lookup and its engine runs — banked until
+    :meth:`take`.  The counters are process-wide: a stretch counts
+    whatever else resolved plans meanwhile."""
+
+    def __init__(self) -> None:
+        self._banked = self._start = (0, 0)
+
+    @staticmethod
+    def _counts() -> Tuple[int, int]:
+        plans = level_plan_cache_stats()
+        return plans["hits"] + engine_pool_stats()["hits"], plans["misses"]
+
+    def __enter__(self) -> "PlanCacheMeter":
+        self._start = self._counts()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._banked = tuple(banked + now - start for banked, now, start
+                             in zip(self._banked, self._counts(),
+                                    self._start))
+
+    def take(self) -> Tuple[int, int]:
+        """``(hits, misses)`` banked since the last take; resets them."""
+        banked, self._banked = self._banked, (0, 0)
+        return banked

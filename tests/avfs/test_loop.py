@@ -377,6 +377,21 @@ class TestServiceMode:
         assert [s.raw_arrival for s in report.steps] == \
                [s.raw_arrival for s in local.steps]
         assert report.final_voltage == local.final_voltage
+        # The service path reports what the local one does, not just
+        # its lane counts.
+        run, local_run = report.run_report, local.run_report
+        assert run.backend == local_run.backend != ""
+        assert run.phase_seconds.keys() == local_run.phase_seconds.keys()
+        assert run.phase_seconds
+        executed = [(chunk.attempts[0], local_chunk.attempts[0])
+                    for chunk, local_chunk, step, local_step in zip(
+                        run.chunks, local_run.chunks, report.steps,
+                        local.steps)
+                    if step.gate_evaluations and local_step.gate_evaluations]
+        assert executed
+        for attempt, local_attempt in executed:
+            assert attempt.waveform_capacity == local_attempt.waveform_capacity
+            assert attempt.engine_retries == local_attempt.engine_retries
 
     @pytest.mark.parametrize("cache_entries", [1, 256])
     def test_service_steps_report_their_splices(self, setup, library,

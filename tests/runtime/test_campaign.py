@@ -19,6 +19,7 @@ from repro.errors import CheckpointError, ChunkExecutionError, CampaignError
 from repro.netlist.generate import random_circuit
 from repro.runtime import CampaignConfig, CampaignRunner
 from repro.service import SimulationService
+from repro.simulation.backend import available_backends
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
@@ -176,6 +177,23 @@ class TestServiceRecovery:
         assert snapshot.workers_replaced == 1
         assert snapshot.batches_requeued == 1
         assert snapshot.jobs_failed == 0
+
+    @pytest.mark.skipif("cext" not in available_backends(),
+                        reason="needs the native backend to demote from")
+    def test_report_names_the_backend_after_demotion(self, setup, library):
+        """A chunk whose kernel faulted ran on the demoted backend, and
+        every later one too: the report names that backend."""
+        circuit, compiled, pairs = setup
+        reference, _stats = whole_plane(setup, library, pairs)
+        config = SimulationConfig(record_all_nets=True, backend="cext",
+                                  demote_after=1)
+        with faults.injected("backend.run_levels:raise@n=1"):
+            result = make_runner(setup, library, config=config,
+                                 chunk_slots=4).run(pairs)
+        report = result.report
+        assert report.backend_demotions == ["cext->numpy"]
+        assert report.backend == "numpy"
+        assert_bit_identical(reference, result, circuit)
 
     def test_failed_chunk_raises_after_the_others_checkpoint(
             self, setup, library, tmp_path):

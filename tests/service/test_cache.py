@@ -12,7 +12,7 @@ from repro.waveform.plane import WaveformPlane
 def entry(tag: str) -> CachedResult:
     return CachedResult(plane=WaveformPlane.from_waveforms([{}]),
                         slot_labels=[(0, 0.8)],
-                        engine=tag, gate_evaluations=1)
+                        engine=tag)
 
 
 class TestResultCache:
@@ -341,7 +341,7 @@ class TestPackedPlaneIntegrity:
         path checks them separately, so offset rot is still a miss."""
         cache = ResultCache(2)
         cache.put("k", CachedResult(plane=arena(4).plane, slot_labels=[],
-                                    engine="e", gate_evaluations=0))
+                                    engine="e"))
         hit = cache.get("k")
         assert hit is not None and hit.plane.layout_intact()
         hit.plane.starts[1, 0] += 1
@@ -364,8 +364,7 @@ class TestAdmissionCopies:
             WaveformPlane, "take",
             lambda self, *args, **kwargs: takes.append(1))
         cache = ResultCache(2)
-        cache.put("k", CachedResult(plane=plane, slot_labels=[], engine="e",
-                                    gate_evaluations=0))
+        cache.put("k", CachedResult(plane=plane, slot_labels=[], engine="e"))
         stored = cache.get("k").plane
         assert takes == []
         assert stored is not plane and stored.layout_intact()

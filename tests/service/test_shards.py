@@ -9,6 +9,9 @@ Contracts under test (``docs/architecture.md`` §11):
 * a shard does exactly the engine work an in-process service does with
   the cache (and so the delta path) off: equal per-job
   ``gate_evaluations``, nothing spliced, on every pass of a stream;
+* a shard's ``done`` reply carries the engine's stats whole: each job's
+  report — lane counters, backend, phases, attempt capacity and
+  retries — reads the same as in-process;
 * the ``ipc_*_bytes`` counters carry the payload: stimuli out, packed
   result planes back;
 * every shard's level-plan cache is warmed at registration time, before
@@ -213,6 +216,39 @@ class TestEqualWork:
                     == [r.gate_evaluations for r in inproc_pass])
             assert all(r.report.lanes_spliced == 0 for r in sharded_pass)
             assert all(r.gate_evaluations > 0 for r in sharded_pass)
+
+
+class TestWholeStats:
+    def test_shard_reply_carries_the_whole_record(self, circuit, library,
+                                                  compiled, shard_count):
+        """Each job's report reads the same in-process and on shards:
+        the ``done`` reply carries the engine's stats whole, not a
+        chosen few of its counters."""
+        jobs = make_jobs(circuit, 8, seed=67)
+        # Quiet pairs settle by lookup, so lanes_skipped has something
+        # to carry.
+        for pairs in jobs[::2]:
+            pairs[0] = PatternPair(pairs[0].v1, pairs[0].v1)
+
+        def reports(config):
+            with SimulationService(config=config) as service:
+                key = service.register_circuit(circuit, library,
+                                               compiled=compiled)
+                handles = [service.submit(key, pairs) for pairs in jobs]
+                return [h.result(timeout=180).report for h in handles]
+
+        def record(report):
+            (attempt,) = report.chunks[0].attempts
+            return (report.gate_evaluations, report.lanes_skipped,
+                    report.lanes_spliced, report.backend,
+                    sorted(report.phase_seconds), attempt.waveform_capacity,
+                    attempt.engine_retries)
+
+        in_process = [record(r) for r in reports(sharded_config(0))]
+        sharded = [record(r) for r in reports(sharded_config(shard_count))]
+        assert sharded == in_process
+        assert all(lanes_skipped > 0 and backend and phases
+                   for _, lanes_skipped, _, backend, phases, *_ in sharded)
 
 
 class TestShardDeath:
