@@ -12,15 +12,17 @@ pay off.  The shape is deliberately that of an inference server:
   traffic burst degrades to backpressure instead of unbounded memory;
 * **dynamic batching** — flush on fullness / age / queue-idle
   (:mod:`repro.service.batcher`), per compatibility group;
-* **engine pool** — worker threads each owning their engine instances
-  (the waveform-arena pool is per engine and not thread-safe); batches
-  dispatch through :class:`~repro.simulation.gpu.GpuWaveSim`; with
-  ``shards > 0`` the pool is replaced wholesale by a
+* **executor** — batches run under one supervised-worker machine
+  (:mod:`repro.service.pool`) of one of two kinds: engine threads each
+  owning their engine instances (the waveform-arena pool is per engine
+  and not thread-safe), or, with ``shards > 0``, a
   :class:`~repro.service.router.ShardRouter` over spawned worker
   *processes* — compatibility groups map to shards by consistent hash,
   each batch's stimuli go out and its packed result plane comes back
   over the shard's control pipe, and demux happens in the parent on
-  the plane rebuilt from that reply;
+  the plane rebuilt from that reply.  Either way a batch is counted at
+  one dispatch site (:meth:`SimulationService._begin`) and settled at
+  one outcome site (:meth:`SimulationService._conclude`);
 * **demultiplexing** — each job receives exactly its slice of the
   shared plane, with a per-job :class:`~repro.runtime.report.RunReport`
   describing the batch it rode in;
@@ -35,9 +37,10 @@ pay off.  The shape is deliberately that of an inference server:
   every batch's spliced lanes to the cache's per-group ledger, and a
   group the ledger suspended runs without ``capture_base``, with
   ``Segments(captured=0)`` and with no selection work at submit;
-* **failure domains** — per-job deadlines and cancellation, a
-  supervised worker pool that replaces dead or hung workers and
-  re-queues their in-flight batch once (:mod:`repro.service.pool`),
+* **failure domains** — per-job deadlines and cancellation, worker
+  supervision that replaces dead or hung workers and re-queues their
+  in-flight batches once (:mod:`repro.service.pool`), poison isolation
+  that re-runs a failed batch's jobs as batches of their own,
   per-compatibility-group circuit breakers
   (:mod:`repro.service.breaker`), checksummed cache entries, and
   automatic backend demotion on repeated native-kernel faults — all
@@ -154,17 +157,17 @@ class SimulationService:
         self._breakers_lock = threading.Lock()
         self._live: Dict[int, SimulationJob] = {}
         self._live_lock = threading.Lock()
-        self._pool = None
+        # The batch executor: shard processes or in-process threads,
+        # two kinds of one supervised-worker machine (service.pool).
         self._router = None
         if self.config.shards > 0:
             from repro.service.router import ShardRouter
-            self._router = ShardRouter(
+            self._router = self._executor = ShardRouter(
                 num_shards=self.config.shards,
                 combine=self._combine,
-                on_batch_done=self._complete_shard_batch,
-                on_batch_error=self._shard_batch_error,
+                on_dispatch=self._begin,
+                on_reply=self._complete_shard_batch,
                 on_batch_lost=self._fail_batch_jobs,
-                on_dispatch=self._record_shard_dispatch,
                 queue_depth=self.config.shard_queue_depth,
                 hang_timeout_s=self.config.hang_timeout_s,
                 tick_s=self.config.supervisor_tick_s,
@@ -172,7 +175,7 @@ class SimulationService:
                 on_tick=self._expire_deadlines,
             )
         else:
-            self._pool = EnginePool(
+            self._executor = EnginePool(
                 workers=self.config.workers,
                 handler=self._execute_batch,
                 on_batch_lost=self._fail_batch_jobs,
@@ -207,11 +210,6 @@ class SimulationService:
         self._queue.put(_STOP if drain else _ABORT)
         self._batch_thread.join()
         self._executor.close()
-
-    @property
-    def _executor(self):
-        """The batch executor: shard router or in-process engine pool."""
-        return self._router if self._router is not None else self._pool
 
     @property
     def closed(self) -> bool:
@@ -405,8 +403,8 @@ class SimulationService:
             if self.config.admission == "reject":
                 if self._backlog >= self.config.queue_depth:
                     self._metrics.record_rejected()
-                    retry = self._metrics.retry_after(self._backlog,
-                                                      self.config.workers)
+                    retry = self._metrics.retry_after(
+                        self._backlog, self._executor.num_workers)
                     raise AdmissionError(
                         f"queue depth {self.config.queue_depth} reached; "
                         f"retry in {retry:.3f}s",
@@ -424,7 +422,7 @@ class SimulationService:
                     if remaining is not None and remaining <= 0:
                         self._metrics.record_rejected()
                         retry = self._metrics.retry_after(
-                            self._backlog, self.config.workers)
+                            self._backlog, self._executor.num_workers)
                         raise AdmissionError(
                             "admission wait timed out; "
                             f"retry in {retry:.3f}s",
@@ -581,9 +579,51 @@ class SimulationService:
             self._router.register_group(
                 batch.compat_key, job.circuit_key, job.config,
                 job.kernel_table, job.variation)
-            self._router.submit(batch)
+        self._executor.submit(batch)
+
+    def _begin(self, batch: PendingBatch,
+               shard: Optional[int] = None) -> List[SimulationJob]:
+        """The one dispatch site: the jobs a batch still carries as a
+        worker takes it, counted as one engine dispatch.
+
+        Jobs settled while queued (deadline expiry, cancellation) ride
+        no further: excluding them cannot change the other jobs' results
+        because slot identity is the job's own (``global_slots``).
+        """
+        jobs = [job for job in batch.jobs if not job.future.done()]
+        if jobs:
+            for job in jobs:
+                job.shard = shard
+            self._metrics.record_batch(len(jobs),
+                                       sum(job.num_slots for job in jobs))
+        return jobs
+
+    def _conclude(self, batch: PendingBatch, jobs: List[SimulationJob],
+                  settle) -> None:
+        """The one batch-outcome site, for threads and shards alike.
+
+        ``settle()`` demultiplexes the batch's result and raises when
+        the batch failed.  Success is the group breaker's; on failure
+        one poison job must not sink its batch neighbours, so each
+        unsettled job re-enters the executor as a batch of its own —
+        with its own hang clock — and only a lone job's failure fails
+        it.
+        """
+        breaker = self._breaker_for(batch.compat_key)
+        try:
+            settle()
+        except Exception as error:  # noqa: BLE001 - isolate, then report
+            if len(jobs) == 1:
+                if self._finish_job(jobs[0], error=error):
+                    breaker.record_failure()
+                return
+            for job in jobs:
+                if not job.future.done():
+                    single = PendingBatch(compat_key=job.compat_key)
+                    single.add(job, _time.monotonic())
+                    self._dispatch(single)
         else:
-            self._pool.submit(batch)
+            breaker.record_success()
 
     # -- execution ------------------------------------------------------------
 
@@ -603,32 +643,12 @@ class SimulationService:
         return engine
 
     def _execute_batch(self, batch: PendingBatch) -> None:
-        # Jobs settled while queued (deadline expiry, cancellation) ride
-        # no further: excluding them cannot change the other jobs'
-        # results because slot identity is the job's own (``global_slots``).
-        jobs = [job for job in batch.jobs if not job.future.done()]
-        if not jobs:
-            return
-        self._metrics.record_batch(len(jobs),
-                                   sum(job.num_slots for job in jobs))
-        started = _time.monotonic()
-        breaker = self._breaker_for(batch.compat_key)
-        try:
-            self._run_and_demux(jobs, started)
-        except Exception as error:  # noqa: BLE001 - isolate, then report
-            if len(jobs) > 1:
-                # One poison job must not sink its batch neighbours:
-                # re-run each job as a singleton (inline, same worker) so
-                # only the guilty one surfaces the failure.
-                for job in jobs:
-                    single = PendingBatch(compat_key=job.compat_key)
-                    single.add(job, _time.monotonic())
-                    self._execute_batch(single)
-            else:
-                if self._finish_job(jobs[0], error=error):
-                    breaker.record_failure()
-        else:
-            breaker.record_success()
+        """Engine-thread handler: run one batch in this process."""
+        jobs = self._begin(batch)
+        if jobs:
+            started = _time.monotonic()
+            self._conclude(batch, jobs,
+                           lambda: self._run_and_demux(jobs, started))
 
     def _combine(self, jobs: List[SimulationJob]):
         """Concatenate a batch's jobs into one shared slot plane."""
@@ -773,27 +793,21 @@ class SimulationService:
             ))
             self._finish_job(job, result=job_result)
 
-    # -- sharded execution (router callbacks) ---------------------------------
-
-    def _record_shard_dispatch(self, batch: PendingBatch,
-                               jobs: List[SimulationJob],
-                               shard_index: int) -> None:
-        """Router callback: one batch left for a shard process."""
-        for job in jobs:
-            job.shard = shard_index
-        self._metrics.record_batch(len(jobs),
-                                   sum(job.num_slots for job in jobs))
+    # -- sharded execution (router callback) ----------------------------------
 
     def _complete_shard_batch(self, batch: PendingBatch,
-                              jobs: List[SimulationJob], outcome: dict,
-                              shard_index: int, started: float) -> None:
-        """Router callback: demux one ``done`` reply.
+                              jobs: List[SimulationJob], reply: tuple,
+                              started: float) -> None:
+        """Router callback: a shard's ``done`` or ``error`` reply.
 
-        ``outcome`` carries the batch's packed result plane; its arrays
-        came out of unpickling, so they are private and writeable.
+        A ``done`` reply carries the batch's packed result plane; its
+        arrays came out of unpickling, so they are private and
+        writeable.
         """
-        breaker = self._breaker_for(batch.compat_key)
-        try:
+        def settle() -> None:
+            if reply[0] == "error":
+                raise self._rebuild_shard_error(*reply[2:])
+            outcome = reply[2]
             compiled = self.circuit(jobs[0].circuit_key)
             config = jobs[0].config
             plane = WaveformPlane.from_packed(
@@ -802,38 +816,8 @@ class SimulationService:
             faults.trip("service.demux", corruptible=plane)
             self._settle_batch(jobs, compiled, config, plane,
                                outcome["engine"], outcome["stats"], started)
-        except Exception as error:  # noqa: BLE001 - isolate, then report
-            self._isolate_or_fail(jobs, error, breaker)
-        else:
-            breaker.record_success()
 
-    def _shard_batch_error(self, batch: PendingBatch,
-                           jobs: List[SimulationJob], exc_name: str,
-                           message: str) -> None:
-        """Router callback: the shard reported a batch failure."""
-        error = self._rebuild_shard_error(exc_name, message)
-        breaker = self._breaker_for(batch.compat_key)
-        self._isolate_or_fail(jobs, error, breaker)
-
-    def _isolate_or_fail(self, jobs: List[SimulationJob],
-                         error: BaseException, breaker) -> None:
-        """Sharded poison isolation: singletons re-dispatch, one fails.
-
-        The in-process pool re-runs singletons inline on the same
-        worker; here the re-dispatch goes back through the router (the
-        shard serves other groups meanwhile), with the same outcome:
-        only the guilty job surfaces the failure.
-        """
-        if len(jobs) > 1:
-            for job in jobs:
-                if job.future.done():
-                    continue
-                single = PendingBatch(compat_key=job.compat_key)
-                single.add(job, _time.monotonic())
-                self._dispatch(single)
-        else:
-            if self._finish_job(jobs[0], error=error):
-                breaker.record_failure()
+        self._conclude(batch, jobs, settle)
 
     @staticmethod
     def _rebuild_shard_error(exc_name: str, message: str) -> Exception:

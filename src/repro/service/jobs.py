@@ -64,9 +64,12 @@ class ServiceConfig:
         LRU result-cache capacity in jobs (``0`` disables caching).
     hang_timeout_s:
         A batch executing longer than this is declared hung: its worker
-        slot is abandoned and replaced, the batch re-queued once (see
-        :class:`~repro.service.pool.EnginePool`).  Must comfortably
-        exceed the largest legitimate batch runtime.
+        is replaced (a thread abandoned, a shard killed) and the batch
+        re-queued once (see :mod:`repro.service.pool`).  A batch's clock
+        starts when its worker can run it — a shard's boot does not
+        count — and a job re-run alone after its batch failed gets a
+        clock of its own.  Must comfortably exceed the largest
+        legitimate batch runtime.
     supervisor_tick_s:
         Supervisor scan period — the granularity of worker health
         checks and job-deadline expiry.

@@ -149,6 +149,30 @@ class TestFaultMatrix:
                                       handle.result(timeout=1))
 
 
+class TestIsolationClock:
+    def test_isolated_jobs_get_their_own_hang_clock(self, circuit, library,
+                                                    compiled):
+        """A failed batch's jobs re-run as batches of their own, each
+        timed from when a worker takes it: eight 120 ms re-runs after a
+        120 ms failed batch are not one 0.5 s hang."""
+        jobs = make_jobs(circuit, 8, pairs_each=1, seed=14)
+        config = hardened_config(cache_entries=0)
+        baseline = run_service(circuit, library, compiled, jobs, config)
+        with faults.injected("service.demux:raise@n=1; "
+                             "backend.run_levels:delay@p=1,ms=120"):
+            with SimulationService(config=config) as service:
+                key = service.register_circuit(circuit, library,
+                                               compiled=compiled)
+                handles = [service.submit(key, pairs) for pairs in jobs]
+                results = [handle.result(timeout=120) for handle in handles]
+                metrics = service.metrics()
+        assert metrics.workers_hung == 0
+        assert metrics.workers_replaced == 0
+        assert metrics.batches_requeued == 0
+        for ref, got in zip(baseline, results):
+            assert_same_waveforms(ref, got)
+
+
 class TestCircuitBreaker:
     def test_open_half_open_close_transitions(self, circuit, library,
                                               compiled):

@@ -18,7 +18,9 @@ Contracts under test (``docs/architecture.md`` §11):
   its first batch;
 * a shard SIGKILLed mid-batch is respawned with its registry replayed
   and its in-flight batch re-queued exactly once, with every job still
-  settling correctly;
+  settling correctly; a batch lost twice fails with ``WorkerLostError``;
+* a batch's hang clock starts when its shard is ready, not while the
+  shard boots;
 * the ``shard.spawn`` / ``shard.dispatch`` fault seams drive the
   retry, error-propagation and poison-isolation paths.
 
@@ -34,10 +36,17 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import InjectedFaultError, ServiceError, ShardError
+from repro.errors import (
+    AdmissionError,
+    InjectedFaultError,
+    ServiceError,
+    ShardError,
+    WorkerLostError,
+)
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
 from repro.service import router as router_module
+from repro.service.metrics import MetricsRecorder
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
@@ -165,7 +174,7 @@ class TestShardedBitIdentity:
         # to every shard, so no shard — busy or idle — has ever missed.
         service, _ = sharded
         router = service._router
-        for index in range(router.num_shards):
+        for index in range(router.num_workers):
             info = router.ping(index, timeout_s=30.0)
             assert info is not None, f"shard {index} did not answer ping"
             stats = info["plan_cache"]
@@ -311,6 +320,32 @@ class TestShardDeath:
             faults.reset()
 
 
+class TestBootClock:
+    def test_hang_clock_starts_when_the_shard_is_ready(self, circuit,
+                                                       library, compiled):
+        """A full batch reaches a fresh shard while it still boots
+        (~0.5 s of imports); a hang timeout below the boot time must
+        not declare that shard hung."""
+        jobs = make_jobs(circuit, 8, pairs_each=1, seed=71)
+        service = SimulationService(config=sharded_config(
+            1, max_batch_slots=8, hang_timeout_s=0.4))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handles = [service.submit(key, pairs) for pairs in jobs]
+            results = [h.result(timeout=180) for h in handles]
+            metrics = service.metrics()
+        finally:
+            service.close()
+        assert metrics.workers_hung == 0
+        assert metrics.workers_replaced == 0
+        assert metrics.batches_requeued == 0
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        for pairs, result in zip(jobs, results):
+            assert_bit_identical(pairs, result, engine)
+
+
 class TestShardFaultSeams:
     def test_spawn_fault_is_retried(self, circuit, library, compiled):
         # first spawn attempt dies; the router's single retry succeeds
@@ -377,7 +412,58 @@ class TestShardFaultSeams:
             faults.reset()
 
 
+    def test_second_loss_fails_the_batch(self, circuit, library, compiled,
+                                         monkeypatch):
+        # every dispatch kills its shard: the batch is re-queued once,
+        # and its second loss fails the job
+        monkeypatch.setenv("REPRO_FAULTS", "shard.dispatch:die@p=1")
+        faults.reset()
+        service = SimulationService(config=sharded_config(1))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handle = service.submit(key, make_jobs(circuit, 1, seed=47)[0])
+            error = handle.exception(timeout=180)
+            metrics = service.metrics()
+        finally:
+            service.close()
+            faults.reset()
+        assert isinstance(error, WorkerLostError)
+        assert str(error) == ("shard process lost while executing a "
+                              "re-queued batch")
+        assert metrics.workers_replaced == 2
+        assert metrics.workers_hung == 0
+        assert metrics.batches_requeued == 1
+        assert metrics.jobs_failed == 1
+
+
 class TestShardConfig:
     def test_negative_shards_rejected(self):
         with pytest.raises(ServiceError):
             ServiceConfig(shards=-1)
+
+    def test_retry_hint_is_computed_over_shards(self, circuit, library,
+                                               compiled, monkeypatch):
+        # ``workers`` configures nothing on a sharded service: the
+        # backlog drains over its shards
+        counts = []
+        retry_after = MetricsRecorder.retry_after
+
+        def spy(recorder, backlog, workers):
+            counts.append(workers)
+            return retry_after(recorder, backlog, workers)
+
+        monkeypatch.setattr(MetricsRecorder, "retry_after", spy)
+        service = SimulationService(config=sharded_config(
+            2, workers=1, admission="reject", queue_depth=1,
+            max_batch_slots=4096, max_wait_ms=60_000.0, idle_ms=60_000.0))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            first, second = make_jobs(circuit, 2, seed=53)
+            service.submit(key, first)
+            with pytest.raises(AdmissionError):
+                service.submit(key, second)
+        finally:
+            service.close()
+        assert counts == [2]
