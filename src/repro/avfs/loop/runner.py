@@ -164,9 +164,10 @@ class ClosedLoopRunner:
         circuit uses.
     service:
         A running :class:`~repro.service.SimulationService`; iterations
-        are then submitted as service jobs (the service's own delta ring
-        and result cache replace the local one) and the loop report
-        carries a service-metrics snapshot.
+        are then submitted as service jobs (the service's result cache
+        answers exact revisits; it has no delta path, so every other
+        iteration runs in full) and the loop report carries a
+        service-metrics snapshot.
     checkpoint_dir:
         Trajectory checkpoint directory (resumable); ``None`` disables
         checkpointing.

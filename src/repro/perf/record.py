@@ -431,8 +431,8 @@ def bench_incremental_resim(backend_name: str, circuit_name: str,
     """Delta re-simulation vs full re-simulation (four entries).
 
     A base run over a ``num_patterns x INCR_SWEEP_VOLTAGES`` slot plane
-    is captured once (untimed — the arena is a by-product of normal
-    service traffic).  Two near-duplicate variants are then timed both
+    is captured once (untimed — the arena is a by-product of a normal
+    run, the way the closed loop's ring takes it).  Two near-duplicate variants are then timed both
     from scratch (``*_full``) and through the delta path (``*_delta``,
     including the ``select_delta`` diff — the whole price of reuse):
 

@@ -38,11 +38,11 @@ functions are stored, so their feed order is frozen and their digests
 are pinned by tests.  :func:`compatibility_fingerprint` and
 :func:`circuit_fingerprint` cross a process boundary (shard group and
 circuit keys) and stay pinned with them.  :func:`job_fingerprint` never
-leaves the process — it keys the result cache, tags the delta base ring
-and names a :class:`~repro.service.jobs.JobHandle` — so it is free to be
-the cheap composition: a fork of the memoized compatibility state
-followed by the job's stimuli and plan, a few hundred bytes per submit
-and never the kernel table (tens of kilobytes that the frozen campaign
+leaves the process — it keys the result cache and names a
+:class:`~repro.service.jobs.JobHandle` — so it is free to be the cheap
+composition: a fork of the memoized compatibility state followed by
+the job's stimuli and plan, a few hundred bytes per submit and never
+the kernel table (tens of kilobytes that the frozen campaign
 order hashes *after* the stimuli, where no prefix memo can reach them).
 It is sensitive to exactly the fields the campaign digest is, fed in
 another order; treat it as opaque — it equals no campaign digest and no

@@ -127,9 +127,8 @@ class RunReport:
     gate_evaluations: int = 0
     lanes_skipped: int = 0
     #: Lanes served by splicing a cached base arena instead of any
-    #: dispatch or settle — nonzero only on a delta path: the service's
-    #: base ring or the AVFS loop's (0 for reports predating delta
-    #: evaluation).
+    #: dispatch or settle — nonzero only on the delta path, the AVFS
+    #: loop's base ring (0 for reports predating delta evaluation).
     lanes_spliced: int = 0
     #: Level-plan resolutions avoided while this run executed: pooled
     #: engines and the fingerprint-keyed plan cache serving repeated

@@ -7,7 +7,8 @@ supervised worker pool dispatching through the existing engines
 (dead/hung workers replaced, their batch re-queued once), per-job
 result demultiplexing with deadlines and cancellation,
 per-compatibility-group circuit breakers, and a checksummed
-fingerprinted LRU result cache.  With ``ServiceConfig(shards=N)`` the
+fingerprinted LRU result cache of exact repeats (the service has no
+delta path; a near-duplicate job re-simulates in full).  With ``ServiceConfig(shards=N)`` the
 worker pool is replaced by a multi-process shard router: batches route
 to spawned worker processes by consistent hash of their compatibility
 group, each batch's stimuli and packed result plane crossing the

@@ -29,14 +29,8 @@ pay off.  The shape is deliberately that of an inference server:
 * **result cache** — a fingerprinted LRU (:mod:`repro.service.cache`)
   keyed by an in-memory SHA-256 job identity decided by the same fields
   as a campaign checkpoint's; hits resolve at submission time and never
-  touch the queue or an engine;
-* **delta base ring** — beside the cache, each compatibility group pins
-  its newest ``delta_bases`` all-net arenas so a near-duplicate job
-  splices instead of re-simulating; the ring is kept only while it
-  earns its capture: :meth:`SimulationService._settle_batch` reports
-  every batch's spliced lanes to the cache's per-group ledger, and a
-  group the ledger suspended runs without ``capture_base``, with
-  ``Segments(captured=0)`` and with no selection work at submit;
+  touch the queue or an engine.  There is no delta path: a cache miss
+  runs in full (``docs/architecture.md`` §12);
 * **failure domains** — per-job deadlines and cancellation, worker
   supervision that replaces dead or hung workers and re-queues their
   in-flight batches once (:mod:`repro.service.pool`), poison isolation
@@ -106,7 +100,9 @@ from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.pool import EnginePool
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
-from repro.simulation.delta import DeltaPlan, select_delta
+# Importable here because the ledger's ``service_stream`` workload wraps
+# ``repro.service.core.select_delta`` by name under ``--trace``.
+from repro.simulation.delta import select_delta  # noqa: F401
 from repro.simulation.gpu import EngineStats
 from repro.simulation.grid import Segments, SlotPlan
 from repro.waveform.plane import WaveformPlane
@@ -135,16 +131,7 @@ class SimulationService:
         self.config = config or ServiceConfig()
         self._circuits: Dict[str, CompiledCircuit] = {}
         self._circuits_lock = threading.Lock()
-        # Delta evaluation needs the engine-level capture/delta kwargs
-        # and a parent-side base ring, so it runs in-process only: a
-        # shard just runs the batch it is sent.
-        self._delta_enabled = (self.config.shards == 0
-                               and self.config.delta_bases > 0
-                               and self.config.cache_entries > 0)
-        self._cache = ResultCache(
-            self.config.cache_entries,
-            max_bases=(self.config.delta_bases
-                       if self._delta_enabled else 0))
+        self._cache = ResultCache(self.config.cache_entries)
         self._metrics = MetricsRecorder()
         self._queue: "_queue.Queue" = _queue.Queue()
         self._batcher = DynamicBatcher(self.config.max_batch_slots,
@@ -328,8 +315,6 @@ class SimulationService:
             fingerprint=fingerprint, compat_key=compat_key,
             first_slot=first_slot,
         )
-        if self._delta_enabled:
-            job.delta = self._select_delta(job)
         self._admit(job)
         job.submitted = _time.monotonic()
         if deadline_ms is not None:
@@ -340,45 +325,6 @@ class SimulationService:
         self._queue.put(job)
         return JobHandle(fingerprint, job.future,
                          canceller=lambda: self._cancel_job(job))
-
-    def _select_delta(self, job: SimulationJob):
-        """Pick a base from the compat group's ring, or ``None``.
-
-        Exact-fingerprint hits never reach here (they resolve above),
-        so a selected plan always has *something* to re-evaluate — but
-        a job repeating a base's stimuli under the same plane still
-        fully splices.  ``global_slots`` are the jobs' own on both sides
-        (the combine step pins them from ``first_slot``), so Monte-Carlo
-        eligibility holds no matter which batches the base and the
-        variant rode in.
-
-        Verify-on-select: the ring's candidates come unverified, and
-        only the base the diff settles on is checksummed — a rotted one
-        is evicted there and the selection repeats without it, so the
-        plan returned always wraps a base that just passed its CRC.
-        """
-        candidates = self._cache.bases_for(job.compat_key)
-        if not candidates:
-            return None
-        v1 = np.stack([pair.v1 for pair in job.pairs])
-        v2 = np.stack([pair.v2 for pair in job.pairs])
-        global_slots = (np.arange(job.first_slot,
-                                  job.first_slot + job.num_slots)
-                        if job.first_slot else None)
-        while candidates:
-            selected = select_delta(
-                [entry.arena for entry in candidates], v1, v2,
-                job.plan.pattern_indices, job.plan.voltages, global_slots,
-                job.variation, self.config.delta_threshold)
-            if selected is None:
-                return None
-            plan = selected[0]
-            entry = next(entry for entry in candidates
-                         if entry.arena is plan.base)
-            if self._cache.verify_base(job.compat_key, entry):
-                return plan
-            candidates.remove(entry)
-        return None
 
     def metrics(self) -> ServiceMetrics:
         """Point-in-time service metrics snapshot."""
@@ -671,43 +617,24 @@ class SimulationService:
         config = jobs[0].config
         combined_pairs, plan, global_slots = self._combine(jobs)
         engine = self._engine_for(jobs[0].circuit_key, config)
-        kwargs = {}
-        slot_counts = [job.num_slots for job in jobs]
-        if self._delta_enabled:
-            delta = DeltaPlan.concat(
-                [job.delta for job in jobs], slot_counts,
-                width=len(compiled.circuit.inputs))
-            if delta is not None:
-                kwargs["delta"] = delta
-        # False while the group's ledger has the ring suspended: a plan
-        # selected before the suspension still splices (it holds its
-        # base), but nothing new is captured.
-        capture = self._cache.captures(jobs[0].compat_key)
-        if capture:
-            kwargs["capture_base"] = True
-        if len(jobs) > 1:
-            # The engine unpacks the arena once per job, and all nets
-            # only for the trailing jobs the ring will keep.  (A batch
-            # of one gets its whole capture, which is already private.)
-            kwargs["segments"] = Segments(slot_counts, captured=(
-                min(len(jobs), self._cache.max_bases) if capture else 0))
+        # The engine unpacks the arena once per job.
         result = engine.run(combined_pairs, plan=plan,
                             kernel_table=jobs[0].kernel_table,
                             variation=jobs[0].variation,
-                            global_slots=global_slots, **kwargs)
+                            global_slots=global_slots,
+                            segments=Segments([job.num_slots
+                                               for job in jobs]))
         segments = result.segments
         faults.trip("service.demux", corruptible=(
             segments[0][0] if segments else result.plane))
         self._settle_batch(
             jobs, compiled, config, result.plane, result.engine,
-            engine.last_stats, started,
-            base_arena=result.base_arena, segments=segments)
+            engine.last_stats, started, segments=segments)
 
     def _settle_batch(self, jobs: List[SimulationJob],
                       compiled: CompiledCircuit, config: SimulationConfig,
                       plane, engine_name: str, stats: EngineStats,
-                      started: float, base_arena=None,
-                      segments=None) -> None:
+                      started: float, segments=None) -> None:
         """Demultiplex one executed plane into per-job results.
 
         ``plane`` is the batch's result
@@ -716,54 +643,26 @@ class SimulationService:
         (plane fresh off the engine) and the sharded path (plane rebuilt
         from a shard's ``done`` reply) — the apportionment, reports,
         caching and settlement are identical either way, which is most
-        of the bit-identity contract.  ``base_arena`` (in-process delta
-        path only) is the batch's captured waveform state; each job's
-        slice is pinned in its compat group's base ring for later
-        incremental jobs — a private ``take`` per job, except that a
-        batch of one pins the engine's capture itself (already private:
-        the job's result plane is its own ``take``).
+        of the bit-identity contract.
 
-        ``segments`` (``SimulationResult.segments``) replaces both
-        gathers when the engine already unpacked the batch per job:
-        ``(plane, base)`` per job, private, ``base`` set for exactly the
-        jobs to pin.  ``stats`` (the engine's for the batch) reach each
-        job as its :meth:`~repro.simulation.gpu.EngineStats.share`.
+        ``segments`` (``SimulationResult.segments``) replaces the gather
+        when the engine already unpacked the batch per job: a private
+        ``(plane, None)`` per job.  ``stats`` (the engine's for the
+        batch) reach each job as its
+        :meth:`~repro.simulation.gpu.EngineStats.share`.
         """
         self._metrics.record_engine(stats)
         seconds = _time.monotonic() - started
         bounds = list(accumulate((job.num_slots for job in jobs), initial=0))
         total_slots = bounds[-1]
 
-        def slots_of(position: int) -> np.ndarray:
-            return np.arange(bounds[position], bounds[position + 1])
-
-        # Pin first, then close the ledger, then settle: a caller that
-        # saw its job finish sees the ring verdict that job produced.
-        # The ring keeps ``max_bases`` arenas, so only the batch's
-        # trailing jobs can outlive this batch in it: an earlier slice
-        # would cost a take and a checksum to be evicted by its batch
-        # neighbours straight away.
-        for position in range(max(len(jobs) - self._cache.max_bases, 0),
-                              len(jobs)):
-            if segments is not None:
-                base = segments[position][1]
-            elif base_arena is None:
-                break
-            else:
-                base = (base_arena if len(jobs) == 1
-                        else base_arena.take(slots_of(position)))
-            if base is not None:
-                self._cache.put_base(jobs[position].compat_key, base,
-                                     tag=jobs[position].fingerprint)
-        self._cache.settle_ring(jobs[0].compat_key, len(jobs),
-                                stats.lanes_spliced)
-
         now = _time.monotonic()
         shares: Dict[int, EngineStats] = {}  # one (read-only) per job size
         for position, job in enumerate(jobs):
             n = job.num_slots
             job_plane = (segments[position][0] if segments is not None
-                         else plane.take(slots_of(position)))
+                         else plane.take(np.arange(bounds[position],
+                                                   bounds[position + 1])))
             share = shares.get(n) or shares.setdefault(
                 n, stats.share(n, total_slots))
             report = RunReport(

@@ -16,7 +16,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ParameterError, ServiceError
 from repro.runtime.report import RunReport
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.gpu import EngineStats
@@ -35,7 +35,10 @@ class ServiceConfig:
 
     None of these knobs affect computed waveforms — they decide how jobs
     are queued, coalesced and executed — so none of them enter the
-    result-cache fingerprint.
+    result-cache fingerprint.  The service batches, caches exact
+    fingerprints and demultiplexes; it has no delta path, so a
+    near-duplicate job re-simulates in full (the closed loop keeps the
+    one delta ring, ``docs/architecture.md`` §12).
 
     Attributes
     ----------
@@ -95,31 +98,6 @@ class ServiceConfig:
     shard_spawn_timeout_s:
         A spawned shard that has not reported ready within this window
         is declared wedged, killed and respawned.
-    delta_bases:
-        Base arenas pinned per compatibility group for incremental
-        re-simulation (``0`` disables the delta path).  A completed
-        job's full waveform state is retained as one ring entry — all
-        nets of the job's own slots, unpacked privately for it, stamped
-        with an integrity checksum; of one batch only the last
-        ``delta_bases`` jobs are captured and pinned (the ring holds no
-        more).
-        Later near-duplicate jobs in the same group diff against the
-        whole ring at submit, the one base selected is re-checksummed
-        (verify-on-select: a lookup that selects nothing costs no CRC, a
-        rotted base is evicted and the rest re-selected), unchanged
-        slots are spliced and only the cone of influence of changed
-        inputs re-evaluates.  Bit-identical to the
-        full path, so — like every knob here — never part of the job
-        fingerprint.  The in-process ring is kept only while it pays: a
-        group whose batches splice too little for what they capture is
-        suspended by the cache's count ledger and probed again later
-        (:mod:`repro.service.cache`).  No effect with ``shards > 0``
-        (a shard just runs the batch it is sent) or with
-        ``cache_entries=0``.
-    delta_threshold:
-        Changed-input fraction at or above which a candidate base is
-        rejected and the job runs the full path — a near-disjoint job
-        must not pay cone overhead on top of a full simulation.
     """
 
     max_batch_slots: int = 256
@@ -137,8 +115,6 @@ class ServiceConfig:
     shards: int = 0
     shard_queue_depth: int = 4
     shard_spawn_timeout_s: float = 60.0
-    delta_bases: int = 4
-    delta_threshold: float = 0.35
 
     def __post_init__(self) -> None:
         if self.max_batch_slots < 1:
@@ -167,10 +143,6 @@ class ServiceConfig:
             raise ServiceError("shard_queue_depth must be positive")
         if self.shard_spawn_timeout_s <= 0:
             raise ServiceError("shard_spawn_timeout_s must be positive")
-        if self.delta_bases < 0:
-            raise ServiceError("delta_bases must be >= 0")
-        if not 0.0 < self.delta_threshold <= 1.0:
-            raise ServiceError("delta_threshold must be in (0, 1]")
 
 
 @dataclass
@@ -197,10 +169,6 @@ class SimulationJob:
     #: batch; ``None`` until dispatch, and always ``None`` without
     #: sharding.  Feeds the per-shard latency dimension of the metrics.
     shard: Optional[int] = None
-    #: Optional :class:`~repro.simulation.delta.DeltaPlan` selected at
-    #: submission against the cache's base ring; the batcher merges the
-    #: plans of coalesced jobs into one batch-wide delta.
-    delta: object = None
     #: Global index of the job's first slot in the caller's plane
     #: (``submit(first_slot=...)``); the combine step pins the job's
     #: slots to ``first_slot …`` so die factors follow it.
@@ -289,7 +257,10 @@ def validate_job(compiled, pairs: Sequence[PatternPair], plan: SlotPlan,
 
     The engine would raise identically at dispatch time, but by then the
     job shares a batch — rejecting it synchronously keeps poison jobs
-    out of other callers' planes.
+    out of other callers' planes.  A plan voltage outside the kernel
+    table's fitted box ``[v_min, v_max]`` (endpoints admitted) raises
+    :class:`~repro.errors.ParameterError`: the engine would answer it
+    by extrapolating the delay polynomials, silently.
     """
     if not pairs:
         raise ServiceError("job needs at least one pattern pair")
@@ -304,3 +275,14 @@ def validate_job(compiled, pairs: Sequence[PatternPair], plan: SlotPlan,
         raise ServiceError(
             "static delay mode cannot differentiate operating points; "
             "pass a kernel_table for voltage-aware jobs")
+    if kernel_table is not None:
+        # The delay polynomials are fitted over the table's box only;
+        # past its edges they extrapolate without a word of warning.
+        space = kernel_table.space
+        voltages = plan.voltages
+        if voltages.min() < space.v_min or voltages.max() > space.v_max:
+            outside = voltages[(voltages < space.v_min)
+                               | (voltages > space.v_max)]
+            raise ParameterError(
+                f"plan voltage {float(outside[0]):g} V is outside the "
+                f"kernel table's box [{space.v_min:g}, {space.v_max:g}] V")

@@ -100,10 +100,10 @@ class ServiceMetrics:
     shards: Dict[str, dict] = field(default_factory=dict)
     shard_latency_ms: Dict[str, Dict[str, float]] = field(
         default_factory=dict)
-    #: Incremental re-simulation counters: lanes actually dispatched vs
-    #: lanes served by splicing a cached base arena, summed over every
-    #: dispatched batch.  ``delta_fraction`` is the evaluated share —
-    #: 1.0 means the delta path never saved anything.
+    #: Lanes actually dispatched vs lanes served by splicing a cached
+    #: base arena, summed over every dispatched batch.  The service has
+    #: no delta path, so ``delta_fraction`` (the evaluated share) reads
+    #: 1.0.
     lanes_evaluated: int = 0
     lanes_spliced: int = 0
 
@@ -115,13 +115,9 @@ class ServiceMetrics:
 
     @property
     def base_hits(self) -> int:
-        """Delta selections served from the cache's base ring."""
-        return int(self.cache.get("base_hits", 0))
-
-    @property
-    def base_bytes_pinned(self) -> int:
-        """Bytes currently pinned by retained base arenas."""
-        return int(self.cache.get("base_bytes_pinned", 0))
+        """Always 0: the service keeps no delta bases.  Read by the
+        ledger's ``service_stream`` workload on every op."""
+        return 0
 
     @property
     def integrity_evictions(self) -> int:
@@ -182,8 +178,6 @@ class ServiceMetrics:
             "lanes_evaluated": self.lanes_evaluated,
             "lanes_spliced": self.lanes_spliced,
             "delta_fraction": self.delta_fraction,
-            "base_hits": self.base_hits,
-            "base_bytes_pinned": self.base_bytes_pinned,
         }
 
     def summary(self) -> str:
@@ -207,22 +201,6 @@ class ServiceMetrics:
                 f"{self.cache.get('misses', 0):.0f} misses "
                 f"(rate {self.cache.get('hit_rate', 0.0):.2f}), "
                 f"{self.cache.get('evictions', 0):.0f} evictions")
-        if self.cache.get("base_lookups"):
-            lines.append(
-                f"  base ring: {self.base_hits} hits / "
-                f"{self.cache['base_lookups']:.0f} lookups "
-                f"({self.cache.get('base_verifications', 0):.0f} verified), "
-                f"{self.base_bytes_pinned} B pinned; ledger "
-                f"{self.cache.get('base_lanes_spliced', 0):.0f} lanes spliced / "
-                f"{self.cache.get('base_rows_captured', 0):.0f} rows captured, "
-                f"{self.cache.get('base_suspensions', 0):.0f} suspensions "
-                f"({self.cache.get('groups_suspended', 0):.0f} groups "
-                "suspended now)")
-        if self.lanes_spliced:
-            lines.append(
-                f"  delta: {self.lanes_spliced} lanes spliced / "
-                f"{self.lanes_evaluated} evaluated "
-                f"(fraction {self.delta_fraction:.3f})")
         if self.latency_p50_ms is not None:
             lines.append(
                 f"  latency: p50 {self.latency_p50_ms:.1f} ms, "

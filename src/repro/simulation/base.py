@@ -204,8 +204,8 @@ class SimulationResult(PlaneAccessors):
     report: Optional[object] = None
     #: Full-state snapshot captured when the engine ran with
     #: ``capture_base=True`` — a
-    #: :class:`~repro.simulation.delta.BaseArena` the service retains
-    #: for incremental re-simulation; ``None`` otherwise.
+    #: :class:`~repro.simulation.delta.BaseArena` the closed loop
+    #: retains for incremental re-simulation; ``None`` otherwise.
     base_arena: Optional[object] = None
     #: Set by a run that was given
     #: :class:`~repro.simulation.grid.Segments` and served them straight

@@ -1,10 +1,11 @@
 """Incremental re-simulation: cached base arenas and delta plans.
 
-Service traffic is near-duplicate — the same circuit re-simulated under
-slightly different stimuli or operating points (an AVFS voltage sweep
-shares 15 of 16 points between consecutive jobs).  The exact-fingerprint
-``ResultCache`` cannot exploit that: one flipped input or one new
-voltage misses, and the whole dense/sparse simulation runs again.
+A closed AVFS loop is near-duplicate traffic — the same circuit
+re-simulated under the same stimuli at operating points it has visited
+before (a settled controller revisits one quantized supply every
+iteration).  An exact-fingerprint cache cannot exploit a near miss: one
+flipped input or one new voltage misses, and the whole dense/sparse
+simulation runs again.
 
 This module holds the pieces that make *partial* reuse possible:
 
@@ -13,8 +14,8 @@ This module holds the pieces that make *partial* reuse possible:
   :class:`~repro.waveform.plane.WaveformPlane` over every net, plus the
   stimuli and operating points that produced it).  The engine captures
   one as a by-product of a normal run (``capture_base=True``) and the
-  service retains it in the cache's base ring, keyed by compatibility
-  group.
+  closed loop (:mod:`repro.avfs.loop.runner`) retains it per visited
+  supply — the repo's one delta ring.
 * :class:`DeltaPlan` — the per-slot mapping of an incoming job onto a
   base arena: which base slot each job slot reuses (``-1`` = no match,
   simulate from scratch) and which input bits changed.  The engine
@@ -32,8 +33,7 @@ Correctness requirements baked into the layout:
 
 * ``starts[net, slot]`` are arbitrary offsets into ``times`` — each
   ``(net, slot)`` block is contiguous and ascending, but there is no
-  global ordering requirement, so :meth:`BaseArena.concat` never
-  reshuffles payload bytes.
+  global ordering requirement.
 * Monte-Carlo splice safety is keyed on ``global_slots``: per-die delay
   factors derive deterministically from the global slot index, so a
   base slot is only eligible for a variation-bearing job when its
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,20 +99,6 @@ class BaseArena:
             global_slots=self.global_slots[indices].copy(),
         )
 
-    @classmethod
-    def concat(cls, arenas: Sequence["BaseArena"]) -> "BaseArena":
-        """Concatenate along the slot axis (see
-        :meth:`WaveformPlane.concat`)."""
-        if len(arenas) == 1:
-            return arenas[0]
-        return cls(
-            plane=WaveformPlane.concat([a.plane for a in arenas]),
-            v1=np.concatenate([a.v1 for a in arenas], axis=0),
-            v2=np.concatenate([a.v2 for a in arenas], axis=0),
-            voltages=np.concatenate([a.voltages for a in arenas]),
-            global_slots=np.concatenate([a.global_slots for a in arenas]),
-        )
-
 
 @dataclass
 class DeltaPlan:
@@ -132,34 +118,6 @@ class DeltaPlan:
         indices = np.asarray(indices, dtype=np.int64)
         return DeltaPlan(self.base, self.base_slot[indices].copy(),
                          self.changed_inputs[indices].copy())
-
-    @staticmethod
-    def concat(plans: Sequence[Optional["DeltaPlan"]],
-               slot_counts: Sequence[int], width: int
-               ) -> Optional["DeltaPlan"]:
-        """Merge per-job plans into one batch plan (``None`` jobs get
-        all-unmapped rows); returns ``None`` when no job has a plan."""
-        if not any(plan is not None for plan in plans):
-            return None
-        arenas = [plan.base for plan in plans if plan is not None]
-        offsets = np.cumsum([0] + [a.num_slots for a in arenas])
-        base = BaseArena.concat(arenas)
-        slot_rows: List[np.ndarray] = []
-        changed_rows: List[np.ndarray] = []
-        used = 0
-        for plan, n in zip(plans, slot_counts):
-            if plan is None:
-                slot_rows.append(np.full(n, -1, dtype=np.int64))
-                changed_rows.append(np.zeros((n, width), dtype=bool))
-            else:
-                mapped = plan.base_slot >= 0
-                shifted = plan.base_slot + np.where(
-                    mapped, offsets[used], 0)
-                slot_rows.append(shifted.astype(np.int64))
-                changed_rows.append(plan.changed_inputs)
-                used += 1
-        return DeltaPlan(base, np.concatenate(slot_rows),
-                         np.concatenate(changed_rows, axis=0))
 
 
 def select_delta(bases: Sequence[BaseArena], v1: np.ndarray,

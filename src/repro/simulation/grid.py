@@ -148,7 +148,8 @@ class Segments:
     plane for the caller to cut up; of a ``capture_base=True`` run only
     the trailing ``captured`` segments are captured, each as its own
     :class:`~repro.simulation.delta.BaseArena` (a base ring that keeps
-    the newest few arenas has no use for the batch's earlier ones).
+    the newest few arenas has no use for the batch's earlier ones; no
+    caller in the package captures segments).
     """
 
     slot_counts: Tuple[int, ...]

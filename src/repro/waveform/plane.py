@@ -306,9 +306,9 @@ class WaveformPlane(SequenceABC):
 
         :meth:`checksum` trusts a packed plane's ``starts`` instead of
         re-deriving them, so whoever verifies a *retained* plane against
-        rot (the result cache, the base ring) asks this beside the
-        checksum comparison; any other layout is consumed — and thereby
-        covered — by the checksum's own gather.
+        rot (the result cache) asks this beside the checksum comparison;
+        any other layout is consumed — and thereby covered — by the
+        checksum's own gather.
         """
         return not self._packed or np.array_equal(
             self.starts, _packed_starts(self.counts))

@@ -397,9 +397,9 @@ class TestServiceMode:
     def test_service_steps_report_their_splices(self, setup, library,
                                                 kernel_table, cache_entries):
         """Each step carries its job's lane counters: an executed step
-        covers every lane once, a result-cache hit none.  A one-entry
-        result cache forgets a supply the base ring still holds, so a
-        later revisit of it is spliced."""
+        covers every lane by evaluation alone, a result-cache hit none.
+        The service has no delta path, so no step splices — not even a
+        revisit of a supply a one-entry result cache has forgotten."""
         from repro.service import ServiceConfig, SimulationService
 
         circuit, pairs, explorer, table = setup
@@ -412,20 +412,14 @@ class TestServiceMode:
                                  disturbances=revisiting_disturbances())
             report = runner.run(pairs)
         lanes = runner._compiled.num_gates * len(pairs)
-        metrics = report.service_metrics
-        hits = metrics["cache"]["hits"]
-        executed = [s for s in report.steps
-                    if s.lanes_spliced + s.gate_evaluations]
+        hits = report.service_metrics["cache"]["hits"]
+        executed = [s for s in report.steps if s.gate_evaluations]
         assert len(executed) == len(report.steps) - hits
+        assert all(step.lanes_spliced == 0 for step in report.steps)
         for step in executed:
-            assert step.lanes_spliced + step.gate_evaluations == lanes
-        assert report.delta_iterations == sum(
-            1 for s in executed if s.lanes_spliced)
-        if metrics["base_hits"]:
-            assert report.delta_iterations > 0
-            assert report.run_report.lanes_spliced > 0
-        if cache_entries == 1:
-            assert metrics["base_hits"] > 0
+            assert step.gate_evaluations == lanes
+        assert report.delta_iterations == 0
+        assert report.run_report.lanes_spliced == 0
 
 
 class TestEngineSharing:

@@ -45,13 +45,9 @@ def make_jobs(circuit, count, pairs_each=2, seed=0):
 
 def hardened_config(**overrides):
     """Flush on fullness only; aggressive supervision for fast tests."""
-    # delta_bases=0: the base ring shares the ``cache.get`` fault seam
-    # (every submission's base lookup counts a seam crossing), which
-    # would shift this file's deterministic nth-call triggers; the
-    # delta path has its own chaos coverage in the delta suites.
     defaults = dict(max_batch_slots=8, max_wait_ms=2000.0, idle_ms=500.0,
                     workers=1, cache_entries=256, hang_timeout_s=0.5,
-                    supervisor_tick_s=0.02, delta_bases=0)
+                    supervisor_tick_s=0.02)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -3,6 +3,12 @@
 The load-bearing property is **bit-identity**: a job's waveforms must be
 exactly what a standalone ``GpuWaveSim.run`` of the same request
 produces, no matter which batch the service coalesced it into.
+
+The service has no delta path: a near-duplicate job re-simulates in
+full, and no engine run it makes captures a base or splices one.  A
+batch that ran as one arena part is demultiplexed by the engine's
+extractor — per-job planes come off the arena already private and
+packed, equal to ``take`` slices of a standalone run.
 """
 
 import threading
@@ -12,16 +18,19 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
+    ParameterError,
     ServiceClosedError,
     ServiceError,
 )
 from repro.netlist.generate import random_circuit
-from repro.service import ServiceConfig, SimulationService
+from repro.service import ServiceConfig, SimulationService, waveform_checksum
+from repro.simulation.backend import available_backends, resolve_backend
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.variation import ProcessVariation
+from repro.waveform.plane import WaveformPlane
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +49,24 @@ def make_jobs(circuit, count, pairs_each=2, seed=0):
              for _ in range(pairs_each)] for _ in range(count)]
 
 
+def make_pairs(circuit, count, seed):
+    rng = np.random.default_rng(seed)
+    return [PatternPair.random(len(circuit.inputs), rng)
+            for _ in range(count)]
+
+
 def coalescing_config(**overrides):
     """Deterministic batching: generous waits, flush on fullness."""
     defaults = dict(max_batch_slots=16, max_wait_ms=2000.0, idle_ms=500.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
+
+
+def flipped(pairs, pair_index, bit):
+    """``pairs`` with one chosen v2 bit flipped."""
+    out = [PatternPair(p.v1.copy(), p.v2.copy()) for p in pairs]
+    out[pair_index].v2[bit] ^= 1
+    return out
 
 
 def assert_bit_identical(job_pairs, result, engine, **run_kwargs):
@@ -353,6 +375,44 @@ class TestAdmissionControl:
             with pytest.raises(ServiceError, match="unknown circuit"):
                 service.submit("not-a-fingerprint", pairs)
 
+    def test_kernel_box_edges_are_admitted(self, circuit, library, compiled,
+                                           kernel_table):
+        """The fitted box ``[v_min, v_max]`` includes its endpoints."""
+        space = kernel_table.space
+        assert (space.v_min, space.v_max) == (0.55, 1.10)
+        pairs = make_jobs(circuit, 1, seed=24)[0]
+        plan = SlotPlan.cross(len(pairs), [0.55, 1.10])
+        with SimulationService(config=coalescing_config(
+                max_batch_slots=4)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            result = service.submit(key, pairs, plan=plan,
+                                    kernel_table=kernel_table
+                                    ).result(timeout=60)
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        assert_bit_identical(pairs, result, engine, plan=plan,
+                             kernel_table=kernel_table)
+
+    @pytest.mark.parametrize("voltage", [0.5499, 1.1001])
+    def test_voltage_outside_the_kernel_box_is_refused(
+            self, circuit, library, compiled, kernel_table, voltage):
+        """A voltage past the box would run on extrapolated delay
+        polynomials: it raises at submit and the job is never queued."""
+        pairs = make_jobs(circuit, 1, seed=25)[0]
+        plan = SlotPlan.cross(len(pairs), [0.8, voltage])
+        with SimulationService(config=coalescing_config()) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            with pytest.raises(ParameterError) as excinfo:
+                service.submit(key, pairs, plan=plan,
+                               kernel_table=kernel_table)
+            assert f"{voltage:g} V" in str(excinfo.value)
+            assert "[0.55, 1.1] V" in str(excinfo.value)
+            metrics = service.metrics()
+        assert metrics.jobs_submitted == 0
+        assert service.engine_dispatches == 0
+
 
 class TestShutdown:
     def test_close_drains_pending_jobs(self, circuit, library, compiled):
@@ -413,3 +473,206 @@ class TestMetrics:
         assert metrics.latency_p50_ms is not None
         assert metrics.latency_p50_ms <= metrics.latency_p99_ms
         assert "coalesce factor" in metrics.summary()
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every ``GpuWaveSim.run`` made while the fixture is live, as
+    ``(keyword arguments, result)``."""
+    runs = []
+    real_run = GpuWaveSim.run
+
+    def recorded(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        runs.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(GpuWaveSim, "run", recorded)
+    return runs
+
+
+def near_duplicate_stream(circuit, seed):
+    """The ledger's ``service_stream`` mix: fresh jobs, exact repeats,
+    one flipped ``v2`` bit and one moved supply of an earlier job — two
+    pairs per job at two of five supplies."""
+    supplies = (0.6, 0.7, 0.8, 0.9, 1.0)
+    rng = np.random.default_rng(seed)
+    width = len(circuit.inputs)
+    jobs = []
+    for kind in ("fresh", "fresh", "repeat", "flip", "move") * 3:
+        if kind == "fresh":
+            pairs = [PatternPair.random(width, rng) for _ in range(2)]
+            chosen = sorted(rng.choice(len(supplies), 2,
+                                       replace=False).tolist())
+        else:
+            pairs, chosen = jobs[int(rng.integers(len(jobs)))]
+            if kind == "flip":
+                pairs = flipped(pairs, int(rng.integers(2)),
+                                int(rng.integers(width)))
+            elif kind == "move":
+                free = [s for s in range(len(supplies)) if s not in chosen]
+                chosen = sorted([chosen[0], int(rng.choice(free))])
+        jobs.append((pairs, chosen))
+    return [(pairs, SlotPlan.cross(2, [supplies[s] for s in chosen]))
+            for pairs, chosen in jobs]
+
+
+class TestNoDeltaPath:
+    def test_service_never_captures_or_splices(self, circuit, library,
+                                               compiled, kernel_table,
+                                               engine_runs):
+        """Near-duplicates of settled jobs re-simulate in full: no engine
+        run is handed a delta plan or asked to capture a base, and every
+        job equals its standalone run."""
+        jobs = near_duplicate_stream(circuit, seed=31)
+        with SimulationService() as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            results = [service.submit(key, pairs, plan=plan,
+                                      kernel_table=kernel_table
+                                      ).result(timeout=60)
+                       for pairs, plan in jobs]
+            metrics = service.metrics()
+        assert engine_runs
+        for kwargs, _ in engine_runs:
+            assert "delta" not in kwargs and "capture_base" not in kwargs
+            segments = kwargs.get("segments")
+            assert segments is None or segments.captured == 0
+        assert metrics.lanes_spliced == 0
+        assert metrics.cache["hits"] >= 3       # the exact repeats
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        for (pairs, plan), result in zip(jobs, results):
+            assert result.stats.lanes_spliced == 0
+            alone = engine.run(pairs, plan=plan, kernel_table=kernel_table)
+            assert (waveform_checksum(result.waveforms)
+                    == waveform_checksum(alone.waveforms))
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+class TestSegmentedDemux:
+    """Per-job planes == ``take`` slices of a standalone run of the same
+    plane."""
+
+    def serve(self, circuit, library, compiled, kernel_table, backend_name,
+              jobs, record_all=False, **overrides):
+        """Stream ``jobs`` (pair lists) through a fresh service; returns
+        ``(results, config)``."""
+        # No pruning: a random pair toggling under a quarter of the ten
+        # inputs would run lane-tracked beside its dense neighbours,
+        # and a plane lowered two ways is a partitioned one.
+        config = SimulationConfig(backend=backend_name, prune_inactive=False,
+                                  record_all_nets=record_all)
+        with SimulationService(config=coalescing_config(
+                **overrides)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handles = [service.submit(key, pairs, config=config,
+                                      kernel_table=kernel_table)
+                       for pairs in jobs]
+            results = [handle.result(timeout=120) for handle in handles]
+        return results, config
+
+    def standalone(self, circuit, library, compiled, kernel_table, config,
+                   jobs):
+        """The jobs as one plane, the way the service combines them,
+        through a plain engine; returns the per-job plane slices."""
+        plans = [SlotPlan.uniform(len(pairs), 0.8) for pairs in jobs]
+        offsets = np.cumsum([0] + [len(pairs) for pairs in jobs])
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=config)
+        alone = engine.run(
+            [pair for pairs in jobs for pair in pairs],
+            plan=SlotPlan.concat(plans, offsets[:-1]),
+            kernel_table=kernel_table,
+            global_slots=np.concatenate([np.arange(len(pairs))
+                                         for pairs in jobs]))
+        return [alone.plane.take(np.arange(lo, hi))
+                for lo, hi in zip(offsets, offsets[1:])]
+
+    def assert_served(self, results, expected):
+        for result, plane in zip(results, expected):
+            assert result.plane.nets == plane.nets
+            assert result.plane.checksum() == plane.checksum()
+            assert result.plane.layout_intact()
+        # No result shares memory with another.
+        planes = [result.plane for result in results]
+        for position, plane in enumerate(planes):
+            for other in planes[position + 1:]:
+                assert not np.shares_memory(plane.times, other.times)
+                assert not np.shares_memory(plane.counts, other.counts)
+
+    @pytest.mark.parametrize("record_all", [False, True])
+    def test_mixed_widths_in_one_arena_part(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            record_all, engine_runs):
+        """Five jobs of 3, 5, 2, 4 and 2 slots fill one 16-slot batch:
+        the engine serves the segments itself."""
+        jobs = [make_pairs(circuit, count, seed=200 + count + k)
+                for k, count in enumerate([3, 5, 2, 4, 2])]
+        results, config = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            record_all=record_all)
+        (kwargs, result), = engine_runs
+        assert kwargs["segments"].slot_counts == (3, 5, 2, 4, 2)
+        assert result.segments is not None
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        self.assert_served(results, expected)
+
+    def test_two_workers(self, circuit, library, compiled, kernel_table,
+                         backend_name, engine_runs):
+        """Two full batches in flight on two worker threads, each with
+        its own engine and arena."""
+        jobs = [make_pairs(circuit, 4, seed=230 + k) for k in range(8)]
+        results, config = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            workers=2)
+        assert len(engine_runs) == 2
+        assert all(result.segments is not None for _, result in engine_runs)
+        expected = self.standalone(circuit, library, compiled, kernel_table,
+                                   config, jobs)
+        for result, plane in zip(results, expected):
+            assert result.plane.checksum() == plane.checksum()
+
+    def test_one_arena_part_is_demultiplexed_without_a_gather(
+            self, circuit, library, compiled, kernel_table, backend_name,
+            monkeypatch):
+        """Pay-once guard: six fresh jobs in one batch cost one
+        ``backend.extract`` call (the result rows, cut per job), and
+        settling them gathers nothing — every ``_dense`` inside
+        ``_settle_batch`` returns the plane's own payload."""
+        extracts, settle_denses, settling = [], [], []
+        backend = type(resolve_backend(backend_name))
+        real_extract = backend.extract
+        real_dense = WaveformPlane._dense
+        real_settle = SimulationService._settle_batch
+
+        def extract(self, *args, **kwargs):
+            extracts.append(kwargs.get("bounds"))
+            return real_extract(self, *args, **kwargs)
+
+        def dense(self):
+            times, starts = real_dense(self)
+            if settling:
+                settle_denses.append(times is self.times
+                                     and starts is self.starts)
+            return times, starts
+
+        def settle(self, *args, **kwargs):
+            settling.append(threading.current_thread())
+            try:
+                return real_settle(self, *args, **kwargs)
+            finally:
+                settling.pop()
+
+        monkeypatch.setattr(backend, "extract", extract)
+        monkeypatch.setattr(WaveformPlane, "_dense", dense)
+        monkeypatch.setattr(SimulationService, "_settle_batch", settle)
+        jobs = [make_pairs(circuit, 2, seed=240 + k) for k in range(6)]
+        results, _ = self.serve(
+            circuit, library, compiled, kernel_table, backend_name, jobs,
+            max_batch_slots=12)
+        assert len(results) == 6
+        assert extracts == [(0, 2, 4, 6, 8, 10, 12)]
+        assert settle_denses and all(settle_denses)

@@ -550,50 +550,6 @@ class TestSelection:
         assert selected is not None
         assert selected[0].base is second
 
-    def test_arena_take_and_concat_roundtrip(self, circuit, compiled,
-                                             library, kernel_table):
-        """take/concat never reshuffle payload bytes: splitting an arena
-        per slot and concatenating it back reproduces every waveform."""
-        pairs = make_pairs(circuit, 4, seed=36)
-        plan = SlotPlan.cross(len(pairs), [0.8])
-        engine = make_engine(circuit, compiled, library, backend="numpy")
-        arena = engine.run(pairs, plan=plan, kernel_table=kernel_table,
-                           capture_base=True).base_arena
-        parts = [arena.take(np.array([slot]))
-                 for slot in range(arena.num_slots)]
-        rebuilt = BaseArena.concat(parts).plane
-        assert rebuilt.num_slots == arena.num_slots
-        arena = arena.plane
-        for net in range(arena.num_nets):
-            for slot in range(arena.num_slots):
-                count = int(arena.counts[net, slot])
-                assert int(rebuilt.counts[net, slot]) == count
-                assert rebuilt.initial[net, slot] == arena.initial[net, slot]
-                a = arena.times[int(arena.starts[net, slot]):][:count]
-                b = rebuilt.times[int(rebuilt.starts[net, slot]):][:count]
-                assert a.tolist() == b.tolist()
-
-    def test_delta_plan_concat_offsets_base_slots(self, circuit, compiled,
-                                                  library, kernel_table):
-        pairs = make_pairs(circuit, 2, seed=37)
-        plan = SlotPlan.cross(len(pairs), [0.8])
-        engine = make_engine(circuit, compiled, library, backend="numpy")
-        arena = engine.run(pairs, plan=plan, kernel_table=kernel_table,
-                           capture_base=True).base_arena
-        v1, v2 = stack(pairs)
-        width = v1.shape[1]
-        single = select_delta([arena], v1, v2, plan.pattern_indices,
-                              plan.voltages, None, None, 0.99)[0]
-        merged = DeltaPlan.concat([single, None, single], [2, 3, 2], width)
-        assert merged is not None
-        assert merged.base_slot.tolist()[:2] == [0, 1]
-        assert merged.base_slot.tolist()[2:5] == [-1, -1, -1]
-        # The third job's base slots are offset past the second copy of
-        # the arena in the concatenated base.
-        assert merged.base_slot.tolist()[5:] == [arena.num_slots,
-                                                 arena.num_slots + 1]
-        assert merged.base.num_slots == 2 * arena.num_slots
-
 
 def select_delta_per_base(bases, v1, v2, pattern_indices, voltages,
                           global_slots, variation, threshold):
