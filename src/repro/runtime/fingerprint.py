@@ -65,6 +65,7 @@ __all__ = [
     "circuit_fingerprint",
     "compatibility_fingerprint",
     "job_fingerprint",
+    "job_identity",
 ]
 
 
@@ -81,8 +82,9 @@ class Fingerprinter:
         return forked
 
     def feed(self, tag: str, payload: bytes) -> None:
-        self._digest.update(tag.encode("utf-8"))
-        self._digest.update(len(payload).to_bytes(8, "little"))
+        # The frame header in one update: the same bytes as two.
+        self._digest.update(tag.encode("utf-8")
+                            + len(payload).to_bytes(8, "little"))
         self._digest.update(payload)
 
     def feed_text(self, tag: str, text: str) -> None:
@@ -117,25 +119,27 @@ def feed_compiled(fp: Fingerprinter, compiled) -> None:
 
 
 def feed_stimuli(fp: Fingerprinter, pairs: Sequence) -> None:
-    fp.feed_array("v1", np.stack([p.v1 for p in pairs]))
-    fp.feed_array("v2", np.stack([p.v2 for p in pairs]))
+    """The ``(P, W)`` uint8 stimulus stacks, as the rows' bytes joined
+    (a pair's vectors are 1-D uint8, so this is the stack's buffer)."""
+    fp.feed("v1", b"".join([pair.v1.tobytes() for pair in pairs]))
+    fp.feed("v2", b"".join([pair.v2.tobytes() for pair in pairs]))
 
 
 def feed_plan(fp: Fingerprinter, plan) -> None:
-    fp.feed_array("plan_patterns", plan.pattern_indices)
-    fp.feed_array("plan_voltages", plan.voltages)
+    fp.feed("plan_patterns", plan.pattern_indices.tobytes())
+    fp.feed("plan_voltages", plan.voltages.tobytes())
 
 
-def _semantic_config(config) -> dict:
-    """Only the semantic engine settings — the ones that change waveforms."""
-    return {
-        "pulse_filtering": config.pulse_filtering,
-        "record_all_nets": config.record_all_nets,
-    }
+def _semantic_key(config) -> tuple:
+    """Only the semantic engine settings — the ones that change
+    waveforms: ``(pulse_filtering, record_all_nets)``."""
+    return config.pulse_filtering, config.record_all_nets
 
 
 def feed_config(fp: Fingerprinter, config) -> None:
-    fp.feed_json("config", _semantic_config(config))
+    pulse_filtering, record_all_nets = _semantic_key(config)
+    fp.feed_json("config", {"pulse_filtering": pulse_filtering,
+                            "record_all_nets": record_all_nets})
 
 
 def feed_kernel_table(fp: Fingerprinter, kernel_table=None) -> None:
@@ -190,9 +194,12 @@ class _IdentityMemo:
     def lookup(self, objects: tuple, extra, build: Callable[[], object]):
         key = (tuple(map(id, objects)), extra)
         entry = self._entries.get(key)
-        if entry is not None and all(
-                ref() is obj for ref, obj in zip(entry[0], objects)):
-            return entry[1]
+        if entry is not None:
+            for ref, obj in zip(entry[0], objects):
+                if ref() is not obj:
+                    break
+            else:
+                return entry[1]
         value = build()
 
         def drop(_ref, entries=self._entries, key=key) -> None:
@@ -220,20 +227,20 @@ def _compiled_prefix(compiled) -> Fingerprinter:
 
 
 def _compatibility_state(compiled, config, kernel_table,
-                         variation) -> Fingerprinter:
-    """A fork of the stimulus-free state: compiled ‖ semantic config ‖
-    kernel table ‖ variation, hashed once per live object tuple."""
+                         variation) -> Tuple[Fingerprinter, str]:
+    """The stimulus-free state — compiled ‖ semantic config ‖ kernel
+    table ‖ variation — and its digest, hashed once per live object
+    tuple.  The state is shared: fork it before feeding."""
 
-    def build() -> Fingerprinter:
+    def build() -> Tuple[Fingerprinter, str]:
         fp = _compiled_prefix(compiled)
         feed_config(fp, config)
         feed_kernel_table(fp, kernel_table)
         feed_variation(fp, variation)
-        return fp
+        return fp, fp.hexdigest()
 
     return _COMPATIBILITY_STATES.lookup(
-        (compiled, kernel_table, variation),
-        tuple(_semantic_config(config).values()), build).fork()
+        (compiled, kernel_table, variation), _semantic_key(config), build)
 
 
 # -- composed identities -----------------------------------------------------------
@@ -353,10 +360,22 @@ def compatibility_fingerprint(
     invalid plane.
     """
 
-    fp = _compatibility_state(compiled, config, kernel_table, variation)
+    state, digest = _compatibility_state(compiled, config, kernel_table,
+                                         variation)
+    return _compat_key(state, digest, kernel_table, static_voltages)
+
+
+def _compat_key(state: Fingerprinter, digest: str, kernel_table,
+                static_voltages) -> str:
+    """The compatibility key from the memoized stimulus-free ``state``
+    and its ``digest``: in static mode the distinct voltages are fed on
+    a fork.  The one definition behind :func:`compatibility_fingerprint`
+    and :func:`job_identity`."""
     if kernel_table is None and static_voltages is not None:
+        fp = state.fork()
         fp.feed_array("static_voltages", np.unique(static_voltages))
-    return fp.hexdigest()
+        return fp.hexdigest()
+    return digest
 
 
 def job_fingerprint(
@@ -383,9 +402,31 @@ def job_fingerprint(
     plane; Monte-Carlo die factors follow it) is fed last, so every
     ``first_slot=0`` digest is the one it was before the field existed.
     """
-    fp = _compatibility_state(compiled, config, kernel_table, variation)
+    return job_identity(compiled, pairs, plan, config, kernel_table,
+                        variation, first_slot)[0]
+
+
+def job_identity(
+    compiled,
+    pairs: Sequence,
+    plan,
+    config,
+    kernel_table=None,
+    variation=None,
+    first_slot: int = 0,
+) -> Tuple[str, str]:
+    """``(job_fingerprint, compatibility key)`` of one service job.
+
+    Both from one memo lookup: the key is
+    ``compatibility_fingerprint(..., static_voltages=plan.voltages)``,
+    and the job digest forks the same state.
+    """
+    state, digest = _compatibility_state(compiled, config, kernel_table,
+                                         variation)
+    compat_key = _compat_key(state, digest, kernel_table, plan.voltages)
+    fp = state.fork()
     feed_stimuli(fp, pairs)
     feed_plan(fp, plan)
     if first_slot:
         fp.feed_text("first_slot", str(first_slot))
-    return fp.hexdigest()
+    return fp.hexdigest(), compat_key

@@ -1,8 +1,9 @@
 """Simulation service layer (the inference-server-shaped front door).
 
 Aggregates fine-grained simulation jobs from many callers into the wide
-slot planes the engines need: an async intake queue with admission
-control, a dynamic batcher (flush on fullness / age / queue-idle), a
+slot planes the engines need: admission control and dynamic batching at
+submit (the submitting thread folds its job into its group and flushes
+a full batch itself; a clock thread flushes on age / idle), a
 supervised worker pool dispatching through the existing engines
 (dead/hung workers replaced, their batch re-queued once), per-job
 result demultiplexing with deadlines and cancellation,

@@ -6,9 +6,9 @@ The same policy triangle every inference server exposes:
   dispatches immediately (occupancy is the throughput lever),
 * **flush on age** — a batch whose oldest job has waited ``max_wait``
   dispatches even half-empty (tail latency must stay bounded),
-* **flush on idle** — when the intake queue runs dry there is nothing
-  left to coalesce with, so holding jobs any longer is pure added
-  latency.
+* **flush on idle** — when no job has arrived for a while there is
+  nothing left to coalesce with, so holding jobs any longer is pure
+  added latency.
 
 Jobs coalesce only within a *compatibility group*
 (:func:`repro.runtime.fingerprint.compatibility_fingerprint`): same
@@ -19,7 +19,11 @@ changing any job's results.
 This module is pure data-structure logic — no threads, no clocks of its
 own (callers pass ``now``) — so the flush policy is unit-testable
 without timing races.  :class:`~repro.service.core.SimulationService`
-owns the thread that drives it.
+drives it under one lock from two sides: a submitting thread folds its
+own job in with :meth:`DynamicBatcher.add` and dispatches whatever that
+made full, and the service's batch thread keeps only the clocks — age
+(:meth:`DynamicBatcher.due`), idle and the terminal flush on close
+(:meth:`DynamicBatcher.drain`).
 """
 
 from __future__ import annotations
@@ -42,19 +46,18 @@ class PendingBatch:
     #: Already re-queued once after a worker death/hang; a second loss
     #: fails the batch's jobs instead (see ``repro.service.pool``).
     requeued: bool = False
+    #: Slots of ``jobs``, counted as :meth:`add` folds them in.
+    num_slots: int = 0
 
     @property
     def num_jobs(self) -> int:
         return len(self.jobs)
 
-    @property
-    def num_slots(self) -> int:
-        return sum(job.num_slots for job in self.jobs)
-
     def add(self, job: SimulationJob, now: float) -> None:
         if not self.jobs:
             self.oldest = now
         self.jobs.append(job)
+        self.num_slots += job.num_slots
 
 
 class DynamicBatcher:
@@ -75,6 +78,10 @@ class DynamicBatcher:
     def pending_slots(self) -> int:
         return sum(b.num_slots for b in self._pending.values())
 
+    def __bool__(self) -> bool:
+        """Whether any job is pending."""
+        return bool(self._pending)
+
     def next_deadline(self, now: float) -> Optional[float]:
         """Seconds until the oldest pending batch ages out (None if empty)."""
         if not self._pending:
@@ -94,17 +101,17 @@ class DynamicBatcher:
         memory-budget chunking handles oversized planes.
         """
         ready: List[PendingBatch] = []
-        batch = self._pending.get(job.compat_key)
+        key = job.compat_key
+        batch = self._pending.get(key)
         if batch is not None and \
                 batch.num_slots + job.num_slots > self.max_batch_slots:
-            ready.append(self._pending.pop(job.compat_key))
+            ready.append(self._pending.pop(key))
             batch = None
         if batch is None:
-            batch = PendingBatch(compat_key=job.compat_key)
-            self._pending[job.compat_key] = batch
+            batch = self._pending[key] = PendingBatch(compat_key=key)
         batch.add(job, now)
         if batch.num_slots >= self.max_batch_slots:
-            ready.append(self._pending.pop(job.compat_key))
+            ready.append(self._pending.pop(key))
         return ready
 
     def due(self, now: float) -> List[PendingBatch]:

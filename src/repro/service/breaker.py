@@ -64,6 +64,8 @@ class CircuitBreaker:
         In half-open state the first caller wins the single probe slot;
         everyone else keeps being refused until the probe settles.
         """
+        if self._state == STATE_CLOSED:
+            return True, 0.0  # the common case needs no clock or lock
         now = _time.monotonic() if now is None else now
         with self._lock:
             state = self._peek_state(now)

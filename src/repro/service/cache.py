@@ -28,8 +28,8 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,18 +122,26 @@ class ResultCache:
     def put(self, fingerprint: str, entry: CachedResult) -> None:
         """Admit a private copy of one entry, stamped with its content
         checksum (verified on every hit)."""
+        self.put_many([(fingerprint, entry)])
+
+    def put_many(self, items: Iterable[Tuple[str, CachedResult]]) -> None:
+        """:meth:`put` for a settled batch's entries: copied and stamped
+        outside the lock, admitted under one acquisition."""
         if not self.enabled:
             return
-        plane = entry.plane.copy()
-        entry = replace(entry, plane=plane, checksum=plane.checksum())
+        admitted = []
+        for fingerprint, entry in items:
+            plane = entry.plane.copy()
+            admitted.append((fingerprint, CachedResult(
+                plane, entry.slot_labels, entry.engine, plane.checksum())))
         with self._lock:
-            if fingerprint in self._entries:
-                self._entries.move_to_end(fingerprint)
-                self._entries[fingerprint] = entry
-                return
-            self._entries[fingerprint] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            for fingerprint, entry in admitted:
+                if fingerprint in entries:
+                    entries.move_to_end(fingerprint)
+                entries[fingerprint] = entry
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self) -> None:

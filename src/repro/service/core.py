@@ -1,17 +1,22 @@
-"""The simulation service: queue → batcher → engine pool → demux.
+"""The simulation service: admit and batch at submit → engine pool → demux.
 
 :class:`SimulationService` is the shared front door the engines never
 had: callers submit fine-grained jobs (circuit fingerprint, stimuli,
-operating points, config) and get back per-job futures, while behind
-the queue a dynamic batcher coalesces compatible jobs into the wide
-slot planes the paper's 3-D parallelism (Sec. IV-B) actually needs to
-pay off.  The shape is deliberately that of an inference server:
+operating points, config) and get back per-job futures, while a dynamic
+batcher coalesces compatible jobs into the wide slot planes the paper's
+3-D parallelism (Sec. IV-B) actually needs to pay off.  The shape is
+deliberately that of an inference server:
 
 * **admission control** — a bounded backlog with a configurable policy
   (block until capacity, or reject with a retry-after hint), so a
   traffic burst degrades to backpressure instead of unbounded memory;
-* **dynamic batching** — flush on fullness / age / queue-idle
-  (:mod:`repro.service.batcher`), per compatibility group;
+* **dynamic batching** — flush on fullness / age / idle
+  (:mod:`repro.service.batcher`), per compatibility group.  The
+  submitting thread admits its job, folds it into its group and hands
+  a batch it made full to the executor, all under one lock; the batch
+  thread only keeps the clocks (the ``max_wait_ms`` age flush, the
+  ``idle_ms`` flush, the terminal flush on close) and dispatches under
+  the same lock, so a job costs no hand-off between threads;
 * **executor** — batches run under one supervised-worker machine
   (:mod:`repro.service.pool`) of one of two kinds: engine threads each
   owning their engine instances (the waveform-arena pool is per engine
@@ -25,11 +30,13 @@ pay off.  The shape is deliberately that of an inference server:
   one outcome site (:meth:`SimulationService._conclude`);
 * **demultiplexing** — each job receives exactly its slice of the
   shared plane, with a per-job :class:`~repro.runtime.report.RunReport`
-  describing the batch it rode in;
+  describing the batch it rode in; a finished batch is settled in one
+  pass (cache admission, futures, metrics and the backlog once per
+  batch, not once per job);
 * **result cache** — a fingerprinted LRU (:mod:`repro.service.cache`)
   keyed by an in-memory SHA-256 job identity decided by the same fields
   as a campaign checkpoint's; hits resolve at submission time and never
-  touch the queue or an engine.  There is no delta path: a cache miss
+  touch the batcher or an engine.  There is no delta path: a cache miss
   runs in full (``docs/architecture.md`` §12);
 * **failure domains** — per-job deadlines and cancellation, worker
   supervision that replaces dead or hung workers and re-queues their
@@ -57,11 +64,10 @@ with :class:`~repro.errors.ServiceClosedError`.
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 import time as _time
 from concurrent.futures import InvalidStateError
-from itertools import accumulate
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,11 +85,7 @@ from repro.errors import (
     ShardError,
 )
 from repro.netlist.circuit import Circuit
-from repro.runtime.fingerprint import (
-    circuit_fingerprint,
-    compatibility_fingerprint,
-    job_fingerprint,
-)
+from repro.runtime.fingerprint import circuit_fingerprint, job_identity
 from repro.runtime.report import AttemptReport, ChunkReport, RunReport
 from repro.service.batcher import DynamicBatcher, PendingBatch
 from repro.service.breaker import CircuitBreaker
@@ -112,9 +114,6 @@ __all__ = ["SimulationService"]
 #: Engine name recorded on cache-served results.
 ENGINE_CACHE = "cache"
 
-_STOP = object()   # drain pending batches, then exit the batch loop
-_ABORT = object()  # fail pending jobs, then exit the batch loop
-
 
 class SimulationService:
     """Dynamic-batching, caching, admission-controlled simulation server.
@@ -133,15 +132,29 @@ class SimulationService:
         self._circuits_lock = threading.Lock()
         self._cache = ResultCache(self.config.cache_entries)
         self._metrics = MetricsRecorder()
-        self._queue: "_queue.Queue" = _queue.Queue()
         self._batcher = DynamicBatcher(self.config.max_batch_slots,
                                        self.config.max_wait_ms / 1e3)
         self._engines = threading.local()
-        self._admission = threading.Condition()
+        # Intake — the backlog, the closed flag, the batcher and the
+        # hand-off of flushed batches to the executor — is guarded by
+        # one lock: submitters wait on ``_admission`` for capacity, the
+        # batch thread on ``_clock`` for its next flush.  Re-entrant:
+        # a batch the router cannot place fails its jobs, which
+        # releases their backlog slots, from inside the hand-off.
+        self._intake = threading.RLock()
+        self._admission = threading.Condition(self._intake)
+        self._clock = threading.Condition(self._intake)
         self._backlog = 0
         self._closed = False
+        self._drain = True
+        #: When the newest job was folded in (the idle flush's clock).
+        self._last_arrival = 0.0
+        #: The batch thread waits without a timeout (nothing pending):
+        #: the next job to arrive wakes it.
+        self._clock_parked = False
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
+        #: Jobs with a deadline, for the supervisor tick to expire.
         self._live: Dict[int, SimulationJob] = {}
         self._live_lock = threading.Lock()
         # The batch executor: shard processes or in-process threads,
@@ -189,12 +202,13 @@ class SimulationService:
         are flushed and executed); ``drain=False`` fails every unfinished
         job with :class:`~repro.errors.ServiceClosedError`.  Idempotent.
         """
-        with self._admission:
+        with self._intake:
             if self._closed:
                 return
             self._closed = True
+            self._drain = drain
             self._admission.notify_all()
-        self._queue.put(_STOP if drain else _ABORT)
+            self._clock.notify()
         self._batch_thread.join()
         self._executor.close()
 
@@ -231,13 +245,13 @@ class SimulationService:
         return key
 
     def circuit(self, circuit_key: str) -> CompiledCircuit:
-        with self._circuits_lock:
-            try:
-                return self._circuits[circuit_key]
-            except KeyError:
-                raise ServiceError(
-                    f"unknown circuit fingerprint {circuit_key[:12]}…; "
-                    "register_circuit() first") from None
+        # Entries are only ever added: a lock-free read sees one whole.
+        compiled = self._circuits.get(circuit_key)
+        if compiled is None:
+            raise ServiceError(
+                f"unknown circuit fingerprint {circuit_key[:12]}…; "
+                "register_circuit() first")
+        return compiled
 
     # -- submission -----------------------------------------------------------
 
@@ -286,21 +300,18 @@ class SimulationService:
             raise ServiceError("deadline_ms must be positive")
         if first_slot < 0:
             raise ServiceError("first_slot must be >= 0")
-        fingerprint = job_fingerprint(compiled, pairs, plan, config,
-                                      kernel_table, variation, first_slot)
+        fingerprint, compat_key = job_identity(
+            compiled, pairs, plan, config, kernel_table, variation,
+            first_slot)
         self._metrics.record_submitted()
 
         cached = self._cache.get(fingerprint)
         if cached is not None:
             latency = _time.monotonic() - started
-            self._metrics.record_completed(latency)
+            self._metrics.record_completed((latency,))
             return resolved_handle(
                 fingerprint, self._cached_result(compiled, cached, latency))
 
-        compat_key = compatibility_fingerprint(
-            compiled, config, kernel_table, variation,
-            static_voltages=(plan.voltages if kernel_table is None
-                             else None))
         allowed, retry_after = self._breaker_for(compat_key).allow()
         if not allowed:
             self._metrics.record_breaker_rejected()
@@ -315,20 +326,20 @@ class SimulationService:
             fingerprint=fingerprint, compat_key=compat_key,
             first_slot=first_slot,
         )
-        self._admit(job)
-        job.submitted = _time.monotonic()
-        if deadline_ms is not None:
-            job.deadline_ms = float(deadline_ms)
-            job.deadline = job.submitted + deadline_ms / 1e3
-        with self._live_lock:
-            self._live[id(job)] = job
-        self._queue.put(job)
+        if self._router is not None:
+            # Group registration rides the same FIFO control pipe as
+            # the batches, so it goes out before the job can ride one:
+            # register_group returns once the group is on every shard's
+            # pipe, and is a lock-free no-op after that.
+            self._router.register_group(compat_key, circuit_key, config,
+                                        kernel_table, variation)
+        self._admit(job, deadline_ms)
         return JobHandle(fingerprint, job.future,
-                         canceller=lambda: self._cancel_job(job))
+                         canceller=partial(self._cancel_job, job))
 
     def metrics(self) -> ServiceMetrics:
         """Point-in-time service metrics snapshot."""
-        with self._admission:
+        with self._intake:
             depth = self._backlog
         with self._breakers_lock:
             breakers = {key[:12]: breaker.stats()
@@ -344,69 +355,93 @@ class SimulationService:
 
     # -- admission ------------------------------------------------------------
 
-    def _admit(self, job: SimulationJob) -> None:
-        with self._admission:
-            if self.config.admission == "reject":
-                if self._backlog >= self.config.queue_depth:
-                    self._metrics.record_rejected()
-                    retry = self._metrics.retry_after(
-                        self._backlog, self._executor.num_workers)
-                    raise AdmissionError(
-                        f"queue depth {self.config.queue_depth} reached; "
-                        f"retry in {retry:.3f}s",
-                        retry_after_seconds=retry)
-            else:
-                deadline = (None if self.config.block_timeout_s is None
-                            else _time.monotonic()
-                            + self.config.block_timeout_s)
-                while self._backlog >= self.config.queue_depth:
-                    if self._closed:
-                        raise ServiceClosedError(
-                            "service closed while waiting for admission")
-                    remaining = (None if deadline is None
-                                 else deadline - _time.monotonic())
-                    if remaining is not None and remaining <= 0:
-                        self._metrics.record_rejected()
-                        retry = self._metrics.retry_after(
-                            self._backlog, self._executor.num_workers)
-                        raise AdmissionError(
-                            "admission wait timed out; "
-                            f"retry in {retry:.3f}s",
-                            retry_after_seconds=retry)
-                    self._admission.wait(timeout=remaining)
+    def _admit(self, job: SimulationJob,
+               deadline_ms: Optional[float]) -> None:
+        """Take a backlog slot, fold the job into its group and hand
+        the batches this arrival made full to the executor, under the
+        intake lock.
+
+        The closed flag is read under the same lock ``close()`` sets it
+        under, so a job either lands in the batcher (or the executor)
+        before the terminal flush or raises :class:`ServiceClosedError`
+        here.
+        """
+        with self._intake:
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            if self._backlog >= self.config.queue_depth:
+                self._await_capacity()
             self._backlog += 1
+            now = job.submitted = _time.monotonic()
+            if deadline_ms is not None:
+                job.deadline_ms = float(deadline_ms)
+                job.deadline = now + deadline_ms / 1e3
+                with self._live_lock:
+                    self._live[id(job)] = job
+            self._last_arrival = now
+            if self._clock_parked:
+                self._clock_parked = False
+                self._clock.notify()
+            for batch in self._batcher.add(job, now):
+                self._executor.submit(batch)
+
+    def _await_capacity(self) -> None:
+        """Admission policy for a full backlog (intake lock held)."""
+        if self.config.admission == "reject":
+            self._metrics.record_rejected()
+            retry = self._metrics.retry_after(
+                self._backlog, self._executor.num_workers)
+            raise AdmissionError(
+                f"queue depth {self.config.queue_depth} reached; "
+                f"retry in {retry:.3f}s",
+                retry_after_seconds=retry)
+        deadline = (None if self.config.block_timeout_s is None
+                    else _time.monotonic() + self.config.block_timeout_s)
+        while True:
+            # Checked after every wake: a job admitted once close() ran
+            # could land after the terminal flush.
+            if self._closed:
+                raise ServiceClosedError(
+                    "service closed while waiting for admission")
+            if self._backlog < self.config.queue_depth:
+                return
+            remaining = (None if deadline is None
+                         else deadline - _time.monotonic())
+            if remaining is not None and remaining <= 0:
+                self._metrics.record_rejected()
+                retry = self._metrics.retry_after(
+                    self._backlog, self._executor.num_workers)
+                raise AdmissionError(
+                    "admission wait timed out; "
+                    f"retry in {retry:.3f}s",
+                    retry_after_seconds=retry)
+            self._admission.wait(timeout=remaining)
 
     def _release(self, jobs: int = 1) -> None:
-        with self._admission:
+        with self._intake:
             self._backlog -= jobs
             self._admission.notify_all()
 
     # -- job settlement -------------------------------------------------------
 
-    def _finish_job(self, job: SimulationJob, result=None,
-                    error=None) -> bool:
-        """Settle one job exactly once; returns False if already settled.
+    def _fail_job(self, job: SimulationJob, error: Exception) -> bool:
+        """Fail one job exactly once; returns False if already settled.
 
-        Every path that ends a job — demux success, batch failure,
-        deadline expiry, cancellation, worker loss, aborting close —
-        funnels through here.  The future's own set-once semantics are
-        the synchronizer: whichever caller wins updates the metrics and
-        releases the backlog slot; losers see ``InvalidStateError`` and
-        walk away.
+        Every path that ends a job — batch failure, deadline expiry,
+        cancellation, worker loss, aborting close — funnels through
+        here, and a demultiplexed batch through :meth:`_finish_batch`.
+        The future's own set-once semantics are the synchronizer:
+        whichever caller wins updates the metrics and releases the
+        backlog slot; losers see ``InvalidStateError`` and walk away.
         """
         try:
-            if error is not None:
-                job.future.set_exception(error)
-            else:
-                job.future.set_result(result)
+            job.future.set_exception(error)
         except InvalidStateError:
             return False
-        with self._live_lock:
-            self._live.pop(id(job), None)
-        if error is None:
-            self._metrics.record_completed(result.latency_seconds,
-                                           shard=job.shard)
-        elif isinstance(error, JobDeadlineError):
+        if job.deadline is not None:
+            with self._live_lock:
+                self._live.pop(id(job), None)
+        if isinstance(error, JobDeadlineError):
             self._metrics.record_timed_out()
         elif isinstance(error, JobCancelledError):
             self._metrics.record_cancelled()
@@ -415,8 +450,32 @@ class SimulationService:
         self._release()
         return True
 
+    def _finish_batch(self, jobs: List[SimulationJob],
+                      results: List[JobResult],
+                      shard: Optional[int]) -> None:
+        """Settle a demultiplexed batch's jobs in one pass: each future
+        once, then ``_live``, the metrics and the backlog once for all
+        the jobs this call settled."""
+        latencies = []
+        timed = []
+        for job, result in zip(jobs, results):
+            try:
+                job.future.set_result(result)
+            except InvalidStateError:
+                continue
+            latencies.append(result.latency_seconds)
+            if job.deadline is not None:
+                timed.append(job)
+        if timed:
+            with self._live_lock:
+                for job in timed:
+                    self._live.pop(id(job), None)
+        if latencies:
+            self._metrics.record_completed(latencies, shard)
+            self._release(len(latencies))
+
     def _cancel_job(self, job: SimulationJob) -> bool:
-        return self._finish_job(job, error=JobCancelledError(
+        return self._fail_job(job, JobCancelledError(
             "job cancelled by caller"))
 
     def _expire_deadlines(self) -> None:
@@ -424,9 +483,9 @@ class SimulationService:
         now = _time.monotonic()
         with self._live_lock:
             expired = [job for job in self._live.values()
-                       if job.deadline is not None and now >= job.deadline]
+                       if now >= job.deadline]
         for job in expired:
-            self._finish_job(job, error=JobDeadlineError(
+            self._fail_job(job, JobDeadlineError(
                 f"job exceeded its {job.deadline_ms:g} ms deadline",
                 deadline_ms=job.deadline_ms))
 
@@ -434,98 +493,67 @@ class SimulationService:
         """Batch-wide failure path (worker loss, handler escape)."""
         breaker = self._breaker_for(batch.compat_key)
         for job in batch.jobs:
-            if self._finish_job(job, error=error):
+            if self._fail_job(job, error):
                 breaker.record_failure()
 
     def _breaker_for(self, compat_key: str) -> CircuitBreaker:
-        with self._breakers_lock:
-            breaker = self._breakers.get(compat_key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.config.breaker_failures,
-                    reset_seconds=self.config.breaker_reset_s)
-                self._breakers[compat_key] = breaker
-            return breaker
+        breaker = self._breakers.get(compat_key)  # only ever added to
+        if breaker is None:
+            with self._breakers_lock:
+                breaker = self._breakers.get(compat_key)
+                if breaker is None:
+                    breaker = self._breakers[compat_key] = CircuitBreaker(
+                        failure_threshold=self.config.breaker_failures,
+                        reset_seconds=self.config.breaker_reset_s)
+        return breaker
 
-    # -- batching loop --------------------------------------------------------
+    # -- the batch thread: clocks only ----------------------------------------
 
     def _batch_loop(self) -> None:
-        idle_s = self.config.idle_ms / 1e3
+        """Dispatch what the clocks flush until close, then the
+        terminal flush: run everything pending, or fail it."""
         while True:
-            now = _time.monotonic()
-            deadline = self._batcher.next_deadline(now)
-            timeout = None if deadline is None else max(
-                min(deadline, idle_s), 1e-4)
-            try:
-                item = self._queue.get(timeout=timeout)
-            except _queue.Empty:
-                # The queue stayed empty for `timeout`: everything whose
-                # max-wait deadline passed is due, and if the wait covered
-                # a full idle period there is nothing arriving to coalesce
-                # with — flush it all.
-                now = _time.monotonic()
-                ready = self._batcher.due(now)
-                if timeout is not None and timeout >= idle_s:
-                    ready.extend(self._batcher.drain())
+            with self._intake:
+                ready = self._await_flush()
+                closing = self._closed
+                aborting = closing and not self._drain
+                if not aborting:
+                    for batch in ready:
+                        self._executor.submit(batch)
+            if aborting:
+                error = ServiceClosedError("service closed before execution")
                 for batch in ready:
-                    self._dispatch(batch)
+                    for job in batch.jobs:
+                        self._fail_job(job, error)
+            if closing:
+                return
+
+    def _await_flush(self) -> List[PendingBatch]:
+        """Wait (intake lock held) for a clock to flush something.
+
+        Fullness is flushed by the submitter that filled the batch
+        (:meth:`_admit`); this thread wakes only for a clock: when the
+        oldest pending batch reaches ``max_wait_ms``, when no job has
+        arrived for ``idle_ms`` (nothing left to coalesce with — then
+        everything pending flushes), or on ``close()``, which flushes
+        everything.
+        """
+        idle_s = self.config.idle_ms / 1e3
+        while not self._closed:
+            if not self._batcher:
+                self._clock_parked = True
+                self._clock.wait()
                 continue
-            if item is _STOP or item is _ABORT:
-                self._finish(item is _STOP)
-                return
-            ready = self._batcher.add(item, _time.monotonic())
-            # Opportunistic non-blocking drain: a submission burst lands
-            # in one plane instead of one batch per wakeup.
-            stop_item = None
-            while stop_item is None:
-                try:
-                    nxt = self._queue.get_nowait()
-                except _queue.Empty:
-                    break
-                if nxt is _STOP or nxt is _ABORT:
-                    stop_item = nxt
-                    break
-                ready.extend(self._batcher.add(nxt, _time.monotonic()))
-            ready.extend(self._batcher.due(_time.monotonic()))
-            for batch in ready:
-                self._dispatch(batch)
-            if stop_item is not None:
-                self._finish(stop_item is _STOP)
-                return
-
-    def _finish(self, drain: bool) -> None:
-        """Terminal flush: run or fail everything still pending."""
-        batches = self._batcher.drain()
-        leftovers: List[SimulationJob] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except _queue.Empty:
-                break
-            if item is not _STOP and item is not _ABORT:
-                leftovers.append(item)
-        if drain:
-            for batch in batches:
-                self._dispatch(batch)
-            for job in leftovers:
-                batch = PendingBatch(compat_key=job.compat_key)
-                batch.add(job, _time.monotonic())
-                self._dispatch(batch)
-        else:
-            error = ServiceClosedError("service closed before execution")
-            for job in leftovers + [j for b in batches for j in b.jobs]:
-                self._finish_job(job, error=error)
-
-    def _dispatch(self, batch: PendingBatch) -> None:
-        if self._router is not None:
-            # Group registration rides the same FIFO control pipe as
-            # the batch, so it always lands first; register_group is an
-            # idempotent no-op after the first call per group.
-            job = batch.jobs[0]
-            self._router.register_group(
-                batch.compat_key, job.circuit_key, job.config,
-                job.kernel_table, job.variation)
-        self._executor.submit(batch)
+            now = _time.monotonic()
+            ready = self._batcher.due(now)
+            quiet = now - self._last_arrival
+            if quiet >= idle_s:
+                ready.extend(self._batcher.drain())
+            if ready:
+                return ready
+            self._clock.wait(max(min(self._batcher.next_deadline(now),
+                                     idle_s - quiet), 1e-4))
+        return self._batcher.drain()
 
     def _begin(self, batch: PendingBatch,
                shard: Optional[int] = None) -> List[SimulationJob]:
@@ -540,8 +568,9 @@ class SimulationService:
         if jobs:
             for job in jobs:
                 job.shard = shard
-            self._metrics.record_batch(len(jobs),
-                                       sum(job.num_slots for job in jobs))
+            self._metrics.record_batch(
+                len(jobs), batch.num_slots if len(jobs) == batch.num_jobs
+                else sum([job.num_slots for job in jobs]))
         return jobs
 
     def _conclude(self, batch: PendingBatch, jobs: List[SimulationJob],
@@ -560,14 +589,14 @@ class SimulationService:
             settle()
         except Exception as error:  # noqa: BLE001 - isolate, then report
             if len(jobs) == 1:
-                if self._finish_job(jobs[0], error=error):
+                if self._fail_job(jobs[0], error):
                     breaker.record_failure()
                 return
             for job in jobs:
                 if not job.future.done():
                     single = PendingBatch(compat_key=job.compat_key)
                     single.add(job, _time.monotonic())
-                    self._dispatch(single)
+                    self._executor.submit(single)
         else:
             breaker.record_success()
 
@@ -600,15 +629,20 @@ class SimulationService:
         """Concatenate a batch's jobs into one shared slot plane."""
         combined_pairs: List[PatternPair] = []
         offsets: List[int] = []
+        shifts: List[int] = []  # global minus plane slot, per job
+        counts: List[int] = []
+        slot = 0
         for job in jobs:
             offsets.append(len(combined_pairs))
             combined_pairs.extend(job.pairs)
+            shifts.append(job.first_slot - slot)
+            counts.append(job.num_slots)
+            slot += job.num_slots
         plan = SlotPlan.concat([job.plan for job in jobs], offsets)
         # Each job's own slot indices: Monte-Carlo die factors must not
         # depend on where in the shared plane a job landed.
-        global_slots = np.concatenate(
-            [np.arange(job.first_slot, job.first_slot + job.num_slots,
-                       dtype=np.int64) for job in jobs])
+        global_slots = np.arange(plan.num_slots, dtype=np.int64) + np.repeat(
+            np.array(shifts, dtype=np.int64), counts)
         return combined_pairs, plan, global_slots
 
     def _run_and_demux(self, jobs: List[SimulationJob],
@@ -653,44 +687,46 @@ class SimulationService:
         """
         self._metrics.record_engine(stats)
         seconds = _time.monotonic() - started
-        bounds = list(accumulate((job.num_slots for job in jobs), initial=0))
-        total_slots = bounds[-1]
-
+        total_slots = sum([job.num_slots for job in jobs])
+        name = compiled.circuit.name
+        label = f"service:{engine_name}"
         now = _time.monotonic()
         shares: Dict[int, EngineStats] = {}  # one (read-only) per job size
+        results: List[JobResult] = []
+        entries = []
+        start = 0
         for position, job in enumerate(jobs):
             n = job.num_slots
             job_plane = (segments[position][0] if segments is not None
-                         else plane.take(np.arange(bounds[position],
-                                                   bounds[position + 1])))
-            share = shares.get(n) or shares.setdefault(
-                n, stats.share(n, total_slots))
+                         else plane.take(np.arange(start, start + n)))
+            start += n
+            share = shares.get(n)
+            if share is None:
+                share = shares[n] = stats.share(n, total_slots)
             report = RunReport(
-                circuit_name=compiled.circuit.name,
+                circuit_name=name,
                 num_slots=n,
                 chunk_slots=total_slots,
                 chunks=[ChunkReport(index=position, num_slots=n,
                                     attempts=[AttemptReport.ran(
-                                        f"service:{engine_name}", seconds,
-                                        share)])],
+                                        label, seconds, share)])],
                 wall_seconds=seconds,
             )
             report.fold(share)
-            job_result = JobResult(
+            labels = job.plan.labels()
+            results.append(JobResult(
                 waveforms=job_plane,
-                slot_labels=job.plan.labels(),
+                slot_labels=labels,
                 engine=engine_name,
                 cache_hit=False,
                 latency_seconds=now - job.submitted,
                 report=report,
                 stats=share,
-            )
-            self._cache.put(job.fingerprint, CachedResult(
-                plane=job_plane,
-                slot_labels=job_result.slot_labels,
-                engine=engine_name,
             ))
-            self._finish_job(job, result=job_result)
+            entries.append((job.fingerprint, CachedResult(
+                plane=job_plane, slot_labels=labels, engine=engine_name)))
+        self._cache.put_many(entries)
+        self._finish_batch(jobs, results, jobs[0].shard)
 
     # -- sharded execution (router callback) ----------------------------------
 

@@ -49,8 +49,8 @@ class ServiceConfig:
         Flush a pending batch once its oldest job has waited this long,
         even if the batch is not full (tail-latency bound).
     idle_ms:
-        Flush everything pending once the intake queue has been empty
-        for this long (no point holding jobs when nothing is arriving).
+        Flush everything pending once no job has arrived for this long
+        (no point holding jobs when nothing is arriving).
     queue_depth:
         Admission bound: maximum jobs admitted but not yet finished.
     admission:
@@ -173,10 +173,11 @@ class SimulationJob:
     #: (``submit(first_slot=...)``); the combine step pins the job's
     #: slots to ``first_slot …`` so die factors follow it.
     first_slot: int = 0
+    #: ``plan.num_slots``, read once.
+    num_slots: int = field(init=False)
 
-    @property
-    def num_slots(self) -> int:
-        return self.plan.num_slots
+    def __post_init__(self) -> None:
+        self.num_slots = self.plan.num_slots
 
 
 @dataclass
@@ -245,7 +246,7 @@ class JobHandle:
 
 
 def resolved_handle(fingerprint: str, result: JobResult) -> JobHandle:
-    """An already-completed handle (cache hits never enter the queue)."""
+    """An already-completed handle (cache hits never reach the batcher)."""
     future: "Future[JobResult]" = Future()
     future.set_result(result)
     return JobHandle(fingerprint, future)
@@ -264,25 +265,30 @@ def validate_job(compiled, pairs: Sequence[PatternPair], plan: SlotPlan,
     """
     if not pairs:
         raise ServiceError("job needs at least one pattern pair")
-    widths = {p.width for p in pairs}
-    if widths != {len(compiled.circuit.inputs)}:
-        raise ServiceError(
-            f"pattern width {sorted(widths)} does not match the "
-            f"{len(compiled.circuit.inputs)} circuit inputs")
-    if int(plan.pattern_indices.max()) >= len(pairs):
+    width = len(compiled.circuit.inputs)
+    for pair in pairs:
+        if pair.v1.size != width:
+            raise ServiceError(
+                f"pattern width {sorted({p.width for p in pairs})} does "
+                f"not match the {width} circuit inputs")
+    if max(plan.pattern_indices.tolist()) >= len(pairs):
         raise ServiceError("slot plan references missing pattern index")
-    if kernel_table is None and plan.distinct_voltages().size > 1:
-        raise ServiceError(
-            "static delay mode cannot differentiate operating points; "
-            "pass a kernel_table for voltage-aware jobs")
-    if kernel_table is not None:
-        # The delay polynomials are fitted over the table's box only;
-        # past its edges they extrapolate without a word of warning.
-        space = kernel_table.space
-        voltages = plan.voltages
-        if voltages.min() < space.v_min or voltages.max() > space.v_max:
-            outside = voltages[(voltages < space.v_min)
-                               | (voltages > space.v_max)]
-            raise ParameterError(
-                f"plan voltage {float(outside[0]):g} V is outside the "
-                f"kernel table's box [{space.v_min:g}, {space.v_max:g}] V")
+    # Python floats: two reductions over a few slots cost less than
+    # numpy's per-call dispatch.
+    voltages = plan.voltages.tolist()
+    low, high = min(voltages), max(voltages)
+    if kernel_table is None:
+        if low != high:
+            raise ServiceError(
+                "static delay mode cannot differentiate operating points; "
+                "pass a kernel_table for voltage-aware jobs")
+        return
+    # The delay polynomials are fitted over the table's box only; past
+    # its edges they extrapolate without a word of warning.
+    space = kernel_table.space
+    if low < space.v_min or high > space.v_max:
+        outside = [v for v in voltages
+                   if v < space.v_min or v > space.v_max]
+        raise ParameterError(
+            f"plan voltage {outside[0]:g} V is outside the "
+            f"kernel table's box [{space.v_min:g}, {space.v_max:g}] V")

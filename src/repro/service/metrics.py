@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -306,22 +306,24 @@ class MetricsRecorder:
         with self._lock:
             self._engine += stats
 
-    def record_completed(self, latency_seconds: float,
+    def record_completed(self, latencies: Sequence[float],
                          shard: Optional[int] = None) -> None:
+        """Completed jobs of one settled batch (or one cache hit)."""
+        alpha = 0.2
         with self._lock:
-            self.jobs_completed += 1
-            self._latencies.append(latency_seconds)
+            self.jobs_completed += len(latencies)
+            self._latencies.extend(latencies)
             if shard is not None:
                 window = self._shard_latencies.get(shard)
                 if window is None:
                     window = self._shard_latencies[shard] = deque(
                         maxlen=LATENCY_WINDOW)
-                window.append(latency_seconds)
-            alpha = 0.2
-            self.ema_job_seconds = (
-                latency_seconds if self.ema_job_seconds == 0.0
-                else (1 - alpha) * self.ema_job_seconds
-                + alpha * latency_seconds)
+                window.extend(latencies)
+            ema = self.ema_job_seconds
+            for latency in latencies:
+                ema = (latency if ema == 0.0
+                       else (1 - alpha) * ema + alpha * latency)
+            self.ema_job_seconds = ema
 
     def record_failed(self) -> None:
         with self._lock:

@@ -162,30 +162,37 @@ class ShardRouter(Supervisor):
         with self._registry_lock:
             if key in self._circuits:
                 return
+            message = ("circuit", key, compiled, plans)
+            for handle in self._workers:
+                self._send(handle, message)
             self._circuits[key] = (compiled, plans)
-        message = ("circuit", key, compiled, plans)
-        for handle in self._workers:
-            self._send(handle, message)
 
     def register_group(self, compat_key: str, circuit_key: str, config,
                        kernel_table, variation) -> None:
-        """Record and broadcast one compatibility group (idempotent)."""
+        """Record and broadcast one compatibility group (idempotent).
+
+        Submitting threads register their jobs' groups concurrently, so
+        a group's first jobs can race: the group is recorded only once
+        its message is on every shard's pipe, and the registry lock
+        holds a racing second caller until then — no batch of the group
+        can reach a shard ahead of it.
+        """
+        if compat_key in self._groups:
+            return
         with self._registry_lock:
             if compat_key in self._groups:
                 return
-            self._groups[compat_key] = (circuit_key, config, kernel_table,
-                                        variation)
-        message = ("group", compat_key) + self._groups[compat_key]
-        for handle in self._workers:
-            self._send(handle, message)
+            group = (circuit_key, config, kernel_table, variation)
+            for handle in self._workers:
+                self._send(handle, ("group", compat_key) + group)
+            self._groups[compat_key] = group
 
     def _replay_registry(self, handle: _ShardHandle) -> None:
-        with self._registry_lock:
-            circuits = list(self._circuits.items())
-            groups = list(self._groups.items())
-        for key, (compiled, plans) in circuits:
+        """Replay every registration into a fresh shard (registry lock
+        held, so a concurrent registration lands after the replay)."""
+        for key, (compiled, plans) in self._circuits.items():
             self._send(handle, ("circuit", key, compiled, plans))
-        for compat_key, group in groups:
+        for compat_key, group in self._groups.items():
             self._send(handle, ("group", compat_key) + group)
 
     # -- placement ------------------------------------------------------------
@@ -274,13 +281,16 @@ class ShardRouter(Supervisor):
         )
         process.start()
         child_conn.close()
-        with handle.cv:
-            handle.proc, handle.conn = process, parent_conn
-            handle.spawned_at = _time.monotonic()
-            handle.ready_at = None
         # The registry goes first: the shard's ``ready`` is read only
-        # after it, so no batch can overtake a registration.
-        self._replay_registry(handle)
+        # after it, so no batch can overtake a registration.  The new
+        # pipe becomes visible to registrations together with the
+        # replay, so none lands ahead of the circuit it names.
+        with self._registry_lock:
+            with handle.cv:
+                handle.proc, handle.conn = process, parent_conn
+                handle.spawned_at = _time.monotonic()
+                handle.ready_at = None
+            self._replay_registry(handle)
         threading.Thread(
             target=self._receive_loop,
             args=(handle, generation, parent_conn),

@@ -40,6 +40,7 @@ from repro.runtime.fingerprint import (
     feed_stimuli,
     feed_variation,
     job_fingerprint,
+    job_identity,
 )
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
@@ -314,6 +315,42 @@ class TestDigestContract:
                 pinned.table, pinned.state)
         assert {job_fingerprint(*args) for _ in range(3)} == {
             plain_job_digest(*args)}
+
+
+class TestJobIdentity:
+    """``job_identity`` — the service's one-pass identity — is
+    ``(job_fingerprint, compatibility_fingerprint)`` over the digest
+    contract's inputs, the key taking the plan's voltages in static
+    mode."""
+
+    BITS = (np.arange(18).reshape(3, 2, 3) * 7 % 5 % 2).astype(np.uint8)
+    TRANSPORT = SimulationConfig(pulse_filtering="transport",
+                                 record_all_nets=True)
+
+    @pytest.mark.parametrize("config, table, variation, plan, first_slot", [
+        (SimulationConfig(), None, None, SlotPlan.cross(3, [0.6, 0.8]), 0),
+        (SimulationConfig(), None, None, SlotPlan.uniform(3, 0.7), 5),
+        (TRANSPORT, None, ProcessVariation(sigma=0.05, seed=3),
+         SlotPlan.uniform(3, 0.8), 0),
+        (TRANSPORT, small_table(), ProcessVariation(sigma=0.05, seed=3),
+         SlotPlan.cross(3, [0.6, 0.8]), 0),
+        (TRANSPORT, small_table(), StateDependentVariation(
+            sigma=0.05, seed=3, voltage_sensitivity=1.5, v_ref=0.8,
+            slot_voltages=(0.6, 0.8, 0.6, 0.8, 0.6, 0.8)),
+         SlotPlan.cross(3, [0.6, 0.8]), 2),
+    ], ids=["static-cross", "static-uniform", "static-variation",
+            "table-plain", "table-state"])
+    def test_matches_the_pinned_identities(self, config, table, variation,
+                                           plan, first_slot):
+        compiled = PinnedCompiled()
+        pairs = [PatternPair(row[0], row[1]) for row in self.BITS]
+        digest, key = job_identity(compiled, pairs, plan, config, table,
+                                   variation, first_slot)
+        assert digest == job_fingerprint(compiled, pairs, plan, config,
+                                         table, variation, first_slot)
+        assert key == compatibility_fingerprint(
+            compiled, config, table, variation,
+            static_voltages=plan.voltages if table is None else None)
 
 
 def fresh_compiled(library, seed):

@@ -11,6 +11,7 @@ extractor — per-job planes come off the arena already private and
 packed, equal to ``take`` slices of a standalone run.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -257,6 +258,51 @@ class TestConcurrentSubmission:
             for pairs, result in zip(jobs, outcomes[name]):
                 assert_bit_identical(pairs, result, engine)
 
+    def test_submitters_and_clock_lose_no_job(self, circuit, library,
+                                              compiled):
+        """Four submitting threads on a short switch interval fold jobs
+        of one and two slots into shared batches while the batch thread
+        flushes on sub-millisecond clocks: every job is batched and
+        settled exactly once, and the backlog returns to zero — a lost
+        update to the batcher or the backlog would break a count."""
+        job_sets = [make_jobs(circuit, 24, pairs_each=1 + k % 2,
+                              seed=40 + k) for k in range(4)]
+        outcomes = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SimulationService(config=coalescing_config(
+                    max_batch_slots=8, max_wait_ms=1.0, idle_ms=0.5,
+                    cache_entries=0)) as service:
+                key = service.register_circuit(circuit, library,
+                                               compiled=compiled)
+
+                def worker(k):
+                    handles = [service.submit(key, pairs)
+                               for pairs in job_sets[k]]
+                    outcomes[k] = [h.result(timeout=60) for h in handles]
+
+                threads = [threading.Thread(target=worker, args=(k,))
+                           for k in range(len(job_sets))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                metrics = service.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        jobs = [pairs for job_set in job_sets for pairs in job_set]
+        assert metrics.jobs_completed == metrics.jobs_batched == len(jobs)
+        assert metrics.slots_dispatched == sum(len(pairs) for pairs in jobs)
+        assert metrics.queue_depth == 0
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        for k, job_set in enumerate(job_sets):
+            for index in (0, len(job_set) - 1):
+                assert_bit_identical(job_set[index], outcomes[k][index],
+                                     engine)
+
 
 class TestResultCache:
     def test_cache_hit_skips_engine_dispatch(self, circuit, library,
@@ -438,6 +484,35 @@ class TestShutdown:
             with pytest.raises(ServiceClosedError):
                 handle.result(timeout=60)
         assert service.metrics().jobs_failed == 2
+        assert service.metrics().queue_depth == 0
+
+    def test_close_racing_submit_settles_the_job(self, circuit, library,
+                                                 compiled, monkeypatch):
+        """A close() landing while a submit is past its first closed
+        check: the job either raises at submit or resolves — it is never
+        left pending with its backlog slot taken."""
+        import repro.service.core as core
+
+        service = SimulationService(config=coalescing_config(
+            max_batch_slots=64))
+        key = service.register_circuit(circuit, library, compiled=compiled)
+        real_validate = core.validate_job
+        calls = []
+
+        def validate_then_close(*args):
+            real_validate(*args)
+            if not calls:
+                calls.append(None)
+                service.close()
+
+        monkeypatch.setattr(core, "validate_job", validate_then_close)
+        try:
+            handle = service.submit(key, make_jobs(circuit, 1, seed=26)[0])
+        except ServiceClosedError:
+            handle = None
+        if handle is not None:
+            handle.exception(timeout=5)
+        assert calls
         assert service.metrics().queue_depth == 0
 
     def test_submit_after_close_raises(self, circuit, library, compiled):

@@ -21,6 +21,8 @@ Contracts under test (``docs/architecture.md`` §11):
   settling correctly; a batch lost twice fails with ``WorkerLostError``;
 * a batch's hang clock starts when its shard is ready, not while the
   shard boots;
+* two submitting threads racing the first batches of fresh groups
+  never put a batch on a shard ahead of its group registration;
 * the ``shard.spawn`` / ``shard.dispatch`` fault seams drive the
   retry, error-propagation and poison-isolation paths.
 
@@ -30,6 +32,7 @@ The shard count comes from the ``--shards`` pytest option (default 2).
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -225,6 +228,69 @@ class TestEqualWork:
                     == [r.gate_evaluations for r in inproc_pass])
             assert all(r.report.lanes_spliced == 0 for r in sharded_pass)
             assert all(r.gate_evaluations > 0 for r in sharded_pass)
+
+
+class TestConcurrentRegistration:
+    def test_racing_first_batches_of_fresh_groups(
+            self, circuit, library, compiled, kernel_table, shard_count,
+            monkeypatch):
+        """Submitters register their jobs' groups and dispatch the
+        batches they fill, so two threads can race the first batches of
+        a fresh group to the shards.  Every group message must land
+        before any batch of its group — a slow registration send
+        (20 ms) holds the window open."""
+        real_send = router_module.ShardRouter._send
+
+        def slow_group_send(self, handle, message, generation=None):
+            if message[0] == "group":
+                time.sleep(0.02)
+            return real_send(self, handle, message, generation)
+
+        monkeypatch.setattr(router_module.ShardRouter, "_send",
+                            slow_group_send)
+        variations = [ProcessVariation(sigma=0.05, seed=seed)
+                      for seed in range(8)]  # eight compatibility groups
+        jobs = {name: make_jobs(circuit, len(variations), seed=seed)
+                for name, seed in (("a", 81), ("b", 82))}
+        results, errors = {}, []
+        barrier = threading.Barrier(len(jobs))
+        # Two slots per job: every job fills its batch, and its
+        # submitting thread dispatches it.
+        with SimulationService(config=sharded_config(
+                shard_count, max_batch_slots=2)) as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+
+            def client(name):
+                try:
+                    handles = []
+                    for pairs, variation in zip(jobs[name], variations):
+                        barrier.wait(timeout=60)
+                        handles.append(service.submit(
+                            key, pairs, kernel_table=kernel_table,
+                            variation=variation))
+                    results[name] = [h.result(timeout=180)
+                                     for h in handles]
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(repr(error))
+
+            threads = [threading.Thread(target=client, args=(name,))
+                       for name in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=240)
+            metrics = service.metrics()
+        assert errors == []
+        assert metrics.jobs_failed == 0 and metrics.shard_errors == 0
+        engine = GpuWaveSim(circuit, library, compiled=compiled,
+                            config=SimulationConfig())
+        for name, job_pairs in jobs.items():
+            for pairs, variation, result in zip(job_pairs, variations,
+                                                results[name]):
+                assert_bit_identical(pairs, result, engine,
+                                     kernel_table=kernel_table,
+                                     variation=variation)
 
 
 class TestWholeStats:
