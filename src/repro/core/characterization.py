@@ -24,7 +24,7 @@ Two sampling strategies feed step A:
   the probe residual *and* the measured error on freshly sampled lines
   drop below a target, or when the per-entry evaluation budget runs out.
   The polynomial half-order is then picked per entry by cross-validated
-  error (:func:`repro.core.regression.select_half_order`).
+  error (:class:`repro.core.regression.CrossValidation`).
 
 Both strategies run **in lockstep over shared sample geometries**.
 Every entry of a library starts from the same grid and refines it along
@@ -32,11 +32,13 @@ the same bisection lattice, so the ~1670 refinement fits of the 370
 Nangate15 entries stand on a dozen distinct ``(voltage axis, load
 axis)`` grids, and the fixed flow on one.  What depends on the grid
 alone — bilinear stencils for the dense and the probe grid, the design
-matrix, ``XᵀX``, ``cond(X)``, the cross-validation folds — lives in a
-*fit plan* built once per grid and owned by the ``characterize_*`` call
-(:class:`_FitPlans`); what depends on the entry — the measured delays,
-``Xᵀy``, the solve — is computed as stacks over all entries of the
-batch that currently stand on that grid (:func:`_characterize`).  SPICE
+matrix, ``XᵀX``, ``cond(X)`` — lives in a *fit plan* built once per
+grid and owned by the ``characterize_*`` call (:class:`_FitPlans`);
+the cross-validation operators are built once per final grid for the
+entries that end on it, and dropped with them.  What depends on the
+entry — the measured delays, ``Xᵀy``, the solve — is computed as stacks
+over all entries of the batch that currently stand on that grid
+(:func:`_characterize`).  SPICE
 is sampled the same way: the entries of the seed wave, and the entries
 that add the same line to the same grid, are measured as one stack in
 one SPICE call (:func:`_sample`).  A single entry is a batch of one:
@@ -67,7 +69,7 @@ from repro.core.charz_cache import CoefficientCache
 from repro.core.interpolation import BilinearStencil, GridInterpolator, densify
 from repro.core.parameters import ParameterSpace
 from repro.core.polynomial import horner
-from repro.core.regression import FitPlan, FitResult
+from repro.core.regression import CrossValidation, FitPlan, FitResult
 from repro.electrical.spice import AnalyticalSpice, DelayGrid
 from repro.errors import CharacterizationError
 
@@ -96,10 +98,11 @@ class AdaptiveConfig:
     ``BENCH_kernels.json``); they are the tuned operating point, not
     arbitrary knobs.  Fewer evaluations is the whole gain: per entry the
     adaptive flow fits 4–5 times and cross-validates, so against the
-    analytical SPICE stand-in it takes ~3.7x the wall time of the fixed
-    grid (``characterization_speedups.wall_speedup`` 0.27) — it wins
-    when a SPICE evaluation costs more than ~5 µs
-    (``break_even_us_per_evaluation``), i.e. with any real simulator.
+    analytical SPICE stand-in it takes ~3x the wall time of the fixed
+    grid (``characterization_speedups.wall_speedup`` 0.33, a median over
+    alternating timed pairs) — it wins when a SPICE evaluation costs
+    more than ~6.5 µs (``break_even_us_per_evaluation``), i.e. with any
+    real simulator.
     All entries share the settings, which is what lets them share fit
     plans: nothing here varies per entry.
 
@@ -679,7 +682,8 @@ class _Lane:
     """One (cell, pin, polarity) entry riding through the waves."""
 
     __slots__ = ("task", "pin", "polarity", "geometry", "delays", "evaluations",
-                 "fresh_error", "beta", "method", "seconds", "row", "step", "result")
+                 "fresh_error", "beta", "method", "seconds", "peak", "order", "row",
+                 "step", "result")
 
     def __init__(self, task: _CharzTask, pin: CellPin,
                  polarity: DrivePolarity) -> None:
@@ -732,7 +736,7 @@ def _characterize(spice: AnalyticalSpice, tasks: Sequence[_CharzTask],
         active = _by_geometry(
             active,
             lambda geometry, chunk: _wave(spice, plans, geometry, chunk, stopped))
-    _by_geometry(stopped, _finish)
+    _by_geometry(stopped, _finish, _select_orders)
 
     elapsed = time.perf_counter() - start
     for task, mine in batch:
@@ -782,11 +786,13 @@ def _sample(spice: AnalyticalSpice, lanes: List[_Lane],
             len(lanes), len(points))
 
 
-def _by_geometry(lanes: Sequence[_Lane], step) -> List[_Lane]:
+def _by_geometry(lanes: Sequence[_Lane], step, prepare=None) -> List[_Lane]:
     """Run ``step(geometry, chunk)`` over the lanes grouped by geometry.
 
-    A step that raises as a whole (a grid too small for the requested
-    order, say) fails the cells of its chunk.
+    ``prepare(geometry, group)``, when given, runs once per group before
+    its chunks.  A step that raises as a whole (a grid too small for the
+    requested order, say) fails the cells of its chunk; a ``prepare``
+    that raises fails the cells of its group.
     """
     groups: Dict[Tuple[bytes, bytes], List[_Lane]] = {}
     for lane in lanes:
@@ -795,14 +801,25 @@ def _by_geometry(lanes: Sequence[_Lane], step) -> List[_Lane]:
     out: List[_Lane] = []
     for group in groups.values():
         geometry = group[0].geometry
+        if prepare is not None:
+            try:
+                prepare(geometry, group)
+            except Exception as error:  # noqa: BLE001 - failure domain is the cell
+                _fail(group, error)
+                continue
         for at in range(0, len(group), geometry.chunk):
             chunk = group[at:at + geometry.chunk]
             try:
                 out += step(geometry, chunk) or []
             except Exception as error:  # noqa: BLE001 - failure domain is the cell
-                for lane in chunk:
-                    lane.task.error = lane.task.error or error
+                _fail(chunk, error)
     return out
+
+
+def _fail(lanes: Sequence[_Lane], error: BaseException) -> None:
+    """Fail the cells of ``lanes``; a cell keeps the first error it had."""
+    for lane in lanes:
+        lane.task.error = lane.task.error or error
 
 
 def _probe_residual(geometry: _Geometry, beta: np.ndarray,
@@ -878,6 +895,7 @@ def _wave(spice: AnalyticalSpice, plans: _FitPlans, geometry: _Geometry,
 
     moving: List[_Lane] = []
     for b, lane in enumerate(lanes):
+        lane.peak = peak[b]
         if lane.fresh_error <= config.target_error and peak[b] <= config.target_error:
             stopped.append(lane)
             continue
@@ -919,30 +937,49 @@ def _wave(spice: AnalyticalSpice, plans: _FitPlans, geometry: _Geometry,
     return moved
 
 
-def _finish(geometry: _Geometry, lanes: List[_Lane]) -> None:
-    """Order selection, diagnostics and results for lanes on their final grid."""
-    config = geometry.flow.adaptive
+def _final_samples(geometry: _Geometry, lanes: Sequence[_Lane]):
+    """Delays, nominal rows, deviations and dense samples of lanes on their final grid."""
     delays = np.stack([lane.delays for lane in lanes])
     nominal, deviations = geometry.deviations(delays)
-    y = geometry.dense(deviations).reshape(len(lanes), -1)
+    return delays, nominal, deviations, geometry.dense(deviations).reshape(len(lanes), -1)
+
+
+def _select_orders(geometry: _Geometry, lanes: List[_Lane]) -> None:
+    """Cross-validated half-order of every lane that ends on ``geometry``.
+
+    The fold operators are built once for the whole group and dropped
+    before :func:`_finish` runs, so they never sit under its peak.
+    """
+    config = geometry.flow.adaptive
+    if config is None or config.order is not None:
+        return
+    selection = CrossValidation(geometry.fit, range(1, geometry.fit.n + 1),
+                                config.cv_folds)
+    for at in range(0, len(lanes), geometry.chunk):
+        chunk = lanes[at:at + geometry.chunk]
+        y = _final_samples(geometry, chunk)[3]
+        for lane, choice in zip(chunk, selection.select(y, config.cv_tolerance)):
+            lane.order = choice.n
+
+
+def _finish(geometry: _Geometry, lanes: List[_Lane]) -> None:
+    """Diagnostics and results for lanes on their final grid."""
+    config = geometry.flow.adaptive
+    delays, nominal, deviations, y = _final_samples(geometry, lanes)
     full_n = geometry.fit.n
     orders = np.full(len(lanes), full_n)
 
     if config is not None and config.order is None:
-        # Cross-validated half-order selection.  The CV winner replaces
-        # the full-order fit only when it keeps the probe residual at
-        # least as good as max(full-order residual, target) — parsimony
-        # must never cost the accuracy the refinement just paid
-        # evaluations for.
-        chosen = np.asarray([selection.n for selection in geometry.fit.select_orders(
-            y, range(1, full_n + 1), config.cv_folds, config.cv_tolerance)])
+        # The CV winner replaces the full-order fit only when it keeps
+        # the probe residual at least as good as max(full-order residual,
+        # target) — parsimony must never cost the accuracy the refinement
+        # just paid evaluations for.  The full-order residual is the peak
+        # the lane's last wave measured: same grid, same fit.
+        chosen = np.asarray([lane.order for lane in lanes])
         for n in np.unique(chosen[chosen < full_n]):
             rows = np.flatnonzero(chosen == n)
             beta, used, seconds = geometry.fit.solve(y[rows], int(n), "auto")
-            full = np.stack([lanes[b].beta for b in rows])
-            bound = np.maximum(
-                _probe_residual(geometry, full, deviations[rows]).max(axis=(1, 2)),
-                config.target_error)
+            bound = np.maximum([lanes[b].peak for b in rows], config.target_error)
             residual = _probe_residual(
                 geometry, beta, deviations[rows]).max(axis=(1, 2))
             for b, row, ok in zip(rows, beta, residual <= bound):

@@ -16,14 +16,14 @@ and stores them in two layers:
   leave a torn file.  A warm disk cache makes re-characterization of an
   unchanged library **zero** SPICE evaluations in a fresh process.
 
-A record is six zip members however many pins the cell has: the five
-:data:`_PACKED` arrays — each the concatenation, in entry order, of one
-part of every (pin, polarity) entry — and ``meta``, a JSON document
-with the schema number, the cell name and per entry its identity, fit
-statistics and *extents* (coefficient side, voltage and load counts)
-from which the loader slices the entries back out.  Writing and reading
-cost per zip member, not per byte, so a record costs the same for a
-twelve-entry cell as for an inverter.
+A record is two zip members however many pins the cell has: ``meta``,
+a JSON document with the schema number, the cell name and per entry its
+identity, fit statistics and *extents* (coefficient side, voltage and
+load counts), and ``packed``, one float64 array holding every (pin,
+polarity) entry in entry order — per entry its :data:`_PARTS`, each
+flattened — from which the loader slices the entries back out by those
+extents.  Writing and reading cost per zip member, not per byte, so a
+record costs the same for a twelve-entry cell as for an inverter.
 
 A file that cannot be served — a torn or truncated archive, another
 schema, another cell's record, extents that do not add up to the array
@@ -49,11 +49,10 @@ CACHE_ENV = "REPRO_CHARZ_CACHE"
 
 #: Bump when the stored payload or its semantics change: old entries
 #: become misses instead of deserialization errors.
-_SCHEMA = 2
+_SCHEMA = 3
 
-#: The packed arrays of a record: each is the concatenation, in entry
-#: order, of the named part of every (pin, polarity) entry of the cell.
-_PACKED = {
+#: The parts of one (pin, polarity) entry, in their order in ``packed``.
+_PARTS = {
     "coefficients": lambda pin: pin.fit.polynomial.coefficients,
     "nominal": lambda pin: pin.nominal_delays,
     "sweep_voltages": lambda pin: pin.sweep.voltages,
@@ -164,15 +163,15 @@ class CoefficientCache:
                 },
             } for pin in pins],
         }
-        arrays = {name: np.concatenate([np.ravel(part(pin)) for pin in pins])
-                  for name, part in _PACKED.items()}
-        arrays["meta"] = np.frombuffer(
+        packed = np.concatenate([np.ravel(part(pin)) for pin in pins
+                                 for part in _PARTS.values()])
+        meta_bytes = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".npz")
         try:
             with os.fdopen(fd, "wb") as stream:
-                np.savez(stream, **arrays)
+                np.savez(stream, meta=meta_bytes, packed=packed)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -200,28 +199,25 @@ class CoefficientCache:
                 meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
                 if meta.get("schema") != _SCHEMA or meta.get("cell") != cell.name:
                     raise ValueError("record of another schema or cell")
-                packed = {name: archive[name] for name in _PACKED}
-                # Every array is consumed front to back by the entries' extents.
-                at = dict.fromkeys(packed, 0)
+                packed = archive["packed"]
+                at = 0  # consumed front to back by the entries' extents
 
-                def take(name: str, *shape: int) -> np.ndarray:
-                    start = at[name]
-                    at[name] = start + math.prod(shape)
-                    part = packed[name][start:at[name]]
-                    return part.reshape(shape)  # raises when the array ran out
+                def take(*shape: int) -> np.ndarray:
+                    nonlocal at
+                    start, at = at, at + math.prod(shape)
+                    return packed[start:at].reshape(shape)  # raises when it ran out
 
                 pins = []
                 for entry in meta["entries"]:
                     side, nv, nc = entry["side"], entry["voltages"], entry["loads"]
-                    sweep = DelayGrid(
-                        voltages=take("sweep_voltages", nv),
-                        loads=take("sweep_loads", nc),
-                        delays=take("sweep_delays", nv, nc),
-                    )
-                    nominal = take("nominal", nc)
+                    # The entry's parts, in :data:`_PARTS` order.
+                    coefficients = take(side, side)
+                    nominal = take(nc)
+                    sweep = DelayGrid(voltages=take(nv), loads=take(nc),
+                                      delays=take(nv, nc))
                     stats = entry["fit"]
                     fit = FitResult(
-                        polynomial=SurfacePolynomial(take("coefficients", side, side)),
+                        polynomial=SurfacePolynomial(coefficients),
                         mean_abs_error=stats["mean_abs_error"],
                         rms_error=stats["rms_error"],
                         max_abs_error=stats["max_abs_error"],
@@ -243,8 +239,8 @@ class CoefficientCache:
                         sweep=sweep,
                         evaluations=entry["evaluations"],
                     ))
-                if any(at[name] != packed[name].size for name in packed):
-                    raise ValueError("extents do not add up to the packed arrays")
+                if at != packed.size:
+                    raise ValueError("extents do not add up to the packed array")
                 return CellCharacterization(
                     cell=cell,
                     pins=tuple(pins),

@@ -86,7 +86,8 @@ against the fixed grid's bilinear reference (the Fig. 4/5 yardstick),
 the warm-cache evaluation count, and the wall account: ``wall_speedup``
 (fixed wall / adaptive wall, below 1 against the analytical stand-in)
 and ``break_even_us_per_evaluation`` — the SPICE cost per evaluation
-above which the evaluations saved pay for the extra fitting.  Three of
+above which the evaluations saved pay for the extra fitting — each the
+median over alternating timed pairs, with its quartiles.  Three of
 its gates are absolute and machine-independent (like the fault-seam
 gate): the adaptive flow must spend at least
 :data:`CHARZ_EVAL_RATIO_FLOOR`× fewer evaluations, keep
@@ -119,6 +120,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -255,6 +257,11 @@ INCR_FLIP_ONE_IN = 32
 #: ratios and hold on the subset too.
 CHARZ_FAMILIES_QUICK = ("INV", "NAND2", "NOR2", "BUF")
 CHARZ_PARITY_GRID = 64
+#: Alternating fixed/adaptive timed pairs behind the characterization
+#: wall ratios (after one warm-up of each flow): one best-of wall per
+#: flow read 5.0, 3.06 and 6.34 us of break-even on unchanged code.
+CHARZ_PAIRS = 5
+CHARZ_PAIRS_QUICK = 3
 #: Adaptive characterization must spend at least this many times fewer
 #: SPICE delay evaluations than the 12×9 fixed grid.
 CHARZ_EVAL_RATIO_FLOOR = 3.0
@@ -860,11 +867,16 @@ def bench_characterization(quick: bool = False) -> List[dict]:
     SPICE stand-in is pure NumPy): the full library on the fixed 12×9
     grid, the same library through the error-driven adaptive sampler,
     and a repeat adaptive run against a pre-warmed coefficient cache.
-    Each entry's params carry the SPICE ``delay_evaluations`` it
-    performed; the fixed/adaptive entries also carry their worst fit
-    error against the fixed grid's bilinear reference on a
-    :data:`CHARZ_PARITY_GRID`² probe — the Fig. 4/5 accuracy metric
-    that :func:`compare_reports` gates.
+    The two flows are warmed up once each and then timed as
+    :data:`CHARZ_PAIRS` alternating pairs (:data:`CHARZ_PAIRS_QUICK`
+    with ``quick``), the flow that runs first flipping every pair; each
+    entry's wall is the median of its pair walls, which its params
+    carry (``pair_walls``) for the per-pair ratios.  Each entry's params
+    carry the SPICE ``delay_evaluations`` it performed; the
+    fixed/adaptive entries also carry their worst fit error against the
+    fixed grid's bilinear reference on a :data:`CHARZ_PARITY_GRID`²
+    probe — the Fig. 4/5 accuracy metric that :func:`compare_reports`
+    gates.
     """
     import tempfile
 
@@ -881,17 +893,22 @@ def bench_characterization(quick: bool = False) -> List[dict]:
     common = dict(cells=len(library),
                   families="quick-subset" if quick else "all")
 
-    spice = AnalyticalSpice()
-    start = time.perf_counter()
-    fixed = characterize_library(library, spice)
-    fixed_wall = time.perf_counter() - start
-    fixed_evals = spice.delay_evaluations
+    def run(adaptive):
+        spice = AnalyticalSpice()
+        start = time.perf_counter()
+        result = characterize_library(library, spice, adaptive=adaptive)
+        return time.perf_counter() - start, result, spice.delay_evaluations
 
-    spice = AnalyticalSpice()
-    start = time.perf_counter()
-    adaptive = characterize_library(library, spice, adaptive=config)
-    adaptive_wall = time.perf_counter() - start
-    adaptive_evals = spice.delay_evaluations
+    # The warm-ups are the results; the timed runs repeat them.
+    _, fixed, fixed_evals = run(None)
+    _, adaptive, adaptive_evals = run(config)
+    flows = [("fixed", None), ("adaptive", config)]
+    walls: Dict[str, List[float]] = {"fixed": [], "adaptive": []}
+    for pair in range(CHARZ_PAIRS_QUICK if quick else CHARZ_PAIRS):
+        for name, flow in (flows if pair % 2 == 0 else flows[::-1]):
+            walls[name].append(run(flow)[0])
+    fixed_wall = statistics.median(walls["fixed"])
+    adaptive_wall = statistics.median(walls["adaptive"])
 
     # Worst |fit - fixed-grid bilinear reference| over every entry, on
     # the same equidistant normalized probe grid Fig. 4/5 use.
@@ -923,11 +940,11 @@ def bench_characterization(quick: bool = False) -> List[dict]:
     return [
         _entry("characterization_fixed", "numpy", fixed_wall, fixed_evals,
                delay_evaluations=fixed_evals, worst_error=fixed_worst,
-               **common),
+               pair_walls=walls["fixed"], **common),
         _entry("characterization_adaptive", "numpy", adaptive_wall,
                adaptive_evals, delay_evaluations=adaptive_evals,
                worst_error=adaptive_worst, target_error=config.target_error,
-               budget=config.budget, **common),
+               budget=config.budget, pair_walls=walls["adaptive"], **common),
         _entry("characterization_warm_cache", "numpy", warm_wall, warm_evals,
                delay_evaluations=warm_evals, **common),
     ]
@@ -1160,8 +1177,21 @@ def _parametric_ratios(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
     return ratios
 
 
+def _quartiles(values: List[float]) -> Optional[List[float]]:
+    """``[q1, median, q3]`` of ``values`` (inclusive method); None if empty."""
+    if len(values) < 2:
+        return [values[0]] * 3 if values else None
+    return list(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def _characterization_speedups(benchmarks: List[dict]) -> dict:
-    """Adaptive-vs-fixed characterization: evaluations, parity, cache."""
+    """Adaptive-vs-fixed characterization: evaluations, parity, cache, walls.
+
+    The wall ratios are taken per timed pair (``pair_walls``; a record
+    without them is one pair of its two walls): ``wall_speedup`` and
+    ``break_even_us_per_evaluation`` are the medians, and their
+    ``*_quartiles`` are ``[q1, median, q3]`` over the pairs.
+    """
     by_name = {entry["name"]: entry for entry in benchmarks
                if entry["name"].startswith("characterization_")}
     fixed = by_name.get("characterization_fixed")
@@ -1170,6 +1200,14 @@ def _characterization_speedups(benchmarks: List[dict]) -> dict:
         return {}
     fixed_evals = fixed["params"]["delay_evaluations"]
     adaptive_evals = adaptive["params"]["delay_evaluations"]
+    pairs = list(zip(fixed["params"].get("pair_walls", [fixed["wall_seconds"]]),
+                     adaptive["params"].get("pair_walls", [adaptive["wall_seconds"]])))
+    speedups = _quartiles([f / a for f, a in pairs if a > 0])
+    # The SPICE cost per evaluation above which the adaptive flow's
+    # extra fitting wall is paid back by the evaluations it saves.
+    saved = fixed_evals - adaptive_evals
+    break_even = _quartiles([(a - f) * 1e6 / saved for f, a in pairs]
+                            if saved > 0 else [])
     section = {
         "fixed_evaluations": fixed_evals,
         "adaptive_evaluations": adaptive_evals,
@@ -1177,14 +1215,11 @@ def _characterization_speedups(benchmarks: List[dict]) -> dict:
                              if adaptive_evals else None),
         "fixed_worst_error": fixed["params"]["worst_error"],
         "adaptive_worst_error": adaptive["params"]["worst_error"],
-        "wall_speedup": (fixed["wall_seconds"] / adaptive["wall_seconds"]
-                         if adaptive["wall_seconds"] > 0 else None),
-        # The SPICE cost per evaluation above which the adaptive flow's
-        # extra fitting wall is paid back by the evaluations it saves.
-        "break_even_us_per_evaluation": (
-            (adaptive["wall_seconds"] - fixed["wall_seconds"]) * 1e6
-            / (fixed_evals - adaptive_evals)
-            if fixed_evals > adaptive_evals else None),
+        "timed_pairs": len(pairs),
+        "wall_speedup": speedups[1] if speedups else None,
+        "wall_speedup_quartiles": speedups,
+        "break_even_us_per_evaluation": break_even[1] if break_even else None,
+        "break_even_us_per_evaluation_quartiles": break_even,
     }
     warm = by_name.get("characterization_warm_cache")
     if warm is not None:
@@ -1423,10 +1458,14 @@ def _print_summary(report: dict, stream=None) -> None:
               file=stream)
         break_even = charz.get("break_even_us_per_evaluation")
         if break_even is not None and charz.get("wall_speedup"):
+            spread = charz.get("break_even_us_per_evaluation_quartiles") \
+                or [break_even] * 3
             print(f"  characterization: adaptive takes "
                   f"{1.0 / charz['wall_speedup']:.1f}x the fixed-grid wall; "
                   f"the evaluations saved pay for it above "
-                  f"{break_even:.1f} us per SPICE evaluation", file=stream)
+                  f"{break_even:.1f} us per SPICE evaluation "
+                  f"[IQR {spread[0]:.1f}-{spread[2]:.1f} over "
+                  f"{charz.get('timed_pairs', 1)} pairs]", file=stream)
     overhead = report.get("faults_disabled_overhead", {})
     if overhead:
         text = ", ".join(f"{b} {fraction:.4%}"

@@ -88,7 +88,7 @@ class TestRoundTrip:
 
     def test_packed_record_round_trip_compares_every_field(self, library, space, cache):
         """NAND4_X1 adaptively: eight entries ending on three different
-        grids with two half-orders, stored as one six-member record."""
+        grids with two half-orders, stored as one two-member record."""
         cell = library["NAND4_X1"]
         original = characterize_cell(AnalyticalSpice(), cell, space=space,
                                      adaptive=AdaptiveConfig())
@@ -96,9 +96,8 @@ class TestRoundTrip:
         assert len({pin.fit.polynomial.n for pin in original.pins}) > 1
         cache.put("p" * 64, original)
         with np.load(cache._path("p" * 64)) as archive:
-            assert sorted(archive.files) == [
-                "coefficients", "meta", "nominal", "sweep_delays", "sweep_loads",
-                "sweep_voltages"]
+            assert sorted(archive.files) == ["meta", "packed"]
+            assert archive["packed"].dtype == np.float64
         CoefficientCache.clear_memo()  # force the disk path
         loaded = cache.get("p" * 64, cell, space)
         assert cache.stats()["disk_hits"] == 1
@@ -142,7 +141,7 @@ class TestRoundTrip:
         assert not os.path.exists(path)  # corrupt entries are dropped
 
     @pytest.mark.parametrize("damage", [
-        "schema-1", "wrong-cell", "extent-off-by-one", "trailing-elements",
+        "schema-2", "wrong-cell", "extent-off-by-one", "trailing-elements",
         "truncated"])
     def test_unservable_record_is_dropped_and_refitted(self, library, space, cache,
                                                        damage):
@@ -159,26 +158,24 @@ class TestRoundTrip:
             arrays = {name: archive[name] for name in archive.files}
         meta = json.loads(arrays.pop("meta").tobytes())
 
-        if damage == "schema-1":
-            # The layout before the packed record: five arrays per entry.
-            meta["schema"] = 1
-            for i, (entry, pin) in enumerate(zip(meta["entries"], first.pins)):
-                for name in ("side", "voltages", "loads"):
-                    del entry[name]
-                arrays[f"p{i}_coefficients"] = pin.fit.polynomial.coefficients
-                arrays[f"p{i}_nominal"] = pin.nominal_delays
-                arrays[f"p{i}_sweep_voltages"] = pin.sweep.voltages
-                arrays[f"p{i}_sweep_loads"] = pin.sweep.loads
-                arrays[f"p{i}_sweep_delays"] = pin.sweep.delays
-            for name in ("coefficients", "nominal", "sweep_voltages", "sweep_loads",
-                         "sweep_delays"):
-                del arrays[name]
+        if damage == "schema-2":
+            # The layout before the two-member record: five packed arrays,
+            # each one part of every entry.
+            meta["schema"] = 2
+            del arrays["packed"]
+            for name, part in (
+                    ("coefficients", lambda pin: pin.fit.polynomial.coefficients),
+                    ("nominal", lambda pin: pin.nominal_delays),
+                    ("sweep_voltages", lambda pin: pin.sweep.voltages),
+                    ("sweep_loads", lambda pin: pin.sweep.loads),
+                    ("sweep_delays", lambda pin: pin.sweep.delays)):
+                arrays[name] = np.concatenate([np.ravel(part(pin)) for pin in first.pins])
         elif damage == "wrong-cell":
             meta["cell"] = "NOR2_X2"
         elif damage == "extent-off-by-one":
             meta["entries"][0]["loads"] += 1
         elif damage == "trailing-elements":
-            arrays["nominal"] = np.append(arrays["nominal"], 1.0)
+            arrays["packed"] = np.append(arrays["packed"], 1.0)
         if damage == "truncated":
             with open(path, "r+b") as stream:
                 stream.truncate(os.path.getsize(path) * 2 // 3)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.interpolation import densify
 from repro.core.polynomial import SurfacePolynomial
-from repro.core.polynomial import design_matrix
-from repro.core.regression import FitPlan, fit_polynomial, select_half_order
+from repro.core.polynomial import design_matrix, horner
+from repro.core.regression import (CrossValidation, FitPlan, fit_polynomial,
+                                   select_half_order)
 from repro.errors import RegressionError
 
 
@@ -164,6 +166,138 @@ class TestFitPlan:
         assert plan.condition(3) == plan.condition(3)
         plan.condition(2)
         assert len(calls) == 2
+
+
+def normal_equation_selection(v, c, y, candidates, folds=4, tolerance=0.05):
+    """The order selection before :class:`CrossValidation`, kept as its oracle.
+
+    Per (order, fold): the training ``XᵀX`` solved per row, ``lstsq`` per
+    row where that solve finds it singular, Horner at the held-out
+    samples.  Returns the selections and the branches taken.
+    """
+    index = np.arange(v.size)
+    folds = min(folds, v.size)
+    scores, branches = {}, set()
+    for n in sorted(set(candidates)):
+        fold_errors = []
+        for k in range(folds):
+            train, test = index % folds != k, index % folds == k
+            if train.sum() < (n + 1) ** 2:
+                break
+            x_train = design_matrix(v[train], c[train], n)
+            gram = x_train.T @ x_train
+            beta = []
+            for row in y:
+                try:
+                    beta.append(np.linalg.solve(gram, x_train.T @ row[train]))
+                    branches.add("normal")
+                except np.linalg.LinAlgError:
+                    beta.append(np.linalg.lstsq(x_train, row[train], rcond=None)[0])
+                    branches.add("lstsq")
+            predicted = horner(np.reshape(beta, (len(y), 1, n + 1, n + 1)),
+                               v[test], c[test])
+            fold_errors.append(np.sqrt(np.mean((predicted - y[:, test]) ** 2, axis=1)))
+        else:
+            scores[n] = np.mean(np.stack(fold_errors, axis=1), axis=1)
+    selections = []
+    for b in range(len(y)):
+        cv_errors = {n: float(score[b]) for n, score in scores.items()}
+        ceiling = min(cv_errors.values()) * (1.0 + tolerance) + 1e-12
+        selections.append((min(n for n, e in cv_errors.items() if e <= ceiling),
+                           cv_errors))
+    return selections, branches
+
+
+def svd_selection_scores(v, c, y, candidates, folds=4):
+    """Per-fold SVD least squares: the cross-validation scores to rounding."""
+    index = np.arange(v.size)
+    scores = {}
+    for n in candidates:
+        x_matrix = design_matrix(v, c, n)
+        fold_errors = []
+        for k in range(folds):
+            train, test = index % folds != k, index % folds == k
+            beta = np.linalg.lstsq(x_matrix[train], y[:, train].T, rcond=None)[0]
+            fold_errors.append(np.sqrt(np.mean(
+                (x_matrix[test] @ beta - y[:, test].T) ** 2, axis=0)))
+        scores[n] = np.mean(fold_errors, axis=0)
+    return scores
+
+
+def flow_like_samples(rng, factor=4):
+    """A densified rectilinear grid like the adaptive flow's final ones."""
+    nv = np.sort(np.r_[0.0, 0.12, 0.28, 1.0, rng.uniform(0.3, 0.9, rng.integers(1, 3))])
+    nc = np.sort(np.r_[0.0, 0.5, 1.0, rng.uniform(0.05, 0.95, rng.integers(0, 3))])
+    v, c = np.meshgrid(densify(nv, factor), densify(nc, factor), indexing="ij")
+    return v.ravel(), c.ravel()
+
+
+def surface_stack(rng, v, c, rows=12):
+    """Smooth delay-like surfaces plus sampling noise, one per row."""
+    return np.asarray([
+        rng.uniform(0.5, 2.0) / (rng.uniform(1.2, 1.6) - v)
+        + rng.uniform(0.0, 0.3) * v * c
+        + SurfacePolynomial(rng.normal(size=(2, 2))).evaluate(v, c)
+        + rng.normal(scale=10.0 ** -rng.uniform(2, 4), size=v.size)
+        for _ in range(rows)])
+
+
+class TestCrossValidation:
+    """Operators built from the positions score as per-row solves do.
+
+    The normal-equation scorer solves the power basis per row and fold
+    and is itself only as exact as ``cond(XᵀX)`` allows: ~5e-9 relative
+    on stacks shaped like the flow's, ~1e-6 on unstructured ones.  It is
+    compared on the former; on the latter the scores are held to SVD
+    least squares.
+    """
+
+    def assert_agrees(self, v, c, y, candidates):
+        expected, branches = normal_equation_selection(v, c, y, candidates)
+        got = CrossValidation(FitPlan(v, c, max(candidates)), candidates).select(y)
+        assert len(got) == len(expected)
+        for selection, (n, cv_errors) in zip(got, expected):
+            assert selection.n == n
+            assert selection.cv_errors.keys() == cv_errors.keys()
+            for order, score in cv_errors.items():
+                assert selection.cv_errors[order] == pytest.approx(score, rel=1e-8)
+        return branches
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flow_like_stacks_match_the_normal_equations(self, seed):
+        rng = np.random.default_rng(seed)
+        v, c = flow_like_samples(rng)
+        y = surface_stack(rng, v, c)
+        assert self.assert_agrees(v, c, y, (1, 2, 3, 4)) == {"normal"}
+
+    def test_rank_deficient_design_takes_lstsq(self, rng):
+        # One load line: the load columns of X are exact multiples of each
+        # other and every fold's XᵀX is singular.
+        v = np.linspace(0.0, 1.0, 120)
+        c = np.full(120, 0.5)
+        y = surface_stack(rng, v, c)
+        assert self.assert_agrees(v, c, y, (1, 2, 3)) == {"lstsq"}
+
+    def test_infeasible_top_order_is_skipped(self, rng):
+        # A 5 × 4 sample grid trains folds of 15: half-order 2 (9 columns)
+        # fits, 3 (16) does not.
+        v, c = np.meshgrid([0.0, 0.12, 0.28, 0.6, 1.0], [0.0, 0.25, 0.5, 1.0],
+                           indexing="ij")
+        v, c = v.ravel(), c.ravel()
+        y = surface_stack(rng, v, c)
+        assert self.assert_agrees(v, c, y, (1, 2, 3)) == {"normal"}
+        assert CrossValidation(FitPlan(v, c, 3), (1, 2, 3)).orders == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scores_are_least_squares_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        v, c = rng.uniform(size=(2, 150))
+        y = surface_stack(rng, v, c)
+        expected = svd_selection_scores(v, c, y, (1, 2, 3, 4))
+        got = CrossValidation(FitPlan(v, c, 4), (1, 2, 3, 4)).select(y)
+        for b, selection in enumerate(got):
+            for order, score in selection.cv_errors.items():
+                assert score == pytest.approx(expected[order][b], rel=1e-10)
 
 
 class TestValidation:

@@ -207,6 +207,24 @@ class TestRegressionGate:
             self.charz_benchmarks(adaptive_evals=39960))
         assert section["break_even_us_per_evaluation"] is None
 
+    def test_characterization_spread_over_pairs(self):
+        """Ratios are taken per timed pair; the section carries their quartiles."""
+        benchmarks = self.charz_benchmarks()
+        benchmarks[0]["params"]["pair_walls"] = [0.06, 0.05, 0.09, 0.06, 0.05]
+        benchmarks[1]["params"]["pair_walls"] = [0.30, 0.20, 0.30, 0.24, 0.25]
+        section = record._characterization_speedups(benchmarks)
+        ratios = sorted([0.2, 0.25, 0.3, 0.25, 0.2])
+        assert section["timed_pairs"] == 5
+        assert section["wall_speedup_quartiles"] == pytest.approx([0.2, 0.25, 0.25])
+        assert section["wall_speedup"] == pytest.approx(ratios[2])
+        saved = 39960 - 12000
+        per_pair = sorted((a - f) * 1e6 / saved for f, a in zip(
+            benchmarks[0]["params"]["pair_walls"], benchmarks[1]["params"]["pair_walls"]))
+        q1, median, q3 = section["break_even_us_per_evaluation_quartiles"]
+        assert q1 <= median <= q3
+        assert median == pytest.approx(per_pair[2])
+        assert section["break_even_us_per_evaluation"] == median
+
     def test_characterization_gates_pass(self):
         current = {"benchmarks": self.charz_benchmarks()}
         assert record.compare_reports(current, {"benchmarks": []}, 1.5) == []
