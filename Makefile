@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint kernel-lint loc bench bench-pytest ledger-quick ledger-pairs chaos experiments examples clean
+.PHONY: install test lint kernel-lint store-lint loc bench bench-pytest ledger-quick ledger-pairs chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -27,6 +27,16 @@ kernel-lint:
 	PYTHONPATH=src $(PYTHON) -c "from repro.simulation import kernels_cext; print(kernels_cext._SOURCE)" > "$$tmp" && \
 	$(CC) -std=c99 -fopenmp -Wall -Wextra -Werror -fsyntax-only "$$tmp" && \
 	echo "kernel-lint: ok"
+
+# Caches and atomic file writes live in src/repro/store.py alone: fail on
+# a private LRU or temp-file-and-rename copy anywhere else in src/.  The
+# kernel library's .so build rename (kernels_cext.py) is the one exception.
+store-lint:
+	@hits=$$(grep -rnE 'popitem\(last=False\)|move_to_end\(|mkstemp\(|os\.replace\(' src/ \
+		| grep -v '^src/repro/store\.py:' \
+		| grep -vE '^src/repro/simulation/kernels_cext\.py:[0-9]+: +os\.replace\(build_path, lib_path\)$$'); \
+	if [ -n "$$hits" ]; then echo "$$hits"; echo "store-lint: use repro.store"; exit 1; fi; \
+	echo "store-lint: ok"
 
 # Lines of src/ per package and in total: the one command behind every
 # PR's "net src/ LoC" number (diff two checkouts' output).

@@ -17,11 +17,10 @@ Performance leans on the PR 5–8 stack end to end:
   waveform arenas stay warm across iterations and across an explorer
   characterization of the same circuit;
 * every simulated operating point is captured as a
-  :class:`~repro.simulation.delta.BaseArena`; when the trajectory
-  revisits a (quantized) supply — which is every iteration once the loop
-  settles — :func:`~repro.simulation.delta.select_delta` maps the new
-  plane onto the cached base and the engine splices instead of
-  simulating, bit-identical by construction;
+  :class:`~repro.simulation.delta.BaseArena`, one per quantized supply;
+  when the trajectory revisits a supply — every iteration once the loop
+  settles — the engine splices that base slot for slot instead of
+  simulating, bit-identical by construction (a new supply runs in full);
 * disturbances are applied so the splice stays legal: droop perturbs the
   *commanded* voltage (quantized to the regulator step, so disturbed
   supplies repeat exactly), drift scales the *measurement* (see
@@ -41,9 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time as _time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -67,10 +64,14 @@ from repro.runtime.fingerprint import (Fingerprinter, feed_compiled,
 from repro.runtime.report import AttemptReport, ChunkReport, RunReport
 from repro.simulation.base import (PatternPair, SimulationConfig,
                                    SimulationResult)
-from repro.simulation.delta import DeltaPlan, select_delta
+from repro.simulation.delta import DeltaPlan
+# Importable here because the ledger's ``avfs_loop`` workload wraps
+# ``repro.avfs.loop.runner.select_delta`` by name under ``--trace``.
+from repro.simulation.delta import select_delta  # noqa: F401
 from repro.simulation.gpu import EngineStats, GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.pool import PlanCacheMeter, pooled_engine
+from repro.store import LruCache, atomic_write, read_manifest, write_manifest
 
 __all__ = ["LoopConfig", "ClosedLoopRunner", "LOOP_MANIFEST_NAME"]
 
@@ -100,9 +101,6 @@ class LoopConfig:
     use_delta:
         Splice cached base arenas when the trajectory revisits an
         operating point (bit-identical; off = always simulate fully).
-    delta_threshold:
-        Changed-fraction ceiling passed to
-        :func:`~repro.simulation.delta.select_delta`.
     max_bases:
         Base arenas retained, one per distinct visited supply (LRU).
     regulator_step:
@@ -119,7 +117,6 @@ class LoopConfig:
     settle_iterations: int = 3
     initial_voltage: Optional[float] = None
     use_delta: bool = True
-    delta_threshold: float = 0.45
     max_bases: int = 4
     regulator_step: float = 0.005
     record_energy: bool = True
@@ -131,8 +128,6 @@ class LoopConfig:
             raise ParameterError("need at least one iteration")
         if self.settle_iterations < 1:
             raise ParameterError("settle_iterations must be >= 1")
-        if not 0.0 < self.delta_threshold <= 1.0:
-            raise ParameterError("delta threshold must be in (0, 1]")
         if self.max_bases < 1:
             raise ParameterError("max_bases must be >= 1")
         if self.regulator_step <= 0:
@@ -223,7 +218,7 @@ class ClosedLoopRunner:
                        if config.record_energy else None)
         # Base-arena ring keyed by quantized supply — stimuli never
         # change across iterations, so one base per voltage is complete.
-        self._bases: "OrderedDict[float, object]" = OrderedDict()
+        self._bases: "LruCache[float, object]" = LruCache(config.max_bases)
         # Measurement memo keyed the same way: a fully spliced iteration
         # is bit-identical to the base it spliced from, so its arrival /
         # activity extraction (python-side, all nets) is too — reuse it.
@@ -260,8 +255,7 @@ class ClosedLoopRunner:
         return bound(plan.voltages, global_slots)
 
     def _simulate(self, pairs: Sequence[PatternPair], plan: SlotPlan,
-                  voltage: float, global_slots: np.ndarray,
-                  v1: np.ndarray, v2: np.ndarray):
+                  voltage: float, global_slots: np.ndarray):
         """One iteration's engine (or service) run.
 
         Returns ``(result, stats, delta_used)``; ``stats`` is an
@@ -277,35 +271,24 @@ class ClosedLoopRunner:
             return result, result.stats, result.stats.lanes_spliced > 0
 
         delta = None
-        if self.config.use_delta:
-            base = self._bases.get(voltage)
-            if base is not None:
-                # Exact revisit: stimuli and slot order never change
-                # within a run, so the base captured at this supply maps
-                # slot-for-slot with zero changed inputs — build the
-                # full-splice plan directly instead of paying the
-                # select_delta stimulus diff every settled iteration.
-                self._bases.move_to_end(voltage)
-                delta = DeltaPlan(
-                    base, np.arange(plan.num_slots, dtype=np.int64),
-                    np.zeros((plan.num_slots, v1.shape[1]), dtype=bool))
-            elif self._bases:
-                picked = select_delta(
-                    list(self._bases.values()), v1, v2,
-                    plan.pattern_indices, plan.voltages, global_slots,
-                    variation, self.config.delta_threshold)
-                if picked is not None:
-                    delta = picked[0]
-        capture = self.config.use_delta and voltage not in self._bases
+        base = self._bases.get(voltage) if self.config.use_delta else None
+        if base is not None:
+            # Exact revisit: stimuli and slot order never change within
+            # a run, so the base captured at this supply maps
+            # slot-for-slot with zero changed inputs — build the
+            # full-splice plan directly.  A miss has nothing to splice:
+            # the plan is uniform at this supply and every other base
+            # holds another one, so no base slot is eligible.
+            delta = DeltaPlan(
+                base, np.arange(plan.num_slots, dtype=np.int64),
+                np.zeros((plan.num_slots, len(pairs[0].v1)), dtype=bool))
+        capture = self.config.use_delta and base is None
         result = self.simulator.run(
             pairs, plan=plan, kernel_table=self.kernel_table,
             variation=variation, global_slots=global_slots,
             delta=delta, capture_base=capture)
         if capture and result.base_arena is not None:
-            self._bases[voltage] = result.base_arena
-            self._bases.move_to_end(voltage)
-            while len(self._bases) > self.config.max_bases:
-                self._bases.popitem(last=False)
+            self._bases.put(voltage, result.base_arena)
         return result, self.simulator.last_stats, delta is not None
 
     # -- checkpointing --------------------------------------------------------
@@ -338,44 +321,18 @@ class ClosedLoopRunner:
     def _step_path(self, iteration: int) -> Path:
         return self.checkpoint_dir / f"step_{iteration:05d}.json"
 
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.checkpoint_dir), prefix=".step.", suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(payload)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
     def _load_checkpoint(self, fingerprint: str) -> List[LoopStep]:
         """Restore the completed trajectory prefix (may be empty)."""
         store = self.checkpoint_dir
         manifest_path = store / LOOP_MANIFEST_NAME
-        if not manifest_path.exists():
+        manifest = read_manifest(manifest_path, LOOP_FORMAT_VERSION, "loop")
+        if manifest is None:
             store.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(manifest_path, json.dumps({
-                "format_version": LOOP_FORMAT_VERSION,
+            write_manifest(manifest_path, LOOP_FORMAT_VERSION, {
                 "fingerprint": fingerprint,
                 "circuit": self.circuit.name,
-            }, indent=2).encode("utf-8"))
+            })
             return []
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as stream:
-                manifest = json.load(stream)
-        except (OSError, ValueError) as error:
-            raise CheckpointError(
-                f"unreadable loop manifest {manifest_path}: {error}"
-            ) from error
-        if manifest.get("format_version") != LOOP_FORMAT_VERSION:
-            raise CheckpointError(
-                f"loop manifest {manifest_path} has format version "
-                f"{manifest.get('format_version')!r}, expected "
-                f"{LOOP_FORMAT_VERSION}")
         if manifest.get("fingerprint") != fingerprint:
             raise CheckpointError(
                 f"checkpoint directory {store} belongs to a different "
@@ -407,9 +364,8 @@ class ClosedLoopRunner:
     def _save_step(self, step: LoopStep) -> None:
         if self.checkpoint_dir is None:
             return
-        self._atomic_write(
-            self._step_path(step.iteration),
-            json.dumps(step.to_dict(), indent=2).encode("utf-8"))
+        atomic_write(self._step_path(step.iteration),
+                     json.dumps(step.to_dict(), indent=2).encode("utf-8"))
 
     # -- the loop -------------------------------------------------------------
 
@@ -427,8 +383,6 @@ class ClosedLoopRunner:
                     f"kernel space [{space.v_min}, {space.v_max}]")
 
         started = _time.perf_counter()
-        v1 = np.stack([p.v1 for p in pairs])
-        v2 = np.stack([p.v2 for p in pairs])
         # One die trajectory stepping through time: the global slot of a
         # pattern is fixed across iterations, so Monte-Carlo factors —
         # and with them delta eligibility — repeat whenever a supply
@@ -469,7 +423,7 @@ class ClosedLoopRunner:
             plan = SlotPlan.uniform(len(pairs), v_eff)
             with self._plan_cache:
                 result, stats, delta_used = self._simulate(
-                    pairs, plan, v_eff, global_slots, v1, v2)
+                    pairs, plan, v_eff, global_slots)
             engine += stats
 
             # A fully spliced iteration reproduced the cached base

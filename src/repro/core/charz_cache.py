@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import threading
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.store import atomic_write
 
 __all__ = ["CACHE_ENV", "CoefficientCache", "default_cache_dir"]
 
@@ -167,18 +168,8 @@ class CoefficientCache:
                                  for part in _PARTS.values()])
         meta_bytes = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                np.savez(stream, meta=meta_bytes, packed=packed)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda stream: np.savez(
+            stream, meta=meta_bytes, packed=packed))
 
     def _load(self, key: str, cell, space):
         from repro.cells.cell import DrivePolarity

@@ -28,6 +28,9 @@ from repro.units import FF
 
 __all__ = ["OperatingPoint", "ParameterSpace"]
 
+#: Slack (volts) by which a supply may pass the box and still be inside.
+VOLTAGE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, order=True)
 class OperatingPoint:
@@ -87,17 +90,29 @@ class ParameterSpace:
 
     # -- membership -------------------------------------------------------------
 
-    def contains(self, point: OperatingPoint, tolerance: float = 1e-9) -> bool:
+    def contains(self, point: OperatingPoint,
+                 tolerance: float = VOLTAGE_TOLERANCE) -> bool:
         """True when the operating point lies inside the space."""
         return (
             self.v_min - tolerance <= point.voltage <= self.v_max + tolerance
             and self.c_min * (1 - 1e-9) <= point.load <= self.c_max * (1 + 1e-9)
         )
 
-    def require(self, point: OperatingPoint) -> OperatingPoint:
-        """Validate membership; raise :class:`ParameterError` otherwise."""
-        if not self.contains(point):
-            raise ParameterError(f"operating point {point} outside parameter space")
+    def require(self, point):
+        """Validate membership of an :class:`OperatingPoint` or of an array
+        of supply voltages (NaN is outside); raise :class:`ParameterError`
+        otherwise."""
+        if isinstance(point, OperatingPoint):
+            if not self.contains(point):
+                raise ParameterError(f"operating point {point} outside parameter space")
+            return point
+        voltages = np.asarray(point, dtype=np.float64)
+        inside = ((voltages >= self.v_min - VOLTAGE_TOLERANCE)
+                  & (voltages <= self.v_max + VOLTAGE_TOLERANCE))
+        if not inside.all():
+            raise ParameterError(
+                f"supply {float(voltages[~inside].flat[0]):g} V is outside the "
+                f"characterized box [{self.v_min:g}, {self.v_max:g}] V")
         return point
 
     # -- normalizations (φ_V, φ_C, φ_D) ------------------------------------------

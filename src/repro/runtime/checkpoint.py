@@ -20,9 +20,7 @@ during checkpointing degrades to recomputation, never to wrong results.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +28,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.runtime.fingerprint import campaign_fingerprint
+from repro.store import atomic_write, read_manifest, write_manifest
 from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CheckpointStore", "campaign_fingerprint", "MANIFEST_NAME"]
@@ -54,27 +53,11 @@ class CheckpointStore:
 
     def load_manifest(self) -> Optional[dict]:
         """The stored manifest, or ``None`` for a fresh directory."""
-        if not self.manifest_path.exists():
-            return None
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as stream:
-                manifest = json.load(stream)
-        except (OSError, ValueError) as error:
-            raise CheckpointError(
-                f"unreadable campaign manifest {self.manifest_path}: {error}"
-            ) from error
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"campaign manifest {self.manifest_path} has format version "
-                f"{manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
-            )
-        return manifest
+        return read_manifest(self.manifest_path, FORMAT_VERSION, "campaign")
 
     def write_manifest(self, manifest: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = dict(manifest, format_version=FORMAT_VERSION)
-        self._atomic_write(self.manifest_path,
-                           json.dumps(manifest, indent=2).encode("utf-8"))
+        write_manifest(self.manifest_path, FORMAT_VERSION, manifest)
 
     # -- chunks ---------------------------------------------------------------
 
@@ -103,20 +86,8 @@ class CheckpointStore:
             "counts": counts,
             "times": times,
         }
-        target = self.chunk_path(index)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=f".chunk_{index:05d}.",
-            suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.savez_compressed(stream, **payload)
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.chunk_path(index),
+                     lambda stream: np.savez_compressed(stream, **payload))
 
     def load_chunk(self, index: int, expected_slots: int) -> WaveformPlane:
         """Load one chunk; raises :class:`CheckpointError` on corruption."""
@@ -157,19 +128,3 @@ class CheckpointStore:
             except OSError:
                 pass
             return None
-
-    # -- helpers --------------------------------------------------------------
-
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".manifest.", suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(payload)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise

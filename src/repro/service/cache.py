@@ -25,15 +25,14 @@ is the closed loop's own ring (``docs/architecture.md`` §12).
 
 from __future__ import annotations
 
-import threading
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro import faults
+from repro.store import LruCache
 from repro.waveform.plane import WaveformPlane
 
 __all__ = ["CachedResult", "ResultCache", "base_checksum", "waveform_checksum"]
@@ -77,56 +76,32 @@ def base_checksum(arena) -> int:
     return crc
 
 
-class ResultCache:
-    """Thread-safe LRU over job fingerprints with hit/miss/eviction counters."""
+def _intact(entry: CachedResult) -> bool:
+    """The result cache's verify-on-read: layout and content checksum."""
+    # Fault seam: fires on the hit path, before verification — a
+    # ``corrupt`` rule rots this entry's (private) arrays, which the
+    # checksum below must catch.
+    faults.trip("cache.get", corruptible=entry.plane)
+    return (entry.plane.layout_intact()
+            and entry.plane.checksum() == entry.checksum)
+
+
+class ResultCache(LruCache):
+    """Thread-safe LRU over job fingerprints with hit/miss/eviction
+    counters; a hit that fails verification is an integrity eviction and
+    a miss.  ``max_entries`` 0 disables it: nothing is stored or counted."""
 
     def __init__(self, max_entries: int) -> None:
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.integrity_evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries, verify=_intact)
 
     @property
     def enabled(self) -> bool:
         return self.max_entries > 0
 
-    def get(self, fingerprint: str) -> Optional[CachedResult]:
-        if not self.enabled:
-            return None
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.misses += 1
-                return None
-            # Fault seam: fires on the hit path, before verification —
-            # a ``corrupt`` rule rots this entry's (private) arrays,
-            # which the checksum below must catch.
-            faults.trip("cache.get", corruptible=entry.plane)
-            if not (entry.plane.layout_intact()
-                    and entry.plane.checksum() == entry.checksum):
-                del self._entries[fingerprint]
-                self.integrity_evictions += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            return entry
-
-    def put(self, fingerprint: str, entry: CachedResult) -> None:
-        """Admit a private copy of one entry, stamped with its content
-        checksum (verified on every hit)."""
-        self.put_many([(fingerprint, entry)])
-
     def put_many(self, items: Iterable[Tuple[str, CachedResult]]) -> None:
-        """:meth:`put` for a settled batch's entries: copied and stamped
-        outside the lock, admitted under one acquisition."""
+        """Admit a private copy of each entry, stamped with its content
+        checksum (verified on every hit): copied and stamped outside the
+        lock, admitted under one acquisition.  ``put`` lands here too."""
         if not self.enabled:
             return
         admitted = []
@@ -134,34 +109,4 @@ class ResultCache:
             plane = entry.plane.copy()
             admitted.append((fingerprint, CachedResult(
                 plane, entry.slot_labels, entry.engine, plane.checksum())))
-        with self._lock:
-            entries = self._entries
-            for fingerprint, entry in admitted:
-                if fingerprint in entries:
-                    entries.move_to_end(fingerprint)
-                entries[fingerprint] = entry
-            while len(entries) > self.max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        total = self.hits + self.misses
-        return 0.0 if total == 0 else self.hits / total
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "integrity_evictions": self.integrity_evictions,
-                "hit_rate": self.hit_rate,
-            }
+        super().put_many(admitted)

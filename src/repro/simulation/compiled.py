@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ import numpy as np
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
 from repro.netlist.sdf import SdfAnnotation, nominal_delay_array
+from repro.store import LruCache
 
 __all__ = [
     "CompiledCircuit",
@@ -179,10 +179,10 @@ class CircuitPlans:
         ]
         self._lock = threading.Lock()
         self._norm_loads: Dict[object, Tuple[np.ndarray, ...]] = {}
-        self._norm_volts: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._norm_volts = LruCache(self._VOLTAGE_MEMO_LIMIT)
         self._concat: Optional[ConcatPlans] = None
         self._concat_loads: Dict[object, np.ndarray] = {}
-        self._cones: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._cones = LruCache(self._CONE_MEMO_LIMIT)
 
     def __getstate__(self) -> dict:
         """Pickle the pure-array payload (plan warming across processes).
@@ -205,10 +205,10 @@ class CircuitPlans:
         self.levels = state["levels"]
         self._lock = threading.Lock()
         self._norm_loads = {}
-        self._norm_volts = OrderedDict()
+        self._norm_volts = LruCache(self._VOLTAGE_MEMO_LIMIT)
         self._concat = state.get("concat")
         self._concat_loads = {}
-        self._cones = OrderedDict()
+        self._cones = LruCache(self._CONE_MEMO_LIMIT)
 
     def concat(self) -> ConcatPlans:
         """The levels concatenated row-wise, built once per circuit."""
@@ -296,19 +296,16 @@ class CircuitPlans:
             )
 
     def normalized_voltages(self, space, voltages: np.ndarray) -> np.ndarray:
-        """``φ_V`` of a distinct-voltage set, memoized per (space, set)."""
+        """``φ_V`` of a distinct-voltage set, memoized per (space, set).
+        A new set must lie in the space's voltage box: the polynomials
+        extrapolate silently past it (a repeated set pays nothing)."""
         key = (space, voltages.tobytes())
-        with self._lock:
-            cached = self._norm_volts.get(key)
-            if cached is not None:
-                self._norm_volts.move_to_end(key)
-                return cached
-        nv = np.ascontiguousarray(space.normalize_voltage(voltages),
-                                  dtype=np.float64)
-        with self._lock:
-            self._norm_volts[key] = nv
-            while len(self._norm_volts) > self._VOLTAGE_MEMO_LIMIT:
-                self._norm_volts.popitem(last=False)
+        nv = self._norm_volts.get(key)
+        if nv is None:
+            space.require(voltages)
+            nv = np.ascontiguousarray(space.normalize_voltage(voltages),
+                                      dtype=np.float64)
+            self._norm_volts.put(key, nv)
         return nv
 
     def input_cones(self, compiled: "CompiledCircuit",
@@ -329,14 +326,12 @@ class CircuitPlans:
         keys = [changed_rows[row].tobytes() for row in range(num_rows)]
         out = np.zeros((compiled.num_nets + 1, num_rows), dtype=bool)
         missing: List[int] = []
-        with self._lock:
-            for row, key in enumerate(keys):
-                cached = self._cones.get(key)
-                if cached is None:
-                    missing.append(row)
-                else:
-                    self._cones.move_to_end(key)
-                    out[:, row] = cached
+        for row, key in enumerate(keys):
+            cached = self._cones.get(key)
+            if cached is None:
+                missing.append(row)
+            else:
+                out[:, row] = cached
         if missing:
             cols = np.zeros((compiled.num_nets + 1, len(missing)),
                             dtype=bool)
@@ -345,42 +340,27 @@ class CircuitPlans:
                 cols[plan.out_ids] = cols[plan.in_ids].any(axis=1)
             cols[compiled.dummy_net_id] = False
             out[:, missing] = cols
-            with self._lock:
-                for local, row in enumerate(missing):
-                    self._cones[keys[row]] = np.ascontiguousarray(
-                        cols[:, local])
-                while len(self._cones) > self._CONE_MEMO_LIMIT:
-                    self._cones.popitem(last=False)
+            self._cones.put_many([
+                (keys[row], np.ascontiguousarray(cols[:, local]))
+                for local, row in enumerate(missing)])
         return out
 
 
 #: Process-wide plan cache keyed by ``circuit_fingerprint`` — the same
 #: identity the service layer uses to dedup registered circuits, so
 #: re-compiled copies of one circuit share plans.
-_PLAN_CACHE: "OrderedDict[str, CircuitPlans]" = OrderedDict()
-_PLAN_CACHE_LIMIT = 8
-_PLAN_CACHE_LOCK = threading.Lock()
-_plan_cache_hits = 0
-_plan_cache_misses = 0
+_PLAN_CACHE: "LruCache[str, CircuitPlans]" = LruCache(8)
 
 
 def level_plan_cache_stats() -> Dict[str, int]:
     """Hit/miss/entry counters of the fingerprint-keyed plan cache."""
-    with _PLAN_CACHE_LOCK:
-        return {
-            "hits": _plan_cache_hits,
-            "misses": _plan_cache_misses,
-            "entries": len(_PLAN_CACHE),
-        }
+    stats = _PLAN_CACHE.stats()
+    return {key: stats[key] for key in ("hits", "misses", "entries")}
 
 
 def clear_level_plan_cache() -> None:
     """Drop all cached plans and reset the counters (for tests)."""
-    global _plan_cache_hits, _plan_cache_misses
-    with _PLAN_CACHE_LOCK:
-        _PLAN_CACHE.clear()
-        _plan_cache_hits = 0
-        _plan_cache_misses = 0
+    _PLAN_CACHE.reset()
 
 
 def seed_level_plan_cache(plans: "CircuitPlans") -> None:
@@ -394,14 +374,8 @@ def seed_level_plan_cache(plans: "CircuitPlans") -> None:
     under the same fingerprint wins (live memos must not be discarded);
     plans without a fingerprint are not cacheable and are ignored.
     """
-    if not plans.fingerprint:
-        return
-    with _PLAN_CACHE_LOCK:
-        if plans.fingerprint in _PLAN_CACHE:
-            return
-        _PLAN_CACHE[plans.fingerprint] = plans
-        while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
-            _PLAN_CACHE.popitem(last=False)
+    if plans.fingerprint:
+        _PLAN_CACHE.put_if_absent(plans.fingerprint, plans)
 
 
 @dataclass
@@ -462,7 +436,6 @@ class CompiledCircuit:
         attribute would go stale on the shallow-copy-and-mutate pattern
         fault injectors use.  Callers cache the returned object.
         """
-        global _plan_cache_hits, _plan_cache_misses
         from repro.runtime.fingerprint import circuit_fingerprint
 
         # The key is never cached on the instance: an attribute would
@@ -475,23 +448,13 @@ class CompiledCircuit:
         loads_digest = hashlib.sha256(
             np.ascontiguousarray(self.gate_loads).tobytes()).hexdigest()[:16]
         key = f"{circuit_fingerprint(self)}:{loads_digest}"
-        with _PLAN_CACHE_LOCK:
-            plans = _PLAN_CACHE.get(key)
-            if plans is not None:
-                _plan_cache_hits += 1
-                _PLAN_CACHE.move_to_end(key)
-                return plans
-        built = CircuitPlans(self, fingerprint=key)
-        with _PLAN_CACHE_LOCK:
-            plans = _PLAN_CACHE.get(key)
-            if plans is not None:          # lost a build race: keep first
-                _plan_cache_hits += 1
-                return plans
-            _plan_cache_misses += 1
-            _PLAN_CACHE[key] = built
-            while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
-                _PLAN_CACHE.popitem(last=False)
-        return built
+        plans = _PLAN_CACHE.get(key)
+        if plans is None:
+            # A racing build of the same key loses to the first one in:
+            # its live memos must not be discarded.
+            plans = _PLAN_CACHE.put_if_absent(
+                key, CircuitPlans(self, fingerprint=key))
+        return plans
 
 
 def compile_circuit(

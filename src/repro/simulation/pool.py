@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.simulation.base import SimulationConfig
 from repro.simulation.compiled import (CompiledCircuit, compile_circuit,
                                        level_plan_cache_stats)
 from repro.simulation.gpu import GpuWaveSim
+from repro.store import LruCache
 
 __all__ = [
     "POOL_CAPACITY",
@@ -61,10 +61,8 @@ __all__ = [
 #: Engines retained before the least-recently-used one is dropped.
 POOL_CAPACITY = 8
 
-_lock = threading.Lock()
-_pool: "OrderedDict[Tuple[str, SimulationConfig], GpuWaveSim]" = OrderedDict()
-_hits = 0
-_misses = 0
+_pool: "LruCache[tuple, GpuWaveSim]" = LruCache(POOL_CAPACITY)
+_lock = threading.Lock()  # guards _compiled
 #: Compiled form per ``(circuit, library)`` object pair and their sizes
 #: (both only ever grow, so a size change means a different netlist).
 #: Values are weak: an entry lives exactly as long as some engine or
@@ -99,43 +97,32 @@ def pooled_engine(circuit, library, config: Optional[SimulationConfig] = None,
     """
     from repro.runtime.fingerprint import circuit_fingerprint
 
-    global _hits, _misses
     config = config or SimulationConfig()
     compiled = _compiled_for(circuit, library, compiled)
     key = (circuit_fingerprint(compiled), config)
-    with _lock:
-        engine = _pool.get(key)
-        if engine is not None:
-            _hits += 1
-            _pool.move_to_end(key)
-            return engine
-        _misses += 1
-    # Construction outside the lock: compiling plans can be expensive
-    # and must not serialize unrelated circuits.  A racing duplicate is
-    # harmless — last one in wins the slot, both are correct engines.
-    engine = GpuWaveSim(circuit, library, config=config, compiled=compiled)
-    with _lock:
-        _pool[key] = engine
-        _pool.move_to_end(key)
-        while len(_pool) > POOL_CAPACITY:
-            _pool.popitem(last=False)
+    engine = _pool.get(key)
+    if engine is None:
+        # Construction outside the pool's lock: compiling plans can be
+        # expensive and must not serialize unrelated circuits.  A racing
+        # duplicate is harmless — last one in wins the slot, both are
+        # correct engines.
+        engine = GpuWaveSim(circuit, library, config=config,
+                            compiled=compiled)
+        _pool.put(key, engine)
     return engine
 
 
 def engine_pool_stats() -> Dict[str, int]:
     """Hit/miss/entry counters of the process-wide engine pool."""
-    with _lock:
-        return {"hits": _hits, "misses": _misses, "entries": len(_pool)}
+    stats = _pool.stats()
+    return {key: stats[key] for key in ("hits", "misses", "entries")}
 
 
 def clear_engine_pool() -> None:
     """Drop every pooled engine and reset the counters (tests)."""
-    global _hits, _misses
+    _pool.reset()
     with _lock:
-        _pool.clear()
         _compiled.clear()
-        _hits = 0
-        _misses = 0
 
 
 class PlanCacheMeter:

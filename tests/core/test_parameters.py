@@ -49,6 +49,19 @@ class TestParameterSpace:
         with pytest.raises(ParameterError, match="outside"):
             space.require(outside)
 
+    def test_require_voltage_arrays(self, space):
+        edges = np.array([space.v_min, space.v_max])
+        assert space.require(edges) is edges
+        space.require(edges + np.array([-5e-10, 5e-10]))  # within 1e-9
+        space.require(np.array([]))
+        for bad in ([0.8, 1.3], [0.3], [space.v_min - 2e-9], [np.nan]):
+            with pytest.raises(ParameterError,
+                               match=r"outside the characterized box "
+                                     r"\[0.55, 1.1\] V"):
+                space.require(np.array(bad))
+        with pytest.raises(ParameterError, match="supply 1.3 V"):
+            space.require(np.array([0.8, 1.3, 2.0]))
+
 
 class TestNormalizations:
     def test_voltage_endpoints(self, space):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError, WaveformOverflowError
+from repro.errors import (ParameterError, SimulationError,
+                          WaveformOverflowError)
 from repro.netlist.generate import random_circuit
+from repro.simulation.backend import available_backends
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.event_driven import EventDrivenSimulator
@@ -333,3 +335,38 @@ class TestSatelliteRegressions:
         assert sim.last_stats.retries > 0, "test needs the overflow path"
         levels = sum(1 for level in compiled.levels if level.size)
         assert len(calls) == levels
+
+
+class TestVoltageBox:
+    """A polynomial-table run checks its distinct supplies against the
+    table's characterized box where it normalizes them (φ_V): past the
+    box the polynomials extrapolate silently (a 2.0 V plane used to
+    answer 0.015 ps arrivals)."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("voltage", [2.0, 0.30])
+    def test_supply_outside_the_box_raises(self, library, kernel_table,
+                                           backend, voltage):
+        circuit = random_circuit("box_out", 8, 60, seed=5)
+        sim = GpuWaveSim(circuit, library,
+                         config=SimulationConfig(backend=backend))
+        plan = SlotPlan.cross(2, [0.8, voltage])
+        with pytest.raises(ParameterError,
+                           match=rf"supply {voltage:g} V is outside the "
+                                 r"characterized box \[0.55, 1.1\] V"):
+            sim.run(make_pairs(circuit, 2), plan=plan,
+                    kernel_table=kernel_table)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_box_edges_run(self, library, kernel_table, backend):
+        circuit = random_circuit("box_edge", 8, 60, seed=6)
+        space = kernel_table.space
+        sim = GpuWaveSim(circuit, library,
+                         config=SimulationConfig(backend=backend))
+        pairs = make_pairs(circuit, 2)
+        plan = SlotPlan.cross(2, [space.v_min, space.v_max])
+        result = sim.run(pairs, plan=plan, kernel_table=kernel_table)
+        assert len(result.waveforms) == 4
+        # The memoized set is not re-checked and still answers the same.
+        again = sim.run(pairs, plan=plan, kernel_table=kernel_table)
+        assert again.plane.checksum() == result.plane.checksum()
