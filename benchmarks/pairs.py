@@ -13,6 +13,13 @@ Printed per end-to-end metric: each side's median and quartiles, the
 ratio of medians, the wins (ties count for neither side) and whether the
 medians differ by more than the base's inter-quartile distance.  Every
 run must report ``correct`` with nothing failed, or the tool exits 1.
+
+Beside the walls, each side's package calls per service job are
+printed: one untimed ``sys.setprofile`` pass over the fixed 64-job
+stream of ``tests/service/test_call_budget.py``, run inside that side's
+tree.  A count is exact where a wall is noise, so one numpy call added
+per job reads as +3 whatever the budget's margin.  ``--pairs 0`` prints
+the counts alone.
 """
 
 from __future__ import annotations
@@ -44,20 +51,48 @@ def materialise(rev: str) -> str:
     return tree
 
 
-def run_once(tree: str, benchmark: dict, workload: str, seed: int) -> dict:
-    """One untraced run in ``tree``: the driver's JSON line, parsed."""
-    command = benchmark["command"] + [
-        "--workload", workload, "--seed", str(seed),
-        "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
-    # Both sides compile to (and, from the second pair on, import from)
+#: Runs in a tree's root: ``calls_per_job`` of that tree's call-budget
+#: test, with the library and ``monkeypatch`` its fixtures would give.
+_CALLS_PROBE = """
+import sys
+sys.path[:0] = ["src", "."]
+import pytest
+from repro.cells import make_nangate15_library
+from tests.service.test_call_budget import calls_per_job
+with pytest.MonkeyPatch.context() as monkeypatch:
+    print(calls_per_job(make_nangate15_library(), monkeypatch))
+"""
+
+
+def _environment() -> dict:
+    # Both sides compile to (and, from the second run on, import from)
     # one bytecode directory of their own: a checkout that happens to
     # hold ``__pycache__`` would otherwise read a lower ``setup_s`` than
     # a freshly unpacked tree.
     env = dict(os.environ, PYTHONPYCACHEPREFIX=os.path.join(
         REPO_ROOT, ".bench_build", "pairs", "pyc"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
+    return env
+
+
+def calls_per_job(tree: str) -> float:
+    """Package calls per service job in ``tree`` (untimed)."""
+    proc = subprocess.run([sys.executable, "-c", _CALLS_PROBE], cwd=tree,
+                          env=_environment(), stdout=subprocess.PIPE,
                           text=True)
+    if proc.returncode != 0:
+        sys.exit(f"the calls-per-job probe exited with {proc.returncode} "
+                 f"in {tree}")
+    return float(proc.stdout.splitlines()[-1])
+
+
+def run_once(tree: str, benchmark: dict, workload: str, seed: int) -> dict:
+    """One untraced run in ``tree``: the driver's JSON line, parsed."""
+    command = benchmark["command"] + [
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(command, cwd=tree, env=_environment(),
+                          stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(command)} exited with {proc.returncode} in {tree}")
     report = json.loads(proc.stdout.splitlines()[-1])
@@ -89,7 +124,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="alternating pairs (0: calls per job only)")
     args = parser.parse_args()
     with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as stream:
         benchmark = json.load(stream)
@@ -106,9 +142,14 @@ def main() -> int:
             for spec in benchmark["end_to_end"]), flush=True)
     print(f"{args.workload}: {args.pairs} alternating pairs, base {args.base} "
           f"({trees['base']}) against this checkout; median [q1, q3]")
-    for spec in benchmark["end_to_end"]:
+    for spec in benchmark["end_to_end"] if args.pairs else ():
         print(summarise(spec, [run[spec["name"]] for run in runs["base"]],
                         [run[spec["name"]] for run in runs["change"]]))
+    calls = {side: calls_per_job(tree) for side, tree in trees.items()}
+    print(f"  {'calls_per_job':20s} base {calls['base']:10.1f}  "
+          f"change {calls['change']:10.1f}  "
+          f"{calls['change'] - calls['base']:+.1f}  "
+          "(tests/service/test_call_budget.py stream, untimed)")
     return 0
 
 

@@ -99,8 +99,10 @@ class LutDelayBackend:
         type_ids = np.asarray(type_ids, dtype=np.int64)
         nominal_delays = np.asarray(nominal_delays, dtype=np.float64)
         pins = nominal_delays.shape[1]
-        nv = np.clip(np.asarray(self.space.normalize_voltage(voltages)),
-                     self.nv_axis[0], self.nv_axis[-1])
+        # The sweep spans the box, so a supply inside it stays on the
+        # grid; one outside raises instead of reading the edge's delays.
+        nv = np.asarray(self.space.normalize_voltage(
+            self.space.require(voltages)))
         nc = np.clip(np.asarray(self.space.normalize_load(loads)),
                      self.nc_axis[0], self.nc_axis[-1])
 

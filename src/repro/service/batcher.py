@@ -6,9 +6,12 @@ The same policy triangle every inference server exposes:
   dispatches immediately (occupancy is the throughput lever),
 * **flush on age** — a batch whose oldest job has waited ``max_wait``
   dispatches even half-empty (tail latency must stay bounded),
-* **flush on idle** — when no job has arrived for a while there is
-  nothing left to coalesce with, so holding jobs any longer is pure
-  added latency.
+* **flush on idle** — when no job has arrived for ``idle_ms`` and a
+  worker is free, there is nothing left to coalesce with and someone to
+  run it, so holding jobs any longer is pure added latency; while every
+  worker is busy, jobs keep coalescing (work-conserving: a free worker
+  never idles with jobs pending past the window, which is 0 by
+  default).
 
 Jobs coalesce only within a *compatibility group*
 (:func:`repro.runtime.fingerprint.compatibility_fingerprint`): same

@@ -15,8 +15,9 @@ deliberately that of an inference server:
   submitting thread admits its job, folds it into its group and hands
   a batch it made full to the executor, all under one lock; the batch
   thread only keeps the clocks (the ``max_wait_ms`` age flush, the
-  ``idle_ms`` flush, the terminal flush on close) and dispatches under
-  the same lock, so a job costs no hand-off between threads;
+  work-conserving idle flush — ``idle_ms`` of quiet *and* a free
+  worker — and the terminal flush on close) and dispatches under the
+  same lock, so a job costs no hand-off between threads;
 * **executor** — batches run under one supervised-worker machine
   (:mod:`repro.service.pool`) of one of two kinds: engine threads each
   owning their engine instances (the waveform-arena pool is per engine
@@ -152,6 +153,9 @@ class SimulationService:
         #: The batch thread waits without a timeout (nothing pending):
         #: the next job to arrive wakes it.
         self._clock_parked = False
+        #: The batch thread holds pending jobs because every worker is
+        #: busy: the next batch to settle wakes it (``_worker_freed``).
+        self._clock_busy = False
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
         #: Jobs with a deadline, for the supervisor tick to expire.
@@ -173,6 +177,7 @@ class SimulationService:
                 tick_s=self.config.supervisor_tick_s,
                 spawn_timeout_s=self.config.shard_spawn_timeout_s,
                 on_tick=self._expire_deadlines,
+                on_free=self._worker_freed,
             )
         else:
             self._executor = EnginePool(
@@ -182,6 +187,7 @@ class SimulationService:
                 hang_timeout_s=self.config.hang_timeout_s,
                 tick_s=self.config.supervisor_tick_s,
                 on_tick=self._expire_deadlines,
+                on_free=self._worker_freed,
             )
         self._batch_thread = threading.Thread(
             target=self._batch_loop, name="repro-service-batcher", daemon=True)
@@ -533,10 +539,13 @@ class SimulationService:
 
         Fullness is flushed by the submitter that filled the batch
         (:meth:`_admit`); this thread wakes only for a clock: when the
-        oldest pending batch reaches ``max_wait_ms``, when no job has
-        arrived for ``idle_ms`` (nothing left to coalesce with — then
-        everything pending flushes), or on ``close()``, which flushes
-        everything.
+        oldest pending batch reaches ``max_wait_ms``; when a worker is
+        free and no job has arrived for ``idle_ms`` — everything pending
+        then flushes, since holding jobs back from an idle worker only
+        adds latency; or on ``close()``, which flushes everything.
+        While every worker is busy, pending jobs keep coalescing: the
+        thread sleeps until the age deadline or until a settled batch
+        frees a worker (:meth:`_worker_freed`).
         """
         idle_s = self.config.idle_ms / 1e3
         while not self._closed:
@@ -546,14 +555,32 @@ class SimulationService:
                 continue
             now = _time.monotonic()
             ready = self._batcher.due(now)
-            quiet = now - self._last_arrival
-            if quiet >= idle_s:
+            quiet_left = idle_s - (now - self._last_arrival)
+            free = self._executor.worker_free
+            if free and quiet_left <= 0:
                 ready.extend(self._batcher.drain())
             if ready:
                 return ready
-            self._clock.wait(max(min(self._batcher.next_deadline(now),
-                                     idle_s - quiet), 1e-4))
+            timeout = self._batcher.next_deadline(now)
+            if free:
+                timeout = min(timeout, quiet_left)
+            else:
+                self._clock_busy = True
+            self._clock.wait(timeout)
+            self._clock_busy = False
         return self._batcher.drain()
+
+    def _worker_freed(self) -> None:
+        """Executor hook: a settled batch left a worker free.  Wakes the
+        batch thread if it holds jobs only because every worker was
+        busy.  That thread reads ``worker_free`` and sets
+        ``_clock_busy`` under the intake lock, and the count drops before
+        this hook takes the lock, so no wake falls between its read and
+        its wait."""
+        with self._intake:
+            if self._clock_busy:
+                self._clock_busy = False
+                self._clock.notify()
 
     def _begin(self, batch: PendingBatch,
                shard: Optional[int] = None) -> List[SimulationJob]:

@@ -50,7 +50,11 @@ class ServiceConfig:
         even if the batch is not full (tail-latency bound).
     idle_ms:
         Flush everything pending once no job has arrived for this long
-        (no point holding jobs when nothing is arriving).
+        *and* a worker is free; while every worker is busy, pending jobs
+        keep coalescing until one frees (or ``max_wait_ms``).  The
+        default ``0`` is work-conserving: a free worker takes whatever
+        is pending at once.  A positive value holds jobs that long for
+        company even with a worker idle.
     queue_depth:
         Admission bound: maximum jobs admitted but not yet finished.
     admission:
@@ -102,7 +106,12 @@ class ServiceConfig:
 
     max_batch_slots: int = 256
     max_wait_ms: float = 5.0
-    idle_ms: float = 2.0
+    #: 2.0 until the idle flush waited for a free worker.  Anchor: on
+    #: the ledger's ``service_stream`` (2 clients x 16 outstanding,
+    #: 2-core box) the worker sat idle 32-43 % of an op waiting out the
+    #: window, 17-26 % at 0; the median went 5189 -> 6082 jobs/s (10
+    #: alternating pairs, 10/10 wins).
+    idle_ms: float = 0.0
     queue_depth: int = 1024
     admission: str = "block"
     block_timeout_s: Optional[float] = None

@@ -5,7 +5,10 @@ running a batch on a worker that may die or wedge takes, whatever the
 worker is:
 
 * the outstanding-batch count and its idle condition, which bound the
-  drain in :meth:`Supervisor.close`;
+  drain in :meth:`Supervisor.close`; the count also says whether a
+  worker is free (:attr:`Supervisor.worker_free`), and a settled batch
+  that leaves one free calls ``on_free`` (the service's idle flush
+  waits for a free worker);
 * the in-flight record: a worker takes a batch — and the batch's hang
   clock starts — only once the worker can run it (a thread at once, a
   shard process when its ``ready`` arrives; booting is bounded by
@@ -79,13 +82,15 @@ class Supervisor:
     def __init__(self, workers: List[Worker], on_batch_lost: Callable,
                  hang_timeout_s: float, tick_s: float,
                  on_tick: Optional[Callable[[], None]], name: str,
-                 spawn_timeout_s: float = float("inf")) -> None:
+                 spawn_timeout_s: float = float("inf"),
+                 on_free: Optional[Callable[[], None]] = None) -> None:
         self._workers = workers
         self._on_batch_lost = on_batch_lost
         self._hang_timeout_s = hang_timeout_s
         self._spawn_timeout_s = spawn_timeout_s
         self._tick_s = tick_s
         self._on_tick = on_tick
+        self._on_free = on_free
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
@@ -100,6 +105,12 @@ class Supervisor:
     @property
     def num_workers(self) -> int:
         return len(self._workers)
+
+    @property
+    def worker_free(self) -> bool:
+        """Whether fewer batches are outstanding than there are workers
+        (a lock-free read of one int)."""
+        return self._outstanding < len(self._workers)
 
     def submit(self, batch) -> None:
         """Queue one batch; it stays outstanding until it settles."""
@@ -146,6 +157,11 @@ class Supervisor:
             self._outstanding -= 1
             if self._outstanding <= 0:
                 self._idle.notify_all()
+            free = self.worker_free
+        # Outside the lock: the hook takes the service's intake lock,
+        # which is held around ``submit``.
+        if free and self._on_free is not None:
+            self._on_free()
 
     def _lost(self, batch, error: BaseException) -> None:
         self._on_batch_lost(batch, error)
@@ -232,10 +248,11 @@ class EnginePool(Supervisor):
         hang_timeout_s: float = 30.0,
         tick_s: float = 0.05,
         on_tick: Optional[Callable[[], None]] = None,
+        on_free: Optional[Callable[[], None]] = None,
     ) -> None:
         super().__init__([Worker(index) for index in range(workers)],
                          on_batch_lost, hang_timeout_s, tick_s, on_tick,
-                         name="repro-service")
+                         name="repro-service", on_free=on_free)
         self._handler = handler
         self._queue: "_queue.Queue" = _queue.Queue()
         self._threads: List[threading.Thread] = [None] * workers

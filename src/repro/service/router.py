@@ -111,13 +111,15 @@ class ShardRouter(Supervisor):
         tick_s: float = 0.05,
         spawn_timeout_s: float = 120.0,
         on_tick: Optional[Callable[[], None]] = None,
+        on_free: Optional[Callable[[], None]] = None,
         name: str = "repro-router",
     ) -> None:
         if num_shards < 1:
             raise ShardError("need at least one shard")
         super().__init__([_ShardHandle(index) for index in range(num_shards)],
                          on_batch_lost, hang_timeout_s, tick_s, on_tick,
-                         name=name, spawn_timeout_s=spawn_timeout_s)
+                         name=name, spawn_timeout_s=spawn_timeout_s,
+                         on_free=on_free)
         self._combine = combine
         self._on_dispatch = on_dispatch
         self._on_reply = on_reply

@@ -6,6 +6,7 @@ import pytest
 from repro.cells.cell import DrivePolarity
 from repro.core.backends import AnalyticalDelayBackend
 from repro.electrical.model import TransistorCorner
+from repro.errors import ParameterError
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
@@ -77,6 +78,37 @@ class TestLutBackend:
         with_lut = sim.run(pairs, voltage=0.65, kernel_table=lut_backend)
         report = compare_results(with_poly, with_lut, time_tolerance=2e-12)
         assert report.shape_clean or not report.mismatches
+
+    @pytest.mark.parametrize("edge, outward", [(0, -1), (-1, 1)])
+    def test_box_edge(self, lut_backend, edge, outward):
+        """A supply on the box edge reads the grid's edge row exactly; one
+        just past it raises instead of being clamped onto that row."""
+        space = lut_backend.space
+        v = (space.v_min, space.v_max)[edge]
+        type_id = lut_backend.type_names.index("NOR2_X2")
+        d_nom = 7e-12
+        load = float(space.denormalize_load(lut_backend.nc_axis[3]))
+
+        def query(voltage):
+            return lut_backend.delays_for_gates(
+                np.asarray([type_id]), np.asarray([load]),
+                np.full((1, 4, 2), d_nom), np.asarray([voltage]))
+
+        got = query(v)[0, :, :, 0]
+        row = lut_backend.grids[type_id, :4, :, edge, 3]
+        np.testing.assert_array_equal(got, d_nom * (1.0 + row))
+        with pytest.raises(ParameterError, match="characterized box"):
+            query(v + outward * 1e-6)
+
+    def test_engine_rejects_out_of_box_supply(self, lut_backend, library):
+        circuit = random_circuit("lutbox", 6, 40, seed=5)
+        sim = GpuWaveSim(circuit, library)
+        rng = np.random.default_rng(5)
+        pairs = [PatternPair.random(6, rng) for _ in range(2)]
+        with pytest.raises(ParameterError, match="supply 2 V"):
+            sim.run(pairs, voltage=2.0, kernel_table=lut_backend)
+        assert sim.run(pairs, voltage=lut_backend.space.v_max,
+                       kernel_table=lut_backend).num_slots == 2
 
 
 class TestAnalyticalBackend:

@@ -13,6 +13,7 @@ packed, equal to ``take`` slices of a standalone run.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -527,6 +528,126 @@ class TestShutdown:
         with SimulationService(config=coalescing_config()) as service:
             with pytest.raises(ServiceError, match="unknown circuit"):
                 service.circuit("deadbeef")
+
+
+class TestWorkConservingDispatch:
+    """The idle flush needs a free worker as well as ``idle_ms`` of quiet:
+    while every worker is busy, pending jobs keep coalescing, and a
+    settled batch that frees a worker wakes the batch thread at once.
+    A lost wake would stall the held jobs until ``max_wait_ms`` (a
+    minute here), past every result timeout below."""
+
+    @pytest.fixture(params=["threads", "shards"])
+    def shards(self, request, shard_count):
+        return 0 if request.param == "threads" else shard_count
+
+    @staticmethod
+    def hold_settlement(monkeypatch, count):
+        """Park the settlement of the first ``count`` batches — their
+        workers stay busy — until the returned event is set.  (A shard's
+        replies settle one after another, so a shard's later batches
+        wait behind a held one.)"""
+        held = []
+        release = threading.Event()
+        lock = threading.Lock()
+        real = SimulationService._conclude
+
+        def conclude(self, batch, jobs, settle):
+            with lock:
+                hold = len(held) < count
+                if hold:
+                    held.append(batch)
+            if hold:
+                release.wait(timeout=60)
+            real(self, batch, jobs, settle)
+
+        monkeypatch.setattr(SimulationService, "_conclude", conclude)
+        return held, release
+
+    @staticmethod
+    def wait_for(predicate, timeout=30.0):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.002)
+
+    def test_busy_workers_coalesce_bursts_past_idle(
+            self, circuit, library, compiled, monkeypatch, shards):
+        """Two bursts 100 ms apart (20x ``idle_ms``) ride one batch when
+        every worker is held in between: the window alone no longer
+        flushes them."""
+        workers = max(shards, 1)
+        held, release = self.hold_settlement(monkeypatch, workers)
+        blockers = make_jobs(circuit, workers, seed=60)
+        bursts = make_jobs(circuit, 6, seed=61)
+        service = SimulationService(config=ServiceConfig(
+            max_wait_ms=60_000.0, idle_ms=5.0, shards=shards))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handles = []
+            for index, pairs in enumerate(blockers):
+                # One batch per blocker: each is taken before the next.
+                handles.append(service.submit(key, pairs))
+                self.wait_for(
+                    lambda: service.engine_dispatches == index + 1)
+            self.wait_for(lambda: held)
+            handles += [service.submit(key, pairs) for pairs in bursts[:3]]
+            time.sleep(0.1)
+            handles += [service.submit(key, pairs) for pairs in bursts[3:]]
+            time.sleep(0.02)
+            assert service.engine_dispatches == workers
+            release.set()
+            for handle in handles:
+                assert handle.result(timeout=20).num_slots == 2
+            metrics = service.metrics()
+        finally:
+            release.set()
+            service.close()
+        assert metrics.batches_dispatched == workers + 1
+        assert metrics.jobs_completed == workers + 6
+        assert metrics.queue_depth == 0
+
+    def test_lone_job_dispatches_without_waiting(
+            self, circuit, library, compiled, monkeypatch, shards):
+        """Under defaults a lone job goes to the free worker on the batch
+        thread's first look: it never sleeps on a timed clock."""
+        service = SimulationService(config=ServiceConfig(shards=shards))
+        timed = []
+        real_wait = service._clock.wait
+
+        def wait(timeout=None):
+            if timeout is not None:
+                timed.append(timeout)
+            return real_wait(timeout)
+
+        monkeypatch.setattr(service._clock, "wait", wait)
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handle = service.submit(key, make_jobs(circuit, 1, seed=62)[0])
+            assert handle.result(timeout=20).num_slots == 2
+            assert service.engine_dispatches == 1
+        finally:
+            service.close()
+        assert timed == []
+
+    def test_explicit_idle_holds_a_partial_batch(
+            self, circuit, library, compiled, shards):
+        """``coalescing_config``'s 500 ms window still holds a partial
+        batch with its worker free: composition stays fullness-only."""
+        service = SimulationService(config=coalescing_config(shards=shards))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handle = service.submit(key, make_jobs(circuit, 1, seed=63)[0])
+            time.sleep(0.05)
+            assert service.engine_dispatches == 0
+            assert not handle.done()
+        finally:
+            service.close()
+        assert handle.result(timeout=20).num_slots == 2
+        assert service.engine_dispatches == 1
 
 
 class TestMetrics:
