@@ -123,13 +123,7 @@ class DesignSpaceExplorer:
         """Evaluate every pattern under every voltage (full slot plane)."""
         if not voltages:
             raise ParameterError("need at least one voltage")
-        space = self.kernel_table.space
-        for voltage in voltages:
-            if not space.v_min <= voltage <= space.v_max:
-                raise ParameterError(
-                    f"{voltage} V outside characterized space "
-                    f"[{space.v_min}, {space.v_max}]"
-                )
+        self.kernel_table.space.require(voltages)
         plan = SlotPlan.cross(len(pairs), voltages)
         result = self._run(pairs, plan)
         arrivals = latest_arrivals(result, self.circuit, plan=plan)

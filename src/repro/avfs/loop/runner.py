@@ -274,14 +274,13 @@ class ClosedLoopRunner:
         base = self._bases.get(voltage) if self.config.use_delta else None
         if base is not None:
             # Exact revisit: stimuli and slot order never change within
-            # a run, so the base captured at this supply maps
-            # slot-for-slot with zero changed inputs — build the
-            # full-splice plan directly.  A miss has nothing to splice:
-            # the plan is uniform at this supply and every other base
-            # holds another one, so no base slot is eligible.
-            delta = DeltaPlan(
-                base, np.arange(plan.num_slots, dtype=np.int64),
-                np.zeros((plan.num_slots, len(pairs[0].v1)), dtype=bool))
+            # a run, so the base captured at this supply matches
+            # slot-for-slot — build the full-splice plan directly.  A
+            # miss has nothing to splice: the plan is uniform at this
+            # supply and every other base holds another one, so no base
+            # slot is eligible.
+            delta = DeltaPlan(base, np.arange(plan.num_slots,
+                                              dtype=np.int64))
         capture = self.config.use_delta and base is None
         result = self.simulator.run(
             pairs, plan=plan, kernel_table=self.kernel_table,
@@ -375,12 +374,7 @@ class ClosedLoopRunner:
         if not pairs:
             raise ParameterError("need at least one pattern pair")
         table = self.controller.table
-        space = self.kernel_table.space
-        for point in table:
-            if not space.v_min <= point.voltage <= space.v_max:
-                raise ParameterError(
-                    f"table point {point.voltage} V outside characterized "
-                    f"kernel space [{space.v_min}, {space.v_max}]")
+        self.kernel_table.space.require([point.voltage for point in table])
 
         started = _time.perf_counter()
         # One die trajectory stepping through time: the global slot of a

@@ -66,8 +66,8 @@ The incremental scenario (``incremental_{voltage_sweep,stimulus}_
 arena: a voltage sweep with one of 16 operating points moved, and a
 stimulus perturbation flipping 1 in 32 input bits.  ``incremental_
 speedups`` records wall(full re-sim) / wall(delta path, including the
-``select_delta`` diff) — the win of splicing unchanged lanes from the
-base and re-evaluating only changed cones.
+``select_delta`` match) — the win of splicing the slots that match the
+base exactly and simulating only the others.
 
 The closed-loop scenario (``avfs_closed_loop_{full,delta}``) plays one
 AVFS control trajectory (:class:`repro.avfs.loop.ClosedLoopRunner`,
@@ -228,8 +228,8 @@ SCALING_SHARDS_QUICK = (1, 2)
 #: against a retained base arena.  The voltage-sweep variant shares 15
 #: of its 16 operating points with the base (the AVFS re-tuning case:
 #: one point moved, the rest of the plane splices); the stimulus
-#: variant flips 1 in 32 input bits of the pattern plane, so cones of
-#: influence re-evaluate and everything outside them splices.
+#: variant flips 1 in 32 input bits of one pattern, so that pattern's
+#: slots simulate and every other slot splices.
 #: Closed-loop AVFS scenario (``avfs_closed_loop_{full,delta}``): one
 #: trajectory of LOOP_ITERATIONS simulate→measure→decide steps, timed
 #: with base-arena splicing on and off.  ``closed_loop_speedups``
@@ -439,15 +439,16 @@ def bench_incremental_resim(backend_name: str, circuit_name: str,
 
     A base run over a ``num_patterns x INCR_SWEEP_VOLTAGES`` slot plane
     is captured once (untimed — the arena is a by-product of a normal
-    run, the way the closed loop's ring takes it).  Two near-duplicate variants are then timed both
-    from scratch (``*_full``) and through the delta path (``*_delta``,
-    including the ``select_delta`` diff — the whole price of reuse):
+    run, the way the closed loop's ring takes it).  Two near-duplicate
+    variants are then timed both from scratch (``*_full``) and through
+    the delta path (``*_delta``, including the ``select_delta`` match —
+    the whole price of reuse):
 
     * ``incremental_voltage_sweep``: one of 16 operating points moved;
-      the 15 shared points splice in full, the new point simulates.
+      the 15 shared points splice, the new point simulates.
     * ``incremental_stimulus``: 1 in ``INCR_FLIP_ONE_IN`` input nets
-      flipped in one pattern; the changed cones re-evaluate on that
-      pattern's slots, everything else splices.
+      flipped in one pattern; that pattern's 16 slots simulate, the
+      other patterns' slots splice.
 
     The ``*_delta`` entries record ``delta_fraction``, ``lanes_spliced``
     and ``bytes_spliced``; ``incremental_speedups`` records the wall

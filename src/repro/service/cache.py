@@ -25,17 +25,14 @@ is the closed loop's own ring (``docs/architecture.md`` §12).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
-
-import numpy as np
 
 from repro import faults
 from repro.store import LruCache
 from repro.waveform.plane import WaveformPlane
 
-__all__ = ["CachedResult", "ResultCache", "base_checksum", "waveform_checksum"]
+__all__ = ["CachedResult", "ResultCache", "waveform_checksum"]
 
 
 @dataclass(frozen=True)
@@ -58,22 +55,6 @@ def waveform_checksum(waveforms) -> int:
     planes, ``take`` slices and checkpoint reloads all agree.
     """
     return WaveformPlane.from_waveforms(waveforms).checksum()
-
-
-def base_checksum(arena) -> int:
-    """CRC32 over a base arena's full content.
-
-    Covers the waveform payload *and* the selection metadata — a rotted
-    stimulus plane would silently mis-map slots even with pristine
-    toggle times, so everything :func:`select_delta` or the splice path
-    reads is part of the chain.  The service keeps no bases; this is
-    the digest the engine's segmented capture
-    (:class:`~repro.simulation.grid.Segments` ``captured``) is held to.
-    """
-    crc = arena.plane.checksum()
-    for array in (arena.v1, arena.v2, arena.voltages, arena.global_slots):
-        crc = zlib.crc32(np.ascontiguousarray(array), crc)
-    return crc
 
 
 def _intact(entry: CachedResult) -> bool:

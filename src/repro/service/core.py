@@ -687,7 +687,7 @@ class SimulationService:
                                                for job in jobs]))
         segments = result.segments
         faults.trip("service.demux", corruptible=(
-            segments[0][0] if segments else result.plane))
+            segments[0] if segments else result.plane))
         self._settle_batch(
             jobs, compiled, config, result.plane, result.engine,
             engine.last_stats, started, segments=segments)
@@ -708,7 +708,7 @@ class SimulationService:
 
         ``segments`` (``SimulationResult.segments``) replaces the gather
         when the engine already unpacked the batch per job: a private
-        ``(plane, None)`` per job.  ``stats`` (the engine's for the
+        plane per job.  ``stats`` (the engine's for the
         batch) reach each job as its
         :meth:`~repro.simulation.gpu.EngineStats.share`.
         """
@@ -724,7 +724,7 @@ class SimulationService:
         start = 0
         for position, job in enumerate(jobs):
             n = job.num_slots
-            job_plane = (segments[position][0] if segments is not None
+            job_plane = (segments[position] if segments is not None
                          else plane.take(np.arange(start, start + n)))
             start += n
             share = shares.get(n)

@@ -91,9 +91,8 @@ ENV_VAR = "REPRO_BACKEND"
 INF = np.float64(np.inf)
 
 #: The reference level loop (:meth:`ComputeBackend.run_levels`)
-#: dispatches a level of a growing mask lane-compacted only when its
-#: active lane share is below this fraction (a static mask always is
-#: compacted); above it the dense kernel is cheaper (a
+#: dispatches a masked level lane-compacted only when its active lane
+#: share is below this fraction; above it the dense kernel is cheaper (a
 #: toggle-free lane settles in about one event-loop iteration, while
 #: compaction pays index bookkeeping per lane).  The dispatch choice
 #: never affects results or the evaluated/skipped lane accounting — both
@@ -370,7 +369,6 @@ class ComputeBackend:
         delay_cache: Optional[Dict] = None,
         delays: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-        grow: bool = False,
         overflow_slots: Optional[np.ndarray] = None,
     ) -> LevelsResult:
         """Evaluate the levels of the circuit, in order, each against
@@ -389,8 +387,8 @@ class ComputeBackend:
         caller's ``(S,)`` uint8 plane, which may arrive with slots
         already flagged (``None``: a fresh one), returned as
         ``LevelsResult.overflow_slots`` — and its row goes *quiet*: all
-        ``+inf`` behind the settled initial value, the mask byte
-        cleared under ``grow``, identically in every backend.  The
+        ``+inf`` behind the settled initial value, its mask byte
+        cleared, identically in every backend.  The
         levels after it therefore walk a well-formed arena; slots are
         independent simulations, so every column that is not flagged
         is the answer and a flagged column is garbage nobody reads —
@@ -398,44 +396,37 @@ class ComputeBackend:
 
         ``mask`` is the C-contiguous ``(nets + 1, S)`` bool activity
         plane; ``None`` dispatches every lane.  With a mask a lane is
-        dispatched iff one of its input nets is active in its slot, and
-        a skipped lane only gets its settled initial value.  ``grow``
-        makes the mask follow the waveforms (lane tracking): after a
-        level an output net is active iff its lane was dispatched and
-        kept at least one toggle — an all-cancelled lane settles back
-        to quiet — and the mask is updated in place.  Without ``grow``
-        the mask is static (a cone of influence over a seeded arena)
-        and never written.
+        dispatched iff one of its input nets is active in its slot, a
+        skipped lane only gets its settled initial value, and the mask
+        follows the waveforms (lane tracking): after a level an output
+        net is active iff its lane was dispatched and kept at least one
+        toggle — an all-cancelled lane settles back to quiet — and the
+        mask is updated in place.
 
         Row contract: every dispatched lane writes its *whole* output
         row — its toggles, then ``+inf`` up to ``capacity`` — and its
         initial value, and reads nothing of what the row held before.
-        A lane skipped under ``grow`` gets an all-``+inf`` row, and so
-        does one that overflowed, so an unmasked or a growing walk has
-        written every gate-output row and initial value of the arena
-        in full, whatever they held on entry; only rows no gate drives
-        (primary inputs, the dummy net) are read as given.  A lane
-        skipped under a static mask leaves its row as the caller
-        seeded it, and is never evaluated: re-merging a seeded row
-        could overflow where the seed itself fits.
+        A skipped lane gets an all-``+inf`` row, and so does one that
+        overflowed, so a walk has written every gate-output row and
+        initial value of the arena in full, whatever they held on
+        entry; only rows no gate drives (primary inputs, the dummy net)
+        are read as given.
 
         This base implementation is the per-level Python loop over
         :meth:`run_level`, and the reference a native whole-batch walk
         is tested against (``tests/simulation/test_walk.py``).  How it
-        dispatches a level of a growing mask depends on the active
-        share: mostly-quiet levels hand :meth:`run_level` a compacted
-        lane list, mostly-active ones run whole
+        dispatches a masked level depends on the active share:
+        mostly-quiet levels hand :meth:`run_level` a compacted lane
+        list, mostly-active ones run whole
         (:data:`SPARSE_DISPATCH_FRACTION`; a skipped lane has no input
         toggle, so evaluating it writes the same empty row).  Results
-        and accounting are bit-identical either way.  A static mask is
-        always dispatched compacted.
+        and accounting are bit-identical either way.
         """
         num_slots = int(slot_to_v.size)
         if overflow_slots is None:
             overflow_slots = np.zeros(num_slots, dtype=np.uint8)
         totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
                               kernel_calls=0, overflow_slots=overflow_slots)
-        grow = grow and mask is not None
         for plan, level_factors, nc, level_delays in plans.level_sources(
                 kernel_table, factors, delays):
             active_lanes = total_lanes = plan.num_gates * num_slots
@@ -444,16 +435,14 @@ class ComputeBackend:
                 lane_active = mask[plan.in_ids].any(axis=1)       # (g, S)
                 active_lanes = int(np.count_nonzero(lane_active))
                 totals.lanes_skipped += total_lanes - active_lanes
-                if (not grow or active_lanes
-                        < total_lanes * SPARSE_DISPATCH_FRACTION):
+                if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
                     # Settle every lane's output from the input initial
                     # values — the same table lookup the kernel performs
                     # before its event loop, so dispatched lanes just
                     # rewrite the same byte.
                     _settle_level(plan, initial_all)
-                    if grow:
-                        times_all[plan.out_ids] = INF
-                        mask[plan.out_ids] = False
+                    times_all[plan.out_ids] = INF
+                    mask[plan.out_ids] = False
                     if active_lanes == 0:
                         continue
                     lane_gates, lane_slots = np.nonzero(lane_active)
@@ -468,7 +457,7 @@ class ComputeBackend:
             totals.delay_seconds += result.delay_seconds
             totals.overflow_lanes += result.overflow_lanes
             overflow_slots[result.overflow_slots] = 1
-            if grow:
+            if mask is not None:
                 # A net is active downstream iff the lane kept >= 1
                 # toggle (all-cancelled and overflowed lanes settle
                 # back to quiet).
@@ -615,10 +604,10 @@ class CextBackend(ComputeBackend):
 
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None, delays=None, mask=None, grow=False,
+                   delay_cache=None, delays=None, mask=None,
                    overflow_slots=None):
         # One ctypes crossing for the whole batch: the C entry walks the
-        # levels over the concatenated plan arrays and reads (and grows)
+        # levels over the concatenated plan arrays and reads and grows
         # the activity mask itself.
         cat = plans.concat()
         if overflow_slots is None:
@@ -633,8 +622,7 @@ class CextBackend(ComputeBackend):
                 delays if delays is not None else cat.nominal[..., None],
                 coeffs, nv, nc, slot_to_v,
                 factors[cat.gate_indices] if factors is not None else None,
-                capacity, inertial, mask=mask, grow=grow,
-                overflow_slots=overflow_slots,
+                capacity, inertial, mask=mask, overflow_slots=overflow_slots,
             )
         return LevelsResult(lanes=lanes, iterations=iterations,
                             overflow_lanes=overflow_lanes,

@@ -209,10 +209,7 @@ class SimulationResult(PlaneAccessors):
     base_arena: Optional[object] = None
     #: Set by a run that was given
     #: :class:`~repro.simulation.grid.Segments` and served them straight
-    #: from the arena: per segment ``(plane, base)`` — its private
-    #: packed result plane and, for a captured segment, its own
-    #: :class:`~repro.simulation.delta.BaseArena` (else ``None``);
-    #: ``base_arena`` is then ``None``.  ``None`` when the run had to
-    #: join sub-batches: the caller slices ``waveforms`` /
-    #: ``base_arena`` itself.
-    segments: Optional[List[Tuple[object, Optional[object]]]] = None
+    #: from the arena: per segment its private packed result plane.
+    #: ``None`` when the run had to join sub-batches: the caller slices
+    #: ``waveforms`` itself.
+    segments: Optional[List[object]] = None

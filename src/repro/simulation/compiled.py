@@ -166,9 +166,6 @@ class CircuitPlans:
     #: Distinct-voltage normalization memos kept per parameter space.
     _VOLTAGE_MEMO_LIMIT = 16
 
-    #: Cone-of-influence memos kept per distinct changed-input row.
-    _CONE_MEMO_LIMIT = 64
-
     def __init__(self, compiled: "CompiledCircuit",
                  fingerprint: str = "") -> None:
         self.fingerprint = fingerprint
@@ -182,7 +179,6 @@ class CircuitPlans:
         self._norm_volts = LruCache(self._VOLTAGE_MEMO_LIMIT)
         self._concat: Optional[ConcatPlans] = None
         self._concat_loads: Dict[object, np.ndarray] = {}
-        self._cones = LruCache(self._CONE_MEMO_LIMIT)
 
     def __getstate__(self) -> dict:
         """Pickle the pure-array payload (plan warming across processes).
@@ -208,7 +204,6 @@ class CircuitPlans:
         self._norm_volts = LruCache(self._VOLTAGE_MEMO_LIMIT)
         self._concat = state.get("concat")
         self._concat_loads = {}
-        self._cones = LruCache(self._CONE_MEMO_LIMIT)
 
     def concat(self) -> ConcatPlans:
         """The levels concatenated row-wise, built once per circuit."""
@@ -307,43 +302,6 @@ class CircuitPlans:
                                       dtype=np.float64)
             self._norm_volts.put(key, nv)
         return nv
-
-    def input_cones(self, compiled: "CompiledCircuit",
-                    changed_rows: np.ndarray) -> np.ndarray:
-        """Cone of influence of changed-input sets through the levels.
-
-        ``changed_rows`` is ``(R, num_inputs)`` bool — each row one
-        distinct changed-input set.  Returns ``(num_nets + 1, R)`` bool:
-        net × row membership in the cone (a net is in the cone iff some
-        changed input reaches it through the level graph; the dummy net
-        never is).  The propagation is one ``any`` reduction per level
-        over the per-level fanin arrays — rows are memoized by content
-        (delta traffic repeats the same few perturbation patterns), so
-        a sweep's second job pays nothing.
-        """
-        changed_rows = np.ascontiguousarray(changed_rows, dtype=bool)
-        num_rows = changed_rows.shape[0]
-        keys = [changed_rows[row].tobytes() for row in range(num_rows)]
-        out = np.zeros((compiled.num_nets + 1, num_rows), dtype=bool)
-        missing: List[int] = []
-        for row, key in enumerate(keys):
-            cached = self._cones.get(key)
-            if cached is None:
-                missing.append(row)
-            else:
-                out[:, row] = cached
-        if missing:
-            cols = np.zeros((compiled.num_nets + 1, len(missing)),
-                            dtype=bool)
-            cols[compiled.input_net_ids] = changed_rows[missing].T
-            for plan in self.levels:
-                cols[plan.out_ids] = cols[plan.in_ids].any(axis=1)
-            cols[compiled.dummy_net_id] = False
-            out[:, missing] = cols
-            self._cones.put_many([
-                (keys[row], np.ascontiguousarray(cols[:, local]))
-                for local, row in enumerate(missing)])
-        return out
 
 
 #: Process-wide plan cache keyed by ``circuit_fingerprint`` — the same

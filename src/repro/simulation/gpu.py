@@ -52,14 +52,13 @@ bookkeeping could not pay for itself.  Quiet lanes get their settled
 output value from a truth-table lookup; results are
 bit-identical to dense evaluation (``config.prune_inactive=False``).
 
-Every one of those shapes — and the delta splice / cone-of-influence
-shapes of :mod:`repro.simulation.delta` — *lowers* to the one level
-loop in :meth:`GpuWaveSim._execute`: a batch is partitioned into slot
-subsets (:func:`_lower`), and each subset is either answered without
-the arena (quiet settle, base splice) or executed with an optional lane
-mask and an optional base seed.  Dense is "no mask", lane tracking is a
-mask grown from the input toggles, a cone is a static mask over a
-seeded arena.
+Every one of those shapes — and the delta splice of
+:mod:`repro.simulation.delta` — *lowers* to the one level loop in
+:meth:`GpuWaveSim._execute`: a batch is partitioned into slot subsets
+(:func:`_lower`), and each subset is either answered without the arena
+(quiet settle, base splice) or executed with an optional lane mask.
+Dense is "no mask", lane tracking is a mask grown from the input
+toggles.
 
 The kernels themselves are pluggable (:mod:`repro.simulation.backend`):
 the vectorized lockstep numpy reference or compiled per-lane C loops
@@ -187,9 +186,9 @@ class EngineStats:
     batches: int = 0
     lanes_skipped: int = 0
     #: Lanes whose waveforms were spliced out of a cached base arena
-    #: instead of being evaluated or settled (delta runs only).  For a
-    #: fully base-mapped delta run
-    #: ``lanes_spliced + gate_evaluations == gates * slots`` exactly.
+    #: instead of being evaluated or settled (delta runs only): every
+    #: lane of a mapped slot, so
+    #: ``gate_evaluations + lanes_skipped + lanes_spliced == gates * slots``.
     lanes_spliced: int = 0
     #: Payload bytes reused from the base arena (toggle times + initial
     #: values) — the zero-copy volume the delta path avoided recomputing.
@@ -254,27 +253,21 @@ class EngineStats:
             values[name] = values[name] * n / total
         return EngineStats(**values)
 
-    def record_walk(self, result, wall: float, spliced: bool,
-                    capacity: int) -> None:
+    def record_walk(self, result, wall: float, capacity: int) -> None:
         """Account one ``backend.run_levels`` call; its masked-out
-        lanes count as ``lanes_spliced`` over a base seed and as
-        ``lanes_skipped`` otherwise."""
+        lanes count as ``lanes_skipped``."""
         self.delay_seconds += result.delay_seconds
         self.merge_seconds += wall - result.delay_seconds
-        self.count_lanes(result.lanes, result.lanes_skipped, spliced)
+        self.count_lanes(result.lanes, result.lanes_skipped)
         self.kernel_calls += result.kernel_calls
         self.kernel_iterations += result.iterations
         self.capacity_used = max(self.capacity_used, capacity)
 
-    def count_lanes(self, evaluated: int, masked_out: int,
-                    spliced: bool) -> None:
+    def count_lanes(self, evaluated: int, skipped: int) -> None:
         """Add a walk's lanes to the counters — or, negated, take a
         flagged slot's discarded attempt back out."""
         self.gate_evaluations += evaluated
-        if spliced:
-            self.lanes_spliced += masked_out
-        else:
-            self.lanes_skipped += masked_out
+        self.lanes_skipped += skipped
 
 
 def _anonymous_mapping(nbytes: int) -> mmap.mmap:
@@ -315,15 +308,13 @@ class _ArenaPool:
         self._initial: Optional[np.ndarray] = None
 
     def acquire(self, nets: int, slots: int, capacity: int,
-                rows: Optional[np.ndarray] = None):
+                rows: np.ndarray):
         """A ``(times, initial)`` arena pair of the given shape.
 
-        With ``rows=None`` the whole arena is reset: every toggle time
-        ``+inf``, every initial value 0.  With ``rows`` only those net
-        rows are reset and every other row holds whatever the previous
-        batch left — for callers that write each remaining row in full
-        before anything reads it (an unmasked or growing walk: see the
-        row contract of :meth:`ComputeBackend.run_levels`).
+        Only the net ``rows`` are reset (toggle times ``+inf``, initial
+        values 0); every other row holds whatever the previous batch
+        left — the walk writes each of them in full before anything
+        reads it (the row contract of :meth:`ComputeBackend.run_levels`).
         """
         faults.trip("engine.alloc")
         n_times = nets * slots * capacity
@@ -335,12 +326,8 @@ class _ArenaPool:
         if self._initial is None or self._initial.size < n_initial:
             self._initial = np.empty(n_initial, dtype=np.uint8)
         initial = self._initial[:n_initial].reshape(nets, slots)
-        if rows is None:
-            times.fill(INF)
-            initial.fill(0)
-        else:
-            times[rows] = INF
-            initial[rows] = 0
+        times[rows] = INF
+        initial[rows] = 0
         return times, initial
 
 
@@ -368,9 +355,9 @@ class _Batch:
     #: voltage set it has not seen.
     delay_cache: Optional[Dict]
     rows: Optional[np.ndarray]        # capture rows; None: every real net
-    #: The consumers of the batch's slots and how many trailing ones
-    #: are captured: a batch that reaches the arena whole is extracted
-    #: once per segment (:class:`_Demuxed`).  A subset has no segments.
+    #: The consumers of the batch's slots: a batch that reaches the
+    #: arena whole is extracted once per segment, into a list of
+    #: planes.  A subset has no segments.
     segments: Optional[Segments]
     stats: EngineStats
     #: The run captures a base or names segments: its answer must not
@@ -386,15 +373,10 @@ class _Batch:
                        global_slots=self.global_slots[slots], segments=None)
 
 
-@dataclass
-class _Demuxed:
-    """What :meth:`GpuWaveSim._execute` returns for a batch with
-    segments in place of one plane: per segment a private packed plane
-    over the result rows, and per captured (trailing) segment one over
-    every net."""
-
-    planes: List[WaveformPlane]
-    captured: List[WaveformPlane]
+#: What a batch's trip through the engine answers: one plane, or — for
+#: a batch that kept its segments all the way into
+#: :meth:`GpuWaveSim._execute` — one private plane per segment.
+_Answer = Union[WaveformPlane, List[WaveformPlane]]
 
 
 def _narrow(batch: _Batch, delta: Optional[DeltaPlan], slots: np.ndarray,
@@ -409,20 +391,18 @@ def _narrow(batch: _Batch, delta: Optional[DeltaPlan], slots: np.ndarray,
 
 
 #: How a slot subset is answered (the second half of a :func:`_lower`
-#: pair).  DENSE, TRACKED and CONE reach the level loop — with no mask,
-#: a mask grown from the input toggles, and a static cone mask over a
-#: base-seeded arena; QUIET and SPLICE never touch the arena.
-DENSE, TRACKED, QUIET, SPLICE, CONE = (
-    "dense", "tracked", "quiet", "splice", "cone")
+#: pair).  DENSE and TRACKED reach the level loop — with no mask and a
+#: mask grown from the input toggles; QUIET and SPLICE never touch the
+#: arena.
+DENSE, TRACKED, QUIET, SPLICE = "dense", "tracked", "quiet", "splice"
 
 
 def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan]
            ) -> List[Tuple[np.ndarray, str]]:
     """Partition a batch into ``(slot subset, lowering)`` pairs.
 
-    Slots a delta plan maps onto its base are spliced whole when no
-    input changed and cone-evaluated otherwise.  The rest are
-    classified by input-toggle fraction: quiet slots (no launched
+    Slots a delta plan maps onto its base are spliced whole.  The rest
+    are classified by input-toggle fraction: quiet slots (no launched
     transition) settle by truth-table sweep, slots under
     :data:`LANE_TRACK_INPUT_FRACTION` run lane-tracked, the others
     dense — everything dense when pruning is off.  Each slot's class
@@ -434,9 +414,7 @@ def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan]
     parts: List[Tuple[np.ndarray, str]] = []
     if delta is not None:
         mapped = delta.base_slot >= 0
-        changed = delta.changed_inputs.any(axis=1)
-        parts = [(np.flatnonzero(mapped & ~changed), SPLICE),
-                 (np.flatnonzero(mapped & changed), CONE)]
+        parts = [(np.flatnonzero(mapped), SPLICE)]
         slots = np.flatnonzero(~mapped)
     if not prune:
         parts.insert(0, (slots, DENSE))
@@ -448,6 +426,38 @@ def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan]
                  (slots[~quiet & ~tracked], DENSE),
                  (slots[quiet], QUIET)] + parts
     return [(subset, lowering) for subset, lowering in parts if subset.size]
+
+
+def _check_delta(delta: DeltaPlan, plan: SlotPlan, v1: np.ndarray,
+                 v2: np.ndarray, global_slots: np.ndarray, variation,
+                 num_nets: int) -> None:
+    """Refuse a delta plan the splice would answer wrongly: a mapped
+    slot is answered with its base slot's waveforms, so it must match
+    that slot exactly — stimulus rows, voltage and, under ``variation``
+    (die factors follow the global slot), global slot."""
+    base = delta.base
+    if delta.base_slot.shape != (plan.num_slots,):
+        raise SimulationError("delta plan must map every plan slot")
+    if base.num_nets != num_nets or base.v1.shape[1] != v1.shape[1]:
+        raise SimulationError(
+            "delta base arena belongs to a different circuit")
+    if delta.base_slot.size and (
+            int(delta.base_slot.max()) >= base.num_slots):
+        raise SimulationError("delta plan references a missing base slot")
+    slots = np.flatnonzero(delta.base_slot >= 0)
+    cols = delta.base_slot[slots]
+    patterns = plan.pattern_indices[slots]
+    differs = ((v1[patterns] != base.v1[cols]).any(axis=1)
+               | (v2[patterns] != base.v2[cols]).any(axis=1)
+               | (plan.voltages[slots] != base.voltages[cols]))
+    if variation is not None:
+        differs |= global_slots[slots] != base.global_slots[cols]
+    if differs.any():
+        slot = int(slots[np.argmax(differs)])
+        raise SimulationError(
+            f"delta plan maps slot {slot} onto base slot "
+            f"{int(delta.base_slot[slot])}, whose stimulus rows, voltage "
+            f"or global slot differ")
 
 
 class GpuWaveSim:
@@ -546,16 +556,17 @@ class GpuWaveSim:
             Defaults to ``0..num_slots-1`` (the plan is the whole plane).
         delta:
             Optional :class:`~repro.simulation.delta.DeltaPlan` mapping
-            slots onto a cached base arena: fully matching slots are
-            spliced straight out of the base, slots with changed inputs
-            re-evaluate only the cone of influence, unmapped slots run
-            from scratch.  Results are bit-identical to ``delta=None``.
-            A plan mapping slot ``s`` onto base slot ``s`` for every
-            base slot, none changed, answers by reference when the run
-            neither captures a base nor names ``segments``: the result
-            is the base's plane itself (``record_all_nets``) or a row
-            view over its payload (outputs only).  Every other delta
-            result is private.
+            slots onto a cached base arena: mapped slots are spliced
+            whole out of the base, unmapped slots are simulated like
+            any slot.  A mapped slot must match its base slot exactly
+            — stimulus rows, voltage and, under ``variation``, global
+            slot — or the run raises :class:`SimulationError` naming
+            it.  Results are bit-identical to ``delta=None``.  A plan
+            mapping slot ``s`` onto base slot ``s`` for every base slot
+            answers by reference when the run neither captures a base
+            nor names ``segments``: the result is the base's plane
+            itself (``record_all_nets``) or a row view over its payload
+            (outputs only).  Every other delta result is private.
         capture_base:
             Capture this run's full waveform state as a
             :class:`~repro.simulation.delta.BaseArena` on
@@ -563,16 +574,13 @@ class GpuWaveSim:
         segments:
             The consumers sharing this plane
             (:class:`~repro.simulation.grid.Segments`: the jobs of a
-            service batch).  A plane that goes through the arena as one
-            batch is then unpacked once per segment:
-            ``result.segments`` holds each segment's private result
-            plane and, for the trailing ``segments.captured`` ones
-            (which need ``capture_base``), its own base arena — all
-            nets are extracted for those segments only.  When the plane is
-            partitioned on the way (memory-budget batches, a mixed
-            lowering, an overflow re-chunk) ``result.segments`` is
-            ``None`` and ``waveforms`` / ``base_arena`` cover the whole
-            plane as without ``segments``.
+            service batch; not with ``capture_base``).  A plane that
+            goes through the arena as one batch is then unpacked once
+            per segment: ``result.segments`` holds each segment's
+            private result plane.  When the plane is partitioned on the
+            way (memory-budget batches, a mixed lowering, an overflow
+            re-chunk) ``result.segments`` is ``None`` and ``waveforms``
+            covers the whole plane as without ``segments``.
         """
         if not pairs:
             raise SimulationError("need at least one pattern pair")
@@ -592,9 +600,9 @@ class GpuWaveSim:
         if segments is not None:
             if segments.num_slots != plan.num_slots:
                 raise SimulationError("segments must cover the plan's slots")
-            if segments.captured and not capture_base:
+            if capture_base:
                 raise SimulationError(
-                    "captured segments need capture_base=True")
+                    "segments cannot be combined with capture_base")
         if kernel_table is None and plan.distinct_voltages().size > 1:
             raise SimulationError(
                 "static delay mode cannot differentiate operating points; "
@@ -612,19 +620,8 @@ class GpuWaveSim:
         if v1.shape[1] != len(self.compiled.circuit.inputs):
             raise SimulationError("pattern width does not match circuit inputs")
         if delta is not None:
-            if delta.base_slot.shape != (plan.num_slots,):
-                raise SimulationError(
-                    "delta plan must map every plan slot")
-            if delta.changed_inputs.shape != (plan.num_slots, v1.shape[1]):
-                raise SimulationError(
-                    "delta changed-input plane does not match the stimuli")
-            if delta.base.num_nets != self.compiled.num_nets:
-                raise SimulationError(
-                    "delta base arena belongs to a different circuit")
-            if delta.base_slot.size and (
-                    int(delta.base_slot.max()) >= delta.base.num_slots):
-                raise SimulationError(
-                    "delta plan references a missing base slot")
+            _check_delta(delta, plan, v1, v2, global_slots, variation,
+                         self.compiled.num_nets)
 
         stats = EngineStats(backend=self.backend.name)
         start = _time.perf_counter()
@@ -645,7 +642,7 @@ class GpuWaveSim:
             stats=stats,
             private=capture_base or segments is not None,
         )
-        parts: List[Union[WaveformPlane, _Demuxed]] = []
+        parts: List[_Answer] = []
         # Batches are sized at the capacity the run starts at; each
         # starts at what the engine has learnt by then (a batch sized
         # for compact rows that may not start compact is re-chunked).
@@ -657,25 +654,17 @@ class GpuWaveSim:
                 replace(batch, capacity=self._start_capacity(indices.size)),
                 batch_delta))
         pack_start = _time.perf_counter()
-        # What a base arena records of its slots beside the waveforms.
-        columns = (whole.first, v2[plan.pattern_indices],
-                   np.array(plan.voltages, dtype=np.float64),
-                   global_slots) if capture_base else ()
         base_arena = per_segment = None
-        if isinstance(parts[0], _Demuxed):
+        if isinstance(parts[0], list):
             # The plane ran as one arena part; nothing to join or slice.
-            planes, captured = parts[0].planes, parts[0].captured
-            result_plane = WaveformPlane.concat(planes)
-            edges = segments.bounds[len(planes) - len(captured):]
-            bases = [BaseArena(plane, *(column[lo:hi].copy()
-                                        for column in columns))
-                     for plane, lo, hi in zip(captured, edges, edges[1:])]
-            per_segment = list(zip(
-                planes, [None] * (len(planes) - len(bases)) + bases))
+            per_segment = parts[0]
+            result_plane = WaveformPlane.concat(per_segment)
         else:
             result_plane = WaveformPlane.concat(parts)
             if capture_base:
-                base_arena = BaseArena(result_plane, *columns)
+                base_arena = BaseArena(
+                    result_plane, whole.first, v2[plan.pattern_indices],
+                    np.array(plan.voltages, dtype=np.float64), global_slots)
                 if not self.config.record_all_nets:
                     result_plane = result_plane.rows(
                         ids=self._output_ids, **self._output_keys)
@@ -716,12 +705,12 @@ class GpuWaveSim:
         return configured
 
     def _run_batch(self, batch: _Batch, delta: Optional[DeltaPlan]
-                   ) -> Union[WaveformPlane, _Demuxed]:
+                   ) -> _Answer:
         """One memory-budget batch — or the flagged slots of one, on
         their way back from :meth:`_recover` — through the kernel-fault
         ladder.  Like the two steps below it, it passes on the
-        :class:`_Demuxed` of a batch that kept its segments all the way
-        into :meth:`_execute`."""
+        per-segment planes of a batch that kept its segments all the
+        way into :meth:`_execute`."""
         while True:
             try:
                 plane = self._run_within_budget(batch, delta)
@@ -766,7 +755,7 @@ class GpuWaveSim:
         return True
 
     def _run_within_budget(self, batch: _Batch, delta: Optional[DeltaPlan]
-                           ) -> Union[WaveformPlane, _Demuxed]:
+                           ) -> _Answer:
         """Run a batch at its capacity, re-chunking first if a grown
         capacity would blow the memory budget (a retried batch is
         re-sized instead of exceeding ``memory_budget`` by the growth
@@ -779,7 +768,7 @@ class GpuWaveSim:
             for indices, sub_plan in batch.plan.batches(max_slots)])
 
     def _run_lowered(self, batch: _Batch, delta: Optional[DeltaPlan]
-                     ) -> Union[WaveformPlane, _Demuxed]:
+                     ) -> _Answer:
         """Answer every :func:`_lower` part of a batch and join them."""
         parts: List[Tuple[np.ndarray, WaveformPlane]] = []
         for subset, lowering in _lower(batch.toggles,
@@ -789,13 +778,6 @@ class GpuWaveSim:
                 plane = self._settle(sub)
             elif lowering == SPLICE:
                 plane = self._splice(sub, sub_delta)
-            elif lowering == CONE:
-                changed, inverse = np.unique(sub_delta.changed_inputs, axis=0,
-                                             return_inverse=True)
-                cones = self._level_plans().input_cones(self.compiled, changed)
-                plane = self._execute(
-                    sub, seed=sub_delta,
-                    mask=np.ascontiguousarray(cones[:, inverse]))
             elif lowering == TRACKED:
                 mask = np.zeros((self.compiled.num_nets + 1,
                                  sub.plan.num_slots), dtype=bool)
@@ -881,9 +863,9 @@ class GpuWaveSim:
         return initial, by_vector[by_pattern]
 
     def _splice(self, batch: _Batch, delta: DeltaPlan) -> WaveformPlane:
-        """Slots whose stimuli and operating point match a base slot
-        exactly: their columns come straight out of the base plane and
-        every lane counts as ``lanes_spliced``.
+        """Slots mapped onto a base slot (which they match exactly):
+        their columns come straight out of the base plane and every
+        lane counts as ``lanes_spliced``.
 
         Slots that map onto the base slot-for-slot (``base_slot`` is
         ``0 .. base.num_slots - 1``) in a run whose answer may share a
@@ -915,36 +897,23 @@ class GpuWaveSim:
 
     # -- the level loop -------------------------------------------------------------
 
-    def _execute(self, batch: _Batch, seed: Optional[DeltaPlan] = None,
-                 mask: Optional[np.ndarray] = None) -> WaveformPlane:
-        """The one level loop: arena, seed, delay source, levels, extract.
+    def _execute(self, batch: _Batch,
+                 mask: Optional[np.ndarray] = None) -> _Answer:
+        """The one level loop: arena, delay source, levels, extract.
 
         ``mask`` is the per-(net, slot) activity plane handed to the
         one ``backend.run_levels`` call; ``None`` runs every lane of
         every level.  With a mask only lanes with an active input net
         are dispatched; the others get their settled value by
-        truth-table lookup.  The lane *accounting* is derived from the
+        truth-table lookup and count as ``lanes_skipped``, and the mask
+        *grows*: after each level a net is active iff its lane kept at
+        least one toggle.  The lane *accounting* is derived from the
         mask alone, so it is invariant across backends and slot-plane
-        chunkings.
+        chunkings.  Masked or not, the walk writes every gate-output
+        row (a skipped lane an all-``+inf`` one), so only the undriven
+        rows need a reset.
 
-        Without ``seed`` the arena starts from the stimuli, masked-out
-        lanes count as ``lanes_skipped`` and the mask *grows*: after
-        each level a net is active iff its lane kept at least one
-        toggle.  A growing walk writes every gate-output row (skipped
-        lanes an all-``+inf`` one), so like an unmasked run it needs
-        only the undriven rows reset.  With ``seed`` (every slot mapped
-        onto a base slot) the arena starts from the base's initial
-        values and, outside the mask, its toggles; the mask is the
-        *static* cone of influence of the changed inputs, masked-out
-        lanes count as ``lanes_spliced`` and the mask is never narrowed
-        — growing it would wrongly re-activate non-cone outputs whose
-        seeded rows carry toggles.  A seeded run keeps the whole-arena
-        reset: the seed scatter writes toggles without terminators, and
-        cone output rows must start ``+inf`` (the unpack takes a row's
-        leading finite run for its toggles).
-
-        A slot with a lane that overflowed — or whose base waveforms do
-        not fit ``capacity`` to begin with — comes back flagged; its
+        A slot with a lane that overflowed comes back flagged; its
         column of the arena is garbage and :meth:`_recover` re-runs it.
         """
         compiled = self.compiled
@@ -955,41 +924,9 @@ class GpuWaveSim:
         plans = self._level_plans()
 
         # Waveform memory: (nets + dummy, slots, capacity) toggle times,
-        # pooled per engine.  Without a seed the walk writes every
-        # gate-output row in full, so only the undriven rows need the
-        # reset; a seeded run takes the full one.
+        # pooled per engine.
         times_all, initial_all = self._arena_pool.acquire(
-            compiled.num_nets + 1, num_slots, capacity,
-            rows=self._undriven_rows if seed is None else None)
-
-        flags = np.zeros(num_slots, dtype=np.uint8)
-        if seed is not None:
-            base = seed.base.plane
-            base_cols = seed.base_slot
-            counts = base.counts[:, base_cols]             # (N, S)
-            seeded = ~mask[: compiled.num_nets] & (counts > 0)
-            if counts.size and int(counts.max()) > capacity:
-                # A base column too long for the rows: flagged, unseeded.
-                fits = counts.max(axis=0) <= capacity
-                flags[~fits] = 1
-                seeded &= fits
-            pack_start = _time.perf_counter()
-            initial_all[: compiled.num_nets] = base.initial[:, base_cols]
-            nets, slots = np.nonzero(seeded)
-            if nets.size:
-                cnt = counts[nets, slots]
-                ends = np.cumsum(cnt)
-                total = int(ends[-1])
-                span = np.arange(total, dtype=np.int64) - np.repeat(
-                    ends - cnt, cnt)
-                src = np.repeat(base.starts[nets, base_cols[slots]], cnt) + span
-                dst = np.repeat((nets * num_slots + slots) * capacity, cnt) + span
-                times_all.reshape(-1)[dst] = base.times[src]
-                stats.bytes_spliced += total * 8
-            stats.pack_seconds += _time.perf_counter() - pack_start
-
-        # Stimuli go in last: over a seed they are value-identical for
-        # unchanged inputs, by construction of the changed mask.
+            compiled.num_nets + 1, num_slots, capacity, self._undriven_rows)
         initial_all[compiled.input_net_ids] = batch.first.T
         times_all[compiled.input_net_ids, :, 0] = np.where(
             batch.toggles.T, LAUNCH_TIME, INF)
@@ -1022,30 +959,22 @@ class GpuWaveSim:
         result = self.backend.run_levels(
             plans, times_all, initial_all, slot_to_v, factors, capacity,
             inertial, kernel_table=table, nv=nv,
-            delay_cache=batch.delay_cache, delays=delays,
-            mask=mask, grow=seed is None, overflow_slots=flags)
+            delay_cache=batch.delay_cache, delays=delays, mask=mask)
         stats.record_walk(result, _time.perf_counter() - merge_start,
-                          seed is not None, capacity)
+                          capacity)
         flagged = np.flatnonzero(result.overflow_slots)
         if flagged.size:
-            return self._recover(batch, seed, mask, flagged, times_all,
+            return self._recover(batch, mask, flagged, times_all,
                                  initial_all)
-        segments = batch.segments
-        if segments is None:
+        if batch.segments is None:
             return self._extract(times_all, initial_all, batch.rows, None,
                                  stats)[0]
-        first_captured = len(segments.slot_counts) - segments.captured
-        return _Demuxed(
-            planes=self._extract(times_all, initial_all, self._result_rows,
-                                 segments.bounds, stats),
-            captured=(self._extract(times_all, initial_all, None,
-                                    segments.bounds[first_captured:], stats)
-                      if segments.captured else []))
+        return self._extract(times_all, initial_all, batch.rows,
+                             batch.segments.bounds, stats)
 
-    def _recover(self, batch: _Batch, seed: Optional[DeltaPlan],
-                 mask: Optional[np.ndarray], flagged: np.ndarray,
-                 times_all: np.ndarray, initial_all: np.ndarray
-                 ) -> Union[WaveformPlane, _Demuxed]:
+    def _recover(self, batch: _Batch, mask: Optional[np.ndarray],
+                 flagged: np.ndarray, times_all: np.ndarray,
+                 initial_all: np.ndarray) -> _Answer:
         """Overflow recovery — the only one: the ``flagged`` slots of
         the walk :meth:`_execute` just made are re-run at a grown
         capacity and joined with the healthy columns of its arena.
@@ -1078,35 +1007,29 @@ class GpuWaveSim:
         evaluated = lanes if mask is None else int(np.count_nonzero(
             mask[:, flagged][self._level_plans().concat().in_ids]
             .any(axis=1)))
-        stats.count_lanes(-evaluated, evaluated - lanes, seed is not None)
+        stats.count_lanes(-evaluated, evaluated - lanes)
         stats.retries += 1
         stats.slots_retried += int(flagged.size)
         grown = replace(batch, capacity=max(capacity * 2,
                                             self.config.waveform_capacity))
         if flagged.size == num_slots:
-            return self._run_batch(grown, seed)
+            return self._run_batch(grown, None)
         healthy = np.delete(np.arange(num_slots), flagged)
         plane = self._extract(times_all, initial_all, batch.rows, None,
                               stats)[0]
         plane = self._join(
             [(healthy, plane.take(healthy, copy=False)),
-             (flagged, self._run_batch(*_narrow(grown, seed, flagged)))],
+             (flagged, self._run_batch(grown.take(flagged), None))],
             stats)
-        segments = batch.segments
-        if segments is None:
+        if batch.segments is None:
             return plane
+        bounds = batch.segments.bounds
         # Re-cut what a clean walk would have unpacked per segment.
         pack_start = _time.perf_counter()
-        cuts = [np.arange(lo, hi)
-                for lo, hi in zip(segments.bounds, segments.bounds[1:])]
-        results = (plane if batch.rows is self._result_rows
-                   else plane.rows(ids=self._output_ids, **self._output_keys))
-        demuxed = _Demuxed(
-            planes=[results.take(cut) for cut in cuts],
-            captured=[plane.take(cut)
-                      for cut in cuts[len(cuts) - segments.captured:]])
+        planes = [plane.take(np.arange(lo, hi))
+                  for lo, hi in zip(bounds, bounds[1:])]
         stats.pack_seconds += _time.perf_counter() - pack_start
-        return demuxed
+        return planes
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray
                      ) -> np.ndarray:

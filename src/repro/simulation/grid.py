@@ -145,15 +145,10 @@ class Segments:
     Segment ``g`` is the next ``slot_counts[g]`` slots of the plane, in
     plane order — the jobs of one service batch.  A run given its
     segments hands each its own private result plane instead of one
-    plane for the caller to cut up; of a ``capture_base=True`` run only
-    the trailing ``captured`` segments are captured, each as its own
-    :class:`~repro.simulation.delta.BaseArena` (a base ring that keeps
-    the newest few arenas has no use for the batch's earlier ones; no
-    caller in the package captures segments).
+    plane for the caller to cut up.
     """
 
     slot_counts: Tuple[int, ...]
-    captured: int = 0
     #: ``len(slot_counts) + 1`` slot bounds: segment ``g`` is the
     #: slots ``bounds[g]:bounds[g + 1]``.
     bounds: Tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -162,8 +157,6 @@ class Segments:
         counts = tuple(int(count) for count in self.slot_counts)
         if not counts or min(counts) < 0:
             raise ValueError("segments need non-negative slot counts")
-        if not 0 <= self.captured <= len(counts):
-            raise ValueError("cannot capture more segments than there are")
         object.__setattr__(self, "slot_counts", counts)
         object.__setattr__(self, "bounds",
                            tuple(accumulate(counts, initial=0)))

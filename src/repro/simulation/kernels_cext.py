@@ -239,7 +239,7 @@ typedef struct {
  * (nets, S) planes and, times cap, the arena. */
 LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
                             uint8_t *initial_all, uint8_t *mask,
-                            int32_t grow, const int64_t *net,
+                            const int64_t *net,
                             int64_t out_net, int64_t table,
                             const double *delays, int64_t dV,
                             int64_t gate, const double *cc, int64_t n1,
@@ -261,11 +261,9 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
         double *out = times_all + (out_net + slot) * cap;
         initial_all[out_net + slot] = (uint8_t)((table >> index) & 1);
         if (!active) {
-            /* Settled above; a growing mask also terminates the row. */
-            if (grow) {
-                for (int64_t d = 0; d < cap; d++) out[d] = INFINITY;
-                mask[out_net + slot] = 0;
-            }
+            /* Settled above; the row is terminated and stays quiet. */
+            for (int64_t d = 0; d < cap; d++) out[d] = INFINITY;
+            mask[out_net + slot] = 0;
             continue;
         }
         /* pd[(pin * 2 + pol) * pd_stride] */
@@ -306,7 +304,7 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
 #endif
             overflow_slots[slot] = 1;
         }
-        if (grow) mask[out_net + slot] = depth > 0;
+        if (mask != NULL) mask[out_net + slot] = depth > 0;
         *dispatched += 1;
         *overflow_lanes += overflow;
     }
@@ -333,12 +331,10 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
  *               slot_to_v[slot]; static nominal delays are dV == 1
  *   mask (nets, S) or NULL: a lane is dispatched iff one of its input
  *               nets is set in its slot; a skipped lane only gets its
- *               settled initial value.  With grow the mask follows the
- *               waveforms -- a dispatched lane sets its output net iff
- *               it kept a toggle, a skipped lane clears it and writes
- *               an all-+inf row, so a growing walk writes every
- *               gate-output row.  Without grow the mask is read-only
- *               and skipped rows stay as the caller seeded them.
+ *               settled initial value.  The mask follows the waveforms
+ *               -- a dispatched lane sets its output net iff it kept a
+ *               toggle, a skipped lane clears it and writes an all-+inf
+ *               row, so a masked walk writes every gate-output row.
  * A level is walked gate-major in chunks of CHUNK_LANES lanes: what
  * depends on the gate alone is loaded when the walk crosses a gate, and
  * the lanes run through the arity-specialised body.  A dispatched lane
@@ -346,13 +342,13 @@ LANE_INLINE void gate_lanes(const int64_t K, double *times_all,
  * what the row held before.
  * A lane whose toggles do not fit its row sets overflow_slots[slot]
  * ((S,), zeroed or pre-flagged by the caller), leaves an all-+inf row
- * behind its settled initial value (and a cleared mask byte under grow)
+ * behind its settled initial value (and a cleared mask byte)
  * and the walk goes on: slots are independent simulations, so every
  * column that is not flagged is the answer, and the caller re-runs the
  * flagged ones at a larger capacity.  out_lanes / out_skipped count the
  * dispatched and masked-out lanes, out_calls the levels that dispatched
- * at least one lane: all three are functions of the mask alone (which,
- * under grow, a quiet row feeds like any other). */
+ * at least one lane: all three are functions of the mask alone (which a
+ * quiet row feeds like any other). */
 void run_levels(double *times_all, uint8_t *initial_all,
                 const int64_t *in_ids, const int64_t *out_ids,
                 const int64_t *tables, const int64_t *arities,
@@ -362,7 +358,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
                 const double *nv, const double *nc, double min_delay,
                 const int64_t *slot_to_v,
                 const double *factors, int32_t has_factors,
-                uint8_t *mask, int32_t has_mask, int32_t grow,
+                uint8_t *mask, int32_t has_mask,
                 uint8_t *overflow_slots,
                 const int64_t *level_offsets, int64_t num_levels,
                 int64_t maxP, int64_t S, int64_t cap,
@@ -376,7 +372,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
     int64_t lanes = 0;
     int64_t skipped = 0;
     int64_t calls = 0;
-    if (!has_mask) { mask = NULL; grow = 0; }
+    if (!has_mask) mask = NULL;
     if (!has_factors) factors = NULL;
     if (!parametric) coeffs = NULL;
     for (int64_t level = 0; level < num_levels; level++) {
@@ -409,7 +405,7 @@ void run_levels(double *times_all, uint8_t *initial_all,
                 for (int64_t pin = 0; pin < arity; pin++)
                     net[pin] = in_ids[gate * maxP + pin] * S;
 #define GATE(K) gate_lanes( \
-    K, times_all, initial_all, mask, grow, net, out_ids[gate] * S, \
+    K, times_all, initial_all, mask, net, out_ids[gate] * S, \
     tables[gate], delays + gate * maxP * 2 * dV, dV, gate, \
     coeffs != NULL ? coeffs + type_ids[gate] * coeff_pins * 2 * n1 * n1 \
                    : NULL, \
@@ -629,7 +625,7 @@ def _bind(path: str) -> ctypes.CDLL:
         _p_f64, _p_f64, ctypes.c_double,
         _p_i64,
         _p_f64, _i32,
-        _p_u8, _i32, _i32,
+        _p_u8, _i32,
         _p_u8,
         _p_i64, _i64,
         _i64, _i64, _i64, _i32,
@@ -770,14 +766,14 @@ def _delay_args(delays, coeffs, nv, nc, slot_to_v, factors):
 
 def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
                slot_to_v, factors, capacity, inertial, mask=None,
-               grow=False, overflow_slots=None):
+               overflow_slots=None):
     """Whole-batch dispatch: every level in one library call.
 
     ``cat`` is a :class:`repro.simulation.compiled.ConcatPlans`;
     ``delays`` (see :func:`_delay_args`) and ``factors`` (if given) are
     in concatenated plan-row order.  ``mask`` is the C-contiguous
-    ``(nets, S)`` bool activity plane, updated in place when ``grow``,
-    and ``overflow_slots`` the ``(S,)`` uint8 plane an overflowing lane
+    ``(nets, S)`` bool activity plane, updated in place, and
+    ``overflow_slots`` the ``(S,)`` uint8 plane an overflowing lane
     flags its slot in (see ``ComputeBackend.run_levels``; a caller that
     reads only the lane count may leave it out).  Returns
     ``(overflow_lanes, iterations, calls, lanes, skipped)``.
@@ -803,7 +799,7 @@ def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
         times_all, initial_all,
         cat.in_ids, cat.out_ids, cat.tables, cat.arities, cat.type_ids,
         *_delay_args(delays, coeffs, nv, nc, slot_to_v, factors),
-        mask, int(has_mask), int(bool(grow)), overflow_slots,
+        mask, int(has_mask), overflow_slots,
         cat.level_offsets, cat.num_levels,
         cat.in_ids.shape[1], slot_to_v.size, capacity,
         int(bool(inertial)),

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis.arrival import latest_arrivals
 from repro.avfs.explorer import DesignSpaceExplorer
 from repro.errors import ParameterError
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair
+from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.grid import SlotPlan
 
 VOLTAGES = [0.55, 0.7, 0.8, 1.0]
 
@@ -48,6 +51,25 @@ class TestSweep:
             explorer.sweep(pairs, [1.5])
         with pytest.raises(ParameterError):
             explorer.sweep(pairs, [])
+
+    def test_box_edges(self, setup, library, kernel_table):
+        """The box edges sweep like any supply — each latest arrival is
+        a plain engine run's — and a point just outside either edge
+        raises before anything runs."""
+        circuit, pairs = setup
+        explorer = DesignSpaceExplorer(circuit, library, kernel_table)
+        space = kernel_table.space
+        edges = [space.v_min, space.v_max]
+        points = explorer.sweep(pairs, edges)
+        engine = GpuWaveSim(circuit, library)
+        for point, voltage in zip(points, edges):
+            plan = SlotPlan.uniform(len(pairs), voltage)
+            result = engine.run(pairs, plan=plan, kernel_table=kernel_table)
+            assert point.latest_arrival == latest_arrivals(
+                result, circuit, plan=plan).at(voltage)
+        for outside in (space.v_min - 1e-6, space.v_max + 1e-6):
+            with pytest.raises(ParameterError, match="outside"):
+                explorer.sweep(pairs, [0.8, outside])
 
 
 class TestDerivedProducts:

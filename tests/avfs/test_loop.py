@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.analysis.arrival import latest_arrivals
 from repro.avfs.controller import AvfsController
 from repro.avfs.explorer import DesignSpaceExplorer
 from repro.avfs.loop import (ClosedLoopRunner, LoopConfig, LoopStep,
                              TemperatureDrift, VoltageDroop)
+from repro.avfs.scaling import VoltageFrequencyTable
 from repro.errors import CheckpointError, InjectedFaultError, ParameterError
 from repro.faults.plan import WorkerDeathError
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair
 from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.grid import SlotPlan
 from repro.simulation.pool import clear_engine_pool
 from repro.simulation.variation import (ProcessVariation,
                                         StateDependentVariation)
@@ -115,6 +118,35 @@ class TestConvergence:
                              LoopConfig(period=1e-9, record_energy=False))
         with pytest.raises(ParameterError):
             runner.run([])
+
+    def test_table_box_edges(self, setup, library, kernel_table):
+        """A V-f table reaching the box edges runs — a step at the top
+        edge measures a plain engine run's arrival — and one with a
+        point just outside either edge raises before any step."""
+        circuit, pairs, explorer, _ = setup
+        space = kernel_table.space
+        table = explorer.voltage_frequency_table(
+            pairs, [space.v_min, 0.8, space.v_max], guardband=0.05)
+        config = LoopConfig(period=1.0, max_iterations=1,
+                            initial_voltage=space.v_max,
+                            record_energy=False)
+        report = ClosedLoopRunner(circuit, library, kernel_table,
+                                  AvfsController(table), config).run(pairs)
+        plan = SlotPlan.uniform(len(pairs), space.v_max)
+        result = GpuWaveSim(circuit, library).run(
+            pairs, plan=plan, kernel_table=kernel_table)
+        assert report.steps[0].effective_voltage == space.v_max
+        assert report.steps[0].raw_arrival == latest_arrivals(
+            result, circuit, plan=plan).at(space.v_max)
+        for position, outside in ((0, space.v_min - 1e-6),
+                                  (-1, space.v_max + 1e-6)):
+            points = list(table.points)
+            points[position] = replace(points[position], voltage=outside)
+            shifted = VoltageFrequencyTable(points)
+            runner = ClosedLoopRunner(circuit, library, kernel_table,
+                                      AvfsController(shifted), config)
+            with pytest.raises(ParameterError, match="outside"):
+                runner.run(pairs)
 
     def test_report_round_trip(self, setup, library, kernel_table):
         circuit, pairs, explorer, table = setup
@@ -241,7 +273,7 @@ class TestDeltaReuse:
         def spy(engine, *args, **kwargs):
             result = run(engine, *args, **kwargs)
             delta = kwargs.get("delta")
-            if delta is not None and not delta.changed_inputs.any():
+            if delta is not None:
                 assert delta.base_slot.tolist() == list(range(len(pairs)))
                 shared.append(np.shares_memory(result.plane.times,
                                                delta.base.plane.times))

@@ -732,8 +732,6 @@ class TestNoDeltaPath:
         assert engine_runs
         for kwargs, _ in engine_runs:
             assert "delta" not in kwargs and "capture_base" not in kwargs
-            segments = kwargs.get("segments")
-            assert segments is None or segments.captured == 0
         assert metrics.lanes_spliced == 0
         assert metrics.cache["hits"] >= 3       # the exact repeats
         engine = GpuWaveSim(circuit, library, compiled=compiled,

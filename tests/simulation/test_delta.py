@@ -1,21 +1,25 @@
 """Bit-identity and accounting contracts of incremental re-simulation.
 
 The delta path (``docs/architecture.md`` §12) must be invisible in the
-output: splicing lanes out of a cached :class:`BaseArena` and cone-only
-re-evaluation must produce waveforms **bit-identical** to a from-scratch
-run on every backend, across multi-voltage slot planes, Monte-Carlo
-variation, sparse (pruned) dispatch, polynomial and table delay
-sources, batch chunking and overflow-retry capacity growth.
+output: splicing the slots that match a cached :class:`BaseArena`
+exactly and simulating the rest must produce waveforms
+**bit-identical** to a from-scratch run on every backend, across
+multi-voltage slot planes, Monte-Carlo variation, sparse (pruned)
+dispatch, polynomial and table delay sources, batch chunking and
+overflow-retry capacity growth.
 
 The accounting contract is exact, not approximate: every (gate, slot)
-lane is either dispatched or spliced, never both and never dropped —
-``lanes_spliced + gate_evaluations + lanes_skipped == gates * slots``.
+lane is evaluated, skipped or spliced, never two of them and never
+dropped — ``gate_evaluations + lanes_skipped + lanes_spliced == gates *
+slots``.  A plan that maps a slot onto a base slot it does not match is
+refused, not answered with the base's waveforms.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.netlist.generate import random_circuit
 from repro.simulation.backend import available_backends
 from repro.simulation.base import PatternPair, SimulationConfig
@@ -96,6 +100,29 @@ def capture_and_select(engine, base_pairs, var_pairs, plan, kernel_table,
     return base_result, arena, selected
 
 
+def changed_patterns(base_pairs, var_pairs):
+    """Indices of the variant's patterns that differ from the base's."""
+    return {index for index, (base, var) in enumerate(zip(base_pairs,
+                                                          var_pairs))
+            if not (np.array_equal(base.v1, var.v1)
+                    and np.array_equal(base.v2, var.v2))}
+
+
+def assert_splices_only_matches(delta_plan, frac, plan, changed):
+    """A slot is mapped iff its pattern is unchanged (one base, the
+    same plane), and the fraction is the unmapped share."""
+    unmapped = np.isin(plan.pattern_indices, sorted(changed))
+    assert ((delta_plan.base_slot < 0) == unmapped).all()
+    assert frac == unmapped.sum() / plan.num_slots
+
+
+def assert_covered(stats, compiled, plan, spliced_slots):
+    """Every lane counted once, and the mapped slots' all spliced."""
+    assert (stats.gate_evaluations + stats.lanes_skipped
+            + stats.lanes_spliced) == compiled.num_gates * plan.num_slots
+    assert stats.lanes_spliced == compiled.num_gates * spliced_slots
+
+
 class TestFullSplice:
     """Zero-diff resubmission: every lane spliced, nothing dispatched."""
 
@@ -114,7 +141,6 @@ class TestFullSplice:
         delta_plan, frac = selected
         assert frac == 0.0
         assert (delta_plan.base_slot >= 0).all()
-        assert not delta_plan.changed_inputs.any()
 
         redo = make_engine(circuit, compiled, library, backend=backend_name)
         result = redo.run(pairs, plan=plan, kernel_table=kernel_table,
@@ -190,9 +216,7 @@ class TestSpliceByReference:
         engine, arena = self.captured(circuit, compiled, library,
                                       kernel_table, backend_name,
                                       record_all, pairs, plan)
-        delta = DeltaPlan(
-            arena, np.arange(plan.num_slots, dtype=np.int64),
-            np.zeros((plan.num_slots, len(circuit.inputs)), dtype=bool))
+        delta = DeltaPlan(arena, np.arange(plan.num_slots, dtype=np.int64))
         result = engine.run(pairs, plan=plan, kernel_table=kernel_table,
                             delta=delta)
         if record_all:
@@ -237,9 +261,7 @@ class TestSpliceByReference:
         fresh = make_pairs(circuit, 1, seed=53)[0]
         job = [pairs[slot] if slot >= 0 else fresh for slot in base_slot]
         plan = SlotPlan.uniform(len(job), 0.8)
-        delta = DeltaPlan(arena, np.asarray(base_slot, dtype=np.int64),
-                          np.zeros((len(job), len(circuit.inputs)),
-                                   dtype=bool))
+        delta = DeltaPlan(arena, np.asarray(base_slot, dtype=np.int64))
         result = engine.run(job, plan=plan, kernel_table=kernel_table,
                             delta=delta, **kwargs)
         spliced = sum(slot >= 0 for slot in base_slot)
@@ -253,8 +275,11 @@ class TestSpliceByReference:
 
 
 class TestConeBitIdentity:
-    """Changed inputs re-evaluate their cone; the rest is spliced —
-    and the merged result is bit-identical to a from-scratch run."""
+    """Mixed splice-plus-run planes: slots whose pattern changed are
+    simulated like any slot, the rest are spliced whole — and the
+    merged result is bit-identical to a from-scratch run.  (The class
+    keeps the name of the cone-of-influence walk it once held to the
+    same contract.)"""
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     @pytest.mark.parametrize("voltages,variation", [
@@ -274,7 +299,9 @@ class TestConeBitIdentity:
             engine, base_pairs, var_pairs, plan, kernel_table, variation)
         assert selected is not None
         delta_plan, frac = selected
-        assert 0.0 < frac < 0.1
+        changed = changed_patterns(base_pairs, var_pairs)
+        assert len(changed) == 1
+        assert_splices_only_matches(delta_plan, frac, plan, changed)
 
         delta_engine = make_engine(circuit, compiled, library,
                                    backend=backend_name)
@@ -289,9 +316,7 @@ class TestConeBitIdentity:
         assert_identical(circuit, full_result, delta_result)
 
         stats = delta_engine.last_stats
-        total = compiled.num_gates * plan.num_slots
-        assert stats.lanes_spliced + stats.gate_evaluations == total
-        assert stats.lanes_spliced > 0
+        assert_covered(stats, compiled, plan, plan.num_slots - len(voltages))
         assert stats.gate_evaluations > 0
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
@@ -312,18 +337,20 @@ class TestConeBitIdentity:
         _, _, selected = capture_and_select(
             engine, base_pairs, var_pairs, plan, kernel_table, None)
         assert selected is not None
+        delta_plan, frac = selected
+        changed = changed_patterns(base_pairs, var_pairs)
+        assert_splices_only_matches(delta_plan, frac, plan, changed)
         delta_engine = make_engine(circuit, compiled, library,
                                    backend=backend_name)
         delta_result = delta_engine.run(var_pairs, plan=plan,
                                         kernel_table=kernel_table,
-                                        delta=selected[0])
+                                        delta=delta_plan)
         full_result = make_engine(circuit, compiled, library,
                                   backend=backend_name).run(
             var_pairs, plan=plan, kernel_table=kernel_table)
         assert_identical(circuit, full_result, delta_result)
-        stats = delta_engine.last_stats
-        total = compiled.num_gates * plan.num_slots
-        assert stats.lanes_spliced + stats.gate_evaluations == total
+        assert_covered(delta_engine.last_stats, compiled, plan,
+                       int((delta_plan.base_slot >= 0).sum()))
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_static_delays(self, circuit, compiled, library, backend_name):
@@ -344,10 +371,8 @@ class TestConeBitIdentity:
                                   backend=backend_name).run(var_pairs,
                                                             plan=plan)
         assert_identical(circuit, full_result, delta_result)
-        stats = delta_engine.last_stats
-        total = compiled.num_gates * plan.num_slots
-        assert stats.lanes_spliced + stats.gate_evaluations == total
-        assert stats.lanes_spliced > 0
+        assert_covered(delta_engine.last_stats, compiled, plan,
+                       plan.num_slots - 1)
 
     @pytest.mark.parametrize("lut,prune", [(False, False), (True, True),
                                            (False, True)])
@@ -375,11 +400,8 @@ class TestConeBitIdentity:
                                   backend="numpy", prune=prune).run(
             var_pairs, plan=plan, kernel_table=table)
         assert_identical(circuit, full_result, delta_result)
-        stats = delta_engine.last_stats
-        total = compiled.num_gates * plan.num_slots
-        covered = (stats.lanes_spliced + stats.gate_evaluations
-                   + stats.lanes_skipped)
-        assert covered == total
+        assert_covered(delta_engine.last_stats, compiled, plan,
+                       int((selected[0].base_slot >= 0).sum()))
 
     def test_chunked_batches(self, circuit, compiled, library, kernel_table):
         """A tiny memory budget splits the plane into several batches;
@@ -403,12 +425,14 @@ class TestConeBitIdentity:
                                   backend="numpy").run(
             var_pairs, plan=plan, kernel_table=kernel_table)
         assert_identical(circuit, full_result, delta_result)
+        assert_covered(delta_engine.last_stats, compiled, plan,
+                       plan.num_slots - 2)
 
     def test_overflow_retry_grows_capacity(self, circuit, compiled, library,
                                            kernel_table):
-        """A cone pass whose base toggles exceed the starting capacity
-        raises ``WaveformOverflowError`` internally and retries doubled,
-        exactly like the dense path."""
+        """The simulated slots of a mixed plane overflow a tight
+        capacity and re-run doubled, exactly like a plain run; the
+        spliced ones are copied whatever the capacity."""
         base_pairs = make_pairs(circuit, 4, seed=29)
         var_pairs = flip_bits(base_pairs, 1, seed=30)
         plan = SlotPlan.cross(len(base_pairs), [0.8])
@@ -416,17 +440,28 @@ class TestConeBitIdentity:
         _, arena, selected = capture_and_select(
             engine, base_pairs, var_pairs, plan, kernel_table, None)
         assert selected is not None
-        assert int(arena.plane.counts.max()) > 2  # the retry below is real
+        mapped = selected[0].base_slot >= 0
+        # The spliced rows do not fit the capacity either.
+        assert int(arena.plane.counts[:, mapped].max()) > 2
         delta_engine = make_engine(circuit, compiled, library,
                                    backend="numpy", capacity=2)
         delta_result = delta_engine.run(var_pairs, plan=plan,
                                         kernel_table=kernel_table,
                                         delta=selected[0])
-        assert delta_engine.last_stats.retries > 0
+        stats = delta_engine.last_stats
+        # The retries are the simulated slot's, as in a run of it alone.
+        changed = sorted(changed_patterns(base_pairs, var_pairs))
+        alone = make_engine(circuit, compiled, library, backend="numpy",
+                            capacity=2)
+        alone.run([var_pairs[index] for index in changed],
+                  plan=SlotPlan.uniform(len(changed), 0.8),
+                  kernel_table=kernel_table)
+        assert stats.slots_retried == alone.last_stats.slots_retried > 0
         full_result = make_engine(circuit, compiled, library,
                                   backend="numpy").run(
             var_pairs, plan=plan, kernel_table=kernel_table)
         assert_identical(circuit, full_result, delta_result)
+        assert_covered(stats, compiled, plan, int(mapped.sum()))
 
 
 class TestSelection:
@@ -434,9 +469,10 @@ class TestSelection:
 
     def test_threshold_fallback(self, circuit, compiled, library,
                                 kernel_table):
-        """A near-disjoint job must refuse the delta path."""
+        """A job the base serves too little of must refuse the delta
+        path: here half its patterns are new."""
         base_pairs = make_pairs(circuit, 4, seed=31)
-        other_pairs = make_pairs(circuit, 4, seed=99)
+        other_pairs = base_pairs[:2] + make_pairs(circuit, 2, seed=99)
         plan = SlotPlan.cross(len(base_pairs), [0.8])
         engine = make_engine(circuit, compiled, library, backend="numpy")
         result = engine.run(base_pairs, plan=plan, kernel_table=kernel_table,
@@ -446,12 +482,13 @@ class TestSelection:
                                 plan.pattern_indices, plan.voltages, None,
                                 None, 0.35)
         assert selected is None
-        # With the threshold effectively off, the same diff is accepted.
+        # With the threshold effectively off, the same job is accepted.
         selected = select_delta([result.base_arena], v1, v2,
                                 plan.pattern_indices, plan.voltages, None,
                                 None, 1.0)
         assert selected is not None
-        assert selected[1] >= 0.35
+        assert selected[1] == 0.5
+        assert selected[0].base_slot.tolist() == [0, 1, -1, -1]
 
     def test_voltage_eligibility(self, circuit, compiled, library,
                                  kernel_table):
@@ -551,55 +588,106 @@ class TestSelection:
         assert selected[0].base is second
 
 
+class TestPlanIsChecked:
+    """The engine refuses a plan mapping a slot onto a base slot it
+    does not match, naming the slot — the splice would answer it with
+    the base's waveforms."""
+
+    def captured(self, circuit, compiled, library, kernel_table,
+                 variation=None):
+        pairs = make_pairs(circuit, 3, seed=61)
+        plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
+        engine = make_engine(circuit, compiled, library, backend="numpy")
+        arena = engine.run(pairs, plan=plan, kernel_table=kernel_table,
+                           variation=variation, capture_base=True).base_arena
+        return engine, pairs, plan, arena
+
+    def test_a_different_stimulus_is_refused(self, circuit, compiled,
+                                             library, kernel_table):
+        engine, pairs, plan, arena = self.captured(circuit, compiled,
+                                                   library, kernel_table)
+        job = flip_bits(pairs, 1, seed=62)
+        changed = changed_patterns(pairs, job).pop()
+        identity = DeltaPlan(arena, np.arange(plan.num_slots,
+                                              dtype=np.int64))
+        slot = int(np.flatnonzero(plan.pattern_indices == changed)[0])
+        with pytest.raises(SimulationError, match=f"slot {slot} "):
+            engine.run(job, plan=plan, kernel_table=kernel_table,
+                       delta=identity)
+        # Unmapping the changed pattern's slots makes the plan sound.
+        base_slot = np.where(plan.pattern_indices == changed, -1,
+                             np.arange(plan.num_slots))
+        result = engine.run(job, plan=plan, kernel_table=kernel_table,
+                            delta=DeltaPlan(arena, base_slot))
+        assert_identical(circuit, engine.run(job, plan=plan,
+                                             kernel_table=kernel_table),
+                         result)
+
+    def test_a_different_voltage_is_refused(self, circuit, compiled, library,
+                                            kernel_table):
+        engine, pairs, plan, arena = self.captured(circuit, compiled,
+                                                   library, kernel_table)
+        # Slot 0 (0.6 V) mapped onto base slot 3 (pattern 0 at 0.8 V).
+        base_slot = np.arange(plan.num_slots, dtype=np.int64)
+        base_slot[0] = 3
+        with pytest.raises(SimulationError, match="slot 0 onto base slot 3"):
+            engine.run(pairs, plan=plan, kernel_table=kernel_table,
+                       delta=DeltaPlan(arena, base_slot))
+
+    def test_the_global_slot_counts_under_variation(
+            self, circuit, compiled, library, kernel_table):
+        variation = ProcessVariation(sigma=0.1, seed=5)
+        engine, pairs, plan, arena = self.captured(
+            circuit, compiled, library, kernel_table, variation)
+        # Two runs of one pattern at one supply: same stimulus and
+        # voltage, other die factors.
+        job_plan = SlotPlan.zip([0, 0], [0.6, 0.6])
+        swapped = DeltaPlan(arena, np.array([0, 0], dtype=np.int64))
+        with pytest.raises(SimulationError, match="slot 1 onto base slot 0"):
+            engine.run(pairs, plan=job_plan, kernel_table=kernel_table,
+                       variation=variation, delta=swapped)
+        # Without variation the global slot does not matter.
+        engine.run(pairs, plan=job_plan, kernel_table=kernel_table,
+                   delta=swapped)
+
+
 def select_delta_per_base(bases, v1, v2, pattern_indices, voltages,
                           global_slots, variation, threshold):
-    """The selection policy as a loop over the bases — the form
-    ``select_delta`` had before it diffed the whole ring in one
-    broadcast, kept as the oracle.  (A base without slots is skipped:
-    it can serve nothing, and ``argmin`` over no columns raises.)"""
+    """The exact-match selection policy as loops over bases, job slots
+    and base slots, kept as the oracle of the one-pass ``select_delta``.
+    Returns ``(base index, base_slot, frac)`` or ``None``."""
     width = v1.shape[1]
     if not bases or width == 0:
         return None
     pattern_indices = np.asarray(pattern_indices, dtype=np.int64)
-    pv1 = v1[pattern_indices]
-    pt = (v1 != v2)[pattern_indices]
-    num_slots = pv1.shape[0]
+    num_slots = pattern_indices.shape[0]
     voltages = np.asarray(voltages, dtype=np.float64)
     if global_slots is None:
         global_slots = np.arange(num_slots, dtype=np.int64)
-    unmatched = width + 1
     best = None
     for index, base in enumerate(bases):
         if base.v1.shape[1] != width or base.v1.shape[0] == 0:
             continue
-        bt = base.v1 != base.v2
-        diff = ((pv1[:, None, :] != base.v1[None, :, :])
-                | (pt[:, None, :] != bt[None, :, :])).sum(axis=2)
-        eligible = voltages[:, None] == base.voltages[None, :]
-        if variation is not None:
-            eligible &= (np.asarray(global_slots)[:, None]
-                         == base.global_slots[None, :])
-        cost = np.where(eligible, diff, unmatched)
-        slot_of = np.argmin(cost, axis=1)
-        slot_cost = cost[np.arange(num_slots), slot_of]
-        total = int(np.minimum(slot_cost, width).sum())
-        if best is None or total < best[0]:
-            best = (total, slot_of, slot_cost, index)
+        base_slot = np.full(num_slots, -1, dtype=np.int64)
+        for slot, pattern in enumerate(pattern_indices):
+            for row in range(base.v1.shape[0]):
+                if (np.array_equal(v1[pattern], base.v1[row])
+                        and np.array_equal(v2[pattern], base.v2[row])
+                        and voltages[slot] == base.voltages[row]
+                        and (variation is None or global_slots[slot]
+                             == base.global_slots[row])):
+                    base_slot[slot] = row
+                    break
+        unmapped = int((base_slot < 0).sum())
+        if best is None or unmapped < best[0]:
+            best = (unmapped, base_slot, index)
     if best is None:
         return None
-    total, slot_of, slot_cost, index = best
-    frac = total / float(num_slots * width)
+    unmapped, base_slot, index = best
+    frac = unmapped / float(num_slots)
     if frac >= threshold:
         return None
-    base = bases[index]
-    mapped = slot_cost <= width
-    base_slot = np.where(mapped, slot_of, -1).astype(np.int64)
-    changed = np.zeros((num_slots, width), dtype=bool)
-    rows = np.nonzero(mapped)[0]
-    cols = base_slot[rows]
-    changed[rows] = ((pv1[rows] != base.v1[cols])
-                     | (pt[rows] != (base.v1 != base.v2)[cols]))
-    return index, base_slot, changed, frac
+    return index, base_slot, frac
 
 
 def drawn_ring(seed, width, num_bases, monte_carlo):
@@ -655,8 +743,8 @@ def drawn_ring(seed, width, num_bases, monte_carlo):
 
 class TestSelectionOracle:
     """The one-pass ``select_delta`` against the per-base loop: same
-    base (first minimum), same slot map, same changed plane, same
-    fraction — bit for bit, including every tie."""
+    base (first minimum), same slot map, same fraction — bit for bit,
+    including every tie."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 100_000), width=st.integers(1, 6),
@@ -674,13 +762,11 @@ class TestSelectionOracle:
         if expected is None:
             assert got is None
             return
-        index, base_slot, changed, frac = expected
+        index, base_slot, frac = expected
         plan, got_frac = got
         assert plan.base is bases[index]
         assert plan.base_slot.dtype == np.int64
         assert plan.base_slot.tolist() == base_slot.tolist()
-        assert plan.changed_inputs.dtype == bool
-        assert np.array_equal(plan.changed_inputs, changed)
         assert got_frac == frac
 
     def test_draws_cover_the_hard_cases(self):
@@ -702,7 +788,7 @@ class TestSelectionOracle:
             if outcome is None:
                 seen.add("refused")
                 continue
-            index, base_slot, changed, frac = outcome
+            index, base_slot, frac = outcome
             seen.add("accepted")
             if (base_slot < 0).any() and (base_slot >= 0).any():
                 seen.add("partial map")

@@ -188,8 +188,7 @@ def test_engine_planes_share_one_index_and_crc(backend_name, record_all,
         backend=backend_name, record_all_nets=record_all))
     keys = engine._all_keys if record_all else engine._output_keys
     captured = engine.run(dense, kernel_table=kernel_table, capture_base=True)
-    splice = DeltaPlan(captured.base_arena, np.arange(3, dtype=np.int64),
-                       np.zeros((3, 8), dtype=bool))
+    splice = DeltaPlan(captured.base_arena, np.arange(3, dtype=np.int64))
     planes = [
         engine.run(dense, kernel_table=kernel_table).plane,
         engine.run(quiet, kernel_table=kernel_table).plane,
@@ -219,16 +218,15 @@ def segmented(library):
 
 def run_segmented(circuit, library, kernel_table, pairs, backend_name,
                   segments, config=(), **engine_kwargs):
-    """The same plane with and without ``segments``, everything
-    captured; returns ``(segmented result, plain result)``."""
+    """The same plane with and without ``segments``; returns
+    ``(segmented result, plain result)``."""
     def engine():
         return GpuWaveSim(circuit, library, config=SimulationConfig(
             backend=backend_name, prune_inactive=False, **dict(config)),
             **engine_kwargs)
 
-    ours = engine().run(pairs, kernel_table=kernel_table, capture_base=True,
-                        segments=segments)
-    plain = engine().run(pairs, kernel_table=kernel_table, capture_base=True)
+    ours = engine().run(pairs, kernel_table=kernel_table, segments=segments)
+    plain = engine().run(pairs, kernel_table=kernel_table)
     assert ours.plane.checksum() == plain.plane.checksum()
     return ours, plain
 
@@ -238,49 +236,42 @@ def run_segmented(circuit, library, kernel_table, pairs, backend_name,
 def test_segments_served_from_one_arena_part(backend_name, record_all,
                                              segmented, library,
                                              kernel_table):
-    from repro.service.cache import base_checksum
     from repro.simulation.grid import Segments
 
     circuit, pairs = segmented
-    segments = Segments([4, 0, 1, 6], captured=2)
+    segments = Segments([4, 0, 1, 6])
     ours, plain = run_segmented(
         circuit, library, kernel_table, pairs, backend_name, segments,
         config=dict(record_all_nets=record_all))
     assert ours.base_arena is None and len(ours.segments) == 4
     bounds = segments.bounds
-    for (plane, base), lo, hi, pinned in zip(
-            ours.segments, bounds, bounds[1:], [False, False, True, True]):
+    for plane, lo, hi in zip(ours.segments, bounds, bounds[1:]):
         slots = np.arange(lo, hi)
         assert plane.checksum() == plain.plane.take(slots).checksum()
         assert plane.layout_intact() and plane.num_slots == hi - lo
-        assert (base is not None) == pinned
-        if pinned:
-            assert base.plane.nets == plain.base_arena.plane.nets
-            assert base_checksum(base) == base_checksum(
-                plain.base_arena.take(slots))
-            assert not np.shares_memory(base.plane.times, plane.times)
-            assert not np.shares_memory(base.v1, plain.base_arena.v1)
+    for plane, other in zip(ours.segments, ours.segments[1:]):
+        assert not np.shares_memory(plane.times, other.times)
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_partitioned_plane_hands_back_no_segments(backend_name, segmented,
                                                   library, kernel_table):
     """Memory-budget batches drop the segments (the caller slices the
-    joined plane and capture, as without them); an overflow retry of
-    the whole batch keeps them."""
+    joined plane, as without them); an overflow retry of the whole
+    batch keeps them."""
     from repro.simulation.grid import Segments
 
     circuit, pairs = segmented
-    segments = Segments([5, 6], captured=1)
-    split, plain = run_segmented(circuit, library, kernel_table, pairs,
-                                 backend_name, segments, memory_budget=1)
+    segments = Segments([5, 6])
+    split, _ = run_segmented(circuit, library, kernel_table, pairs,
+                             backend_name, segments, memory_budget=1)
     assert split.segments is None
-    assert (split.base_arena.plane.checksum()
-            == plain.base_arena.plane.checksum())
-    regrown, _ = run_segmented(circuit, library, kernel_table, pairs,
-                               backend_name, segments,
-                               config=dict(waveform_capacity=2))
-    assert [base is not None for _, base in regrown.segments] == [False, True]
+    regrown, plain = run_segmented(circuit, library, kernel_table, pairs,
+                                   backend_name, segments,
+                                   config=dict(waveform_capacity=2))
+    assert [plane.checksum() for plane in regrown.segments] == [
+        plain.plane.take(np.arange(lo, hi)).checksum()
+        for lo, hi in zip(segments.bounds, segments.bounds[1:])]
 
 
 def test_segments_are_validated(segmented, library, kernel_table):
@@ -292,9 +283,7 @@ def test_segments_are_validated(segmented, library, kernel_table):
     with pytest.raises(SimulationError, match="cover"):
         engine.run(pairs, kernel_table=kernel_table, segments=Segments([5, 5]))
     with pytest.raises(SimulationError, match="capture_base"):
-        engine.run(pairs, kernel_table=kernel_table,
-                   segments=Segments([5, 6], captured=1))
-    with pytest.raises(ValueError):
-        Segments([5, 6], captured=3)
+        engine.run(pairs, kernel_table=kernel_table, capture_base=True,
+                   segments=Segments([5, 6]))
     with pytest.raises(ValueError):
         Segments([5, -1])

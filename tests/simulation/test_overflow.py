@@ -7,8 +7,8 @@ capacity it started at:
 
 * planes — from a poisoned arena pool — equal a capacity-128 run and
   the event-driven reference, over every lowering (dense, lane-tracked,
-  mixed with quiet slots, cone-seeded, several memory-budget batches,
-  segmented with a captured base) on every backend,
+  mixed with quiet slots, simulated beside spliced slots, several
+  memory-budget batches, segmented) on every backend,
 * ``gate_evaluations`` / ``lanes_skipped`` / ``lanes_spliced`` count
   every lane of the answer once: each equals the capacity-128 run's and
   they sum to ``gates × slots``; the discarded work shows as ``retries``
@@ -39,12 +39,13 @@ from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import Segments, SlotPlan
 from repro.simulation.variation import ProcessVariation
 from tests.simulation.test_plane import assert_same_plane, make_pairs
-from tests.simulation.test_walk import launch, start_arena, walk
+from tests.simulation.test_walk import launch, start_arena
 
 INF = np.inf
 VOLTAGES = (0.6, 0.9)
 ROOMY = 128
-LOWERINGS = ("dense", "tracked", "mixed", "cone", "multi_batch", "segmented")
+LOWERINGS = ("dense", "tracked", "mixed", "partial_splice", "multi_batch",
+             "segmented")
 
 needs_cext = pytest.mark.skipif("cext" not in available_backends(),
                                 reason="cext backend not loadable")
@@ -100,8 +101,9 @@ def poisoned_run(engine, pairs, plan, **kwargs):
 def run_lowering(lowering, capacity, circuit, compiled, library, table, pairs,
                  plan, record_all, backend, rng):
     """One run of ``lowering`` starting at ``capacity``; returns
-    ``(engine, result, stimuli simulated)``.  A cone run splices a base
-    captured at :data:`ROOMY`, so its base waveforms may not fit."""
+    ``(engine, result, stimuli simulated, the slots simulated)``.  A
+    partial splice flips every other pattern of a base captured at
+    :data:`ROOMY` and splices the rest, whose waveforms may not fit."""
     def engine_at(capacity):
         return GpuWaveSim(
             circuit, library, compiled=compiled,
@@ -113,16 +115,17 @@ def run_lowering(lowering, capacity, circuit, compiled, library, table, pairs,
 
     engine = engine_at(capacity)
     extra = {}
+    simulated = plan
     if lowering == "segmented":
-        sizes = [2, 0, plan.num_slots - 3, 1]
-        extra = dict(segments=Segments(sizes, captured=2), capture_base=True)
-    elif lowering == "cone":
+        extra = dict(segments=Segments([2, 0, plan.num_slots - 3, 1]))
+    elif lowering == "partial_splice":
         base = engine_at(ROOMY).run(pairs, plan=plan, kernel_table=table,
                                     capture_base=True).base_arena
         flipped = []
-        for pair in pairs:
+        for index, pair in enumerate(pairs):
             v2 = pair.v2.copy()
-            v2[rng.integers(v2.size)] ^= 1
+            if index % 2:
+                v2[rng.integers(v2.size)] ^= 1
             flipped.append(PatternPair(pair.v1, v2))
         pairs = flipped
         selected = select_delta(
@@ -131,8 +134,9 @@ def run_lowering(lowering, capacity, circuit, compiled, library, table, pairs,
             plan.voltages, None, None, 0.99)
         assert selected is not None
         extra = dict(delta=selected[0])
+        simulated = plan.take(np.flatnonzero(selected[0].base_slot < 0))
     return engine, poisoned_run(engine, pairs, plan, kernel_table=table,
-                                **extra), pairs
+                                **extra), pairs, simulated
 
 
 #: A circuit deep enough for rows above two, three and four toggles
@@ -169,16 +173,16 @@ def test_results_do_not_depend_on_the_starting_capacity(
     rng = np.random.default_rng(seed)
     if lowering == "tracked":
         kinds = ["single"] * len(kinds)
-    elif lowering in ("dense", "cone", "segmented"):
+    elif lowering in ("dense", "partial_splice", "segmented"):
         kinds = ["dense"] * len(kinds)
     pairs = make_pairs(num_inputs, kinds, rng)
     plan = SlotPlan.cross(len(pairs), VOLTAGES)
     state = rng.bit_generator.state
-    engine, tight, simulated = run_lowering(
+    engine, tight, simulated, run_plan = run_lowering(
         lowering, capacity, circuit, compiled, library, kernel_table, pairs,
         plan, record_all, backend, rng)
     rng.bit_generator.state = state          # the same flips, if any
-    roomy_engine, roomy, pairs = run_lowering(
+    roomy_engine, roomy, pairs, _ = run_lowering(
         lowering, ROOMY, circuit, compiled, library, kernel_table, pairs,
         plan, record_all, backend, rng)
     assert all(np.array_equal(ours.v2, theirs.v2)
@@ -200,14 +204,9 @@ def test_results_do_not_depend_on_the_starting_capacity(
             assert got.times.tolist() == wave.times.tolist(), (slot, net)
     if lowering == "segmented":
         assert len(tight.segments) == len(roomy.segments) == 4
-        for (plane, base), (roomy_plane, roomy_base) in zip(tight.segments,
-                                                             roomy.segments):
+        for plane, roomy_plane in zip(tight.segments, roomy.segments):
             assert_same_plane(plane, roomy_plane)
             assert plane.layout_intact()
-            assert (base is None) == (roomy_base is None)
-            if base is not None:
-                assert_same_plane(base.plane, roomy_base.plane)
-                assert not np.shares_memory(base.plane.times, plane.times)
 
     # Counters: every lane of the answer once, whatever overflowed.
     stats, roomy_stats = engine.last_stats, roomy_engine.last_stats
@@ -218,12 +217,10 @@ def test_results_do_not_depend_on_the_starting_capacity(
     assert tight.gate_evaluations == roomy.gate_evaluations
     assert roomy_stats.retries == roomy_stats.slots_retried == 0
 
-    # The discarded work, and only it, shows as retries.
-    if lowering != "cone":
-        # (Outside a cone lanes are seeded, not merged: what flags a
-        # slot there is a row of the *base* that does not fit.)
-        assert stats.slots_retried == ladder_retries(
-            compiled, kernel_table, pairs, plan, capacity)
+    # The discarded work, and only it, shows as retries: the simulated
+    # slots' (a spliced slot never walks the arena).
+    assert stats.slots_retried == ladder_retries(
+        compiled, kernel_table, pairs, run_plan, capacity)
     assert (stats.retries > 0) == (stats.slots_retried > 0)
     event(f"retried: {stats.retries > 0}")   # --hypothesis-show-statistics
     assert (stats.capacity_used > capacity) == (stats.retries > 0)
@@ -262,21 +259,18 @@ def test_the_draws_above_do_overflow(backend, library, kernel_table):
 @example(seed=3, num_inputs=6, num_gates=40, kinds=["single", "dense", "quiet",
                                                     "single", "dense"],
          variation=True, capacity=2, mode="grow")
-@example(seed=3, num_inputs=6, num_gates=40, kinds=["dense"] * 4,
-         variation=False, capacity=3, mode="seed")
 @given(seed=st.integers(0, 10_000), num_inputs=st.integers(4, 8),
        num_gates=st.integers(20, 70),
        kinds=st.lists(st.sampled_from(["dense", "single", "quiet"]),
                       min_size=2, max_size=9),
        variation=st.booleans(), capacity=st.sampled_from([1, 2, 3, 4]),
-       mode=st.sampled_from(["none", "grow", "seed"]))
+       mode=st.sampled_from(["none", "grow"]))
 def test_native_walk_flags_what_the_reference_flags(
         seed, num_inputs, num_gates, kinds, variation, capacity, mode,
         library, kernel_table):
     """Both walks from one start state: the same flagged slots, counts
     and — the quiet-row rule being the same rule — the same arena and
-    mask, flagged columns included.  A seeded walk arrives with the
-    slots whose base rows do not fit already flagged, and keeps them."""
+    mask, flagged columns included."""
     circuit = random_circuit("flags", num_inputs, num_gates, seed=seed)
     compiled = compile_circuit(circuit, library)
     plans = compiled.plans()
@@ -300,49 +294,28 @@ def test_native_walk_flags_what_the_reference_flags(
 
     arena = start_arena(compiled, first, toggles, capacity, rng)
     mask = None
-    flags = np.zeros(num_slots, dtype=np.uint8)
     if mode == "grow":
         mask = np.zeros(arena[1].shape, dtype=bool)
         mask[compiled.input_net_ids] = toggles.T
-    elif mode == "seed":
-        roomy = start_arena(compiled, first, toggles, 32, rng)
-        base, times, initial, _ = walk(native, plans, roomy, slot_to_v,
-                                       factors, 32, source, None, False)
-        assert not base.overflow_slots.any()
-        fits = np.isfinite(times).sum(axis=2).max(axis=0) <= capacity
-        flags[~fits] = 1
-        times = np.ascontiguousarray(times[:, :, :capacity])
-        times[:, ~fits] = INF
-        flips = np.zeros(first.shape, dtype=bool)
-        flips[np.arange(num_slots),
-              rng.integers(num_inputs, size=num_slots)] = True
-        changed, inverse = np.unique(flips, axis=0, return_inverse=True)
-        mask = np.ascontiguousarray(
-            plans.input_cones(compiled, changed)[:, inverse.reshape(-1)])
-        times[mask] = INF
-        launch(compiled, times, initial, first, toggles ^ flips)
-        arena = (times, initial)
 
     outcomes = []
     for backend in (native, reference):
         times, initial = (array.copy() for array in arena)
         own_mask = None if mask is None else mask.copy()
-        own_flags = flags.copy()
+        own_flags = np.zeros(num_slots, dtype=np.uint8)
         result = backend.run_levels(
             plans, times, initial, slot_to_v, factors, capacity, True,
-            mask=own_mask, grow=mode == "grow", overflow_slots=own_flags,
-            **source)
+            mask=own_mask, overflow_slots=own_flags, **source)
         assert result.overflow_slots is own_flags
         outcomes.append((result, times, initial, own_mask))
     ours, theirs = outcomes
     np.testing.assert_array_equal(ours[0].overflow_slots,
                                   theirs[0].overflow_slots)
-    assert np.all(ours[0].overflow_slots[flags.astype(bool)])
     for count in ("lanes", "lanes_skipped", "kernel_calls", "overflow_lanes"):
         assert getattr(ours[0], count) == getattr(theirs[0], count), count
     assert (ours[0].lanes + ours[0].lanes_skipped
             == compiled.num_gates * num_slots)
-    if (ours[0].overflow_slots > flags).any():
+    if ours[0].overflow_slots.any():
         assert ours[0].overflow_lanes > 0
     np.testing.assert_array_equal(ours[1], theirs[1])
     np.testing.assert_array_equal(ours[2], theirs[2])

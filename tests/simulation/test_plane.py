@@ -2,7 +2,8 @@
 
 Whatever path a run takes — dense, lane-tracked, quiet / slot-compacted,
 several memory-budget batches, an overflow retry, a full delta splice or
-a delta cone, a precomputed delay table in place of the polynomial
+a partial one mixing spliced and simulated slots in one batch, a
+precomputed delay table in place of the polynomial
 kernels, recording all nets or only the outputs, on every available
 backend — the result is one :class:`WaveformPlane`, and on it
 
@@ -42,7 +43,7 @@ from repro.waveform.plane import WaveformPlane
 from repro.waveform.waveform import Waveform
 
 MODES = ("dense", "tracked", "compacted", "multi_batch", "overflow",
-         "splice", "cone", "lut")
+         "splice", "partial_splice", "lut")
 VOLTAGES = (0.6, 0.9)
 
 
@@ -95,20 +96,21 @@ def run_mode(mode, circuit, compiled, library, table, pairs, plan,
         extra["memory_budget"] = 1          # floor: 4 slots per batch
     engine = GpuWaveSim(circuit, library, compiled=compiled,
                         config=SimulationConfig(**config), **extra)
-    if mode not in ("splice", "cone"):
+    if mode not in ("splice", "partial_splice"):
         return engine, poisoned_run(engine, pairs, plan,
                                     kernel_table=table), pairs
     base = poisoned_run(engine, pairs, plan, kernel_table=table,
                         capture_base=True).base_arena
     if mode == "splice":
-        delta = DeltaPlan(
-            base, np.arange(plan.num_slots, dtype=np.int64),
-            np.zeros((plan.num_slots, len(circuit.inputs)), dtype=bool))
+        delta = DeltaPlan(base, np.arange(plan.num_slots, dtype=np.int64))
     else:
+        # Every other pattern flipped: one batch mixes spliced and
+        # simulated slots over the poisoned arena.
         flipped = []
-        for pair in pairs:
+        for index, pair in enumerate(pairs):
             v2 = pair.v2.copy()
-            v2[rng.integers(v2.size)] ^= 1
+            if index % 2:
+                v2[rng.integers(v2.size)] ^= 1
             flipped.append(PatternPair(pair.v1, v2))
         pairs = flipped
         selected = select_delta(
@@ -123,8 +125,10 @@ def run_mode(mode, circuit, compiled, library, table, pairs, plan,
     lanes = compiled.num_gates * plan.num_slots
     assert (stats.gate_evaluations + stats.lanes_spliced
             + stats.lanes_skipped) == lanes
-    if mode == "splice":
-        assert stats.lanes_spliced == lanes
+    mapped = int((delta.base_slot >= 0).sum())
+    assert stats.lanes_spliced == compiled.num_gates * mapped
+    assert mapped == (plan.num_slots if mode == "splice"
+                      else int((plan.pattern_indices % 2 == 0).sum()))
     return engine, result, pairs
 
 
@@ -180,7 +184,7 @@ def test_plane_backed_result(seed, num_inputs, num_gates, kinds, mode,
     rng = np.random.default_rng(seed)
     if mode == "tracked":
         kinds = ["single"] * len(kinds)
-    elif mode in ("dense", "overflow", "cone"):
+    elif mode in ("dense", "overflow", "partial_splice"):
         kinds = ["dense"] * len(kinds)
     pairs = make_pairs(num_inputs, kinds, rng)
     plan = SlotPlan.cross(len(pairs), VOLTAGES)

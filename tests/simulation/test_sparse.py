@@ -253,26 +253,30 @@ class TestStatsDeterminism:
         assert 0.0 < sparse.active_fraction < 1.0
 
 
+#: Reset rows that name every net row of an arena.
+ALL = slice(None)
+
+
 class TestArenaPool:
     def test_buffers_reused_across_acquires(self):
         pool = _ArenaPool()
-        t1, i1 = pool.acquire(10, 4, 8)
+        t1, i1 = pool.acquire(10, 4, 8, ALL)
         assert t1.shape == (10, 4, 8) and i1.shape == (10, 4)
         assert np.all(np.isinf(t1)) and np.all(i1 == 0)
         t1[3, 2, 1] = 7.5
         i1[3, 2] = 1
-        t2, i2 = pool.acquire(10, 4, 8)
+        t2, i2 = pool.acquire(10, 4, 8, ALL)
         # Same backing memory, reset in place.
         assert t2.base is t1.base or t2 is t1
         assert np.all(np.isinf(t2)) and np.all(i2 == 0)
 
     def test_growth_and_shrink(self):
         pool = _ArenaPool()
-        small_t, _ = pool.acquire(4, 2, 2)
-        big_t, big_i = pool.acquire(16, 8, 4)
+        small_t, _ = pool.acquire(4, 2, 2, ALL)
+        big_t, big_i = pool.acquire(16, 8, 4, ALL)
         assert big_t.shape == (16, 8, 4)
         assert np.all(np.isinf(big_t)) and np.all(big_i == 0)
-        again_t, again_i = pool.acquire(4, 2, 2)
+        again_t, again_i = pool.acquire(4, 2, 2, ALL)
         assert again_t.shape == (4, 2, 2)
         assert np.all(np.isinf(again_t)) and np.all(again_i == 0)
 
@@ -283,13 +287,13 @@ class TestArenaPool:
         import weakref
 
         pool = _ArenaPool()
-        times, _ = pool.acquire(6, 3, 4)
+        times, _ = pool.acquire(6, 3, 4, ALL)
         assert isinstance(pool._times.base.obj, mmap.mmap)
         assert times.flags.writeable and times.flags.c_contiguous
         times[5, 2, 3] = 1.25
         assert pool._times[6 * 3 * 4 - 1] == 1.25
         gone = weakref.ref(pool._times)
-        pool.acquire(60, 30, 4)  # regrow: the old mapping has no owner
+        pool.acquire(60, 30, 4, ALL)  # regrow: the old mapping has no owner
         del times
         assert gone() is None
 

@@ -6,8 +6,7 @@ gate-major walk of the cext backend, which reads and grows the activity
 mask itself.  One generative property holds the second to the first —
 bit for bit on the arena, the mask and every returned count — over
 drawn circuits, stimuli, voltage planes, delay sources, Monte-Carlo
-factors, capacities and the three mask modes (none, growing, static
-over a seed).  Hand-built levels then put every chunk-boundary shape
+factors, capacities and both mask modes (none, growing).  Hand-built levels then put every chunk-boundary shape
 and every arity body of the C walk against the scalar ``merge_single``
 oracle.
 """
@@ -39,9 +38,9 @@ needs_cext = pytest.mark.skipif("cext" not in available_backends(),
 
 
 def start_arena(compiled, first, toggles, capacity, rng):
-    """What ``GpuWaveSim._execute`` hands an unseeded walk: a pooled
-    arena still holding finite garbage in every gate-output row, the
-    undriven rows reset and the stimuli launched."""
+    """What ``GpuWaveSim._execute`` hands a walk: a pooled arena still
+    holding finite garbage in every gate-output row, the undriven rows
+    reset and the stimuli launched."""
     num_slots = first.shape[0]
     shape = (compiled.num_nets + 1, num_slots, capacity)
     times = rng.uniform(1e-15, 1e-12, size=shape)
@@ -59,19 +58,17 @@ def launch(compiled, times, initial, first, toggles):
     times[compiled.input_net_ids, :, 0] = np.where(toggles.T, LAUNCH_TIME, INF)
 
 
-def walk(backend, plans, arena, slot_to_v, factors, capacity, source, mask,
-         grow):
+def walk(backend, plans, arena, slot_to_v, factors, capacity, source, mask):
     """One ``run_levels`` call on private copies; returns the result
     and everything the call may have written."""
     times, initial = (array.copy() for array in arena)
     mask = None if mask is None else mask.copy()
     result = backend.run_levels(plans, times, initial, slot_to_v, factors,
-                                capacity, True, mask=mask, grow=grow,
-                                **source)
+                                capacity, True, mask=mask, **source)
     return result, times, initial, mask
 
 
-def assert_walks_agree(compiled, table, first, toggles, flips, voltages,
+def assert_walks_agree(compiled, table, first, toggles, voltages,
                        factors, capacity, delay_source, mode, rng):
     """Native and reference ``run_levels`` from the same start state."""
     native = resolve_backend("cext")
@@ -95,24 +92,11 @@ def assert_walks_agree(compiled, table, first, toggles, flips, voltages,
     if mode == "grow":
         mask = np.zeros(arena[1].shape, dtype=bool)
         mask[compiled.input_net_ids] = toggles.T
-    elif mode == "seed":
-        # A base run, then a static cone over its arena: cone rows
-        # start empty, every other row keeps the base's waveform.
-        base, times, initial, _ = walk(native, plans, arena, slot_to_v,
-                                       factors, capacity, source, None, False)
-        if base.overflow_lanes:
-            return
-        changed, inverse = np.unique(flips, axis=0, return_inverse=True)
-        mask = np.ascontiguousarray(
-            plans.input_cones(compiled, changed)[:, inverse])
-        times[mask] = INF
-        launch(compiled, times, initial, first, toggles ^ flips)
-        arena = (times, initial)
 
     ours = walk(native, plans, arena, slot_to_v, factors, capacity, source,
-                mask, mode == "grow")
+                mask)
     theirs = walk(reference, plans, arena, slot_to_v, factors, capacity,
-                  source, mask, mode == "grow")
+                  source, mask)
     for field in ("lanes", "lanes_skipped", "kernel_calls", "overflow_lanes"):
         assert getattr(ours[0], field) == getattr(theirs[0], field), field
     if ours[0].overflow_lanes:         # the arena is unspecified
@@ -123,8 +107,6 @@ def assert_walks_agree(compiled, table, first, toggles, flips, voltages,
     np.testing.assert_array_equal(ours[2], theirs[2])
     if mask is not None:
         np.testing.assert_array_equal(ours[3], theirs[3])
-        if mode == "seed":
-            np.testing.assert_array_equal(ours[3], mask)
 
 
 def drawn_walk(seed, num_inputs, num_gates, kinds, num_supplies, variation,
@@ -139,13 +121,11 @@ def drawn_walk(seed, num_inputs, num_gates, kinds, num_supplies, variation,
             toggles[slot] = rng.integers(0, 2, size=num_inputs).astype(bool)
         elif kind == "single":
             toggles[slot, rng.integers(num_inputs)] = True
-    flips = np.zeros(first.shape, dtype=bool)
-    flips[np.arange(len(kinds)), rng.integers(num_inputs, size=len(kinds))] = True
     voltages = (np.full(len(kinds), 0.8) if delay_source == "static"
                 else rng.choice(SUPPLIES[:num_supplies], size=len(kinds)))
     factors = (ProcessVariation(sigma=0.1, seed=seed).factors(
         compiled.num_gates, np.arange(len(kinds))) if variation else None)
-    assert_walks_agree(compiled, table, first, toggles, flips, voltages,
+    assert_walks_agree(compiled, table, first, toggles, voltages,
                        factors, capacity, delay_source, mode, rng)
 
 
@@ -160,7 +140,6 @@ PINNED = dict(seed=3, num_inputs=6, num_gates=40,
 
 @needs_cext
 @example(**PINNED)
-@example(**{**PINNED, "mode": "seed"})
 @example(**{**PINNED, "mode": "none", "delay_source": "table"})
 @example(**{**PINNED, "capacity": 1, "delay_source": "static"})
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -172,7 +151,7 @@ PINNED = dict(seed=3, num_inputs=6, num_gates=40,
        num_supplies=st.integers(1, 3), variation=st.booleans(),
        capacity=st.sampled_from([1, 2, 4, 16]),
        delay_source=st.sampled_from(["poly", "table", "static"]),
-       mode=st.sampled_from(["none", "grow", "seed"]))
+       mode=st.sampled_from(["none", "grow"]))
 def test_native_walk_matches_reference(seed, num_inputs, num_gates, kinds,
                                        num_supplies, variation, capacity,
                                        delay_source, mode, library,
@@ -182,9 +161,9 @@ def test_native_walk_matches_reference(seed, num_inputs, num_gates, kinds,
 
 
 MUTANTS = {
-    # A skipped lane of a growing walk leaves its row as it found it.
+    # A skipped lane of a masked walk leaves its row as it found it.
     "no-inf-row": ("for (int64_t d = 0; d < cap; d++) out[d] = INFINITY;\n"
-                   "                mask[out_net + slot] = 0;",
+                   "            mask[out_net + slot] = 0;",
                    "mask[out_net + slot] = 0;"),
     # A dispatched lane whose toggles all cancelled stays active.
     "depth>=0": ("mask[out_net + slot] = depth > 0;",
@@ -323,7 +302,7 @@ def test_merge_kernel_shares_the_lane_body(pins, out_capacity):
 
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_masked_overflow_flags_the_slot_and_walks_on(backend_name, library):
-    """A growing walk that overflows flags the slots it happened in and
+    """A masked walk that overflows flags the slots it happened in and
     still walks every level: the healthy columns equal the unmasked
     arena, the flagged ones are garbage with well-formed rows, and the
     retry of the flagged slots alone at a capacity that fits reproduces
@@ -346,7 +325,7 @@ def test_masked_overflow_flags_the_slot_and_walks_on(backend_name, library):
         mask[compiled.input_net_ids] = toggles[slots].T
         width = arena[1].shape[1]
         return walk(backend, plans, arena, np.zeros(width, dtype=np.int64),
-                    None, capacity, {}, mask, True), arena
+                    None, capacity, {}, mask), arena
 
     (tight, times, initial, mask), _ = grown(2)
     flagged = np.flatnonzero(tight.overflow_slots)
@@ -360,7 +339,7 @@ def test_masked_overflow_flags_the_slot_and_walks_on(backend_name, library):
     assert not roomy.overflow_slots.any()
     dense, dense_times, dense_initial, _ = walk(
         backend, plans, arena, np.zeros(num_slots, dtype=np.int64), None, 16,
-        {}, None, False)
+        {}, None)
     assert roomy.lanes + roomy.lanes_skipped == dense.lanes
     np.testing.assert_array_equal(times[:, healthy],
                                   dense_times[:, healthy, :2])
