@@ -111,7 +111,7 @@ class ParameterSpace:
                   & (voltages <= self.v_max + VOLTAGE_TOLERANCE))
         if not inside.all():
             raise ParameterError(
-                f"supply {float(voltages[~inside].flat[0]):g} V is outside the "
+                f"supply {float(voltages[~inside].flat[0]):.10g} V is outside the "
                 f"characterized box [{self.v_min:g}, {self.v_max:g}] V")
         return point
 

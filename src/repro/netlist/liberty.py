@@ -67,14 +67,12 @@ def write_liberty(
     Delay values come from the fitted polynomial kernels (Eq. 9), i.e.
     the view is exactly what the simulator would compute — which is the
     point: one characterization feeds arbitrarily many Liberty corners.
+    A voltage outside the characterized box raises
+    :class:`~repro.errors.ParameterError` (``ParameterSpace.require``).
     """
     space = characterization.space
     voltage = space.v_nom if voltage is None else voltage
-    if not space.v_min <= voltage <= space.v_max:
-        raise ParseError(
-            f"voltage {voltage} outside characterized range "
-            f"[{space.v_min}, {space.v_max}]"
-        )
+    space.require(voltage)
     loads = space.load_grid(table_points)
     load_text = ", ".join(f"{c / FF:.4g}" for c in loads)
 

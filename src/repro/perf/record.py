@@ -8,15 +8,16 @@ threshold.  The JSON record (``BENCH_kernels.json``) is committed to the
 repository so the perf trajectory is inspectable per commit, and CI
 uploads a fresh record as an artifact on every push.
 
-Report schema (version 1)::
+Report schema (version 2)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "recorded_unix": <float>,
       "machine": {"platform": ..., "python": ..., "numpy": ...,
                   "cpu_count": ..., "backends": {name: "ok" | reason}},
       "benchmarks": [
-        {"name": ..., "backend": ..., "wall_seconds": ...,
+        {"name": ..., "backend": ..., "wall_seconds": median(walls),
+         "walls": [per-pair wall, ...],
          "gate_evals_per_second": ..., "params": {...}},
         ...
       ],
@@ -27,91 +28,55 @@ Report schema (version 1)::
       "incremental_speedups": {scenario: {backend: full_wall / delta_wall}},
       "closed_loop_speedups": {backend: full_wall / delta_wall},
       "parametric_ratios": {circuit: {backend: parametric_wall / static_wall}},
+      "ratio_quartiles": {section: {<same keys>: [q1, median, q3]}},
       "characterization_speedups": {"evaluation_ratio": ...,
                                     "warm_cache_evaluations": ..., ...},
       "faults_disabled_overhead": {backend: seam_cost_fraction_of_e2e_wall},
       "setup_scaling": {"<circuit>_x<scale>": engine_construction_us_per_gate}
     }
 
-The low-activity scenario (``e2e_*_lowact_{sparse,dense}``) runs the
-same stimulus — mostly quiet pattern pairs — once with activity pruning
-and once dense; ``pruning_speedups`` records the end-to-end win of
-skipping quiet lanes.
+Every wall is timed one way, by :func:`_time_pairs`: each flow of a
+scenario runs once untimed, then :data:`PAIRS` pairs
+(:data:`PAIRS_QUICK` with ``--quick``) run every flow once, the order
+flipping every pair, so machine drift hits both sides of a ratio alike.
+An entry's ``wall_seconds`` is the median of its ``walls``.  A record
+without ``walls`` (schema 1, best-of walls) reads as one pair of its
+``wall_seconds``, so it still serves as a baseline.
 
-The service scenario (``service_throughput_{sequential,batched}``) runs
-the same fine-grained jobs once as per-job ``GpuWaveSim.run`` calls and
-once through :class:`repro.service.SimulationService` (result cache
-disabled); ``service_speedups`` records the dynamic-batching win of
-coalescing small jobs into one shared slot plane.
+The seven ratio sections come from one table, :data:`RATIOS`: each row
+names a section, the entry pair it divides and the keys it files the
+ratio under.  A ratio is taken per pair index (the i-th wall of the
+numerator over the i-th wall of the denominator); the section holds
+the median and ``ratio_quartiles`` the ``[q1, median, q3]`` under the
+same keys.  The scenarios behind them (details in each ``bench_*``):
 
-The service-scaling scenario (``service_scaling_{inproc,shardsN}``)
-runs the same job stream through the in-process service and through
-``ServiceConfig(shards=N)`` worker processes, whose control pipes
-carry each batch's stimuli and result plane; ``service_scaling``
-records the wall ratio per shard count.  Interpret it against
-``machine.cpu_count``: without spare cores the ratio prices the
-multi-process transport overhead rather than a parallelism win.
+* ``e2e_*_lowact_{sparse,dense}`` — one mostly quiet stimulus with and
+  without activity pruning (``pruning_speedups``);
+* ``service_throughput_{sequential,batched}`` — small jobs as per-job
+  engine runs and through the batching service, result cache off
+  (``service_speedups``);
+* ``service_scaling_{inproc,shardsN}`` — one job stream through the
+  in-process service and through N shard processes
+  (``service_scaling``).  Read it against ``machine.cpu_count``:
+  without spare cores it prices the transport, not a parallelism win;
+* ``incremental_{voltage_sweep,stimulus}_{full,delta}`` — near-duplicate
+  jobs re-simulated in full and through the delta path against a
+  captured base arena (``incremental_speedups``);
+* ``avfs_closed_loop_{full,delta}`` — one AVFS control trajectory with
+  and without base-arena splicing, asserted bit-identical
+  (``closed_loop_speedups``);
+* ``e2e_b17_wide_{static,parametric}`` — the paper's Table I
+  "negligible overhead" claim on a :data:`RATIO_SLOTS`-slot plane,
+  where the Horner cost can show (``parametric_ratios``).
 
-``parametric_ratios`` tracks the cost of voltage-adaptive
-delays relative to static delays per backend — the paper's Table I
-"negligible overhead" claim.  It is taken from the wide-plane pair
-(``e2e_b17_wide_{static,parametric}``, :data:`RATIO_SLOTS` slots at one
-supply): on the narrow e2e planes a run is ~1 ms of per-call overhead
-and the Horner cost cannot show.  The gate fails when the ratio
-degrades beyond the threshold against the baseline, or exceeds the
-absolute :data:`PARAMETRIC_RATIO_CEILING` of its backend.
-
-The incremental scenario (``incremental_{voltage_sweep,stimulus}_
-{full,delta}``) replays near-duplicate jobs against a captured base
-arena: a voltage sweep with one of 16 operating points moved, and a
-stimulus perturbation flipping 1 in 32 input bits.  ``incremental_
-speedups`` records wall(full re-sim) / wall(delta path, including the
-``select_delta`` match) — the win of splicing the slots that match the
-base exactly and simulating only the others.
-
-The closed-loop scenario (``avfs_closed_loop_{full,delta}``) plays one
-AVFS control trajectory (:class:`repro.avfs.loop.ClosedLoopRunner`,
-constant droop, convergence disabled) once with full re-simulation every
-iteration and once with base-arena splicing on; both trajectories are
-asserted bit-identical and ``closed_loop_speedups`` records the wall
-ratio — the payoff of incremental re-simulation inside a feedback loop
-that keeps revisiting the settled operating point.
-
-The characterization scenario (``characterization_{fixed,adaptive,
-warm_cache}``) characterizes the cell library once on the fixed 12×9
-SPICE grid, once with the error-driven adaptive sampler, and once
-against a warm coefficient cache.  ``characterization_speedups``
-records the SPICE-evaluation ratio, the worst fit error of both flows
-against the fixed grid's bilinear reference (the Fig. 4/5 yardstick),
-the warm-cache evaluation count, and the wall account: ``wall_speedup``
-(fixed wall / adaptive wall, below 1 against the analytical stand-in)
-and ``break_even_us_per_evaluation`` — the SPICE cost per evaluation
-above which the evaluations saved pay for the extra fitting — each the
-median over alternating timed pairs, with its quartiles.  Three of
-its gates are absolute and machine-independent (like the fault-seam
-gate): the adaptive flow must spend at least
-:data:`CHARZ_EVAL_RATIO_FLOOR`× fewer evaluations, keep
-its worst error within ``max(fixed × CHARZ_ERROR_FACTOR,
-CHARZ_ERROR_FLOOR)``, and the warm-cache pass must perform **zero**
-SPICE evaluations.
-
-The fault-seam scenario (``fault_seams_e2e``) prices a single crossing
-of the *disabled* ``repro.faults.trip`` path, counts how many crossings
-one end-to-end run performs, and records the projected fraction of wall
-time in ``faults_disabled_overhead`` — the proof that leaving the
-fault-injection seams compiled into production paths is free.  Unlike
-the wall-time gates this one is absolute: the gate fails when any
-backend's fraction exceeds :data:`FAULT_OVERHEAD_CEILING`.
-
-The set-up scenario (``setup_<circuit>_x<scale>``) times a cold
-``GpuWaveSim(circuit, library)`` — validation, load extraction, nominal
-annotation and compilation of a circuit no cache has seen — at the four
-sizes of :data:`SETUP_SIZES`; ``setup_scaling`` records it in µs per
-gate, the number to hold against the paper's "set-up stays in seconds"
-at 1 M nodes (EXPERIMENTS.md, "Setup/runtime notes").
-
-Wall times are best-of-N (minimum over repeats) — the standard way to
-suppress scheduler noise in micro-benchmarks.
+Three sections are not rows of that table: ``characterization_
+speedups`` (fixed-grid vs adaptive vs warm-cache characterization:
+SPICE evaluations, worst fit error, and the per-pair wall ratio and
+break-even), ``faults_disabled_overhead`` (the projected cost of the
+disabled fault seams in one e2e run) and ``setup_scaling`` (cold
+``GpuWaveSim`` construction in µs per gate, against the paper's
+"set-up stays in seconds" at 1 M nodes).  :func:`compare_reports`
+lists every gate and its kind.
 """
 
 from __future__ import annotations
@@ -120,10 +85,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from contextlib import ExitStack
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,8 +126,15 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_OUTPUT = "BENCH_kernels.json"
+
+#: Timed pairs behind every wall, after one warm-up run of each flow
+#: (``--quick``: PAIRS_QUICK).  One best-of wall per flow did not survive
+#: unchanged code: twelve records of one tree read a delta/full ratio
+#: anywhere from 0.86 to 1.40.
+PAIRS = 5
+PAIRS_QUICK = 3
 
 #: A benchmark is a regression when its wall time exceeds the baseline
 #: by more than this factor.
@@ -257,11 +232,6 @@ INCR_FLIP_ONE_IN = 32
 #: ratios and hold on the subset too.
 CHARZ_FAMILIES_QUICK = ("INV", "NAND2", "NOR2", "BUF")
 CHARZ_PARITY_GRID = 64
-#: Alternating fixed/adaptive timed pairs behind the characterization
-#: wall ratios (after one warm-up of each flow): one best-of wall per
-#: flow read 5.0, 3.06 and 6.34 us of break-even on unchanged code.
-CHARZ_PAIRS = 5
-CHARZ_PAIRS_QUICK = 3
 #: Adaptive characterization must spend at least this many times fewer
 #: SPICE delay evaluations than the 12×9 fixed grid.
 CHARZ_EVAL_RATIO_FLOOR = 3.0
@@ -287,21 +257,40 @@ SETUP_SIZES = (("b17", 0.1), ("p100k", 0.1), ("b17", 0.4), ("p100k", 0.5))
 SETUP_SIZES_QUICK = (("b17", 0.1),)
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_pairs(flows: Dict[str, Callable[[], object]], quick: bool = False,
+                before: Optional[Callable[[], object]] = None
+                ) -> Tuple[Dict[str, List[float]], Dict[str, object]]:
+    """Per-pair walls and last return value of each flow (name ->
+    zero-argument callable).
+
+    Every flow runs once untimed (warm-up: JIT, caches, pools), then
+    :data:`PAIRS` pairs (:data:`PAIRS_QUICK` with ``quick``) run every
+    flow once, in reverse order every other pair.  ``before`` runs
+    ahead of every call, outside the clock: per-run preparation such as
+    a fresh circuit.
+    """
+    order = list(flows)
+    walls: Dict[str, List[float]] = {name: [] for name in order}
+    last = dict.fromkeys(order)
+    for pair in range(-1, PAIRS_QUICK if quick else PAIRS):
+        for name in (order if pair % 2 == 0 else order[::-1]):
+            if before is not None:
+                before()
+            start = time.perf_counter()
+            last[name] = flows[name]()
+            if pair >= 0:
+                walls[name].append(time.perf_counter() - start)
+    return walls, last
 
 
-def _entry(name: str, backend: str, wall: float, evals: float,
+def _entry(name: str, backend: str, walls: List[float], evals: float,
            **params) -> dict:
+    wall = statistics.median(walls)
     return {
         "name": name,
         "backend": backend,
         "wall_seconds": wall,
+        "walls": walls,
         "gate_evals_per_second": evals / wall if wall > 0 else None,
         "params": params,
     }
@@ -324,23 +313,21 @@ def _merge_workload(lanes: int, capacity: int = 8, seed: int = 6):
 
 
 def bench_merge_kernel(backend_name: str, lanes: int,
-                       repeats: int = 5) -> dict:
+                       quick: bool = False) -> dict:
     """``waveform_merge_kernel`` throughput: one 2-input thread group."""
     backend = resolve_backend(backend_name)
     times, initial, delays, tables = _merge_workload(lanes)
     out_capacity = 32
 
-    def call():
-        backend.merge_kernel(times, initial, delays, tables, out_capacity)
-
-    call()  # warm-up (JIT compilation, cache effects)
-    wall = _best_of(call, repeats)
-    return _entry("waveform_merge_kernel", backend.name, wall, lanes,
+    walls, _ = _time_pairs({"merge": partial(
+        backend.merge_kernel, times, initial, delays, tables, out_capacity)},
+        quick)
+    return _entry("waveform_merge_kernel", backend.name, walls["merge"], lanes,
                   lanes=lanes, capacity=out_capacity)
 
 
 def bench_delay_kernel(backend_name: str, kernel_table, gates: int,
-                       repeats: int = 5) -> dict:
+                       quick: bool = False) -> dict:
     """Online delay calculation: ``gates`` gates × 8 voltages."""
     backend = resolve_backend(backend_name)
     rng = np.random.default_rng(5)
@@ -350,13 +337,10 @@ def bench_delay_kernel(backend_name: str, kernel_table, gates: int,
                           size=(gates, kernel_table.max_pins, 2))
     voltages = np.linspace(0.55, 1.1, 8)
 
-    def call():
-        backend.delays_for_gates(kernel_table, type_ids, loads, nominal,
-                                 voltages)
-
-    call()
-    wall = _best_of(call, repeats)
-    return _entry("delays_for_gates", backend.name, wall,
+    walls, _ = _time_pairs({"delays": partial(
+        backend.delays_for_gates, kernel_table, type_ids, loads, nominal,
+        voltages)}, quick)
+    return _entry("delays_for_gates", backend.name, walls["delays"],
                   gates * voltages.size, gates=gates,
                   voltages=int(voltages.size), impl=backend.delays_impl)
 
@@ -366,7 +350,7 @@ def bench_delay_kernel(backend_name: str, kernel_table, gates: int,
 
 def bench_end_to_end(backend_name: str, circuit_name: str, scale: float,
                      num_patterns: int, parametric: bool,
-                     repeats: int = 2) -> dict:
+                     quick: bool = False) -> dict:
     """Whole-engine run on a scaled Table I circuit."""
     from repro.experiments.common import default_kernel_table, default_library
     from repro.experiments.workload import prepare_workload
@@ -379,30 +363,23 @@ def bench_end_to_end(backend_name: str, circuit_name: str, scale: float,
     pairs = workload.patterns.pairs[:num_patterns]
     sim = GpuWaveSim(workload.circuit, library, compiled=workload.compiled,
                      config=SimulationConfig(backend=backend_name))
-    results = []
-
-    def call():
-        results.append(sim.run(pairs, kernel_table=kernel_table))
-
-    call()
-    wall = _best_of(call, repeats)
-    evals = results[-1].gate_evaluations
+    walls, last = _time_pairs({"run": partial(
+        sim.run, pairs, kernel_table=kernel_table)}, quick)
+    evals = last["run"].gate_evaluations
     mode = "parametric" if parametric else "static"
     phases = {name: round(seconds, 6) for name, seconds
               in sim.last_stats.phase_seconds().items()}
-    return _entry(f"e2e_{circuit_name}_{mode}", sim.backend.name, wall, evals,
+    return _entry(f"e2e_{circuit_name}_{mode}", sim.backend.name,
+                  walls["run"], evals,
                   circuit=circuit_name, scale=scale, patterns=len(pairs),
                   slots=len(pairs), gate_evaluations=int(evals),
                   phases=phases)
 
 
-def bench_parametric_plane(backend_name: str, repeats: int = 5) -> List[dict]:
+def bench_parametric_plane(backend_name: str,
+                           quick: bool = False) -> List[dict]:
     """Static and parametric runs of one wide single-supply plane (two
-    entries, ``e2e_<circuit>_wide_{static,parametric}``).
-
-    The two modes alternate inside the repeat loop, so machine drift
-    hits both sides of the ratio alike.
-    """
+    entries, ``e2e_<circuit>_wide_{static,parametric}``)."""
     from repro.experiments.common import default_kernel_table, default_library
     from repro.experiments.workload import prepare_workload
     from repro.simulation.base import SimulationConfig
@@ -416,25 +393,20 @@ def bench_parametric_plane(backend_name: str, repeats: int = 5) -> List[dict]:
                      compiled=workload.compiled,
                      config=SimulationConfig(backend=backend_name))
     tables = {"static": None, "parametric": default_kernel_table(3)}
-    walls = {mode: float("inf") for mode in tables}
-    evals = 0
-    for attempt in range(repeats + 1):          # attempt 0 warms up
-        for mode, kernel_table in tables.items():
-            start = time.perf_counter()
-            evals = sim.run(pairs, plan=plan,
-                            kernel_table=kernel_table).gate_evaluations
-            if attempt:
-                walls[mode] = min(walls[mode], time.perf_counter() - start)
+    walls, last = _time_pairs(
+        {mode: partial(sim.run, pairs, plan=plan, kernel_table=table)
+         for mode, table in tables.items()}, quick)
     return [_entry(f"e2e_{RATIO_CIRCUIT}_wide_{mode}", sim.backend.name,
-                   wall, evals, circuit=RATIO_CIRCUIT, scale=E2E_SCALE,
+                   walls[mode], result.gate_evaluations,
+                   circuit=RATIO_CIRCUIT, scale=E2E_SCALE,
                    patterns=len(pairs), slots=plan.num_slots,
-                   gate_evaluations=int(evals))
-            for mode, wall in walls.items()]
+                   gate_evaluations=int(result.gate_evaluations))
+            for mode, result in last.items()]
 
 
 def bench_incremental_resim(backend_name: str, circuit_name: str,
                             scale: float, num_patterns: int,
-                            repeats: int = 2) -> List[dict]:
+                            quick: bool = False) -> List[dict]:
     """Delta re-simulation vs full re-simulation (four entries).
 
     A base run over a ``num_patterns x INCR_SWEEP_VOLTAGES`` slot plane
@@ -493,54 +465,38 @@ def bench_incremental_resim(backend_name: str, circuit_name: str,
         jv1 = np.stack([p.v1 for p in job_pairs])
         jv2 = np.stack([p.v2 for p in job_pairs])
 
-        full_sim = GpuWaveSim(workload.circuit, library,
-                              compiled=workload.compiled,
-                              config=SimulationConfig(backend=backend_name))
-        full_results = []
-
-        def full_call():
-            full_results.append(full_sim.run(job_pairs, plan=job_plan,
-                                             kernel_table=kernel_table))
-
-        full_call()
-        full_wall = _best_of(full_call, repeats)
-        full_evals = full_results[-1].gate_evaluations
-        entries.append(_entry(
-            f"{label}_full", full_sim.backend.name, full_wall, full_evals,
-            circuit=circuit_name, scale=scale, patterns=len(pairs),
-            voltages=points, gate_evaluations=int(full_evals)))
-
-        delta_sim = GpuWaveSim(workload.circuit, library,
-                               compiled=workload.compiled,
-                               config=SimulationConfig(backend=backend_name))
-        delta_results = []
-
+        full_sim, delta_sim = (
+            GpuWaveSim(workload.circuit, library, compiled=workload.compiled,
+                       config=SimulationConfig(backend=backend_name))
+            for _ in range(2))
         def delta_call():
             selected = select_delta([arena], jv1, jv2,
                                     job_plan.pattern_indices,
                                     job_plan.voltages, None, None, 0.5)
             assert selected is not None
-            delta_results.append(delta_sim.run(job_pairs, plan=job_plan,
-                                               kernel_table=kernel_table,
-                                               delta=selected[0]))
+            return delta_sim.run(job_pairs, plan=job_plan,
+                                 kernel_table=kernel_table, delta=selected[0])
 
-        delta_call()
-        delta_wall = _best_of(delta_call, repeats)
+        walls, last = _time_pairs({"full": partial(
+            full_sim.run, job_pairs, plan=job_plan,
+            kernel_table=kernel_table), "delta": delta_call}, quick)
+        params = dict(circuit=circuit_name, scale=scale, patterns=len(pairs),
+                      voltages=points)
         stats = delta_sim.last_stats
-        evals = delta_results[-1].gate_evaluations
-        entries.append(_entry(
-            f"{label}_delta", delta_sim.backend.name, delta_wall, evals,
-            circuit=circuit_name, scale=scale, patterns=len(pairs),
-            voltages=points, gate_evaluations=int(evals),
-            delta_fraction=round(stats.delta_fraction, 6),
-            lanes_spliced=int(stats.lanes_spliced),
-            bytes_spliced=int(stats.bytes_spliced)))
+        for mode, extra in (("full", {}), ("delta", dict(
+                delta_fraction=round(stats.delta_fraction, 6),
+                lanes_spliced=int(stats.lanes_spliced),
+                bytes_spliced=int(stats.bytes_spliced)))):
+            evals = last[mode].gate_evaluations
+            entries.append(_entry(
+                f"{label}_{mode}", full_sim.backend.name, walls[mode], evals,
+                gate_evaluations=int(evals), **params, **extra))
     return entries
 
 
 def bench_closed_loop(backend_name: str, circuit_name: str, scale: float,
                       num_patterns: int, iterations: int,
-                      repeats: int = 2) -> List[dict]:
+                      quick: bool = False) -> List[dict]:
     """Closed-loop AVFS trajectory with and without delta splicing.
 
     One :class:`~repro.avfs.loop.ClosedLoopRunner` trajectory — constant
@@ -574,38 +530,29 @@ def bench_closed_loop(backend_name: str, circuit_name: str, scale: float,
     period = 1.15 / table.frequency_at(0.8)
     disturbances = [VoltageDroop(0.004)]
 
-    entries = []
-    trajectories = {}
-    for mode, use_delta in (("full", False), ("delta", True)):
+    def flow(mode):
         config = LoopConfig(period=period, max_iterations=iterations,
                             settle_iterations=iterations + 1,
-                            use_delta=use_delta, record_energy=False)
-        results = []
+                            use_delta=mode == "delta", record_energy=False)
+        return lambda: ClosedLoopRunner(
+            workload.circuit, library, kernel_table, AvfsController(table),
+            config, disturbances=disturbances, simulator=sim).run(pairs)
 
-        def call():
-            runner = ClosedLoopRunner(
-                workload.circuit, library, kernel_table,
-                AvfsController(table), config,
-                disturbances=disturbances, simulator=sim)
-            results.append(runner.run(pairs))
-
-        call()
-        wall = _best_of(call, repeats)
-        report = results[-1]
-        trajectories[mode] = report
-        entries.append(_entry(
-            f"avfs_closed_loop_{mode}", sim.backend.name, wall,
-            report.run_report.gate_evaluations,
-            circuit=circuit_name, scale=scale, patterns=len(pairs),
-            iterations=report.num_iterations,
-            delta_reuse=round(report.delta_reuse_fraction, 6),
-            lanes_spliced=int(report.run_report.lanes_spliced),
-            converged_at=report.converged_at))
+    walls, trajectories = _time_pairs(
+        {mode: flow(mode) for mode in ("full", "delta")}, quick)
     full_arrivals = [s.raw_arrival for s in trajectories["full"].steps]
     delta_arrivals = [s.raw_arrival for s in trajectories["delta"].steps]
     assert full_arrivals == delta_arrivals, \
         "closed-loop delta trajectory diverged from full re-simulation"
-    return entries
+    return [_entry(
+        f"avfs_closed_loop_{mode}", sim.backend.name, walls[mode],
+        report.run_report.gate_evaluations,
+        circuit=circuit_name, scale=scale, patterns=len(pairs),
+        iterations=report.num_iterations,
+        delta_reuse=round(report.delta_reuse_fraction, 6),
+        lanes_spliced=int(report.run_report.lanes_spliced),
+        converged_at=report.converged_at)
+        for mode, report in trajectories.items()]
 
 
 def _low_activity_pairs(pairs, num_patterns: int):
@@ -624,7 +571,7 @@ def _low_activity_pairs(pairs, num_patterns: int):
 
 
 def bench_low_activity(backend_name: str, circuit_name: str, scale: float,
-                       num_patterns: int, repeats: int = 2) -> List[dict]:
+                       num_patterns: int, quick: bool = False) -> List[dict]:
     """Sparse-vs-dense pair on a mostly-quiet stimulus (two entries)."""
     from repro.experiments.common import default_library
     from repro.experiments.workload import prepare_workload
@@ -634,33 +581,25 @@ def bench_low_activity(backend_name: str, circuit_name: str, scale: float,
     workload = prepare_workload(circuit_name, scale=scale)
     library = default_library()
     pairs = _low_activity_pairs(workload.patterns.pairs, num_patterns)
-    entries = []
-    for prune in (True, False):
-        sim = GpuWaveSim(workload.circuit, library,
-                         compiled=workload.compiled,
-                         config=SimulationConfig(backend=backend_name,
-                                                 prune_inactive=prune))
-        results = []
-
-        def call():
-            results.append(sim.run(pairs))
-
-        call()
-        wall = _best_of(call, repeats)
-        evals = results[-1].gate_evaluations
-        stats = sim.last_stats
-        mode = "sparse" if prune else "dense"
-        entries.append(_entry(
-            f"e2e_{circuit_name}_lowact_{mode}", sim.backend.name, wall,
-            evals, circuit=circuit_name, scale=scale, patterns=len(pairs),
-            gate_evaluations=int(evals),
-            lanes_skipped=int(stats.lanes_skipped),
-            active_fraction=round(stats.active_fraction, 4)))
-    return entries
+    sims = {mode: GpuWaveSim(workload.circuit, library,
+                             compiled=workload.compiled,
+                             config=SimulationConfig(
+                                 backend=backend_name,
+                                 prune_inactive=mode == "sparse"))
+            for mode in ("sparse", "dense")}
+    walls, last = _time_pairs(
+        {mode: partial(sim.run, pairs) for mode, sim in sims.items()}, quick)
+    return [_entry(
+        f"e2e_{circuit_name}_lowact_{mode}", sim.backend.name, walls[mode],
+        last[mode].gate_evaluations, circuit=circuit_name, scale=scale,
+        patterns=len(pairs), gate_evaluations=int(last[mode].gate_evaluations),
+        lanes_skipped=int(sim.last_stats.lanes_skipped),
+        active_fraction=round(sim.last_stats.active_fraction, 4))
+        for mode, sim in sims.items()]
 
 
 def bench_service_throughput(backend_name: str, num_jobs: int,
-                             repeats: int = 2) -> List[dict]:
+                             quick: bool = False) -> List[dict]:
     """Sequential-vs-batched pair for fine-grained jobs (two entries).
 
     The same ``num_jobs`` jobs (each :data:`SERVICE_SLOTS_PER_JOB`
@@ -684,19 +623,9 @@ def bench_service_throughput(backend_name: str, num_jobs: int,
     config = SimulationConfig(backend=backend_name)
     sim = GpuWaveSim(workload.circuit, library, compiled=workload.compiled,
                      config=config)
-    evals: List[int] = []
-
-    def sequential():
-        evals.append(sum(sim.run(pairs).gate_evaluations for pairs in jobs))
-
-    sequential()
-    wall_seq = _best_of(sequential, repeats)
-
-    total_slots = num_jobs * SERVICE_SLOTS_PER_JOB
-    service_config = ServiceConfig(max_batch_slots=total_slots,
-                                   max_wait_ms=100.0, idle_ms=20.0,
-                                   cache_entries=0)
-    coalesce: List[float] = []
+    service_config = ServiceConfig(
+        max_batch_slots=num_jobs * SERVICE_SLOTS_PER_JOB, max_wait_ms=100.0,
+        idle_ms=20.0, cache_entries=0)
 
     def batched():
         with SimulationService(config=service_config) as service:
@@ -704,26 +633,29 @@ def bench_service_throughput(backend_name: str, num_jobs: int,
                                            compiled=workload.compiled)
             handles = [service.submit(key, pairs, config=config)
                        for pairs in jobs]
-            evals.append(sum(handle.result().gate_evaluations
-                             for handle in handles))
-            coalesce.append(service.metrics().coalesce_factor)
+            return (sum(handle.result().gate_evaluations
+                        for handle in handles),
+                    service.metrics().coalesce_factor)
 
-    batched()
-    wall_bat = _best_of(batched, repeats)
-
+    walls, last = _time_pairs({
+        "sequential": lambda: sum(sim.run(pairs).gate_evaluations
+                                  for pairs in jobs),
+        "batched": batched}, quick)
+    batched_evals, coalesce = last["batched"]
     params = dict(circuit=SERVICE_CIRCUIT, scale=E2E_SCALE, jobs=num_jobs,
                   slots_per_job=SERVICE_SLOTS_PER_JOB)
     return [
-        _entry("service_throughput_sequential", sim.backend.name, wall_seq,
-               evals[0], **params),
-        _entry("service_throughput_batched", sim.backend.name, wall_bat,
-               evals[-1], coalesce_factor=round(coalesce[-1], 2), **params),
+        _entry("service_throughput_sequential", sim.backend.name,
+               walls["sequential"], last["sequential"], **params),
+        _entry("service_throughput_batched", sim.backend.name,
+               walls["batched"], batched_evals,
+               coalesce_factor=round(coalesce, 2), **params),
     ]
 
 
 def bench_service_scaling(backend_name: str, num_jobs: int,
                           shard_counts: Sequence[int],
-                          repeats: int = 2) -> List[dict]:
+                          quick: bool = False) -> List[dict]:
     """In-process vs multi-process-sharded service on one job stream.
 
     The same ``num_jobs`` fine-grained jobs run once through the
@@ -731,8 +663,9 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
     once per entry of ``shard_counts`` through the multi-process shard
     router, whose control pipes carry each batch's stimuli out and its
     packed result plane back.  Process spawn and circuit registration
-    happen outside the timed region — the number is steady-state
-    dispatch throughput.  ``shard_queue_depth=1`` makes the single hot
+    happen outside the timed region — every service is up before the
+    first timed pair — so the number is steady-state dispatch
+    throughput.  ``shard_queue_depth=1`` makes the single hot
     compatibility group spill across every shard, so all worker
     processes participate.
 
@@ -764,48 +697,56 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
     batching = dict(max_batch_slots=SERVICE_SLOTS_PER_JOB * 4,
                     max_wait_ms=50.0, idle_ms=10.0, cache_entries=0)
 
-    def measure(service_config: ServiceConfig) -> tuple:
-        with SimulationService(config=service_config) as service:
+    configs = {"inproc": ServiceConfig(**batching)}
+    for shards in shard_counts:
+        configs[f"shards{shards}"] = ServiceConfig(
+            shards=shards, shard_queue_depth=1, **batching)
+    evals: Dict[str, List[int]] = {name: [] for name in configs}
+
+    def flow(name, service, key):
+        def run_stream():
+            handles = [service.submit(key, pairs, config=config)
+                       for pairs in jobs]
+            evals[name].append(sum(handle.result(timeout=300).gate_evaluations
+                                   for handle in handles))
+        return run_stream
+
+    with ExitStack() as stack:
+        services, flows = {}, {}
+        for name, service_config in configs.items():
+            service = stack.enter_context(
+                SimulationService(config=service_config))
             key = service.register_circuit(workload.circuit, library,
                                            compiled=workload.compiled)
-            evals: List[int] = []
+            services[name], flows[name] = service, flow(name, service, key)
+        walls, _ = _time_pairs(flows, quick)
+        metrics = {name: service.metrics()
+                   for name, service in services.items()}
+    for name, passes in evals.items():
+        if passes != evals["inproc"]:
+            raise RuntimeError(
+                f"service_scaling: {name} evaluated {passes} gates per "
+                f"pass, in-process {evals['inproc']}")
 
-            def run_stream():
-                handles = [service.submit(key, pairs, config=config)
-                           for pairs in jobs]
-                evals.append(sum(handle.result(timeout=300).gate_evaluations
-                                 for handle in handles))
-
-            run_stream()  # warm-up: shard engines, arenas, plan caches
-            wall = _best_of(run_stream, repeats)
-            metrics = service.metrics()
-        return wall, evals, metrics
-
-    entries = []
     params = dict(circuit=SERVICE_CIRCUIT, scale=E2E_SCALE, jobs=num_jobs,
                   slots_per_job=SERVICE_SLOTS_PER_JOB,
                   cpu_count=os.cpu_count())
-    wall, inproc_evals, _ = measure(ServiceConfig(**batching))
-    entries.append(_entry("service_scaling_inproc", backend, wall,
-                          inproc_evals[-1], shards=0, **params))
+    entries = [_entry("service_scaling_inproc", backend, walls["inproc"],
+                      evals["inproc"][-1], shards=0, **params)]
     for shards in shard_counts:
-        wall, evals, metrics = measure(
-            ServiceConfig(shards=shards, shard_queue_depth=1, **batching))
-        if evals != inproc_evals:
-            raise RuntimeError(
-                f"service_scaling: {shards} shard(s) evaluated {evals} "
-                f"gates per pass, in-process {inproc_evals}")
+        name = f"shards{shards}"
         entries.append(_entry(
-            f"service_scaling_shards{shards}", backend, wall, evals[-1],
-            shards=shards, rebalances=metrics.shard_rebalances,
-            ipc_tx_bytes=metrics.ipc_tx_bytes,
-            ipc_rx_bytes=metrics.ipc_rx_bytes, **params))
+            f"service_scaling_{name}", backend, walls[name],
+            evals[name][-1], shards=shards,
+            rebalances=metrics[name].shard_rebalances,
+            ipc_tx_bytes=metrics[name].ipc_tx_bytes,
+            ipc_rx_bytes=metrics[name].ipc_rx_bytes, **params))
     return entries
 
 
 def bench_fault_seams(backend_name: str, num_patterns: int,
                       spins: int = FAULT_SEAM_SPINS,
-                      repeats: int = 2) -> dict:
+                      quick: bool = False) -> dict:
     """Disabled fault-injection overhead of one end-to-end run.
 
     Three measurements compose the ``faults_disabled_overhead`` number:
@@ -831,22 +772,18 @@ def bench_fault_seams(backend_name: str, num_patterns: int,
         for _ in range(spins):
             trip("service.demux")
 
-    spin()
-    per_call = _best_of(spin, repeats) / spins
-
     workload = prepare_workload(SERVICE_CIRCUIT, scale=E2E_SCALE)
     library = default_library()
     pairs = workload.patterns.pairs[:num_patterns]
     sim = GpuWaveSim(workload.circuit, library, compiled=workload.compiled,
                      config=SimulationConfig(backend=backend_name))
-    results = []
-
-    def call():
-        results.append(sim.run(pairs))
-
-    call()
-    wall = _best_of(call, repeats)
-    evals = results[-1].gate_evaluations
+    # Timed apart: on cext a run right after the 200k-call spin loop
+    # took 1.41 ms against 0.80-0.85 ms back to back (2-core box).
+    spins_walls, _ = _time_pairs({"seams": spin}, quick)
+    walls, last = _time_pairs({"run": partial(sim.run, pairs)}, quick)
+    per_call = statistics.median(spins_walls["seams"]) / spins
+    wall = statistics.median(walls["run"])
+    evals = last["run"].gate_evaluations
 
     with faults.injected(faults.FaultPlan()) as plan:
         sim.run(pairs)
@@ -854,7 +791,7 @@ def bench_fault_seams(backend_name: str, num_patterns: int,
 
     overhead = crossings * per_call / wall if wall > 0 else 0.0
     return _entry(
-        "fault_seams_e2e", sim.backend.name, wall, evals,
+        "fault_seams_e2e", sim.backend.name, walls["run"], evals,
         circuit=SERVICE_CIRCUIT, scale=E2E_SCALE, patterns=len(pairs),
         seam_spins=spins, seam_call_ns=round(per_call * 1e9, 3),
         seam_crossings=int(crossings),
@@ -867,17 +804,14 @@ def bench_characterization(quick: bool = False) -> List[dict]:
     Three entries, all backend-independent (``backend="numpy"`` — the
     SPICE stand-in is pure NumPy): the full library on the fixed 12×9
     grid, the same library through the error-driven adaptive sampler,
-    and a repeat adaptive run against a pre-warmed coefficient cache.
-    The two flows are warmed up once each and then timed as
-    :data:`CHARZ_PAIRS` alternating pairs (:data:`CHARZ_PAIRS_QUICK`
-    with ``quick``), the flow that runs first flipping every pair; each
-    entry's wall is the median of its pair walls, which its params
-    carry (``pair_walls``) for the per-pair ratios.  Each entry's params
-    carry the SPICE ``delay_evaluations`` it performed; the
-    fixed/adaptive entries also carry their worst fit error against the
-    fixed grid's bilinear reference on a :data:`CHARZ_PARITY_GRID`²
-    probe — the Fig. 4/5 accuracy metric that :func:`compare_reports`
-    gates.
+    and a repeat adaptive run against a pre-warmed coefficient cache
+    (its in-process memo cleared before every run, so each one loads
+    from disk).  The three flows are timed as pairs by
+    :func:`_time_pairs`.  Each entry's params carry the SPICE
+    ``delay_evaluations`` its last run performed; the fixed/adaptive entries also carry their worst fit error
+    against the fixed grid's bilinear reference on a
+    :data:`CHARZ_PARITY_GRID`² probe — the Fig. 4/5 accuracy metric
+    that :func:`compare_reports` gates.
     """
     import tempfile
 
@@ -894,22 +828,24 @@ def bench_characterization(quick: bool = False) -> List[dict]:
     common = dict(cells=len(library),
                   families="quick-subset" if quick else "all")
 
-    def run(adaptive):
-        spice = AnalyticalSpice()
-        start = time.perf_counter()
-        result = characterize_library(library, spice, adaptive=adaptive)
-        return time.perf_counter() - start, result, spice.delay_evaluations
+    def flow(adaptive, cache=None):
+        def call():
+            spice = AnalyticalSpice()
+            return (characterize_library(library, spice, adaptive=adaptive,
+                                         cache=cache),
+                    spice.delay_evaluations)
+        return call
 
-    # The warm-ups are the results; the timed runs repeat them.
-    _, fixed, fixed_evals = run(None)
-    _, adaptive, adaptive_evals = run(config)
-    flows = [("fixed", None), ("adaptive", config)]
-    walls: Dict[str, List[float]] = {"fixed": [], "adaptive": []}
-    for pair in range(CHARZ_PAIRS_QUICK if quick else CHARZ_PAIRS):
-        for name, flow in (flows if pair % 2 == 0 else flows[::-1]):
-            walls[name].append(run(flow)[0])
-    fixed_wall = statistics.median(walls["fixed"])
-    adaptive_wall = statistics.median(walls["adaptive"])
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = CoefficientCache(tmp)
+        characterize_library(library, AnalyticalSpice(), adaptive=config,
+                             cache=cache)
+        walls, last = _time_pairs({"fixed": flow(None),
+                                   "adaptive": flow(config),
+                                   "warm_cache": flow(config, cache)},
+                                  quick, before=CoefficientCache.clear_memo)
+    (fixed, fixed_evals), (adaptive, adaptive_evals), (_, warm_evals) = \
+        last.values()
 
     # Worst |fit - fixed-grid bilinear reference| over every entry, on
     # the same equidistant normalized probe grid Fig. 4/5 use.
@@ -926,38 +862,27 @@ def bench_characterization(quick: bool = False) -> List[dict]:
             adaptive_worst = max(adaptive_worst, float(np.abs(
                 other.fit.polynomial.evaluate(nv, nc) - reference).max()))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = CoefficientCache(tmp)
-        characterize_library(library, AnalyticalSpice(), adaptive=config,
-                             cache=cache)
-        CoefficientCache.clear_memo()  # warm run must come from disk
-        warm_spice = AnalyticalSpice()
-        start = time.perf_counter()
-        characterize_library(library, warm_spice, adaptive=config,
-                             cache=cache)
-        warm_wall = time.perf_counter() - start
-        warm_evals = warm_spice.delay_evaluations
-
     return [
-        _entry("characterization_fixed", "numpy", fixed_wall, fixed_evals,
-               delay_evaluations=fixed_evals, worst_error=fixed_worst,
-               pair_walls=walls["fixed"], **common),
-        _entry("characterization_adaptive", "numpy", adaptive_wall,
+        _entry("characterization_fixed", "numpy", walls["fixed"],
+               fixed_evals, delay_evaluations=fixed_evals,
+               worst_error=fixed_worst, **common),
+        _entry("characterization_adaptive", "numpy", walls["adaptive"],
                adaptive_evals, delay_evaluations=adaptive_evals,
                worst_error=adaptive_worst, target_error=config.target_error,
-               budget=config.budget, pair_walls=walls["adaptive"], **common),
-        _entry("characterization_warm_cache", "numpy", warm_wall, warm_evals,
-               delay_evaluations=warm_evals, **common),
+               budget=config.budget, **common),
+        _entry("characterization_warm_cache", "numpy", walls["warm_cache"],
+               warm_evals, delay_evaluations=warm_evals, **common),
     ]
 
 
-def bench_setup_scaling(sizes=SETUP_SIZES, repeats: int = 3) -> List[dict]:
+def bench_setup_scaling(sizes=SETUP_SIZES, quick: bool = False
+                        ) -> List[dict]:
     """Cold engine construction per circuit size.
 
     One entry per ``(circuit, scale)``: the wall of
     ``GpuWaveSim(circuit, library)`` on a freshly generated circuit (a
     ``Circuit`` keeps its levels and wiring once derived, so every
-    repeat builds its own outside the clock).  Nothing here depends on
+    run builds its own outside the clock).  Nothing here depends on
     the compute backend (``backend="numpy"``, as for characterization).
     """
     from repro.experiments.common import default_library
@@ -967,17 +892,16 @@ def bench_setup_scaling(sizes=SETUP_SIZES, repeats: int = 3) -> List[dict]:
     library = default_library()
     entries = []
     for circuit_name, scale in sizes:
-        wall = float("inf")
-        for _ in range(repeats):
-            circuit = build_suite_circuit(circuit_name, scale=scale)
-            start = time.perf_counter()
-            GpuWaveSim(circuit, library)
-            wall = min(wall, time.perf_counter() - start)
+        fresh = {}
+        walls, _ = _time_pairs(
+            {"setup": lambda: GpuWaveSim(fresh["circuit"], library)}, quick,
+            before=lambda: fresh.update(circuit=build_suite_circuit(
+                circuit_name, scale=scale)))
+        gates = fresh["circuit"].num_gates
         entries.append(_entry(
-            f"setup_{circuit_name}_x{scale:g}", "numpy", wall,
-            circuit.num_gates, circuit=circuit_name, scale=scale,
-            gates=circuit.num_gates,
-            us_per_gate=1e6 * wall / circuit.num_gates))
+            f"setup_{circuit_name}_x{scale:g}", "numpy", walls["setup"],
+            gates, circuit=circuit_name, scale=scale, gates=gates,
+            us_per_gate=1e6 * statistics.median(walls["setup"]) / gates))
     return entries
 
 
@@ -993,7 +917,7 @@ def run_suite(quick: bool = False,
 
     lanes = MERGE_LANES_QUICK if quick else MERGE_LANES
     for name in chosen:
-        benchmarks.append(bench_merge_kernel(name, lanes))
+        benchmarks.append(bench_merge_kernel(name, lanes, quick=quick))
 
     gates = DELAY_GATES_QUICK if quick else DELAY_GATES
     kernel_table = None
@@ -1001,7 +925,8 @@ def run_suite(quick: bool = False,
         from repro.experiments.common import default_kernel_table
         kernel_table = default_kernel_table(3)
         for name in chosen:
-            benchmarks.append(bench_delay_kernel(name, kernel_table, gates))
+            benchmarks.append(bench_delay_kernel(name, kernel_table, gates,
+                                                 quick=quick))
 
         circuits = E2E_CIRCUITS_QUICK if quick else E2E_CIRCUITS
         patterns = E2E_PATTERNS_QUICK if quick else E2E_PATTERNS
@@ -1009,15 +934,16 @@ def run_suite(quick: bool = False,
             for parametric in (False, True):
                 for name in chosen:
                     benchmarks.append(bench_end_to_end(
-                        name, circuit, E2E_SCALE, patterns, parametric))
+                        name, circuit, E2E_SCALE, patterns, parametric,
+                        quick=quick))
 
         for name in chosen:
-            benchmarks.extend(bench_parametric_plane(name))
+            benchmarks.extend(bench_parametric_plane(name, quick=quick))
 
         incr_patterns = INCR_PATTERNS_QUICK if quick else INCR_PATTERNS
         for name in chosen:
             benchmarks.extend(bench_incremental_resim(
-                name, INCR_CIRCUIT, INCR_SCALE, incr_patterns))
+                name, INCR_CIRCUIT, INCR_SCALE, incr_patterns, quick=quick))
 
         loop_patterns = LOOP_PATTERNS_QUICK if quick else LOOP_PATTERNS
         loop_iterations = (LOOP_ITERATIONS_QUICK if quick
@@ -1025,33 +951,35 @@ def run_suite(quick: bool = False,
         for name in chosen:
             benchmarks.extend(bench_closed_loop(
                 name, LOOP_CIRCUIT, LOOP_SCALE, loop_patterns,
-                loop_iterations))
+                loop_iterations, quick=quick))
 
         lowact = LOWACT_PATTERNS_QUICK if quick else LOWACT_PATTERNS
         for circuit in circuits:
             for name in chosen:
                 benchmarks.extend(bench_low_activity(
-                    name, circuit, LOWACT_SCALE, lowact))
+                    name, circuit, LOWACT_SCALE, lowact, quick=quick))
 
         service_jobs = SERVICE_JOBS_QUICK if quick else SERVICE_JOBS
         for name in chosen:
-            benchmarks.extend(bench_service_throughput(name, service_jobs))
+            benchmarks.extend(bench_service_throughput(name, service_jobs,
+                                                       quick=quick))
 
         scaling_jobs = SCALING_JOBS_QUICK if quick else SCALING_JOBS
         scaling_shards = SCALING_SHARDS_QUICK if quick else SCALING_SHARDS
         for name in chosen:
-            benchmarks.extend(bench_service_scaling(name, scaling_jobs,
-                                                    scaling_shards))
+            benchmarks.extend(bench_service_scaling(
+                name, scaling_jobs, scaling_shards, quick=quick))
 
         seam_spins = FAULT_SEAM_SPINS_QUICK if quick else FAULT_SEAM_SPINS
         for name in chosen:
             benchmarks.append(bench_fault_seams(name, patterns,
-                                                spins=seam_spins))
+                                                spins=seam_spins,
+                                                quick=quick))
 
         # Backend-independent (pure-NumPy SPICE stand-in): run once.
         benchmarks.extend(bench_characterization(quick=quick))
         benchmarks.extend(bench_setup_scaling(
-            SETUP_SIZES_QUICK if quick else SETUP_SIZES))
+            SETUP_SIZES_QUICK if quick else SETUP_SIZES, quick=quick))
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -1065,117 +993,71 @@ def run_suite(quick: bool = False,
             "backends": backend_status(),
         },
         "benchmarks": benchmarks,
-        "speedups": _speedups(benchmarks),
-        "pruning_speedups": _pruning_speedups(benchmarks),
-        "service_speedups": _service_speedups(benchmarks),
-        "service_scaling": _service_scaling(benchmarks),
-        "incremental_speedups": _incremental_speedups(benchmarks),
-        "closed_loop_speedups": _closed_loop_speedups(benchmarks),
-        "parametric_ratios": _parametric_ratios(benchmarks),
+        **_ratios(benchmarks),
         "characterization_speedups": _characterization_speedups(benchmarks),
         "faults_disabled_overhead": _fault_overhead(benchmarks),
         "setup_scaling": _setup_scaling(benchmarks),
     }
 
 
-def _speedups(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
-    """Per benchmark name: wall(numpy) / wall(backend)."""
-    by_name: Dict[str, Dict[str, float]] = {}
-    for entry in benchmarks:
-        by_name.setdefault(entry["name"], {})[entry["backend"]] = \
-            entry["wall_seconds"]
-    speedups: Dict[str, Dict[str, float]] = {}
-    for name, walls in by_name.items():
-        base = walls.get("numpy")
-        if base is None:
-            continue
-        speedups[name] = {backend: base / wall
-                          for backend, wall in walls.items() if wall > 0}
-    return speedups
+# -- ratios ------------------------------------------------------------------------
 
 
-def _pruning_speedups(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
-    """Per low-activity scenario: wall(dense) / wall(sparse), by backend."""
-    walls: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for entry in benchmarks:
-        name = entry["name"]
-        for suffix in ("_sparse", "_dense"):
-            if name.endswith(suffix):
-                scenario = name[:-len(suffix)]
-                walls.setdefault(scenario, {}).setdefault(
-                    entry["backend"], {})[suffix[1:]] = entry["wall_seconds"]
-    speedups: Dict[str, Dict[str, float]] = {}
-    for scenario, per_backend in walls.items():
-        for backend, pair in per_backend.items():
-            if "sparse" in pair and "dense" in pair and pair["sparse"] > 0:
-                speedups.setdefault(scenario, {})[backend] = \
-                    pair["dense"] / pair["sparse"]
-    return speedups
+class Ratio(NamedTuple):
+    """One ratio section of the record.
 
-
-def _incremental_speedups(benchmarks: List[dict]
-                          ) -> Dict[str, Dict[str, float]]:
-    """Per incremental scenario: wall(full re-sim) / wall(delta)."""
-    walls: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for entry in benchmarks:
-        name = entry["name"]
-        if not name.startswith("incremental_"):
-            continue
-        for suffix in ("_full", "_delta"):
-            if name.endswith(suffix):
-                scenario = name[:-len(suffix)]
-                walls.setdefault(scenario, {}).setdefault(
-                    entry["backend"], {})[suffix[1:]] = entry["wall_seconds"]
-    speedups: Dict[str, Dict[str, float]] = {}
-    for scenario, per_backend in walls.items():
-        for backend, pair in per_backend.items():
-            if "full" in pair and "delta" in pair and pair["delta"] > 0:
-                speedups.setdefault(scenario, {})[backend] = \
-                    pair["full"] / pair["delta"]
-    return speedups
-
-
-def _closed_loop_speedups(benchmarks: List[dict]) -> Dict[str, float]:
-    """Per backend: wall(full re-sim loop) / wall(delta-splicing loop)."""
-    walls: Dict[str, Dict[str, float]] = {}
-    for entry in benchmarks:
-        for mode in ("full", "delta"):
-            if entry["name"] == f"avfs_closed_loop_{mode}":
-                walls.setdefault(entry["backend"], {})[mode] = \
-                    entry["wall_seconds"]
-    return {backend: pair["full"] / pair["delta"]
-            for backend, pair in walls.items()
-            if "full" in pair and "delta" in pair and pair["delta"] > 0}
-
-
-def _parametric_ratios(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
-    """Per circuit: wall(parametric e2e) / wall(static e2e), by backend.
-
-    The overhead of voltage-adaptive delay evaluation relative to a
-    fixed-delay run of the same circuit — the quantity in-kernel
-    Horner scaling is meant to push toward 1.0.  Entries that record a
-    plane narrower than :data:`RATIO_SLOTS` are left out: their wall is
-    per-call overhead, which both modes share.
+    ``denominator`` is a pattern over entry labels ``name[backend]``;
+    its named groups fill the ``numerator`` label and, in ``keys``
+    order, the key path the ratio is filed under.  ``where`` (if given)
+    must hold for both entries of a pair.
     """
-    walls: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for entry in benchmarks:
-        name = entry["name"]
-        if entry.get("params", {}).get("slots", RATIO_SLOTS) < RATIO_SLOTS:
-            continue
-        for suffix in ("_parametric", "_static"):
-            if name.startswith("e2e_") and name.endswith(suffix) \
-                    and "_lowact_" not in name:
-                circuit = name[len("e2e_"):-len(suffix)]
-                walls.setdefault(circuit, {}).setdefault(
-                    entry["backend"], {})[suffix[1:]] = entry["wall_seconds"]
-    ratios: Dict[str, Dict[str, float]] = {}
-    for circuit, per_backend in walls.items():
-        for backend, pair in per_backend.items():
-            if "parametric" in pair and "static" in pair \
-                    and pair["static"] > 0:
-                ratios.setdefault(circuit, {})[backend] = \
-                    pair["parametric"] / pair["static"]
-    return ratios
+
+    section: str
+    title: str
+    numerator: str
+    denominator: str
+    keys: Tuple[str, ...]
+    where: Optional[Callable[[dict], bool]] = None
+
+
+def _wide_plane(entry: dict) -> bool:
+    """A plane narrower than :data:`RATIO_SLOTS` is per-call overhead,
+    which both modes share; low-activity entries never pair."""
+    return (entry.get("params", {}).get("slots", RATIO_SLOTS) >= RATIO_SLOTS
+            and "_lowact_" not in entry["name"])
+
+
+#: Every ratio section of the record, in report order.
+RATIOS = (
+    Ratio("speedups", "speedup over numpy", "{name}[numpy]",
+          r"(?P<name>.+)\[(?P<backend>\w+)\]", ("name", "backend")),
+    Ratio("pruning_speedups", "pruning speedup", "{scenario}_dense[{backend}]",
+          r"(?P<scenario>.+)_sparse\[(?P<backend>\w+)\]",
+          ("scenario", "backend")),
+    Ratio("service_speedups", "service batching speedup",
+          "service_throughput_sequential[{backend}]",
+          r"service_throughput_batched\[(?P<backend>\w+)\]", ("backend",)),
+    Ratio("service_scaling", "service sharding speedup, by shards",
+          "service_scaling_inproc[{backend}]",
+          r"service_scaling_shards(?P<shards>\d+)\[(?P<backend>\w+)\]",
+          ("backend", "shards")),
+    Ratio("incremental_speedups", "incremental re-sim speedup",
+          "{scenario}_full[{backend}]",
+          r"(?P<scenario>incremental_.+)_delta\[(?P<backend>\w+)\]",
+          ("scenario", "backend")),
+    Ratio("closed_loop_speedups", "closed-loop delta speedup",
+          "avfs_closed_loop_full[{backend}]",
+          r"avfs_closed_loop_delta\[(?P<backend>\w+)\]", ("backend",)),
+    Ratio("parametric_ratios", "parametric/static ratio",
+          "e2e_{circuit}_parametric[{backend}]",
+          r"e2e_(?P<circuit>.+)_static\[(?P<backend>\w+)\]",
+          ("circuit", "backend"), where=_wide_plane),
+)
+
+
+def _walls(entry: dict) -> List[float]:
+    """An entry's per-pair walls; a schema-1 entry is one pair."""
+    return entry.get("walls") or [entry["wall_seconds"]]
 
 
 def _quartiles(values: List[float]) -> Optional[List[float]]:
@@ -1185,11 +1067,60 @@ def _quartiles(values: List[float]) -> Optional[List[float]]:
     return list(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def _file(tree: dict, path: Sequence[str], value) -> None:
+    """``tree[path[0]]...[path[-1]] = value``, making the levels."""
+    *head, last = path
+    for key in head:
+        tree = tree.setdefault(key, {})
+    tree[last] = value
+
+
+def _leaves(tree: dict, path: Tuple[str, ...] = ()):
+    """``(path, value)`` of every non-dict value of a nested section."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _ratios(benchmarks: List[dict]) -> dict:
+    """Every :data:`RATIOS` section plus ``ratio_quartiles``.
+
+    Ratios are taken per pair index; a section holds the median and
+    ``ratio_quartiles[section]`` the ``[q1, median, q3]`` under the same
+    keys.  A pair without both entries gives no ratio.
+    """
+    by_label = {f"{entry['name']}[{entry['backend']}]": entry
+                for entry in benchmarks}
+    report: dict = {}
+    spreads: dict = {}
+    for ratio in RATIOS:
+        values = report.setdefault(ratio.section, {})
+        quartiles = spreads.setdefault(ratio.section, {})
+        pattern = re.compile(ratio.denominator)
+        for label, below in by_label.items():
+            match = pattern.fullmatch(label)
+            if match is None:
+                continue
+            above = by_label.get(ratio.numerator.format(**match.groupdict()))
+            if above is None or (ratio.where and not (
+                    ratio.where(above) and ratio.where(below))):
+                continue
+            spread = _quartiles([a / b for a, b in zip(_walls(above),
+                                                       _walls(below)) if b > 0])
+            if spread is not None:
+                path = [match[key] for key in ratio.keys]
+                _file(values, path, spread[1])
+                _file(quartiles, path, spread)
+    report["ratio_quartiles"] = spreads
+    return report
+
+
 def _characterization_speedups(benchmarks: List[dict]) -> dict:
     """Adaptive-vs-fixed characterization: evaluations, parity, cache, walls.
 
-    The wall ratios are taken per timed pair (``pair_walls``; a record
-    without them is one pair of its two walls): ``wall_speedup`` and
+    The wall ratios are taken per timed pair: ``wall_speedup`` and
     ``break_even_us_per_evaluation`` are the medians, and their
     ``*_quartiles`` are ``[q1, median, q3]`` over the pairs.
     """
@@ -1201,8 +1132,7 @@ def _characterization_speedups(benchmarks: List[dict]) -> dict:
         return {}
     fixed_evals = fixed["params"]["delay_evaluations"]
     adaptive_evals = adaptive["params"]["delay_evaluations"]
-    pairs = list(zip(fixed["params"].get("pair_walls", [fixed["wall_seconds"]]),
-                     adaptive["params"].get("pair_walls", [adaptive["wall_seconds"]])))
+    pairs = list(zip(_walls(fixed), _walls(adaptive)))
     speedups = _quartiles([f / a for f, a in pairs if a > 0])
     # The SPICE cost per evaluation above which the adaptive flow's
     # extra fitting wall is paid back by the evaluations it saves.
@@ -1243,48 +1173,6 @@ def _setup_scaling(benchmarks: List[dict]) -> Dict[str, float]:
             for entry in benchmarks if entry["name"].startswith("setup_")}
 
 
-def _service_speedups(benchmarks: List[dict]) -> Dict[str, float]:
-    """Per backend: wall(sequential per-job runs) / wall(batched service)."""
-    walls: Dict[str, Dict[str, float]] = {}
-    for entry in benchmarks:
-        for mode in ("sequential", "batched"):
-            if entry["name"] == f"service_throughput_{mode}":
-                walls.setdefault(entry["backend"], {})[mode] = \
-                    entry["wall_seconds"]
-    return {backend: pair["sequential"] / pair["batched"]
-            for backend, pair in walls.items()
-            if "sequential" in pair and "batched" in pair
-            and pair["batched"] > 0}
-
-
-def _service_scaling(benchmarks: List[dict]) -> Dict[str, Dict[str, float]]:
-    """Per backend: wall(in-process) / wall(shards=N), keyed by N.
-
-    A ratio above 1.0 means the sharded service beat the in-process one
-    on this machine; below 1.0 it prices the multi-process transport
-    overhead (expected whenever ``machine.cpu_count`` leaves no spare
-    cores for the shards to use).
-    """
-    inproc: Dict[str, float] = {}
-    sharded: Dict[str, Dict[str, float]] = {}
-    for entry in benchmarks:
-        name = entry["name"]
-        if name == "service_scaling_inproc":
-            inproc[entry["backend"]] = entry["wall_seconds"]
-        elif name.startswith("service_scaling_shards"):
-            shards = str(entry["params"]["shards"])
-            sharded.setdefault(entry["backend"], {})[shards] = \
-                entry["wall_seconds"]
-    ratios: Dict[str, Dict[str, float]] = {}
-    for backend, walls in sharded.items():
-        base = inproc.get(backend)
-        if base is None:
-            continue
-        ratios[backend] = {shards: base / wall
-                           for shards, wall in walls.items() if wall > 0}
-    return ratios
-
-
 # -- persistence / regression gate -------------------------------------------------
 
 
@@ -1311,11 +1199,12 @@ def compare_reports(current: dict, baseline: dict,
     The parametric/static wall ratio is gated separately: unlike raw
     wall times it is machine-independent, so an in-kernel delay
     regression shows up here even when the whole run got faster.  A
-    ``(circuit, backend)`` ratio regresses when it exceeds the
-    baseline's ratio by more than ``threshold``; pairs absent from
-    either record (e.g. kernel-only runs) are skipped.  Backends named
-    in :data:`PARAMETRIC_RATIO_CEILING` are also held to that absolute
-    ratio, baseline or not.
+    ``(circuit, backend)`` ratio (the median over timed pairs) regresses
+    when it exceeds the baseline's ratio by more than ``threshold``;
+    pairs absent from either record (e.g. kernel-only runs) are skipped.
+    A schema-1 baseline (no ``walls``) compares as one pair per entry.
+    Backends named in :data:`PARAMETRIC_RATIO_CEILING` are also held to
+    that absolute ratio, baseline or not.
 
     ``faults_disabled_overhead`` is gated against the absolute
     :data:`FAULT_OVERHEAD_CEILING` rather than the baseline: the
@@ -1379,9 +1268,10 @@ def compare_reports(current: dict, baseline: dict,
                 f"performed {charz['warm_cache_evaluations']} SPICE "
                 f"evaluations (expected 0)"
             )
-    baseline_ratios = _parametric_ratios(baseline.get("benchmarks", []))
-    for circuit, per_backend in _parametric_ratios(
-            current.get("benchmarks", [])).items():
+    baseline_ratios = _ratios(
+        baseline.get("benchmarks", []))["parametric_ratios"]
+    for circuit, per_backend in _ratios(
+            current.get("benchmarks", []))["parametric_ratios"].items():
         for backend, ratio in per_backend.items():
             ceiling = PARAMETRIC_RATIO_CEILING.get(backend)
             if ceiling is not None and ratio > ceiling:
@@ -1416,37 +1306,19 @@ def _print_summary(report: dict, stream=None) -> None:
         print(f"  {entry['name']:32s} {entry['backend']:6s} "
               f"{entry['wall_seconds'] * 1e3:10.3f} ms {rate}{breakdown}",
               file=stream)
-    for name, ratios in report.get("speedups", {}).items():
-        interesting = {b: r for b, r in ratios.items() if b != "numpy"}
-        if interesting:
-            text = ", ".join(f"{b} {r:.2f}x" for b, r in interesting.items())
-            print(f"  speedup over numpy — {name}: {text}", file=stream)
-    for name, ratios in report.get("pruning_speedups", {}).items():
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in ratios.items())
-        print(f"  pruning speedup — {name}: {text}", file=stream)
-    service = report.get("service_speedups", {})
-    if service:
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in service.items())
-        print(f"  service batching speedup: {text}", file=stream)
-    scaling = report.get("service_scaling", {})
-    if scaling:
-        cores = report.get("machine", {}).get("cpu_count")
-        for backend, ratios in scaling.items():
-            text = ", ".join(f"{shards} shards {ratio:.2f}x"
-                             for shards, ratio in sorted(
-                                 ratios.items(), key=lambda kv: int(kv[0])))
-            print(f"  service sharding speedup [{backend}] "
-                  f"({cores} cpu): {text}", file=stream)
-    for name, ratios in report.get("incremental_speedups", {}).items():
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in ratios.items())
-        print(f"  incremental re-sim speedup — {name}: {text}", file=stream)
-    closed_loop = report.get("closed_loop_speedups", {})
-    if closed_loop:
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in closed_loop.items())
-        print(f"  closed-loop delta speedup: {text}", file=stream)
-    for circuit, ratios in report.get("parametric_ratios", {}).items():
-        text = ", ".join(f"{b} {r:.2f}x" for b, r in ratios.items())
-        print(f"  parametric/static ratio — {circuit}: {text}", file=stream)
+    for ratio in RATIOS:
+        # Both trees were filed in one order: their leaves line up.
+        lines: Dict[Tuple[str, ...], List[str]] = {}
+        for (path, value), (_, (q1, _, q3)) in zip(
+                _leaves(report[ratio.section]),
+                _leaves(report["ratio_quartiles"][ratio.section])):
+            if q1 == value == q3 == 1.0:
+                continue            # an entry over itself (numpy/numpy)
+            lines.setdefault(path[:-1], []).append(
+                f"{path[-1]} {value:.2f}x [IQR {q1:.2f}-{q3:.2f}]")
+        for head, parts in lines.items():
+            where = f" — {'/'.join(head)}" if head else ""
+            print(f"  {ratio.title}{where}: {', '.join(parts)}", file=stream)
     charz = report.get("characterization_speedups", {})
     if charz:
         ratio = charz.get("evaluation_ratio")
@@ -1459,14 +1331,13 @@ def _print_summary(report: dict, stream=None) -> None:
               file=stream)
         break_even = charz.get("break_even_us_per_evaluation")
         if break_even is not None and charz.get("wall_speedup"):
-            spread = charz.get("break_even_us_per_evaluation_quartiles") \
-                or [break_even] * 3
+            q1, _, q3 = charz["break_even_us_per_evaluation_quartiles"]
             print(f"  characterization: adaptive takes "
                   f"{1.0 / charz['wall_speedup']:.1f}x the fixed-grid wall; "
                   f"the evaluations saved pay for it above "
                   f"{break_even:.1f} us per SPICE evaluation "
-                  f"[IQR {spread[0]:.1f}-{spread[2]:.1f} over "
-                  f"{charz.get('timed_pairs', 1)} pairs]", file=stream)
+                  f"[IQR {q1:.1f}-{q3:.1f} over "
+                  f"{charz['timed_pairs']} pairs]", file=stream)
     overhead = report.get("faults_disabled_overhead", {})
     if overhead:
         text = ", ".join(f"{b} {fraction:.4%}"

@@ -16,7 +16,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError, ServiceError
+from repro.errors import ServiceError
 from repro.runtime.report import RunReport
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.gpu import EngineStats
@@ -296,8 +296,4 @@ def validate_job(compiled, pairs: Sequence[PatternPair], plan: SlotPlan,
     # its edges they extrapolate without a word of warning.
     space = kernel_table.space
     if low < space.v_min or high > space.v_max:
-        outside = [v for v in voltages
-                   if v < space.v_min or v > space.v_max]
-        raise ParameterError(
-            f"plan voltage {outside[0]:g} V is outside the "
-            f"kernel table's box [{space.v_min:g}, {space.v_max:g}] V")
+        space.require(plan.voltages)

@@ -131,9 +131,8 @@ class LevelsResult:
     — without a mask every lane of every non-empty level is dispatched
     — so they agree across backends however a backend chooses to run a
     level.  ``overflow_slots`` is the ``(S,)`` uint8 plane of the call:
-    nonzero where a lane of the slot did not fit its row (or the caller
-    flagged the slot beforehand) — those columns of the arena are not
-    an answer, every other one is.
+    nonzero where a lane of the slot did not fit its row — those
+    columns of the arena are not an answer, every other one is.
     """
 
     lanes: int
@@ -369,7 +368,6 @@ class ComputeBackend:
         delay_cache: Optional[Dict] = None,
         delays: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-        overflow_slots: Optional[np.ndarray] = None,
     ) -> LevelsResult:
         """Evaluate the levels of the circuit, in order, each against
         the arena the preceding levels finalized — the one call the
@@ -383,12 +381,10 @@ class ComputeBackend:
         a parameter — the per-level ``φ_C`` memos live on ``plans``.
 
         Overflow does not stop the walk.  A lane whose toggles do not
-        fit ``capacity`` flags its slot in ``overflow_slots`` — the
-        caller's ``(S,)`` uint8 plane, which may arrive with slots
-        already flagged (``None``: a fresh one), returned as
-        ``LevelsResult.overflow_slots`` — and its row goes *quiet*: all
-        ``+inf`` behind the settled initial value, its mask byte
-        cleared, identically in every backend.  The
+        fit ``capacity`` flags its slot in the call's ``(S,)`` uint8
+        plane, ``LevelsResult.overflow_slots``, and its row goes
+        *quiet*: all ``+inf`` behind the settled initial value, its
+        mask byte cleared, identically in every backend.  The
         levels after it therefore walk a well-formed arena; slots are
         independent simulations, so every column that is not flagged
         is the answer and a flagged column is garbage nobody reads —
@@ -423,8 +419,7 @@ class ComputeBackend:
         and accounting are bit-identical either way.
         """
         num_slots = int(slot_to_v.size)
-        if overflow_slots is None:
-            overflow_slots = np.zeros(num_slots, dtype=np.uint8)
+        overflow_slots = np.zeros(num_slots, dtype=np.uint8)
         totals = LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
                               kernel_calls=0, overflow_slots=overflow_slots)
         for plan, level_factors, nc, level_delays in plans.level_sources(
@@ -604,14 +599,12 @@ class CextBackend(ComputeBackend):
 
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None, delays=None, mask=None,
-                   overflow_slots=None):
+                   delay_cache=None, delays=None, mask=None):
         # One ctypes crossing for the whole batch: the C entry walks the
         # levels over the concatenated plan arrays and reads and grows
         # the activity mask itself.
         cat = plans.concat()
-        if overflow_slots is None:
-            overflow_slots = np.zeros(slot_to_v.size, dtype=np.uint8)
+        overflow_slots = np.zeros(slot_to_v.size, dtype=np.uint8)
         coeffs = nc = None
         if kernel_table is not None:
             coeffs = kernel_table.coefficients

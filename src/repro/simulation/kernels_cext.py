@@ -773,16 +773,14 @@ def run_levels(times_all, initial_all, cat, delays, coeffs, nv, nc,
     ``delays`` (see :func:`_delay_args`) and ``factors`` (if given) are
     in concatenated plan-row order.  ``mask`` is the C-contiguous
     ``(nets, S)`` bool activity plane, updated in place, and
-    ``overflow_slots`` the ``(S,)`` uint8 plane an overflowing lane
-    flags its slot in (see ``ComputeBackend.run_levels``; a caller that
-    reads only the lane count may leave it out).  Returns
+    ``overflow_slots`` the backend's fresh ``(S,)`` uint8 plane an
+    overflowing lane flags its slot in (see ``ComputeBackend.run_levels``;
+    a caller that reads only the lane count leaves it out).  Returns
     ``(overflow_lanes, iterations, calls, lanes, skipped)``.
     """
     slot_to_v = np.ascontiguousarray(slot_to_v, dtype=np.int64)
     if overflow_slots is None:
         overflow_slots = np.zeros(slot_to_v.size, dtype=np.uint8)
-    elif overflow_slots.shape != slot_to_v.shape:
-        raise ValueError("overflow plane must hold one flag per slot")
     has_mask = mask is not None
     if has_mask and not (mask.dtype == np.bool_ and mask.flags.c_contiguous
                          and mask.shape == initial_all.shape):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cells.cell import DrivePolarity
-from repro.errors import ParseError
+from repro.errors import ParameterError, ParseError
 from repro.netlist.liberty import parse_liberty, write_liberty
 from repro.units import FF
 
@@ -25,8 +25,21 @@ class TestWrite:
             assert f"cell ({cell.name})" in nominal_lib
 
     def test_voltage_out_of_range(self, characterization):
-        with pytest.raises(ParseError, match="outside"):
+        with pytest.raises(ParameterError, match="outside"):
             write_liberty(characterization, voltage=1.5)
+
+    @pytest.mark.parametrize("edge", ["v_min", "v_max"])
+    def test_box_edges_and_one_microvolt_past_them(self, characterization,
+                                                   edge):
+        space = characterization.space
+        voltage = getattr(space, edge)
+        assert f"voltage_map (VDD, {voltage:.2f});" in write_liberty(
+            characterization, voltage=voltage, table_points=2)
+        past = voltage + (1e-6 if edge == "v_max" else -1e-6)
+        with pytest.raises(ParameterError,
+                           match=rf"supply {past:.10g} V is outside the "
+                                 r"characterized box \[0.55, 1.1\] V"):
+            write_liberty(characterization, voltage=past)
 
 
 class TestRoundTrip:

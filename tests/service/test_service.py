@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService, waveform_checksum
+from repro.service.jobs import validate_job
 from repro.simulation.backend import available_backends, resolve_backend
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
@@ -459,6 +460,21 @@ class TestAdmissionControl:
             metrics = service.metrics()
         assert metrics.jobs_submitted == 0
         assert service.engine_dispatches == 0
+
+    @pytest.mark.parametrize("voltage", [0.55 - 1e-6, 1.10 + 1e-6])
+    def test_one_microvolt_past_the_box_raises(self, circuit, compiled,
+                                               kernel_table, voltage):
+        """The pre-check hands a plan past the box to
+        ``ParameterSpace.require``; the edges themselves pass."""
+        pairs = make_jobs(circuit, 1, seed=26)[0]
+        validate_job(compiled, pairs, SlotPlan.cross(len(pairs), [0.55, 1.10]),
+                     kernel_table)
+        with pytest.raises(ParameterError,
+                           match=rf"supply {voltage:.10g} V is outside the "
+                                 r"characterized box \[0.55, 1.1\] V"):
+            validate_job(compiled, pairs,
+                         SlotPlan.cross(len(pairs), [0.8, voltage]),
+                         kernel_table)
 
 
 class TestShutdown:

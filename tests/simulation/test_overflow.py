@@ -302,11 +302,9 @@ def test_native_walk_flags_what_the_reference_flags(
     for backend in (native, reference):
         times, initial = (array.copy() for array in arena)
         own_mask = None if mask is None else mask.copy()
-        own_flags = np.zeros(num_slots, dtype=np.uint8)
         result = backend.run_levels(
             plans, times, initial, slot_to_v, factors, capacity, True,
-            mask=own_mask, overflow_slots=own_flags, **source)
-        assert result.overflow_slots is own_flags
+            mask=own_mask, **source)
         outcomes.append((result, times, initial, own_mask))
     ours, theirs = outcomes
     np.testing.assert_array_equal(ours[0].overflow_slots,

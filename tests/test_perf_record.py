@@ -7,26 +7,67 @@ import pytest
 from repro.perf import record
 
 
+@pytest.fixture
+def one_pair(monkeypatch):
+    """Time one pair per flow (after the warm-up) instead of PAIRS."""
+    monkeypatch.setattr(record, "PAIRS", 1)
+
+
 class TestMicroBenchmarks:
-    def test_merge_kernel_entry(self):
-        entry = record.bench_merge_kernel("numpy", lanes=64, repeats=1)
+    def test_merge_kernel_entry(self, one_pair):
+        entry = record.bench_merge_kernel("numpy", lanes=64)
         assert entry["name"] == "waveform_merge_kernel"
         assert entry["backend"] == "numpy"
         assert entry["wall_seconds"] > 0
+        assert entry["walls"] == [entry["wall_seconds"]]
         assert entry["gate_evals_per_second"] > 0
         assert entry["params"]["lanes"] == 64
 
-    def test_delay_kernel_entry(self, kernel_table):
-        entry = record.bench_delay_kernel("numpy", kernel_table, gates=16,
-                                          repeats=1)
+    def test_delay_kernel_entry(self, kernel_table, one_pair):
+        entry = record.bench_delay_kernel("numpy", kernel_table, gates=16)
         assert entry["name"] == "delays_for_gates"
         assert entry["backend"] == "numpy"
         assert entry["wall_seconds"] > 0
 
 
+class TestTimingProtocol:
+    def test_warms_each_flow_once_then_flips_the_order(self, monkeypatch):
+        monkeypatch.setattr(record, "PAIRS", 4)
+        calls = []
+        flows = {name: (lambda name=name: calls.append(name) or len(calls))
+                 for name in ("a", "b", "c")}
+        walls, last = record._time_pairs(flows,
+                                         before=lambda: calls.append("-"))
+        runs = [name for name in calls if name != "-"]
+        assert calls == [step for name in runs for step in ("-", name)]
+        # One untimed warm-up of each flow, then four timed pairs, each
+        # running every flow once in the reverse order of the last.
+        assert runs[3:] == list("abc" "cba" "abc" "cba")
+        assert sorted(runs[:3]) == ["a", "b", "c"]
+        assert runs[:3] != runs[3:6]
+        assert {name: len(w) for name, w in walls.items()} == {
+            "a": 4, "b": 4, "c": 4}
+        # Each flow's last return value, in declaration order.
+        assert list(last.items()) == [("a", 30), ("b", 28), ("c", 26)]
+
+    def test_quick_times_fewer_pairs(self):
+        walls, _ = record._time_pairs({"a": lambda: None}, quick=True)
+        assert len(walls["a"]) == record.PAIRS_QUICK
+
+    def test_wall_is_the_median_of_the_pairs(self):
+        entry = record._entry("x", "numpy", [0.3, 0.1, 0.2], 10)
+        assert entry["wall_seconds"] == 0.2
+        assert entry["walls"] == [0.3, 0.1, 0.2]
+        assert entry["gate_evals_per_second"] == pytest.approx(50.0)
+
+
 def make_report(walls):
+    """Entries of one pair each; a list value is the entry's ``walls``."""
     return {"benchmarks": [
         {"name": name, "backend": backend, "wall_seconds": wall}
+        if not isinstance(wall, list) else
+        {"name": name, "backend": backend, "walls": wall,
+         "wall_seconds": sorted(wall)[len(wall) // 2]}
         for (name, backend), wall in walls.items()
     ]}
 
@@ -57,9 +98,90 @@ class TestRegressionGate:
         report = make_report({("merge", "numpy"): 1.0,
                               ("merge", "cext"): 0.25,
                               ("delay", "cext"): 0.5})
-        speedups = record._speedups(report["benchmarks"])
-        assert speedups["merge"]["cext"] == pytest.approx(4.0)
+        speedups = record._ratios(report["benchmarks"])["speedups"]
+        assert speedups["merge"] == {"numpy": 1.0,
+                                     "cext": pytest.approx(4.0)}
         assert "delay" not in speedups  # no numpy baseline entry
+
+    def test_every_section_is_present_with_its_quartiles(self):
+        sections = record._ratios([])
+        names = [ratio.section for ratio in record.RATIOS]
+        assert list(sections) == names + ["ratio_quartiles"]
+        assert sections["ratio_quartiles"] == {name: {} for name in names}
+
+    def test_ratios_pair_by_backend(self):
+        """Each backend's flows pair with each other, never across."""
+        benchmarks = make_report({
+            ("service_throughput_sequential", "numpy"): 4.0,
+            ("service_throughput_batched", "numpy"): 1.0,
+            ("service_throughput_sequential", "cext"): 0.6,
+            ("service_throughput_batched", "cext"): 0.3,
+            ("avfs_closed_loop_full", "cext"): 0.9,
+            ("avfs_closed_loop_delta", "cext"): 0.3,
+            # No full partner on numpy: no closed-loop ratio for it.
+            ("avfs_closed_loop_delta", "numpy"): 1.0,
+        })["benchmarks"]
+        sections = record._ratios(benchmarks)
+        assert sections["service_speedups"] == {
+            "numpy": pytest.approx(4.0), "cext": pytest.approx(2.0)}
+        assert sections["closed_loop_speedups"] == {"cext": pytest.approx(3.0)}
+
+    def test_service_scaling_keyed_by_backend_then_shards(self):
+        benchmarks = make_report({
+            ("service_scaling_inproc", "cext"): 1.0,
+            ("service_scaling_shards1", "cext"): 2.0,
+            ("service_scaling_shards4", "cext"): 0.5,
+            ("service_scaling_shards2", "numpy"): 0.5,  # no partner
+        })["benchmarks"]
+        sections = record._ratios(benchmarks)
+        assert sections["service_scaling"] == {
+            "cext": {"1": pytest.approx(0.5), "4": pytest.approx(2.0)}}
+        assert sections["ratio_quartiles"]["service_scaling"] == {
+            "cext": {"1": [pytest.approx(0.5)] * 3,
+                     "4": [pytest.approx(2.0)] * 3}}
+
+    def test_incremental_speedups_pair_full_with_delta(self):
+        benchmarks = make_report({
+            ("incremental_stimulus_full", "cext"): 3.0,
+            ("incremental_stimulus_delta", "cext"): 1.0,
+            ("incremental_voltage_sweep_delta", "cext"): 1.0,  # no partner
+        })["benchmarks"]
+        assert record._ratios(benchmarks)["incremental_speedups"] == {
+            "incremental_stimulus": {"cext": pytest.approx(3.0)}}
+
+    def test_quartiles_come_from_per_pair_ratios(self):
+        """Pair i's wall over pair i's wall — not a ratio of medians."""
+        full = [1.0, 2.0, 3.0, 4.0, 5.0]
+        delta = [1.0, 1.0, 1.0, 8.0, 1.0]
+        benchmarks = make_report({
+            ("avfs_closed_loop_full", "cext"): full,
+            ("avfs_closed_loop_delta", "cext"): delta,
+        })["benchmarks"]
+        sections = record._ratios(benchmarks)
+        per_pair = sorted(f / d for f, d in zip(full, delta))  # .5 1 2 3 5
+        assert sections["closed_loop_speedups"]["cext"] == per_pair[2] == 2.0
+        assert sections["ratio_quartiles"]["closed_loop_speedups"][
+            "cext"] == [1.0, 2.0, 3.0]
+        # The medians' ratio (3.0 / 1.0) is not what is recorded.
+        assert benchmarks[0]["wall_seconds"] / benchmarks[1]["wall_seconds"] \
+            == 3.0
+
+    def test_schema_1_baseline_without_walls_still_compares(self):
+        """An entry without ``walls`` is one pair of its wall_seconds."""
+        baseline = make_report({("e2e_x_static", "numpy"): 1.0,
+                                ("e2e_x_parametric", "numpy"): 0.9,
+                                ("merge", "numpy"): 1.0})
+        current = make_report({("e2e_x_static", "numpy"): [0.6, 0.6, 0.6],
+                               ("e2e_x_parametric", "numpy"): [0.9, 0.95, 0.9],
+                               ("merge", "numpy"): [2.0, 1.2, 1.9]})
+        messages = record.compare_reports(current, baseline, 1.5)
+        assert len(messages) == 2
+        assert messages[0].startswith("merge[numpy]: 1.9000s vs baseline 1.0000s")
+        assert messages[1].startswith(
+            "parametric_ratio[x/numpy]: 1.50 vs baseline 0.90")
+        # A schema-1 record also still reduces as a current record.
+        assert record._ratios(baseline["benchmarks"])["parametric_ratios"] == {
+            "x": {"numpy": pytest.approx(0.9)}}
 
     def test_pruning_speedups_pair_dense_with_sparse(self):
         benchmarks = [
@@ -74,7 +196,7 @@ class TestRegressionGate:
             {"name": "waveform_merge_kernel", "backend": "numpy",
              "wall_seconds": 2.0},
         ]
-        speedups = record._pruning_speedups(benchmarks)
+        speedups = record._ratios(benchmarks)["pruning_speedups"]
         assert speedups["e2e_x_lowact"]["numpy"] == pytest.approx(3.0)
         assert "cext" not in speedups["e2e_x_lowact"]
 
@@ -84,12 +206,13 @@ class TestRegressionGate:
             ("e2e_x_parametric", "numpy"): 2.5,
             # No static partner on cext: no ratio for it.
             ("e2e_x_parametric", "cext"): 0.5,
-            # Low-activity entries end in _dense/_sparse, never pair.
+            # Low-activity entries never pair, whatever their suffix.
             ("e2e_x_lowact_dense", "numpy"): 3.0,
+            ("e2e_y_lowact_static", "numpy"): 1.0,
+            ("e2e_y_lowact_parametric", "numpy"): 3.0,
         })["benchmarks"]
-        ratios = record._parametric_ratios(benchmarks)
-        assert ratios["x"]["numpy"] == pytest.approx(2.5)
-        assert "cext" not in ratios["x"]
+        ratios = record._ratios(benchmarks)["parametric_ratios"]
+        assert ratios == {"x": {"numpy": pytest.approx(2.5)}}
 
     def test_parametric_ratio_regression_flagged(self):
         """The ratio gate fires even when every raw wall time improved."""
@@ -121,7 +244,7 @@ class TestRegressionGate:
             {"name": "e2e_x_wide_parametric", "backend": "cext",
              "wall_seconds": 10.5, "params": wide},
         ]
-        assert record._parametric_ratios(benchmarks) == {
+        assert record._ratios(benchmarks)["parametric_ratios"] == {
             "x_wide": {"cext": pytest.approx(1.05)}}
 
     def test_parametric_ratio_ceiling_is_absolute(self):
@@ -210,8 +333,8 @@ class TestRegressionGate:
     def test_characterization_spread_over_pairs(self):
         """Ratios are taken per timed pair; the section carries their quartiles."""
         benchmarks = self.charz_benchmarks()
-        benchmarks[0]["params"]["pair_walls"] = [0.06, 0.05, 0.09, 0.06, 0.05]
-        benchmarks[1]["params"]["pair_walls"] = [0.30, 0.20, 0.30, 0.24, 0.25]
+        benchmarks[0]["walls"] = [0.06, 0.05, 0.09, 0.06, 0.05]
+        benchmarks[1]["walls"] = [0.30, 0.20, 0.30, 0.24, 0.25]
         section = record._characterization_speedups(benchmarks)
         ratios = sorted([0.2, 0.25, 0.3, 0.25, 0.2])
         assert section["timed_pairs"] == 5
@@ -219,7 +342,7 @@ class TestRegressionGate:
         assert section["wall_speedup"] == pytest.approx(ratios[2])
         saved = 39960 - 12000
         per_pair = sorted((a - f) * 1e6 / saved for f, a in zip(
-            benchmarks[0]["params"]["pair_walls"], benchmarks[1]["params"]["pair_walls"]))
+            benchmarks[0]["walls"], benchmarks[1]["walls"]))
         q1, median, q3 = section["break_even_us_per_evaluation_quartiles"]
         assert q1 <= median <= q3
         assert median == pytest.approx(per_pair[2])
@@ -247,8 +370,8 @@ class TestRegressionGate:
         assert len(messages) == 1
         assert "characterization[cache]" in messages[0]
 
-    def test_setup_scaling_entry_and_section(self):
-        (entry,) = record.bench_setup_scaling(sizes=(("s38417", 0.01),), repeats=1)
+    def test_setup_scaling_entry_and_section(self, one_pair):
+        (entry,) = record.bench_setup_scaling(sizes=(("s38417", 0.01),))
         assert entry["name"] == "setup_s38417_x0.01" and entry["backend"] == "numpy"
         params = entry["params"]
         assert params["us_per_gate"] == pytest.approx(
