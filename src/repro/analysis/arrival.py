@@ -68,14 +68,21 @@ def latest_arrivals(
         plan.voltages if plan is not None
         else np.asarray([v for _, v in result.slot_labels], dtype=np.float64)
     )
+    arrivals = result.slot_arrivals(watch)
+    # Per supply: the first slot holding its largest arrival; a supply
+    # where nothing toggled is left out.  Supplies enter the report in
+    # the order their first toggling slot appears.
+    distinct, slot_to_v = np.unique(voltages, return_inverse=True)
+    toggled = np.flatnonzero(arrivals > -np.inf)
+    found, first = np.unique(slot_to_v[toggled], return_index=True)
     by_voltage: Dict[float, float] = {}
     critical: Dict[float, int] = {}
-    arrivals = result.slot_arrivals(watch).tolist()
-    for slot, (voltage, arrival) in enumerate(zip(voltages.tolist(),
-                                                  arrivals)):
-        if arrival > by_voltage.get(voltage, float("-inf")):
-            by_voltage[voltage] = arrival
-            critical[voltage] = slot
+    for v in found[np.argsort(toggled[first])].tolist():
+        slots = np.flatnonzero(slot_to_v == v)
+        slot = int(slots[np.argmax(arrivals[slots])])
+        voltage = float(distinct[v])
+        by_voltage[voltage] = float(arrivals[slot])
+        critical[voltage] = slot
     return ArrivalReport(
         circuit_name=circuit.name,
         by_voltage=by_voltage,

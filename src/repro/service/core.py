@@ -108,6 +108,7 @@ from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import select_delta  # noqa: F401
 from repro.simulation.gpu import EngineStats
 from repro.simulation.grid import Segments, SlotPlan
+from repro.simulation.pool import pooled_compile
 from repro.waveform.plane import WaveformPlane
 
 __all__ = ["SimulationService"]
@@ -236,9 +237,15 @@ class SimulationService:
 
         Registering the same circuit again is a no-op returning the same
         key — the compiled form is shared by every job referencing it.
+        Without ``annotation`` and ``loads`` the compile is the process-
+        wide memoized one (:func:`~repro.simulation.pool.pooled_compile`),
+        so a second registration of the same objects is a lookup.
         """
-        compiled = compiled or compile_circuit(circuit, library, annotation,
-                                               loads)
+        if compiled is None:
+            compiled = (pooled_compile(circuit, library)
+                        if annotation is None and loads is None
+                        else compile_circuit(circuit, library, annotation,
+                                             loads))
         key = circuit_fingerprint(compiled)
         with self._circuits_lock:
             self._circuits.setdefault(key, compiled)

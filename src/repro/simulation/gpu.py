@@ -34,9 +34,14 @@ the wanted net rows out of the arena (``backend.extract``) into
 columnar :class:`~repro.waveform.plane.WaveformPlane` form (toggle
 counts, block offsets and a flat toggle-time payload) — one plane for
 the batch, or one per consumer when the caller named its
-:class:`~repro.simulation.grid.Segments`; sub-batches are joined by
-plane ``concat`` / ``take`` and no per-``(net, slot)`` Python object is
-built unless a caller indexes ``result.waveforms``.
+:class:`~repro.simulation.grid.Segments`.  A batch's answer is
+assembled in place: the parts it lowered to have their columns written
+where their slots land (``WaveformPlane.assemble``, a quiet part's
+settled values straight into ``initial``), an overflow re-run patches
+its slots' columns into the plane the walk just extracted
+(``WaveformPlane.scatter``), and memory-budget batches, already in slot
+order, are concatenated.  No per-``(net, slot)`` Python object is built
+unless a caller indexes ``result.waveforms``.
 
 On realistic low-activity stimuli most lanes carry zero input toggles —
 their output is a pure logic settle with no waveform work.  The engine
@@ -312,9 +317,11 @@ class _ArenaPool:
         """A ``(times, initial)`` arena pair of the given shape.
 
         Only the net ``rows`` are reset (toggle times ``+inf``, initial
-        values 0); every other row holds whatever the previous batch
-        left — the walk writes each of them in full before anything
-        reads it (the row contract of :meth:`ComputeBackend.run_levels`).
+        values 0): the engine passes the rows that neither the stimulus
+        nor a gate writes.  Every other row holds whatever the previous
+        batch left — the engine writes the input slab whole and the walk
+        each gate-output row in full before anything reads it (the row
+        contract of :meth:`ComputeBackend.run_levels`).
         """
         faults.trip("engine.alloc")
         n_times = nets * slots * capacity
@@ -329,6 +336,17 @@ class _ArenaPool:
         times[rows] = INF
         initial[rows] = 0
         return times, initial
+
+    def values(self, nets: int, slots: int, rows: np.ndarray) -> np.ndarray:
+        """The ``(nets, slots)`` initial-value half of :meth:`acquire`
+        alone — the plane a quiet settle sweeps — with the net ``rows``
+        reset to 0."""
+        n_initial = nets * slots
+        if self._initial is None or self._initial.size < n_initial:
+            self._initial = np.empty(n_initial, dtype=np.uint8)
+        initial = self._initial[:n_initial].reshape(nets, slots)
+        initial[rows] = 0
+        return initial
 
 
 @dataclass(frozen=True)
@@ -508,12 +526,17 @@ class GpuWaveSim:
              for net in self._output_keys["nets"]], dtype=np.int64)
         self._result_rows = (None if self.config.record_all_nets
                              else self._output_ids)
-        # Arena rows no gate drives (primary inputs, the dummy net):
-        # all an unmasked batch has to reset, every other row being
-        # written in full by the lane that owns it.
+        # The stimulus rows: compile_circuit numbers the primary inputs
+        # first (``input_net_ids`` is ``arange``), so a batch writes
+        # them as one contiguous slab.
+        self._inputs = slice(0, self.compiled.input_net_ids.size)
+        # Arena rows neither a gate nor the stimulus writes (the dummy
+        # net, any net nothing drives): all a batch has to reset, every
+        # other row being written in full by the lane that owns it.
         undriven = np.ones(self.compiled.num_nets + 1, dtype=bool)
         undriven[self.compiled.gate_output] = False
-        self._undriven_rows = np.flatnonzero(undriven)
+        undriven[self._inputs] = False
+        self._reset_rows = np.flatnonzero(undriven)
 
     # -- public API ----------------------------------------------------------------
 
@@ -770,38 +793,43 @@ class GpuWaveSim:
     def _run_lowered(self, batch: _Batch, delta: Optional[DeltaPlan]
                      ) -> _Answer:
         """Answer every :func:`_lower` part of a batch and join them."""
-        parts: List[Tuple[np.ndarray, WaveformPlane]] = []
+        parts: List[Tuple[np.ndarray, Union[_Answer, np.ndarray]]] = []
         for subset, lowering in _lower(batch.toggles,
                                        self.config.prune_inactive, delta):
             sub, sub_delta = _narrow(batch, delta, subset)
             if lowering == QUIET:
-                plane = self._settle(sub)
+                answer = self._settle(sub)
             elif lowering == SPLICE:
-                plane = self._splice(sub, sub_delta)
+                answer = self._splice(sub, sub_delta)
             elif lowering == TRACKED:
                 mask = np.zeros((self.compiled.num_nets + 1,
                                  sub.plan.num_slots), dtype=bool)
-                mask[self.compiled.input_net_ids] = sub.toggles.T
-                plane = self._execute(sub, mask=mask)
+                mask[self._inputs] = sub.toggles.T
+                answer = self._execute(sub, mask=mask)
             else:
-                plane = self._execute(sub)
-            parts.append((subset, plane))
-        return self._join(parts, batch.stats)
+                answer = self._execute(sub)
+            parts.append((subset, answer))
+        return self._join(parts, batch)
 
-    @staticmethod
-    def _join(parts: List[Tuple[np.ndarray, WaveformPlane]],
-              stats: EngineStats) -> WaveformPlane:
-        """Concatenate ``(slot subset, plane)`` parts that partition a
-        batch and restore the batch's slot order (columns are
-        re-indexed, the payload is copied once by ``concat``).  A lone
-        part is the batch's answer as it stands."""
+    def _join(self, parts: List[Tuple[np.ndarray, Union[_Answer, np.ndarray]]],
+              batch: _Batch) -> _Answer:
+        """Assemble ``(slot subset, answer)`` parts that partition a
+        batch into one plane: each part's columns are scattered where
+        its slots land and the payloads are concatenated once
+        (:meth:`WaveformPlane.assemble`).  A quiet part is its settled
+        ``(W, n)`` values, which fill ``initial`` alone.  A lone part is
+        the batch's answer as it stands."""
         if len(parts) == 1:
-            return parts[0][1]
+            answer = parts[0][1]
+            if isinstance(answer, np.ndarray):
+                return WaveformPlane.constant(
+                    initial=answer, **self._keys_of(batch.rows))
+            return answer
         pack_start = _time.perf_counter()
-        plane = WaveformPlane.concat([plane for _, plane in parts])
-        position = np.argsort(np.concatenate([idx for idx, _ in parts]))
-        plane = plane.take(position, copy=False)
-        stats.pack_seconds += _time.perf_counter() - pack_start
+        plane = WaveformPlane.assemble(num_slots=batch.plan.num_slots,
+                                       parts=parts,
+                                       **self._keys_of(batch.rows))
+        batch.stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
     def _keys_of(self, rows: Optional[np.ndarray]) -> dict:
@@ -816,9 +844,10 @@ class GpuWaveSim:
 
     # -- lowerings that never touch the arena ----------------------------------------
 
-    def _settle(self, batch: _Batch) -> WaveformPlane:
-        """Quiet slots (no launched transition on any input): a
-        toggle-free plane of settled values, ``num_gates`` skipped lanes
+    def _settle(self, batch: _Batch) -> np.ndarray:
+        """Quiet slots (no launched transition on any input): the
+        ``(W, slots)`` settled values of the captured rows — the whole
+        answer of a toggle-free part — and ``num_gates`` skipped lanes
         per slot."""
         compiled = self.compiled
         batch.stats.lanes_skipped += compiled.num_gates * batch.plan.num_slots
@@ -826,10 +855,9 @@ class GpuWaveSim:
         values, inverse = self._settle_values(batch)
         values = (values[: compiled.num_nets] if batch.rows is None
                   else values[batch.rows])
-        plane = WaveformPlane.constant(initial=values[:, inverse],
-                                       **self._keys_of(batch.rows))
+        values = values[:, inverse]
         batch.stats.pack_seconds += _time.perf_counter() - pack_start
-        return plane
+        return values
 
     def _settle_values(self, batch: _Batch) -> tuple:
         """Settled logic values for toggle-free slots.
@@ -856,9 +884,9 @@ class GpuWaveSim:
         twin = np.array([seen.setdefault(batch.first[slot].tobytes(), slot)
                          for slot in index])
         keep, by_vector = np.unique(twin, return_inverse=True)
-        initial = np.zeros((compiled.num_nets + 1, keep.size),
-                           dtype=np.uint8)
-        initial[compiled.input_net_ids] = batch.first[keep].T
+        initial = self._arena_pool.values(compiled.num_nets + 1, keep.size,
+                                          self._reset_rows)
+        initial[self._inputs] = batch.first[keep].T
         self.backend.settle_levels(self._level_plans(), initial)
         return initial, by_vector[by_pattern]
 
@@ -910,8 +938,8 @@ class GpuWaveSim:
         least one toggle.  The lane *accounting* is derived from the
         mask alone, so it is invariant across backends and slot-plane
         chunkings.  Masked or not, the walk writes every gate-output
-        row (a skipped lane an all-``+inf`` one), so only the undriven
-        rows need a reset.
+        row (a skipped lane an all-``+inf`` one) and the stimulus the
+        input slab, so only the rows neither writes need a reset.
 
         A slot with a lane that overflowed comes back flagged; its
         column of the arena is garbage and :meth:`_recover` re-runs it.
@@ -926,10 +954,12 @@ class GpuWaveSim:
         # Waveform memory: (nets + dummy, slots, capacity) toggle times,
         # pooled per engine.
         times_all, initial_all = self._arena_pool.acquire(
-            compiled.num_nets + 1, num_slots, capacity, self._undriven_rows)
-        initial_all[compiled.input_net_ids] = batch.first.T
-        times_all[compiled.input_net_ids, :, 0] = np.where(
-            batch.toggles.T, LAUNCH_TIME, INF)
+            compiled.num_nets + 1, num_slots, capacity, self._reset_rows)
+        # The stimulus (Fig. 2 step 3) fills the input slab whole.
+        initial_all[self._inputs] = batch.first.T
+        stimulus = times_all[self._inputs]
+        stimulus.fill(INF)
+        np.copyto(stimulus[:, :, 0], LAUNCH_TIME, where=batch.toggles.T)
 
         # Delay source.  Parallel instances share delay-function calls:
         # each distinct voltage is evaluated once and broadcast to its
@@ -979,6 +1009,11 @@ class GpuWaveSim:
         the walk :meth:`_execute` just made are re-run at a grown
         capacity and joined with the healthy columns of its arena.
 
+        The healthy columns stay where the walk's extract put them:
+        the flagged slots' answer is scattered over their columns of
+        that fresh, private plane and its payload appended
+        (:meth:`WaveformPlane.scatter`) — no gather, no re-sort.
+
         Slots are independent simulations, so being wrong about the
         capacity costs the slots that were wrong.  The flagged slots'
         first attempt is taken back out of the lane counters — every
@@ -1014,22 +1049,19 @@ class GpuWaveSim:
                                             self.config.waveform_capacity))
         if flagged.size == num_slots:
             return self._run_batch(grown, None)
-        healthy = np.delete(np.arange(num_slots), flagged)
+        # Extract before the re-run reuses the pooled arena.
         plane = self._extract(times_all, initial_all, batch.rows, None,
                               stats)[0]
-        plane = self._join(
-            [(healthy, plane.take(healthy, copy=False)),
-             (flagged, self._run_batch(grown.take(flagged), None))],
-            stats)
-        if batch.segments is None:
-            return plane
-        bounds = batch.segments.bounds
-        # Re-cut what a clean walk would have unpacked per segment.
+        rerun = self._run_batch(grown.take(flagged), None)
         pack_start = _time.perf_counter()
-        planes = [plane.take(np.arange(lo, hi))
-                  for lo, hi in zip(bounds, bounds[1:])]
+        plane = plane.scatter([(flagged, rerun)])
+        if batch.segments is not None:
+            # Re-cut what a clean walk would have unpacked per segment.
+            bounds = batch.segments.bounds
+            plane = [plane.take(np.arange(lo, hi))
+                     for lo, hi in zip(bounds, bounds[1:])]
         stats.pack_seconds += _time.perf_counter() - pack_start
-        return planes
+        return plane
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray
                      ) -> np.ndarray:

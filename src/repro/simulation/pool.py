@@ -26,8 +26,9 @@ bounded (LRU, :data:`POOL_CAPACITY`) and :func:`clear_engine_pool`
 drops it for tests.  Computing that key needs the compiled form, so the
 compiled circuit of each live ``(circuit, library)`` pair is memoized:
 a fresh runner or explorer on an already-pooled circuit pays a lookup,
-not a compile.  The memo only knows what has been through
-:func:`pooled_engine`: a circuit the caller compiled itself but has not
+not a compile.  The memo (:func:`pooled_compile`) only knows what has
+been through :func:`pooled_engine` or a service's
+``register_circuit``: a circuit the caller compiled itself but has not
 yet *pooled* is compiled again by the first explorer or runner that
 asks without passing ``compiled=`` — one more
 :func:`~repro.simulation.compiled.compile_circuit`, not a lookup.
@@ -55,6 +56,7 @@ __all__ = [
     "PlanCacheMeter",
     "clear_engine_pool",
     "engine_pool_stats",
+    "pooled_compile",
     "pooled_engine",
 ]
 
@@ -71,8 +73,11 @@ _lock = threading.Lock()  # guards _compiled
 _compiled: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
-def _compiled_for(circuit, library,
-                  compiled: Optional[CompiledCircuit]) -> CompiledCircuit:
+def pooled_compile(circuit, library,
+                   compiled: Optional[CompiledCircuit] = None
+                   ) -> CompiledCircuit:
+    """The memoized compiled form of ``(circuit, library)`` — compiled
+    on first use, or ``compiled`` recorded as it."""
     key = (id(circuit), id(library), len(circuit.gates),
            len(circuit.inputs), len(circuit.outputs), len(library))
     with _lock:
@@ -98,7 +103,7 @@ def pooled_engine(circuit, library, config: Optional[SimulationConfig] = None,
     from repro.runtime.fingerprint import circuit_fingerprint
 
     config = config or SimulationConfig()
-    compiled = _compiled_for(circuit, library, compiled)
+    compiled = pooled_compile(circuit, library, compiled)
     key = (circuit_fingerprint(compiled), config)
     engine = _pool.get(key)
     if engine is None:

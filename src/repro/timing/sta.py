@@ -15,6 +15,8 @@ most designs.
 Delays default to the nominal SDF annotation; passing a compiled delay
 kernel table and a voltage re-derates every gate (parametric STA), which
 lets :mod:`repro.avfs` bound clock frequencies across operating points.
+A voltage outside the table's characterized box raises
+:class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class StaticTimingAnalysis:
             return self.compiled.nominal_delays
         if voltage is None:
             raise TimingError("parametric STA requires a voltage")
+        # The polynomials are fitted over the characterized box only.
+        kernel_table.space.require([voltage])
         adapted = kernel_table.delays_for_gates(
             self.compiled.gate_type_ids,
             self.compiled.gate_loads,

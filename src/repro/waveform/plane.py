@@ -12,10 +12,11 @@ for an ordered tuple of ``nets`` and a plane of slots it holds
 
 Each ``(net, slot)`` block is contiguous and ascending, but ``starts``
 are arbitrary offsets: :meth:`rows`, :meth:`concat` and
-``take(copy=False)`` re-index without moving payload bytes, and the
-content :meth:`checksum` does not depend on the layout.  Bulk queries
-(:meth:`latest`, :meth:`transition_counts`, :meth:`final_values`) read
-the columns directly.
+``take(copy=False)`` re-index without moving payload bytes,
+:meth:`assemble` and :meth:`scatter` write parts' columns where their
+slots land, and the content :meth:`checksum` does not depend on the
+layout.  Bulk queries (:meth:`latest`, :meth:`transition_counts`,
+:meth:`final_values`) read the columns directly.
 
 A plane is itself the lazy read-only ``Sequence[Mapping[str, Waveform]]``
 results expose as ``.waveforms``: ``plane[slot][net]`` materializes one
@@ -42,6 +43,10 @@ from repro.waveform.waveform import Waveform
 __all__ = ["PlaneAccessors", "WaveformPlane", "net_keys"]
 
 _NO_TIMES = np.empty(0, dtype=np.float64)
+
+#: Entries per row block of :meth:`WaveformPlane.latest`: its int64 and
+#: float64 temporaries stay cache-sized whatever the plane.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _packed_starts(counts: np.ndarray) -> np.ndarray:
@@ -133,6 +138,28 @@ class WaveformPlane(SequenceABC):
         zeros = np.zeros(initial.shape, dtype=np.int64)
         return cls(tuple(nets), initial, zeros, zeros, _NO_TIMES,
                    _index=index, _nets_crc=nets_crc)
+
+    @classmethod
+    def assemble(cls, nets: Sequence[str], num_slots: int, parts,
+                 index: Optional[Dict[str, int]] = None,
+                 nets_crc: Optional[int] = None) -> "WaveformPlane":
+        """One plane over ``num_slots`` slots from ``(slots, part)``
+        pairs whose slots partition them (a part as in :meth:`scatter`):
+        every part's columns are written where they land and the
+        payloads concatenated once — nothing is re-sorted."""
+        nets = tuple(nets)
+        shape = (len(nets), num_slots)
+        # Initial values are written slot-major, where a part's columns
+        # are rows (a column scatter moves one byte at a time), and
+        # transposed once.
+        initial = np.empty(shape[::-1], dtype=np.uint8)
+        for slots, part in parts:
+            initial[slots] = _initial_of(part, nets).T
+        canvas = cls(nets, np.ascontiguousarray(initial.T),
+                     np.zeros(shape, dtype=np.int64),
+                     np.zeros(shape, dtype=np.int64), _NO_TIMES,
+                     _index=index, _nets_crc=nets_crc)
+        return canvas._scatter_blocks(parts)
 
     @classmethod
     def from_waveforms(cls, waveforms: Sequence[Mapping],
@@ -289,6 +316,39 @@ class WaveformPlane(SequenceABC):
                             in zip(planes, offsets)], axis=1),
             np.concatenate([plane.times for plane in planes]))
 
+    def scatter(self, parts) -> "WaveformPlane":
+        """Overwrite the columns ``slots`` of every ``(slots, part)``
+        pair with ``part``'s, *in place* — only for a plane nobody else
+        holds, like a fresh extract.
+
+        A part is a plane over the same nets, or the ``(W, len(slots))``
+        uint8 values of a toggle-free part.  Returns the plane over the
+        joined payload: this plane's, then each part's, with the part's
+        ``starts`` shifted and no block moved — so it is not packed.
+        Blocks of overwritten columns stay in the payload unreferenced.
+        """
+        for slots, part in parts:
+            self.initial[:, slots] = _initial_of(part, self.nets)
+        return self._scatter_blocks(parts)
+
+    def _scatter_blocks(self, parts) -> "WaveformPlane":
+        """The ``counts`` / ``starts`` / payload half of :meth:`scatter`."""
+        stale = self.times.size > 0  # columns may hold toggles
+        payloads = [self.times]
+        size = self.times.size
+        for slots, part in parts:
+            if isinstance(part, np.ndarray) or part.times.size == 0:
+                if stale:
+                    self.counts[:, slots] = 0
+                continue
+            self.counts[:, slots] = part.counts
+            self.starts[:, slots] = part.starts + size
+            payloads.append(part.times)
+            size += part.times.size
+        times = np.concatenate(payloads) if len(payloads) > 1 else self.times
+        return self._derived(self.nets, self.initial, self.counts,
+                             self.starts, times)
+
     def checksum(self) -> int:
         """CRC32 over net names, initial values, toggle counts and every
         toggle time in net-major order — a function of the content only,
@@ -318,21 +378,32 @@ class WaveformPlane(SequenceABC):
     def latest(self, nets: Optional[Sequence[str]] = None,
                slots=None) -> np.ndarray:
         """Latest toggle time per slot (default: every slot) over
-        ``nets`` (default: all); ``-inf`` where nothing toggled."""
-        counts, starts = self.counts, self.starts
-        if nets is not None:
-            ids = self._row_ids(nets)
+        ``nets`` (default: all); ``-inf`` where nothing toggled.
+
+        Reduced in blocks of rows, so no temporary is plane-sized."""
+        ids = None if nets is None else self._row_ids(nets)
+        if ids is not None and np.array_equal(ids, np.arange(self.num_nets)):
+            ids = None  # every row in order: blocks are views
+        width = self.num_nets if ids is None else ids.size
+        if slots is not None:
+            slots = np.asarray(slots)
+        latest = np.full(self.num_slots if slots is None else slots.size,
+                         -np.inf)
+        if width == 0 or self.times.size == 0:
+            return latest
+        step = max(1, _BLOCK_ENTRIES // max(latest.size, 1))
+        for lo in range(0, width, step):
+            rows = slice(lo, lo + step) if ids is None else ids[lo:lo + step]
+            counts, last = self.counts[rows], self.starts[rows]
             if slots is not None:
-                ids, slots = ids[:, None], np.asarray(slots)[None, :]
-                counts, starts = counts[ids, slots], starts[ids, slots]
-            else:
-                counts, starts = counts[ids], starts[ids]
-        elif slots is not None:
-            counts, starts = counts[:, slots], starts[:, slots]
-        if counts.shape[0] == 0 or self.times.size == 0:
-            return np.full(counts.shape[1], -np.inf)
-        last = self.times[np.maximum(starts + counts - 1, 0)]
-        return np.where(counts > 0, last, -np.inf).max(axis=0)
+                counts, last = counts[:, slots], last[:, slots]
+            last = last + counts
+            last -= 1
+            np.maximum(last, 0, out=last)
+            block = self.times.take(last)
+            block[counts == 0] = -np.inf
+            np.maximum(latest, block.max(axis=0), out=latest)
+        return latest
 
     def transition_counts(self) -> np.ndarray:
         """Total toggles per slot over all nets."""
@@ -350,6 +421,15 @@ class WaveformPlane(SequenceABC):
         return Waveform.trusted(
             int(self.initial[row, slot]),
             self.times[start:start + int(self.counts[row, slot])])
+
+
+def _initial_of(part, nets: Tuple[str, ...]) -> np.ndarray:
+    """The initial values of a :meth:`WaveformPlane.scatter` part."""
+    if isinstance(part, np.ndarray):
+        return part
+    if part.nets != nets:
+        raise ValueError("cannot scatter a plane over other nets")
+    return part.initial
 
 
 class _SlotView(Mapping):

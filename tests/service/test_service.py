@@ -477,6 +477,40 @@ class TestAdmissionControl:
                          kernel_table)
 
 
+def count_compiles(monkeypatch):
+    """Spy on every ``compile_circuit`` a registration can reach."""
+    import repro.service.core as core
+    import repro.simulation.pool as pool
+    compiles = []
+    for module in (core, pool):
+        original = module.compile_circuit
+        monkeypatch.setattr(
+            module, "compile_circuit",
+            lambda *args, original=original: (compiles.append(args[0])
+                                              or original(*args)))
+    return compiles
+
+
+class TestRegistration:
+    def test_registering_again_is_a_lookup(self, library, monkeypatch):
+        compiles = count_compiles(monkeypatch)
+        circuit = random_circuit("register-once", 8, 60, seed=21)
+        with SimulationService() as service:
+            keys = [service.register_circuit(circuit, library)
+                    for _ in range(3)]
+        assert len(set(keys)) == 1
+        assert compiles == [circuit]
+
+    def test_compiled_is_registered_as_given(self, circuit, library,
+                                             compiled, monkeypatch):
+        compiles = count_compiles(monkeypatch)
+        with SimulationService() as service:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            assert service.circuit(key) is compiled
+        assert compiles == []
+
+
 class TestShutdown:
     def test_close_drains_pending_jobs(self, circuit, library, compiled):
         jobs = make_jobs(circuit, 3, seed=16)

@@ -203,6 +203,36 @@ class TestShardedBitIdentity:
                                  variation=variation)
 
 
+class TestShardedRegistration:
+    def test_pooled_compile_is_broadcast(self, library, shard_count,
+                                         monkeypatch):
+        # Registration without ``compiled`` takes the pooled compile —
+        # three calls, one compile — and still warms every shard.
+        import repro.simulation.pool as pool
+        compiles = []
+        original = pool.compile_circuit
+        monkeypatch.setattr(pool, "compile_circuit",
+                            lambda *args: (compiles.append(1)
+                                           or original(*args)))
+        circuit = random_circuit("register-sharded", 8, 60, seed=22)
+        pairs = make_jobs(circuit, 1, seed=23)[0]
+        with SimulationService(config=sharded_config(shard_count)) as service:
+            keys = {service.register_circuit(circuit, library)
+                    for _ in range(3)}
+            assert len(keys) == 1 and len(compiles) == 1
+            router = service._router
+            for index in range(router.num_workers):
+                info = router.ping(index, timeout_s=30.0)
+                assert info is not None, f"shard {index} did not answer"
+                assert info["plan_cache"]["misses"] == 0
+            key = keys.pop()
+            result = service.submit(key, pairs).result(timeout=180)
+            engine = GpuWaveSim(circuit, library,
+                                compiled=service.circuit(key),
+                                config=SimulationConfig())
+        assert_bit_identical(pairs, result, engine)
+
+
 class TestEqualWork:
     def test_shards_do_the_same_work_as_in_process(self, circuit, library,
                                                    compiled, shard_count):

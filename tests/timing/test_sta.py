@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import TimingError
+from repro.core.parameters import ParameterSpace
+from repro.errors import ParameterError, TimingError
 from repro.netlist.circuit import Circuit
 from repro.netlist.generate import random_circuit
 from repro.netlist.sdf import SdfAnnotation
@@ -105,3 +106,33 @@ class TestParametric:
         sta = StaticTimingAnalysis(small_circuit, library)
         with pytest.raises(TimingError, match="voltage"):
             sta.analyze(kernel_table=kernel_table)
+
+
+class TestVoltageBox:
+    """Parametric STA derates through the polynomial table, which is
+    fitted over the characterized box only: a supply past it raises
+    instead of extrapolating."""
+
+    def test_box_edges_are_unchanged(self, library, small_circuit,
+                                     kernel_table, monkeypatch):
+        sta = StaticTimingAnalysis(small_circuit, library)
+        space = kernel_table.space
+        edges = (space.v_min, space.v_max)
+        guarded = [sta.longest_path_delay(v, kernel_table) for v in edges]
+        monkeypatch.setattr(ParameterSpace, "require",
+                            lambda self, point: point)
+        unguarded = [sta.longest_path_delay(v, kernel_table) for v in edges]
+        assert guarded == unguarded
+
+    @pytest.mark.parametrize("edge, step", [("v_min", -1e-6),
+                                            ("v_max", 1e-6)])
+    def test_one_microvolt_outside_raises(self, library, small_circuit,
+                                          kernel_table, edge, step):
+        sta = StaticTimingAnalysis(small_circuit, library)
+        space = kernel_table.space
+        voltage = getattr(space, edge) + step
+        with pytest.raises(ParameterError,
+                           match=rf"supply {voltage:.10g} V is outside the "
+                                 rf"characterized box \[{space.v_min:g}, "
+                                 rf"{space.v_max:g}\] V"):
+            sta.longest_path_delay(voltage, kernel_table)
