@@ -80,6 +80,9 @@ LOOP_MANIFEST_NAME = "loop_manifest.json"
 #: Bumped whenever the step or manifest layout changes incompatibly.
 LOOP_FORMAT_VERSION = 1
 
+#: Base arenas the delta ring keeps, one per visited supply (LRU).
+MAX_BASES = 4
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -101,8 +104,6 @@ class LoopConfig:
     use_delta:
         Splice cached base arenas when the trajectory revisits an
         operating point (bit-identical; off = always simulate fully).
-    max_bases:
-        Base arenas retained, one per distinct visited supply (LRU).
     regulator_step:
         Supply quantization (volts): disturbed voltages snap to this
         grid, like a real regulator's discrete levels — and exactly
@@ -117,7 +118,6 @@ class LoopConfig:
     settle_iterations: int = 3
     initial_voltage: Optional[float] = None
     use_delta: bool = True
-    max_bases: int = 4
     regulator_step: float = 0.005
     record_energy: bool = True
 
@@ -128,8 +128,6 @@ class LoopConfig:
             raise ParameterError("need at least one iteration")
         if self.settle_iterations < 1:
             raise ParameterError("settle_iterations must be >= 1")
-        if self.max_bases < 1:
-            raise ParameterError("max_bases must be >= 1")
         if self.regulator_step <= 0:
             raise ParameterError("regulator step must be positive")
 
@@ -218,10 +216,11 @@ class ClosedLoopRunner:
                        if config.record_energy else None)
         # Base-arena ring keyed by quantized supply — stimuli never
         # change across iterations, so one base per voltage is complete.
-        self._bases: "LruCache[float, object]" = LruCache(config.max_bases)
+        self._bases: "LruCache[float, object]" = LruCache(MAX_BASES)
         # Measurement memo keyed the same way: a fully spliced iteration
-        # is bit-identical to the base it spliced from, so its arrival /
-        # activity extraction (python-side, all nets) is too — reuse it.
+        # (or a service result-cache hit) is bit-identical to the first
+        # run at its supply, so its arrival / activity extraction
+        # (python-side, all nets) is too — reuse it.
         self._measurements: dict = {}
 
     # -- voltage helpers ------------------------------------------------------
@@ -258,17 +257,19 @@ class ClosedLoopRunner:
                   voltage: float, global_slots: np.ndarray):
         """One iteration's engine (or service) run.
 
-        Returns ``(result, stats, delta_used)``; ``stats`` is an
-        :class:`~repro.simulation.gpu.EngineStats` either way — a
+        Returns ``(result, stats, delta_used, replayed)``; ``stats`` is
+        an :class:`~repro.simulation.gpu.EngineStats` either way — a
         service job's is its share of its batch's, all zeros on a
-        result-cache hit (neither simulated nor spliced).
+        result-cache hit (neither simulated nor spliced).  ``replayed``:
+        a full splice or a cache hit, the first run at this supply.
         """
         variation = self._bound_variation(plan, global_slots)
         if self.service is not None:
             result = self.service.submit(
                 self._circuit_key, pairs, plan=plan, config=self.sim_config,
                 kernel_table=self.kernel_table, variation=variation).result()
-            return result, result.stats, result.stats.lanes_spliced > 0
+            return (result, result.stats, result.stats.lanes_spliced > 0,
+                    result.cache_hit)
 
         delta = None
         base = self._bases.get(voltage) if self.config.use_delta else None
@@ -288,7 +289,9 @@ class ClosedLoopRunner:
             delta=delta, capture_base=capture)
         if capture and result.base_arena is not None:
             self._bases.put(voltage, result.base_arena)
-        return result, self.simulator.last_stats, delta is not None
+        stats = self.simulator.last_stats
+        return (result, stats, delta is not None,
+                delta is not None and stats.gate_evaluations == 0)
 
     # -- checkpointing --------------------------------------------------------
 
@@ -416,17 +419,15 @@ class ClosedLoopRunner:
             drift = self._drift_scale(iteration)
             plan = SlotPlan.uniform(len(pairs), v_eff)
             with self._plan_cache:
-                result, stats, delta_used = self._simulate(
+                result, stats, delta_used, replayed = self._simulate(
                     pairs, plan, v_eff, global_slots)
             engine += stats
 
-            # A fully spliced iteration reproduced the cached base
-            # bit-for-bit (same stimuli, same supply, same Monte-Carlo
-            # slots), so the arrival / activity extraction — a python
-            # walk over every recorded waveform — is reproduced too.
-            # Reuse the measurement instead of re-deriving it.
-            full_splice = delta_used and stats.gate_evaluations == 0
-            memo = self._measurements.get(v_eff) if full_splice else None
+            # A replayed iteration reproduced the first run at its supply
+            # bit-for-bit (same stimuli, supply and Monte-Carlo slots),
+            # so the arrival / activity extraction — a python walk over
+            # every recorded waveform — is reproduced too: reuse it.
+            memo = self._measurements.get(v_eff) if replayed else None
             if memo is None:
                 arrivals = latest_arrivals(result, self.circuit, plan=plan)
                 raw_arrival = arrivals.at(v_eff)

@@ -99,12 +99,12 @@ class LutDelayBackend:
         type_ids = np.asarray(type_ids, dtype=np.int64)
         nominal_delays = np.asarray(nominal_delays, dtype=np.float64)
         pins = nominal_delays.shape[1]
-        # The sweep spans the box, so a supply inside it stays on the
-        # grid; one outside raises instead of reading the edge's delays.
+        # The sweep spans the box: a supply or load inside it stays on
+        # the grid, one outside raises instead of reading the edge's.
         nv = np.asarray(self.space.normalize_voltage(
             self.space.require(voltages)))
-        nc = np.clip(np.asarray(self.space.normalize_load(loads)),
-                     self.nc_axis[0], self.nc_axis[-1])
+        nc = np.asarray(self.space.normalize_load(
+            self.space.require_loads(loads)))
 
         iv = np.clip(np.searchsorted(self.nv_axis, nv, side="right") - 1,
                      0, self.nv_axis.size - 2)
@@ -161,7 +161,8 @@ class AnalyticalDelayBackend:
         voltages: np.ndarray,
     ) -> np.ndarray:
         nominal_delays = np.asarray(nominal_delays, dtype=np.float64)
-        voltages = np.asarray(voltages, dtype=np.float64)
+        voltages = np.asarray(self.space.require(voltages),
+                              dtype=np.float64)
         deviation = np.stack(
             [params(voltages) / params(self.space.v_nom) - 1.0
              for params in (self.rise, self.fall)]

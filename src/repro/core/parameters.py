@@ -115,6 +115,18 @@ class ParameterSpace:
                 f"characterized box [{self.v_min:g}, {self.v_max:g}] V")
         return point
 
+    def require_loads(self, loads):
+        """Validate an array of loads (farads; NaN is outside) as
+        :meth:`require` does supplies, with :meth:`contains`' tolerance."""
+        values = np.asarray(loads, dtype=np.float64)
+        outside = ~((values >= self.c_min * (1 - 1e-9))
+                    & (values <= self.c_max * (1 + 1e-9)))
+        if outside.any():
+            raise ParameterError(
+                f"load {float(values[outside].flat[0]) / FF:.10g} fF is outside "
+                f"the characterized box [{self.c_min / FF:g}, {self.c_max / FF:g}] fF")
+        return loads
+
     # -- normalizations (φ_V, φ_C, φ_D) ------------------------------------------
 
     def normalize_voltage(self, v):

@@ -187,10 +187,10 @@ SERVICE_SLOTS_PER_JOB = 2
 SERVICE_CIRCUIT = "s38417"
 
 #: Service-scaling scenario: the same job stream through the in-process
-#: service and through ``shards=N`` worker processes.  Queue depth 1
-#: forces the router to spill the single hot compatibility group across
-#: every shard, so the number measures multi-process scaling (plus the
-#: pipe transport overhead), not consistent-hash placement.
+#: service and through ``shards=N`` worker processes.  A free shard
+#: takes the next batch, so the single hot compatibility group spreads
+#: across every shard and the number measures multi-process scaling
+#: (plus the pipe transport overhead).
 #: Interpret against ``machine.cpu_count``: with one core, sharding can
 #: only add IPC overhead — the speedup column is then an honest price
 #: tag, not a win.
@@ -665,9 +665,8 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
     packed result plane back.  Process spawn and circuit registration
     happen outside the timed region — every service is up before the
     first timed pair — so the number is steady-state dispatch
-    throughput.  ``shard_queue_depth=1`` makes the single hot
-    compatibility group spill across every shard, so all worker
-    processes participate.
+    throughput.  A free shard takes the next batch, so the single hot
+    compatibility group spreads across every shard.
 
     Every pass of every run must do the same engine work: a sharded
     run whose summed ``gate_evaluations`` differ from the in-process
@@ -700,7 +699,7 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
     configs = {"inproc": ServiceConfig(**batching)}
     for shards in shard_counts:
         configs[f"shards{shards}"] = ServiceConfig(
-            shards=shards, shard_queue_depth=1, **batching)
+            shards=shards, **batching)
     evals: Dict[str, List[int]] = {name: [] for name in configs}
 
     def flow(name, service, key):
@@ -738,7 +737,7 @@ def bench_service_scaling(backend_name: str, num_jobs: int,
         entries.append(_entry(
             f"service_scaling_{name}", backend, walls[name],
             evals[name][-1], shards=shards,
-            rebalances=metrics[name].shard_rebalances,
+            dispatches=[s["dispatches"] for s in metrics[name].shards.values()],
             ipc_tx_bytes=metrics[name].ipc_tx_bytes,
             ipc_rx_bytes=metrics[name].ipc_rx_bytes, **params))
     return entries

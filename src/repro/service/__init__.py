@@ -10,9 +10,9 @@ result demultiplexing with deadlines and cancellation,
 per-compatibility-group circuit breakers, and a checksummed
 fingerprinted LRU result cache of exact repeats (the service has no
 delta path; a near-duplicate job re-simulates in full).  With ``ServiceConfig(shards=N)`` the
-worker pool is replaced by a multi-process shard router: batches route
-to spawned worker processes by consistent hash of their compatibility
-group, each batch's stimuli and packed result plane crossing the
+worker pool is replaced by a multi-process shard router: spawned worker
+processes take batches from the same one queue, a free shard first,
+each batch's stimuli and packed result plane crossing the
 shard's control pipe (:mod:`repro.service.router`,
 :mod:`repro.service.shard`).  The service imports the router only when
 it starts shards, so ``import repro.service`` loads no process

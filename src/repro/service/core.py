@@ -23,10 +23,11 @@ deliberately that of an inference server:
   owning their engine instances (the waveform-arena pool is per engine
   and not thread-safe), or, with ``shards > 0``, a
   :class:`~repro.service.router.ShardRouter` over spawned worker
-  *processes* — compatibility groups map to shards by consistent hash,
-  each batch's stimuli go out and its packed result plane comes back
-  over the shard's control pipe, and demux happens in the parent on
-  the plane rebuilt from that reply.  Either way a batch is counted at
+  *processes* — either kind takes batches from the supervisor's one
+  queue, a free worker first; each sharded batch's stimuli go out and
+  its packed result plane comes back over the shard's control pipe,
+  and demux happens in the parent on the plane rebuilt from that
+  reply.  Either way a batch is counted at
   one dispatch site (:meth:`SimulationService._begin`) and settled at
   one outcome site (:meth:`SimulationService._conclude`);
 * **demultiplexing** — each job receives exactly its slice of the
@@ -141,8 +142,8 @@ class SimulationService:
         # hand-off of flushed batches to the executor — is guarded by
         # one lock: submitters wait on ``_admission`` for capacity, the
         # batch thread on ``_clock`` for its next flush.  Re-entrant:
-        # a batch the router cannot place fails its jobs, which
-        # releases their backlog slots, from inside the hand-off.
+        # a batch submitted once every shard is broken fails its jobs,
+        # which releases their backlog slots, from inside the hand-off.
         self._intake = threading.RLock()
         self._admission = threading.Condition(self._intake)
         self._clock = threading.Condition(self._intake)
@@ -173,7 +174,6 @@ class SimulationService:
                 on_dispatch=self._begin,
                 on_reply=self._complete_shard_batch,
                 on_batch_lost=self._fail_batch_jobs,
-                queue_depth=self.config.shard_queue_depth,
                 hang_timeout_s=self.config.hang_timeout_s,
                 tick_s=self.config.supervisor_tick_s,
                 spawn_timeout_s=self.config.shard_spawn_timeout_s,

@@ -89,16 +89,13 @@ class ServiceConfig:
     shards:
         ``> 0`` executes batches in that many spawned shard *processes*
         behind a :class:`~repro.service.router.ShardRouter` instead of
-        the in-process engine pool: compatibility groups map to shards
-        by consistent hash, each batch's stimuli and result waveforms
+        the in-process engine pool: a free shard takes the next batch
+        from the one queue, each batch's stimuli and result waveforms
         travel over the shard's control pipe, and dead shards are
         respawned with their in-flight batches re-queued once.  This is
         the only way engine work leaves the service's process (the
         paper's multi-GPU outlook: independent slot groups on separate
         devices).
-    shard_queue_depth:
-        Backlog (queued + in flight) at which a batch spills from its
-        home shard to the least-loaded one.
     shard_spawn_timeout_s:
         A spawned shard that has not reported ready within this window
         is declared wedged, killed and respawned.
@@ -122,7 +119,6 @@ class ServiceConfig:
     breaker_failures: int = 5
     breaker_reset_s: float = 1.0
     shards: int = 0
-    shard_queue_depth: int = 4
     shard_spawn_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
@@ -148,8 +144,6 @@ class ServiceConfig:
             raise ServiceError("breaker_reset_s must be >= 0")
         if self.shards < 0:
             raise ServiceError("shards must be >= 0")
-        if self.shard_queue_depth < 1:
-            raise ServiceError("shard_queue_depth must be positive")
         if self.shard_spawn_timeout_s <= 0:
             raise ServiceError("shard_spawn_timeout_s must be positive")
 

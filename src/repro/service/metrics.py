@@ -85,15 +85,16 @@ class ServiceMetrics:
     #: hex chars of the compat fingerprint.
     breakers: Dict[str, dict] = field(default_factory=dict)
     #: Sharded-service counters (all zero / empty without sharding).
-    #: ``shards`` maps shard index (as a string) to that shard's
-    #: occupancy and transport counters (queue depth, in-flight batches,
+    #: ``batches_queued`` is the depth of the one batch queue the shards
+    #: take from; ``shards`` maps shard index (as a string) to that
+    #: shard's occupancy and transport counters (in-flight batches,
     #: dispatches, respawns, per-shard IPC bytes, …);
     #: ``shard_latency_ms`` holds per-shard p50/p95/p99 over the recent
     #: completion window — the shard dimension of the latency
     #: percentiles.  ``ipc_*_bytes`` count the pickled bytes over the
     #: shards' control pipes: registrations, batch stimuli out, packed
     #: result planes back.
-    shard_rebalances: int = 0
+    batches_queued: int = 0
     shard_errors: int = 0
     ipc_tx_bytes: int = 0
     ipc_rx_bytes: int = 0
@@ -166,7 +167,7 @@ class ServiceMetrics:
             "integrity_evictions": self.integrity_evictions,
             "breakers": {key: dict(value)
                          for key, value in self.breakers.items()},
-            "shard_rebalances": self.shard_rebalances,
+            "batches_queued": self.batches_queued,
             "shard_errors": self.shard_errors,
             "ipc_tx_bytes": self.ipc_tx_bytes,
             "ipc_rx_bytes": self.ipc_rx_bytes,
@@ -239,7 +240,7 @@ class ServiceMetrics:
         if self.shards:
             lines.append(
                 f"  shards: {len(self.shards)} processes, "
-                f"{self.shard_rebalances} rebalances, "
+                f"{self.batches_queued} batches queued, "
                 f"ipc {self.ipc_tx_bytes + self.ipc_rx_bytes} B")
             for key in sorted(self.shards, key=int):
                 entry = self.shards[key]
@@ -249,7 +250,7 @@ class ServiceMetrics:
                 lines.append(
                     f"    shard {key}: {entry.get('dispatches', 0)} "
                     f"dispatches, {entry.get('jobs', 0)} jobs, "
-                    f"queue {entry.get('queue_depth', 0)}, "
+                    f"{entry.get('inflight', 0)} in flight, "
                     f"{entry.get('respawns', 0)} respawns{tail}")
         return "\n".join(lines)
 
@@ -393,7 +394,7 @@ class MetricsRecorder:
                 workers_hung=pool_stats.get("workers_hung", 0),
                 batches_requeued=pool_stats.get("batches_requeued", 0),
                 breakers=dict(breakers or {}),
-                shard_rebalances=pool_stats.get("shard_rebalances", 0),
+                batches_queued=pool_stats.get("batches_queued", 0),
                 shard_errors=pool_stats.get("shard_errors", 0),
                 ipc_tx_bytes=pool_stats.get("ipc_tx_bytes", 0),
                 ipc_rx_bytes=pool_stats.get("ipc_rx_bytes", 0),

@@ -1,27 +1,34 @@
-"""Supervised workers: one state machine, two worker kinds.
+"""Supervised workers: one state machine, one batch queue, two worker kinds.
 
 The service hands every batch to a :class:`Supervisor`, which owns what
 running a batch on a worker that may die or wedge takes, whatever the
 worker is:
 
+* the batch queue, one FIFO for every worker, and the in-flight
+  record.  A worker takes the oldest batch — and the batch's hang
+  clock starts — when it is ready (a thread at once, a shard process
+  when its ``ready`` arrives; booting is bounded by ``spawn_timeout_s``
+  instead), holds fewer than its kind's ``window`` of batches and no
+  other ready worker holds fewer: an idle worker takes work before a
+  busy one pipelines another;
 * the outstanding-batch count and its idle condition, which bound the
   drain in :meth:`Supervisor.close`; the count also says whether a
   worker is free (:attr:`Supervisor.worker_free`), and a settled batch
   that leaves one free calls ``on_free`` (the service's idle flush
   waits for a free worker);
-* the in-flight record: a worker takes a batch — and the batch's hang
-  clock starts — only once the worker can run it (a thread at once, a
-  shard process when its ``ready`` arrives; booting is bounded by
-  ``spawn_timeout_s`` instead);
 * the tick thread, which checks every worker and then calls
   ``on_tick`` (the service expires job deadlines there);
 * the loss rule: a worker found dead, running a batch past
   ``hang_timeout_s`` or booting past ``spawn_timeout_s`` is replaced,
   and each batch it held is re-queued **once**
-  (``PendingBatch.requeued``); a second loss fails that batch with
-  :class:`~repro.errors.WorkerLostError`.  A lost worker's generation
-  moves on, so a late completion from it is dropped — job futures
-  settle exactly once, and a re-run batch is bit-identical anyway;
+  (``PendingBatch.requeued``), at the front of the queue — its jobs
+  have waited longest — for any ready worker to take; a second loss
+  fails that batch with :class:`~repro.errors.WorkerLostError`.  A lost
+  worker's generation moves on, so a late completion from it is
+  dropped — job futures settle exactly once, and a re-run batch is
+  bit-identical anyway;
+* shutdown: every incarnation of a worker has one taker thread, which
+  exits once its incarnation is lost or the supervisor closes;
 * the ``workers_replaced`` / ``workers_hung`` / ``batches_requeued``
   counters.
 
@@ -35,9 +42,10 @@ never leaks a half-mutated arena into the next batch).
 
 from __future__ import annotations
 
-import queue as _queue
+import itertools
 import threading
 import time as _time
+from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import WorkerLostError
@@ -45,11 +53,10 @@ from repro.faults.plan import WorkerDeathError
 
 __all__ = ["EnginePool", "Supervisor", "Worker"]
 
-_STOP = object()
-
 
 class Worker:
-    """One supervised worker slot, replaced in place (``cv`` guards it)."""
+    """One supervised worker slot, replaced in place (the supervisor's
+    lock guards it; ``cv`` also guards all but ``inflight``)."""
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -70,14 +77,17 @@ class Worker:
 class Supervisor:
     """The supervised-worker state machine; subclasses are worker kinds.
 
-    A kind implements ``_enqueue(batch)``, ``_alive(worker)``,
-    ``_respawn(worker, hung, requeue)`` (start a fresh incarnation and
-    queue ``requeue`` for it) and ``_shutdown()``, and starts
-    ``_ticker`` once its workers run.
+    A kind implements ``_alive(worker)`` and ``_respawn(worker, hung,
+    requeued)``: start a fresh incarnation, whose taker thread (kept in
+    ``_takers``) takes batches with :meth:`_next`.  It may override
+    ``_dispatching`` and ``_shutdown``, and starts ``_ticker`` once its
+    workers run.
     """
 
     #: Names the worker in a second-loss :class:`WorkerLostError`.
     noun = "worker"
+    #: Batches one worker may hold in flight at once.
+    window = 1
 
     def __init__(self, workers: List[Worker], on_batch_lost: Callable,
                  hang_timeout_s: float, tick_s: float,
@@ -93,8 +103,20 @@ class Supervisor:
         self._on_free = on_free
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
+        #: Wakes the takers: a batch was queued, or a worker became
+        #: ready, settled a batch or was lost, or the supervisor closed.
+        self._work = threading.Condition(self._lock)
+        #: Takers blocked on ``_work``; no waiter, nothing to wake.
+        self._waiting = 0
+        self._queue: "deque" = deque()
+        self._keys = itertools.count(1)
+        #: Set once no worker can run a batch again; a batch submitted
+        #: or still queued then fails with it.
+        self._failed: Optional[BaseException] = None
         self._outstanding = 0
         self._closed = False
+        #: The taker thread of each worker's current incarnation.
+        self._takers: List[Optional[threading.Thread]] = [None] * len(workers)
         self.workers_replaced = 0
         self.workers_hung = 0
         self.batches_requeued = 0
@@ -116,7 +138,13 @@ class Supervisor:
         """Queue one batch; it stays outstanding until it settles."""
         with self._lock:
             self._outstanding += 1
-        self._enqueue(batch)
+            failed = self._failed
+            if failed is None:
+                self._queue.append(batch)
+                if self._waiting:
+                    self._work.notify_all()
+                return
+        self._lost(batch, failed)
 
     def stats(self) -> dict:
         with self._lock:
@@ -126,30 +154,67 @@ class Supervisor:
                 "batches_requeued": self.batches_requeued,
             }
 
-    # -- in flight ------------------------------------------------------------
+    # -- the queue and the in-flight record -----------------------------------
 
-    def _take(self, worker: Worker, generation: int, key: int, batch,
-              payload=None) -> bool:
-        """Put ``batch`` in flight on ``worker``; its hang clock starts.
+    def _may_pipeline(self, worker: Worker) -> bool:
+        """Whether ``worker``, already holding batches, may take another:
+        it holds fewer than ``window`` and no other ready worker holds
+        fewer (lock held)."""
+        held = len(worker.inflight)
+        return held < self.window and all(
+            other.ready_at is None or len(other.inflight) >= held
+            for other in self._workers)
 
-        False when that incarnation is gone or cannot run it yet: a
-        batch is only ever timed on a ready worker.
+    def _next(self, worker: Worker, generation: int):
+        """Wait until ``worker`` may take the oldest queued batch — it
+        is ready and holds none, or :meth:`_may_pipeline` — and put it
+        in flight there; its hang clock starts.
+
+        Returns ``(key, batch, payload)`` — ``payload`` is what
+        :meth:`_dispatching` made of the batch — or None once the
+        supervisor closes or this incarnation is lost: the taker exits.
         """
-        with worker.cv:
-            if worker.generation != generation or worker.ready_at is None:
-                return False
+        with self._lock:
+            while True:
+                if self._closed or worker.generation != generation:
+                    return None
+                if self._queue and worker.ready_at is not None and (
+                        not worker.inflight or self._may_pipeline(worker)):
+                    break
+                self._waiting += 1
+                self._work.wait()
+                self._waiting -= 1
+            batch = self._queue.popleft()
+            payload = self._dispatching(worker, batch)
+            key = next(self._keys)
             worker.inflight[key] = (batch, _time.monotonic(), payload)
-            return True
+            if self._queue and self._waiting:
+                # This take may have left another worker the least
+                # loaded one.
+                self._work.notify_all()
+            return key, batch, payload
+
+    def _dispatching(self, worker: Worker, batch):
+        """What a kind keeps with a batch it takes (lock held)."""
+        return None
+
+    def _ready(self, worker: Worker, generation: int) -> None:
+        """The ``generation`` incarnation of ``worker`` can run batches."""
+        with self._lock, worker.cv:
+            if worker.generation == generation:
+                worker.ready_at = _time.monotonic()
+                self._work.notify_all()
 
     def _release(self, worker: Worker, generation: int,
                  key: int) -> Optional[tuple]:
         """Take a batch out of flight; None when its worker was lost
         meanwhile (recovery owns the batch then)."""
-        with worker.cv:
+        with self._lock:
             if worker.generation != generation:
                 return None
             entry = worker.inflight.pop(key, None)
-            worker.cv.notify_all()
+            if self._queue and self._waiting:
+                self._work.notify_all()
             return entry
 
     def _batch_done(self) -> None:
@@ -167,6 +232,16 @@ class Supervisor:
         self._on_batch_lost(batch, error)
         self._batch_done()
 
+    def _fail_queued(self, error: BaseException) -> None:
+        """No worker can run a batch again: fail every queued batch, and
+        every batch submitted from now on, with ``error``."""
+        with self._lock:
+            self._failed = error
+            queued = list(self._queue)
+            self._queue.clear()
+        for batch in queued:
+            self._lost(batch, error)
+
     # -- supervision ----------------------------------------------------------
 
     def _tick(self) -> None:
@@ -180,7 +255,7 @@ class Supervisor:
 
     def _check(self, worker: Worker, now: float) -> None:
         alive = self._alive(worker)
-        with worker.cv:
+        with self._lock, worker.cv:
             if not alive:
                 hung = False
             elif worker.ready_at is None:
@@ -196,18 +271,21 @@ class Supervisor:
             worker.ready_at = None
             lost = [entry[0] for entry in worker.inflight.values()]
             worker.inflight.clear()
-        failed = [batch for batch in lost if batch.requeued]
-        requeue = [batch for batch in lost if not batch.requeued]
-        for batch in requeue:
-            batch.requeued = True
-        with self._lock:
+            failed = [batch for batch in lost if batch.requeued]
+            requeue = [batch for batch in lost if not batch.requeued]
+            for batch in requeue:
+                batch.requeued = True
+            # Back to the front of the queue: their jobs have waited
+            # longest.  The lost incarnation's taker wakes and exits.
+            self._queue.extendleft(reversed(requeue))
+            self._work.notify_all()
             self.workers_replaced += 1
             self.workers_hung += hung
             self.batches_requeued += len(requeue)
         for batch in failed:
             self._lost(batch, WorkerLostError(
                 f"{self.noun} lost while executing a re-queued batch"))
-        self._respawn(worker, hung, requeue)
+        self._respawn(worker, hung, len(requeue))
 
     # -- shutdown -------------------------------------------------------------
 
@@ -218,7 +296,7 @@ class Supervisor:
         whether to fail them, for an aborting close).  The wait is
         bounded: pending work is given ``hang_timeout_s`` twice plus
         grace, after which shutdown proceeds and abandons whatever is
-        still wedged.
+        still queued or wedged.
         """
         deadline = _time.monotonic() + (
             timeout_s if timeout_s is not None
@@ -229,14 +307,26 @@ class Supervisor:
                 if remaining <= 0:
                     break
                 self._idle.wait(timeout=min(remaining, 0.1))
-            self._closed = True
         self._stop.set()
         self._ticker.join(timeout=5.0)
+        self._stop_takers()
         self._shutdown()
+
+    def _stop_takers(self) -> None:
+        """Close the queue: every taker thread exits, and is joined."""
+        with self._lock:
+            self._closed = True
+            self._work.notify_all()
+        for thread in self._takers:
+            if thread is not None:
+                thread.join(timeout=5.0)
+
+    def _shutdown(self) -> None:
+        """What a kind stops beyond its takers."""
 
 
 class EnginePool(Supervisor):
-    """The thread kind: worker threads sharing one batch queue."""
+    """The thread kind: one engine thread per worker slot."""
 
     noun = "engine worker"
 
@@ -254,42 +344,31 @@ class EnginePool(Supervisor):
                          on_batch_lost, hang_timeout_s, tick_s, on_tick,
                          name="repro-service", on_free=on_free)
         self._handler = handler
-        self._queue: "_queue.Queue" = _queue.Queue()
-        self._threads: List[threading.Thread] = [None] * workers
         for worker in self._workers:
-            self._respawn(worker, False, [])
+            self._respawn(worker, False, 0)
         self._ticker.start()
 
-    def _enqueue(self, batch) -> None:
-        self._queue.put(batch)
-
     def _alive(self, worker: Worker) -> bool:
-        return self._threads[worker.index].is_alive()
+        return self._takers[worker.index].is_alive()
 
-    def _respawn(self, worker: Worker, hung: bool, requeue: list) -> None:
+    def _respawn(self, worker: Worker, hung: bool, requeued: int) -> None:
         # A hung thread cannot be stopped: it is left to finish, and
         # exits when it finds its generation gone.
+        generation = worker.generation
         thread = threading.Thread(
-            target=self._work, args=(worker, worker.generation),
-            name=f"repro-service-worker-{worker.index}.{worker.generation}",
+            target=self._work_loop, args=(worker, generation),
+            name=f"repro-service-worker-{worker.index}.{generation}",
             daemon=True)
-        self._threads[worker.index] = thread
-        with worker.cv:
-            worker.ready_at = _time.monotonic()
+        self._takers[worker.index] = thread
         thread.start()
-        for batch in requeue:
-            self._queue.put(batch)  # the obligation stays outstanding
+        self._ready(worker, generation)
 
-    def _work(self, worker: Worker, generation: int) -> None:
+    def _work_loop(self, worker: Worker, generation: int) -> None:
         while True:
-            batch = self._queue.get()
-            if batch is _STOP:
+            taken = self._next(worker, generation)
+            if taken is None:
                 return
-            if not self._take(worker, generation, 0, batch):
-                # The slot was replaced while this thread finished its
-                # last batch: hand this one back.
-                self._queue.put(batch)
-                return
+            key, batch, _ = taken
             error = None
             try:
                 self._handler(batch)
@@ -299,15 +378,9 @@ class EnginePool(Supervisor):
                 return
             except BaseException as raised:  # noqa: BLE001 - defensive
                 error = raised
-            if self._release(worker, generation, 0) is None:
+            if self._release(worker, generation, key) is None:
                 return  # abandoned while wedged: the batch is not ours
             if error is not None:
                 self._lost(batch, error)
             else:
                 self._batch_done()
-
-    def _shutdown(self) -> None:
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=5.0)

@@ -5,23 +5,21 @@ processes under the machine of :mod:`repro.service.pool`, which owns
 the in-flight clocks, the re-queue-once rule and the drain.  What is
 the router's own:
 
-* **placement** — a batch's compatibility group maps to a *home* shard
-  on a consistent-hash ring (stable vnode points per shard index, so
-  one group's engine/plan/arena state stays hot in one process); when
-  the home shard's backlog reaches ``shard_queue_depth``, the batch
-  *spills* to the least-loaded shard instead (load-aware rebalancing —
-  one hot group still saturates every core);
+* **dispatch** — every registration (circuit, compatibility group) is
+  broadcast to every shard, so any shard can run any batch.  Each
+  shard incarnation has a dispatcher thread that takes batches from the
+  supervisor's one queue, up to :data:`SHARD_WINDOW` in flight (see
+  :meth:`~repro.service.pool.Supervisor._next`: an idle shard takes the
+  next batch before a busy one pipelines another);
 * **transport** — one duplex control pipe per shard carries
   everything: a batch goes out as one pickled message holding its
   stimuli and slot plane, and its packed result plane comes back as one
   ``done`` reply (see :mod:`repro.service.shard`).  The pickled sizes
-  feed the ``ipc_tx/rx_bytes`` counters, payload included.  At most
-  :data:`SHARD_WINDOW` batches are in flight per shard; a shard keeps
-  nothing between batches but its registry and engines;
+  feed the ``ipc_tx/rx_bytes`` counters, payload included.  A shard
+  keeps nothing between batches but its registry and engines;
 * **replacement** — a process, unlike a thread, can be killed: a lost
   shard is killed if it still runs, respawned, and its registry
-  replayed before anything else crosses the new pipe; its re-queued
-  batches go back to the front of its queue;
+  replayed before anything else crosses the new pipe;
 * **fault seams** — ``shard.spawn`` trips in this process right before
   each spawn (a ``raise``/``die`` rule fails the attempt; the router
   retries once, then surfaces :class:`~repro.errors.ShardError`);
@@ -31,15 +29,11 @@ the router's own:
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-import itertools
 import multiprocessing
 import pickle
 import threading
 import time as _time
-from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -56,21 +50,7 @@ __all__ = ["SHARD_WINDOW", "ShardRouter"]
 #: dispatcher waits while a shard holds this many.
 SHARD_WINDOW = 4
 
-#: Vnode points per shard on the consistent-hash ring.
-_RING_POINTS = 32
-
 _PICKLE_PROTOCOL = 4
-
-
-def _build_ring(num_shards: int) -> List[Tuple[int, int]]:
-    ring: List[Tuple[int, int]] = []
-    for shard in range(num_shards):
-        for point in range(_RING_POINTS):
-            digest = hashlib.sha256(
-                f"repro-shard-{shard}-{point}".encode("ascii")).digest()
-            ring.append((int.from_bytes(digest[:8], "big"), shard))
-    ring.sort()
-    return ring
 
 
 class _ShardHandle(Worker):
@@ -81,21 +61,16 @@ class _ShardHandle(Worker):
         self.send_lock = threading.Lock()
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.conn = None
-        self.queue: "deque[PendingBatch]" = deque()
         self.pong: Optional[dict] = None
         self.counters = {
             "dispatches": 0, "jobs": 0, "slots": 0,
-            "respawns": 0, "kills": 0, "requeues": 0, "rebalanced_in": 0,
+            "respawns": 0, "kills": 0, "requeues": 0,
             "ipc_tx_bytes": 0, "ipc_rx_bytes": 0,
         }
 
-    @property
-    def load(self) -> int:
-        return len(self.queue) + len(self.inflight)
-
 
 class ShardRouter(Supervisor):
-    """Consistent-hash batch routing over supervised shard processes."""
+    """The service's batches, pulled by supervised shard processes."""
 
     noun = "shard process"
 
@@ -106,7 +81,6 @@ class ShardRouter(Supervisor):
         on_dispatch: Callable,
         on_reply: Callable,
         on_batch_lost: Callable,
-        queue_depth: int = 4,
         hang_timeout_s: float = 30.0,
         tick_s: float = 0.05,
         spawn_timeout_s: float = 120.0,
@@ -123,12 +97,9 @@ class ShardRouter(Supervisor):
         self._combine = combine
         self._on_dispatch = on_dispatch
         self._on_reply = on_reply
-        self._queue_depth = queue_depth
+        self.window = SHARD_WINDOW
         self._name = name
         self._ctx = multiprocessing.get_context("spawn")
-        self._ring = _build_ring(num_shards)
-        self._batch_ids = itertools.count(1)
-        self.rebalances = 0
         self.shard_errors = 0
         #: Registry replayed into respawned shards:
         #: circuit_key -> (compiled, plans); compat_key -> group tuple.
@@ -140,16 +111,9 @@ class ShardRouter(Supervisor):
             for handle in self._workers:
                 self._start_shard(handle)
         except ShardError:
+            self._stop_takers()
             self._reap(grace_s=0.0)
             raise
-        self._dispatchers = [
-            threading.Thread(target=self._dispatch_loop, args=(handle,),
-                             name=f"{name}-dispatch-{handle.index}",
-                             daemon=True)
-            for handle in self._workers
-        ]
-        for thread in self._dispatchers:
-            thread.start()
         self._ticker.start()
 
     # -- registry -------------------------------------------------------------
@@ -197,66 +161,25 @@ class ShardRouter(Supervisor):
         for compat_key, group in self._groups.items():
             self._send(handle, ("group", compat_key) + group)
 
-    # -- placement ------------------------------------------------------------
-
-    def _enqueue(self, batch: PendingBatch) -> None:
-        handle, rebalanced = self._route(batch.compat_key)
-        if handle is None:
-            self._lost(batch, ShardError("every shard is broken"))
-            return
-        with handle.cv:
-            if rebalanced:
-                handle.counters["rebalanced_in"] += 1
-            handle.queue.append(batch)
-            handle.cv.notify_all()
-        if rebalanced:
-            with self._lock:
-                self.rebalances += 1
-
-    def _route(self, compat_key: str
-               ) -> Tuple[Optional[_ShardHandle], bool]:
-        """Home shard by consistent hash, least-loaded spill when full."""
-        point = int(compat_key[:16], 16)
-        index = bisect.bisect_left(self._ring, (point, -1)) % len(self._ring)
-        home = self._workers[self._ring[index][1]]
-        candidates = [h for h in self._workers if not h.broken]
-        if not candidates:
-            return None, False
-        if home.broken:
-            return min(candidates, key=lambda h: h.load), False
-        if len(candidates) > 1 and home.load >= self._queue_depth:
-            spill = min(candidates, key=lambda h: h.load)
-            if spill is not home and spill.load < home.load:
-                return spill, True
-        return home, False
-
     # -- the process kind -----------------------------------------------------
 
     def _alive(self, handle: _ShardHandle) -> bool:
         return handle.proc is not None and handle.proc.is_alive()
 
     def _respawn(self, handle: _ShardHandle, hung: bool,
-                 requeue: List[PendingBatch]) -> None:
+                 requeued: int) -> None:
         with handle.cv:
             handle.counters["respawns"] += 1
             handle.counters["kills"] += hung
-            handle.counters["requeues"] += len(requeue)
+            handle.counters["requeues"] += requeued
         self._kill(handle)
         try:
             self._start_shard(handle)
         except ShardError as error:
-            with handle.cv:
-                queued = list(handle.queue)
-                handle.queue.clear()
-                handle.cv.notify_all()
-            for batch in requeue + queued:
-                self._lost(batch, error)
-            return
-        with handle.cv:
-            # Re-queued batches go back to the front: their jobs have
-            # been waiting longest.
-            handle.queue.extendleft(reversed(requeue))
-            handle.cv.notify_all()
+            # The other shards take its work; once none is left, fail it.
+            if all(worker.broken for worker in self._workers):
+                self._fail_queued(
+                    ShardError(f"every shard is broken: {error}"))
 
     def _start_shard(self, handle: _ShardHandle) -> None:
         """Spawn (or respawn) one shard; retries a failed spawn once."""
@@ -298,6 +221,12 @@ class ShardRouter(Supervisor):
             args=(handle, generation, parent_conn),
             name=f"{self._name}-recv-{handle.index}.{generation}",
             daemon=True).start()
+        dispatcher = threading.Thread(
+            target=self._dispatch_loop, args=(handle, generation),
+            name=f"{self._name}-dispatch-{handle.index}.{generation}",
+            daemon=True)
+        self._takers[handle.index] = dispatcher
+        dispatcher.start()
 
     def _kill(self, handle: _ShardHandle, grace_s: float = 0.0) -> None:
         process = handle.proc
@@ -332,24 +261,21 @@ class ShardRouter(Supervisor):
                 return False
         return True
 
-    # -- dispatcher (one thread per shard) ------------------------------------
+    # -- dispatcher (one thread per shard process generation) ---------------
 
-    def _dispatch_loop(self, handle: _ShardHandle) -> None:
+    def _dispatching(self, handle: _ShardHandle, batch: PendingBatch) -> list:
+        return self._on_dispatch(batch, handle.index)
+
+    def _dispatch_loop(self, handle: _ShardHandle, generation: int) -> None:
         while True:
-            with handle.cv:
-                while not (handle.queue and handle.ready_at is not None
-                           and len(handle.inflight) < SHARD_WINDOW):
-                    if self._closed:
-                        return
-                    handle.cv.wait(timeout=0.1)
-                batch = handle.queue.popleft()
-                generation = handle.generation
-                jobs = self._on_dispatch(batch, handle.index)
-                if jobs:
-                    batch_id = next(self._batch_ids)
-                    self._take(handle, generation, batch_id, batch, jobs)
+            taken = self._next(handle, generation)
+            if taken is None:
+                return
+            batch_id, batch, jobs = taken
             if not jobs:
-                self._batch_done()
+                # Every job settled while queued: nothing to send.
+                if self._release(handle, generation, batch_id) is not None:
+                    self._batch_done()
                 continue
             try:
                 self._send_batch(handle, generation, batch_id, batch, jobs)
@@ -394,10 +320,7 @@ class ShardRouter(Supervisor):
                 return
             kind = message[0]
             if kind == "ready":
-                with handle.cv:
-                    if handle.generation == generation:
-                        handle.ready_at = _time.monotonic()
-                        handle.cv.notify_all()
+                self._ready(handle, generation)
             elif kind == "pong":
                 with handle.cv:
                     handle.pong = message[1]
@@ -451,7 +374,6 @@ class ShardRouter(Supervisor):
         for handle in self._workers:
             with handle.cv:
                 entry = dict(handle.counters)
-                entry["queue_depth"] = len(handle.queue)
                 entry["inflight"] = len(handle.inflight)
                 entry["alive"] = self._alive(handle)
                 entry["pid"] = (handle.proc.pid
@@ -461,18 +383,13 @@ class ShardRouter(Supervisor):
             shards[str(handle.index)] = entry
         stats = super().stats()
         with self._lock:
-            stats.update(shard_rebalances=self.rebalances,
+            stats.update(batches_queued=len(self._queue),
                          shard_errors=self.shard_errors)
         return {**stats, "shards": shards, **totals}
 
     # -- shutdown -------------------------------------------------------------
 
     def _shutdown(self) -> None:
-        for handle in self._workers:
-            with handle.cv:
-                handle.cv.notify_all()
-        for thread in self._dispatchers:
-            thread.join(timeout=5.0)
         for handle in self._workers:
             self._send(handle, ("close",))
         self._reap(grace_s=5.0)

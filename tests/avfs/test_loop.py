@@ -453,6 +453,43 @@ class TestServiceMode:
         assert report.delta_iterations == 0
         assert report.run_report.lanes_spliced == 0
 
+    def test_cache_hit_reuses_the_measurement(self, setup, library,
+                                              kernel_table, monkeypatch):
+        """A result-cache hit is bit-identical to the first run at its
+        supply, so the service-backed loop reuses that run's measurement:
+        the trajectory equals a local one step for step, and arrivals
+        are extracted once per cache miss."""
+        from repro.avfs.loop import runner as runner_module
+        from repro.service import SimulationService
+
+        circuit, pairs, explorer, table = setup
+        config = LoopConfig(period=loose_period(table), max_iterations=12,
+                            settle_iterations=13)
+        local = make_runner(setup, library, kernel_table, config,
+                            disturbances=revisiting_disturbances()).run(pairs)
+        calls = []
+        extract = runner_module.latest_arrivals
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "latest_arrivals", spy)
+        with SimulationService() as service:
+            report = make_runner(
+                setup, library, kernel_table, config, service=service,
+                disturbances=revisiting_disturbances()).run(pairs)
+
+        def trajectory(loop_report):
+            return [(step.raw_arrival, step.next_voltage,
+                     step.energy_per_pattern, step.activity_per_pattern)
+                    for step in loop_report.steps]
+
+        assert trajectory(report) == trajectory(local)
+        cache = report.service_metrics["cache"]
+        assert cache["hits"] > 0
+        assert len(calls) == cache["misses"]
+
 
 class TestEngineSharing:
     def test_loop_and_explorer_share_pooled_engine(self, library,

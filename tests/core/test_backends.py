@@ -100,6 +100,30 @@ class TestLutBackend:
         with pytest.raises(ParameterError, match="characterized box"):
             query(v + outward * 1e-6)
 
+    @pytest.mark.parametrize("edge, outward", [(0, -1), (-1, 1)])
+    def test_load_box_edge(self, lut_backend, edge, outward):
+        """A load on the box edge reads the grid's edge column exactly;
+        one just past it raises instead of being clamped onto that
+        column."""
+        space = lut_backend.space
+        load = (space.c_min, space.c_max)[edge]
+        type_id = lut_backend.type_names.index("NOR2_X2")
+        d_nom = 7e-12
+
+        def query(c):
+            return lut_backend.delays_for_gates(
+                np.asarray([type_id]), np.asarray([c]),
+                np.full((1, 4, 2), d_nom), np.asarray([space.v_min]))
+
+        got = query(load)[0, :, :, 0]
+        column = lut_backend.grids[type_id, :4, :, 0, edge]
+        np.testing.assert_array_equal(got, d_nom * (1.0 + column))
+        outside = load * (1.0 + outward * 1e-6)
+        with pytest.raises(ParameterError,
+                           match=r"load .* fF is outside the characterized "
+                                 r"box \[0.5, 128\] fF"):
+            query(outside)
+
     def test_engine_rejects_out_of_box_supply(self, lut_backend, library):
         circuit = random_circuit("lutbox", 6, 40, seed=5)
         sim = GpuWaveSim(circuit, library)
@@ -123,6 +147,28 @@ class TestAnalyticalBackend:
         result = analytical_backend.delays_for_gates(
             np.arange(3), np.full(3, 4 * FF), nominal, np.asarray([0.8]))
         np.testing.assert_allclose(result[..., 0], nominal, rtol=1e-12)
+
+    @pytest.mark.parametrize("edge, outward", [(0, -1), (-1, 1)])
+    def test_box_edge(self, analytical_backend, edge, outward):
+        """A supply on the box edge derates as the α-power fit says; one
+        just past it raises instead of extrapolating the fit."""
+        space = analytical_backend.space
+        v = (space.v_min, space.v_max)[edge]
+        nominal = np.full((1, 4, 2), 5e-12)
+
+        def query(voltage):
+            return analytical_backend.delays_for_gates(
+                np.arange(1), np.full(1, 4 * FF), nominal,
+                np.asarray([voltage]))
+
+        deviation = np.asarray([
+            params(np.asarray([v])) / params(space.v_nom) - 1.0
+            for params in (analytical_backend.rise,
+                           analytical_backend.fall)])[:, 0]
+        expected = nominal * (1.0 + deviation)
+        np.testing.assert_array_equal(query(v)[..., 0], expected)
+        with pytest.raises(ParameterError, match="characterized box"):
+            query(v + outward * 1e-6)
 
     def test_monotone_in_voltage(self, analytical_backend, kernel_table, rng):
         result = batch_query(analytical_backend, kernel_table, rng,

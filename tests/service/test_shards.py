@@ -19,6 +19,9 @@ Contracts under test (``docs/architecture.md`` §11):
 * a shard SIGKILLed mid-batch is respawned with its registry replayed
   and its in-flight batch re-queued exactly once, with every job still
   settling correctly; a batch lost twice fails with ``WorkerLostError``;
+* a free shard takes the next batch: batches of one group run on
+  distinct shards, and no shard pipelines a second batch while another
+  ready shard holds none;
 * a batch's hang clock starts when its shard is ready, not while the
   shard boots;
 * two submitting threads racing the first batches of fresh groups
@@ -372,8 +375,7 @@ class TestShardDeath:
         faults.reset()
         monkeypatch.setattr(router_module, "SHARD_WINDOW", 1)
         jobs = make_jobs(circuit, 64, pairs_each=1, seed=13)
-        config = sharded_config(shard_count, max_batch_slots=8,
-                                shard_queue_depth=2)
+        config = sharded_config(shard_count, max_batch_slots=8)
         service = SimulationService(config=config)
         try:
             key = service.register_circuit(circuit, library,
@@ -407,13 +409,72 @@ class TestShardDeath:
             stats = router.stats()
             assert stats["shards"][str(victim)]["respawns"] == 1
             assert stats["shards"][str(victim)]["requeues"] == 1
-            if shard_count >= 2:
-                # one hot group + tiny per-shard backlog => the router
-                # must have spilled work off the home shard
-                assert metrics.shard_rebalances >= 1
+            # One hot group, one queue: every shard took batches.
+            assert all(s["dispatches"] >= 1
+                       for s in stats["shards"].values())
         finally:
             service.close()
             faults.reset()
+
+
+class TestShardDispatch:
+    """Work conservation: a free shard takes the next batch.  Each batch
+    is held 300 ms in its shard, so the batches of one group overlap,
+    and every shard is ready before the first is submitted."""
+
+    def dispatch(self, circuit, library, compiled, shard_count,
+                 monkeypatch, batches):
+        """Run ``batches`` one-job batches of one group; returns, per
+        take, the taking shard and every shard's in-flight count then
+        (None while a shard is not ready), and the per-shard stats."""
+        monkeypatch.setenv("REPRO_FAULTS", "shard.dispatch:delay@p=1,ms=300")
+        faults.reset()
+        jobs = make_jobs(circuit, batches, pairs_each=8, seed=91)
+        service = SimulationService(config=sharded_config(
+            shard_count, max_batch_slots=8))
+        takes = []
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            router = service._router
+            for index in range(shard_count):
+                assert router.ping(index, timeout_s=60.0) is not None
+            dispatch = router._on_dispatch
+
+            def spy(batch, shard):
+                takes.append((shard, [
+                    len(handle.inflight) if handle.ready_at is not None
+                    else None for handle in router._workers]))
+                return dispatch(batch, shard)
+
+            router._on_dispatch = spy
+            handles = [service.submit(key, pairs) for pairs in jobs]
+            results = [h.result(timeout=180) for h in handles]
+            shards = router.stats()["shards"]
+        finally:
+            service.close()
+            faults.reset()
+        assert all(result.gate_evaluations > 0 for result in results)
+        return takes, shards
+
+    def test_fewer_batches_than_shards_run_on_distinct_shards(
+            self, circuit, library, compiled, shard_count, monkeypatch):
+        takes, shards = self.dispatch(circuit, library, compiled,
+                                      shard_count, monkeypatch, shard_count)
+        assert len(takes) == shard_count
+        assert all(entry["dispatches"] <= 1 for entry in shards.values())
+        assert sorted(shard for shard, _ in takes) == list(range(shard_count))
+
+    def test_no_shard_pipelines_while_another_idles(
+            self, circuit, library, compiled, shard_count, monkeypatch):
+        takes, shards = self.dispatch(circuit, library, compiled,
+                                      shard_count, monkeypatch,
+                                      2 * shard_count)
+        assert len(takes) == 2 * shard_count
+        for shard, inflight in takes:
+            if inflight[shard]:
+                assert 0 not in inflight, (shard, inflight)
+        assert all(entry["dispatches"] >= 1 for entry in shards.values())
 
 
 class TestBootClock:
@@ -531,6 +592,33 @@ class TestShardFaultSeams:
         assert metrics.workers_hung == 0
         assert metrics.batches_requeued == 1
         assert metrics.jobs_failed == 1
+
+
+    def test_unreplaceable_last_shard_fails_its_work(self, circuit, library,
+                                                     compiled, monkeypatch):
+        # The only shard dies at its first batch and both respawn
+        # attempts fail: the re-queued batch and every later one fail
+        # with ShardError instead of waiting for a shard forever.
+        monkeypatch.setenv("REPRO_FAULTS", "shard.dispatch:die@p=1;"
+                                           "shard.spawn:raise@n=2,count=2")
+        faults.reset()
+        service = SimulationService(config=sharded_config(1, idle_ms=0.0))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            first, second = make_jobs(circuit, 2, seed=59)
+            error = service.submit(key, first).exception(timeout=180)
+            late = service.submit(key, second).exception(timeout=180)
+            metrics = service.metrics()
+        finally:
+            service.close()
+            faults.reset()
+        for raised in (error, late):
+            assert isinstance(raised, ShardError)
+            assert "every shard is broken" in str(raised)
+        assert metrics.workers_replaced == 1
+        assert metrics.batches_requeued == 1
+        assert metrics.jobs_failed == 2
 
 
 class TestShardConfig:
