@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint kernel-lint store-lint loc bench bench-pytest ledger-quick ledger-pairs chaos experiments examples clean
+.PHONY: install test lint kernel-lint store-lint loc knobs bench bench-pytest ledger-quick ledger-pairs chaos experiments examples clean
 
 # Seeded delays-only chaos plan for `make chaos` / the CI chaos job:
 # latency injection at every service/engine seam without altering
@@ -45,6 +45,20 @@ loc:
 		printf '%7d  %s\n' "$$(find $$dir -maxdepth 1 -name '*.py' | xargs cat | wc -l)" $$dir; \
 	done
 	@printf '%7d  total\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
+
+# Settable fields per config record and in total: the settings count
+# printed beside net LoC (tests/test_config_surface.py pins the names).
+# SRC points the count at another checkout's source tree.
+SRC ?= src
+KNOB_RECORDS = repro.simulation.base:SimulationConfig repro.service.jobs:ServiceConfig \
+	repro.avfs.loop.runner:LoopConfig repro.core.characterization:AdaptiveConfig \
+	repro.runtime.campaign:CampaignConfig
+knobs:
+	@PYTHONPATH=$(SRC) $(PYTHON) -c "import dataclasses, importlib, sys; \
+	counts = [(len(dataclasses.fields(getattr(importlib.import_module(m), r))), r) \
+	          for m, r in (spec.split(':') for spec in sys.argv[1:])]; \
+	[print('%7d  %s' % entry) for entry in counts]; \
+	print('%7d  total' % sum(n for n, _ in counts))" $(KNOB_RECORDS)
 
 # Record the benchmark trajectory (BENCH_kernels.json) across the
 # available compute backends and flag wall-time regressions.

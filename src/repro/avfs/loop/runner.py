@@ -83,6 +83,11 @@ LOOP_FORMAT_VERSION = 1
 #: Base arenas the delta ring keeps, one per visited supply (LRU).
 MAX_BASES = 4
 
+#: Supply quantization (volts): disturbed voltages snap to this grid,
+#: like a real regulator's discrete levels — and exactly repeating
+#: levels are what makes delta reuse possible.
+REGULATOR_STEP = 0.005
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -99,15 +104,9 @@ class LoopConfig:
         commands the same supply it measured at) that count as
         convergence.  Set it above ``max_iterations`` to force a
         full-length trajectory (benchmarks do).
-    initial_voltage:
-        First commanded supply; defaults to the table's top point.
     use_delta:
         Splice cached base arenas when the trajectory revisits an
         operating point (bit-identical; off = always simulate fully).
-    regulator_step:
-        Supply quantization (volts): disturbed voltages snap to this
-        grid, like a real regulator's discrete levels — and exactly
-        repeating levels are what makes delta reuse possible.
     record_energy:
         Record all nets and account per-iteration switching energy
         (needed by activity-coupled droop models).
@@ -116,9 +115,7 @@ class LoopConfig:
     period: float
     max_iterations: int = 20
     settle_iterations: int = 3
-    initial_voltage: Optional[float] = None
     use_delta: bool = True
-    regulator_step: float = 0.005
     record_energy: bool = True
 
     def __post_init__(self) -> None:
@@ -128,8 +125,6 @@ class LoopConfig:
             raise ParameterError("need at least one iteration")
         if self.settle_iterations < 1:
             raise ParameterError("settle_iterations must be >= 1")
-        if self.regulator_step <= 0:
-            raise ParameterError("regulator step must be positive")
 
 
 class ClosedLoopRunner:
@@ -226,8 +221,7 @@ class ClosedLoopRunner:
     # -- voltage helpers ------------------------------------------------------
 
     def _quantize(self, voltage: float) -> float:
-        step = self.config.regulator_step
-        return round(round(voltage / step) * step, 9)
+        return round(round(voltage / REGULATOR_STEP) * REGULATOR_STEP, 9)
 
     def _effective_voltage(self, commanded: float, iteration: int,
                            activity: Optional[float]) -> float:
@@ -307,8 +301,10 @@ class ClosedLoopRunner:
             "period": self.config.period,
             "max_iterations": self.config.max_iterations,
             "settle_iterations": self.config.settle_iterations,
-            "initial_voltage": self.config.initial_voltage,
-            "regulator_step": self.config.regulator_step,
+            # Retired settings, kept at their one value so checkpoints
+            # written while they were fields still resume.
+            "initial_voltage": None,
+            "regulator_step": REGULATOR_STEP,
             "record_energy": self.config.record_energy,
             "aging_derate": self.controller.aging_derate,
             "table": [[p.voltage, p.critical_delay, p.guardband]
@@ -386,10 +382,9 @@ class ClosedLoopRunner:
         # level repeats.
         global_slots = np.arange(len(pairs), dtype=np.int64)
 
+        # The loop starts at the table's top point.
         voltage = self._quantize(table.clamp_voltage(
-            self.config.initial_voltage
-            if self.config.initial_voltage is not None
-            else table.points[-1].voltage))
+            table.points[-1].voltage))
 
         steps: List[LoopStep] = []
         resumed = False

@@ -88,6 +88,19 @@ __all__ = [
 #: baseline adaptive sampling is measured against.
 FIXED_GRID_EVALUATIONS = 108
 
+#: Adaptive flow: residual-probe resolution per axis (no SPICE cost).
+PROBE_GRID = 33
+
+#: Adaptive flow: largest half-order considered, both while refining
+#: and by the final cross-validated order selection.
+MAX_ORDER = 4
+
+#: Adaptive flow: step-B densification factor applied before every fit.
+SUBSAMPLE_FACTOR = 4
+
+#: Adaptive flow: cross-validation folds of the final order selection.
+CV_FOLDS = 4
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -115,19 +128,14 @@ class AdaptiveConfig:
     budget:
         Hard per-entry cap on SPICE delay evaluations.  A refinement
         line that would exceed it is skipped and the current fit kept.
-    probe_grid:
-        Residual-probe resolution per axis (no SPICE cost).
-    max_order:
-        Largest half-order considered, both while refining and by the
-        final cross-validated order selection.
     order:
-        Fixed half-order; ``None`` (default) selects per entry by
-        cross-validated error, never accepting a lower order that fails
-        the probe-residual criterion the full order meets.
-    subsample_factor:
-        Step-B densification factor applied before every fit.
-    cv_folds, cv_tolerance:
-        Cross-validation settings for the final order selection.
+        Fixed half-order in ``[1, MAX_ORDER]``; ``None`` (default)
+        selects per entry by cross-validated error, never accepting a
+        lower order that fails the probe-residual criterion the full
+        order meets.
+    cv_tolerance:
+        Cross-validation tolerance of the final order selection
+        (:data:`CV_FOLDS` folds).
     seed_voltage_fractions:
         Normalized φ_V seed positions (φ_V of v_nom is always added) —
         biased toward low voltage where the α-power surface curves most.
@@ -138,11 +146,7 @@ class AdaptiveConfig:
 
     target_error: float = 0.012
     budget: int = 36
-    probe_grid: int = 33
-    max_order: int = 4
     order: Optional[int] = None
-    subsample_factor: int = 4
-    cv_folds: int = 4
     cv_tolerance: float = 0.05
     seed_voltage_fractions: Tuple[float, ...] = (0.0, 0.12, 0.28, 1.0)
     seed_load_fractions: Tuple[float, ...] = (0.0, 0.5, 1.0)
@@ -153,12 +157,9 @@ class AdaptiveConfig:
         if self.budget < (len(self.seed_voltage_fractions) + 1) * len(self.seed_load_fractions):
             raise CharacterizationError(
                 "budget smaller than the seed grid itself")
-        if self.probe_grid < 4:
-            raise CharacterizationError("probe_grid must be at least 4")
-        if self.max_order < 1:
-            raise CharacterizationError("max_order must be >= 1")
-        if self.order is not None and not 1 <= self.order <= self.max_order:
-            raise CharacterizationError("order must be in [1, max_order]")
+        if self.order is not None and not 1 <= self.order <= MAX_ORDER:
+            raise CharacterizationError(
+                f"order must be in [1, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -399,15 +400,17 @@ def _flow_signature(
             "subsample_factor": subsample_factor,
             "method": method,
         }
+    # The module constants keep the keys and order they had as fields,
+    # so coefficient-cache keys written back then still match.
     return {
         "mode": "adaptive",
         "target_error": adaptive.target_error,
         "budget": adaptive.budget,
-        "probe_grid": adaptive.probe_grid,
-        "max_order": adaptive.max_order,
+        "probe_grid": PROBE_GRID,
+        "max_order": MAX_ORDER,
         "order": adaptive.order,
-        "subsample_factor": adaptive.subsample_factor,
-        "cv_folds": adaptive.cv_folds,
+        "subsample_factor": SUBSAMPLE_FACTOR,
+        "cv_folds": CV_FOLDS,
         "cv_tolerance": adaptive.cv_tolerance,
         "seed_voltage_fractions": list(adaptive.seed_voltage_fractions),
         "seed_load_fractions": list(adaptive.seed_load_fractions),
@@ -623,16 +626,16 @@ class _Flow:
             self.probe = np.empty(0)
         else:
             self.method = "auto"
-            self.subsample_factor = adaptive.subsample_factor
+            self.subsample_factor = SUBSAMPLE_FACTOR
             #: Residual-probe coordinates per axis.
-            self.probe = np.linspace(0.0, 1.0, adaptive.probe_grid)
+            self.probe = np.linspace(0.0, 1.0, PROBE_GRID)
 
     def half_order(self, samples: int) -> int:
         """Half-order fitted on a grid of ``samples`` SPICE samples."""
         if self.adaptive is None:
             return self.n
         n = (self.adaptive.order if self.adaptive.order is not None
-             else self.adaptive.max_order)
+             else MAX_ORDER)
         while (n + 1) ** 2 > samples and n > 1:
             n -= 1
         return n
@@ -954,7 +957,7 @@ def _select_orders(geometry: _Geometry, lanes: List[_Lane]) -> None:
     if config is None or config.order is not None:
         return
     selection = CrossValidation(geometry.fit, range(1, geometry.fit.n + 1),
-                                config.cv_folds)
+                                CV_FOLDS)
     for at in range(0, len(lanes), geometry.chunk):
         chunk = lanes[at:at + geometry.chunk]
         y = _final_samples(geometry, chunk)[3]

@@ -11,8 +11,7 @@ by the normal equations
     β̂ = (XᵀX)⁻¹ Xᵀ y                                (Eq. 8)
 
 with a numerically robust SVD-based ``lstsq`` fallback when XᵀX is badly
-conditioned (which happens for high orders with few samples).  An
-optional ridge term is provided for ablation studies.
+conditioned (which happens for high orders with few samples).
 
 Everything in Eq. 8 except ``Xᵀy`` depends on *where* the samples sit,
 not on what was measured there.  :class:`FitPlan` holds that half — the
@@ -131,8 +130,8 @@ class FitPlan:
             self._conditions[n] = float(np.linalg.cond(self.design(n)))
         return self._conditions[n]
 
-    def solve(self, y: np.ndarray, n: int, method: str = "auto",
-              ridge: float = 0.0) -> Tuple[np.ndarray, str, float]:
+    def solve(self, y: np.ndarray, n: int, method: str = "auto"
+              ) -> Tuple[np.ndarray, str, float]:
         """Coefficients only: ``(B, m)`` samples → ``(β (B, (n+1)²), method, seconds)``.
 
         ``seconds`` is the solve time per sample vector.
@@ -153,8 +152,6 @@ class FitPlan:
             gram = self._grams.get(n)
             if gram is None:
                 gram = self._grams[n] = x_matrix.T @ x_matrix
-            if ridge:
-                gram = gram + ridge * np.eye(num_coefficients)
             rhs = np.stack([x_matrix.T @ row for row in y])
             try:
                 beta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
@@ -346,7 +343,6 @@ def fit_polynomial(
     y: np.ndarray,
     n: int,
     method: str = "normal",
-    ridge: float = 0.0,
 ) -> FitResult:
     """Fit a half-order-``n`` surface polynomial to deviation samples.
 
@@ -367,12 +363,10 @@ def fit_polynomial(
     method:
         ``"normal"`` (paper Eq. 8), ``"lstsq"`` (SVD least squares) or
         ``"auto"`` (normal equations with lstsq fallback).
-    ridge:
-        Optional Tikhonov regularization λ added as ``λ·I`` to XᵀX.
     """
     v, c, y = _samples(v, c, y)
     plan = FitPlan(v, c, n)
-    beta, used, seconds = plan.solve(y, n, method, ridge)
+    beta, used, seconds = plan.solve(y, n, method)
     return plan.results(y, beta, n, [used], [seconds])[0]
 
 

@@ -12,10 +12,10 @@ this staying below 1% of end-to-end runtime).
 Activation, outermost wins first:
 
 1. an explicitly :func:`activate`-d plan (``repro serve --faults``,
-   tests via the :func:`injected` context manager),
-2. else ``SimulationConfig.faults`` (:func:`ensure`, first engine wins),
-3. else the ``REPRO_FAULTS`` environment variable, parsed lazily on the
-   first seam crossing and inherited by shard processes.
+   tests via the :func:`injected` context manager) — this process only,
+2. else the ``REPRO_FAULTS`` environment variable, parsed lazily on the
+   first seam crossing and inherited by shard processes (the one way to
+   arm a plan inside a shard).
 
 :func:`reset` clears all of it (tests only).
 """
@@ -46,7 +46,6 @@ __all__ = [
     "active_plan",
     "corrupt_waveforms",
     "deactivate",
-    "ensure",
     "injected",
     "reset",
     "trip",
@@ -105,18 +104,6 @@ def injected(plan: Union[FaultPlan, str]):
         yield resolved
     finally:
         deactivate()
-
-
-def ensure(spec: Union[FaultPlan, str]) -> None:
-    """Activate ``spec`` only if no plan is active yet (config path).
-
-    ``SimulationConfig.faults`` travels with jobs and the group configs
-    sent to shard processes; the first engine constructed with it arms the plan, later
-    engines (and an explicitly activated plan) keep the existing one so
-    per-site call counters are not silently reset mid-run.
-    """
-    if active_plan() is None:
-        activate(spec)
 
 
 def reset() -> None:

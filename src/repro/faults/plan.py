@@ -4,9 +4,8 @@ A :class:`FaultPlan` is a seeded, reproducible description of *what goes
 wrong where*: each :class:`FaultRule` names an instrumented site, a
 fault kind and a trigger (every nth call, or per-call probability).
 Plans round-trip through a compact spec string so one plan can travel
-through ``SimulationConfig.faults``, the ``REPRO_FAULTS`` environment
-variable (inherited by shard processes) and the
-``repro serve --faults`` flag unchanged::
+through the ``REPRO_FAULTS`` environment variable (inherited by shard
+processes) and the ``repro serve --faults`` flag unchanged::
 
     seed=11; backend.run_levels:raise@n=3; cache.get:corrupt@p=0.25;
     service.demux:delay@p=0.1,ms=5

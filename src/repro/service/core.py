@@ -176,7 +176,6 @@ class SimulationService:
                 on_batch_lost=self._fail_batch_jobs,
                 hang_timeout_s=self.config.hang_timeout_s,
                 tick_s=self.config.supervisor_tick_s,
-                spawn_timeout_s=self.config.shard_spawn_timeout_s,
                 on_tick=self._expire_deadlines,
                 on_free=self._worker_freed,
             )
@@ -283,8 +282,8 @@ class SimulationService:
         """Submit one job; returns a :class:`JobHandle` future.
 
         Raises :class:`~repro.errors.AdmissionError` under the
-        ``reject`` policy (or a timed-out ``block``) when the backlog is
-        full, :class:`~repro.errors.CircuitOpenError` when the job's
+        ``reject`` policy when the backlog is full,
+        :class:`~repro.errors.CircuitOpenError` when the job's
         compatibility group has tripped its circuit breaker, and
         :class:`~repro.errors.ServiceClosedError` after :meth:`close`.
 
@@ -357,9 +356,10 @@ class SimulationService:
         with self._breakers_lock:
             breakers = {key[:12]: breaker.stats()
                         for key, breaker in self._breakers.items()}
-        return self._metrics.snapshot(depth, self._cache.stats(),
-                                      pool_stats=self._executor.stats(),
-                                      breakers=breakers)
+        return self._metrics.snapshot(
+            depth, self._cache.stats(), pool_stats=self._executor.stats(),
+            breakers=breakers,
+            batches_queued=self._executor.batches_queued)
 
     @property
     def engine_dispatches(self) -> int:
@@ -408,8 +408,6 @@ class SimulationService:
                 f"queue depth {self.config.queue_depth} reached; "
                 f"retry in {retry:.3f}s",
                 retry_after_seconds=retry)
-        deadline = (None if self.config.block_timeout_s is None
-                    else _time.monotonic() + self.config.block_timeout_s)
         while True:
             # Checked after every wake: a job admitted once close() ran
             # could land after the terminal flush.
@@ -418,17 +416,7 @@ class SimulationService:
                     "service closed while waiting for admission")
             if self._backlog < self.config.queue_depth:
                 return
-            remaining = (None if deadline is None
-                         else deadline - _time.monotonic())
-            if remaining is not None and remaining <= 0:
-                self._metrics.record_rejected()
-                retry = self._metrics.retry_after(
-                    self._backlog, self._executor.num_workers)
-                raise AdmissionError(
-                    "admission wait timed out; "
-                    f"retry in {retry:.3f}s",
-                    retry_after_seconds=retry)
-            self._admission.wait(timeout=remaining)
+            self._admission.wait()
 
     def _release(self, jobs: int = 1) -> None:
         with self._intake:
@@ -515,9 +503,7 @@ class SimulationService:
             with self._breakers_lock:
                 breaker = self._breakers.get(compat_key)
                 if breaker is None:
-                    breaker = self._breakers[compat_key] = CircuitBreaker(
-                        failure_threshold=self.config.breaker_failures,
-                        reset_seconds=self.config.breaker_reset_s)
+                    breaker = self._breakers[compat_key] = CircuitBreaker()
         return breaker
 
     # -- the batch thread: clocks only ----------------------------------------

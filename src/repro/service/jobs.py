@@ -58,11 +58,10 @@ class ServiceConfig:
     queue_depth:
         Admission bound: maximum jobs admitted but not yet finished.
     admission:
-        ``"block"`` — ``submit`` waits for capacity (optionally up to
-        ``block_timeout_s``); ``"reject"`` — ``submit`` raises
-        :class:`~repro.errors.AdmissionError` with a retry-after hint.
-    block_timeout_s:
-        Upper bound on a blocking admission wait (``None`` = forever).
+        ``"block"`` — ``submit`` waits until there is capacity or the
+        service closes; ``"reject"`` — ``submit`` raises
+        :class:`~repro.errors.AdmissionError` with a retry-after hint
+        (the bounded policy).
     workers:
         Engine worker threads.  Each worker owns its own engine
         instances (the arena pool is not thread-safe), so memory scales
@@ -80,12 +79,6 @@ class ServiceConfig:
     supervisor_tick_s:
         Supervisor scan period — the granularity of worker health
         checks and job-deadline expiry.
-    breaker_failures:
-        Consecutive dispatch failures that open a compatibility group's
-        circuit breaker (:mod:`repro.service.breaker`).
-    breaker_reset_s:
-        Open-state hold time before the breaker lets one half-open
-        probe job through.
     shards:
         ``> 0`` executes batches in that many spawned shard *processes*
         behind a :class:`~repro.service.router.ShardRouter` instead of
@@ -96,9 +89,6 @@ class ServiceConfig:
         the only way engine work leaves the service's process (the
         paper's multi-GPU outlook: independent slot groups on separate
         devices).
-    shard_spawn_timeout_s:
-        A spawned shard that has not reported ready within this window
-        is declared wedged, killed and respawned.
     """
 
     max_batch_slots: int = 256
@@ -111,15 +101,11 @@ class ServiceConfig:
     idle_ms: float = 0.0
     queue_depth: int = 1024
     admission: str = "block"
-    block_timeout_s: Optional[float] = None
     workers: int = 1
     cache_entries: int = 256
     hang_timeout_s: float = 30.0
     supervisor_tick_s: float = 0.05
-    breaker_failures: int = 5
-    breaker_reset_s: float = 1.0
     shards: int = 0
-    shard_spawn_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.max_batch_slots < 1:
@@ -138,14 +124,8 @@ class ServiceConfig:
             raise ServiceError("cache_entries must be >= 0")
         if self.hang_timeout_s <= 0 or self.supervisor_tick_s <= 0:
             raise ServiceError("supervision timings must be positive")
-        if self.breaker_failures < 1:
-            raise ServiceError("breaker_failures must be positive")
-        if self.breaker_reset_s < 0:
-            raise ServiceError("breaker_reset_s must be >= 0")
         if self.shards < 0:
             raise ServiceError("shards must be >= 0")
-        if self.shard_spawn_timeout_s <= 0:
-            raise ServiceError("shard_spawn_timeout_s must be positive")
 
 
 @dataclass

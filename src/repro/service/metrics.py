@@ -65,6 +65,9 @@ class ServiceMetrics:
     latency_p95_ms: Optional[float]
     latency_p99_ms: Optional[float]
     retry_after_seconds: float = 0.0
+    #: Batches waiting in the supervisor's one queue for a free worker
+    #: (thread or shard) at the snapshot.
+    batches_queued: int = 0
     #: Engine wall time per phase (``delay`` / ``merge`` / ``pack``)
     #: summed over every dispatched batch — the per-phase
     #: breakdown surfaced by ``repro bench`` and the service CLI.
@@ -85,8 +88,7 @@ class ServiceMetrics:
     #: hex chars of the compat fingerprint.
     breakers: Dict[str, dict] = field(default_factory=dict)
     #: Sharded-service counters (all zero / empty without sharding).
-    #: ``batches_queued`` is the depth of the one batch queue the shards
-    #: take from; ``shards`` maps shard index (as a string) to that
+    #: ``shards`` maps shard index (as a string) to that
     #: shard's occupancy and transport counters (in-flight batches,
     #: dispatches, respawns, per-shard IPC bytes, …);
     #: ``shard_latency_ms`` holds per-shard p50/p95/p99 over the recent
@@ -94,7 +96,6 @@ class ServiceMetrics:
     #: percentiles.  ``ipc_*_bytes`` count the pickled bytes over the
     #: shards' control pipes: registrations, batch stimuli out, packed
     #: result planes back.
-    batches_queued: int = 0
     shard_errors: int = 0
     ipc_tx_bytes: int = 0
     ipc_rx_bytes: int = 0
@@ -188,6 +189,7 @@ class ServiceMetrics:
             f"{self.jobs_completed} completed, {self.jobs_failed} failed, "
             f"{self.jobs_rejected} rejected, queue depth {self.queue_depth}",
             f"  batching: {self.batches_dispatched} dispatches, "
+            f"{self.batches_queued} batches queued, "
             f"coalesce factor {self.coalesce_factor:.2f}, "
             f"mean occupancy {self.mean_occupancy:.1f} slots",
         ]
@@ -240,7 +242,6 @@ class ServiceMetrics:
         if self.shards:
             lines.append(
                 f"  shards: {len(self.shards)} processes, "
-                f"{self.batches_queued} batches queued, "
                 f"ipc {self.ipc_tx_bytes + self.ipc_rx_bytes} B")
             for key in sorted(self.shards, key=int):
                 entry = self.shards[key]
@@ -351,7 +352,8 @@ class MetricsRecorder:
     def snapshot(self, queue_depth: int,
                  cache_stats: Optional[dict] = None,
                  pool_stats: Optional[dict] = None,
-                 breakers: Optional[Dict[str, dict]] = None) -> ServiceMetrics:
+                 breakers: Optional[Dict[str, dict]] = None,
+                 batches_queued: int = 0) -> ServiceMetrics:
         pool_stats = pool_stats or {}
         with self._lock:
             latencies = np.asarray(self._latencies, dtype=np.float64)
@@ -394,7 +396,7 @@ class MetricsRecorder:
                 workers_hung=pool_stats.get("workers_hung", 0),
                 batches_requeued=pool_stats.get("batches_requeued", 0),
                 breakers=dict(breakers or {}),
-                batches_queued=pool_stats.get("batches_queued", 0),
+                batches_queued=batches_queued,
                 shard_errors=pool_stats.get("shard_errors", 0),
                 ipc_tx_bytes=pool_stats.get("ipc_tx_bytes", 0),
                 ipc_rx_bytes=pool_stats.get("ipc_rx_bytes", 0),

@@ -88,16 +88,17 @@ class Supervisor:
     noun = "worker"
     #: Batches one worker may hold in flight at once.
     window = 1
+    #: Seconds a worker may boot before it counts as wedged (a thread
+    #: is ready at once).
+    spawn_timeout_s = float("inf")
 
     def __init__(self, workers: List[Worker], on_batch_lost: Callable,
                  hang_timeout_s: float, tick_s: float,
                  on_tick: Optional[Callable[[], None]], name: str,
-                 spawn_timeout_s: float = float("inf"),
                  on_free: Optional[Callable[[], None]] = None) -> None:
         self._workers = workers
         self._on_batch_lost = on_batch_lost
         self._hang_timeout_s = hang_timeout_s
-        self._spawn_timeout_s = spawn_timeout_s
         self._tick_s = tick_s
         self._on_tick = on_tick
         self._on_free = on_free
@@ -127,6 +128,12 @@ class Supervisor:
     @property
     def num_workers(self) -> int:
         return len(self._workers)
+
+    @property
+    def batches_queued(self) -> int:
+        """Batches waiting for a worker (read under the queue's lock)."""
+        with self._lock:
+            return len(self._queue)
 
     @property
     def worker_free(self) -> bool:
@@ -259,7 +266,7 @@ class Supervisor:
             if not alive:
                 hung = False
             elif worker.ready_at is None:
-                hung = now - worker.spawned_at > self._spawn_timeout_s
+                hung = now - worker.spawned_at > self.spawn_timeout_s
                 if not hung:
                     return
             elif any(now - started > self._hang_timeout_s

@@ -73,6 +73,9 @@ class ShardRouter(Supervisor):
     """The service's batches, pulled by supervised shard processes."""
 
     noun = "shard process"
+    #: A spawned shard that has not reported ready within this many
+    #: seconds is declared wedged, killed and respawned.
+    spawn_timeout_s = 60.0
 
     def __init__(
         self,
@@ -83,7 +86,6 @@ class ShardRouter(Supervisor):
         on_batch_lost: Callable,
         hang_timeout_s: float = 30.0,
         tick_s: float = 0.05,
-        spawn_timeout_s: float = 120.0,
         on_tick: Optional[Callable[[], None]] = None,
         on_free: Optional[Callable[[], None]] = None,
         name: str = "repro-router",
@@ -92,8 +94,7 @@ class ShardRouter(Supervisor):
             raise ShardError("need at least one shard")
         super().__init__([_ShardHandle(index) for index in range(num_shards)],
                          on_batch_lost, hang_timeout_s, tick_s, on_tick,
-                         name=name, spawn_timeout_s=spawn_timeout_s,
-                         on_free=on_free)
+                         name=name, on_free=on_free)
         self._combine = combine
         self._on_dispatch = on_dispatch
         self._on_reply = on_reply
@@ -383,8 +384,7 @@ class ShardRouter(Supervisor):
             shards[str(handle.index)] = entry
         stats = super().stats()
         with self._lock:
-            stats.update(batches_queued=len(self._queue),
-                         shard_errors=self.shard_errors)
+            stats["shard_errors"] = self.shard_errors
         return {**stats, "shards": shards, **totals}
 
     # -- shutdown -------------------------------------------------------------

@@ -32,8 +32,8 @@ Fault seams: ``shard.dispatch`` trips in this process right before a
 batch executes (``die`` exits the process without a reply, which is
 exactly what a native crash looks like to the router); ``shard.spawn``
 trips in the *parent* (see :mod:`repro.service.router`).  The fault
-plan itself arrives through the inherited ``REPRO_FAULTS`` environment
-or through ``SimulationConfig.faults`` riding the group registration.
+plan itself arrives through the inherited ``REPRO_FAULTS`` environment:
+a plan activated in the parent stays in the parent.
 """
 
 from __future__ import annotations
@@ -118,8 +118,6 @@ class _ShardWorker:
     def register_group(self, compat_key: str, circuit_key: str,
                        config: SimulationConfig, kernel_table,
                        variation) -> None:
-        if config.faults:
-            faults.ensure(config.faults)
         self.groups[compat_key] = (circuit_key, config, kernel_table,
                                    variation)
 

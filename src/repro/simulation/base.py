@@ -129,20 +129,6 @@ class SimulationConfig:
         either way; only ``gate_evaluations`` / ``lanes_skipped``
         accounting and throughput change.  Turn off for dense-dispatch
         benchmarking or ablation.
-    faults:
-        Optional fault-plan spec string (see :mod:`repro.faults`).  The
-        first engine constructed with it arms the plan process-wide
-        (``faults.ensure``); an already-active plan wins.  Operational
-        only — never part of job/campaign fingerprints, since an
-        injection-free run is bit-identical to one with seams compiled
-        in but no plan armed.
-    demote_after:
-        Consecutive non-overflow kernel faults an engine absorbs before
-        demoting its compute backend one rung (cext → numpy); a batch
-        that returns resets the count.  At the numpy floor the fault
-        propagates instead.  Deterministic input errors (any
-        :class:`~repro.errors.ReproError` but an injected fault) are
-        never counted: they propagate at once.
     """
 
     pulse_filtering: str = "inertial"
@@ -151,8 +137,6 @@ class SimulationConfig:
     record_all_nets: bool = False
     backend: Optional[str] = None
     prune_inactive: bool = True
-    faults: Optional[str] = None
-    demote_after: int = 2
 
     def __post_init__(self) -> None:
         from repro.simulation.backend import BACKEND_CHOICES
@@ -169,8 +153,6 @@ class SimulationConfig:
                 f"backend must be one of {BACKEND_CHOICES} or None, "
                 f"got {self.backend!r}"
             )
-        if self.demote_after < 1:
-            raise ValueError("demote_after must be >= 1")
 
 
 @dataclass

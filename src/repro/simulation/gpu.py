@@ -154,6 +154,11 @@ COMPACT_MIN_BYTES = 128 * 1024 * 1024
 #: but the re-run walk is narrow and pays ~1.5x per slot.)
 COMPACT_RETRY_DIVISOR = 4
 
+#: Consecutive non-overflow kernel faults an engine absorbs before it
+#: demotes its compute backend one rung (cext → numpy); a batch that
+#: returns resets the count.  At the numpy floor the fault propagates.
+DEMOTE_AFTER = 2
+
 #: Slots toggling at least this fraction of the primary inputs skip
 #: lane-grained activity tracking entirely — activity spreads so wide
 #: that the per-level mask bookkeeping cannot pay for itself, so they
@@ -499,8 +504,6 @@ class GpuWaveSim:
         self.config = config or SimulationConfig()
         self.compiled = compiled or compile_circuit(circuit, library, annotation, loads)
         self.memory_budget = memory_budget
-        if self.config.faults:
-            faults.ensure(self.config.faults)
         self.backend: ComputeBackend = resolve_backend(self.config.backend)
         self.last_stats: Optional[EngineStats] = None
         #: Demotion steps taken over the engine's lifetime (see
@@ -752,19 +755,20 @@ class GpuWaveSim:
     def _absorb_kernel_fault(self, stats: EngineStats) -> bool:
         """Retry policy for batch failures that may be a kernel fault.
 
-        The batch is retried on the same backend until ``demote_after``
-        consecutive faults (a batch that returns resets the count), then
-        the backend is demoted one rung (cext → numpy) and the counter
-        resets.  Returns False — re-raise — at the numpy floor, so total
-        attempts are bounded by ``demote_after × rungs``.  A successful
-        demoted retry leaves the engine on the demoted backend: a native
-        kernel that faulted repeatedly is not trusted again.
+        The batch is retried on the same backend until
+        :data:`DEMOTE_AFTER` consecutive faults (a batch that returns
+        resets the count), then the backend is demoted one rung (cext →
+        numpy) and the counter resets.  Returns False — re-raise — at
+        the numpy floor, so total attempts are bounded by
+        ``DEMOTE_AFTER × rungs``.  A successful demoted retry leaves the
+        engine on the demoted backend: a native kernel that faulted
+        repeatedly is not trusted again.
         (:class:`WorkerDeathError` is a ``BaseException`` and never
         reaches this handler — a dead worker is not a kernel fault.)
         """
         self._kernel_faults += 1
         stats.retries += 1
-        if self._kernel_faults < self.config.demote_after:
+        if self._kernel_faults < DEMOTE_AFTER:
             return True
         demoted = demote_backend(self.backend.name)
         if demoted is None:

@@ -128,7 +128,6 @@ class TestConvergence:
         table = explorer.voltage_frequency_table(
             pairs, [space.v_min, 0.8, space.v_max], guardband=0.05)
         config = LoopConfig(period=1.0, max_iterations=1,
-                            initial_voltage=space.v_max,
                             record_energy=False)
         report = ClosedLoopRunner(circuit, library, kernel_table,
                                   AvfsController(table), config).run(pairs)

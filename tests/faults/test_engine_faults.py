@@ -12,6 +12,7 @@ from repro.simulation import backend as backend_mod
 from repro.simulation.backend import available_backends, demote_backend
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
+from repro.simulation import gpu
 from repro.simulation.gpu import GpuWaveSim
 
 
@@ -44,7 +45,7 @@ class TestDemotionLadder:
 
     def test_transient_kernel_fault_is_retried_in_place(self, circuit,
                                                         library, compiled):
-        engine = make_engine(circuit, library, compiled, demote_after=2)
+        engine = make_engine(circuit, library, compiled)
         pairs = make_pairs(circuit)
         baseline = engine.run(pairs)
         with faults.injected("backend.run_levels:raise@n=1"):
@@ -59,8 +60,9 @@ class TestDemotionLadder:
                 assert np.array_equal(got.times, ref.times)
 
     def test_fault_at_numpy_floor_propagates(self, circuit, library,
-                                             compiled):
-        engine = make_engine(circuit, library, compiled, demote_after=1)
+                                             compiled, monkeypatch):
+        monkeypatch.setattr(gpu, "DEMOTE_AFTER", 1)
+        engine = make_engine(circuit, library, compiled)
         with faults.injected("engine.alloc:raise@n=1"):
             with pytest.raises(InjectedFaultError) as info:
                 engine.run(make_pairs(circuit))
@@ -68,9 +70,10 @@ class TestDemotionLadder:
 
     @pytest.mark.skipif("cext" not in available_backends(),
                         reason="needs the C extension backend")
-    def test_native_faults_demote_to_numpy(self, circuit, library, compiled):
-        engine = make_engine(circuit, library, compiled, backend="cext",
-                             demote_after=1)
+    def test_native_faults_demote_to_numpy(self, circuit, library, compiled,
+                                           monkeypatch):
+        monkeypatch.setattr(gpu, "DEMOTE_AFTER", 1)
+        engine = make_engine(circuit, library, compiled, backend="cext")
         pairs = make_pairs(circuit, seed=5)
         reference = make_engine(circuit, library, compiled).run(pairs)
         with faults.injected("backend.run_levels:raise@n=1"):
@@ -89,11 +92,10 @@ class TestDemotionLadder:
                         reason="needs the C extension backend")
     def test_isolated_transient_faults_never_demote(self, circuit, library,
                                                     compiled):
-        """``demote_after`` counts *consecutive* faults: a batch that
+        """``DEMOTE_AFTER`` counts *consecutive* faults: a batch that
         returns resets it, so one transient fault per run — however many
         runs — leaves a pooled engine on its backend."""
-        engine = make_engine(circuit, library, compiled, backend="cext",
-                             demote_after=2)
+        engine = make_engine(circuit, library, compiled, backend="cext")
         pairs = make_pairs(circuit)
         for _ in range(2):
             with faults.injected("backend.run_levels:raise@n=1"):
@@ -129,7 +131,8 @@ class TestDemotionLadder:
         """Any :class:`ReproError` but an injected fault re-raises from
         the batch loop without a retry — here an operating point outside
         the characterized space, raised inside the level loop."""
-        engine = make_engine(circuit, library, compiled, demote_after=1)
+        monkeypatch.setattr(gpu, "DEMOTE_AFTER", 1)
+        engine = make_engine(circuit, library, compiled)
 
         def refuse(*args, **kwargs):
             raise CharacterizationError("voltage outside the space")
@@ -139,19 +142,6 @@ class TestDemotionLadder:
             engine.run(make_pairs(circuit), kernel_table=kernel_table)
         assert engine._kernel_faults == 0
         assert engine.demotions == []
-
-    def test_config_faults_arm_a_plan_on_first_engine(self, circuit, library,
-                                                      compiled):
-        assert faults.active_plan() is None
-        make_engine(circuit, library, compiled,
-                    faults="cache.get:raise@n=99")
-        plan = faults.active_plan()
-        assert plan is not None
-        assert plan.rules[0].site == "cache.get"
-        # A second engine with a different spec keeps the armed plan.
-        make_engine(circuit, library, compiled,
-                    faults="service.demux:raise@n=1")
-        assert faults.active_plan() is plan
 
 
 class TestBackendLoadSeam:

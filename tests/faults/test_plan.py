@@ -157,12 +157,6 @@ class TestActivation:
         faults.deactivate()
         assert faults.active_plan() is None
 
-    def test_ensure_only_arms_when_idle(self):
-        faults.ensure("cache.get:raise@n=5")
-        first = faults.active_plan()
-        faults.ensure("service.demux:raise@n=5")
-        assert faults.active_plan() is first
-
     def test_env_plan_resolves_lazily(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "cache.get:raise@n=1")
         faults.reset()

@@ -6,6 +6,7 @@ kernel fault and a corrupted cache entry, where every job still
 succeeds and every waveform is bit-identical to the fault-free run.
 """
 
+import functools
 import io
 import json
 import time
@@ -22,6 +23,9 @@ from repro.errors import (
 )
 from repro.netlist.generate import random_circuit
 from repro.service import ServiceConfig, SimulationService
+from repro.service import core as service_core
+from repro.service.breaker import CircuitBreaker
+from repro.simulation import gpu
 from repro.simulation.backend import available_backends
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
@@ -171,10 +175,11 @@ class TestIsolationClock:
 
 class TestCircuitBreaker:
     def test_open_half_open_close_transitions(self, circuit, library,
-                                              compiled):
+                                              compiled, monkeypatch):
         jobs = make_jobs(circuit, 8, seed=6)
-        config = hardened_config(max_batch_slots=2, breaker_failures=2,
-                                 breaker_reset_s=0.3)
+        monkeypatch.setattr(service_core, "CircuitBreaker", functools.partial(
+            CircuitBreaker, failure_threshold=2, reset_seconds=0.3))
+        config = hardened_config(max_batch_slots=2)
         with SimulationService(config=config) as service:
             key = service.register_circuit(circuit, library,
                                            compiled=compiled)
@@ -289,7 +294,9 @@ class TestServiceDemotion:
     @pytest.mark.skipif("cext" not in available_backends(),
                         reason="needs the C extension backend")
     def test_demotion_reaches_label_report_and_metrics(self, circuit,
-                                                       library, compiled):
+                                                       library, compiled,
+                                                       monkeypatch):
+        monkeypatch.setattr(gpu, "DEMOTE_AFTER", 1)
         jobs = make_jobs(circuit, 4, seed=12)
         baseline = run_service(
             circuit, library, compiled, jobs, hardened_config(),
@@ -297,7 +304,7 @@ class TestServiceDemotion:
         with faults.injected("backend.run_levels:raise@n=1"):
             results = run_service(
                 circuit, library, compiled, jobs, hardened_config(),
-                config=SimulationConfig(backend="cext", demote_after=1))
+                config=SimulationConfig(backend="cext"))
         assert any("demoted:cext->numpy" in result.engine
                    for result in results)
         demoted = [r for r in results if "demoted" in r.engine]

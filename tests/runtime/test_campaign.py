@@ -19,6 +19,7 @@ from repro.errors import CheckpointError, ChunkExecutionError, CampaignError
 from repro.netlist.generate import random_circuit
 from repro.runtime import CampaignConfig, CampaignRunner
 from repro.service import SimulationService
+from repro.simulation import gpu
 from repro.simulation.backend import available_backends
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
@@ -151,7 +152,8 @@ class TestServiceRecovery:
     def test_shard_death_is_absorbed(self, setup, library, monkeypatch):
         """The last chunk's first dispatch kills its shard: the service
         respawns it and re-queues the chunk once, and the campaign never
-        sees the loss."""
+        sees the loss.  The plan reaches the shard the one way a plan
+        can: the environment it inherits."""
         circuit, compiled, pairs = setup
         reference, _stats = whole_plane(setup, library, pairs)
         metrics = []
@@ -164,8 +166,9 @@ class TestServiceRecovery:
         monkeypatch.setattr(SimulationService, "close", recording_close)
         # One shard runs the three chunks in order; its third dispatch
         # dies, and the respawned shard's first dispatch is that chunk.
-        config = SimulationConfig(record_all_nets=True,
-                                  faults="shard.dispatch:die@n=3")
+        monkeypatch.setenv(faults.ENV_VAR, "shard.dispatch:die@n=3")
+        faults.reset()
+        config = SimulationConfig(record_all_nets=True)
         try:
             result = make_runner(setup, library, config=config,
                                  num_workers=1).run(pairs)
@@ -180,13 +183,16 @@ class TestServiceRecovery:
 
     @pytest.mark.skipif("cext" not in available_backends(),
                         reason="needs the native backend to demote from")
-    def test_report_names_the_backend_after_demotion(self, setup, library):
+    def test_report_names_the_backend_after_demotion(self, setup, library,
+                                                     monkeypatch):
         """A chunk whose kernel faulted ran on the demoted backend, and
-        every later one too: the report names that backend."""
+        every later one too: the report names that backend.  (The
+        campaign's service runs in-process, so the patched constant
+        reaches its engines.)"""
         circuit, compiled, pairs = setup
         reference, _stats = whole_plane(setup, library, pairs)
-        config = SimulationConfig(record_all_nets=True, backend="cext",
-                                  demote_after=1)
+        monkeypatch.setattr(gpu, "DEMOTE_AFTER", 1)
+        config = SimulationConfig(record_all_nets=True, backend="cext")
         with faults.injected("backend.run_levels:raise@n=1"):
             result = make_runner(setup, library, config=config,
                                  chunk_slots=4).run(pairs)

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.errors import (
     AdmissionError,
     ParameterError,
@@ -393,18 +394,6 @@ class TestAdmissionControl:
         # close() drains: the admitted jobs still completed.
         assert service.metrics().jobs_completed == 2
 
-    def test_block_policy_times_out(self, circuit, library, compiled):
-        jobs = make_jobs(circuit, 3, seed=14)
-        config = coalescing_config(queue_depth=2, admission="block",
-                                   block_timeout_s=0.05, max_batch_slots=64)
-        with SimulationService(config=config) as service:
-            key = service.register_circuit(circuit, library,
-                                           compiled=compiled)
-            service.submit(key, jobs[0])
-            service.submit(key, jobs[1])
-            with pytest.raises(AdmissionError):
-                service.submit(key, jobs[2])
-
     def test_invalid_jobs_rejected_synchronously(self, circuit, library,
                                                  compiled):
         with SimulationService(config=coalescing_config()) as service:
@@ -719,6 +708,36 @@ class TestMetrics:
         assert metrics.latency_p50_ms is not None
         assert metrics.latency_p50_ms <= metrics.latency_p99_ms
         assert "coalesce factor" in metrics.summary()
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_batches_queued_reads_the_one_queue(self, circuit, library,
+                                                compiled, shards,
+                                                monkeypatch):
+        """Full batches waiting for the one busy worker count in
+        ``batches_queued``, in-process as on a shard.  Every engine
+        allocation is held 400 ms — through the environment, which a
+        shard inherits — so the snapshot is read before the first
+        batch settles."""
+        monkeypatch.setenv(faults.ENV_VAR, "engine.alloc:delay@p=1,ms=400")
+        faults.reset()
+        jobs = make_jobs(circuit, 6, seed=71)
+        service = SimulationService(config=coalescing_config(
+            max_batch_slots=2, workers=1, shards=shards, cache_entries=0))
+        try:
+            key = service.register_circuit(circuit, library,
+                                           compiled=compiled)
+            handles = [service.submit(key, pairs) for pairs in jobs]
+            metrics = service.metrics()
+            for handle in handles:
+                handle.result(timeout=120)
+        finally:
+            service.close()
+            faults.reset()
+        assert metrics.jobs_completed == 0
+        assert metrics.batches_queued >= 1
+        assert (f"{metrics.batches_queued} batches queued"
+                in metrics.summary().splitlines()[1])
+        assert service.metrics().batches_queued == 0
 
 
 @pytest.fixture
