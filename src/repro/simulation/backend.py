@@ -26,14 +26,16 @@ algorithm of :func:`~repro.simulation.kernels.waveform_merge_kernel`
 with identical IEEE-754 operation order, so results are **bit-identical**
 across backends (asserted in ``tests/simulation/test_backend.py``).
 
-Adding a backend: subclass :class:`ComputeBackend` and implement two
+Adding a backend: subclass :class:`ComputeBackend` and implement three
 arena methods — :meth:`~ComputeBackend.run_levels`, every level of a
 batch with an optional activity mask, the one call the engine's level
-loop makes, and :meth:`~ComputeBackend.extract`, the unpack of the
-finished arena into packed result planes, one per slot segment — plus
-:meth:`~ComputeBackend.settle_levels`, the truth-table sweep behind
-quiet slots.  The base class has a numpy ``extract`` and
-``settle_levels``, and a backend without a whole-batch entry implements
+loop makes, :meth:`~ComputeBackend.extract`, the unpack of the
+finished arena into packed result planes, one per slot segment, and
+:meth:`~ComputeBackend.extract_columns`, the same unpack into the
+columns of a batch answer written in place — plus
+:meth:`~ComputeBackend.settle`, the truth-table settle behind quiet
+slots.  The base class has numpy ``extract``, ``extract_columns`` and
+``settle``, and a backend without a whole-batch entry implements
 :meth:`~ComputeBackend.run_level` (one level, dense or restricted to a
 lane list) instead and inherits the base-class ``run_levels``: the
 per-level Python loop.  Those base-class implementations are also the
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.kernels import MergeResult, waveform_merge_kernel
-from repro.waveform.plane import WaveformPlane
+from repro.waveform.plane import PlaneCanvas, WaveformPlane, _packed_starts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.compiled import CircuitPlans, LevelPlan
@@ -500,15 +502,52 @@ class ComputeBackend:
         return [plane.take(np.arange(lo - first, hi - first))
                 for lo, hi in zip(edges, edges[1:])]
 
-    def settle_levels(self, plans: "CircuitPlans",
-                      initial_all: np.ndarray) -> None:
-        """Settle every gate output of a toggle-free ``(nets + 1, S)``
-        uint8 value plane in place, level by level, from the primary-
-        input rows (the dummy net's row must hold 0): what a walk
-        writes as initial values when no lane is dispatched.  No arena,
-        no delays."""
+    def extract_columns(self, times_all: np.ndarray,
+                        initial_all: np.ndarray,
+                        rows: Optional[np.ndarray], cols: np.ndarray,
+                        canvas: PlaneCanvas) -> None:
+        """The unpack of one part of a batch whose answer is written in
+        place: arena slot ``s`` lands in column ``cols[s]`` of
+        ``canvas`` (a slot with ``cols[s] < 0`` is left out — an
+        overflowed slot whose re-run writes the column), its payload
+        appended.  ``rows`` are the arena rows of the canvas's nets
+        (``None``: the first ``W``).  What lands is what :meth:`extract`
+        unpacks; this base implementation is the numpy one and the
+        reference a native one is tested against."""
+        width = canvas.counts.shape[0]
+        keep = np.flatnonzero(cols >= 0)
+        times = times_all[:width] if rows is None else times_all[rows]
+        initial = initial_all[:width] if rows is None else initial_all[rows]
+        if keep.size < cols.size:
+            times, initial = times[:, keep], initial[:, keep]
+        finite = np.isfinite(times)
+        counts = finite.sum(axis=2)
+        canvas.put(cols[keep], initial, counts, _packed_starts(counts),
+                   times[finite])
+
+    def settle(self, plans: "CircuitPlans", v1: np.ndarray,
+               patterns: np.ndarray, num_nets: int,
+               rows: Optional[np.ndarray], vectors: np.ndarray,
+               out: np.ndarray, cols: np.ndarray) -> None:
+        """Settle toggle-free launch vectors with no arena and no
+        delays: what a walk writes as initial values when no lane is
+        dispatched.
+
+        ``v1`` holds the ``(P, inputs)`` launch values per pattern (the
+        primary inputs are nets ``0 .. inputs - 1``) and ``patterns``
+        the ``(U,)`` rows to settle; ``out[:, cols[k]]`` gets the
+        settled values of the net ``rows`` (``None``: the first
+        ``out.shape[0]`` nets) of vector ``vectors[k]``.  This base
+        implementation sweeps a ``(num_nets + 1, U)`` byte plane level
+        by level (the dummy net's row holds 0) — the reference a native
+        bit-sliced settle is tested against
+        (``tests/simulation/test_settle.py``)."""
+        values = np.zeros((num_nets + 1, patterns.size), dtype=np.uint8)
+        values[:v1.shape[1]] = v1[patterns].T
         for plan in plans.levels:
-            _settle_level(plan, initial_all)
+            _settle_level(plan, values)
+        wanted = values[:out.shape[0]] if rows is None else values[rows]
+        out[:, cols] = wanted[:, vectors]
 
 
 def _settle_level(plan: "LevelPlan", initial_all: np.ndarray) -> None:
@@ -648,16 +687,17 @@ class CextBackend(ComputeBackend):
                 starts=segment_starts, index=index, nets_crc=nets_crc))
         return planes
 
-    def settle_levels(self, plans, initial_all):
-        # The walk under an all-clear static mask: every lane is
-        # skipped, i.e. only settled, and the arena is never touched.
-        cat = plans.concat()
-        num_slots = initial_all.shape[1]
-        self._kernels.run_levels(
-            np.zeros(1, dtype=np.float64), initial_all, cat,
-            cat.nominal[..., None], None, None, None,
-            np.zeros(num_slots, dtype=np.int64), None, 0, False,
-            mask=np.zeros(initial_all.shape, dtype=bool))
+    def extract_columns(self, times_all, initial_all, rows, cols, canvas):
+        canvas.append(self._kernels.extract_columns(
+            times_all, initial_all, rows, cols, canvas.initial,
+            canvas.counts, canvas.starts, canvas.size))
+
+    def settle(self, plans, v1, patterns, num_nets, rows, vectors, out,
+               cols):
+        # 64 vectors per word, the gates walked once in C; only the
+        # wanted rows are unpacked, straight into their columns.
+        self._kernels.settle(plans.concat(), v1, patterns, num_nets + 1,
+                             rows, vectors, out, cols)
 
     def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
                          voltages):

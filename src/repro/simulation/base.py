@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netlist.circuit import Circuit
+from repro.simulation.grid import SlotPlan
 from repro.waveform.plane import PlaneAccessors
 from repro.waveform.waveform import Waveform
 
@@ -178,6 +179,10 @@ class SimulationResult(PlaneAccessors):
     """
 
     circuit_name: str
+    #: ``(pattern_index, voltage)`` per slot.  An engine run passes its
+    #: :class:`~repro.simulation.grid.SlotPlan` instead and the list is
+    #: built on first read (one tuple per slot is not worth building for
+    #: a result nobody asks).
     slot_labels: List[Tuple[int, float]]
     waveforms: Sequence[Mapping[str, Waveform]]
     runtime_seconds: float
@@ -195,3 +200,19 @@ class SimulationResult(PlaneAccessors):
     #: ``None`` when the run had to join sub-batches: the caller slices
     #: ``waveforms`` itself.
     segments: Optional[List[object]] = None
+
+
+def _read_slot_labels(result: SimulationResult) -> List[Tuple[int, float]]:
+    labels = result._slot_labels
+    if isinstance(labels, SlotPlan):
+        labels = result._slot_labels = labels.labels()
+    return labels
+
+
+def _write_slot_labels(result: SimulationResult, labels) -> None:
+    result._slot_labels = labels
+
+
+# The dataclass ``__init__``, ``__eq__`` and ``__repr__`` go through this
+# property, so they all see the list.
+SimulationResult.slot_labels = property(_read_slot_labels, _write_slot_labels)

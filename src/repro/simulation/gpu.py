@@ -34,20 +34,22 @@ the wanted net rows out of the arena (``backend.extract``) into
 columnar :class:`~repro.waveform.plane.WaveformPlane` form (toggle
 counts, block offsets and a flat toggle-time payload) — one plane for
 the batch, or one per consumer when the caller named its
-:class:`~repro.simulation.grid.Segments`.  A batch's answer is
-assembled in place: the parts it lowered to have their columns written
-where their slots land (``WaveformPlane.assemble``, a quiet part's
-settled values straight into ``initial``), an overflow re-run patches
-its slots' columns into the plane the walk just extracted
-(``WaveformPlane.scatter``), and memory-budget batches, already in slot
-order, are concatenated.  No per-``(net, slot)`` Python object is built
-unless a caller indexes ``result.waveforms``.
+:class:`~repro.simulation.grid.Segments`.  The answer of a batch that
+lowers several ways is written in place: one
+:class:`~repro.waveform.plane.PlaneCanvas` is allocated for it and each
+part writes its own columns — the walk's unpack
+(``backend.extract_columns``) and the quiet settle straight from the
+backend — as does an overflow re-run, whose walk left the flagged
+slots' columns out; memory-budget batches, already in slot order, are
+concatenated.  No per-``(net, slot)`` Python object is built unless a
+caller indexes ``result.waveforms``.
 
 On realistic low-activity stimuli most lanes carry zero input toggles —
 their output is a pure logic settle with no waveform work.  The engine
 therefore prunes at two slot-classified granularities: slots whose
-stimulus launches no toggle at all settle in one vectorized truth-table
-sweep and never touch the arena, and slots toggling only a small
+stimulus launches no toggle at all settle once per pattern they name in
+one bit-sliced truth-table sweep and never touch the arena, and slots
+toggling only a small
 fraction of their inputs run with per-(net, slot) activity tracking —
 the backend walks the levels under an activity mask it grows itself,
 and only lanes with an active input are dispatched (the lane-compaction
@@ -107,7 +109,7 @@ from repro.simulation.base import (
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
 from repro.simulation.delta import BaseArena, DeltaPlan
 from repro.simulation.grid import Segments, SlotPlan
-from repro.waveform.plane import WaveformPlane, net_keys
+from repro.waveform.plane import PlaneCanvas, WaveformPlane, net_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.variation import ProcessVariation
@@ -342,17 +344,6 @@ class _ArenaPool:
         initial[rows] = 0
         return times, initial
 
-    def values(self, nets: int, slots: int, rows: np.ndarray) -> np.ndarray:
-        """The ``(nets, slots)`` initial-value half of :meth:`acquire`
-        alone — the plane a quiet settle sweeps — with the net ``rows``
-        reset to 0."""
-        n_initial = nets * slots
-        if self._initial is None or self._initial.size < n_initial:
-            self._initial = np.empty(n_initial, dtype=np.uint8)
-        initial = self._initial[:n_initial].reshape(nets, slots)
-        initial[rows] = 0
-        return initial
-
 
 @dataclass(frozen=True)
 class _Batch:
@@ -366,8 +357,10 @@ class _Batch:
     """
 
     plan: SlotPlan
-    first: np.ndarray                 # (S, inputs) launch values per slot
-    toggles: np.ndarray               # (S, inputs) launched transitions
+    #: Per *pattern*, not per slot: a slot reads the rows of its
+    #: ``plan.pattern_indices`` entry, so narrowing a batch moves none.
+    v1: np.ndarray                    # (P, inputs) launch values
+    toggles: np.ndarray               # (P, inputs) launched transitions
     global_slots: np.ndarray          # (S,) full-plane index (die factors)
     kernel_table: Optional[object]    # delay source; None: nominal delays
     variation: Optional["ProcessVariation"]
@@ -390,16 +383,21 @@ class _Batch:
     def take(self, slots: np.ndarray,
              plan: Optional[SlotPlan] = None) -> "_Batch":
         """The same batch over a subset of its slots (``plan``: the
-        sub-plan, when the caller already holds it)."""
+        sub-plan, when the caller already holds it); the per-pattern
+        rows are shared."""
         return replace(self, plan=plan or self.plan.take(slots),
-                       first=self.first[slots], toggles=self.toggles[slots],
                        global_slots=self.global_slots[slots], segments=None)
 
 
 #: What a batch's trip through the engine answers: one plane, or — for
 #: a batch that kept its segments all the way into
-#: :meth:`GpuWaveSim._execute` — one private plane per segment.
-_Answer = Union[WaveformPlane, List[WaveformPlane]]
+#: :meth:`GpuWaveSim._execute` — one private plane per segment.  A batch
+#: handed an :data:`_Into` writes its answer there and returns ``None``.
+_Answer = Union[WaveformPlane, List[WaveformPlane], None]
+
+#: Where a batch writes its answer in place: the canvas of the batch
+#: being assembled and, per slot of this (sub-)batch, its column there.
+_Into = Optional[Tuple[PlaneCanvas, np.ndarray]]
 
 
 def _narrow(batch: _Batch, delta: Optional[DeltaPlan], slots: np.ndarray,
@@ -420,20 +418,24 @@ def _narrow(batch: _Batch, delta: Optional[DeltaPlan], slots: np.ndarray,
 DENSE, TRACKED, QUIET, SPLICE = "dense", "tracked", "quiet", "splice"
 
 
-def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan]
+def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan],
+           patterns: Optional[np.ndarray] = None
            ) -> List[Tuple[np.ndarray, str]]:
     """Partition a batch into ``(slot subset, lowering)`` pairs.
 
+    ``toggles`` are the launched transitions per pattern row and
+    ``patterns`` each slot's row (``None``: row ``s`` is slot ``s``'s).
     Slots a delta plan maps onto its base are spliced whole.  The rest
-    are classified by input-toggle fraction: quiet slots (no launched
-    transition) settle by truth-table sweep, slots under
-    :data:`LANE_TRACK_INPUT_FRACTION` run lane-tracked, the others
-    dense — everything dense when pruning is off.  Each slot's class
-    depends only on its own stimulus and mapping, so the
+    are classified by their pattern's input-toggle count: quiet slots
+    (no launched transition) settle by truth-table sweep, slots under
+    :data:`LANE_TRACK_INPUT_FRACTION` of the inputs run lane-tracked,
+    the others dense — everything dense when pruning is off.  Each
+    slot's class depends only on its own stimulus and mapping, so the
     evaluated / skipped / spliced accounting is invariant across
     backends and slot-plane chunkings.  Empty subsets are dropped.
     """
-    slots = np.arange(toggles.shape[0])
+    num_slots = toggles.shape[0] if patterns is None else patterns.size
+    slots = np.arange(num_slots)
     parts: List[Tuple[np.ndarray, str]] = []
     if delta is not None:
         mapped = delta.base_slot >= 0
@@ -442,9 +444,13 @@ def _lower(toggles: np.ndarray, prune: bool, delta: Optional[DeltaPlan]
     if not prune:
         parts.insert(0, (slots, DENSE))
     elif slots.size:
-        fraction = toggles.mean(axis=1)[slots]
-        quiet = fraction == 0.0
-        tracked = ~quiet & (fraction < LANE_TRACK_INPUT_FRACTION)
+        active = np.count_nonzero(toggles, axis=1)
+        if patterns is not None:
+            active = active[patterns]
+        active = active[slots]
+        quiet = active == 0
+        tracked = ~quiet & (active < LANE_TRACK_INPUT_FRACTION
+                            * toggles.shape[1])
         parts = [(slots[tracked], TRACKED),
                  (slots[~quiet & ~tracked], DENSE),
                  (slots[quiet], QUIET)] + parts
@@ -641,8 +647,8 @@ class GpuWaveSim:
                 f"kernel table holds {kernel_table.max_pins}"
             )
 
-        v1 = np.stack([p.v1 for p in pairs])
-        v2 = np.stack([p.v2 for p in pairs])
+        v1 = np.array([p.v1 for p in pairs])
+        v2 = np.array([p.v2 for p in pairs])
         if v1.shape[1] != len(self.compiled.circuit.inputs):
             raise SimulationError("pattern width does not match circuit inputs")
         if delta is not None:
@@ -654,8 +660,8 @@ class GpuWaveSim:
         # Load stimuli (Fig. 2 step 3): per slot, its pattern pair.
         whole = _Batch(
             plan=plan,
-            first=v1[plan.pattern_indices],
-            toggles=(v1 != v2)[plan.pattern_indices],
+            v1=v1,
+            toggles=v1 != v2,
             global_slots=global_slots,
             kernel_table=kernel_table,
             variation=variation,
@@ -689,7 +695,8 @@ class GpuWaveSim:
             result_plane = WaveformPlane.concat(parts)
             if capture_base:
                 base_arena = BaseArena(
-                    result_plane, whole.first, v2[plan.pattern_indices],
+                    result_plane, v1[plan.pattern_indices],
+                    v2[plan.pattern_indices],
                     np.array(plan.voltages, dtype=np.float64), global_slots)
                 if not self.config.record_all_nets:
                     result_plane = result_plane.rows(
@@ -703,7 +710,7 @@ class GpuWaveSim:
         demoted = "".join(f",demoted:{step}" for step in stats.demotions)
         return SimulationResult(
             circuit_name=self.compiled.circuit.name,
-            slot_labels=plan.labels(),
+            slot_labels=plan,
             waveforms=result_plane,
             runtime_seconds=runtime,
             gate_evaluations=stats.gate_evaluations,
@@ -730,16 +737,17 @@ class GpuWaveSim:
                 return COMPACT_CAPACITY
         return configured
 
-    def _run_batch(self, batch: _Batch, delta: Optional[DeltaPlan]
-                   ) -> _Answer:
+    def _run_batch(self, batch: _Batch, delta: Optional[DeltaPlan],
+                   into: _Into = None) -> _Answer:
         """One memory-budget batch — or the flagged slots of one, on
         their way back from :meth:`_recover` — through the kernel-fault
         ladder.  Like the two steps below it, it passes on the
         per-segment planes of a batch that kept its segments all the
-        way into :meth:`_execute`."""
+        way into :meth:`_execute`, and writes into ``into`` when given
+        one (a retry rewrites the same columns)."""
         while True:
             try:
-                plane = self._run_within_budget(batch, delta)
+                plane = self._run_within_budget(batch, delta, into)
                 self._kernel_faults = 0
                 return plane
             except Exception as error:  # noqa: BLE001 - demotion ladder
@@ -781,58 +789,70 @@ class GpuWaveSim:
         stats.backend = demoted.name
         return True
 
-    def _run_within_budget(self, batch: _Batch, delta: Optional[DeltaPlan]
-                           ) -> _Answer:
+    def _run_within_budget(self, batch: _Batch, delta: Optional[DeltaPlan],
+                           into: _Into = None) -> _Answer:
         """Run a batch at its capacity, re-chunking first if a grown
         capacity would blow the memory budget (a retried batch is
         re-sized instead of exceeding ``memory_budget`` by the growth
         factor)."""
         max_slots = self._max_batch_slots(batch.capacity)
         if batch.plan.num_slots <= max_slots:
-            return self._run_lowered(batch, delta)
+            return self._run_lowered(batch, delta, into)
+        chunks = batch.plan.batches(max_slots)
+        if into is not None:
+            for indices, sub_plan in chunks:
+                self._run_lowered(*_narrow(batch, delta, indices, sub_plan),
+                                  (into[0], into[1][indices]))
+            return None
         return WaveformPlane.concat([
             self._run_lowered(*_narrow(batch, delta, indices, sub_plan))
-            for indices, sub_plan in batch.plan.batches(max_slots)])
+            for indices, sub_plan in chunks])
 
-    def _run_lowered(self, batch: _Batch, delta: Optional[DeltaPlan]
-                     ) -> _Answer:
-        """Answer every :func:`_lower` part of a batch and join them."""
-        parts: List[Tuple[np.ndarray, Union[_Answer, np.ndarray]]] = []
-        for subset, lowering in _lower(batch.toggles,
-                                       self.config.prune_inactive, delta):
-            sub, sub_delta = _narrow(batch, delta, subset)
+    def _run_lowered(self, batch: _Batch, delta: Optional[DeltaPlan],
+                     into: _Into = None) -> _Answer:
+        """Answer every :func:`_lower` part of a batch.
+
+        A batch that lowers one way to a walk or a splice answers as
+        that part stands.  Any other — a quiet or mixed one, or one
+        given ``into`` — has its answer written in place: each part
+        writes its own columns of one canvas, the walk's unpack and the
+        quiet settle straight from the backend, and no part builds a
+        plane of its own."""
+        parts = _lower(batch.toggles, self.config.prune_inactive, delta,
+                       batch.plan.pattern_indices)
+        whole = into is None and len(parts) == 1 and parts[0][1] != QUIET
+        fresh = into is None and not whole
+        if fresh:
+            into = self._canvas(batch)
+        answer = None
+        for subset, lowering in parts:
+            sub, sub_delta, target = batch, delta, None
+            if not whole:
+                sub, sub_delta = _narrow(batch, delta, subset)
+                target = (into[0], into[1][subset])
             if lowering == QUIET:
-                answer = self._settle(sub)
+                self._settle(sub, target)
             elif lowering == SPLICE:
-                answer = self._splice(sub, sub_delta)
+                answer = self._splice(sub, sub_delta, target)
             elif lowering == TRACKED:
                 mask = np.zeros((self.compiled.num_nets + 1,
                                  sub.plan.num_slots), dtype=bool)
-                mask[self._inputs] = sub.toggles.T
-                answer = self._execute(sub, mask=mask)
+                mask[self._inputs] = sub.toggles[sub.plan.pattern_indices].T
+                answer = self._execute(sub, mask, target)
             else:
-                answer = self._execute(sub)
-            parts.append((subset, answer))
-        return self._join(parts, batch)
+                answer = self._execute(sub, None, target)
+        return self._finish(into[0], batch) if fresh else answer
 
-    def _join(self, parts: List[Tuple[np.ndarray, Union[_Answer, np.ndarray]]],
-              batch: _Batch) -> _Answer:
-        """Assemble ``(slot subset, answer)`` parts that partition a
-        batch into one plane: each part's columns are scattered where
-        its slots land and the payloads are concatenated once
-        (:meth:`WaveformPlane.assemble`).  A quiet part is its settled
-        ``(W, n)`` values, which fill ``initial`` alone.  A lone part is
-        the batch's answer as it stands."""
-        if len(parts) == 1:
-            answer = parts[0][1]
-            if isinstance(answer, np.ndarray):
-                return WaveformPlane.constant(
-                    initial=answer, **self._keys_of(batch.rows))
-            return answer
+    def _canvas(self, batch: _Batch) -> Tuple[PlaneCanvas, np.ndarray]:
+        """A blank answer over a batch's slots, and their columns."""
+        num_slots = batch.plan.num_slots
+        width = len(self._keys_of(batch.rows)["nets"])
+        return PlaneCanvas(width, num_slots), np.arange(num_slots)
+
+    def _finish(self, canvas: PlaneCanvas, batch: _Batch) -> WaveformPlane:
+        """The plane of a batch answer written in place."""
         pack_start = _time.perf_counter()
-        plane = WaveformPlane.assemble(num_slots=batch.plan.num_slots,
-                                       parts=parts,
-                                       **self._keys_of(batch.rows))
+        plane = canvas.plane(**self._keys_of(batch.rows))
         batch.stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
@@ -848,66 +868,45 @@ class GpuWaveSim:
 
     # -- lowerings that never touch the arena ----------------------------------------
 
-    def _settle(self, batch: _Batch) -> np.ndarray:
-        """Quiet slots (no launched transition on any input): the
-        ``(W, slots)`` settled values of the captured rows — the whole
-        answer of a toggle-free part — and ``num_gates`` skipped lanes
-        per slot."""
-        compiled = self.compiled
-        batch.stats.lanes_skipped += compiled.num_gates * batch.plan.num_slots
-        pack_start = _time.perf_counter()
-        values, inverse = self._settle_values(batch)
-        values = (values[: compiled.num_nets] if batch.rows is None
-                  else values[batch.rows])
-        values = values[:, inverse]
-        batch.stats.pack_seconds += _time.perf_counter() - pack_start
-        return values
+    def _settle(self, batch: _Batch, into: _Into) -> None:
+        """Quiet slots (no launched transition on any input): their
+        settled values fill the ``initial`` columns of ``into`` alone —
+        the whole answer of a toggle-free slot, its counts staying 0 —
+        and every slot counts ``num_gates`` skipped lanes.
 
-    def _settle_values(self, batch: _Batch) -> tuple:
-        """Settled logic values for toggle-free slots.
-
-        One truth-table sweep over the ``(gates, vectors)`` plane
-        (:meth:`ComputeBackend.settle_levels`) — no waveform arena.
-        Matches what dense evaluation produces for these slots bit for
-        bit: with zero input toggles every merge degenerates to the
-        same table lookup.
-
-        Slots repeating the same input vector settle identically, so the
-        sweep runs once per *unique* vector.  Slots naming the same
-        pattern share the vector by construction, so the byte-row
-        comparison only sees one row per pattern index.  Returns the
-        per-unique-vector ``(num_nets + 1, U)`` value plane and the
-        slot → unique inverse mapping.
+        One settle per *pattern* the slots name, with no waveform arena
+        (:meth:`ComputeBackend.settle`): with zero input toggles every
+        merge degenerates to the same table lookup, so it matches what
+        dense evaluation produces bit for bit.  Only the captured rows
+        are unpacked, straight into their columns.
         """
         compiled = self.compiled
-        _, index, by_pattern = np.unique(
-            batch.plan.pattern_indices, return_index=True,
-            return_inverse=True)
-        # Per pattern, the first slot seen with the same byte row.
-        seen: Dict[bytes, int] = {}
-        twin = np.array([seen.setdefault(batch.first[slot].tobytes(), slot)
-                         for slot in index])
-        keep, by_vector = np.unique(twin, return_inverse=True)
-        initial = self._arena_pool.values(compiled.num_nets + 1, keep.size,
-                                          self._reset_rows)
-        initial[self._inputs] = batch.first[keep].T
-        self.backend.settle_levels(self._level_plans(), initial)
-        return initial, by_vector[by_pattern]
+        stats = batch.stats
+        stats.lanes_skipped += compiled.num_gates * batch.plan.num_slots
+        pack_start = _time.perf_counter()
+        patterns, vectors = np.unique(batch.plan.pattern_indices,
+                                      return_inverse=True)
+        self.backend.settle(self._level_plans(), batch.v1, patterns,
+                            compiled.num_nets, batch.rows, vectors,
+                            into[0].initial, into[1])
+        stats.pack_seconds += _time.perf_counter() - pack_start
 
-    def _splice(self, batch: _Batch, delta: DeltaPlan) -> WaveformPlane:
+    def _splice(self, batch: _Batch, delta: DeltaPlan,
+                into: _Into = None) -> Optional[WaveformPlane]:
         """Slots mapped onto a base slot (which they match exactly):
         their columns come straight out of the base plane and every
         lane counts as ``lanes_spliced``.
 
         Slots that map onto the base slot-for-slot (``base_slot`` is
         ``0 .. base.num_slots - 1``) in a run whose answer may share a
-        base's payload (not ``batch.private``) are answered by
+        base's payload (not ``batch.private``), and make up the whole
+        batch (no ``into``), are answered by
         reference — the base plane itself, or its zero-copy
         :meth:`~repro.waveform.plane.WaveformPlane.rows` view over the
         outputs — the aliasing a capturing run already has between its
-        result and ``result.base_arena``.  A batch that splices only
-        some of its slots joins this answer with the rest, which copies
-        it.  Any other column map gathers a private plane.
+        result and ``result.base_arena``.  Any other splice gathers a
+        private plane, which a batch that splices only some of its slots
+        writes to its columns of ``into``.
         """
         compiled = self.compiled
         stats = batch.stats
@@ -916,7 +915,7 @@ class GpuWaveSim:
         cols = delta.base_slot
         source = (base if batch.rows is None
                   else base.rows(ids=batch.rows, **self._output_keys))
-        if not batch.private and np.array_equal(
+        if not batch.private and into is None and np.array_equal(
                 cols, np.arange(base.num_slots)):
             plane, counts = source, base.counts
         else:
@@ -924,13 +923,17 @@ class GpuWaveSim:
         stats.lanes_spliced += compiled.num_gates * int(cols.size)
         stats.bytes_spliced += (int(counts.sum()) * 8
                                 + compiled.num_nets * int(cols.size))
+        if into is not None:
+            into[0].put(into[1], plane.initial, plane.counts, plane.starts,
+                        plane.times)
+            plane = None
         stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
     # -- the level loop -------------------------------------------------------------
 
-    def _execute(self, batch: _Batch,
-                 mask: Optional[np.ndarray] = None) -> _Answer:
+    def _execute(self, batch: _Batch, mask: Optional[np.ndarray] = None,
+                 into: _Into = None) -> _Answer:
         """The one level loop: arena, delay source, levels, extract.
 
         ``mask`` is the per-(net, slot) activity plane handed to the
@@ -947,6 +950,7 @@ class GpuWaveSim:
 
         A slot with a lane that overflowed comes back flagged; its
         column of the arena is garbage and :meth:`_recover` re-runs it.
+        Given ``into``, the unpack writes the batch's columns there.
         """
         compiled = self.compiled
         stats = batch.stats
@@ -959,11 +963,14 @@ class GpuWaveSim:
         # pooled per engine.
         times_all, initial_all = self._arena_pool.acquire(
             compiled.num_nets + 1, num_slots, capacity, self._reset_rows)
-        # The stimulus (Fig. 2 step 3) fills the input slab whole.
-        initial_all[self._inputs] = batch.first.T
+        # The stimulus (Fig. 2 step 3) fills the input slab whole,
+        # gathered per slot from its pattern's rows.
+        patterns = batch.plan.pattern_indices
+        initial_all[self._inputs] = batch.v1[patterns].T
         stimulus = times_all[self._inputs]
         stimulus.fill(INF)
-        np.copyto(stimulus[:, :, 0], LAUNCH_TIME, where=batch.toggles.T)
+        np.copyto(stimulus[:, :, 0], LAUNCH_TIME,
+                  where=batch.toggles[patterns].T)
 
         # Delay source.  Parallel instances share delay-function calls:
         # each distinct voltage is evaluated once and broadcast to its
@@ -999,7 +1006,10 @@ class GpuWaveSim:
         flagged = np.flatnonzero(result.overflow_slots)
         if flagged.size:
             return self._recover(batch, mask, flagged, times_all,
-                                 initial_all)
+                                 initial_all, into)
+        if into is not None:
+            return self._extract(times_all, initial_all, batch.rows, None,
+                                 stats, into)
         if batch.segments is None:
             return self._extract(times_all, initial_all, batch.rows, None,
                                  stats)[0]
@@ -1008,15 +1018,15 @@ class GpuWaveSim:
 
     def _recover(self, batch: _Batch, mask: Optional[np.ndarray],
                  flagged: np.ndarray, times_all: np.ndarray,
-                 initial_all: np.ndarray) -> _Answer:
+                 initial_all: np.ndarray, into: _Into = None) -> _Answer:
         """Overflow recovery — the only one: the ``flagged`` slots of
         the walk :meth:`_execute` just made are re-run at a grown
         capacity and joined with the healthy columns of its arena.
 
-        The healthy columns stay where the walk's extract put them:
-        the flagged slots' answer is scattered over their columns of
-        that fresh, private plane and its payload appended
-        (:meth:`WaveformPlane.scatter`) — no gather, no re-sort.
+        The answer is written in place: the walk's unpack writes its
+        healthy columns of ``into`` — or of a canvas over the batch —
+        and leaves the flagged ones out, and the re-run writes those
+        the same way — no gather, no re-sort, no block written twice.
 
         Slots are independent simulations, so being wrong about the
         capacity costs the slots that were wrong.  The flagged slots'
@@ -1052,19 +1062,27 @@ class GpuWaveSim:
         grown = replace(batch, capacity=max(capacity * 2,
                                             self.config.waveform_capacity))
         if flagged.size == num_slots:
-            return self._run_batch(grown, None)
-        # Extract before the re-run reuses the pooled arena.
-        plane = self._extract(times_all, initial_all, batch.rows, None,
-                              stats)[0]
-        rerun = self._run_batch(grown.take(flagged), None)
-        pack_start = _time.perf_counter()
-        plane = plane.scatter([(flagged, rerun)])
+            return self._run_batch(grown, None, into)
+        fresh = into is None
+        if fresh:
+            into = self._canvas(batch)
+        # Unpack before the re-run reuses the pooled arena.
+        healthy = into[1].copy()
+        healthy[flagged] = -1
+        self._extract(times_all, initial_all, batch.rows, None, stats,
+                      (into[0], healthy))
+        self._run_batch(grown.take(flagged), None,
+                        (into[0], into[1][flagged]))
+        if not fresh:
+            return None
+        plane = self._finish(into[0], batch)
         if batch.segments is not None:
             # Re-cut what a clean walk would have unpacked per segment.
+            pack_start = _time.perf_counter()
             bounds = batch.segments.bounds
             plane = [plane.take(np.arange(lo, hi))
                      for lo, hi in zip(bounds, bounds[1:])]
-        stats.pack_seconds += _time.perf_counter() - pack_start
+            stats.pack_seconds += _time.perf_counter() - pack_start
         return plane
 
     def _delay_table(self, batch: _Batch, distinct_v: np.ndarray
@@ -1089,12 +1107,20 @@ class GpuWaveSim:
 
     def _extract(self, times_all: np.ndarray, initial_all: np.ndarray,
                  rows: Optional[np.ndarray], bounds: Optional[Sequence[int]],
-                 stats: EngineStats) -> List[WaveformPlane]:
+                 stats: EngineStats, into: _Into = None
+                 ) -> Optional[List[WaveformPlane]]:
         """Waveform analysis (Fig. 2 step 4): copy the wanted rows out
         of the pooled arena, one private packed plane per slot segment
-        of ``bounds`` (``None``: one plane over every slot)."""
+        of ``bounds`` (``None``: one plane over every slot) — or, given
+        ``into``, every slot to its column there (none with column
+        ``-1``)."""
         pack_start = _time.perf_counter()
-        planes = self.backend.extract(times_all, initial_all, rows=rows,
-                                      bounds=bounds, **self._keys_of(rows))
+        if into is not None:
+            planes = self.backend.extract_columns(times_all, initial_all,
+                                                  rows, into[1], into[0])
+        else:
+            planes = self.backend.extract(times_all, initial_all, rows=rows,
+                                          bounds=bounds,
+                                          **self._keys_of(rows))
         stats.pack_seconds += _time.perf_counter() - pack_start
         return planes

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["load", "merge_lanes", "delays_for_gates", "run_levels",
-           "extract"]
+           "extract", "extract_columns", "settle"]
 
 #: Hard bound on gate arity in the C kernels (padded truth tables are
 #: uint32, so real circuits stay at <= 5 pins).
@@ -37,6 +37,7 @@ MAX_PINS = 16
 _SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 
 #define MAX_PINS 16
@@ -451,6 +452,16 @@ void run_levels(double *times_all, uint8_t *initial_all,
  * serial; a 1024-slot sweep (110 thousand) forks and halves its 3 ms. */
 #define PARALLEL_MIN_ROWS 65536
 
+/* A row's toggle count is its leading finite run: the walk writes every
+ * row whole (toggles, then +inf up to cap), so that is every finite
+ * entry, and nothing past the terminator is read. */
+static inline int64_t row_count(const double *row, int64_t cap)
+{
+    int64_t count = 0;
+    while (count < cap && isfinite(row[count])) count++;
+    return count;
+}
+
 /* Waveform unpack (Fig. 2 step 4): copy arena rows out as packed
  * planes, one per slot segment, in two calls around the caller's
  * payload allocation.
@@ -462,9 +473,6 @@ void run_levels(double *times_all, uint8_t *initial_all,
  * initial / counts / starts begins at W * (bounds[g] - bounds[0]), its
  * payload at offsets[g], and inside a segment the order is (net, slot)
  * -- so each segment's slices are a packed plane as they stand.
- * A row's toggle count is its leading finite run: the walk writes every
- * row whole (toggles, then +inf up to cap), so that is every finite
- * entry, and nothing past the terminator is read.
  *
  * extract_counts: initial values, counts, segment-relative starts (the
  * prefix sums of the counts, restarting in every segment) and the
@@ -492,10 +500,8 @@ int64_t extract_counts(const double *times_all, const uint8_t *initial_all,
             const int64_t lo = bounds[g], n = bounds[g + 1] - lo;
             const int64_t block = W * (lo - first) + w * n - lo;
             for (int64_t slot = lo; slot < lo + n; slot++) {
-                const double *row = times_all + (net + slot) * cap;
-                int64_t count = 0;
-                while (count < cap && isfinite(row[count])) count++;
-                counts[block + slot] = count;
+                counts[block + slot] = row_count(
+                    times_all + (net + slot) * cap, cap);
                 initial[block + slot] = initial_all[net + slot];
             }
         }
@@ -541,6 +547,159 @@ void extract_copy(const double *times_all, const int64_t *rows, int64_t W,
             }
         }
     }
+}
+
+/* The same unpack into a batch's answer written in place, one part at a
+ * time: arena slot s lands in column cols[s] of the (W, S_out) planes
+ * initial / counts / starts, and a slot with cols[s] < 0 is left out
+ * (an overflowed slot whose re-run writes the column later).  Blocks
+ * follow each other in (net, slot) order in this call's payload, which
+ * begins at offset base of the answer's: starts are absolute.
+ * extract_columns_counts writes initial values and counts, and the
+ * (W + 1,) payload offset of each net's blocks to offsets; it returns
+ * the payload size in doubles -- or -1, having written nothing, if a
+ * row is not one of the arena's nets rows or a column is past S_out.
+ * extract_columns_copy then writes starts and fills times (that many
+ * doubles). */
+int64_t extract_columns_counts(const double *times_all,
+                               const uint8_t *initial_all, int64_t nets,
+                               const int64_t *rows, int64_t W, int64_t S,
+                               int64_t cap, const int64_t *cols,
+                               int64_t S_out, uint8_t *initial,
+                               int64_t *counts, int64_t *offsets)
+{
+    if (rows == NULL && W > nets) return -1;
+    for (int64_t w = 0; rows != NULL && w < W; w++)
+        if (rows[w] < 0 || rows[w] >= nets) return -1;
+    for (int64_t slot = 0; slot < S; slot++)
+        if (cols[slot] >= S_out) return -1;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if(W * S >= PARALLEL_MIN_ROWS)
+#endif
+    for (int64_t w = 0; w < W; w++) {
+        const int64_t net = (rows != NULL ? rows[w] : w) * S;
+        int64_t total = 0;
+        for (int64_t slot = 0; slot < S; slot++) {
+            if (cols[slot] < 0) continue;
+            const int64_t d = w * S_out + cols[slot];
+            counts[d] = row_count(times_all + (net + slot) * cap, cap);
+            initial[d] = initial_all[net + slot];
+            total += counts[d];
+        }
+        offsets[w + 1] = total;
+    }
+    offsets[0] = 0;
+    for (int64_t w = 0; w < W; w++) offsets[w + 1] += offsets[w];
+    return offsets[W];
+}
+
+void extract_columns_copy(const double *times_all, const int64_t *rows,
+                          int64_t W, int64_t S, int64_t cap,
+                          const int64_t *cols, int64_t S_out,
+                          const int64_t *counts, const int64_t *offsets,
+                          int64_t base, int64_t *starts, double *times)
+{
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if(W * S >= PARALLEL_MIN_ROWS)
+#endif
+    for (int64_t w = 0; w < W; w++) {
+        const int64_t net = (rows != NULL ? rows[w] : w) * S;
+        int64_t position = offsets[w];
+        for (int64_t slot = 0; slot < S; slot++) {
+            if (cols[slot] < 0) continue;
+            const int64_t d = w * S_out + cols[slot];
+            const double *row = times_all + (net + slot) * cap;
+            starts[d] = base + position;
+            for (int64_t e = 0; e < counts[d]; e++) times[position + e] = row[e];
+            position += counts[d];
+        }
+    }
+}
+
+/* One gate of the bit-sliced settle: the truth table as a multiplexer
+ * tree over the pins' words, pin 0 at the leaves -- 2^K - 1 selects per
+ * word, no branch.  K is a literal at the specialised call sites, so the
+ * tree unrolls; a truth table is an int64, so K <= 6. */
+LANE_INLINE void settle_gate(const int64_t K, int64_t table,
+                             const uint64_t *const *in, uint64_t *out,
+                             int64_t words)
+{
+    uint64_t leaf[64];
+    for (int64_t m = 0; m < ((int64_t)1 << K); m++)
+        leaf[m] = (table >> m) & 1 ? ~(uint64_t)0 : 0;
+    for (int64_t w = 0; w < words; w++) {
+        uint64_t node[64];
+        int64_t n = (int64_t)1 << K;
+        for (int64_t m = 0; m < n; m++) node[m] = leaf[m];
+        for (int64_t pin = 0; pin < K; pin++) {
+            const uint64_t x = in[pin][w];
+            n /= 2;
+            for (int64_t j = 0; j < n; j++)
+                node[j] = node[2 * j] ^ (x & (node[2 * j] ^ node[2 * j + 1]));
+        }
+        out[w] = node[0];
+    }
+}
+
+/* Bit-sliced settle of toggle-free input vectors (a batch's quiet
+ * slots): with no toggle every merge degenerates to its truth-table
+ * lookup, so a net's settled value is what a walk writes as its initial
+ * value.  64 vectors share a uint64 word, each net owns a row of words,
+ * and the gates are walked once in concatenated plan order -- no arena,
+ * no mask, no delays.
+ *   v1 (P, n_in) launch values per pattern; patterns (U,) the patterns
+ *      to settle, vector u in bit u % 64 of word u / 64
+ *   in_ids / out_ids / tables / arities (G, ...) as in run_levels, over
+ *      nets word rows (the dummy net's stays 0)
+ *   out (W, S_out): out[w * S_out + cols[k]] is net rows[w]'s (rows
+ *      NULL: net w's) bit of vector vectors[k], for k < n
+ * Returns -1, having written nothing to out, if a row is out of range or
+ * the word plane cannot be allocated. */
+int64_t settle_vectors(const uint8_t *v1, int64_t n_in,
+                       const int64_t *patterns, int64_t U,
+                       const int64_t *in_ids, const int64_t *out_ids,
+                       const int64_t *tables, const int64_t *arities,
+                       int64_t G, int64_t maxP, int64_t nets,
+                       const int64_t *rows, int64_t W,
+                       const int64_t *vectors, const int64_t *cols,
+                       int64_t n, uint8_t *out, int64_t S_out)
+{
+    if (rows == NULL && W > nets) return -1;
+    for (int64_t w = 0; rows != NULL && w < W; w++)
+        if (rows[w] < 0 || rows[w] >= nets) return -1;
+    const int64_t words = (U + 63) / 64;
+    uint64_t *plane = calloc((size_t)(nets * words + 1), sizeof(uint64_t));
+    if (plane == NULL) return -1;
+    for (int64_t u = 0; u < U; u++) {
+        const uint8_t *vector = v1 + patterns[u] * n_in;
+        uint64_t *word = plane + u / 64;
+        for (int64_t net = 0; net < n_in; net++)
+            word[net * words] |= (uint64_t)(vector[net] & 1) << (u % 64);
+    }
+    for (int64_t gate = 0; gate < G; gate++) {
+        const int64_t K = arities[gate];
+        const uint64_t *in[MAX_PINS];
+        for (int64_t pin = 0; pin < K; pin++)
+            in[pin] = plane + in_ids[gate * maxP + pin] * words;
+        uint64_t *o = plane + out_ids[gate] * words;
+        switch (K) {
+        case 1: settle_gate(1, tables[gate], in, o, words); break;
+        case 2: settle_gate(2, tables[gate], in, o, words); break;
+        case 3: settle_gate(3, tables[gate], in, o, words); break;
+        case 4: settle_gate(4, tables[gate], in, o, words); break;
+        default: settle_gate(K, tables[gate], in, o, words);
+        }
+    }
+    for (int64_t w = 0; w < W; w++) {
+        const uint64_t *net = plane + (rows != NULL ? rows[w] : w) * words;
+        uint8_t *dst = out + w * S_out;
+        for (int64_t k = 0; k < n; k++) {
+            const int64_t v = vectors[k];
+            dst[cols[k]] = (uint8_t)((net[v / 64] >> (v % 64)) & 1);
+        }
+    }
+    free(plane);
+    return 0;
 }
 """
 
@@ -655,6 +814,24 @@ def _bind(path: str) -> ctypes.CDLL:
         _ptr, _ptr, _ptr, _ptr,
     ]
     lib.extract_copy.restype = None
+    lib.extract_columns_counts = held.extract_columns_counts
+    lib.extract_columns_copy = held.extract_columns_copy
+    lib.extract_columns_counts.argtypes = [
+        _ptr, _ptr, _i64, _ptr, _i64, _i64, _i64, _ptr, _i64,
+        _ptr, _ptr, _ptr,
+    ]
+    lib.extract_columns_counts.restype = _i64
+    lib.extract_columns_copy.argtypes = [
+        _ptr, _ptr, _i64, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr,
+        _ptr,
+    ]
+    lib.extract_columns_copy.restype = None
+    lib.settle_vectors.argtypes = [
+        _p_u8, _i64, _p_i64, _i64,
+        _p_i64, _p_i64, _p_i64, _p_i64, _i64, _i64, _i64,
+        _ptr, _i64, _p_i64, _p_i64, _i64, _p_u8, _i64,
+    ]
+    lib.settle_vectors.restype = _i64
     return lib
 
 
@@ -865,3 +1042,84 @@ def extract(times_all, initial_all, width, rows, bounds):
     _lib.extract_copy(times_at, *layout, *prefix,
                       _address(times, np.float64))
     return initial, counts, starts, offsets, times
+
+
+def _checked_rows(rows, width):
+    """``rows`` as the address of a C-contiguous int64 ``(width,)``
+    array (``None``: the first ``width`` rows) and the array itself."""
+    if rows is None:
+        return None, None
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.shape != (width,):
+        raise ValueError(f"want {width} net rows")
+    return _address(rows, np.int64), rows
+
+
+def extract_columns(times_all, initial_all, rows, cols, initial, counts,
+                    starts, base):
+    """Unpack arena slot ``s`` into column ``cols[s]`` (left out when
+    negative) of a batch answer's ``(W, S_out)`` ``initial`` / ``counts``
+    / ``starts``, the arena rows being ``rows`` (``None``: the first
+    ``W``); see ``extract_columns_counts`` in the C source.  Returns the
+    private payload the written ``starts`` point into once it is placed
+    at offset ``base`` of the answer's."""
+    nets, num_slots, capacity = times_all.shape
+    width, out_slots = counts.shape
+    if initial_all.shape != (nets, num_slots):
+        raise ValueError("initial values do not match the arena")
+    if initial.shape != counts.shape or starts.shape != counts.shape:
+        raise ValueError("the answer's planes differ in shape")
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    if cols.shape != (num_slots,):
+        raise ValueError("need one destination column per arena slot")
+    rows_at, rows = _checked_rows(rows, width)
+    offsets = np.empty(width + 1, dtype=np.int64)
+    times_at = _address(times_all, np.float64)
+    layout = (rows_at, width, num_slots, capacity, _address(cols, np.int64),
+              out_slots)
+    size = _lib.extract_columns_counts(
+        times_at, _address(initial_all, np.uint8), nets, *layout,
+        _address(initial, np.uint8), _address(counts, np.int64),
+        _address(offsets, np.int64))
+    if size < 0:
+        raise ValueError("extract rows or columns outside the planes")
+    times = np.empty(size, dtype=np.float64)
+    _lib.extract_columns_copy(times_at, *layout, _address(counts, np.int64),
+                              _address(offsets, np.int64), int(base),
+                              _address(starts, np.int64),
+                              _address(times, np.float64))
+    return times
+
+
+def settle(cat, v1, patterns, nets, rows, vectors, out, cols):
+    """Bit-sliced settle of the toggle-free launch vectors ``v1[patterns]``
+    over a ``nets``-row word plane (the dummy net's row included), then
+    ``out[:, cols[k]]`` = the settled values of the net ``rows``
+    (``None``: the first ``out.shape[0]``) of vector ``vectors[k]``;
+    see ``settle_vectors`` in the C source."""
+    if cat.in_ids.shape[1] > MAX_PINS:
+        raise ValueError(f"cext backend supports at most {MAX_PINS} pins")
+    v1 = np.ascontiguousarray(v1, dtype=np.uint8)
+    if v1.ndim != 2 or v1.shape[1] > nets or (cat.out_ids.size and max(
+            int(cat.in_ids.max()), int(cat.out_ids.max())) >= nets):
+        raise ValueError("settle plans or inputs outside the net plane")
+    patterns = np.ascontiguousarray(patterns, dtype=np.int64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    width, out_slots = out.shape
+    if not out.flags.c_contiguous or cols.shape != vectors.shape or (
+            cols.size and not (0 <= cols.min() and cols.max() < out_slots)):
+        raise ValueError("settle columns outside the answer")
+    if vectors.size and not (0 <= vectors.min()
+                             and vectors.max() < patterns.size):
+        raise ValueError("settle vectors outside the settled patterns")
+    if patterns.size and not (0 <= patterns.min()
+                              and patterns.max() < v1.shape[0]):
+        raise ValueError("settle patterns outside the pattern rows")
+    rows_at, rows = _checked_rows(rows, width)
+    if _lib.settle_vectors(
+            v1, v1.shape[1], patterns, patterns.size,
+            cat.in_ids, cat.out_ids, cat.tables, cat.arities,
+            cat.out_ids.size, cat.in_ids.shape[1], nets,
+            rows_at, width, vectors, cols, cols.size, out, out_slots):
+        raise ValueError("settle rows outside the net plane")

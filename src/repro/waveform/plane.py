@@ -12,10 +12,10 @@ for an ordered tuple of ``nets`` and a plane of slots it holds
 
 Each ``(net, slot)`` block is contiguous and ascending, but ``starts``
 are arbitrary offsets: :meth:`rows`, :meth:`concat` and
-``take(copy=False)`` re-index without moving payload bytes,
-:meth:`assemble` and :meth:`scatter` write parts' columns where their
-slots land, and the content :meth:`checksum` does not depend on the
-layout.  Bulk queries (:meth:`latest`, :meth:`transition_counts`,
+``take(copy=False)`` re-index without moving payload bytes, a
+:class:`PlaneCanvas` has parts write their columns where their slots
+land, and the content :meth:`checksum` does not depend on the layout.
+Bulk queries (:meth:`latest`, :meth:`transition_counts`,
 :meth:`final_values`) read the columns directly.
 
 A plane is itself the lazy read-only ``Sequence[Mapping[str, Waveform]]``
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.waveform.waveform import Waveform
 
-__all__ = ["PlaneAccessors", "WaveformPlane", "net_keys"]
+__all__ = ["PlaneAccessors", "PlaneCanvas", "WaveformPlane", "net_keys"]
 
 _NO_TIMES = np.empty(0, dtype=np.float64)
 
@@ -138,28 +138,6 @@ class WaveformPlane(SequenceABC):
         zeros = np.zeros(initial.shape, dtype=np.int64)
         return cls(tuple(nets), initial, zeros, zeros, _NO_TIMES,
                    _index=index, _nets_crc=nets_crc)
-
-    @classmethod
-    def assemble(cls, nets: Sequence[str], num_slots: int, parts,
-                 index: Optional[Dict[str, int]] = None,
-                 nets_crc: Optional[int] = None) -> "WaveformPlane":
-        """One plane over ``num_slots`` slots from ``(slots, part)``
-        pairs whose slots partition them (a part as in :meth:`scatter`):
-        every part's columns are written where they land and the
-        payloads concatenated once — nothing is re-sorted."""
-        nets = tuple(nets)
-        shape = (len(nets), num_slots)
-        # Initial values are written slot-major, where a part's columns
-        # are rows (a column scatter moves one byte at a time), and
-        # transposed once.
-        initial = np.empty(shape[::-1], dtype=np.uint8)
-        for slots, part in parts:
-            initial[slots] = _initial_of(part, nets).T
-        canvas = cls(nets, np.ascontiguousarray(initial.T),
-                     np.zeros(shape, dtype=np.int64),
-                     np.zeros(shape, dtype=np.int64), _NO_TIMES,
-                     _index=index, _nets_crc=nets_crc)
-        return canvas._scatter_blocks(parts)
 
     @classmethod
     def from_waveforms(cls, waveforms: Sequence[Mapping],
@@ -316,39 +294,6 @@ class WaveformPlane(SequenceABC):
                             in zip(planes, offsets)], axis=1),
             np.concatenate([plane.times for plane in planes]))
 
-    def scatter(self, parts) -> "WaveformPlane":
-        """Overwrite the columns ``slots`` of every ``(slots, part)``
-        pair with ``part``'s, *in place* — only for a plane nobody else
-        holds, like a fresh extract.
-
-        A part is a plane over the same nets, or the ``(W, len(slots))``
-        uint8 values of a toggle-free part.  Returns the plane over the
-        joined payload: this plane's, then each part's, with the part's
-        ``starts`` shifted and no block moved — so it is not packed.
-        Blocks of overwritten columns stay in the payload unreferenced.
-        """
-        for slots, part in parts:
-            self.initial[:, slots] = _initial_of(part, self.nets)
-        return self._scatter_blocks(parts)
-
-    def _scatter_blocks(self, parts) -> "WaveformPlane":
-        """The ``counts`` / ``starts`` / payload half of :meth:`scatter`."""
-        stale = self.times.size > 0  # columns may hold toggles
-        payloads = [self.times]
-        size = self.times.size
-        for slots, part in parts:
-            if isinstance(part, np.ndarray) or part.times.size == 0:
-                if stale:
-                    self.counts[:, slots] = 0
-                continue
-            self.counts[:, slots] = part.counts
-            self.starts[:, slots] = part.starts + size
-            payloads.append(part.times)
-            size += part.times.size
-        times = np.concatenate(payloads) if len(payloads) > 1 else self.times
-        return self._derived(self.nets, self.initial, self.counts,
-                             self.starts, times)
-
     def checksum(self) -> int:
         """CRC32 over net names, initial values, toggle counts and every
         toggle time in net-major order — a function of the content only,
@@ -380,7 +325,10 @@ class WaveformPlane(SequenceABC):
         """Latest toggle time per slot (default: every slot) over
         ``nets`` (default: all); ``-inf`` where nothing toggled.
 
-        Reduced in blocks of rows, so no temporary is plane-sized."""
+        Only the slots where a watched row toggles are reduced — one
+        ``max`` over the counts finds them, so the quiet columns of a
+        low-activity plane cost nothing more — in blocks of rows, so no
+        temporary is plane-sized."""
         ids = None if nets is None else self._row_ids(nets)
         if ids is not None and np.array_equal(ids, np.arange(self.num_nets)):
             ids = None  # every row in order: blocks are views
@@ -389,20 +337,32 @@ class WaveformPlane(SequenceABC):
             slots = np.asarray(slots)
         latest = np.full(self.num_slots if slots is None else slots.size,
                          -np.inf)
-        if width == 0 or self.times.size == 0:
+        if width == 0 or latest.size == 0 or self.times.size == 0:
             return latest
-        step = max(1, _BLOCK_ENTRIES // max(latest.size, 1))
+        counts = self.counts if ids is None else self.counts[ids]
+        if slots is not None:
+            counts = counts[:, slots]
+        live = np.flatnonzero(counts.max(axis=0))
+        if live.size == 0:
+            return latest
+        # The plane columns reduced; None: every one, as views.
+        picked = slots
+        if live.size < latest.size:
+            picked = live if slots is None else slots[live]
+        reduced = np.full(live.size, -np.inf)
+        step = max(1, _BLOCK_ENTRIES // live.size)
         for lo in range(0, width, step):
             rows = slice(lo, lo + step) if ids is None else ids[lo:lo + step]
             counts, last = self.counts[rows], self.starts[rows]
-            if slots is not None:
-                counts, last = counts[:, slots], last[:, slots]
+            if picked is not None:
+                counts, last = counts[:, picked], last[:, picked]
             last = last + counts
             last -= 1
             np.maximum(last, 0, out=last)
             block = self.times.take(last)
             block[counts == 0] = -np.inf
-            np.maximum(latest, block.max(axis=0), out=latest)
+            np.maximum(reduced, block.max(axis=0), out=reduced)
+        latest[live] = reduced
         return latest
 
     def transition_counts(self) -> np.ndarray:
@@ -423,13 +383,53 @@ class WaveformPlane(SequenceABC):
             self.times[start:start + int(self.counts[row, slot])])
 
 
-def _initial_of(part, nets: Tuple[str, ...]) -> np.ndarray:
-    """The initial values of a :meth:`WaveformPlane.scatter` part."""
-    if isinstance(part, np.ndarray):
-        return part
-    if part.nets != nets:
-        raise ValueError("cannot scatter a plane over other nets")
-    return part.initial
+class PlaneCanvas:
+    """A batch's ``(W, S)`` answer written in place, part by part.
+
+    Each part of a batch that lowers several ways writes its own
+    columns: a walk's unpack its slots' initial values, counts and
+    starts (:meth:`~repro.simulation.backend.ComputeBackend.extract_columns`),
+    a quiet settle the initial values alone — its counts stay 0 — and a
+    splice a plane's columns (:meth:`put`).  Payloads are kept in the
+    order they arrive and joined once by :meth:`plane`; ``starts`` are
+    offsets into that join (:attr:`size` is where the next payload
+    begins), so no block moves and nothing is re-sorted.
+    """
+
+    def __init__(self, width: int, num_slots: int) -> None:
+        shape = (width, num_slots)
+        self.initial = np.zeros(shape, dtype=np.uint8)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.starts = np.zeros(shape, dtype=np.int64)
+        self.payloads: list = []
+        self.size = 0
+
+    def append(self, payload: np.ndarray) -> None:
+        """Add a payload whose blocks the written ``starts`` address
+        from offset :attr:`size` on."""
+        self.payloads.append(payload)
+        self.size += payload.size
+
+    def put(self, cols: np.ndarray, initial: np.ndarray, counts: np.ndarray,
+            starts: np.ndarray, times: np.ndarray) -> None:
+        """Write the columns of a part — a plane's four arrays, its
+        ``starts`` relative to its payload ``times`` — to the columns
+        ``cols``."""
+        self.initial[:, cols] = initial
+        self.counts[:, cols] = counts
+        self.starts[:, cols] = starts + self.size
+        self.append(times)
+
+    def plane(self, nets: Sequence[str],
+              index: Optional[Dict[str, int]] = None,
+              nets_crc: Optional[int] = None) -> WaveformPlane:
+        """The finished answer over ``nets`` (see :func:`net_keys`)."""
+        payloads = self.payloads
+        times = (payloads[0] if len(payloads) == 1
+                 else np.concatenate(payloads) if payloads else _NO_TIMES)
+        return WaveformPlane(tuple(nets), self.initial, self.counts,
+                             self.starts, times, _index=index,
+                             _nets_crc=nets_crc)
 
 
 class _SlotView(Mapping):

@@ -1,11 +1,10 @@
 """A batch's answer is assembled in place, not joined and re-sorted.
 
 The parts of a batch that lowers several ways (QUIET, TRACKED, DENSE)
-have their columns written where their slots land
-(``WaveformPlane.assemble``); an overflow re-run overwrites its slots'
-columns of the plane the walk just extracted (``WaveformPlane.scatter``).
-Neither moves a payload block, so the answer may be unpacked — and its
-content must not differ:
+write their columns of one answer where their slots land
+(``PlaneCanvas``); an overflow re-run writes its slots' columns of the
+answer the walk left them out of.  Neither moves a payload block, so
+the answer may be unpacked — and its content must not differ:
 
 * mixed batches at capacities 2-4, where rows overflow, equal a
   ``prune_inactive=False`` run at a roomy capacity: ``packed()`` and

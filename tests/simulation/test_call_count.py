@@ -38,7 +38,7 @@ from repro.simulation.grid import SlotPlan
 #: Calls of one warm run of the plane below (8 slots, two supplies, the
 #: n = 3 polynomial table).  The numpy backend walks the levels in
 #: Python, the C backend in one native call.
-CALLS = {"numpy": 211, "cext": 60}
+CALLS = {"numpy": 208, "cext": 57}
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 
